@@ -1,0 +1,69 @@
+"""Byte-identical outputs for a fixed small configuration.
+
+The files under tests/golden/ are run CSVs (`TrialMetrics.write_csv`) and
+overlay edge lists (`Overlay.write_edge_list`) for two seeds and both
+strategies. Any refactor that is meant to keep results unchanged must keep
+these bytes unchanged. The configuration keeps K below the pool of context
+combinations (so advertisements are truncated), lets advertisement traffic
+die out within the run and leaves accuracy below saturation.
+
+Regenerate (only when a change is meant to alter results, and say why):
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from edgeknow.engine import SimConfig, Strategy, run_trial, setup_trial
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+CONFIG = SimConfig(
+    node_count=40,
+    predicting_var_count=8,
+    context_var_count=4,
+    contexts_per_table=2,
+    combinations_pool=4,
+    vars_trained_per_node=2,
+    observations_per_var=300,
+    k_sets=2,
+    cycles=6,
+)
+SEEDS = (0, 1)
+NAMES = [f"edges_seed{seed}.txt" for seed in SEEDS] + [
+    f"run_seed{seed}_{strategy.value}.csv" for seed in SEEDS for strategy in Strategy
+]
+
+
+def write_golden(out_dir: Path):
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for seed in SEEDS:
+        config = replace(CONFIG, seed=seed)
+        setup_trial(config).overlay.write_edge_list(out_dir / f"edges_seed{seed}.txt")
+        for strategy in Strategy:
+            run_trial(replace(config, strategy=strategy)).write_csv(
+                out_dir / f"run_seed{seed}_{strategy.value}.csv"
+            )
+
+
+@pytest.fixture(scope="module")
+def regenerated(tmp_path_factory):
+    out = tmp_path_factory.mktemp("golden")
+    write_golden(out)
+    return out
+
+
+def test_file_set(regenerated):
+    assert sorted(p.name for p in regenerated.iterdir()) == sorted(NAMES)
+    assert sorted(p.name for p in GOLDEN_DIR.iterdir()) == sorted(NAMES)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_byte_identical(regenerated, name):
+    assert (regenerated / name).read_bytes() == (GOLDEN_DIR / name).read_bytes()
+
+
+if __name__ == "__main__":
+    write_golden(GOLDEN_DIR)
+    print(f"wrote {len(NAMES)} files to {GOLDEN_DIR}")
