@@ -184,7 +184,13 @@ def cmd_run(args) -> int:
 
     workload = None
     if args.workload_csv:
-        workload = ingest_csv(args.workload_csv, base.schema())
+        try:
+            workload = ingest_csv(
+                args.workload_csv, base.schema(), node_count=base.node_count
+            )
+        except ValueError as exc:
+            print(f"bad workload: {exc}", file=sys.stderr)
+            return 2
 
     args.out.mkdir(parents=True, exist_ok=True)
     runs = []

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .pgm import DiscretePgm, Schema, VariableId, cvar, pvar
+from .pgm import DiscretePgm, Schema, UnknownVariable, VariableId, cvar, pvar
 from .routing import (
     Advertisement,
     AdvertisementPolicy,
@@ -64,7 +64,6 @@ class SimConfig:
     hop_budget: Optional[int] = None
     cycles: int = 30
     strategy: Strategy = Strategy.ABS
-    policy: Optional[AdvertisementPolicy] = None
     attachment: AttachmentParams = field(default_factory=AttachmentParams)
     edge_limit: int = 60
     seed: int = 0
@@ -91,8 +90,6 @@ class SimConfig:
         return max(1, round(2 * math.log2(self.node_count)))
 
     def resolved_policy(self) -> AdvertisementPolicy:
-        if self.policy is not None:
-            return self.policy
         return AdvertisementPolicy(
             change_threshold=0.005,
             min_interval=1,
@@ -204,7 +201,8 @@ def export_workload_csv(workload: Workload, path):
 
 def ingest_csv(path, schema: Schema, node_count: Optional[int] = None) -> Workload:
     """Parse an observation CSV back into per-(node, var, combination)
-    streams. Malformed rows raise ValueError with the line number."""
+    streams. Malformed rows, and rows that do not fit the schema or
+    `node_count`, raise ValueError with the line number."""
     groups: dict[tuple, list[tuple[int, tuple[int, ...]]]] = {}
     max_node = -1
     with open(path, newline="") as f:
@@ -223,10 +221,15 @@ def ingest_csv(path, schema: Schema, node_count: Optional[int] = None) -> Worklo
                     if not name.startswith("c") or not state:
                         raise ValueError(f"bad context field {cell!r}")
                     bindings[cvar(int(name[1:]))] = int(state)
+                if node_id < 0 or (node_count is not None and node_id >= node_count):
+                    raise ValueError(f"node_id {node_id} outside {node_count} nodes")
+                for v, value in [(var, outcome), *bindings.items()]:
+                    if not 0 <= value < schema.cardinality(v):
+                        raise ValueError(f"state {value} out of range for {v}")
+            except UnknownVariable as exc:
+                raise ValueError(f"{path}: unknown variable {exc} at line {lineno}")
             except (ValueError, IndexError) as exc:
                 raise ValueError(f"{path}: malformed row at line {lineno}: {exc}")
-            if not 0 <= outcome < schema.cardinality(var):
-                raise ValueError(f"{path}: outcome out of range at line {lineno}")
             contexts = tuple(sorted(bindings))
             states = tuple(bindings[c] for c in contexts)
             groups.setdefault((node_id, var, contexts), []).append((outcome, states))
@@ -257,8 +260,6 @@ class CycleMetrics:
     hits: int
     accuracy: float
     accuracy_std: float
-    mean_achieved: float
-    mean_optimal: float
     mean_regret: float
     adv_sets_sent: int
     oracle_violations: int
@@ -352,9 +353,13 @@ def setup_trial(config: SimConfig, workload: Optional[Workload] = None) -> Trial
         workload = generate_workload(
             config, seed=int(s_workload.generate_state(1)[0])
         )
+    elif workload.node_count != config.node_count:
+        raise ValueError(
+            f"workload has {workload.node_count} nodes, config {config.node_count}"
+        )
     pgms = train_pgms(workload, config.pseudocount)
     if config.node_count == 1:
-        overlay = Overlay(adjacency={0: set()}, edge_limit={0: config.edge_limit})
+        overlay = Overlay(adjacency={0: set()}, edge_limit=config.edge_limit)
     else:
         overlay = generate(
             config.attachment,
@@ -457,7 +462,7 @@ def run_cycle(trial: TrialState, cycle: int, strategy: Optional[Strategy] = None
     # phase 2: one query per node
     hits = 0
     violations = 0
-    achieved_sum = optimal_sum = regret_sum = 0.0
+    regret_sum = 0.0
     hit_flags = []
     uniform = math.log2(config.predicting_cardinality)
     for state in trial.nodes:
@@ -472,8 +477,6 @@ def run_cycle(trial: TrialState, cycle: int, strategy: Optional[Strategy] = None
             hit, regret = False, 0.0
         hits += hit
         hit_flags.append(1.0 if hit else 0.0)
-        achieved_sum += achieved
-        optimal_sum += optimal
         regret_sum += regret
     issued = len(trial.nodes)
     flags = np.asarray(hit_flags)
@@ -484,8 +487,6 @@ def run_cycle(trial: TrialState, cycle: int, strategy: Optional[Strategy] = None
         hits=hits,
         accuracy=hits / issued,
         accuracy_std=float(flags.std()),
-        mean_achieved=achieved_sum / issued,
-        mean_optimal=optimal_sum / issued,
         mean_regret=regret_sum / issued,
         adv_sets_sent=adv_sets_sent,
         oracle_violations=violations,

@@ -11,7 +11,6 @@ clamp is counted in `clamp_diagnostics`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Iterable, Mapping
@@ -83,13 +82,10 @@ ContextAssignment = Mapping[VariableId, int]
 
 @dataclass(frozen=True)
 class Schema:
-    """Shared structure of every node's model: state counts per variable and,
-    per predicting variable, the context variables it may be trained against
-    (None means any context variable is allowed)."""
+    """Shared structure of every node's model: state counts per variable."""
 
     predicting_cardinalities: tuple[int, ...]
     context_cardinalities: tuple[int, ...]
-    dependency_map: Mapping[VariableId, frozenset[VariableId]] | None = None
 
     def __post_init__(self):
         object.__setattr__(
@@ -101,19 +97,6 @@ class Schema:
         for card in self.predicting_cardinalities + self.context_cardinalities:
             if card < 2:
                 raise ValueError(f"cardinality must be >= 2, got {card}")
-        if self.dependency_map is not None:
-            deps = {k: frozenset(v) for k, v in self.dependency_map.items()}
-            for target, ctxs in deps.items():
-                if target.kind != VarKind.PREDICTING:
-                    raise ValueError("dependency_map keys must be predicting vars")
-                for c in ctxs:
-                    if c.kind != VarKind.CONTEXT:
-                        raise ValueError("dependencies must be context vars")
-            object.__setattr__(self, "dependency_map", deps)
-
-    @property
-    def predicting_vars(self) -> tuple[VariableId, ...]:
-        return tuple(pvar(i) for i in range(len(self.predicting_cardinalities)))
 
     @property
     def context_vars(self) -> tuple[VariableId, ...]:
@@ -128,14 +111,6 @@ class Schema:
         if not 0 <= var.index < len(cards):
             raise UnknownVariable(var)
         return cards[var.index]
-
-    def dependencies(self, var: VariableId) -> frozenset[VariableId]:
-        if var.kind != VarKind.PREDICTING:
-            raise UnknownVariable(var)
-        self.cardinality(var)
-        if self.dependency_map is None or var not in self.dependency_map:
-            return frozenset(self.context_vars)
-        return self.dependency_map[var]
 
 
 @dataclass
@@ -245,14 +220,6 @@ class DiscretePgm:
     tables: dict[VariableId, JointTable] = field(default_factory=dict)
     observation_count: dict[VariableId, int] = field(default_factory=dict)
 
-    def _check_context_keys(self, target: VariableId, keys: frozenset[VariableId]):
-        deps = self.schema.dependencies(target)
-        extra = keys - deps
-        if extra:
-            raise ContextMismatch(
-                f"context vars {sorted(extra)} not in dependency set of {target}"
-            )
-
     def _table_for(
         self, target: VariableId, keys: frozenset[VariableId]
     ) -> JointTable:
@@ -260,7 +227,9 @@ class DiscretePgm:
             raise UnknownVariable(target)
         table = self.tables.get(target)
         if table is None:
-            self._check_context_keys(target, keys)
+            extra = keys - frozenset(self.schema.context_vars)
+            if extra:
+                raise ContextMismatch(f"{sorted(extra)} are not context vars")
             table = JointTable.fresh(self.schema, target, keys, self.pseudocount)
             self.tables[target] = table
         elif frozenset(table.contexts) != keys:

@@ -12,22 +12,18 @@ the variable, where context-aware scoring takes over.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
 from .pgm import (
     DiscretePgm,
     VariableId,
-    VarKind,
     conditional_entropy,
     joint_entropy,
     marginal_entropy,
-    pvar,
-    cvar,
 )
 
 NodeId = int
@@ -49,7 +45,6 @@ class EntropySet:
     predicting: VariableId
     joint: float
     context_entropies: dict[VariableId, float] = field(default_factory=dict)
-    hop_inflation_applied: float = 0.0
 
     @property
     def combination(self) -> frozenset[VariableId]:
@@ -64,7 +59,6 @@ class EntropySet:
             self.predicting,
             self.joint + eps,
             dict(self.context_entropies),
-            self.hop_inflation_applied + eps,
         )
 
     def score(self, bound: Iterable[VariableId]) -> float:
@@ -106,29 +100,6 @@ class Advertisement:
             for s in sets
         }
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "origin": self.origin,
-                "entries": [
-                    {
-                        "var": _var_key(var),
-                        "sets": [_set_to_dict(s) for s in sets],
-                    }
-                    for var, sets in sorted(self.entries.items())
-                ],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Advertisement":
-        data = json.loads(text)
-        entries = {
-            _parse_var(e["var"]): [_set_from_dict(d) for d in e["sets"]]
-            for e in data["entries"]
-        }
-        return cls(data["origin"], entries)
-
 
 @dataclass
 class RoutingModel:
@@ -161,32 +132,6 @@ class Query:
     result: Optional[np.ndarray] = None
     quality: float = math.inf
     visited: list[NodeId] = field(default_factory=list)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "target": _var_key(self.target),
-                "ctx": {_var_key(v): s for v, s in sorted(self.ctx.items())},
-                "hops_remaining": self.hops_remaining,
-                "issuer": self.issuer,
-                "result": None if self.result is None else list(self.result),
-                "quality": self.quality if math.isfinite(self.quality) else None,
-                "visited": self.visited,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Query":
-        d = json.loads(text)
-        return cls(
-            target=_parse_var(d["target"]),
-            ctx={_parse_var(v): s for v, s in d["ctx"].items()},
-            hops_remaining=d["hops_remaining"],
-            issuer=d["issuer"],
-            result=None if d["result"] is None else np.asarray(d["result"]),
-            quality=math.inf if d["quality"] is None else d["quality"],
-            visited=list(d["visited"]),
-        )
 
 
 @dataclass
@@ -338,14 +283,6 @@ def should_advertise(
     return any(abs(new[k] - old[k]) > policy.change_threshold for k in new)
 
 
-def score_query_against_sets(sets: Iterable[EntropySet], query: Query) -> float:
-    bound = frozenset(query.ctx)
-    score = math.inf
-    for s in sets:
-        score = min(score, s.score(bound))
-    return score
-
-
 def _improve_locally(state: NodeState, query: Query):
     local = state.local_answer(query.target, frozenset(query.ctx))
     if local is not None and local < query.quality:
@@ -398,29 +335,3 @@ def random_walk_step(
         candidates = _forward_candidates(state, query)
         return Forward(candidates[rng.integers(len(candidates))], query)
     return Return(query)
-
-
-def _var_key(var: VariableId) -> str:
-    return f"{'P' if var.kind == VarKind.PREDICTING else 'C'}{var.index}"
-
-
-def _parse_var(key: str) -> VariableId:
-    return (pvar if key[0] == "P" else cvar)(int(key[1:]))
-
-
-def _set_to_dict(s: EntropySet) -> dict:
-    return {
-        "var": _var_key(s.predicting),
-        "joint": s.joint,
-        "contexts": {_var_key(v): h for v, h in sorted(s.context_entropies.items())},
-        "inflation": s.hop_inflation_applied,
-    }
-
-
-def _set_from_dict(d: dict) -> EntropySet:
-    return EntropySet(
-        predicting=_parse_var(d["var"]),
-        joint=d["joint"],
-        context_entropies={_parse_var(v): h for v, h in d["contexts"].items()},
-        hop_inflation_applied=d["inflation"],
-    )

@@ -2,18 +2,18 @@
 
 Preferential attachment weighted by model similarity: an arriving node links
 to existing nodes with probability proportional to degree times the overlap
-coefficient of the two nodes' trained predicting-variable sets. Nodes at their
-per-node edge limit are excluded so the degree cap is hard.
+coefficient of the two nodes' trained predicting-variable sets. Nodes at the
+edge limit are excluded so the degree cap is hard.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .pgm import DiscretePgm, VariableId
+from .pgm import DiscretePgm
 
 
 class IncompatibleModels(ValueError):
@@ -40,8 +40,7 @@ class AttachmentParams:
 @dataclass
 class Overlay:
     adjacency: dict[int, set[int]]
-    edge_limit: dict[int, int]
-    rng_seed: int = 0
+    edge_limit: int
     saturation_warnings: int = 0
     repair_edges: int = 0
 
@@ -61,10 +60,10 @@ class Overlay:
         if v in self.adjacency[u]:
             raise ValueError(f"duplicate edge {u}-{v}")
         if (
-            self.degree(u) >= self.edge_limit[u]
-            or self.degree(v) >= self.edge_limit[v]
+            self.degree(u) >= self.edge_limit
+            or self.degree(v) >= self.edge_limit
         ):
-            raise ValueError(f"edge {u}-{v} would exceed an edge limit")
+            raise ValueError(f"edge {u}-{v} would exceed the edge limit")
         self.adjacency[u].add(v)
         self.adjacency[v].add(u)
 
@@ -85,16 +84,12 @@ class Overlay:
                 f.write(f"{deg},{count}\n")
 
 
-def trained_set(pgm: DiscretePgm) -> frozenset[VariableId]:
-    return pgm.trained_vars
-
-
 def similarity(pgm_a: DiscretePgm, pgm_b: DiscretePgm) -> float:
     """Overlap coefficient of the trained predicting-variable sets:
     |A & B| / min(|A|, |B|); zero when either set is empty."""
     if pgm_a.schema != pgm_b.schema:
         raise IncompatibleModels("schemas differ")
-    a, b = trained_set(pgm_a), trained_set(pgm_b)
+    a, b = pgm_a.trained_vars, pgm_b.trained_vars
     if not a or not b:
         return 0.0
     return len(a & b) / min(len(a), len(b))
@@ -112,7 +107,7 @@ def attachment_probabilities(
     total = degrees.sum()
     weights = np.zeros(len(existing))
     for i, (node, pgm) in enumerate(existing):
-        if overlay.degree(node) >= overlay.edge_limit[node]:
+        if overlay.degree(node) >= overlay.edge_limit:
             continue
         sim = max(similarity(arriving, pgm), similarity_floor)
         weights[i] = degrees[i] / total * sim if total > 0 else sim
@@ -159,7 +154,7 @@ def attach(
 def generate(
     params: AttachmentParams,
     node_pgms: Sequence[DiscretePgm],
-    edge_limit: int | Sequence[int],
+    edge_limit: int,
     seed: int,
 ) -> Overlay:
     """Grow the overlay: a clique of the first m0 nodes, then similarity-
@@ -168,16 +163,10 @@ def generate(
     n = len(node_pgms)
     if n < params.m0:
         raise ValueError(f"need at least m0={params.m0} nodes, got {n}")
-    limits = (
-        {i: int(edge_limit) for i in range(n)}
-        if np.isscalar(edge_limit)
-        else {i: int(edge_limit[i]) for i in range(n)}
-    )
     rng = np.random.default_rng(seed)
     overlay = Overlay(
         adjacency={i: set() for i in range(params.m0)},
-        edge_limit=limits,
-        rng_seed=seed,
+        edge_limit=edge_limit,
     )
     for u in range(params.m0):
         for v in range(u + 1, params.m0):
@@ -215,10 +204,10 @@ def _repair_connectivity(overlay: Overlay):
     main = comps[0]
     for comp in comps[1:]:
         anchors = [
-            n for n in main if overlay.degree(n) < overlay.edge_limit[n]
+            n for n in main if overlay.degree(n) < overlay.edge_limit
         ]
         sources = [
-            n for n in comp if overlay.degree(n) < overlay.edge_limit[n]
+            n for n in comp if overlay.degree(n) < overlay.edge_limit
         ]
         if not anchors or not sources:
             overlay.saturation_warnings += 1

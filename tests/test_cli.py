@@ -113,6 +113,21 @@ class TestRun:
         assert code == 0
         assert (out / "run_seed0_abs.csv").exists()
 
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "0,1,2,c0=9",  # context state beyond cardinality 4
+            "0,1,2,c7=1",  # context variable beyond the 3 configured
+            "12,1,2,c0=1",  # node id beyond --nodes 12
+        ],
+    )
+    def test_bad_workload_row_exits_2_with_line(self, tmp_path, capsys, row):
+        wl_path = tmp_path / "workload.csv"
+        wl_path.write_text(f"node_id,predicting_var,outcome\n0,1,2,c0=1\n{row}\n")
+        code = run_cli(BASE + ["--workload-csv", wl_path, "--out", tmp_path / "out"])
+        assert code == 2
+        assert "line 3" in capsys.readouterr().err
+
 
 class TestTopology:
     def test_outputs(self, tmp_path, capsys):

@@ -239,6 +239,11 @@ class TestTrialSetup:
             for combo in combos:
                 assert len(combo) == config.contexts_per_table
 
+    def test_workload_node_count_must_match(self):
+        workload = generate_workload(small_config(node_count=8), seed=0)
+        with pytest.raises(ValueError, match="8 nodes"):
+            setup_trial(small_config(), workload)
+
     def test_single_node_network(self):
         config = small_config(node_count=1, attachment=None or SimConfig().attachment)
         metrics = run_trial(config)

@@ -139,15 +139,12 @@ class TestObserve:
         probs = pgm.predict(pvar(0), {})
         assert probs == pytest.approx([6 / 7, 1 / 7])
 
-    def test_context_outside_dependencies(self):
-        schema = Schema(
-            predicting_cardinalities=(2,),
-            context_cardinalities=(2, 2),
-            dependency_map={pvar(0): frozenset({cvar(0)})},
-        )
-        pgm = DiscretePgm(schema)
+    @pytest.mark.parametrize("key", [pvar(0), cvar(2)])
+    def test_observe_block_rejects_non_context_keys(self, binary_schema, key):
+        pgm = DiscretePgm(binary_schema)
         with pytest.raises(ContextMismatch):
-            pgm.observe(pvar(0), {cvar(1): 0}, 0)
+            pgm.observe_block(pvar(0), (key,), np.zeros(1, int), np.zeros(1, int))
+        assert pgm.tables == {}
 
     def test_context_combination_is_fixed_by_first_observation(self, binary_schema):
         pgm = DiscretePgm(binary_schema)

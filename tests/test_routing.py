@@ -24,7 +24,6 @@ from edgeknow.routing import (
     process_query,
     random_walk_step,
     should_advertise,
-    score_query_against_sets,
 )
 
 
@@ -70,7 +69,6 @@ class TestEntropySetScore:
     def test_inflation_accumulates(self):
         s = make_set(0, 1.0, {1: 0.5}).inflated(0.01).inflated(0.01)
         assert s.joint == pytest.approx(1.02)
-        assert s.hop_inflation_applied == pytest.approx(0.02)
         assert s.context_entropies == {cvar(1): 0.5}
 
 
@@ -94,7 +92,6 @@ class TestBuildAdvertisement:
         sets = adv.entries[pvar(0)]
         assert len(sets) == 1  # same combination, minimum wins
         assert sets[0].joint == pytest.approx(0.5 + eps)
-        assert sets[0].hop_inflation_applied == pytest.approx(eps)
 
     def test_distinct_combinations_coexist(self):
         local = [make_set(0, 1.0, {0: 0.4})]
@@ -336,43 +333,6 @@ class TestRandomWalk:
         assert isinstance(out, Return)
 
 
-class TestSerialization:
-    def test_advertisement_round_trip(self):
-        adv = Advertisement(
-            origin=7,
-            entries={
-                pvar(0): [make_set(0, 1.25, {0: 0.5, 2: 0.25})],
-                pvar(3): [make_set(3, 2.0)],
-            },
-        )
-        back = Advertisement.from_json(adv.to_json())
-        assert back == adv
-
-    def test_query_round_trip(self):
-        q = Query(
-            target=pvar(2),
-            ctx={cvar(0): 1, cvar(3): 0},
-            hops_remaining=5,
-            issuer=9,
-            result=np.array([0.25, 0.75]),
-            quality=0.811,
-            visited=[9, 2, 4],
-        )
-        back = Query.from_json(q.to_json())
-        assert back.target == q.target
-        assert back.ctx == q.ctx
-        assert back.hops_remaining == q.hops_remaining
-        assert back.issuer == q.issuer
-        assert back.result == pytest.approx(q.result)
-        assert back.quality == pytest.approx(q.quality)
-        assert back.visited == q.visited
-
-    def test_fresh_query_round_trip(self):
-        q = Query(pvar(0), {}, 3, 0)
-        back = Query.from_json(q.to_json())
-        assert back.result is None and back.quality == math.inf
-
-
 class TestLocalSets:
     def test_one_set_per_trained_var(self):
         pgm = DiscretePgm(Schema((2, 2, 2), (2, 2)))
@@ -390,12 +350,6 @@ class TestLocalSets:
         with_foreign = answer_entropy(node.pgm, pvar(0), frozenset({cvar(1)}))
         without = answer_entropy(node.pgm, pvar(0), frozenset())
         assert with_foreign == pytest.approx(without)
-
-    def test_score_query_against_sets(self):
-        sets = [make_set(0, 2.0, {0: 0.5}), make_set(0, 1.8)]
-        q = Query(pvar(0), {cvar(0): 1}, 3, 0)
-        assert score_query_against_sets(sets, q) == pytest.approx(1.5)
-        assert score_query_against_sets([], q) == math.inf
 
 
 def advertise_until_stable(nodes, policy, k, max_rounds=60):

@@ -30,7 +30,7 @@ def pgm_with(var_indices):
 def overlay_from_edges(n, edges, limit=100):
     ov = Overlay(
         adjacency={i: set() for i in range(n)},
-        edge_limit={i: limit for i in range(n)},
+        edge_limit=limit,
     )
     for u, v in edges:
         ov.add_edge(u, v)
@@ -76,7 +76,7 @@ class TestAttachmentProbabilities:
         arriving = pgm_with([0])
         ov2 = overlay_from_edges(3, [])
         ov2.adjacency = {0: {10, 11, 12, 13}, 2: {10, 11}, 3: {10, 11}}
-        ov2.edge_limit = {0: 100, 2: 100, 3: 100}
+        ov2.edge_limit = 100
         probs = attachment_probabilities(ov2, arriving, existing)
         assert probs == pytest.approx([0.5, 0.25, 0.25])
 
