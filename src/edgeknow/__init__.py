@@ -1,7 +1,7 @@
 """Entropy-guided query routing over networks of locally trained discrete PGMs."""
 
 from .engine import SimConfig, Strategy, TrialMetrics, run_trial
-from .pgm import DiscretePgm, Schema, cvar, pvar
+from .pgm import DiscretePgm, Schema
 from .routing import AdvertisementPolicy, Query
 from .topology import AttachmentParams, Overlay, generate
 
@@ -14,8 +14,6 @@ __all__ = [
     "run_trial",
     "DiscretePgm",
     "Schema",
-    "pvar",
-    "cvar",
     "AdvertisementPolicy",
     "Query",
     "AttachmentParams",

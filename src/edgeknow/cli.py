@@ -20,6 +20,7 @@ from .engine import (
     SimConfig,
     Strategy,
     TrialMetrics,
+    check_workload,
     export_workload_csv,
     generate_workload,
     ingest_csv,
@@ -107,7 +108,7 @@ def _read_config_file(path: Path) -> dict[str, str]:
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise SystemExit(f"{path}:{lineno}: expected key=value, got {line!r}")
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
         values[key.strip()] = value.strip()
     return values
 
@@ -129,7 +130,7 @@ def _base_config(args) -> SimConfig:
             if key in _FLAG_FIELDS:
                 values[_FLAG_FIELDS[key]] = int(value)
             else:
-                raise SystemExit(f"unknown config key: {key}")
+                raise ValueError(f"unknown config key: {key}")
     for flag, fld in _FLAG_FIELDS.items():
         if flag == "seed":
             continue
@@ -201,6 +202,13 @@ def cmd_run(args) -> int:
                 if sweep_param is not None:
                     config = replace(config, **{_FLAG_FIELDS[sweep_param]: value})
                 runs.append((_run_name(sweep_param, value, seed, strategy), value, config))
+    if workload is not None:
+        for name, _, config in runs:
+            try:
+                check_workload(config, workload)
+            except ValueError as exc:
+                print(f"bad workload for {name}: {exc}", file=sys.stderr)
+                return 2
 
     jobs = [(config, workload) for _, _, config in runs]
     if args.threads > 1:

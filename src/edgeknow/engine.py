@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .pgm import DiscretePgm, Schema, UnknownVariable, VariableId, cvar, pvar
+from .pgm import DiscretePgm, Schema, UnknownVariable
 from .routing import (
     Advertisement,
     AdvertisementPolicy,
@@ -92,7 +92,6 @@ class SimConfig:
     def resolved_policy(self) -> AdvertisementPolicy:
         return AdvertisementPolicy(
             change_threshold=0.005,
-            min_interval=1,
             quality_threshold=0.8 * math.log2(self.predicting_cardinality),
             hop_inflation=0.001,
         )
@@ -112,8 +111,8 @@ class TrainedAssignment:
     context assignments as flattened indices plus the drawn outcomes."""
 
     node_id: int
-    var: VariableId
-    contexts: tuple[VariableId, ...]
+    var: int
+    contexts: tuple[int, ...]
     ctx_flat_idx: np.ndarray
     outcomes: np.ndarray
 
@@ -131,7 +130,7 @@ def _combination_pool(config: SimConfig, rng: np.random.Generator):
     )
     pool_size = min(config.combinations_pool, len(all_combos))
     idx = rng.choice(len(all_combos), size=pool_size, replace=False)
-    return [tuple(cvar(i) for i in all_combos[j]) for j in sorted(idx)]
+    return [all_combos[j] for j in sorted(idx)]
 
 
 def generate_workload(config: SimConfig, seed: int) -> Workload:
@@ -160,7 +159,7 @@ def generate_workload(config: SimConfig, seed: int) -> Workload:
             workload.entries.append(
                 TrainedAssignment(
                     node_id=node_id,
-                    var=pvar(int(var_idx)),
+                    var=int(var_idx),
                     contexts=contexts,
                     ctx_flat_idx=flat_idx.astype(np.int64),
                     outcomes=outcomes,
@@ -182,21 +181,32 @@ def train_pgms(workload: Workload, pseudocount: float = 1.0) -> list[DiscretePgm
 
 
 def export_workload_csv(workload: Workload, path):
-    """Rows: node_id, predicting var index, outcome, then one c<i>=<state>
-    field per bound context variable."""
+    """Rows: node_id, predicting var index, outcome, then one c<j>=<state>
+    field per bound context variable j."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["node_id", "predicting_var", "outcome"])
         for entry in workload.entries:
-            cards = [workload.schema.cardinality(c) for c in entry.contexts]
+            cards = [workload.schema.context_cardinality(c) for c in entry.contexts]
             states = np.unravel_index(entry.ctx_flat_idx, cards)
             for i in range(len(entry.outcomes)):
-                row = [entry.node_id, entry.var.index, int(entry.outcomes[i])]
+                row = [entry.node_id, entry.var, int(entry.outcomes[i])]
                 row += [
-                    f"c{entry.contexts[j].index}={int(states[j][i])}"
+                    f"c{entry.contexts[j]}={int(states[j][i])}"
                     for j in range(len(entry.contexts))
                 ]
                 writer.writerow(row)
+
+
+def _check_field(cardinality, var: int, state: int, name: str):
+    """Reject a CSV value whose variable or state does not fit the schema,
+    naming the CSV field."""
+    try:
+        card = cardinality(var)
+    except UnknownVariable:
+        raise ValueError(f"unknown variable {name}") from None
+    if not 0 <= state < card:
+        raise ValueError(f"state {state} out of range for {name}")
 
 
 def ingest_csv(path, schema: Schema, node_count: Optional[int] = None) -> Workload:
@@ -213,21 +223,21 @@ def ingest_csv(path, schema: Schema, node_count: Optional[int] = None) -> Worklo
                 continue
             try:
                 node_id = int(row[0])
-                var = pvar(int(row[1]))
+                var = int(row[1])
                 outcome = int(row[2])
+                if node_id < 0 or (node_count is not None and node_id >= node_count):
+                    raise ValueError(f"node_id {node_id} outside {node_count} nodes")
+                _check_field(
+                    schema.predicting_cardinality, var, outcome, f"predicting_var {var}"
+                )
                 bindings = {}
                 for cell in row[3:]:
                     name, _, state = cell.partition("=")
                     if not name.startswith("c") or not state:
                         raise ValueError(f"bad context field {cell!r}")
-                    bindings[cvar(int(name[1:]))] = int(state)
-                if node_id < 0 or (node_count is not None and node_id >= node_count):
-                    raise ValueError(f"node_id {node_id} outside {node_count} nodes")
-                for v, value in [(var, outcome), *bindings.items()]:
-                    if not 0 <= value < schema.cardinality(v):
-                        raise ValueError(f"state {value} out of range for {v}")
-            except UnknownVariable as exc:
-                raise ValueError(f"{path}: unknown variable {exc} at line {lineno}")
+                    c = int(name[1:])
+                    bindings[c] = int(state)
+                    _check_field(schema.context_cardinality, c, bindings[c], name)
             except (ValueError, IndexError) as exc:
                 raise ValueError(f"{path}: malformed row at line {lineno}: {exc}")
             contexts = tuple(sorted(bindings))
@@ -239,7 +249,7 @@ def ingest_csv(path, schema: Schema, node_count: Optional[int] = None) -> Worklo
         node_count=node_count if node_count is not None else max_node + 1,
     )
     for (node_id, var, contexts), rows in sorted(groups.items()):
-        cards = [schema.cardinality(c) for c in contexts]
+        cards = [schema.context_cardinality(c) for c in contexts]
         outcomes = np.array([r[0] for r in rows], dtype=np.int64)
         if contexts:
             state_cols = np.array([r[1] for r in rows], dtype=np.int64).T
@@ -302,7 +312,7 @@ class TrialState:
     config: SimConfig
     nodes: list[NodeState]
     overlay: Overlay
-    trained_combos: dict[VariableId, list[tuple[VariableId, ...]]]
+    trained_combos: dict[int, list[tuple[int, ...]]]
     query_rng: np.random.Generator
     walk_rng: np.random.Generator
     oracle_cache: dict = field(default_factory=dict)
@@ -346,6 +356,23 @@ def _cached_oracle(trial: TrialState, query: Query) -> float:
     return trial.oracle_cache[key]
 
 
+def check_workload(config: SimConfig, workload: Workload):
+    """Raise ValueError unless the workload has the config's node count and
+    schema."""
+    if workload.node_count != config.node_count:
+        raise ValueError(
+            f"workload has {workload.node_count} nodes, config {config.node_count}"
+        )
+    if workload.schema != config.schema():
+        have, want = workload.schema, config.schema()
+        raise ValueError(
+            "workload schema differs from the config's (predicting/context "
+            f"variables {len(have.predicting_cardinalities)}/"
+            f"{len(have.context_cardinalities)} vs "
+            f"{len(want.predicting_cardinalities)}/{len(want.context_cardinalities)})"
+        )
+
+
 def setup_trial(config: SimConfig, workload: Optional[Workload] = None) -> TrialState:
     ss = np.random.SeedSequence(config.seed)
     s_workload, s_topology, s_query, s_walk = ss.spawn(4)
@@ -353,10 +380,8 @@ def setup_trial(config: SimConfig, workload: Optional[Workload] = None) -> Trial
         workload = generate_workload(
             config, seed=int(s_workload.generate_state(1)[0])
         )
-    elif workload.node_count != config.node_count:
-        raise ValueError(
-            f"workload has {workload.node_count} nodes, config {config.node_count}"
-        )
+    else:
+        check_workload(config, workload)
     pgms = train_pgms(workload, config.pseudocount)
     if config.node_count == 1:
         overlay = Overlay(adjacency={0: set()}, edge_limit=config.edge_limit)
@@ -381,7 +406,7 @@ def setup_trial(config: SimConfig, workload: Optional[Workload] = None) -> Trial
                 },
             )
         )
-    trained_combos: dict[VariableId, set] = {}
+    trained_combos: dict[int, set] = {}
     for entry in workload.entries:
         trained_combos.setdefault(entry.var, set()).add(entry.contexts)
     return TrialState(
@@ -445,14 +470,11 @@ def run_cycle(trial: TrialState, cycle: int, strategy: Optional[Strategy] = None
             local_sets=state.local_sets(),
         )
         current.origin = state.node_id
-        if should_advertise(
-            state.last_advertisement, current, state.last_sent_cycle, cycle, policy
-        ):
+        if should_advertise(state.last_advertisement, current, policy):
             outgoing.append((state, current))
         state.models_dirty = False
     for state, adv in outgoing:
         state.last_advertisement = adv
-        state.last_sent_cycle = cycle
         for nb in state.neighbors:
             receiver = trial.nodes[nb]
             integrate_advertisement(receiver.routing_models[state.node_id], adv)

@@ -2,6 +2,8 @@
 
 Each network node owns a DiscretePgm: per predicting variable, one joint count
 table over that variable and the context combination it was trained against.
+Variables are plain ints indexed per kind: predicting variables 0..P-1 and
+context variables 0..C-1; which kind an id is follows from where it is held.
 Probabilities come from Laplace-smoothed counts (uniform prior); all entropies
 are in bits. A table's conditional answering quality for a set of evidence
 variables is joint entropy minus the sum of the evidence marginal entropies,
@@ -12,16 +14,11 @@ clamp is counted in `clamp_diagnostics`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import IntEnum
 from typing import Iterable, Mapping
 
 import numpy as np
 
 __all__ = [
-    "VarKind",
-    "VariableId",
-    "pvar",
-    "cvar",
     "Schema",
     "ContextAssignment",
     "JointTable",
@@ -54,30 +51,15 @@ class NoKnowledge(LookupError):
     pass
 
 
-class VarKind(IntEnum):
-    PREDICTING = 0
-    CONTEXT = 1
-
-
-@dataclass(frozen=True, order=True)
-class VariableId:
-    kind: VarKind
-    index: int
-
-    def __repr__(self):
-        return f"{'P' if self.kind == VarKind.PREDICTING else 'C'}{self.index}"
-
-
-def pvar(index: int) -> VariableId:
-    return VariableId(VarKind.PREDICTING, index)
-
-
-def cvar(index: int) -> VariableId:
-    return VariableId(VarKind.CONTEXT, index)
-
-
 # A context assignment binds context variables to concrete state indices.
-ContextAssignment = Mapping[VariableId, int]
+ContextAssignment = Mapping[int, int]
+
+
+def _cardinality(cards: tuple[int, ...], var: int) -> int:
+    # a negative id must not wrap around through tuple indexing
+    if not 0 <= var < len(cards):
+        raise UnknownVariable(var)
+    return cards[var]
 
 
 @dataclass(frozen=True)
@@ -99,18 +81,14 @@ class Schema:
                 raise ValueError(f"cardinality must be >= 2, got {card}")
 
     @property
-    def context_vars(self) -> tuple[VariableId, ...]:
-        return tuple(cvar(i) for i in range(len(self.context_cardinalities)))
+    def context_vars(self) -> range:
+        return range(len(self.context_cardinalities))
 
-    def cardinality(self, var: VariableId) -> int:
-        cards = (
-            self.predicting_cardinalities
-            if var.kind == VarKind.PREDICTING
-            else self.context_cardinalities
-        )
-        if not 0 <= var.index < len(cards):
-            raise UnknownVariable(var)
-        return cards[var.index]
+    def predicting_cardinality(self, var: int) -> int:
+        return _cardinality(self.predicting_cardinalities, var)
+
+    def context_cardinality(self, var: int) -> int:
+        return _cardinality(self.context_cardinalities, var)
 
 
 @dataclass
@@ -121,8 +99,8 @@ class JointTable:
     order of `contexts`. Every cell starts at `pseudocount`.
     """
 
-    predicting: VariableId
-    contexts: tuple[VariableId, ...]
+    predicting: int
+    contexts: tuple[int, ...]
     counts: np.ndarray
     pseudocount: float = 1.0
 
@@ -130,26 +108,24 @@ class JointTable:
     def fresh(
         cls,
         schema: Schema,
-        predicting: VariableId,
-        contexts: Iterable[VariableId],
+        predicting: int,
+        contexts: Iterable[int],
         pseudocount: float = 1.0,
     ) -> "JointTable":
         if pseudocount <= 0:
             raise ValueError("pseudocount must be positive")
         ctxs = tuple(sorted(contexts))
-        shape = (schema.cardinality(predicting),) + tuple(
-            schema.cardinality(c) for c in ctxs
+        shape = (schema.predicting_cardinality(predicting),) + tuple(
+            schema.context_cardinality(c) for c in ctxs
         )
         counts = np.full(shape, float(pseudocount))
         return cls(predicting, ctxs, counts, pseudocount)
 
-    def axis_of(self, var: VariableId) -> int:
-        if var == self.predicting:
-            return 0
+    def axis_of(self, context: int) -> int:
         try:
-            return 1 + self.contexts.index(var)
+            return 1 + self.contexts.index(context)
         except ValueError:
-            raise UnknownVariable(var) from None
+            raise UnknownVariable(context) from None
 
     def probabilities(self) -> np.ndarray:
         total = self.counts.sum()
@@ -188,20 +164,16 @@ def joint_entropy(table: JointTable) -> float:
     return _entropy_bits(table.probabilities().ravel())
 
 
-def marginal_entropy(table: JointTable, var: VariableId) -> float:
-    axis = table.axis_of(var)
+def marginal_entropy(table: JointTable, context: int) -> float:
+    axis = table.axis_of(context)
     p = table.probabilities()
     other = tuple(i for i in range(p.ndim) if i != axis)
     return _entropy_bits(p.sum(axis=other))
 
 
-def conditional_entropy(table: JointTable, given: Iterable[VariableId]) -> float:
-    """Remaining uncertainty after observing `given`: joint minus the sum of
-    the evidence marginals, clamped at zero."""
-    given = tuple(given)
-    for var in given:
-        if var == table.predicting or var not in table.contexts:
-            raise UnknownVariable(var)
+def conditional_entropy(table: JointTable, given: Iterable[int]) -> float:
+    """Remaining uncertainty after observing the contexts `given`: joint minus
+    the sum of the evidence marginals, clamped at zero."""
     value = joint_entropy(table)
     for var in given:
         value -= marginal_entropy(table, var)
@@ -217,17 +189,13 @@ class DiscretePgm:
 
     schema: Schema
     pseudocount: float = 1.0
-    tables: dict[VariableId, JointTable] = field(default_factory=dict)
-    observation_count: dict[VariableId, int] = field(default_factory=dict)
+    tables: dict[int, JointTable] = field(default_factory=dict)
+    observation_count: dict[int, int] = field(default_factory=dict)
 
-    def _table_for(
-        self, target: VariableId, keys: frozenset[VariableId]
-    ) -> JointTable:
-        if target.kind != VarKind.PREDICTING:
-            raise UnknownVariable(target)
+    def _table_for(self, target: int, keys: frozenset[int]) -> JointTable:
         table = self.tables.get(target)
         if table is None:
-            extra = keys - frozenset(self.schema.context_vars)
+            extra = keys.difference(self.schema.context_vars)
             if extra:
                 raise ContextMismatch(f"{sorted(extra)} are not context vars")
             table = JointTable.fresh(self.schema, target, keys, self.pseudocount)
@@ -238,15 +206,13 @@ class DiscretePgm:
             )
         return table
 
-    def observe(self, target: VariableId, ctx: ContextAssignment, outcome: int):
+    def observe(self, target: int, ctx: ContextAssignment, outcome: int):
         """Count one observation; the first observation fixes the context
         combination of the target's table."""
         for var, state in ctx.items():
-            if var.kind != VarKind.CONTEXT:
-                raise ContextMismatch(f"{var} is not a context variable")
-            if not 0 <= state < self.schema.cardinality(var):
-                raise ValueError(f"state {state} out of range for {var}")
-        if not 0 <= outcome < self.schema.cardinality(target):
+            if not 0 <= state < self.schema.context_cardinality(var):
+                raise ValueError(f"state {state} out of range for context {var}")
+        if not 0 <= outcome < self.schema.predicting_cardinality(target):
             raise ValueError(f"outcome {outcome} out of range for {target}")
         table = self._table_for(target, frozenset(ctx))
         idx = (outcome,) + tuple(ctx[c] for c in table.contexts)
@@ -255,8 +221,8 @@ class DiscretePgm:
 
     def observe_block(
         self,
-        target: VariableId,
-        contexts: Iterable[VariableId],
+        target: int,
+        contexts: Iterable[int],
         ctx_flat_idx: np.ndarray,
         outcomes: np.ndarray,
     ):
@@ -271,7 +237,7 @@ class DiscretePgm:
             target, 0
         ) + len(outcomes)
 
-    def predict(self, target: VariableId, ctx: ContextAssignment) -> np.ndarray:
+    def predict(self, target: int, ctx: ContextAssignment) -> np.ndarray:
         """Distribution over the target's states given the bound contexts:
         slice the bound axes, marginalize the rest, normalize."""
         table = self.tables.get(target)
@@ -279,8 +245,6 @@ class DiscretePgm:
             raise NoKnowledge(target)
         index = [slice(None)] * table.counts.ndim
         for var, state in ctx.items():
-            if var not in table.contexts:
-                raise UnknownVariable(var)
             index[table.axis_of(var)] = state
         sliced = table.counts[tuple(index)]
         if sliced.ndim > 1:
@@ -288,7 +252,7 @@ class DiscretePgm:
         return sliced / sliced.sum()
 
     @property
-    def trained_vars(self) -> frozenset[VariableId]:
+    def trained_vars(self) -> frozenset[int]:
         return frozenset(
             v for v, n in self.observation_count.items() if n > 0
         )

@@ -20,7 +20,6 @@ import numpy as np
 
 from .pgm import (
     DiscretePgm,
-    VariableId,
     conditional_entropy,
     joint_entropy,
     marginal_entropy,
@@ -42,12 +41,12 @@ class EntropySet:
     """Advertised quality summary for one predicting variable in one context
     combination. Empty context_entropies marks the reduced (joint-only) form."""
 
-    predicting: VariableId
+    predicting: int
     joint: float
-    context_entropies: dict[VariableId, float] = field(default_factory=dict)
+    context_entropies: dict[int, float] = field(default_factory=dict)
 
     @property
-    def combination(self) -> frozenset[VariableId]:
+    def combination(self) -> frozenset[int]:
         return frozenset(self.context_entropies)
 
     @property
@@ -61,7 +60,7 @@ class EntropySet:
             dict(self.context_entropies),
         )
 
-    def score(self, bound: Iterable[VariableId]) -> float:
+    def score(self, bound: Iterable[int]) -> float:
         """Conditional entropy estimate for evidence on `bound`: only bound
         variables present in this set contribute to the subtraction."""
         value = self.joint
@@ -75,25 +74,24 @@ class EntropySet:
 @dataclass
 class AdvertisementPolicy:
     change_threshold: float = 0.05
-    min_interval: int = 1
     quality_threshold: float = 2.4
     hop_inflation: float = 0.01
 
     def __post_init__(self):
-        if min(self.change_threshold, self.min_interval,
-               self.quality_threshold, self.hop_inflation) < 0:
+        if min(self.change_threshold, self.quality_threshold,
+               self.hop_inflation) < 0:
             raise ValueError("policy fields must be non-negative")
 
 
 @dataclass
 class Advertisement:
     origin: NodeId
-    entries: dict[VariableId, list[EntropySet]] = field(default_factory=dict)
+    entries: dict[int, list[EntropySet]] = field(default_factory=dict)
 
     def total_sets(self) -> int:
         return sum(len(v) for v in self.entries.values())
 
-    def keys_and_joints(self) -> dict[tuple[VariableId, frozenset], float]:
+    def keys_and_joints(self) -> dict[tuple[int, frozenset], float]:
         return {
             (var, s.combination): s.joint
             for var, sets in self.entries.items()
@@ -107,12 +105,12 @@ class RoutingModel:
 
     neighbor: NodeId
     k: int
-    entries: dict[VariableId, list[EntropySet]] = field(default_factory=dict)
+    entries: dict[int, list[EntropySet]] = field(default_factory=dict)
     # per target variable, per evidence variable set: best conditional score;
     # dropped whenever the variable's entries are replaced
     _score_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def best_score(self, target: VariableId, bound: frozenset[VariableId]) -> float:
+    def best_score(self, target: int, bound: frozenset[int]) -> float:
         per_var = self._score_cache.setdefault(target, {})
         score = per_var.get(bound)
         if score is None:
@@ -125,8 +123,8 @@ class RoutingModel:
 
 @dataclass
 class Query:
-    target: VariableId
-    ctx: dict[VariableId, int]
+    target: int
+    ctx: dict[int, int]
     hops_remaining: int
     issuer: NodeId
     result: Optional[np.ndarray] = None
@@ -156,7 +154,6 @@ class NodeState:
     neighbors: list[NodeId] = field(default_factory=list)
     routing_models: dict[NodeId, RoutingModel] = field(default_factory=dict)
     last_advertisement: Optional[Advertisement] = None
-    last_sent_cycle: int = -(10**9)
     models_dirty: bool = True
     _local_sets: Optional[list[EntropySet]] = None
     _answer_cache: dict = field(default_factory=dict)
@@ -166,7 +163,7 @@ class NodeState:
             self._local_sets = local_entropy_sets(self.pgm)
         return self._local_sets
 
-    def local_answer(self, target: VariableId, bound: frozenset[VariableId]):
+    def local_answer(self, target: int, bound: frozenset[int]):
         key = (target, bound)
         if key not in self._answer_cache:
             self._answer_cache[key] = answer_entropy(self.pgm, target, bound)
@@ -192,7 +189,7 @@ def local_entropy_sets(pgm: DiscretePgm) -> list[EntropySet]:
 
 
 def answer_entropy(
-    pgm: DiscretePgm, target: VariableId, bound: Iterable[VariableId]
+    pgm: DiscretePgm, target: int, bound: Iterable[int]
 ) -> Optional[float]:
     """The node's remaining uncertainty to answer a query for `target` with
     evidence on `bound`, or None if the target is untrained here."""
@@ -220,7 +217,7 @@ def build_advertisement(
         local_sets = local_entropy_sets(node_pgm)
 
     # per variable, per combination: the minimum-joint candidate
-    best: dict[VariableId, dict[frozenset, EntropySet]] = {}
+    best: dict[int, dict[frozenset, EntropySet]] = {}
 
     def offer(s: EntropySet):
         combos = best.setdefault(s.predicting, {})
@@ -268,12 +265,8 @@ def integrate_advertisement(model: RoutingModel, adv: Advertisement) -> RoutingM
 def should_advertise(
     previous: Optional[Advertisement],
     current: Advertisement,
-    last_sent: int,
-    now: int,
     policy: AdvertisementPolicy,
 ) -> bool:
-    if now - last_sent < policy.min_interval:
-        return False
     if previous is None:
         return True
     old = previous.keys_and_joints()

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from edgeknow.pgm import JointTable, Schema, cvar, pvar
+from edgeknow.pgm import JointTable, Schema
 
 
 def bf_entropy(probs) -> float:
@@ -68,10 +68,9 @@ def bf_true_conditional(tensor: np.ndarray, given_axes) -> float:
 def table_from_tensor(tensor: np.ndarray, pseudocount: float = 1e-9) -> JointTable:
     """Wrap a raw count/probability tensor as a JointTable: axis 0 is the
     predicting variable, context axes follow."""
-    contexts = tuple(cvar(i) for i in range(tensor.ndim - 1))
     return JointTable(
-        predicting=pvar(0),
-        contexts=contexts,
+        predicting=0,
+        contexts=tuple(range(tensor.ndim - 1)),
         counts=np.asarray(tensor, dtype=float),
         pseudocount=pseudocount,
     )

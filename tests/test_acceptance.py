@@ -14,7 +14,6 @@ import pytest
 
 from edgeknow.engine import SimConfig, Strategy, run_trial
 from edgeknow.pgm import conditional_entropy, entropy, joint_entropy, marginal_entropy
-from edgeknow.pgm import cvar, pvar
 from edgeknow.topology import AttachmentParams, generate, survival_slope
 from edgeknow.engine import generate_workload, train_pgms
 
@@ -249,23 +248,23 @@ class TestAcceptance:
             )
             cases += 2
             for axis in range(tensor.ndim):
-                var = pvar(0) if axis == 0 else cvar(axis - 1)
+                # the predicting axis (0) has no library marginal
+                h = (
+                    entropy(bf_marginal(tensor, 0)) if axis == 0
+                    else marginal_entropy(table, axis - 1)
+                )
                 worst = max(
-                    worst,
-                    abs(
-                        marginal_entropy(table, var)
-                        - bf_entropy(bf_marginal(tensor, axis)),
-                    ),
+                    worst, abs(h - bf_entropy(bf_marginal(tensor, axis)))
                 )
                 cases += 1
             given = [
-                cvar(i) for i in range(tensor.ndim - 1) if rng.random() < 0.5
+                i for i in range(tensor.ndim - 1) if rng.random() < 0.5
             ]
             worst = max(
                 worst,
                 abs(
                     conditional_entropy(table, given)
-                    - bf_chain_rule(tensor, [1 + g.index for g in given])
+                    - bf_chain_rule(tensor, [1 + g for g in given])
                 ),
             )
             cases += 1

@@ -21,6 +21,19 @@ def run_cli(args):
     return main([str(a) for a in args])
 
 
+def export_small_workload(path):
+    """Write a workload CSV that fits BASE."""
+    from edgeknow.engine import SimConfig, export_workload_csv, generate_workload
+
+    config = SimConfig(
+        node_count=12, predicting_var_count=6, context_var_count=3,
+        contexts_per_table=2, combinations_pool=2,
+        vars_trained_per_node=2, observations_per_var=200,
+    )
+    export_workload_csv(generate_workload(config, seed=0), path)
+    return path
+
+
 class TestRun:
     def test_single_trial_outputs(self, tmp_path):
         out = tmp_path / "out"
@@ -92,20 +105,12 @@ class TestRun:
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "trial.cfg"
-        cfg.write_text("wat = 1\n")
-        with pytest.raises(SystemExit):
-            run_cli(["run", "--config", cfg, "--out", tmp_path])
+        for text in ("wat = 1\n", "nodes 12\n"):
+            cfg.write_text(text)
+            assert run_cli(["run", "--config", cfg, "--out", tmp_path]) == 2
 
     def test_workload_csv_input(self, tmp_path):
-        from edgeknow.engine import SimConfig, export_workload_csv, generate_workload
-
-        config = SimConfig(
-            node_count=12, predicting_var_count=6, context_var_count=3,
-            contexts_per_table=2, combinations_pool=2,
-            vars_trained_per_node=2, observations_per_var=200,
-        )
-        wl_path = tmp_path / "workload.csv"
-        export_workload_csv(generate_workload(config, seed=0), wl_path)
+        wl_path = export_small_workload(tmp_path / "workload.csv")
         out = tmp_path / "out"
         code = run_cli(
             BASE + ["--seed", "0", "--workload-csv", wl_path, "--out", out]
@@ -114,11 +119,25 @@ class TestRun:
         assert (out / "run_seed0_abs.csv").exists()
 
     @pytest.mark.parametrize(
+        "sweep, code", [("k=1,2", 0), ("nodes=12,16", 2), ("predicting=2", 2)]
+    )
+    def test_workload_csv_with_sweep(self, tmp_path, capsys, sweep, code):
+        wl_path = export_small_workload(tmp_path / "workload.csv")
+        out = tmp_path / "out"
+        args = BASE + ["--workload-csv", wl_path, "--sweep", sweep, "--out", out]
+        assert run_cli(args) == code
+        if code == 2:
+            assert "bad workload" in capsys.readouterr().err
+            assert not list(out.glob("run_*.csv"))  # rejected before any job
+
+    @pytest.mark.parametrize(
         "row",
         [
             "0,1,2,c0=9",  # context state beyond cardinality 4
             "0,1,2,c7=1",  # context variable beyond the 3 configured
             "12,1,2,c0=1",  # node id beyond --nodes 12
+            "0,1,2,c-1=0",  # negative context variable
+            "0,-1,2,c0=0",  # negative predicting variable
         ],
     )
     def test_bad_workload_row_exits_2_with_line(self, tmp_path, capsys, row):

@@ -22,7 +22,7 @@ from edgeknow.engine import (
     setup_trial,
     train_pgms,
 )
-from edgeknow.pgm import DiscretePgm, Schema, conditional_entropy, cvar, pvar
+from edgeknow.pgm import DiscretePgm, Schema, conditional_entropy
 from edgeknow.routing import NodeState, Query
 
 from conftest import bf_chain_rule
@@ -102,10 +102,10 @@ class TestTrainedModels:
         flat = np.tile([0, 1], 400)
         outcomes = np.where(flat == 0, 1, 3)  # outcome fixed by the context
         wl.entries.append(
-            TrainedAssignment(0, pvar(0), (cvar(0),), flat, outcomes)
+            TrainedAssignment(0, 0, (0,), flat, outcomes)
         )
         pgm = train_pgms(wl, pseudocount=0.01)[0]
-        h = conditional_entropy(pgm.tables[pvar(0)], [cvar(0)])
+        h = conditional_entropy(pgm.tables[0], [0])
         assert h < 0.2
 
 
@@ -155,8 +155,8 @@ class TestCsvRoundTrip:
         assert wl.node_count == 4
         entry = wl.entries[0]
         assert entry.node_id == 3
-        assert entry.var == pvar(2)
-        assert entry.contexts == (cvar(0), cvar(2))
+        assert entry.var == 2
+        assert entry.contexts == (0, 2)
         assert list(entry.outcomes) == [1]
 
 
@@ -188,20 +188,20 @@ class TestOracle:
         schema = Schema((4,), (2,))
         trained = DiscretePgm(schema, pseudocount=0.01)
         for _ in range(200):
-            trained.observe(pvar(0), {cvar(0): 0}, 2)
+            trained.observe(0, {0: 0}, 2)
         nodes = [
             NodeState(0, DiscretePgm(schema)),
             NodeState(1, trained),
         ]
-        q = Query(pvar(0), {cvar(0): 1}, 3, 0)
+        q = Query(0, {0: 1}, 3, 0)
         best = oracle_best(q, nodes, pred_card=4)
-        want = conditional_entropy(trained.tables[pvar(0)], [cvar(0)])
+        want = conditional_entropy(trained.tables[0], [0])
         assert best == pytest.approx(want)
 
     def test_all_untrained_is_uniform(self):
         schema = Schema((8,), (2,))
         nodes = [NodeState(i, DiscretePgm(schema)) for i in range(3)]
-        q = Query(pvar(0), {}, 3, 0)
+        q = Query(0, {}, 3, 0)
         assert oracle_best(q, nodes, pred_card=8) == pytest.approx(3.0)
 
     def test_matches_independent_enumeration(self):
@@ -242,6 +242,9 @@ class TestTrialSetup:
     def test_workload_node_count_must_match(self):
         workload = generate_workload(small_config(node_count=8), seed=0)
         with pytest.raises(ValueError, match="8 nodes"):
+            setup_trial(small_config(), workload)
+        workload = generate_workload(small_config(predicting_var_count=4), seed=0)
+        with pytest.raises(ValueError, match="schema"):
             setup_trial(small_config(), workload)
 
     def test_single_node_network(self):

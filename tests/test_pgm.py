@@ -15,11 +15,9 @@ from edgeknow.pgm import (
     UnknownVariable,
     clamp_diagnostics,
     conditional_entropy,
-    cvar,
     entropy,
     joint_entropy,
     marginal_entropy,
-    pvar,
 )
 
 from conftest import (
@@ -84,24 +82,25 @@ class TestJointEntropy:
 class TestMarginalEntropy:
     def test_uniform_any_axis(self):
         table = table_from_tensor(np.full((4, 3), 1.0))
-        assert marginal_entropy(table, pvar(0)) == pytest.approx(2.0, abs=1e-12)
-        assert marginal_entropy(table, cvar(0)) == pytest.approx(
+        assert entropy(bf_marginal(table.counts, 0)) == pytest.approx(2.0, abs=1e-12)
+        assert marginal_entropy(table, 0) == pytest.approx(
             math.log2(3), abs=1e-12
         )
 
     def test_deterministic_context_axis(self):
         t = np.zeros((2, 3))
         t[:, 1] = 0.5
-        assert marginal_entropy(table_from_tensor(t), cvar(0)) == 0.0
+        assert marginal_entropy(table_from_tensor(t), 0) == 0.0
 
     def test_symmetric_2x2(self):
         table = table_from_tensor(np.array([[0.4, 0.1], [0.1, 0.4]]))
-        assert marginal_entropy(table, pvar(0)) == pytest.approx(1.0, abs=1e-12)
+        assert entropy(bf_marginal(table.counts, 0)) == pytest.approx(1.0, abs=1e-12)
         assert bf_marginal(table.counts, 0) == pytest.approx([0.5, 0.5])
+        assert marginal_entropy(table, 0) == pytest.approx(1.0, abs=1e-12)
 
     def test_unknown_variable(self):
         with pytest.raises(UnknownVariable):
-            marginal_entropy(table_from_tensor(np.ones((2, 2))), cvar(7))
+            marginal_entropy(table_from_tensor(np.ones((2, 2))), 7)
 
 
 class TestConditionalEntropy:
@@ -111,14 +110,15 @@ class TestConditionalEntropy:
 
     def test_independent_uniform(self):
         table = table_from_tensor(np.full((2, 2), 0.25))
-        got = conditional_entropy(table, [cvar(0)])
+        got = conditional_entropy(table, [0])
         assert got == pytest.approx(1.0, abs=1e-12)
         assert got == pytest.approx(bf_true_conditional(table.counts, [1]), abs=1e-12)
 
     def test_rejects_non_context(self):
         table = table_from_tensor(np.ones((2, 2)))
-        with pytest.raises(UnknownVariable):
-            conditional_entropy(table, [pvar(0)])
+        for context in (1, -1):
+            with pytest.raises(UnknownVariable):
+                conditional_entropy(table, [context])
 
     def test_clamps_and_counts_correlated_contexts(self):
         # two perfectly correlated contexts: H(P,C0,C1) = 1 < H(C0)+H(C1) = 2
@@ -127,7 +127,7 @@ class TestConditionalEntropy:
         t[0, 1, 1] = 0.5
         table = table_from_tensor(t)
         clamp_diagnostics.reset()
-        assert conditional_entropy(table, [cvar(0), cvar(1)]) == 0.0
+        assert conditional_entropy(table, [0, 1]) == 0.0
         assert clamp_diagnostics.count == 1
 
 
@@ -135,35 +135,43 @@ class TestObserve:
     def test_counting_with_uniform_prior(self, binary_schema):
         pgm = DiscretePgm(binary_schema)
         for _ in range(5):
-            pgm.observe(pvar(0), {}, 0)
-        probs = pgm.predict(pvar(0), {})
+            pgm.observe(0, {}, 0)
+        probs = pgm.predict(0, {})
         assert probs == pytest.approx([6 / 7, 1 / 7])
 
-    @pytest.mark.parametrize("key", [pvar(0), cvar(2)])
+    @pytest.mark.parametrize("key", [2, -1])
     def test_observe_block_rejects_non_context_keys(self, binary_schema, key):
         pgm = DiscretePgm(binary_schema)
         with pytest.raises(ContextMismatch):
-            pgm.observe_block(pvar(0), (key,), np.zeros(1, int), np.zeros(1, int))
+            pgm.observe_block(0, (key,), np.zeros(1, int), np.zeros(1, int))
+        assert pgm.tables == {}
+
+    def test_negative_ids_do_not_wrap(self, binary_schema):
+        pgm = DiscretePgm(binary_schema)
+        with pytest.raises(UnknownVariable):
+            pgm.observe(0, {-1: 0}, 0)
+        with pytest.raises(UnknownVariable):
+            pgm.observe(-1, {}, 0)
         assert pgm.tables == {}
 
     def test_context_combination_is_fixed_by_first_observation(self, binary_schema):
         pgm = DiscretePgm(binary_schema)
-        pgm.observe(pvar(0), {cvar(0): 1}, 0)
+        pgm.observe(0, {0: 1}, 0)
         with pytest.raises(ContextMismatch):
-            pgm.observe(pvar(0), {cvar(1): 1}, 0)
+            pgm.observe(0, {1: 1}, 0)
 
     def test_coin_flip_convergence(self, binary_schema):
         rng = np.random.default_rng(7)
         pgm = DiscretePgm(binary_schema)
         for outcome in rng.integers(2, size=1000):
-            pgm.observe(pvar(0), {}, int(outcome))
-        probs = pgm.predict(pvar(0), {})
+            pgm.observe(0, {}, int(outcome))
+        probs = pgm.predict(0, {})
         assert probs == pytest.approx([0.5, 0.5], abs=0.05)
         assert entropy(probs) == pytest.approx(1.0, abs=0.01)
 
     def test_out_of_range_outcome(self, binary_schema):
         with pytest.raises(ValueError):
-            DiscretePgm(binary_schema).observe(pvar(0), {}, 5)
+            DiscretePgm(binary_schema).observe(0, {}, 5)
 
     def test_observe_block_matches_loop(self, binary_schema):
         a = DiscretePgm(binary_schema)
@@ -171,11 +179,11 @@ class TestObserve:
         rng = np.random.default_rng(0)
         ctx_idx = rng.integers(4, size=50)
         outcomes = rng.integers(2, size=50)
-        b.observe_block(pvar(0), (cvar(0), cvar(1)), ctx_idx, outcomes)
+        b.observe_block(0, (0, 1), ctx_idx, outcomes)
         for flat, out in zip(ctx_idx, outcomes):
             c0, c1 = np.unravel_index(flat, (2, 2))
-            a.observe(pvar(0), {cvar(0): int(c0), cvar(1): int(c1)}, int(out))
-        assert np.array_equal(a.tables[pvar(0)].counts, b.tables[pvar(0)].counts)
+            a.observe(0, {0: int(c0), 1: int(c1)}, int(out))
+        assert np.array_equal(a.tables[0].counts, b.tables[0].counts)
         assert a.observation_count == b.observation_count
 
 
@@ -184,16 +192,16 @@ class TestPredict:
         pgm = DiscretePgm(small_schema)
         for c in range(3):
             for _ in range(10):
-                pgm.observe(pvar(0), {cvar(0): c}, 2)
-        probs = pgm.predict(pvar(0), {cvar(0): 1})
+                pgm.observe(0, {0: c}, 2)
+        probs = pgm.predict(0, {0: 1})
         assert np.argmax(probs) == 2
         assert probs[2] > 0.7
 
     def test_uniform_table(self, binary_schema):
         pgm = DiscretePgm(binary_schema)
-        pgm.observe(pvar(0), {}, 0)
-        pgm.observe(pvar(0), {}, 1)
-        assert pgm.predict(pvar(0), {}) == pytest.approx([0.5, 0.5])
+        pgm.observe(0, {}, 0)
+        pgm.observe(0, {}, 1)
+        assert pgm.predict(0, {}) == pytest.approx([0.5, 0.5])
 
     def test_slice_normalization(self):
         schema = Schema(predicting_cardinalities=(3,), context_cardinalities=(2,))
@@ -201,12 +209,12 @@ class TestPredict:
         # counts (7, 2, 1) in the ctx=0 slice, pseudocount included
         for outcome, n in ((0, 6), (1, 1)):
             for _ in range(n):
-                pgm.observe(pvar(0), {cvar(0): 0}, outcome)
-        assert pgm.predict(pvar(0), {cvar(0): 0}) == pytest.approx([0.7, 0.2, 0.1])
+                pgm.observe(0, {0: 0}, outcome)
+        assert pgm.predict(0, {0: 0}) == pytest.approx([0.7, 0.2, 0.1])
 
     def test_untrained_target(self, binary_schema):
         with pytest.raises(NoKnowledge):
-            DiscretePgm(binary_schema).predict(pvar(0), {})
+            DiscretePgm(binary_schema).predict(0, {})
 
 
 def random_tensor(rng, max_axes=3, max_card=4):
@@ -222,9 +230,11 @@ class TestInvariants:
         for _ in range(300):
             tensor = random_tensor(rng)
             table = table_from_tensor(tensor)
-            for axis in range(tensor.ndim):
-                var = pvar(0) if axis == 0 else cvar(axis - 1)
-                assert joint_entropy(table) >= marginal_entropy(table, var) - 1e-9
+            marginals = [entropy(bf_marginal(tensor, 0))] + [
+                marginal_entropy(table, c) for c in table.contexts
+            ]
+            for h in marginals:
+                assert joint_entropy(table) >= h - 1e-9
 
     def test_chain_rule_matches_brute_force(self):
         rng = np.random.default_rng(12)
@@ -232,9 +242,9 @@ class TestInvariants:
             tensor = random_tensor(rng)
             table = table_from_tensor(tensor)
             n_ctx = tensor.ndim - 1
-            given = [cvar(i) for i in range(n_ctx) if rng.random() < 0.5]
+            given = [i for i in range(n_ctx) if rng.random() < 0.5]
             got = conditional_entropy(table, given)
-            want = bf_chain_rule(tensor, [1 + c.index for c in given])
+            want = bf_chain_rule(tensor, [1 + c for c in given])
             assert got == pytest.approx(want, abs=1e-9)
 
     def test_product_table_equals_true_conditional(self):
@@ -247,32 +257,32 @@ class TestInvariants:
                 tensor = np.multiply.outer(tensor, m)
             table = table_from_tensor(tensor)
             n_ctx = tensor.ndim - 1
-            given = [cvar(i) for i in range(n_ctx) if rng.random() < 0.5]
+            given = [i for i in range(n_ctx) if rng.random() < 0.5]
             got = conditional_entropy(table, given)
-            want = bf_true_conditional(tensor, [1 + c.index for c in given])
+            want = bf_true_conditional(tensor, [1 + c for c in given])
             assert got == pytest.approx(want, abs=1e-9)
 
     def test_observation_order_irrelevant(self, binary_schema):
         rng = np.random.default_rng(14)
         observations = [
-            ({cvar(0): int(rng.integers(2))}, int(rng.integers(2)))
+            ({0: int(rng.integers(2))}, int(rng.integers(2)))
             for _ in range(40)
         ]
         a = DiscretePgm(binary_schema)
         b = DiscretePgm(binary_schema)
         for ctx, out in observations:
-            a.observe(pvar(0), ctx, out)
+            a.observe(0, ctx, out)
         rng.shuffle(observations)
         for ctx, out in observations:
-            b.observe(pvar(0), ctx, out)
-        assert np.array_equal(a.tables[pvar(0)].counts, b.tables[pvar(0)].counts)
+            b.observe(0, ctx, out)
+        assert np.array_equal(a.tables[0].counts, b.tables[0].counts)
 
     def test_entropy_decreases_with_concentration(self, binary_schema):
         pgm = DiscretePgm(binary_schema)
         previous = math.inf
         for _ in range(30):
-            pgm.observe(pvar(0), {}, 1)
-            h = joint_entropy(pgm.tables[pvar(0)])
+            pgm.observe(0, {}, 1)
+            h = joint_entropy(pgm.tables[0])
             assert h <= previous + 1e-12
             previous = h
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from edgeknow.pgm import DiscretePgm, Schema, cvar, pvar
+from edgeknow.pgm import DiscretePgm, Schema
 from edgeknow.topology import (
     AttachmentParams,
     IncompatibleModels,
@@ -23,7 +23,7 @@ SCHEMA = Schema(
 def pgm_with(var_indices):
     pgm = DiscretePgm(SCHEMA)
     for i in var_indices:
-        pgm.observe(pvar(i), {cvar(0): 0}, 0)
+        pgm.observe(i, {0: 0}, 0)
     return pgm
 
 
