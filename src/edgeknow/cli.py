@@ -19,14 +19,13 @@ from pathlib import Path
 from .engine import (
     SimConfig,
     Strategy,
-    TrialMetrics,
     check_workload,
-    export_workload_csv,
     generate_workload,
     ingest_csv,
     run_trial,
+    train_pgms,
 )
-from .topology import AttachmentParams, degree_histogram, generate, survival_slope
+from .topology import AttachmentParams, generate, survival_slope
 
 # CLI flag name -> SimConfig field
 _FLAG_FIELDS = {
@@ -137,16 +136,12 @@ def _base_config(args) -> SimConfig:
         arg = getattr(args, flag, None)
         if arg is not None:
             values[fld] = arg
-    config = SimConfig(**values)
-    attachment = config.attachment
-    if args.m0 is not None or args.m is not None:
-        attachment = AttachmentParams(
-            m0=args.m0 if args.m0 is not None else attachment.m0,
-            m=args.m if args.m is not None else attachment.m,
-            similarity_floor=attachment.similarity_floor,
-        )
-        config = replace(config, attachment=attachment)
-    return config
+    default = AttachmentParams()
+    attachment = AttachmentParams(
+        m0=default.m0 if args.m0 is None else args.m0,
+        m=default.m if args.m is None else args.m,
+    )
+    return SimConfig(**values, attachment=attachment)
 
 
 def _run_name(param, value, seed, strategy) -> str:
@@ -193,15 +188,21 @@ def cmd_run(args) -> int:
             print(f"bad workload: {exc}", file=sys.stderr)
             return 2
 
-    args.out.mkdir(parents=True, exist_ok=True)
     runs = []
     for value in sweep_values:
         for seed in seeds:
             for strategy in strategies:
+                name = _run_name(sweep_param, value, seed, strategy)
                 config = replace(base, seed=seed, strategy=strategy)
                 if sweep_param is not None:
-                    config = replace(config, **{_FLAG_FIELDS[sweep_param]: value})
-                runs.append((_run_name(sweep_param, value, seed, strategy), value, config))
+                    try:
+                        config = replace(
+                            config, **{_FLAG_FIELDS[sweep_param]: value}
+                        )
+                    except ValueError as exc:
+                        print(f"bad config for {name}: {exc}", file=sys.stderr)
+                        return 2
+                runs.append((name, value, config))
     if workload is not None:
         for name, _, config in runs:
             try:
@@ -210,6 +211,7 @@ def cmd_run(args) -> int:
                 print(f"bad workload for {name}: {exc}", file=sys.stderr)
                 return 2
 
+    args.out.mkdir(parents=True, exist_ok=True)
     jobs = [(config, workload) for _, _, config in runs]
     if args.threads > 1:
         with ProcessPoolExecutor(max_workers=args.threads) as pool:
@@ -249,18 +251,20 @@ def cmd_topology(args) -> int:
     seed = seeds[0]
     n = args.nodes
     limit = args.edge_limit if args.edge_limit > 0 else n
-    config = SimConfig(
-        node_count=n,
-        predicting_var_count=args.predicting,
-        vars_trained_per_node=args.trained_per_node,
-        observations_per_var=50,
-        attachment=AttachmentParams(m0=args.m0, m=args.m),
-        edge_limit=limit,
-        seed=seed,
-    )
+    try:
+        config = SimConfig(
+            node_count=n,
+            predicting_var_count=args.predicting,
+            vars_trained_per_node=args.trained_per_node,
+            observations_per_var=50,
+            attachment=AttachmentParams(m0=args.m0, m=args.m),
+            edge_limit=limit,
+            seed=seed,
+        )
+    except ValueError as exc:
+        print(f"bad config: {exc}", file=sys.stderr)
+        return 2
     workload = generate_workload(config, seed)
-    from .engine import train_pgms
-
     pgms = train_pgms(workload)
     overlay = generate(config.attachment, pgms, limit, seed)
     args.out.mkdir(parents=True, exist_ok=True)

@@ -83,6 +83,11 @@ class SimConfig:
         ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        m0 = self.attachment.m0
+        if 2 <= self.node_count < m0:
+            raise ValueError(f"node_count must be 1 or >= m0={m0}")
+        if self.edge_limit < m0 - 1:
+            raise ValueError(f"edge_limit must be >= m0-1={m0 - 1}")
 
     def resolved_hops(self) -> int:
         if self.hop_budget is not None:

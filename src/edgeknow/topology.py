@@ -9,7 +9,7 @@ edge limit are excluded so the degree cap is hard.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -84,33 +84,40 @@ class Overlay:
                 f.write(f"{deg},{count}\n")
 
 
-def similarity(pgm_a: DiscretePgm, pgm_b: DiscretePgm) -> float:
-    """Overlap coefficient of the trained predicting-variable sets:
-    |A & B| / min(|A|, |B|); zero when either set is empty."""
-    if pgm_a.schema != pgm_b.schema:
-        raise IncompatibleModels("schemas differ")
-    a, b = pgm_a.trained_vars, pgm_b.trained_vars
-    if not a or not b:
-        return 0.0
-    return len(a & b) / min(len(a), len(b))
+def incidence_matrix(node_pgms: Sequence[DiscretePgm]) -> np.ndarray:
+    """Node x predicting-variable matrix with a 1 where the node trained the
+    variable. Integer, not bool, so a product counts shared variables."""
+    inc = np.zeros(
+        (len(node_pgms), len(node_pgms[0].schema.predicting_cardinalities)),
+        dtype=np.int64,
+    )
+    for i, pgm in enumerate(node_pgms):
+        inc[i, sorted(pgm.trained_vars)] = 1
+    return inc
+
+
+def overlap_coefficients(
+    inc: np.ndarray, sizes: np.ndarray, node: int
+) -> np.ndarray:
+    """Overlap coefficient |A & B| / min(|A|, |B|) of `node`'s trained set
+    with that of every node before it; zero where either set is empty."""
+    shared = inc[:node] @ inc[node]
+    smaller = np.minimum(sizes[:node], sizes[node])
+    return np.divide(shared, smaller, out=np.zeros(node), where=smaller > 0)
 
 
 def attachment_probabilities(
-    overlay: Overlay,
-    arriving: DiscretePgm,
-    existing: Sequence[tuple[int, DiscretePgm]],
+    degrees: np.ndarray,
+    similarities: np.ndarray,
+    edge_limit: int,
     similarity_floor: float = 0.0,
 ) -> np.ndarray:
-    """Normalized attachment probabilities over `existing`; saturated nodes
-    get probability zero."""
-    degrees = np.array([overlay.degree(n) for n, _ in existing], dtype=float)
+    """Normalized attachment probabilities over the candidates with these
+    degrees and similarities; saturated candidates get probability zero."""
     total = degrees.sum()
-    weights = np.zeros(len(existing))
-    for i, (node, pgm) in enumerate(existing):
-        if overlay.degree(node) >= overlay.edge_limit:
-            continue
-        sim = max(similarity(arriving, pgm), similarity_floor)
-        weights[i] = degrees[i] / total * sim if total > 0 else sim
+    sims = np.maximum(similarities, similarity_floor)
+    weights = degrees / total * sims if total > 0 else sims
+    weights = np.where(degrees >= edge_limit, 0.0, weights)
     wsum = weights.sum()
     if wsum <= 0:
         raise NoAttachmentTarget("all existing nodes saturated or zero-weight")
@@ -120,35 +127,34 @@ def attachment_probabilities(
 def attach(
     overlay: Overlay,
     new_id: int,
-    new_pgm: DiscretePgm,
-    pgms: Mapping[int, DiscretePgm],
+    similarities: np.ndarray,
+    degree: np.ndarray,
     params: AttachmentParams,
     rng: np.random.Generator,
-) -> int:
-    """Attach one arriving node with up to m edges, drawn without replacement
-    and re-normalized after each draw. Returns the number of edges created."""
-    existing = [(n, pgms[n]) for n in overlay.nodes]
+):
+    """Attach one arriving node to nodes 0..new_id-1 with up to m edges,
+    drawn without replacement and re-normalized after each draw; `degree`
+    is kept in step with the overlay."""
     overlay.adjacency[new_id] = set()
-    created = 0
+    candidates = np.arange(new_id)
     for _ in range(params.m):
-        pool = [
-            (n, p)
-            for n, p in existing
-            if n not in overlay.adjacency[new_id]
-        ]
-        if not pool:
+        if not len(candidates):
             break
         try:
             probs = attachment_probabilities(
-                overlay, new_pgm, pool, params.similarity_floor
+                degree[candidates],
+                similarities[candidates],
+                overlay.edge_limit,
+                params.similarity_floor,
             )
         except NoAttachmentTarget:
             overlay.saturation_warnings += 1
             break
-        target = pool[rng.choice(len(pool), p=probs)][0]
+        pick = rng.choice(len(candidates), p=probs)
+        target = int(candidates[pick])
         overlay.add_edge(new_id, target)
-        created += 1
-    return created
+        degree[[new_id, target]] += 1
+        candidates = np.delete(candidates, pick)
 
 
 def generate(
@@ -163,6 +169,8 @@ def generate(
     n = len(node_pgms)
     if n < params.m0:
         raise ValueError(f"need at least m0={params.m0} nodes, got {n}")
+    if any(pgm.schema != node_pgms[0].schema for pgm in node_pgms):
+        raise IncompatibleModels("schemas differ")
     rng = np.random.default_rng(seed)
     overlay = Overlay(
         adjacency={i: set() for i in range(params.m0)},
@@ -171,9 +179,19 @@ def generate(
     for u in range(params.m0):
         for v in range(u + 1, params.m0):
             overlay.add_edge(u, v)
-    pgms = {i: node_pgms[i] for i in range(n)}
+    degree = np.zeros(n, dtype=np.int64)
+    degree[: params.m0] = params.m0 - 1
+    inc = incidence_matrix(node_pgms)
+    sizes = inc.sum(axis=1)
     for new_id in range(params.m0, n):
-        attach(overlay, new_id, node_pgms[new_id], pgms, params, rng)
+        attach(
+            overlay,
+            new_id,
+            overlap_coefficients(inc, sizes, new_id),
+            degree,
+            params,
+            rng,
+        )
     _repair_connectivity(overlay)
     return overlay
 

@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the library's vectorized code paths:
 entropies are computed with plain Python loops over explicitly enumerated
-cells so the tests check the implementation against a second, independent
+cells, and overlay growth with one `bf_similarity` call per pair of nodes,
+so the tests check the implementation against a second, independent
 evaluation.
 """
 
@@ -13,6 +14,12 @@ import numpy as np
 import pytest
 
 from edgeknow.pgm import JointTable, Schema
+from edgeknow.topology import (
+    IncompatibleModels,
+    NoAttachmentTarget,
+    Overlay,
+    _repair_connectivity,
+)
 
 
 def bf_entropy(probs) -> float:
@@ -74,6 +81,71 @@ def table_from_tensor(tensor: np.ndarray, pseudocount: float = 1e-9) -> JointTab
         counts=np.asarray(tensor, dtype=float),
         pseudocount=pseudocount,
     )
+
+
+def bf_similarity(pgm_a, pgm_b) -> float:
+    """Overlap coefficient of the trained predicting-variable sets:
+    |A & B| / min(|A|, |B|); zero when either set is empty."""
+    if pgm_a.schema != pgm_b.schema:
+        raise IncompatibleModels("schemas differ")
+    a, b = pgm_a.trained_vars, pgm_b.trained_vars
+    if not a or not b:
+        return 0.0
+    return len(a & b) / min(len(a), len(b))
+
+
+def bf_attachment_probabilities(overlay, arriving, existing, similarity_floor):
+    """Attachment probabilities over the (node, pgm) pairs in `existing`,
+    one similarity per pair; saturated nodes get probability zero."""
+    degrees = np.array([overlay.degree(n) for n, _ in existing], dtype=float)
+    total = degrees.sum()
+    weights = np.zeros(len(existing))
+    for i, (node, pgm) in enumerate(existing):
+        if overlay.degree(node) >= overlay.edge_limit:
+            continue
+        sim = max(bf_similarity(arriving, pgm), similarity_floor)
+        weights[i] = degrees[i] / total * sim if total > 0 else sim
+    wsum = weights.sum()
+    if wsum <= 0:
+        raise NoAttachmentTarget("all existing nodes saturated or zero-weight")
+    return weights / wsum
+
+
+def bf_generate(params, node_pgms, edge_limit, seed) -> Overlay:
+    """Similarity-weighted preferential attachment as one Python loop over
+    the pool of unlinked (node, pgm) pairs per draw, then the library's
+    connectivity repair pass."""
+    n = len(node_pgms)
+    if n < params.m0:
+        raise ValueError(f"need at least m0={params.m0} nodes, got {n}")
+    rng = np.random.default_rng(seed)
+    overlay = Overlay(
+        adjacency={i: set() for i in range(params.m0)}, edge_limit=edge_limit
+    )
+    for u in range(params.m0):
+        for v in range(u + 1, params.m0):
+            overlay.add_edge(u, v)
+    for new_id in range(params.m0, n):
+        existing = [(node, node_pgms[node]) for node in overlay.nodes]
+        overlay.adjacency[new_id] = set()
+        for _ in range(params.m):
+            pool = [
+                (node, pgm)
+                for node, pgm in existing
+                if node not in overlay.adjacency[new_id]
+            ]
+            if not pool:
+                break
+            try:
+                probs = bf_attachment_probabilities(
+                    overlay, node_pgms[new_id], pool, params.similarity_floor
+                )
+            except NoAttachmentTarget:
+                overlay.saturation_warnings += 1
+                break
+            overlay.add_edge(new_id, pool[rng.choice(len(pool), p=probs)][0])
+    _repair_connectivity(overlay)
+    return overlay
 
 
 @pytest.fixture

@@ -89,6 +89,25 @@ class TestRun:
     def test_bad_config_value(self, tmp_path):
         assert run_cli(["run", "--nodes", "0", "--out", tmp_path]) == 2
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--nodes", "2", "--cycles", "1"], "node_count must be 1 or >= m0=4"),
+            (["--nodes", "8", "--edge-limit", "1"], "edge_limit must be >= m0-1=3"),
+            (["--nodes", "8", "--sweep", "k=1,0"], "k_sets must be >= 1"),
+        ],
+    )
+    def test_bad_overlay_config_exits_2(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "out"
+        assert run_cli(["run", *flags, "--out", out]) == 2
+        assert message in capsys.readouterr().err
+        assert not list(out.glob("run_*.csv"))
+
+    def test_single_node_runs(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli(BASE + ["--nodes", "1", "--seed", "0", "--out", out]) == 0
+        assert (out / "run_seed0_abs.csv").exists()
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "trial.cfg"
         cfg.write_text(
@@ -169,6 +188,12 @@ class TestTopology:
         printed = capsys.readouterr().out
         assert "max_degree=" in printed
         assert "loglog_survival_slope=" in printed
+
+    def test_bad_attachment_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "topo"
+        assert run_cli(["topology", "--nodes", "10", "--m", "0", "--out", out]) == 2
+        assert "need 1 <= m < m0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_edge_limit_respected(self, tmp_path, capsys):
         out = tmp_path / "topo"

@@ -24,6 +24,7 @@ from edgeknow.engine import (
 )
 from edgeknow.pgm import DiscretePgm, Schema, conditional_entropy
 from edgeknow.routing import NodeState, Query
+from edgeknow.topology import AttachmentParams
 
 from conftest import bf_chain_rule
 
@@ -361,6 +362,15 @@ class TestConfigValidation:
     def test_positive_fields(self):
         with pytest.raises(ValueError):
             SimConfig(node_count=0)
+
+    def test_overlay_fits_seed_clique(self):
+        SimConfig(node_count=1)
+        SimConfig(node_count=4, edge_limit=3)
+        for bad in (dict(node_count=2), dict(node_count=3), dict(edge_limit=2)):
+            with pytest.raises(ValueError):
+                SimConfig(**bad)
+        small = AttachmentParams(m0=2, m=1)
+        SimConfig(node_count=2, edge_limit=1, attachment=small)
 
     def test_default_hop_budget(self):
         assert SimConfig(node_count=256).resolved_hops() == 16

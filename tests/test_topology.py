@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from edgeknow.pgm import DiscretePgm, Schema
 from edgeknow.topology import (
@@ -7,13 +9,15 @@ from edgeknow.topology import (
     IncompatibleModels,
     NoAttachmentTarget,
     Overlay,
-    attach,
     attachment_probabilities,
     degree_histogram,
     generate,
-    similarity,
+    incidence_matrix,
+    overlap_coefficients,
     survival_slope,
 )
+
+from conftest import bf_generate
 
 SCHEMA = Schema(
     predicting_cardinalities=tuple([2] * 12), context_cardinalities=(2,)
@@ -37,6 +41,16 @@ def overlay_from_edges(n, edges, limit=100):
     return ov
 
 
+def overlaps(arriving, existing):
+    """Overlap coefficients of `arriving` with each model in `existing`."""
+    inc = incidence_matrix(list(existing) + [arriving])
+    return overlap_coefficients(inc, inc.sum(axis=1), len(existing))
+
+
+def similarity(a, b):
+    return overlaps(b, [a])[0]
+
+
 class TestSimilarity:
     def test_overlap_coefficient(self):
         a = pgm_with([0, 1, 2])
@@ -55,58 +69,50 @@ class TestSimilarity:
 
     def test_empty_model(self):
         assert similarity(pgm_with([]), pgm_with([0])) == 0.0
+        assert similarity(pgm_with([0]), pgm_with([])) == 0.0
 
     def test_symmetry(self):
         a, b = pgm_with([0, 1, 5]), pgm_with([1, 7])
         assert similarity(a, b) == similarity(b, a)
 
-    def test_schema_mismatch(self):
-        other = DiscretePgm(Schema((2, 2), (2,)))
-        with pytest.raises(IncompatibleModels):
-            similarity(pgm_with([0]), other)
+    def test_one_product_per_arrival(self):
+        existing = [pgm_with([0, 1, 2]), pgm_with([]), pgm_with([3])]
+        assert overlaps(pgm_with([1, 2, 3, 4]), existing) == pytest.approx(
+            [2 / 3, 0.0, 1.0]
+        )
 
 
 class TestAttachmentProbabilities:
     def test_degree_weighted_with_equal_similarity(self):
-        ov = overlay_from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
-        # degrees 4, 2, 2 after adding one more edge to node 0
-        ov.add_edge(1, 3)
-        # degrees now: 0 -> 3, 1 -> 3, 2 -> 2, 3 -> 2; use a 3-node subset
-        existing = [(0, pgm_with([0])), (2, pgm_with([0])), (3, pgm_with([0]))]
-        arriving = pgm_with([0])
-        ov2 = overlay_from_edges(3, [])
-        ov2.adjacency = {0: {10, 11, 12, 13}, 2: {10, 11}, 3: {10, 11}}
-        ov2.edge_limit = 100
-        probs = attachment_probabilities(ov2, arriving, existing)
+        sims = overlaps(pgm_with([0]), [pgm_with([0])] * 3)
+        probs = attachment_probabilities(np.array([4, 2, 2]), sims, 100)
         assert probs == pytest.approx([0.5, 0.25, 0.25])
 
     def test_saturated_node_excluded(self):
         ov = overlay_from_edges(3, [(0, 1), (0, 2)], limit=2)
-        existing = [(0, pgm_with([0])), (1, pgm_with([0])), (2, pgm_with([0]))]
-        probs = attachment_probabilities(ov, pgm_with([0]), existing)
+        degrees = np.array([ov.degree(n) for n in ov.nodes])
+        sims = overlaps(pgm_with([0]), [pgm_with([0])] * 3)
+        probs = attachment_probabilities(degrees, sims, ov.edge_limit)
         assert probs[0] == 0.0
         assert probs.sum() == pytest.approx(1.0)
 
     def test_similarity_scales_weights(self):
-        ov = overlay_from_edges(2, [(0, 1)])
-        existing = [(0, pgm_with([0])), (1, pgm_with([1]))]
-        probs = attachment_probabilities(ov, pgm_with([0]), existing)
+        sims = overlaps(pgm_with([0]), [pgm_with([0]), pgm_with([1])])
+        probs = attachment_probabilities(np.array([1, 1]), sims, 100)
         assert probs == pytest.approx([1.0, 0.0])
 
     def test_floor_rescues_dissimilar_nodes(self):
-        ov = overlay_from_edges(2, [(0, 1)])
-        existing = [(0, pgm_with([0])), (1, pgm_with([1]))]
+        sims = overlaps(pgm_with([0]), [pgm_with([0]), pgm_with([1])])
         probs = attachment_probabilities(
-            ov, pgm_with([0]), existing, similarity_floor=0.1
+            np.array([1, 1]), sims, 100, similarity_floor=0.1
         )
         assert probs[1] > 0
         assert probs[0] > probs[1]
 
     def test_all_saturated_raises(self):
-        ov = overlay_from_edges(2, [(0, 1)], limit=1)
-        existing = [(0, pgm_with([0])), (1, pgm_with([0]))]
+        sims = overlaps(pgm_with([0]), [pgm_with([0])] * 2)
         with pytest.raises(NoAttachmentTarget):
-            attachment_probabilities(ov, pgm_with([0]), existing)
+            attachment_probabilities(np.array([1, 1]), sims, 1)
 
 
 class TestGenerate:
@@ -154,6 +160,12 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate(self.params(), [pgm_with([0])] * 2, edge_limit=10, seed=0)
 
+    def test_mixed_schemas_raise(self):
+        other = DiscretePgm(Schema((2, 2), (2,)))
+        pgms = [pgm_with([0]) for _ in range(5)] + [other]
+        with pytest.raises(IncompatibleModels):
+            generate(self.params(), pgms, edge_limit=10, seed=0)
+
     def test_similar_nodes_cluster(self):
         # two model groups with no overlap; with a tiny floor, same-group
         # edges should dominate relative to a floor that flattens similarity
@@ -178,6 +190,62 @@ class TestGenerate:
         pgms = [pgm_with([0]) for _ in range(20)]
         ov = generate(self.params(), pgms, edge_limit=100, seed=0)
         assert ov.repair_edges == 0
+
+
+@st.composite
+def growth_cases(draw):
+    """Small overlays: m0, m, floor, edge limit, seed and the trained sets
+    (possibly empty) of every node over up to 12 predicting variables."""
+    m0 = draw(st.integers(2, 5))
+    m = draw(st.integers(1, m0 - 1))
+    floor = draw(st.sampled_from([0.0, 0.05]) | st.floats(0.0, 0.99))
+    edge_limit = draw(st.integers(m0 - 1, 8))
+    var_count = draw(st.integers(1, 12))
+    trained = draw(
+        st.lists(
+            st.sets(st.integers(0, var_count - 1), max_size=var_count),
+            min_size=m0,
+            max_size=60,
+        )
+    )
+    seed = draw(st.integers(0, 2**32 - 1))
+    return m0, m, floor, edge_limit, var_count, trained, seed
+
+
+def grow_both(m0, m, floor, edge_limit, var_count, trained, seed):
+    schema = Schema((2,) * var_count, (2,))
+    pgms = []
+    for variables in trained:
+        pgm = DiscretePgm(schema)
+        for var in variables:
+            pgm.observe(var, {0: 0}, 0)
+        pgms.append(pgm)
+    params = AttachmentParams(m0=m0, m=m, similarity_floor=floor)
+    return (
+        generate(params, pgms, edge_limit, seed),
+        bf_generate(params, pgms, edge_limit, seed),
+    )
+
+
+# Disjoint trained sets with no floor leave arrivals with zero weight
+# (saturation warnings) and stray components to repair.
+SATURATING = (4, 2, 0.0, 6, 4, [{0}] * 4 + [{1}, {0}, {2}, set()] * 6, 0)
+
+
+class TestReferenceEquivalence:
+    @settings(max_examples=150, deadline=None)
+    @given(growth_cases())
+    @example(SATURATING)
+    def test_matches_per_pair_reference(self, case):
+        fast, ref = grow_both(*case)
+        assert fast.edges() == ref.edges()
+        assert fast.saturation_warnings == ref.saturation_warnings
+        assert fast.repair_edges == ref.repair_edges
+
+    def test_reference_case_saturates_and_repairs(self):
+        fast, _ = grow_both(*SATURATING)
+        assert fast.saturation_warnings > 0
+        assert fast.repair_edges > 0
 
 
 class TestOverlayInvariants:
