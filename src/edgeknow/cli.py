@@ -45,7 +45,13 @@ _FLAG_FIELDS = {
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v]
+    try:
+        values = [int(v) for v in text.split(",") if v]
+    except ValueError:
+        values = []
+    if not values:
+        raise ValueError(f"expected comma-separated integers, got {text!r}")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -161,10 +167,10 @@ def _execute(job):
 def cmd_run(args) -> int:
     try:
         base = _base_config(args)
+        seeds = _resolve_seeds(args)
     except (ValueError, TypeError) as exc:
         print(f"bad config: {exc}", file=sys.stderr)
         return 2
-    seeds = _resolve_seeds(args)
     strategies = (
         [Strategy.ABS, Strategy.RANDOM_WALK]
         if args.strategy == "both"
@@ -173,10 +179,13 @@ def cmd_run(args) -> int:
     sweep_param, sweep_values = None, [None]
     if args.sweep:
         name, _, raw = args.sweep.partition("=")
-        if name not in _FLAG_FIELDS or not raw:
-            print(f"bad sweep expression: {args.sweep}", file=sys.stderr)
+        try:
+            if name not in _FLAG_FIELDS or not raw:
+                raise ValueError("expected <flag>=<v1>,<v2>,...")
+            sweep_param, sweep_values = name, _int_list(raw)
+        except ValueError as exc:
+            print(f"bad sweep expression {args.sweep!r}: {exc}", file=sys.stderr)
             return 2
-        sweep_param, sweep_values = name, _int_list(raw)
 
     workload = None
     if args.workload_csv:
@@ -247,11 +256,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_topology(args) -> int:
-    seeds = _resolve_seeds(args)
-    seed = seeds[0]
     n = args.nodes
     limit = args.edge_limit if args.edge_limit > 0 else n
     try:
+        seed = _resolve_seeds(args)[0]
         config = SimConfig(
             node_count=n,
             predicting_var_count=args.predicting,

@@ -83,6 +83,11 @@ class SimConfig:
         ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        # a zero budget means the issuer answers alone; zero cycles, no rows
+        for name in ("hop_budget", "cycles"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be >= 0")
         m0 = self.attachment.m0
         if 2 <= self.node_count < m0:
             raise ValueError(f"node_count must be 1 or >= m0={m0}")
@@ -483,7 +488,7 @@ def run_cycle(trial: TrialState, cycle: int, strategy: Optional[Strategy] = None
         for nb in state.neighbors:
             receiver = trial.nodes[nb]
             integrate_advertisement(receiver.routing_models[state.node_id], adv)
-            receiver.models_dirty = True
+            receiver.models_changed()
             adv_sets_sent += adv.total_sets()
 
     # phase 2: one query per node

@@ -106,19 +106,12 @@ class RoutingModel:
     neighbor: NodeId
     k: int
     entries: dict[int, list[EntropySet]] = field(default_factory=dict)
-    # per target variable, per evidence variable set: best conditional score;
-    # dropped whenever the variable's entries are replaced
-    _score_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def best_score(self, target: int, bound: frozenset[int]) -> float:
-        per_var = self._score_cache.setdefault(target, {})
-        score = per_var.get(bound)
-        if score is None:
-            score = math.inf
-            for s in self.entries.get(target, ()):
-                score = min(score, s.score(bound))
-            per_var[bound] = score
-        return score
+        return min(
+            (s.score(bound) for s in self.entries.get(target, ())),
+            default=math.inf,
+        )
 
 
 @dataclass
@@ -146,8 +139,9 @@ class Return:
 @dataclass
 class NodeState:
     """Everything one node owns: its PGM, its neighborhood, and one routing
-    model per neighbor. Caches are safe because the PGM is static once the
-    simulation cycles start."""
+    model per neighbor. The local caches are safe because the PGM is static
+    once the simulation cycles start; the forwarding orders depend on the
+    routing models, so whoever changes a model calls `models_changed`."""
 
     node_id: NodeId
     pgm: DiscretePgm
@@ -157,6 +151,8 @@ class NodeState:
     models_dirty: bool = True
     _local_sets: Optional[list[EntropySet]] = None
     _answer_cache: dict = field(default_factory=dict)
+    # per (target, evidence variable set): neighbors by (best_score, id)
+    _order_cache: dict = field(default_factory=dict)
 
     def local_sets(self) -> list[EntropySet]:
         if self._local_sets is None:
@@ -168,6 +164,26 @@ class NodeState:
         if key not in self._answer_cache:
             self._answer_cache[key] = answer_entropy(self.pgm, target, bound)
         return self._answer_cache[key]
+
+    def forwarding_order(self, target: int, bound: frozenset[int]) -> list[NodeId]:
+        """Neighbors sorted by the conditional entropy their routing models
+        promise for `target` under evidence on `bound`, ties to the lowest id."""
+        key = (target, bound)
+        order = self._order_cache.get(key)
+        if order is None:
+            models = self.routing_models
+            order = sorted(
+                self.neighbors,
+                key=lambda n: (models[n].best_score(target, bound), n),
+            )
+            self._order_cache[key] = order
+        return order
+
+    def models_changed(self):
+        """Mark the routing models as changed: the next cycle rebuilds this
+        node's advertisement and every forwarding order is recomputed."""
+        self.models_dirty = True
+        self._order_cache.clear()
 
 
 def local_entropy_sets(pgm: DiscretePgm) -> list[EntropySet]:
@@ -258,7 +274,6 @@ def integrate_advertisement(model: RoutingModel, adv: Advertisement) -> RoutingM
         if len(set(combos)) != len(combos):
             raise MalformedAdvertisement(f"duplicate combination for {var}")
         model.entries[var] = sorted(sets, key=lambda s: s.joint)
-        model._score_cache.pop(var, None)
     return model
 
 
@@ -276,8 +291,8 @@ def should_advertise(
     return any(abs(new[k] - old[k]) > policy.change_threshold for k in new)
 
 
-def _improve_locally(state: NodeState, query: Query):
-    local = state.local_answer(query.target, frozenset(query.ctx))
+def _improve_locally(state: NodeState, query: Query, bound: frozenset[int]):
+    local = state.local_answer(query.target, bound)
     if local is not None and local < query.quality:
         table = state.pgm.tables[query.target]
         known = {v: s for v, s in query.ctx.items() if v in table.contexts}
@@ -294,23 +309,20 @@ def _forward_candidates(state: NodeState, query: Query) -> list[NodeId]:
 def process_query(state: NodeState, query: Query, first_hop: bool = False):
     """Handle one query arrival: decrement the hop budget (not at the issuer),
     improve the result from the local PGM when strictly better, record the
-    visit, and either forward to the neighbor scoring the smallest conditional
-    entropy or return to the issuer when the budget is spent."""
+    visit, and either forward to the unvisited neighbor scoring the smallest
+    conditional entropy (the best of all neighbors once every one is visited)
+    or return to the issuer when the budget is spent."""
     if not first_hop:
         query.hops_remaining = max(0, query.hops_remaining - 1)
-    _improve_locally(state, query)
+    bound = frozenset(query.ctx)
+    _improve_locally(state, query, bound)
     query.visited.append(state.node_id)
     if query.hops_remaining > 0 and state.neighbors:
-        candidates = _forward_candidates(state, query)
-        bound = frozenset(query.ctx)
-        best = min(
-            candidates,
-            key=lambda n: (
-                state.routing_models[n].best_score(query.target, bound),
-                n,
-            ),
-        )
-        return Forward(best, query)
+        order = state.forwarding_order(query.target, bound)
+        for n in order:
+            if n not in query.visited:
+                return Forward(n, query)
+        return Forward(order[0], query)
     return Return(query)
 
 
@@ -322,7 +334,7 @@ def random_walk_step(
     visited)."""
     if not first_hop:
         query.hops_remaining = max(0, query.hops_remaining - 1)
-    _improve_locally(state, query)
+    _improve_locally(state, query, frozenset(query.ctx))
     query.visited.append(state.node_id)
     if query.hops_remaining > 0 and state.neighbors:
         candidates = _forward_candidates(state, query)

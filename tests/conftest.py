@@ -2,9 +2,9 @@
 
 The oracles here deliberately avoid the library's vectorized code paths:
 entropies are computed with plain Python loops over explicitly enumerated
-cells, and overlay growth with one `bf_similarity` call per pair of nodes,
-so the tests check the implementation against a second, independent
-evaluation.
+cells, overlay growth with one `bf_similarity` call per pair of nodes, and
+the next hop with one `min` over the candidate neighbors, so the tests
+check the implementation against a second, independent evaluation.
 """
 
 import itertools
@@ -146,6 +146,22 @@ def bf_generate(params, node_pgms, edge_limit, seed) -> Overlay:
             overlay.add_edge(new_id, pool[rng.choice(len(pool), p=probs)][0])
     _repair_connectivity(overlay)
     return overlay
+
+
+def bf_next_hop(state, query):
+    """The next hop as one min over the candidates (the unvisited neighbors,
+    or every neighbor once all are visited), keyed on (best_score, node id)."""
+    visited = set(query.visited)
+    unvisited = [n for n in state.neighbors if n not in visited]
+    candidates = unvisited if unvisited else list(state.neighbors)
+    bound = frozenset(query.ctx)
+    return min(
+        candidates,
+        key=lambda n: (
+            state.routing_models[n].best_score(query.target, bound),
+            n,
+        ),
+    )
 
 
 @pytest.fixture

@@ -103,6 +103,29 @@ class TestRun:
         assert message in capsys.readouterr().err
         assert not list(out.glob("run_*.csv"))
 
+    @pytest.mark.parametrize(
+        "flags, env, message",
+        [
+            (["--seed", "abc"], None, "expected comma-separated integers, got 'abc'"),
+            ([], "zz", "expected comma-separated integers, got 'zz'"),
+            (["--sweep", "k=1,x"], None, "got '1,x'"),
+            (["--hops", "-3"], None, "hop_budget must be >= 0"),
+            (["--cycles", "-1"], None, "cycles must be >= 0"),
+        ],
+        ids=["seed", "env-seed", "sweep", "hops", "cycles"],
+    )
+    def test_bad_number_exits_2(
+        self, tmp_path, capsys, monkeypatch, flags, env, message
+    ):
+        if env is not None:
+            monkeypatch.setenv("EDGEKNOW_SEED", env)
+        out = tmp_path / "out"
+        flags = ["--nodes", "8", "--cycles", "1", *flags, "--out", out]
+        assert run_cli(["run", *flags]) == 2
+        err = capsys.readouterr().err
+        assert message in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_single_node_runs(self, tmp_path):
         out = tmp_path / "out"
         assert run_cli(BASE + ["--nodes", "1", "--seed", "0", "--out", out]) == 0
@@ -193,6 +216,12 @@ class TestTopology:
         out = tmp_path / "topo"
         assert run_cli(["topology", "--nodes", "10", "--m", "0", "--out", out]) == 2
         assert "need 1 <= m < m0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "topo"
+        assert run_cli(["topology", "--nodes", "10", "--seed", "x", "--out", out]) == 2
+        assert "expected comma-separated integers, got 'x'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_edge_limit_respected(self, tmp_path, capsys):

@@ -26,6 +26,8 @@ from edgeknow.routing import (
     should_advertise,
 )
 
+from conftest import bf_next_hop
+
 
 def make_set(var_idx, joint, ctx_entropies=None):
     return EntropySet(
@@ -223,6 +225,26 @@ class TestShouldAdvertise:
         assert should_advertise(self.first(), other, self.policy)
 
 
+def model_entries(var):
+    """Up to two sets for `var` over distinct combinations of contexts 0 and
+    1 (the empty one is the reduced form); joints and context entropies come
+    from two values each, so scores tie often."""
+    raw = st.lists(
+        st.tuples(
+            st.frozensets(st.sampled_from((0, 1))),
+            st.sampled_from((1.0, 2.0)),
+            st.sampled_from((0.5, 1.0)),
+        ),
+        max_size=2,
+        unique_by=lambda t: t[0],
+    )
+    return raw.map(
+        lambda sets: [
+            make_set(var, joint, {c: h for c in combo}) for combo, joint, h in sets
+        ]
+    )
+
+
 def trained_node(node_id, neighbors=(), target_state=0, observations=60):
     """Node whose predicting variable 0 is near-deterministic on target_state
     given context 0."""
@@ -302,6 +324,43 @@ class TestProcessQuery:
         assert isinstance(out, Return)
         assert out.query.visited == [0, 1, 2]
         assert out.query.hops_remaining == 0
+
+    def test_order_recomputed_after_models_change(self):
+        node = blank_node(0, neighbors=[1, 2])
+        node.routing_models[1] = RoutingModel(1, 2, {0: [make_set(0, 1.0)]})
+        node.routing_models[2] = RoutingModel(2, 2, {0: [make_set(0, 3.0)]})
+        assert process_query(node, Query(0, {}, 2, 0), first_hop=True).to == 1
+        integrate_advertisement(
+            node.routing_models[2], Advertisement(2, {0: [make_set(0, 0.5)]})
+        )
+        node.models_changed()
+        assert node.models_dirty
+        assert process_query(node, Query(0, {}, 2, 0), first_hop=True).to == 2
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_next_hop(self, data):
+        neighbors = data.draw(
+            st.lists(st.integers(0, 30), min_size=1, max_size=12, unique=True)
+        )
+        node = blank_node(99, neighbors=neighbors)
+        for nb in neighbors:
+            entries = {var: data.draw(model_entries(var)) for var in (0, 1)}
+            node.routing_models[nb] = RoutingModel(
+                nb, 2, {var: sets for var, sets in entries.items() if sets}
+            )
+        # repeated queries on one node reuse its cached forwarding orders
+        for _ in range(data.draw(st.integers(1, 6))):
+            target = data.draw(st.sampled_from((0, 1)))
+            bound = data.draw(st.frozensets(st.sampled_from((0, 1, 2))))
+            if data.draw(st.booleans()):
+                visited = list(neighbors)
+            else:
+                visited = data.draw(st.lists(st.sampled_from(neighbors), unique=True))
+            query = Query(target, {c: 0 for c in bound}, 1, 99, visited=visited)
+            out = process_query(node, query, first_hop=True)
+            assert isinstance(out, Forward)
+            assert out.to == bf_next_hop(node, out.query)
 
 
 class TestRandomWalk:
