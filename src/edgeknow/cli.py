@@ -15,6 +15,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
+from typing import Optional
 
 from .engine import (
     SimConfig,
@@ -118,24 +119,22 @@ def _read_config_file(path: Path) -> dict[str, str]:
     return values
 
 
-def _resolve_seeds(args) -> list[int]:
-    if args.seed is not None:
-        return _int_list(args.seed)
-    env = os.environ.get("EDGEKNOW_SEED")
-    if env:
-        return _int_list(env)
+def _resolve_seeds(flag: Optional[str], file_value: Optional[str] = None) -> list[int]:
+    """Seeds from `--seed`, else the config file, else EDGEKNOW_SEED, else 0."""
+    for text in (flag, file_value, os.environ.get("EDGEKNOW_SEED") or None):
+        if text is not None:
+            return _int_list(text)
     return [0]
 
 
-def _base_config(args) -> SimConfig:
+def _base_config(args, file_values: dict[str, str]) -> SimConfig:
+    """Config file values overridden by flags; seeds are set per run."""
     values: dict = {}
-    if getattr(args, "config", None):
-        file_values = _read_config_file(args.config)
-        for key, value in file_values.items():
-            if key in _FLAG_FIELDS:
-                values[_FLAG_FIELDS[key]] = int(value)
-            else:
-                raise ValueError(f"unknown config key: {key}")
+    for key, value in file_values.items():
+        if key not in _FLAG_FIELDS:
+            raise ValueError(f"unknown config key: {key}")
+        if key != "seed":
+            values[_FLAG_FIELDS[key]] = int(value)
     for flag, fld in _FLAG_FIELDS.items():
         if flag == "seed":
             continue
@@ -166,8 +165,9 @@ def _execute(job):
 
 def cmd_run(args) -> int:
     try:
-        base = _base_config(args)
-        seeds = _resolve_seeds(args)
+        file_values = _read_config_file(args.config) if args.config else {}
+        base = _base_config(args, file_values)
+        seeds = _resolve_seeds(args.seed, file_values.get("seed"))
     except (ValueError, TypeError) as exc:
         print(f"bad config: {exc}", file=sys.stderr)
         return 2
@@ -259,7 +259,7 @@ def cmd_topology(args) -> int:
     n = args.nodes
     limit = args.edge_limit if args.edge_limit > 0 else n
     try:
-        seed = _resolve_seeds(args)[0]
+        seed = _resolve_seeds(args.seed)[0]
         config = SimConfig(
             node_count=n,
             predicting_var_count=args.predicting,

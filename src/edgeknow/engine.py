@@ -23,10 +23,8 @@ from .pgm import DiscretePgm, Schema, UnknownVariable
 from .routing import (
     Advertisement,
     AdvertisementPolicy,
-    Forward,
     NodeState,
     Query,
-    Return,
     RoutingModel,
     build_advertisement,
     integrate_advertisement,
@@ -190,24 +188,6 @@ def train_pgms(workload: Workload, pseudocount: float = 1.0) -> list[DiscretePgm
     return pgms
 
 
-def export_workload_csv(workload: Workload, path):
-    """Rows: node_id, predicting var index, outcome, then one c<j>=<state>
-    field per bound context variable j."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["node_id", "predicting_var", "outcome"])
-        for entry in workload.entries:
-            cards = [workload.schema.context_cardinality(c) for c in entry.contexts]
-            states = np.unravel_index(entry.ctx_flat_idx, cards)
-            for i in range(len(entry.outcomes)):
-                row = [entry.node_id, entry.var, int(entry.outcomes[i])]
-                row += [
-                    f"c{entry.contexts[j]}={int(states[j][i])}"
-                    for j in range(len(entry.contexts))
-                ]
-                writer.writerow(row)
-
-
 def _check_field(cardinality, var: int, state: int, name: str):
     """Reject a CSV value whose variable or state does not fit the schema,
     naming the CSV field."""
@@ -220,10 +200,13 @@ def _check_field(cardinality, var: int, state: int, name: str):
 
 
 def ingest_csv(path, schema: Schema, node_count: Optional[int] = None) -> Workload:
-    """Parse an observation CSV back into per-(node, var, combination)
-    streams. Malformed rows, and rows that do not fit the schema or
-    `node_count`, raise ValueError with the line number."""
-    groups: dict[tuple, list[tuple[int, tuple[int, ...]]]] = {}
+    """Parse an observation CSV into one stream per (node, var), all of whose
+    rows bind the same context variables. Malformed rows, rows that do not
+    fit the schema or `node_count` or that bind other context variables than
+    earlier rows of their (node, var), raise ValueError with the line number;
+    so does a file without observation rows."""
+    # per (node, var): the bound context variables and (outcome, states) rows
+    groups: dict[tuple[int, int], tuple[tuple[int, ...], list]] = {}
     max_node = -1
     with open(path, newline="") as f:
         for lineno, row in enumerate(csv.reader(f), start=1):
@@ -248,17 +231,24 @@ def ingest_csv(path, schema: Schema, node_count: Optional[int] = None) -> Worklo
                     c = int(name[1:])
                     bindings[c] = int(state)
                     _check_field(schema.context_cardinality, c, bindings[c], name)
+                contexts = tuple(sorted(bindings))
+                held, rows = groups.setdefault((node_id, var), (contexts, []))
+                if contexts != held:
+                    raise ValueError(
+                        f"contexts {contexts} differ from {held} in earlier rows "
+                        f"of node {node_id}, predicting_var {var}"
+                    )
             except (ValueError, IndexError) as exc:
                 raise ValueError(f"{path}: malformed row at line {lineno}: {exc}")
-            contexts = tuple(sorted(bindings))
-            states = tuple(bindings[c] for c in contexts)
-            groups.setdefault((node_id, var, contexts), []).append((outcome, states))
+            rows.append((outcome, tuple(bindings[c] for c in contexts)))
             max_node = max(max_node, node_id)
+    if not groups:
+        raise ValueError(f"{path}: no observation rows")
     workload = Workload(
         schema=schema,
         node_count=node_count if node_count is not None else max_node + 1,
     )
-    for (node_id, var, contexts), rows in sorted(groups.items()):
+    for (node_id, var), (contexts, rows) in sorted(groups.items()):
         cards = [schema.context_cardinality(c) for c in contexts]
         outcomes = np.array([r[0] for r in rows], dtype=np.int64)
         if contexts:
@@ -411,8 +401,7 @@ def setup_trial(config: SimConfig, workload: Optional[Workload] = None) -> Trial
                 pgm=pgms[node_id],
                 neighbors=neighbors,
                 routing_models={
-                    nb: RoutingModel(neighbor=nb, k=config.k_sets)
-                    for nb in neighbors
+                    nb: RoutingModel(k=config.k_sets) for nb in neighbors
                 },
             )
         )
@@ -447,18 +436,14 @@ def _make_query(trial: TrialState, issuer: int) -> Query:
 
 
 def route_query(trial: TrialState, query: Query, strategy: Strategy) -> Query:
-    current = query.issuer
-    first = True
-    while True:
-        state = trial.nodes[current]
+    node = query.issuer
+    while node is not None:
+        state = trial.nodes[node]
         if strategy is Strategy.RANDOM_WALK:
-            decision = random_walk_step(state, query, trial.walk_rng, first_hop=first)
+            node = random_walk_step(state, query, trial.walk_rng)
         else:
-            decision = process_query(state, query, first_hop=first)
-        first = False
-        if isinstance(decision, Return):
-            return decision.query
-        current = decision.to
+            node = process_query(state, query)
+    return query
 
 
 def run_cycle(trial: TrialState, cycle: int, strategy: Optional[Strategy] = None) -> CycleMetrics:
@@ -470,16 +455,11 @@ def run_cycle(trial: TrialState, cycle: int, strategy: Optional[Strategy] = None
     # phase 1: knowledge propagation
     outgoing: list[tuple[NodeState, Advertisement]] = []
     for state in trial.nodes:
-        if not state.models_dirty and state.last_advertisement is not None:
+        if not state.models_dirty:
             continue
         current = build_advertisement(
-            state.pgm,
-            state.routing_models.values(),
-            policy,
-            config.k_sets,
-            local_sets=state.local_sets(),
+            state.local_sets(), state.routing_models.values(), policy, config.k_sets
         )
-        current.origin = state.node_id
         if should_advertise(state.last_advertisement, current, policy):
             outgoing.append((state, current))
         state.models_dirty = False
@@ -489,7 +469,7 @@ def run_cycle(trial: TrialState, cycle: int, strategy: Optional[Strategy] = None
             receiver = trial.nodes[nb]
             integrate_advertisement(receiver.routing_models[state.node_id], adv)
             receiver.models_changed()
-            adv_sets_sent += adv.total_sets()
+        adv_sets_sent += len(state.neighbors) * sum(map(len, adv.values()))
 
     # phase 2: one query per node
     hits = 0

@@ -28,10 +28,6 @@ from .pgm import (
 NodeId = int
 
 
-class WrongNeighbor(ValueError):
-    pass
-
-
 class MalformedAdvertisement(ValueError):
     pass
 
@@ -48,10 +44,6 @@ class EntropySet:
     @property
     def combination(self) -> frozenset[int]:
         return frozenset(self.context_entropies)
-
-    @property
-    def reduced(self) -> bool:
-        return not self.context_entropies
 
     def inflated(self, eps: float) -> "EntropySet":
         return EntropySet(
@@ -83,27 +75,14 @@ class AdvertisementPolicy:
             raise ValueError("policy fields must be non-negative")
 
 
-@dataclass
-class Advertisement:
-    origin: NodeId
-    entries: dict[int, list[EntropySet]] = field(default_factory=dict)
-
-    def total_sets(self) -> int:
-        return sum(len(v) for v in self.entries.values())
-
-    def keys_and_joints(self) -> dict[tuple[int, frozenset], float]:
-        return {
-            (var, s.combination): s.joint
-            for var, sets in self.entries.items()
-            for s in sets
-        }
+# what a node advertises: per predicting variable, up to K entropy sets
+Advertisement = dict[int, list[EntropySet]]
 
 
 @dataclass
 class RoutingModel:
     """Summary of the knowledge reachable through one neighbor."""
 
-    neighbor: NodeId
     k: int
     entries: dict[int, list[EntropySet]] = field(default_factory=dict)
 
@@ -123,17 +102,6 @@ class Query:
     result: Optional[np.ndarray] = None
     quality: float = math.inf
     visited: list[NodeId] = field(default_factory=list)
-
-
-@dataclass
-class Forward:
-    to: NodeId
-    query: Query
-
-
-@dataclass
-class Return:
-    query: Query
 
 
 @dataclass
@@ -217,11 +185,10 @@ def answer_entropy(
 
 
 def build_advertisement(
-    node_pgm: DiscretePgm,
+    local_sets: list[EntropySet],
     routing_models: Iterable[RoutingModel],
     policy: AdvertisementPolicy,
     k: int,
-    local_sets: Optional[list[EntropySet]] = None,
 ) -> Advertisement:
     """Aggregate local and neighbor-learned entropy sets into the summary this
     node would advertise: per predicting variable, the K lowest-joint sets over
@@ -229,8 +196,6 @@ def build_advertisement(
     by one hop and low-quality local sets reduced to joint-only form."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if local_sets is None:
-        local_sets = local_entropy_sets(node_pgm)
 
     # per variable, per combination: the minimum-joint candidate
     best: dict[int, dict[frozenset, EntropySet]] = {}
@@ -251,21 +216,16 @@ def build_advertisement(
             for s in sets:
                 offer(s.inflated(policy.hop_inflation))
 
-    entries = {}
-    for var, combos in best.items():
-        winners = sorted(combos.values(), key=lambda s: s.joint)[:k]
-        entries[var] = winners
-    return Advertisement(origin=-1, entries=entries)
+    return {
+        var: sorted(combos.values(), key=lambda s: s.joint)[:k]
+        for var, combos in best.items()
+    }
 
 
-def integrate_advertisement(model: RoutingModel, adv: Advertisement) -> RoutingModel:
+def integrate_advertisement(model: RoutingModel, entries: Advertisement):
     """Replace the model's entries per advertised variable; variables absent
     from the advertisement are retained."""
-    if adv.origin != model.neighbor:
-        raise WrongNeighbor(
-            f"advertisement from {adv.origin} applied to model for {model.neighbor}"
-        )
-    for var, sets in adv.entries.items():
+    for var, sets in entries.items():
         if len(sets) > model.k:
             raise MalformedAdvertisement(
                 f"{len(sets)} sets for {var} exceeds K={model.k}"
@@ -274,7 +234,6 @@ def integrate_advertisement(model: RoutingModel, adv: Advertisement) -> RoutingM
         if len(set(combos)) != len(combos):
             raise MalformedAdvertisement(f"duplicate combination for {var}")
         model.entries[var] = sorted(sets, key=lambda s: s.joint)
-    return model
 
 
 def should_advertise(
@@ -284,59 +243,55 @@ def should_advertise(
 ) -> bool:
     if previous is None:
         return True
-    old = previous.keys_and_joints()
-    new = current.keys_and_joints()
+    old, new = (
+        {(var, s.combination): s.joint for var, sets in adv.items() for s in sets}
+        for adv in (previous, current)
+    )
     if set(old) != set(new):
         return True
     return any(abs(new[k] - old[k]) > policy.change_threshold for k in new)
 
 
-def _improve_locally(state: NodeState, query: Query, bound: frozenset[int]):
+def _arrive(state: NodeState, query: Query, bound: frozenset[int]) -> bool:
+    """Handle one query arrival: improve the result from the local PGM when
+    strictly better and record the visit. True when the query goes on, that
+    is when hops remain and the node has neighbors; the hop is then spent."""
     local = state.local_answer(query.target, bound)
     if local is not None and local < query.quality:
         table = state.pgm.tables[query.target]
         known = {v: s for v, s in query.ctx.items() if v in table.contexts}
         query.result = state.pgm.predict(query.target, known)
         query.quality = local
-
-
-def _forward_candidates(state: NodeState, query: Query) -> list[NodeId]:
-    visited = set(query.visited)
-    unvisited = [n for n in state.neighbors if n not in visited]
-    return unvisited if unvisited else list(state.neighbors)
-
-
-def process_query(state: NodeState, query: Query, first_hop: bool = False):
-    """Handle one query arrival: decrement the hop budget (not at the issuer),
-    improve the result from the local PGM when strictly better, record the
-    visit, and either forward to the unvisited neighbor scoring the smallest
-    conditional entropy (the best of all neighbors once every one is visited)
-    or return to the issuer when the budget is spent."""
-    if not first_hop:
-        query.hops_remaining = max(0, query.hops_remaining - 1)
-    bound = frozenset(query.ctx)
-    _improve_locally(state, query, bound)
     query.visited.append(state.node_id)
     if query.hops_remaining > 0 and state.neighbors:
-        order = state.forwarding_order(query.target, bound)
-        for n in order:
-            if n not in query.visited:
-                return Forward(n, query)
-        return Forward(order[0], query)
-    return Return(query)
+        query.hops_remaining -= 1
+        return True
+    return False
+
+
+def process_query(state: NodeState, query: Query) -> Optional[NodeId]:
+    """Handle one query arrival and return the next node: the unvisited
+    neighbor scoring the smallest conditional entropy (the best of all
+    neighbors once every one is visited), or None when the query goes back
+    to its issuer."""
+    bound = frozenset(query.ctx)
+    if not _arrive(state, query, bound):
+        return None
+    order = state.forwarding_order(query.target, bound)
+    for n in order:
+        if n not in query.visited:
+            return n
+    return order[0]
 
 
 def random_walk_step(
-    state: NodeState, query: Query, rng: np.random.Generator, first_hop: bool = False
-):
-    """Directed random walk baseline: identical local improvement, but the
-    next hop is uniform over unvisited neighbors (any neighbor once all are
+    state: NodeState, query: Query, rng: np.random.Generator
+) -> Optional[NodeId]:
+    """Directed random walk baseline: identical arrival handling, but the
+    next node is uniform over unvisited neighbors (any neighbor once all are
     visited)."""
-    if not first_hop:
-        query.hops_remaining = max(0, query.hops_remaining - 1)
-    _improve_locally(state, query, frozenset(query.ctx))
-    query.visited.append(state.node_id)
-    if query.hops_remaining > 0 and state.neighbors:
-        candidates = _forward_candidates(state, query)
-        return Forward(candidates[rng.integers(len(candidates))], query)
-    return Return(query)
+    if not _arrive(state, query, frozenset(query.ctx)):
+        return None
+    candidates = [n for n in state.neighbors if n not in query.visited]
+    candidates = candidates or state.neighbors
+    return candidates[rng.integers(len(candidates))]

@@ -1,4 +1,4 @@
-"""Shared fixtures and independent brute-force oracles.
+"""Shared fixtures, independent brute-force oracles and a workload CSV writer.
 
 The oracles here deliberately avoid the library's vectorized code paths:
 entropies are computed with plain Python loops over explicitly enumerated
@@ -7,6 +7,7 @@ the next hop with one `min` over the candidate neighbors, so the tests
 check the implementation against a second, independent evaluation.
 """
 
+import csv
 import itertools
 import math
 
@@ -162,6 +163,25 @@ def bf_next_hop(state, query):
             n,
         ),
     )
+
+
+def export_workload_csv(workload, path):
+    """Write a workload in the CSV form `engine.ingest_csv` reads: rows of
+    node_id, predicting var index, outcome, then one c<j>=<state> field per
+    bound context variable j."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["node_id", "predicting_var", "outcome"])
+        for entry in workload.entries:
+            cards = [workload.schema.context_cardinality(c) for c in entry.contexts]
+            states = np.unravel_index(entry.ctx_flat_idx, cards)
+            for i in range(len(entry.outcomes)):
+                row = [entry.node_id, entry.var, int(entry.outcomes[i])]
+                row += [
+                    f"c{entry.contexts[j]}={int(states[j][i])}"
+                    for j in range(len(entry.contexts))
+                ]
+                writer.writerow(row)
 
 
 @pytest.fixture

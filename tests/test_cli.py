@@ -4,6 +4,8 @@ import pytest
 
 from edgeknow.cli import main
 
+from conftest import export_workload_csv
+
 BASE = [
     "run",
     "--nodes", "12",
@@ -23,7 +25,7 @@ def run_cli(args):
 
 def export_small_workload(path):
     """Write a workload CSV that fits BASE."""
-    from edgeknow.engine import SimConfig, export_workload_csv, generate_workload
+    from edgeknow.engine import SimConfig, generate_workload
 
     config = SimConfig(
         node_count=12, predicting_var_count=6, context_var_count=3,
@@ -145,6 +147,17 @@ class TestRun:
         lines = (out / "run_seed0_abs.csv").read_text().splitlines()
         assert len(lines) == 3  # the flag wins over the file
 
+    def test_config_file_seed(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("EDGEKNOW_SEED", "9")
+        cfg = tmp_path / "trial.cfg"
+        cfg.write_text("seed = 5\n")
+        out = tmp_path / "out"
+        assert run_cli(BASE + ["--config", cfg, "--out", out]) == 0
+        assert [p.name for p in out.glob("run_*.csv")] == ["run_seed5_abs.csv"]
+        out = tmp_path / "flag"
+        assert run_cli(BASE + ["--config", cfg, "--seed", "2", "--out", out]) == 0
+        assert [p.name for p in out.glob("run_*.csv")] == ["run_seed2_abs.csv"]
+
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "trial.cfg"
         for text in ("wat = 1\n", "nodes 12\n"):
@@ -180,6 +193,7 @@ class TestRun:
             "12,1,2,c0=1",  # node id beyond --nodes 12
             "0,1,2,c-1=0",  # negative context variable
             "0,-1,2,c0=0",  # negative predicting variable
+            "0,1,3,c1=0",  # node 0, variable 1 bound c0 on line 2
         ],
     )
     def test_bad_workload_row_exits_2_with_line(self, tmp_path, capsys, row):
@@ -187,7 +201,16 @@ class TestRun:
         wl_path.write_text(f"node_id,predicting_var,outcome\n0,1,2,c0=1\n{row}\n")
         code = run_cli(BASE + ["--workload-csv", wl_path, "--out", tmp_path / "out"])
         assert code == 2
-        assert "line 3" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "line 3" in err and len(err.splitlines()) == 1
+
+    def test_header_only_workload_exits_2(self, tmp_path, capsys):
+        wl_path = tmp_path / "workload.csv"
+        wl_path.write_text("node_id,predicting_var,outcome\n")
+        code = run_cli(BASE + ["--workload-csv", wl_path, "--out", tmp_path / "out"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "no observation rows" in err and len(err.splitlines()) == 1
 
 
 class TestTopology:

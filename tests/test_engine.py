@@ -17,7 +17,6 @@ from edgeknow.engine import (
     _cached_oracle,
     _make_query,
     accuracy,
-    export_workload_csv,
     generate_workload,
     ingest_csv,
     oracle_best,
@@ -31,7 +30,7 @@ from edgeknow.pgm import DiscretePgm, Schema, conditional_entropy
 from edgeknow.routing import NodeState, Query
 from edgeknow.topology import AttachmentParams
 
-from conftest import bf_chain_rule
+from conftest import bf_chain_rule, export_workload_csv
 
 
 def small_config(**overrides):
@@ -150,9 +149,10 @@ class TestCsvRoundTrip:
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
-        path.write_text("")
-        wl = ingest_csv(path, small_config().schema())
-        assert wl.entries == [] and wl.node_count == 0
+        for text in ("", "node_id,predicting_var,outcome\n"):
+            path.write_text(text)
+            with pytest.raises(ValueError, match="no observation rows"):
+                ingest_csv(path, small_config().schema())
 
     def test_single_row(self, tmp_path):
         path = tmp_path / "one.csv"
@@ -233,8 +233,8 @@ class TestTrialSetup:
         for state in trial.nodes:
             assert sorted(trial.overlay.neighbors(state.node_id)) == state.neighbors
             assert set(state.routing_models) == set(state.neighbors)
-            for nb, model in state.routing_models.items():
-                assert model.neighbor == nb and model.k == config.k_sets
+            for model in state.routing_models.values():
+                assert model.k == config.k_sets
 
     def test_trained_combos_cover_workload(self):
         config = small_config()
@@ -287,6 +287,26 @@ class TestRouteQuery:
         assert len(done.visited) == 7
         for a, b in zip(done.visited, done.visited[1:]):
             assert b in trial.nodes[a].neighbors
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, dict(hop_budget=0), dict(hop_budget=1), dict(node_count=1),
+         dict(node_count=4, hop_budget=9)],
+        ids=["default", "budget0", "budget1", "one-node", "budget-exceeds-nodes"],
+    )
+    def test_every_hop_is_spent_on_a_forward(self, strategy, overrides):
+        config = small_config(**overrides)
+        trial = setup_trial(config)
+        for cycle in range(1, config.cycles + 1):
+            run_cycle(trial, cycle, strategy)
+        hops = config.resolved_hops()
+        for state in trial.nodes:
+            done = route_query(trial, _make_query(trial, state.node_id), strategy)
+            # an issuer without neighbors answers alone and spends nothing
+            spent = hops if state.neighbors else 0
+            assert done.hops_remaining == hops - spent
+            assert len(done.visited) == 1 + spent
 
 
 def achieved_and_optimal(trial, strategy):

@@ -7,16 +7,12 @@ from hypothesis import strategies as st
 
 from edgeknow.pgm import DiscretePgm, Schema
 from edgeknow.routing import (
-    Advertisement,
     AdvertisementPolicy,
     EntropySet,
-    Forward,
     MalformedAdvertisement,
     NodeState,
     Query,
-    Return,
     RoutingModel,
-    WrongNeighbor,
     answer_entropy,
     build_advertisement,
     integrate_advertisement,
@@ -61,7 +57,7 @@ class TestEntropySetScore:
 
     def test_reduced_set_scores_joint(self):
         s = make_set(0, 0.8)
-        assert s.reduced
+        assert not s.context_entropies
         assert s.score({1, 2}) == pytest.approx(0.8)
 
     def test_clamped_at_zero(self):
@@ -77,31 +73,28 @@ class TestEntropySetScore:
 class TestBuildAdvertisement:
     def test_local_only(self):
         local = [make_set(0, 1.0, {0: 0.4}), make_set(1, 2.0, {1: 0.7})]
-        adv = build_advertisement(empty_pgm(), [], ZERO_EPS, k=2, local_sets=local)
-        assert set(adv.entries) == {0, 1}
-        assert adv.entries[0][0].joint == pytest.approx(1.0)
+        adv = build_advertisement(local, [], ZERO_EPS, k=2)
+        assert set(adv) == {0, 1}
+        assert adv[0][0].joint == pytest.approx(1.0)
 
     def test_line_aggregation_with_inflation(self):
         # neighbor advertises a better set; it is re-offered one hop inflated
         eps = 0.01
         policy = AdvertisementPolicy(hop_inflation=eps)
-        neighbor_model = RoutingModel(neighbor=2, k=2)
+        neighbor_model = RoutingModel(k=2)
         neighbor_model.entries[0] = [make_set(0, 0.5, {0: 0.2})]
         local = [make_set(0, 1.0, {0: 0.4})]
-        adv = build_advertisement(
-            empty_pgm(), [neighbor_model], policy, k=2, local_sets=local
-        )
-        sets = adv.entries[0]
+        sets = build_advertisement(local, [neighbor_model], policy, k=2)[0]
         assert len(sets) == 1  # same combination, minimum wins
         assert sets[0].joint == pytest.approx(0.5 + eps)
 
     def test_distinct_combinations_coexist(self):
         local = [make_set(0, 1.0, {0: 0.4})]
-        model = RoutingModel(neighbor=1, k=2)
+        model = RoutingModel(k=2)
         model.entries[0] = [make_set(0, 0.5, {1: 0.2})]
-        adv = build_advertisement(empty_pgm(), [model], ZERO_EPS, k=2, local_sets=local)
-        assert len(adv.entries[0]) == 2
-        assert {s.combination for s in adv.entries[0]} == {
+        adv = build_advertisement(local, [model], ZERO_EPS, k=2)
+        assert len(adv[0]) == 2
+        assert {s.combination for s in adv[0]} == {
             frozenset({0}),
             frozenset({1}),
         }
@@ -110,23 +103,21 @@ class TestBuildAdvertisement:
         local = [
             EntropySet(0, 1.0 + i, {i: 0.1}) for i in range(5)
         ]
-        adv = build_advertisement(empty_pgm(), [], NO_GATE, k=2, local_sets=local)
-        assert [s.joint for s in adv.entries[0]] == [1.0, 2.0]
+        adv = build_advertisement(local, [], NO_GATE, k=2)
+        assert [s.joint for s in adv[0]] == [1.0, 2.0]
 
     def test_quality_gate_reduces_poor_local_sets(self):
         policy = AdvertisementPolicy(quality_threshold=0.5, hop_inflation=0.0)
         good = make_set(0, 1.0, {0: 0.8})   # evidence-free conditional 0.2
         poor = make_set(1, 2.0, {0: 0.8})   # evidence-free conditional 1.2
-        adv = build_advertisement(
-            empty_pgm(), [], policy, k=2, local_sets=[good, poor]
-        )
-        assert not adv.entries[0][0].reduced
-        assert adv.entries[1][0].reduced
-        assert adv.entries[1][0].joint == pytest.approx(2.0)
+        adv = build_advertisement([good, poor], [], policy, k=2)
+        assert adv[0][0].context_entropies
+        assert not adv[1][0].context_entropies
+        assert adv[1][0].joint == pytest.approx(2.0)
 
     def test_rejects_k_below_one(self):
         with pytest.raises(ValueError):
-            build_advertisement(empty_pgm(), [], ZERO_EPS, k=0, local_sets=[])
+            build_advertisement([], [], ZERO_EPS, k=0)
 
     @given(
         st.lists(
@@ -145,7 +136,7 @@ class TestBuildAdvertisement:
             EntropySet(v, j, {c: 0.05 for c in combo})
             for v, j, combo in raw
         ]
-        adv = build_advertisement(empty_pgm(), [], NO_GATE, k=k, local_sets=local)
+        adv = build_advertisement(local, [], NO_GATE, k=k)
         for var in {v for v, _, _ in raw}:
             # brute force: min joint per distinct combination, k lowest kept
             best = {}
@@ -155,31 +146,23 @@ class TestBuildAdvertisement:
                 key = frozenset(c for c in combo)
                 best[key] = min(best.get(key, math.inf), j)
             want = sorted(best.values())[:k]
-            got = [s.joint for s in adv.entries[var]]
+            got = [s.joint for s in adv[var]]
             assert got == pytest.approx(want)
-            assert len({s.combination for s in adv.entries[var]}) == len(got)
+            assert len({s.combination for s in adv[var]}) == len(got)
 
 
 class TestIntegrate:
     def test_replaces_and_retains(self):
-        model = RoutingModel(neighbor=3, k=2)
+        model = RoutingModel(k=2)
         model.entries[0] = [make_set(0, 5.0)]
         model.entries[1] = [make_set(1, 4.0)]
-        adv = Advertisement(origin=3, entries={0: [make_set(0, 1.0)]})
-        integrate_advertisement(model, adv)
+        integrate_advertisement(model, {0: [make_set(0, 1.0)]})
         assert model.entries[0][0].joint == pytest.approx(1.0)
         assert model.entries[1][0].joint == pytest.approx(4.0)
 
-    def test_wrong_origin(self):
-        model = RoutingModel(neighbor=3, k=2)
-        with pytest.raises(WrongNeighbor):
-            integrate_advertisement(model, Advertisement(origin=4))
-
     def test_duplicate_combination_rejected(self):
-        model = RoutingModel(neighbor=3, k=4)
-        adv = Advertisement(
-            origin=3, entries={0: [make_set(0, 1.0), make_set(0, 2.0)]}
-        )
+        model = RoutingModel(k=4)
+        adv = {0: [make_set(0, 1.0), make_set(0, 2.0)]}
         with pytest.raises(MalformedAdvertisement):
             integrate_advertisement(model, adv)
 
@@ -189,17 +172,15 @@ class TestIntegrate:
             EntropySet(0, float(i), {i: 0.1})
             for i in range(k + 1 + extra)
         ]
-        model = RoutingModel(neighbor=0, k=k)
+        model = RoutingModel(k=k)
         with pytest.raises(MalformedAdvertisement):
-            integrate_advertisement(model, Advertisement(0, {0: sets}))
+            integrate_advertisement(model, {0: sets})
 
     def test_score_cache_invalidated(self):
-        model = RoutingModel(neighbor=0, k=2)
+        model = RoutingModel(k=2)
         model.entries[0] = [make_set(0, 5.0)]
         assert model.best_score(0, frozenset()) == pytest.approx(5.0)
-        integrate_advertisement(
-            model, Advertisement(0, {0: [make_set(0, 1.0)]})
-        )
+        integrate_advertisement(model, {0: [make_set(0, 1.0)]})
         assert model.best_score(0, frozenset()) == pytest.approx(1.0)
 
 
@@ -207,21 +188,21 @@ class TestShouldAdvertise:
     policy = AdvertisementPolicy(change_threshold=0.1)
 
     def first(self):
-        return Advertisement(0, {0: [make_set(0, 1.0)]})
+        return {0: [make_set(0, 1.0)]}
 
     def test_first_time(self):
         assert should_advertise(None, self.first(), self.policy)
 
     def test_new_key(self):
-        other = Advertisement(0, {1: [make_set(1, 1.0)]})
+        other = {1: [make_set(1, 1.0)]}
         assert should_advertise(self.first(), other, self.policy)
 
     def test_small_change_suppressed(self):
-        other = Advertisement(0, {0: [make_set(0, 1.05)]})
+        other = {0: [make_set(0, 1.05)]}
         assert not should_advertise(self.first(), other, self.policy)
 
     def test_large_change_sent(self):
-        other = Advertisement(0, {0: [make_set(0, 1.5)]})
+        other = {0: [make_set(0, 1.5)]}
         assert should_advertise(self.first(), other, self.policy)
 
 
@@ -263,48 +244,43 @@ class TestProcessQuery:
     def test_zero_budget_returns_at_issuer(self):
         node = trained_node(0)
         q = Query(0, {}, hops_remaining=0, issuer=0)
-        out = process_query(node, q, first_hop=True)
-        assert isinstance(out, Return)
-        assert out.query.visited == [0]
-        assert out.query.result is not None
+        assert process_query(node, q) is None
+        assert q.visited == [0]
+        assert q.result is not None
 
     def test_local_improvement_only_when_strictly_better(self):
         node = trained_node(0)
         q = Query(0, {}, hops_remaining=0, issuer=0, quality=0.0)
-        out = process_query(node, q, first_hop=True)
-        assert out.query.result is None
-        assert out.query.quality == 0.0
+        assert process_query(node, q) is None
+        assert q.result is None
+        assert q.quality == 0.0
 
     def test_forwards_to_lowest_scoring_neighbor(self):
         node = blank_node(0, neighbors=[1, 2])
-        node.routing_models[1] = RoutingModel(1, 2, {0: [make_set(0, 3.0)]})
-        node.routing_models[2] = RoutingModel(2, 2, {0: [make_set(0, 1.0)]})
+        node.routing_models[1] = RoutingModel(2, {0: [make_set(0, 3.0)]})
+        node.routing_models[2] = RoutingModel(2, {0: [make_set(0, 1.0)]})
         q = Query(0, {}, hops_remaining=2, issuer=0)
-        out = process_query(node, q, first_hop=True)
-        assert isinstance(out, Forward)
-        assert out.to == 2
+        assert process_query(node, q) == 2
 
     def test_tie_breaks_to_lowest_node_id(self):
         node = blank_node(0, neighbors=[5, 3])
         for nb in (5, 3):
-            node.routing_models[nb] = RoutingModel(nb, 2, {0: [make_set(0, 1.0)]})
-        out = process_query(node, Query(0, {}, 2, 0), first_hop=True)
-        assert out.to == 3
+            node.routing_models[nb] = RoutingModel(2, {0: [make_set(0, 1.0)]})
+        assert process_query(node, Query(0, {}, 2, 0)) == 3
 
     def test_visited_neighbors_avoided(self):
         node = blank_node(1, neighbors=[0, 2])
-        node.routing_models[0] = RoutingModel(0, 2, {0: [make_set(0, 0.1)]})
-        node.routing_models[2] = RoutingModel(2, 2, {0: [make_set(0, 9.0)]})
+        node.routing_models[0] = RoutingModel(2, {0: [make_set(0, 0.1)]})
+        node.routing_models[2] = RoutingModel(2, {0: [make_set(0, 9.0)]})
         q = Query(0, {}, hops_remaining=3, issuer=0, visited=[0])
-        out = process_query(node, q)
-        assert out.to == 2
+        assert process_query(node, q) == 2
+        assert q.hops_remaining == 2  # the forward spends one hop
 
     def test_all_visited_falls_back_to_any_neighbor(self):
         node = blank_node(1, neighbors=[0])
-        node.routing_models[0] = RoutingModel(0, 2, {0: [make_set(0, 0.1)]})
+        node.routing_models[0] = RoutingModel(2, {0: [make_set(0, 0.1)]})
         q = Query(0, {}, hops_remaining=3, issuer=0, visited=[0, 1])
-        out = process_query(node, q)
-        assert isinstance(out, Forward) and out.to == 0
+        assert process_query(node, q) == 0
 
     def test_hop_accounting_along_a_line(self):
         a = trained_node(0, neighbors=[1], target_state=0)
@@ -312,30 +288,25 @@ class TestProcessQuery:
         c = blank_node(2, neighbors=[1])
         for node, nbs in ((a, [1]), (b, [0, 2]), (c, [1])):
             for nb in nbs:
-                node.routing_models[nb] = RoutingModel(nb, 2)
+                node.routing_models[nb] = RoutingModel(2)
         b.routing_models[2].entries[0] = [make_set(0, 0.01)]
         b.routing_models[0].entries[0] = [make_set(0, 5.0)]
         q = Query(0, {}, hops_remaining=2, issuer=0)
-        out = process_query(a, q, first_hop=True)
-        assert isinstance(out, Forward) and out.to == 1
-        out = process_query(b, out.query)
-        assert isinstance(out, Forward) and out.to == 2
-        out = process_query(c, out.query)
-        assert isinstance(out, Return)
-        assert out.query.visited == [0, 1, 2]
-        assert out.query.hops_remaining == 0
+        assert process_query(a, q) == 1
+        assert process_query(b, q) == 2
+        assert process_query(c, q) is None
+        assert q.visited == [0, 1, 2]
+        assert q.hops_remaining == 0
 
     def test_order_recomputed_after_models_change(self):
         node = blank_node(0, neighbors=[1, 2])
-        node.routing_models[1] = RoutingModel(1, 2, {0: [make_set(0, 1.0)]})
-        node.routing_models[2] = RoutingModel(2, 2, {0: [make_set(0, 3.0)]})
-        assert process_query(node, Query(0, {}, 2, 0), first_hop=True).to == 1
-        integrate_advertisement(
-            node.routing_models[2], Advertisement(2, {0: [make_set(0, 0.5)]})
-        )
+        node.routing_models[1] = RoutingModel(2, {0: [make_set(0, 1.0)]})
+        node.routing_models[2] = RoutingModel(2, {0: [make_set(0, 3.0)]})
+        assert process_query(node, Query(0, {}, 2, 0)) == 1
+        integrate_advertisement(node.routing_models[2], {0: [make_set(0, 0.5)]})
         node.models_changed()
         assert node.models_dirty
-        assert process_query(node, Query(0, {}, 2, 0), first_hop=True).to == 2
+        assert process_query(node, Query(0, {}, 2, 0)) == 2
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -347,7 +318,7 @@ class TestProcessQuery:
         for nb in neighbors:
             entries = {var: data.draw(model_entries(var)) for var in (0, 1)}
             node.routing_models[nb] = RoutingModel(
-                nb, 2, {var: sets for var, sets in entries.items() if sets}
+                2, {var: sets for var, sets in entries.items() if sets}
             )
         # repeated queries on one node reuse its cached forwarding orders
         for _ in range(data.draw(st.integers(1, 6))):
@@ -358,9 +329,7 @@ class TestProcessQuery:
             else:
                 visited = data.draw(st.lists(st.sampled_from(neighbors), unique=True))
             query = Query(target, {c: 0 for c in bound}, 1, 99, visited=visited)
-            out = process_query(node, query, first_hop=True)
-            assert isinstance(out, Forward)
-            assert out.to == bf_next_hop(node, out.query)
+            assert process_query(node, query) == bf_next_hop(node, query)
 
 
 class TestRandomWalk:
@@ -370,8 +339,7 @@ class TestRandomWalk:
         rng = np.random.default_rng(0)
         for _ in range(600):
             q = Query(0, {}, 4, 0, visited=[])
-            out = random_walk_step(node, q, rng, first_hop=True)
-            counts[out.to] += 1
+            counts[random_walk_step(node, q, rng)] += 1
         for n in counts.values():
             assert 130 < n < 270
 
@@ -380,13 +348,13 @@ class TestRandomWalk:
         rng = np.random.default_rng(1)
         for _ in range(20):
             q = Query(0, {}, 4, 0, visited=[0])
-            assert random_walk_step(node, q, rng).to == 2
+            assert random_walk_step(node, q, rng) == 2
 
     def test_budget_spent_returns(self):
         node = blank_node(1, neighbors=[0])
-        q = Query(0, {}, hops_remaining=1, issuer=0, visited=[0])
-        out = random_walk_step(node, q, np.random.default_rng(2))
-        assert isinstance(out, Return)
+        q = Query(0, {}, hops_remaining=0, issuer=0, visited=[0])
+        assert random_walk_step(node, q, np.random.default_rng(2)) is None
+        assert q.visited == [0, 1]
 
 
 class TestLocalSets:
@@ -414,13 +382,8 @@ def advertise_until_stable(nodes, policy, k, max_rounds=60):
         sent = 0
         for node in nodes.values():
             adv = build_advertisement(
-                node.pgm,
-                node.routing_models.values(),
-                policy,
-                k,
-                local_sets=node.local_sets(),
+                node.local_sets(), node.routing_models.values(), policy, k
             )
-            adv.origin = node.node_id
             if should_advertise(node.last_advertisement, adv, policy):
                 node.last_advertisement = adv
                 sent += 1
@@ -445,8 +408,8 @@ def build_network(n_nodes, edges, joints, k=2, rng=None):
     for a, b in edges:
         nodes[a].neighbors.append(b)
         nodes[b].neighbors.append(a)
-        nodes[a].routing_models[b] = RoutingModel(b, k)
-        nodes[b].routing_models[a] = RoutingModel(a, k)
+        nodes[a].routing_models[b] = RoutingModel(k)
+        nodes[b].routing_models[a] = RoutingModel(k)
     return nodes
 
 
