@@ -168,7 +168,7 @@ def cmd_run(args) -> int:
         file_values = _read_config_file(args.config) if args.config else {}
         base = _base_config(args, file_values)
         seeds = _resolve_seeds(args.seed, file_values.get("seed"))
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OSError) as exc:
         print(f"bad config: {exc}", file=sys.stderr)
         return 2
     strategies = (
@@ -193,7 +193,7 @@ def cmd_run(args) -> int:
             workload = ingest_csv(
                 args.workload_csv, base.schema(), node_count=base.node_count
             )
-        except ValueError as exc:
+        except (ValueError, OSError) as exc:
             print(f"bad workload: {exc}", file=sys.stderr)
             return 2
 

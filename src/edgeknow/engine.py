@@ -452,23 +452,29 @@ def run_cycle(trial: TrialState, cycle: int, strategy: Optional[Strategy] = None
     policy = config.resolved_policy()
     adv_sets_sent = 0
 
-    # phase 1: knowledge propagation
+    # phase 1: knowledge propagation; a node rebuilds and compares only the
+    # variables its routing models changed since its last build
     outgoing: list[tuple[NodeState, Advertisement]] = []
     for state in trial.nodes:
         if not state.models_dirty:
             continue
+        changed = state.changed_vars
         current = build_advertisement(
-            state.local_sets(), state.routing_models.values(), policy, config.k_sets
+            state.local_sets(), state.routing_models.values(), policy,
+            config.k_sets, state.last_built, changed,
         )
-        if should_advertise(state.last_advertisement, current, policy):
+        if should_advertise(state.last_advertisement, current, policy, changed):
             outgoing.append((state, current))
+        state.last_built = current
+        state.changed_vars = set()
         state.models_dirty = False
     for state, adv in outgoing:
         state.last_advertisement = adv
         for nb in state.neighbors:
             receiver = trial.nodes[nb]
-            integrate_advertisement(receiver.routing_models[state.node_id], adv)
-            receiver.models_changed()
+            receiver.models_changed(
+                integrate_advertisement(receiver.routing_models[state.node_id], adv)
+            )
         adv_sets_sent += len(state.neighbors) * sum(map(len, adv.values()))
 
     # phase 2: one query per node

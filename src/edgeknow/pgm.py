@@ -231,8 +231,16 @@ class DiscretePgm:
         sorted context tuple)."""
         keys = frozenset(contexts)
         table = self._table_for(target, keys)
-        flat = table.counts.reshape(table.counts.shape[0], -1)
-        np.add.at(flat, (np.asarray(outcomes), np.asarray(ctx_flat_idx)), 1.0)
+        n_out = table.counts.shape[0]
+        n_ctx = table.counts.size // n_out
+        outcomes, ctx_flat_idx = np.asarray(outcomes), np.asarray(ctx_flat_idx)
+        # an out-of-range index would land in another cell of the flat count
+        for index, bound in ((outcomes, n_out), (ctx_flat_idx, n_ctx)):
+            if index.size and not 0 <= index.min() <= index.max() < bound:
+                raise ValueError(f"observation index out of range for {target}")
+        # one count per cell, added at once: cells hold pseudocount + n
+        cells = np.bincount(outcomes * n_ctx + ctx_flat_idx, minlength=n_out * n_ctx)
+        table.counts += cells.reshape(table.counts.shape)
         self.observation_count[target] = self.observation_count.get(
             target, 0
         ) + len(outcomes)

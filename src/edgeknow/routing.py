@@ -8,12 +8,18 @@ spuriously low values and shortest paths win ties. Local sets whose
 evidence-free conditional quality is poor are advertised in reduced
 (joint-only) form; those still steer queries toward the cluster that trained
 the variable, where context-aware scoring takes over.
+
+Propagation is incremental in the manner of routing indices (Crespo and
+Garcia-Molina, ICDCS 2002): integrating an advertisement reports which
+variables' lists changed, and the receiver rebuilds, compares and re-sorts
+only those variables. Every advertisement sent is still a full snapshot.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Optional
 
 import numpy as np
@@ -32,24 +38,32 @@ class MalformedAdvertisement(ValueError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class EntropySet:
     """Advertised quality summary for one predicting variable in one context
-    combination. Empty context_entropies marks the reduced (joint-only) form."""
+    combination. Empty context_entropies marks the reduced (joint-only) form.
+
+    Sets, and the lists of sets an advertisement holds, are never mutated
+    after a build: inflated copies share their source's context entropies
+    and combination, and one advertised list is shared by the sender's
+    later builds and every receiver's routing model."""
 
     predicting: int
     joint: float
     context_entropies: dict[int, float] = field(default_factory=dict)
+    # the bound context variables, derived from context_entropies when not
+    # given; computed once here because every offer and check keys on it
+    combination: Optional[frozenset[int]] = field(
+        default=None, compare=False, repr=False
+    )
 
-    @property
-    def combination(self) -> frozenset[int]:
-        return frozenset(self.context_entropies)
+    def __post_init__(self):
+        if self.combination is None:
+            self.combination = frozenset(self.context_entropies)
 
     def inflated(self, eps: float) -> "EntropySet":
         return EntropySet(
-            self.predicting,
-            self.joint + eps,
-            dict(self.context_entropies),
+            self.predicting, self.joint + eps, self.context_entropies, self.combination
         )
 
     def score(self, bound: Iterable[int]) -> float:
@@ -78,6 +92,8 @@ class AdvertisementPolicy:
 # what a node advertises: per predicting variable, up to K entropy sets
 Advertisement = dict[int, list[EntropySet]]
 
+_joint = attrgetter("joint")
+
 
 @dataclass
 class RoutingModel:
@@ -99,7 +115,8 @@ class Query:
     ctx: dict[int, int]
     hops_remaining: int
     issuer: NodeId
-    result: Optional[np.ndarray] = None
+    # the node whose local answer set `quality`; None while none could answer
+    answered_by: Optional[NodeId] = None
     quality: float = math.inf
     visited: list[NodeId] = field(default_factory=list)
 
@@ -108,19 +125,24 @@ class Query:
 class NodeState:
     """Everything one node owns: its PGM, its neighborhood, and one routing
     model per neighbor. The local caches are safe because the PGM is static
-    once the simulation cycles start; the forwarding orders depend on the
-    routing models, so whoever changes a model calls `models_changed`."""
+    once the simulation cycles start; the forwarding orders and the next
+    advertisement depend on the routing models, so whoever changes a model
+    calls `models_changed`."""
 
     node_id: NodeId
     pgm: DiscretePgm
     neighbors: list[NodeId] = field(default_factory=list)
     routing_models: dict[NodeId, RoutingModel] = field(default_factory=dict)
+    # the last advertisement sent, and the last one built (sent or not)
     last_advertisement: Optional[Advertisement] = None
+    last_built: Optional[Advertisement] = None
     models_dirty: bool = True
+    # variables whose routing-model entries changed since the last build
+    changed_vars: set[int] = field(default_factory=set)
     _local_sets: Optional[list[EntropySet]] = None
     _answer_cache: dict = field(default_factory=dict)
-    # per (target, evidence variable set): neighbors by (best_score, id)
-    _order_cache: dict = field(default_factory=dict)
+    # per target, per evidence variable set: neighbors by (best_score, id)
+    _order_cache: dict[int, dict] = field(default_factory=dict)
 
     def local_sets(self) -> list[EntropySet]:
         if self._local_sets is None:
@@ -136,22 +158,29 @@ class NodeState:
     def forwarding_order(self, target: int, bound: frozenset[int]) -> list[NodeId]:
         """Neighbors sorted by the conditional entropy their routing models
         promise for `target` under evidence on `bound`, ties to the lowest id."""
-        key = (target, bound)
-        order = self._order_cache.get(key)
+        orders = self._order_cache.get(target)
+        if orders is None:
+            orders = self._order_cache[target] = {}
+        order = orders.get(bound)
         if order is None:
             models = self.routing_models
             order = sorted(
                 self.neighbors,
                 key=lambda n: (models[n].best_score(target, bound), n),
             )
-            self._order_cache[key] = order
+            orders[bound] = order
         return order
 
-    def models_changed(self):
-        """Mark the routing models as changed: the next cycle rebuilds this
-        node's advertisement and every forwarding order is recomputed."""
-        self.models_dirty = True
-        self._order_cache.clear()
+    def models_changed(self, changed: set[int]):
+        """Record that the routing models' lists for the variables in
+        `changed` changed by value: the next cycle rebuilds those variables
+        of this node's advertisement, and their forwarding orders are
+        recomputed. Orders for other targets stay cached."""
+        if changed:
+            self.changed_vars |= changed
+            self.models_dirty = True
+            for var in changed:
+                self._order_cache.pop(var, None)
 
 
 def local_entropy_sets(pgm: DiscretePgm) -> list[EntropySet]:
@@ -189,78 +218,118 @@ def build_advertisement(
     routing_models: Iterable[RoutingModel],
     policy: AdvertisementPolicy,
     k: int,
+    previous: Optional[Advertisement] = None,
+    changed: Iterable[int] = (),
 ) -> Advertisement:
     """Aggregate local and neighbor-learned entropy sets into the summary this
     node would advertise: per predicting variable, the K lowest-joint sets over
     distinct context combinations, with sets drawn from routing models inflated
-    by one hop and low-quality local sets reduced to joint-only form."""
+    by one hop and low-quality local sets reduced to joint-only form. Ties in
+    joint go to the combination offered first: local sets in list order, then
+    the models in iteration order.
+
+    `previous` is the node's last built advertisement and `changed` the
+    variables whose model entries changed since; only those are rebuilt, and
+    a rebuilt list equal to the previous one is kept as that same object, so
+    receivers can skip it by identity. Without `previous`, every variable is
+    built."""
     if k < 1:
         raise ValueError("k must be >= 1")
-
-    # per variable, per combination: the minimum-joint candidate
-    best: dict[int, dict[frozenset, EntropySet]] = {}
-
-    def offer(s: EntropySet):
-        combos = best.setdefault(s.predicting, {})
-        cur = combos.get(s.combination)
-        if cur is None or s.joint < cur.joint:
-            combos[s.combination] = s
-
+    models = [model.entries for model in routing_models]
+    local: dict[int, list[EntropySet]] = {}
     for s in local_sets:
-        if s.score(s.combination) > policy.quality_threshold:
-            offer(EntropySet(s.predicting, s.joint))
-        else:
-            offer(s)
-    for model in routing_models:
-        for sets in model.entries.values():
-            for s in sets:
-                offer(s.inflated(policy.hop_inflation))
+        local.setdefault(s.predicting, []).append(s)
+    if previous is None:
+        previous = {}
+        changed = set(local).union(*models)
+    eps = policy.hop_inflation
+    adv = dict(previous)
+    for var in changed:
+        # per combination: the minimum-joint candidate
+        best: dict[frozenset, EntropySet] = {}
+        for s in local.get(var, ()):
+            if s.score(s.combination) > policy.quality_threshold:
+                s = EntropySet(var, s.joint)
+            cur = best.get(s.combination)
+            if cur is None or s.joint < cur.joint:
+                best[s.combination] = s
+        for entries in models:
+            for s in entries.get(var, ()):
+                cur = best.get(s.combination)
+                if cur is None or s.joint + eps < cur.joint:
+                    best[s.combination] = s.inflated(eps)
+        winners = sorted(best.values(), key=_joint)[:k]
+        if not winners:
+            adv.pop(var, None)
+        elif winners != previous.get(var):
+            adv[var] = winners
+    return adv
 
-    return {
-        var: sorted(combos.values(), key=lambda s: s.joint)[:k]
-        for var, combos in best.items()
-    }
 
-
-def integrate_advertisement(model: RoutingModel, entries: Advertisement):
+def integrate_advertisement(model: RoutingModel, entries: Advertisement) -> set[int]:
     """Replace the model's entries per advertised variable; variables absent
-    from the advertisement are retained."""
+    from the advertisement are retained. Returns the variables whose list
+    changed by value. A list the model already holds, as the same object,
+    was checked when it arrived and is skipped; any other list is checked
+    and stored as it is, sorted by joint first if it is out of order."""
+    changed = set()
+    held = model.entries
     for var, sets in entries.items():
+        old = held.get(var)
+        if old is sets:
+            continue
         if len(sets) > model.k:
             raise MalformedAdvertisement(
                 f"{len(sets)} sets for {var} exceeds K={model.k}"
             )
-        combos = [s.combination for s in sets]
-        if len(set(combos)) != len(combos):
+        if len({s.combination for s in sets}) != len(sets):
             raise MalformedAdvertisement(f"duplicate combination for {var}")
-        model.entries[var] = sorted(sets, key=lambda s: s.joint)
+        if any(a.joint > b.joint for a, b in zip(sets, sets[1:])):
+            sets = sorted(sets, key=_joint)
+        if sets != old:
+            changed.add(var)
+        held[var] = sets
+    return changed
 
 
 def should_advertise(
     previous: Optional[Advertisement],
     current: Advertisement,
     policy: AdvertisementPolicy,
+    changed: Optional[Iterable[int]] = None,
 ) -> bool:
+    """True when `current` differs from the last sent advertisement
+    `previous`: in its (variable, combination) keys, or by more than the
+    change threshold in a joint. Only the variables in `changed` are
+    compared (all of them when None). That is exact when every other
+    variable's list is the one last built, and the last build was either
+    sent or within the threshold of `previous`, as the engine keeps it."""
     if previous is None:
         return True
-    old, new = (
-        {(var, s.combination): s.joint for var, sets in adv.items() for s in sets}
-        for adv in (previous, current)
-    )
-    if set(old) != set(new):
-        return True
-    return any(abs(new[k] - old[k]) > policy.change_threshold for k in new)
+    if changed is None:
+        changed = previous.keys() | current.keys()
+    threshold = policy.change_threshold
+    for var in changed:
+        old, new = previous.get(var, ()), current.get(var, ())
+        if old is new:
+            continue
+        if len(old) != len(new):
+            return True
+        joints = {s.combination: s.joint for s in old}
+        for s in new:
+            joint = joints.get(s.combination)
+            if joint is None or abs(s.joint - joint) > threshold:
+                return True
+    return False
 
 
 def _arrive(state: NodeState, query: Query, bound: frozenset[int]) -> bool:
-    """Handle one query arrival: improve the result from the local PGM when
+    """Handle one query arrival: take over the answer when the local PGM's is
     strictly better and record the visit. True when the query goes on, that
     is when hops remain and the node has neighbors; the hop is then spent."""
     local = state.local_answer(query.target, bound)
     if local is not None and local < query.quality:
-        table = state.pgm.tables[query.target]
-        known = {v: s for v, s in query.ctx.items() if v in table.contexts}
-        query.result = state.pgm.predict(query.target, known)
+        query.answered_by = state.node_id
         query.quality = local
     query.visited.append(state.node_id)
     if query.hops_remaining > 0 and state.neighbors:

@@ -1,20 +1,28 @@
 """Shared fixtures, independent brute-force oracles and a workload CSV writer.
 
-The oracles here deliberately avoid the library's vectorized code paths:
-entropies are computed with plain Python loops over explicitly enumerated
-cells, overlay growth with one `bf_similarity` call per pair of nodes, and
-the next hop with one `min` over the candidate neighbors, so the tests
-check the implementation against a second, independent evaluation.
+The oracles here deliberately avoid the library's vectorized and
+incremental code paths: entropies are computed with plain Python loops over
+explicitly enumerated cells, overlay growth with one `bf_similarity` call per
+pair of nodes, the next hop with one `min` over the candidate neighbors, and
+an advertisement from scratch out of every local set and model entry, so the
+tests check the implementation against a second, independent evaluation.
 """
 
 import csv
 import itertools
 import math
+from typing import Iterable
 
 import numpy as np
 import pytest
 
 from edgeknow.pgm import JointTable, Schema
+from edgeknow.routing import (
+    Advertisement,
+    AdvertisementPolicy,
+    EntropySet,
+    RoutingModel,
+)
 from edgeknow.topology import (
     IncompatibleModels,
     NoAttachmentTarget,
@@ -163,6 +171,61 @@ def bf_next_hop(state, query):
             n,
         ),
     )
+
+
+def bf_build_advertisement(
+    local_sets: list[EntropySet],
+    routing_models: Iterable[RoutingModel],
+    policy: AdvertisementPolicy,
+    k: int,
+) -> Advertisement:
+    """Aggregate local and neighbor-learned entropy sets into the summary this
+    node would advertise: per predicting variable, the K lowest-joint sets over
+    distinct context combinations, with sets drawn from routing models inflated
+    by one hop and low-quality local sets reduced to joint-only form."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+
+    # per variable, per combination: the minimum-joint candidate
+    best: dict[int, dict[frozenset, EntropySet]] = {}
+
+    def offer(s: EntropySet):
+        combos = best.setdefault(s.predicting, {})
+        cur = combos.get(s.combination)
+        if cur is None or s.joint < cur.joint:
+            combos[s.combination] = s
+
+    for s in local_sets:
+        if s.score(s.combination) > policy.quality_threshold:
+            offer(EntropySet(s.predicting, s.joint))
+        else:
+            offer(s)
+    for model in routing_models:
+        for sets in model.entries.values():
+            for s in sets:
+                offer(s.inflated(policy.hop_inflation))
+
+    return {
+        var: sorted(combos.values(), key=lambda s: s.joint)[:k]
+        for var, combos in best.items()
+    }
+
+
+def bf_should_advertise(
+    previous: Advertisement | None,
+    current: Advertisement,
+    policy: AdvertisementPolicy,
+) -> bool:
+    """The full comparison: every (variable, combination) key and joint."""
+    if previous is None:
+        return True
+    old, new = (
+        {(var, s.combination): s.joint for var, sets in adv.items() for s in sets}
+        for adv in (previous, current)
+    )
+    if set(old) != set(new):
+        return True
+    return any(abs(new[k] - old[k]) > policy.change_threshold for k in new)
 
 
 def export_workload_csv(workload, path):

@@ -213,6 +213,16 @@ class TestRun:
         assert "no observation rows" in err and len(err.splitlines()) == 1
 
 
+    @pytest.mark.parametrize("flag", ["--config", "--workload-csv"])
+    def test_missing_input_file_exits_2(self, tmp_path, capsys, flag):
+        missing = tmp_path / "nope"
+        code = run_cli(BASE + [flag, missing, "--out", tmp_path / "out"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(missing) in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+
 class TestTopology:
     def test_outputs(self, tmp_path, capsys):
         out = tmp_path / "topo"

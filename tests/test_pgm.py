@@ -186,6 +186,15 @@ class TestObserve:
         assert np.array_equal(a.tables[0].counts, b.tables[0].counts)
         assert a.observation_count == b.observation_count
 
+    @pytest.mark.parametrize(
+        "ctx_idx, outcome", [(4, 0), (-1, 0), (0, 2), (0, -1)]
+    )
+    def test_observe_block_rejects_out_of_range(self, binary_schema, ctx_idx, outcome):
+        pgm = DiscretePgm(binary_schema)
+        with pytest.raises(ValueError, match="out of range"):
+            pgm.observe_block(0, (0, 1), np.array([0, ctx_idx]), np.array([1, outcome]))
+        assert pgm.tables[0].counts.sum() == pytest.approx(8.0)
+
 
 class TestPredict:
     def test_deterministic_table(self, small_schema):

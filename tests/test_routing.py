@@ -22,7 +22,7 @@ from edgeknow.routing import (
     should_advertise,
 )
 
-from conftest import bf_next_hop
+from conftest import bf_build_advertisement, bf_next_hop, bf_should_advertise
 
 
 def make_set(var_idx, joint, ctx_entropies=None):
@@ -206,17 +206,18 @@ class TestShouldAdvertise:
         assert should_advertise(self.first(), other, self.policy)
 
 
-def model_entries(var):
-    """Up to two sets for `var` over distinct combinations of contexts 0 and
-    1 (the empty one is the reduced form); joints and context entropies come
-    from two values each, so scores tie often."""
+def model_entries(var, max_size=2):
+    """Up to `max_size` sets for `var` over distinct combinations of contexts
+    0 and 1 (the empty one is the reduced form), in any joint order; joints
+    and context entropies come from few values, so scores, inflated joints
+    and combinations collide often."""
     raw = st.lists(
         st.tuples(
             st.frozensets(st.sampled_from((0, 1))),
-            st.sampled_from((1.0, 2.0)),
+            st.sampled_from((1.0, 1.5, 2.0)),
             st.sampled_from((0.5, 1.0)),
         ),
-        max_size=2,
+        max_size=max_size,
         unique_by=lambda t: t[0],
     )
     return raw.map(
@@ -224,6 +225,66 @@ def model_entries(var):
             make_set(var, joint, {c: h for c in combo}) for combo, joint, h in sets
         ]
     )
+
+
+class TestIncrementalBuild:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_full_rebuild(self, data):
+        """Random integrations into one node's routing models, each round
+        followed by an incremental build: it equals the from-scratch
+        reference, winner order included, and keeps the lists of variables
+        that did not change; integration reports exactly the variables
+        whose lists changed by value; the restricted change test agrees
+        with the full comparison."""
+        k = data.draw(st.integers(1, 3), label="k")
+        policy = AdvertisementPolicy(
+            change_threshold=data.draw(st.sampled_from((0.0, 0.3, 0.6))),
+            quality_threshold=data.draw(st.sampled_from((0.6, 100.0))),
+            hop_inflation=data.draw(st.sampled_from((0.0, 0.5))),
+        )
+        local = [
+            s for var in range(3) for s in data.draw(model_entries(var))
+        ]
+        neighbors = data.draw(
+            st.lists(st.integers(1, 9), min_size=1, max_size=4, unique=True)
+        )
+        models = {nb: RoutingModel(k) for nb in neighbors}
+        sent = built = None
+        changed: set[int] = set()
+        for _ in range(data.draw(st.integers(1, 8), label="rounds")):
+            for _ in range(data.draw(st.integers(0, 3))):
+                model = models[data.draw(st.sampled_from(neighbors))]
+                adv = {}
+                for var in data.draw(st.sets(st.integers(0, 3))):
+                    held = model.entries.get(var)
+                    if held is not None and data.draw(st.booleans()):
+                        adv[var] = held  # re-sent: the same list object
+                    else:
+                        adv[var] = data.draw(model_entries(var, k))
+                before = dict(model.entries)
+                got = integrate_advertisement(model, adv)
+                assert got == {
+                    var
+                    for var, sets in adv.items()
+                    if before.get(var) != sorted(sets, key=lambda s: s.joint)
+                }
+                changed |= got
+            current = build_advertisement(
+                local, models.values(), policy, k, built, changed
+            )
+            assert current == bf_build_advertisement(
+                local, models.values(), policy, k
+            )
+            if built is not None:
+                for var, sets in built.items():
+                    if var not in changed or current.get(var) == sets:
+                        assert current[var] is sets
+            send = should_advertise(sent, current, policy, changed)
+            assert send == bf_should_advertise(sent, current, policy)
+            if send:
+                sent = current
+            built, changed = current, set()
 
 
 def trained_node(node_id, neighbors=(), target_state=0, observations=60):
@@ -246,13 +307,13 @@ class TestProcessQuery:
         q = Query(0, {}, hops_remaining=0, issuer=0)
         assert process_query(node, q) is None
         assert q.visited == [0]
-        assert q.result is not None
+        assert q.answered_by == 0
 
     def test_local_improvement_only_when_strictly_better(self):
         node = trained_node(0)
         q = Query(0, {}, hops_remaining=0, issuer=0, quality=0.0)
         assert process_query(node, q) is None
-        assert q.result is None
+        assert q.answered_by is None
         assert q.quality == 0.0
 
     def test_forwards_to_lowest_scoring_neighbor(self):
@@ -300,13 +361,30 @@ class TestProcessQuery:
 
     def test_order_recomputed_after_models_change(self):
         node = blank_node(0, neighbors=[1, 2])
-        node.routing_models[1] = RoutingModel(2, {0: [make_set(0, 1.0)]})
-        node.routing_models[2] = RoutingModel(2, {0: [make_set(0, 3.0)]})
+        node.models_dirty = False
+        node.routing_models[1] = RoutingModel(
+            2, {0: [make_set(0, 1.0)], 1: [make_set(1, 1.0)]}
+        )
+        node.routing_models[2] = RoutingModel(
+            2, {0: [make_set(0, 3.0)], 1: [make_set(1, 3.0)]}
+        )
         assert process_query(node, Query(0, {}, 2, 0)) == 1
-        integrate_advertisement(node.routing_models[2], {0: [make_set(0, 0.5)]})
-        node.models_changed()
-        assert node.models_dirty
+        assert process_query(node, Query(1, {}, 2, 0)) == 1
+        kept = node.forwarding_order(1, frozenset())
+        # an equal list changes nothing: no rebuild, no order dropped
+        node.models_changed(
+            integrate_advertisement(node.routing_models[2], {0: [make_set(0, 3.0)]})
+        )
+        assert not node.models_dirty
+        changed = integrate_advertisement(
+            node.routing_models[2], {0: [make_set(0, 0.5)], 1: [make_set(1, 3.0)]}
+        )
+        assert changed == {0}
+        node.models_changed(changed)
+        assert node.models_dirty and node.changed_vars == {0}
         assert process_query(node, Query(0, {}, 2, 0)) == 2
+        # the order for the unchanged target survives, as the same object
+        assert node.forwarding_order(1, frozenset()) is kept
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
