@@ -162,7 +162,7 @@ def generate_workload(config: SimConfig, seed: int) -> Workload:
             contexts = pool[rng.integers(len(pool))]
             means = rng.uniform(0, pred_card - 1, size=n_assign)
             flat_idx = rng.integers(n_assign, size=config.observations_per_var)
-            raw = rng.normal(means[flat_idx], 1.0)
+            raw = means[flat_idx] + rng.standard_normal(config.observations_per_var)
             outcomes = np.clip(np.rint(raw), 0, pred_card - 1).astype(np.int64)
             workload.entries.append(
                 TrainedAssignment(
@@ -313,6 +313,8 @@ class TrialState:
     nodes: list[NodeState]
     overlay: Overlay
     trained_combos: dict[int, list[tuple[int, ...]]]
+    # per predicting variable, the ids of the nodes that trained it, ascending
+    trainers: dict[int, list[int]]
     query_rng: np.random.Generator
     walk_rng: np.random.Generator
     oracle_cache: dict = field(default_factory=dict)
@@ -333,8 +335,8 @@ def accuracy(
 
 
 def oracle_best(query: Query, nodes: Sequence[NodeState], pred_card: int) -> float:
-    """Minimum answering entropy over every node; untrained nodes answer
-    from the uniform prior at log2(cardinality)."""
+    """Minimum answering entropy over the given nodes; untrained nodes
+    answer from the uniform prior at log2(cardinality)."""
     bound = frozenset(query.ctx)
     uniform = math.log2(pred_card)
     best = uniform
@@ -347,11 +349,13 @@ def oracle_best(query: Query, nodes: Sequence[NodeState], pred_card: int) -> flo
 
 def _cached_oracle(trial: TrialState, query: Query) -> float:
     # answering entropies depend on which variables are bound, not on the
-    # concrete states, so the cache keys on the evidence variable set
+    # concrete states, so the cache keys on the evidence variable set; every
+    # node that did not train the target answers None, so only trainers count
     key = (query.target, frozenset(query.ctx))
     if key not in trial.oracle_cache:
+        trainers = [trial.nodes[n] for n in trial.trainers.get(query.target, ())]
         trial.oracle_cache[key] = oracle_best(
-            query, trial.nodes, trial.config.predicting_cardinality
+            query, trainers, trial.config.predicting_cardinality
         )
     return trial.oracle_cache[key]
 
@@ -392,6 +396,8 @@ def setup_trial(config: SimConfig, workload: Optional[Workload] = None) -> Trial
             config.edge_limit,
             seed=int(s_topology.generate_state(1)[0]),
         )
+    # every neighbor of a node holds that node's one published model
+    models = [RoutingModel(k=config.k_sets) for _ in range(config.node_count)]
     nodes = []
     for node_id in range(config.node_count):
         neighbors = sorted(overlay.neighbors(node_id))
@@ -400,19 +406,23 @@ def setup_trial(config: SimConfig, workload: Optional[Workload] = None) -> Trial
                 node_id=node_id,
                 pgm=pgms[node_id],
                 neighbors=neighbors,
-                routing_models={
-                    nb: RoutingModel(k=config.k_sets) for nb in neighbors
-                },
+                routing_models={nb: models[nb] for nb in neighbors},
+                published=models[node_id],
             )
         )
     trained_combos: dict[int, set] = {}
     for entry in workload.entries:
         trained_combos.setdefault(entry.var, set()).add(entry.contexts)
+    trainers: dict[int, list[int]] = {}
+    for node_id, pgm in enumerate(pgms):
+        for var in sorted(pgm.trained_vars):
+            trainers.setdefault(var, []).append(node_id)
     return TrialState(
         config=config,
         nodes=nodes,
         overlay=overlay,
         trained_combos={v: sorted(c) for v, c in sorted(trained_combos.items())},
+        trainers=trainers,
         query_rng=np.random.default_rng(s_query),
         walk_rng=np.random.default_rng(s_walk),
     )
@@ -453,7 +463,9 @@ def run_cycle(trial: TrialState, cycle: int, strategy: Optional[Strategy] = None
     adv_sets_sent = 0
 
     # phase 1: knowledge propagation; a node rebuilds and compares only the
-    # variables its routing models changed since its last build
+    # variables its routing models changed since its last build. Every
+    # neighbor of a sender integrates the same snapshots in the same order,
+    # so the sender's published model is integrated once and shared by all
     outgoing: list[tuple[NodeState, Advertisement]] = []
     for state in trial.nodes:
         if not state.models_dirty:
@@ -470,11 +482,9 @@ def run_cycle(trial: TrialState, cycle: int, strategy: Optional[Strategy] = None
         state.models_dirty = False
     for state, adv in outgoing:
         state.last_advertisement = adv
+        changed = integrate_advertisement(state.published, adv)
         for nb in state.neighbors:
-            receiver = trial.nodes[nb]
-            receiver.models_changed(
-                integrate_advertisement(receiver.routing_models[state.node_id], adv)
-            )
+            trial.nodes[nb].models_changed(changed)
         adv_sets_sent += len(state.neighbors) * sum(map(len, adv.values()))
 
     # phase 2: one query per node

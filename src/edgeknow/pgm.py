@@ -31,7 +31,6 @@ __all__ = [
     "NotADistribution",
     "UnknownVariable",
     "ContextMismatch",
-    "NoKnowledge",
 ]
 
 
@@ -44,10 +43,6 @@ class UnknownVariable(KeyError):
 
 
 class ContextMismatch(ValueError):
-    pass
-
-
-class NoKnowledge(LookupError):
     pass
 
 
@@ -244,20 +239,6 @@ class DiscretePgm:
         self.observation_count[target] = self.observation_count.get(
             target, 0
         ) + len(outcomes)
-
-    def predict(self, target: int, ctx: ContextAssignment) -> np.ndarray:
-        """Distribution over the target's states given the bound contexts:
-        slice the bound axes, marginalize the rest, normalize."""
-        table = self.tables.get(target)
-        if table is None or self.observation_count.get(target, 0) == 0:
-            raise NoKnowledge(target)
-        index = [slice(None)] * table.counts.ndim
-        for var, state in ctx.items():
-            index[table.axis_of(var)] = state
-        sliced = table.counts[tuple(index)]
-        if sliced.ndim > 1:
-            sliced = sliced.sum(axis=tuple(range(1, sliced.ndim)))
-        return sliced / sliced.sum()
 
     @property
     def trained_vars(self) -> frozenset[int]:

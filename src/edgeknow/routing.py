@@ -1,4 +1,4 @@
-"""Per-neighbor routing models, entropy-set advertisement, query forwarding.
+"""Routing models, entropy-set advertisement, query forwarding.
 
 Nodes advertise, per predicting variable, up to K entropy sets (one per
 context combination): a joint entropy plus the marginal entropies of the
@@ -13,6 +13,8 @@ Propagation is incremental in the manner of routing indices (Crespo and
 Garcia-Molina, ICDCS 2002): integrating an advertisement reports which
 variables' lists changed, and the receiver rebuilds, compares and re-sorts
 only those variables. Every advertisement sent is still a full snapshot.
+Because every neighbor of a sender receives the same snapshots, one routing
+model per sender, shared by its neighbors, stands for all their copies.
 """
 
 from __future__ import annotations
@@ -127,12 +129,20 @@ class NodeState:
     model per neighbor. The local caches are safe because the PGM is static
     once the simulation cycles start; the forwarding orders and the next
     advertisement depend on the routing models, so whoever changes a model
-    calls `models_changed`."""
+    calls `models_changed`.
+
+    Every neighbor receives the same advertisements in the same order, so
+    the model of what is reachable through a node is kept once, as its
+    `published` model, and each neighbor's `routing_models[node_id]` is that
+    same object. Receivers only read their routing models; the sender's
+    advertisements are integrated into `published`."""
 
     node_id: NodeId
     pgm: DiscretePgm
     neighbors: list[NodeId] = field(default_factory=list)
     routing_models: dict[NodeId, RoutingModel] = field(default_factory=dict)
+    # what this node's advertisements have told its neighbors so far
+    published: Optional[RoutingModel] = None
     # the last advertisement sent, and the last one built (sent or not)
     last_advertisement: Optional[Advertisement] = None
     last_built: Optional[Advertisement] = None
@@ -175,7 +185,9 @@ class NodeState:
         """Record that the routing models' lists for the variables in
         `changed` changed by value: the next cycle rebuilds those variables
         of this node's advertisement, and their forwarding orders are
-        recomputed. Orders for other targets stay cached."""
+        recomputed. Orders for other targets stay cached. `changed` is
+        copied, never kept: one set is passed to every neighbor of a
+        sender, so no caller may mutate it."""
         if changed:
             self.changed_vars |= changed
             self.models_dirty = True
@@ -271,7 +283,10 @@ def integrate_advertisement(model: RoutingModel, entries: Advertisement) -> set[
     from the advertisement are retained. Returns the variables whose list
     changed by value. A list the model already holds, as the same object,
     was checked when it arrived and is skipped; any other list is checked
-    and stored as it is, sorted by joint first if it is out of order."""
+    and stored as it is, sorted by joint first if it is out of order.
+
+    The engine integrates each advertisement once, into the sender's
+    published model, and hands the returned set to every neighbor."""
     changed = set()
     held = model.entries
     for var, sets in entries.items():

@@ -4,8 +4,9 @@ The oracles here deliberately avoid the library's vectorized and
 incremental code paths: entropies are computed with plain Python loops over
 explicitly enumerated cells, overlay growth with one `bf_similarity` call per
 pair of nodes, the next hop with one `min` over the candidate neighbors, and
-an advertisement from scratch out of every local set and model entry, so the
-tests check the implementation against a second, independent evaluation.
+an advertisement from scratch out of every local set and model entry, and
+propagation with one private routing model per receiver, so the tests check
+the implementation against a second, independent evaluation.
 """
 
 import csv
@@ -22,6 +23,9 @@ from edgeknow.routing import (
     AdvertisementPolicy,
     EntropySet,
     RoutingModel,
+    build_advertisement,
+    integrate_advertisement,
+    should_advertise,
 )
 from edgeknow.topology import (
     IncompatibleModels,
@@ -228,6 +232,39 @@ def bf_should_advertise(
     return any(abs(new[k] - old[k]) > policy.change_threshold for k in new)
 
 
+def bf_propagate(trial) -> int:
+    """Phase 1 of a cycle with one private routing model per receiver: every
+    neighbor of a sender integrates the advertisement into its own copy.
+    Give each node private `routing_models` before the first call. Returns
+    the cycle's `adv_sets_sent`."""
+    config = trial.config
+    policy = config.resolved_policy()
+    adv_sets_sent = 0
+    outgoing = []
+    for state in trial.nodes:
+        if not state.models_dirty:
+            continue
+        changed = state.changed_vars
+        current = build_advertisement(
+            state.local_sets(), state.routing_models.values(), policy,
+            config.k_sets, state.last_built, changed,
+        )
+        if should_advertise(state.last_advertisement, current, policy, changed):
+            outgoing.append((state, current))
+        state.last_built = current
+        state.changed_vars = set()
+        state.models_dirty = False
+    for state, adv in outgoing:
+        state.last_advertisement = adv
+        for nb in state.neighbors:
+            receiver = trial.nodes[nb]
+            receiver.models_changed(
+                integrate_advertisement(receiver.routing_models[state.node_id], adv)
+            )
+        adv_sets_sent += len(state.neighbors) * sum(map(len, adv.values()))
+    return adv_sets_sent
+
+
 def export_workload_csv(workload, path):
     """Write a workload in the CSV form `engine.ingest_csv` reads: rows of
     node_id, predicting var index, outcome, then one c<j>=<state> field per
@@ -250,10 +287,3 @@ def export_workload_csv(workload, path):
 @pytest.fixture
 def binary_schema():
     return Schema(predicting_cardinalities=(2,), context_cardinalities=(2, 2))
-
-
-@pytest.fixture
-def small_schema():
-    return Schema(
-        predicting_cardinalities=(4, 4), context_cardinalities=(3, 3, 2)
-    )

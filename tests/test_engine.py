@@ -27,10 +27,10 @@ from edgeknow.engine import (
     train_pgms,
 )
 from edgeknow.pgm import DiscretePgm, Schema, conditional_entropy
-from edgeknow.routing import NodeState, Query
+from edgeknow.routing import NodeState, Query, RoutingModel
 from edgeknow.topology import AttachmentParams
 
-from conftest import bf_chain_rule, export_workload_csv
+from conftest import bf_chain_rule, bf_propagate, export_workload_csv
 
 
 def small_config(**overrides):
@@ -213,16 +213,22 @@ class TestOracle:
     def test_matches_independent_enumeration(self):
         config = small_config(node_count=10)
         trial = setup_trial(config)
-        q = Query(trial.nodes[0].local_sets()[0].predicting, {}, 3, 0)
-        # independent re-derivation with the brute-force chain rule
-        best = math.log2(config.predicting_cardinality)
-        for state in trial.nodes:
-            table = state.pgm.tables.get(q.target)
-            if table is None or state.pgm.observation_count.get(q.target, 0) == 0:
-                continue
-            best = min(best, bf_chain_rule(table.probabilities(), []))
-        got = oracle_best(q, trial.nodes, config.predicting_cardinality)
-        assert got == pytest.approx(best, abs=1e-9)
+        card = config.predicting_cardinality
+        for target, combos in trial.trained_combos.items():
+            for combo in [()] + combos:
+                q = Query(target, {c: 0 for c in combo}, 3, 0)
+                # independent re-derivation with the brute-force chain rule
+                best = math.log2(card)
+                for state in trial.nodes:
+                    table = state.pgm.tables.get(target)
+                    if table is None or state.pgm.observation_count.get(target, 0) == 0:
+                        continue
+                    axes = [table.axis_of(c) for c in combo if c in table.contexts]
+                    best = min(best, bf_chain_rule(table.probabilities(), axes))
+                got = oracle_best(q, trial.nodes, card)
+                assert got == pytest.approx(best, abs=1e-9)
+                # scanning only the target's trainers finds the same minimum
+                assert _cached_oracle(trial, q) == got
 
 
 class TestTrialSetup:
@@ -235,6 +241,21 @@ class TestTrialSetup:
             assert set(state.routing_models) == set(state.neighbors)
             for model in state.routing_models.values():
                 assert model.k == config.k_sets
+            # every neighbor holds the node's one published model
+            assert state.published.k == config.k_sets
+            for nb in state.neighbors:
+                assert trial.nodes[nb].routing_models[state.node_id] is state.published
+        assert len({id(state.published) for state in trial.nodes}) == len(trial.nodes)
+
+    def test_trainers_are_the_nodes_that_trained_each_variable(self):
+        trial = setup_trial(small_config())
+        want: dict[int, list[int]] = {}
+        for state in trial.nodes:
+            for var in state.pgm.tables:
+                if state.local_answer(var, frozenset()) is not None:
+                    want.setdefault(var, []).append(state.node_id)
+        assert trial.trainers == want
+        assert set(trial.trainers) == set(trial.trained_combos)
 
     def test_trained_combos_cover_workload(self):
         config = small_config()
@@ -356,6 +377,39 @@ class TestOracleBound:
                 run_cycle(trial, cycle, strategy)
             for achieved, _ in achieved_and_optimal(trial, strategy):
                 assert achieved <= uniform
+
+
+class TestSharedModels:
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_shared_models_equal_private_copies(self, data):
+        config = small_config(
+            node_count=data.draw(st.just(1) | st.integers(4, 24)),
+            context_var_count=4,
+            contexts_per_table=data.draw(st.integers(1, 3)),
+            combinations_pool=data.draw(st.integers(1, 4)),
+            k_sets=data.draw(st.integers(1, 3)),
+            cycles=data.draw(st.integers(1, 4)),
+            observations_per_var=data.draw(st.integers(20, 300)),
+            seed=data.draw(st.integers(0, 2**16)),
+        )
+        trial = setup_trial(config)
+        ref = setup_trial(config)
+        for state in ref.nodes:
+            state.routing_models = {
+                nb: RoutingModel(k=config.k_sets) for nb in state.neighbors
+            }
+        for cycle in range(1, config.cycles + 1):
+            sent = run_cycle(trial, cycle).adv_sets_sent
+            assert bf_propagate(ref) == sent
+            for state in trial.nodes:
+                for nb in state.neighbors:
+                    private = ref.nodes[nb].routing_models[state.node_id]
+                    assert private == state.published
+                    assert private is not state.published
+            for a, b in zip(trial.nodes, ref.nodes):
+                assert a.last_advertisement == b.last_advertisement
+                assert a.changed_vars == b.changed_vars
 
 
 class TestRunTrial:

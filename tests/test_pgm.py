@@ -9,7 +9,6 @@ from edgeknow.pgm import (
     ContextMismatch,
     DiscretePgm,
     JointTable,
-    NoKnowledge,
     NotADistribution,
     Schema,
     UnknownVariable,
@@ -136,7 +135,7 @@ class TestObserve:
         pgm = DiscretePgm(binary_schema)
         for _ in range(5):
             pgm.observe(0, {}, 0)
-        probs = pgm.predict(0, {})
+        probs = pgm.tables[0].probabilities()
         assert probs == pytest.approx([6 / 7, 1 / 7])
 
     @pytest.mark.parametrize("key", [2, -1])
@@ -165,7 +164,7 @@ class TestObserve:
         pgm = DiscretePgm(binary_schema)
         for outcome in rng.integers(2, size=1000):
             pgm.observe(0, {}, int(outcome))
-        probs = pgm.predict(0, {})
+        probs = pgm.tables[0].probabilities()
         assert probs == pytest.approx([0.5, 0.5], abs=0.05)
         assert entropy(probs) == pytest.approx(1.0, abs=0.01)
 
@@ -194,36 +193,6 @@ class TestObserve:
         with pytest.raises(ValueError, match="out of range"):
             pgm.observe_block(0, (0, 1), np.array([0, ctx_idx]), np.array([1, outcome]))
         assert pgm.tables[0].counts.sum() == pytest.approx(8.0)
-
-
-class TestPredict:
-    def test_deterministic_table(self, small_schema):
-        pgm = DiscretePgm(small_schema)
-        for c in range(3):
-            for _ in range(10):
-                pgm.observe(0, {0: c}, 2)
-        probs = pgm.predict(0, {0: 1})
-        assert np.argmax(probs) == 2
-        assert probs[2] > 0.7
-
-    def test_uniform_table(self, binary_schema):
-        pgm = DiscretePgm(binary_schema)
-        pgm.observe(0, {}, 0)
-        pgm.observe(0, {}, 1)
-        assert pgm.predict(0, {}) == pytest.approx([0.5, 0.5])
-
-    def test_slice_normalization(self):
-        schema = Schema(predicting_cardinalities=(3,), context_cardinalities=(2,))
-        pgm = DiscretePgm(schema)
-        # counts (7, 2, 1) in the ctx=0 slice, pseudocount included
-        for outcome, n in ((0, 6), (1, 1)):
-            for _ in range(n):
-                pgm.observe(0, {0: 0}, outcome)
-        assert pgm.predict(0, {0: 0}) == pytest.approx([0.7, 0.2, 0.1])
-
-    def test_untrained_target(self, binary_schema):
-        with pytest.raises(NoKnowledge):
-            DiscretePgm(binary_schema).predict(0, {})
 
 
 def random_tensor(rng, max_axes=3, max_card=4):
