@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .pgm import DiscretePgm, Schema, UnknownVariable
+from .pgm import DiscretePgm, Schema, UnknownVariable, cell_counts
 from .routing import (
     Advertisement,
     AdvertisementPolicy,
@@ -115,14 +115,14 @@ class SimConfig:
 
 @dataclass
 class TrainedAssignment:
-    """One node's observation stream for one (variable, context combination):
-    context assignments as flattened indices plus the drawn outcomes."""
+    """One node's observations of one variable under one context combination,
+    held as `cell_counts`: how many fell into each (outcome, context
+    assignment) cell, assignments flattened row-major in `contexts` order."""
 
     node_id: int
     var: int
     contexts: tuple[int, ...]
-    ctx_flat_idx: np.ndarray
-    outcomes: np.ndarray
+    counts: np.ndarray
 
 
 @dataclass
@@ -169,8 +169,7 @@ def generate_workload(config: SimConfig, seed: int) -> Workload:
                     node_id=node_id,
                     var=int(var_idx),
                     contexts=contexts,
-                    ctx_flat_idx=flat_idx.astype(np.int64),
-                    outcomes=outcomes,
+                    counts=cell_counts(pred_card, n_assign, flat_idx, outcomes),
                 )
             )
     return workload
@@ -182,9 +181,7 @@ def train_pgms(workload: Workload, pseudocount: float = 1.0) -> list[DiscretePgm
         for _ in range(workload.node_count)
     ]
     for entry in workload.entries:
-        pgms[entry.node_id].observe_block(
-            entry.var, entry.contexts, entry.ctx_flat_idx, entry.outcomes
-        )
+        pgms[entry.node_id].observe_counts(entry.var, entry.contexts, entry.counts)
     return pgms
 
 
@@ -200,11 +197,11 @@ def _check_field(cardinality, var: int, state: int, name: str):
 
 
 def ingest_csv(path, schema: Schema, node_count: Optional[int] = None) -> Workload:
-    """Parse an observation CSV into one stream per (node, var), all of whose
-    rows bind the same context variables. Malformed rows, rows that do not
-    fit the schema or `node_count` or that bind other context variables than
-    earlier rows of their (node, var), raise ValueError with the line number;
-    so does a file without observation rows."""
+    """Parse an observation CSV into the cell counts of each (node, var), all
+    of whose rows bind the same context variables; row order does not matter.
+    Malformed rows, rows that do not fit the schema or `node_count` or that
+    bind other context variables than earlier rows of their (node, var), raise
+    ValueError with the line number; so does a file without observation rows."""
     # per (node, var): the bound context variables and (outcome, states) rows
     groups: dict[tuple[int, int], tuple[tuple[int, ...], list]] = {}
     max_node = -1
@@ -256,9 +253,10 @@ def ingest_csv(path, schema: Schema, node_count: Optional[int] = None) -> Worklo
             flat_idx = np.ravel_multi_index(tuple(state_cols), cards)
         else:
             flat_idx = np.zeros(len(rows), dtype=np.int64)
-        workload.entries.append(
-            TrainedAssignment(node_id, var, contexts, flat_idx, outcomes)
+        counts = cell_counts(
+            schema.predicting_cardinality(var), math.prod(cards), flat_idx, outcomes
         )
+        workload.entries.append(TrainedAssignment(node_id, var, contexts, counts))
     return workload
 
 

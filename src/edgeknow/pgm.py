@@ -23,6 +23,7 @@ __all__ = [
     "ContextAssignment",
     "JointTable",
     "DiscretePgm",
+    "cell_counts",
     "entropy",
     "joint_entropy",
     "marginal_entropy",
@@ -178,6 +179,27 @@ def conditional_entropy(table: JointTable, given: Iterable[int]) -> float:
     return value
 
 
+def cell_counts(
+    n_outcomes: int,
+    n_assignments: int,
+    ctx_flat_idx: np.ndarray,
+    outcomes: np.ndarray,
+) -> np.ndarray:
+    """How many observations fell into each (outcome, context assignment)
+    cell, as an int64 array of shape (n_outcomes, n_assignments).
+    `ctx_flat_idx` is the row-major flattened index of each observation's
+    context assignment (ordered by the sorted context tuple)."""
+    outcomes, ctx_flat_idx = np.asarray(outcomes), np.asarray(ctx_flat_idx)
+    # an out-of-range index would land in another cell of the flat count
+    for index, bound in ((outcomes, n_outcomes), (ctx_flat_idx, n_assignments)):
+        if index.size and not 0 <= index.min() <= index.max() < bound:
+            raise ValueError("observation index out of range")
+    cells = np.bincount(
+        outcomes * n_assignments + ctx_flat_idx, minlength=n_outcomes * n_assignments
+    )
+    return cells.astype(np.int64, copy=False).reshape(n_outcomes, n_assignments)
+
+
 @dataclass
 class DiscretePgm:
     """One node's model: a joint table per trained predicting variable."""
@@ -214,31 +236,25 @@ class DiscretePgm:
         table.counts[idx] += 1.0
         self.observation_count[target] = self.observation_count.get(target, 0) + 1
 
-    def observe_block(
-        self,
-        target: int,
-        contexts: Iterable[int],
-        ctx_flat_idx: np.ndarray,
-        outcomes: np.ndarray,
-    ):
-        """Bulk form of observe: `ctx_flat_idx` is the row-major flattened
-        index of the context assignment for each observation (ordered by the
-        sorted context tuple)."""
-        keys = frozenset(contexts)
-        table = self._table_for(target, keys)
+    def observe_counts(self, target: int, contexts: Iterable[int], counts: np.ndarray):
+        """Bulk form of observe: add per-cell observation counts, shaped
+        (outcomes, context assignments) as `cell_counts` returns them, to the
+        target's table. A wrong-shaped or negative counts array raises
+        ValueError and leaves the table untouched."""
+        table = self._table_for(target, frozenset(contexts))
         n_out = table.counts.shape[0]
-        n_ctx = table.counts.size // n_out
-        outcomes, ctx_flat_idx = np.asarray(outcomes), np.asarray(ctx_flat_idx)
-        # an out-of-range index would land in another cell of the flat count
-        for index, bound in ((outcomes, n_out), (ctx_flat_idx, n_ctx)):
-            if index.size and not 0 <= index.min() <= index.max() < bound:
-                raise ValueError(f"observation index out of range for {target}")
-        # one count per cell, added at once: cells hold pseudocount + n
-        cells = np.bincount(outcomes * n_ctx + ctx_flat_idx, minlength=n_out * n_ctx)
-        table.counts += cells.reshape(table.counts.shape)
+        counts = np.asarray(counts)
+        if counts.shape != (n_out, table.counts.size // n_out):
+            raise ValueError(
+                f"counts of shape {counts.shape} do not fit the table of {target}"
+            )
+        if counts.min() < 0:
+            raise ValueError(f"negative observation count for {target}")
+        # cells hold pseudocount + n
+        table.counts += counts.reshape(table.counts.shape)
         self.observation_count[target] = self.observation_count.get(
             target, 0
-        ) + len(outcomes)
+        ) + int(counts.sum())
 
     @property
     def trained_vars(self) -> frozenset[int]:

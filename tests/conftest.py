@@ -3,10 +3,11 @@
 The oracles here deliberately avoid the library's vectorized and
 incremental code paths: entropies are computed with plain Python loops over
 explicitly enumerated cells, overlay growth with one `bf_similarity` call per
-pair of nodes, the next hop with one `min` over the candidate neighbors, and
-an advertisement from scratch out of every local set and model entry, and
-propagation with one private routing model per receiver, so the tests check
-the implementation against a second, independent evaluation.
+pair of nodes, the next hop with one `min` over the candidate neighbors,
+an advertisement from scratch out of every local set and model entry,
+propagation with one private routing model per receiver, and the workload as
+raw observation streams rather than cell counts, so the tests check the
+implementation against a second, independent evaluation.
 """
 
 import csv
@@ -17,6 +18,7 @@ from typing import Iterable
 import numpy as np
 import pytest
 
+from edgeknow.engine import _combination_pool
 from edgeknow.pgm import JointTable, Schema
 from edgeknow.routing import (
     Advertisement,
@@ -265,23 +267,48 @@ def bf_propagate(trial) -> int:
     return adv_sets_sent
 
 
+def bf_generate_workload(config, seed) -> list[tuple]:
+    """The synthetic Gaussian workload as raw observation streams: per
+    entry, in draw order, a plain `(node_id, var, contexts, ctx_flat_idx,
+    outcomes)` tuple with the context assignments as flattened indices."""
+    rng = np.random.default_rng(seed)
+    pool = _combination_pool(config, rng)
+    pred_card = config.predicting_cardinality
+    ctx_card = config.context_cardinality
+    n_assign = ctx_card**config.contexts_per_table
+    entries = []
+    n_trained = min(config.vars_trained_per_node, config.predicting_var_count)
+    for node_id in range(config.node_count):
+        var_ids = rng.choice(
+            config.predicting_var_count, size=n_trained, replace=False
+        )
+        for var_idx in sorted(var_ids):
+            contexts = pool[rng.integers(len(pool))]
+            means = rng.uniform(0, pred_card - 1, size=n_assign)
+            flat_idx = rng.integers(n_assign, size=config.observations_per_var)
+            raw = means[flat_idx] + rng.standard_normal(config.observations_per_var)
+            outcomes = np.clip(np.rint(raw), 0, pred_card - 1).astype(np.int64)
+            entries.append(
+                (node_id, int(var_idx), contexts, flat_idx.astype(np.int64), outcomes)
+            )
+    return entries
+
+
 def export_workload_csv(workload, path):
     """Write a workload in the CSV form `engine.ingest_csv` reads: rows of
     node_id, predicting var index, outcome, then one c<j>=<state> field per
-    bound context variable j."""
+    bound context variable j. Each entry's counts expand into one row per
+    observation, in cell order."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["node_id", "predicting_var", "outcome"])
         for entry in workload.entries:
             cards = [workload.schema.context_cardinality(c) for c in entry.contexts]
-            states = np.unravel_index(entry.ctx_flat_idx, cards)
-            for i in range(len(entry.outcomes)):
-                row = [entry.node_id, entry.var, int(entry.outcomes[i])]
-                row += [
-                    f"c{entry.contexts[j]}={int(states[j][i])}"
-                    for j in range(len(entry.contexts))
-                ]
-                writer.writerow(row)
+            for (outcome, flat), n in np.ndenumerate(entry.counts):
+                states = np.unravel_index(flat, cards)
+                row = [entry.node_id, entry.var, outcome]
+                row += [f"c{c}={int(s)}" for c, s in zip(entry.contexts, states)]
+                writer.writerows([row] * int(n))
 
 
 @pytest.fixture

@@ -26,11 +26,16 @@ from edgeknow.engine import (
     setup_trial,
     train_pgms,
 )
-from edgeknow.pgm import DiscretePgm, Schema, conditional_entropy
+from edgeknow.pgm import DiscretePgm, Schema, cell_counts, conditional_entropy
 from edgeknow.routing import NodeState, Query, RoutingModel
 from edgeknow.topology import AttachmentParams
 
-from conftest import bf_chain_rule, bf_propagate, export_workload_csv
+from conftest import (
+    bf_chain_rule,
+    bf_generate_workload,
+    bf_propagate,
+    export_workload_csv,
+)
 
 
 def small_config(**overrides):
@@ -54,13 +59,13 @@ class TestWorkload:
         config = small_config()
         wl = generate_workload(config, seed=1)
         assert len(wl.entries) == config.node_count * config.vars_trained_per_node
+        n_assign = config.context_cardinality**config.contexts_per_table
         for entry in wl.entries:
-            assert len(entry.outcomes) == config.observations_per_var
-            assert entry.outcomes.min() >= 0
-            assert entry.outcomes.max() < config.predicting_cardinality
+            assert entry.counts.shape == (config.predicting_cardinality, n_assign)
+            assert entry.counts.dtype == np.int64
+            assert entry.counts.min() >= 0
+            assert entry.counts.sum() == config.observations_per_var
             assert len(entry.contexts) == config.contexts_per_table
-            n_assign = config.context_cardinality**config.contexts_per_table
-            assert entry.ctx_flat_idx.max() < n_assign
 
     def test_combination_pool_respected(self):
         config = small_config(combinations_pool=1)
@@ -71,23 +76,71 @@ class TestWorkload:
         config = small_config()
         a = generate_workload(config, seed=3)
         b = generate_workload(config, seed=3)
+        assert len(a.entries) == len(b.entries)
         for ea, eb in zip(a.entries, b.entries):
-            assert np.array_equal(ea.outcomes, eb.outcomes)
-            assert np.array_equal(ea.ctx_flat_idx, eb.ctx_flat_idx)
+            assert (ea.node_id, ea.var, ea.contexts) == (
+                eb.node_id, eb.var, eb.contexts
+            )
+            assert np.array_equal(ea.counts, eb.counts)
 
     def test_gaussian_outcomes_concentrate(self):
         # stddev of one state width: most mass within 2 states of the mean
         config = small_config(observations_per_var=2000, combinations_pool=1)
         wl = generate_workload(config, seed=4)
         entry = wl.entries[0]
-        per_assignment = {}
-        for flat, out in zip(entry.ctx_flat_idx, entry.outcomes):
-            per_assignment.setdefault(int(flat), []).append(int(out))
-        for outs in per_assignment.values():
-            if len(outs) < 30:
+        states = np.arange(config.predicting_cardinality)
+        for column in entry.counts.T:
+            n = column.sum()
+            if n < 30:
                 continue
-            spread = np.std(outs)
+            mean = (states * column).sum() / n
+            spread = math.sqrt((column * (states - mean) ** 2).sum() / n)
             assert spread < 2.5
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_counts_match_the_stream_reference(self, data):
+        context_var_count = data.draw(st.integers(1, 4))
+        # a two-node seed clique lets every node count from 1 up be a config
+        config = small_config(
+            attachment=AttachmentParams(m0=2, m=1),
+            node_count=data.draw(st.integers(1, 12)),
+            predicting_var_count=data.draw(st.integers(1, 6)),
+            context_var_count=context_var_count,
+            contexts_per_table=data.draw(st.integers(1, context_var_count)),
+            combinations_pool=data.draw(st.integers(1, 4)),
+            vars_trained_per_node=data.draw(st.integers(1, 6)),
+            observations_per_var=data.draw(st.integers(1, 300)),
+            predicting_cardinality=data.draw(st.integers(2, 5)),
+            context_cardinality=data.draw(st.integers(2, 5)),
+        )
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        wl = generate_workload(config, seed)
+        ref = bf_generate_workload(config, seed)
+        assert len(wl.entries) == len(ref)
+        schema = config.schema()
+        want = [
+            DiscretePgm(schema, config.pseudocount) for _ in range(config.node_count)
+        ]
+        for entry, (node_id, var, contexts, flat_idx, outcomes) in zip(wl.entries, ref):
+            assert (entry.node_id, entry.var, entry.contexts) == (node_id, var, contexts)
+            n_cells = entry.counts.size
+            cells = np.bincount(
+                outcomes * entry.counts.shape[1] + flat_idx, minlength=n_cells
+            )
+            assert np.array_equal(entry.counts.ravel(), cells)
+            cards = [config.context_cardinality] * len(contexts)
+            for flat, outcome in zip(flat_idx, outcomes):
+                states = np.unravel_index(flat, cards)
+                ctx = {c: int(s) for c, s in zip(contexts, states)}
+                want[node_id].observe(var, ctx, int(outcome))
+        got = train_pgms(wl, config.pseudocount)
+        for a, b in zip(got, want):
+            assert a.observation_count == b.observation_count
+            assert a.tables.keys() == b.tables.keys()
+            for var, table in a.tables.items():
+                assert table.contexts == b.tables[var].contexts
+                assert np.array_equal(table.counts, b.tables[var].counts)
 
 
 class TestTrainedModels:
@@ -98,7 +151,11 @@ class TestTrainedModels:
         entry = wl.entries[0]
         table = pgms[entry.node_id].tables[entry.var]
         assert table.counts.sum() == pytest.approx(
-            config.pseudocount * table.counts.size + len(entry.outcomes)
+            config.pseudocount * table.counts.size + config.observations_per_var
+        )
+        assert np.array_equal(
+            table.counts.reshape(entry.counts.shape),
+            config.pseudocount + entry.counts,
         )
 
     def test_deterministic_stream_gives_low_conditional_entropy(self):
@@ -107,7 +164,7 @@ class TestTrainedModels:
         flat = np.tile([0, 1], 400)
         outcomes = np.where(flat == 0, 1, 3)  # outcome fixed by the context
         wl.entries.append(
-            TrainedAssignment(0, 0, (0,), flat, outcomes)
+            TrainedAssignment(0, 0, (0,), cell_counts(4, 2, flat, outcomes))
         )
         pgm = train_pgms(wl, pseudocount=0.01)[0]
         h = conditional_entropy(pgm.tables[0], [0])
@@ -124,6 +181,12 @@ class TestCsvRoundTrip:
         a = train_pgms(wl)
         b = train_pgms(back)
         assert back.node_count == wl.node_count
+        assert len(back.entries) == len(wl.entries)
+        for ea, eb in zip(wl.entries, back.entries):
+            assert (ea.node_id, ea.var, ea.contexts) == (
+                eb.node_id, eb.var, eb.contexts
+            )
+            assert np.array_equal(ea.counts, eb.counts)
         for pa, pb in zip(a, b):
             assert pa.trained_vars == pb.trained_vars
             for var in pa.trained_vars:
@@ -163,7 +226,10 @@ class TestCsvRoundTrip:
         assert entry.node_id == 3
         assert entry.var == 2
         assert entry.contexts == (0, 2)
-        assert list(entry.outcomes) == [1]
+        # outcome 1 of 8, context states (0, 3) of 4 x 4 assignments
+        want = np.zeros((8, 16), dtype=np.int64)
+        want[1, 3] = 1
+        assert np.array_equal(entry.counts, want)
 
 
 class TestAccuracy:

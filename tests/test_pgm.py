@@ -12,6 +12,7 @@ from edgeknow.pgm import (
     NotADistribution,
     Schema,
     UnknownVariable,
+    cell_counts,
     clamp_diagnostics,
     conditional_entropy,
     entropy,
@@ -142,7 +143,7 @@ class TestObserve:
     def test_observe_block_rejects_non_context_keys(self, binary_schema, key):
         pgm = DiscretePgm(binary_schema)
         with pytest.raises(ContextMismatch):
-            pgm.observe_block(0, (key,), np.zeros(1, int), np.zeros(1, int))
+            pgm.observe_counts(0, (key,), np.zeros((2, 2), int))
         assert pgm.tables == {}
 
     def test_negative_ids_do_not_wrap(self, binary_schema):
@@ -178,7 +179,7 @@ class TestObserve:
         rng = np.random.default_rng(0)
         ctx_idx = rng.integers(4, size=50)
         outcomes = rng.integers(2, size=50)
-        b.observe_block(0, (0, 1), ctx_idx, outcomes)
+        b.observe_counts(0, (0, 1), cell_counts(2, 4, ctx_idx, outcomes))
         for flat, out in zip(ctx_idx, outcomes):
             c0, c1 = np.unravel_index(flat, (2, 2))
             a.observe(0, {0: int(c0), 1: int(c1)}, int(out))
@@ -188,11 +189,26 @@ class TestObserve:
     @pytest.mark.parametrize(
         "ctx_idx, outcome", [(4, 0), (-1, 0), (0, 2), (0, -1)]
     )
-    def test_observe_block_rejects_out_of_range(self, binary_schema, ctx_idx, outcome):
-        pgm = DiscretePgm(binary_schema)
+    def test_observe_block_rejects_out_of_range(self, ctx_idx, outcome):
+        # binning happens in cell_counts; an escaped index would land in
+        # another cell of the flat count
         with pytest.raises(ValueError, match="out of range"):
-            pgm.observe_block(0, (0, 1), np.array([0, ctx_idx]), np.array([1, outcome]))
-        assert pgm.tables[0].counts.sum() == pytest.approx(8.0)
+            cell_counts(2, 4, np.array([0, ctx_idx]), np.array([1, outcome]))
+
+    @pytest.mark.parametrize(
+        "counts",
+        [np.ones((2, 3), int), np.ones((4, 2), int), np.ones(4, int),
+         np.array([[1, 0, 2, 0], [0, -1, 0, 0]])],
+        ids=["too-few-assignments", "transposed", "flat", "negative"],
+    )
+    def test_observe_counts_rejects_bad_counts(self, binary_schema, counts):
+        pgm = DiscretePgm(binary_schema)
+        pgm.observe_counts(0, (0, 1), np.ones((2, 4), int))
+        before = pgm.tables[0].counts.copy()
+        with pytest.raises(ValueError):
+            pgm.observe_counts(0, (0, 1), counts)
+        assert np.array_equal(pgm.tables[0].counts, before)
+        assert pgm.observation_count == {0: 8}
 
 
 def random_tensor(rng, max_axes=3, max_card=4):

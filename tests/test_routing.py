@@ -176,7 +176,7 @@ class TestIntegrate:
         with pytest.raises(MalformedAdvertisement):
             integrate_advertisement(model, {0: sets})
 
-    def test_score_cache_invalidated(self):
+    def test_best_score_reads_integrated_list(self):
         model = RoutingModel(k=2)
         model.entries[0] = [make_set(0, 5.0)]
         assert model.best_score(0, frozenset()) == pytest.approx(5.0)
