@@ -202,8 +202,9 @@ def ingest_csv(path, schema: Schema, node_count: Optional[int] = None) -> Worklo
     Malformed rows, rows that do not fit the schema or `node_count` or that
     bind other context variables than earlier rows of their (node, var), raise
     ValueError with the line number; so does a file without observation rows."""
-    # per (node, var): the bound context variables and (outcome, states) rows
-    groups: dict[tuple[int, int], tuple[tuple[int, ...], list]] = {}
+    # per (node, var): the bound context variables, their cardinalities and
+    # the flat cell counts, one cell per (outcome, context states) row-major
+    groups: dict[tuple[int, int], tuple[tuple[int, ...], list, np.ndarray]] = {}
     max_node = -1
     with open(path, newline="") as f:
         for lineno, row in enumerate(csv.reader(f), start=1):
@@ -229,15 +230,24 @@ def ingest_csv(path, schema: Schema, node_count: Optional[int] = None) -> Worklo
                     bindings[c] = int(state)
                     _check_field(schema.context_cardinality, c, bindings[c], name)
                 contexts = tuple(sorted(bindings))
-                held, rows = groups.setdefault((node_id, var), (contexts, []))
-                if contexts != held:
+                group = groups.get((node_id, var))
+                if group is None:
+                    cards = [schema.context_cardinality(c) for c in contexts]
+                    cells = schema.predicting_cardinality(var) * math.prod(cards)
+                    group = groups[node_id, var] = (
+                        contexts, cards, np.zeros(cells, dtype=np.int64)
+                    )
+                elif contexts != group[0]:
                     raise ValueError(
-                        f"contexts {contexts} differ from {held} in earlier rows "
-                        f"of node {node_id}, predicting_var {var}"
+                        f"contexts {contexts} differ from {group[0]} in earlier "
+                        f"rows of node {node_id}, predicting_var {var}"
                     )
             except (ValueError, IndexError) as exc:
                 raise ValueError(f"{path}: malformed row at line {lineno}: {exc}")
-            rows.append((outcome, tuple(bindings[c] for c in contexts)))
+            cell = outcome
+            for c, card in zip(contexts, group[1]):
+                cell = cell * card + bindings[c]
+            group[2][cell] += 1
             max_node = max(max_node, node_id)
     if not groups:
         raise ValueError(f"{path}: no observation rows")
@@ -245,17 +255,8 @@ def ingest_csv(path, schema: Schema, node_count: Optional[int] = None) -> Worklo
         schema=schema,
         node_count=node_count if node_count is not None else max_node + 1,
     )
-    for (node_id, var), (contexts, rows) in sorted(groups.items()):
-        cards = [schema.context_cardinality(c) for c in contexts]
-        outcomes = np.array([r[0] for r in rows], dtype=np.int64)
-        if contexts:
-            state_cols = np.array([r[1] for r in rows], dtype=np.int64).T
-            flat_idx = np.ravel_multi_index(tuple(state_cols), cards)
-        else:
-            flat_idx = np.zeros(len(rows), dtype=np.int64)
-        counts = cell_counts(
-            schema.predicting_cardinality(var), math.prod(cards), flat_idx, outcomes
-        )
+    for (node_id, var), (contexts, _, cells) in sorted(groups.items()):
+        counts = cells.reshape(schema.predicting_cardinality(var), -1)
         workload.entries.append(TrainedAssignment(node_id, var, contexts, counts))
     return workload
 

@@ -7,8 +7,10 @@ context variables 0..C-1; which kind an id is follows from where it is held.
 Probabilities come from Laplace-smoothed counts (uniform prior); all entropies
 are in bits. A table's conditional answering quality for a set of evidence
 variables is joint entropy minus the sum of the evidence marginal entropies,
-clamped at zero (exact only when the evidence variables are independent; the
-clamp is counted in `clamp_diagnostics`).
+clamped at zero (exact only when the evidence variables are independent).
+The simulation computes it in `routing.answer_entropy`, from the entropies a
+node's local entropy sets hold; `conditional_entropy` and `clamp_diagnostics`
+remain as the table-level reference and its clamp count.
 """
 
 from __future__ import annotations
@@ -190,6 +192,9 @@ def cell_counts(
     `ctx_flat_idx` is the row-major flattened index of each observation's
     context assignment (ordered by the sorted context tuple)."""
     outcomes, ctx_flat_idx = np.asarray(outcomes), np.asarray(ctx_flat_idx)
+    if not outcomes.size and not ctx_flat_idx.size:
+        # an empty plain list reads as float64, which bincount refuses
+        return np.zeros((n_outcomes, n_assignments), dtype=np.int64)
     # an out-of-range index would land in another cell of the flat count
     for index, bound in ((outcomes, n_outcomes), (ctx_flat_idx, n_assignments)):
         if index.size and not 0 <= index.min() <= index.max() < bound:

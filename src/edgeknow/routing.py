@@ -26,12 +26,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .pgm import (
-    DiscretePgm,
-    conditional_entropy,
-    joint_entropy,
-    marginal_entropy,
-)
+from .pgm import DiscretePgm, joint_entropy, marginal_entropy
 
 NodeId = int
 
@@ -105,10 +100,21 @@ class RoutingModel:
     entries: dict[int, list[EntropySet]] = field(default_factory=dict)
 
     def best_score(self, target: int, bound: frozenset[int]) -> float:
-        return min(
-            (s.score(bound) for s in self.entries.get(target, ())),
-            default=math.inf,
-        )
+        """The lowest `EntropySet.score` over the target's sets, inf when
+        there are none. Inlined: clamping the minimum once equals the
+        minimum of clamped scores, and subtracting in `bound`'s order, as
+        `score` does, keeps every float bit-identical."""
+        best = math.inf
+        for s in self.entries.get(target, ()):
+            value = s.joint
+            hs = s.context_entropies
+            for var in bound:
+                h = hs.get(var)
+                if h is not None:
+                    value -= h
+            if value < best:
+                best = value
+        return max(best, 0.0)
 
 
 @dataclass
@@ -150,7 +156,6 @@ class NodeState:
     # variables whose routing-model entries changed since the last build
     changed_vars: set[int] = field(default_factory=set)
     _local_sets: Optional[list[EntropySet]] = None
-    _answer_cache: dict = field(default_factory=dict)
     # per target, per evidence variable set: neighbors by (best_score, id)
     _order_cache: dict[int, dict] = field(default_factory=dict)
 
@@ -159,11 +164,8 @@ class NodeState:
             self._local_sets = local_entropy_sets(self.pgm)
         return self._local_sets
 
-    def local_answer(self, target: int, bound: frozenset[int]):
-        key = (target, bound)
-        if key not in self._answer_cache:
-            self._answer_cache[key] = answer_entropy(self.pgm, target, bound)
-        return self._answer_cache[key]
+    def local_answer(self, target: int, bound: frozenset[int]) -> Optional[float]:
+        return answer_entropy(self.local_sets(), target, bound)
 
     def forwarding_order(self, target: int, bound: frozenset[int]) -> list[NodeId]:
         """Neighbors sorted by the conditional entropy their routing models
@@ -214,15 +216,17 @@ def local_entropy_sets(pgm: DiscretePgm) -> list[EntropySet]:
 
 
 def answer_entropy(
-    pgm: DiscretePgm, target: int, bound: Iterable[int]
+    local_sets: list[EntropySet], target: int, bound: Iterable[int]
 ) -> Optional[float]:
     """The node's remaining uncertainty to answer a query for `target` with
-    evidence on `bound`, or None if the target is untrained here."""
-    table = pgm.tables.get(target)
-    if table is None or pgm.observation_count.get(target, 0) == 0:
-        return None
-    given = [v for v in bound if v in table.contexts]
-    return conditional_entropy(table, given)
+    evidence on `bound`, or None if the target is untrained here: the score
+    of the node's own entropy set for `target`, which holds the joint and
+    marginal entropies of its table (the table-level
+    `pgm.conditional_entropy` gives the same value)."""
+    for s in local_sets:
+        if s.predicting == target:
+            return s.score(bound)
+    return None
 
 
 def build_advertisement(

@@ -3,11 +3,12 @@
 The oracles here deliberately avoid the library's vectorized and
 incremental code paths: entropies are computed with plain Python loops over
 explicitly enumerated cells, overlay growth with one `bf_similarity` call per
-pair of nodes, the next hop with one `min` over the candidate neighbors,
-an advertisement from scratch out of every local set and model entry,
-propagation with one private routing model per receiver, and the workload as
-raw observation streams rather than cell counts, so the tests check the
-implementation against a second, independent evaluation.
+pair of nodes, a routing model's score with one `min` over its sets' scores,
+a node's answer from its count table, the next hop with one `min` over the
+candidate neighbors, an advertisement from scratch out of every local set
+and model entry, propagation with one private routing model per receiver,
+and the workload as raw observation streams rather than cell counts, so the
+tests check the implementation against a second, independent evaluation.
 """
 
 import csv
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 from edgeknow.engine import _combination_pool
-from edgeknow.pgm import JointTable, Schema
+from edgeknow.pgm import JointTable, Schema, conditional_entropy
 from edgeknow.routing import (
     Advertisement,
     AdvertisementPolicy,
@@ -163,9 +164,30 @@ def bf_generate(params, node_pgms, edge_limit, seed) -> Overlay:
     return overlay
 
 
+def bf_best_score(model: RoutingModel, target: int, bound: frozenset[int]) -> float:
+    """The lowest clamped score over the model's sets for `target`, as one
+    `min` over `EntropySet.score`; inf when there are none."""
+    return min(
+        (s.score(bound) for s in model.entries.get(target, ())),
+        default=math.inf,
+    )
+
+
+def bf_answer_entropy(pgm, target: int, bound: Iterable[int]):
+    """A node's answering quality from its count table: the clamped
+    chain-rule surrogate through `conditional_entropy`, or None when the
+    target is untrained."""
+    table = pgm.tables.get(target)
+    if table is None or pgm.observation_count.get(target, 0) == 0:
+        return None
+    given = [v for v in bound if v in table.contexts]
+    return conditional_entropy(table, given)
+
+
 def bf_next_hop(state, query):
     """The next hop as one min over the candidates (the unvisited neighbors,
-    or every neighbor once all are visited), keyed on (best_score, node id)."""
+    or every neighbor once all are visited), keyed on (bf_best_score, node
+    id)."""
     visited = set(query.visited)
     unvisited = [n for n in state.neighbors if n not in visited]
     candidates = unvisited if unvisited else list(state.neighbors)
@@ -173,7 +195,7 @@ def bf_next_hop(state, query):
     return min(
         candidates,
         key=lambda n: (
-            state.routing_models[n].best_score(query.target, bound),
+            bf_best_score(state.routing_models[n], query.target, bound),
             n,
         ),
     )

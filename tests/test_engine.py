@@ -430,9 +430,10 @@ class TestOracleBound:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="answer_entropy keeps a table's unbound context axes in the "
-        "joint, so a query that binds only part of a node's contexts can be "
-        "answered above log2(predicting_cardinality)",
+        reason="a node's local entropy set holds the joint entropy over all "
+        "of its table's context axes, and answer_entropy subtracts only the "
+        "bound ones, so a query that binds only part of a node's contexts can "
+        "be answered above log2(predicting_cardinality)",
     )
     def test_no_answer_worse_than_the_uniform_prior(self):
         config = small_config(combinations_pool=3)

@@ -140,7 +140,7 @@ class TestObserve:
         assert probs == pytest.approx([6 / 7, 1 / 7])
 
     @pytest.mark.parametrize("key", [2, -1])
-    def test_observe_block_rejects_non_context_keys(self, binary_schema, key):
+    def test_observe_counts_rejects_non_context_keys(self, binary_schema, key):
         pgm = DiscretePgm(binary_schema)
         with pytest.raises(ContextMismatch):
             pgm.observe_counts(0, (key,), np.zeros((2, 2), int))
@@ -173,7 +173,7 @@ class TestObserve:
         with pytest.raises(ValueError):
             DiscretePgm(binary_schema).observe(0, {}, 5)
 
-    def test_observe_block_matches_loop(self, binary_schema):
+    def test_observe_counts_matches_loop(self, binary_schema):
         a = DiscretePgm(binary_schema)
         b = DiscretePgm(binary_schema)
         rng = np.random.default_rng(0)
@@ -189,11 +189,22 @@ class TestObserve:
     @pytest.mark.parametrize(
         "ctx_idx, outcome", [(4, 0), (-1, 0), (0, 2), (0, -1)]
     )
-    def test_observe_block_rejects_out_of_range(self, ctx_idx, outcome):
+    def test_cell_counts_rejects_out_of_range(self, ctx_idx, outcome):
         # binning happens in cell_counts; an escaped index would land in
         # another cell of the flat count
         with pytest.raises(ValueError, match="out of range"):
             cell_counts(2, 4, np.array([0, ctx_idx]), np.array([1, outcome]))
+
+    def test_cell_counts_of_no_observations_are_zeros(self):
+        # an empty plain list reads as float64; it still means no observations
+        for empty in ([], np.array([], dtype=np.int64)):
+            got = cell_counts(2, 4, empty, empty)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, np.zeros((2, 4), dtype=np.int64))
+
+    def test_cell_counts_rejects_float_indices(self):
+        with pytest.raises(TypeError):
+            cell_counts(2, 4, np.array([0.0, 3.0]), np.array([1, 0]))
 
     @pytest.mark.parametrize(
         "counts",

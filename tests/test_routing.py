@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -22,7 +23,13 @@ from edgeknow.routing import (
     should_advertise,
 )
 
-from conftest import bf_build_advertisement, bf_next_hop, bf_should_advertise
+from conftest import (
+    bf_answer_entropy,
+    bf_best_score,
+    bf_build_advertisement,
+    bf_next_hop,
+    bf_should_advertise,
+)
 
 
 def make_set(var_idx, joint, ctx_entropies=None):
@@ -182,6 +189,67 @@ class TestIntegrate:
         assert model.best_score(0, frozenset()) == pytest.approx(5.0)
         integrate_advertisement(model, {0: [make_set(0, 1.0)]})
         assert model.best_score(0, frozenset()) == pytest.approx(1.0)
+
+
+def evidence(keys):
+    """A query's evidence variable set, built as `process_query` builds it:
+    from the keys of its context assignment, in the drawn insertion order."""
+    return frozenset({c: 0 for c in keys})
+
+
+def bounds():
+    """Evidence sets over context ids 0-15 whose dict was filled in sorted
+    or in reverse sorted order. Small frozensets iterate in hash-slot order,
+    ids 8-15 sharing slots with 0-7, and colliding ids (0 and 8, say) take
+    the slot in insertion order, so many examples iterate unsorted."""
+    keys = st.lists(st.integers(0, 15), max_size=6, unique=True)
+    return st.tuples(keys, st.booleans()).map(
+        lambda t: evidence(sorted(t[0], reverse=t[1]))
+    )
+
+
+class TestBestScore:
+    def test_subtracts_in_evidence_order(self):
+        # {1, 8} iterates 8 first, and (1.0 - 0.2) - 0.1 != (1.0 - 0.1) - 0.2
+        bound = evidence([1, 8])
+        assert list(bound) == [8, 1]
+        model = RoutingModel(2, {0: [make_set(0, 1.0, {1: 0.1, 8: 0.2})]})
+        assert model.best_score(0, bound) == (1.0 - 0.2) - 0.1 != 0.7
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_matches_reference(self, data):
+        """Exactly the minimum of the clamped set scores, for lists of up to
+        12 sets, absent targets and joints low enough to go negative. Set
+        contexts are drawn mostly from the evidence, in any insertion order,
+        and short decimals often: their differences round differently in
+        different subtraction orders."""
+        keys = data.draw(st.lists(st.integers(0, 15), max_size=6, unique=True))
+        bound = evidence(sorted(keys, reverse=data.draw(st.booleans())))
+        ids = st.integers(0, 15)
+        if keys:
+            ids = st.one_of(st.sampled_from(keys), st.sampled_from(keys), ids)
+
+        def bits(lo, hi, decimals):
+            return st.one_of(st.sampled_from(decimals), st.floats(lo, hi))
+
+        entropies = st.lists(
+            st.tuples(ids, bits(0.0, 1.5, (0.1, 0.2, 0.3, 0.7, 1.1))), max_size=4
+        ).map(dict)
+        sets = st.lists(
+            st.builds(
+                EntropySet, st.just(0), bits(0.0, 3.0, (0.9, 1.0, 2.0, 3.0)), entropies
+            ),
+            max_size=12,
+        )
+        model = RoutingModel(12, data.draw(st.dictionaries(st.integers(0, 2), sets)))
+        for target in range(4):
+            want = bf_best_score(model, target, bound)
+            assert model.best_score(target, bound) == want
+        # one set at a time, so that no lower score hides a wrong one
+        for s in itertools.chain.from_iterable(model.entries.values()):
+            alone = RoutingModel(1, {0: [s]})
+            assert alone.best_score(0, bound) == bf_best_score(alone, 0, bound)
 
 
 class TestShouldAdvertise:
@@ -445,13 +513,37 @@ class TestLocalSets:
         assert sets[0].combination == frozenset({0})
 
     def test_answer_entropy_untrained_is_none(self):
-        assert answer_entropy(empty_pgm(), 0, frozenset()) is None
+        assert answer_entropy(local_entropy_sets(empty_pgm()), 0, frozenset()) is None
 
     def test_answer_entropy_ignores_foreign_evidence(self):
-        node = trained_node(0)
-        with_foreign = answer_entropy(node.pgm, 0, frozenset({1}))
-        without = answer_entropy(node.pgm, 0, frozenset())
+        sets = local_entropy_sets(trained_node(0).pgm)
+        with_foreign = answer_entropy(sets, 0, frozenset({1}))
+        without = answer_entropy(sets, 0, frozenset())
         assert with_foreign == pytest.approx(without)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_answer_entropy_matches_table_reference(self, data):
+        """The local sets' answer is exactly the table's clamped chain-rule
+        value, None included: for random count tables over 1 to 3 of 16
+        contexts, all-zero counts, and a target with no table."""
+        schema = Schema((2, 3, 2), (2, 3) * 8)
+        pgm = DiscretePgm(schema, data.draw(st.floats(0.01, 1.0)))
+        for target in (0, 1):
+            contexts = data.draw(
+                st.lists(st.integers(0, 15), min_size=1, max_size=3, unique=True)
+            )
+            n_out = schema.predicting_cardinality(target)
+            size = n_out * math.prod(schema.context_cardinality(c) for c in contexts)
+            counts = data.draw(
+                st.lists(st.integers(0, 9), min_size=size, max_size=size)
+            )
+            pgm.observe_counts(target, contexts, np.reshape(counts, (n_out, -1)))
+        sets = local_entropy_sets(pgm)
+        bound = data.draw(bounds())
+        for target in (0, 1, 2):
+            want = bf_answer_entropy(pgm, target, bound)
+            assert answer_entropy(sets, target, bound) == want
 
 
 def advertise_until_stable(nodes, policy, k, max_rounds=60):
