@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--edge-limit", type=int, dest="edge_limit")
     run.add_argument("--m0", type=int)
     run.add_argument("--m", type=int)
-    run.add_argument("--threads", type=int, default=1)
+    run.add_argument("--threads", type=int, default=1, help="max worker processes")
     run.add_argument("--config", type=Path, help="key=value config file")
     run.set_defaults(func=cmd_run)
 
@@ -106,35 +106,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_config_file(path: Path) -> dict[str, str]:
+def _read_config_file(path: Path) -> dict:
+    """Config file values by flag name: an int, or for `seed` a list of
+    ints. A bad line raises ValueError naming the file and line."""
     values = {}
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        values[key.strip()] = value.strip()
+        key, sep, value = (part.strip() for part in line.partition("="))
+        try:
+            if not sep:
+                raise ValueError("expected key=value")
+            if key not in _FLAG_FIELDS:
+                raise ValueError("unknown config key")
+            values[key] = _int_list(value) if key == "seed" else int(value)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
 
 
-def _resolve_seeds(flag: Optional[str], file_value: Optional[str] = None) -> list[int]:
+def _resolve_seeds(
+    flag: Optional[str], file_seeds: Optional[list[int]] = None
+) -> list[int]:
     """Seeds from `--seed`, else the config file, else EDGEKNOW_SEED, else 0."""
-    for text in (flag, file_value, os.environ.get("EDGEKNOW_SEED") or None):
-        if text is not None:
-            return _int_list(text)
-    return [0]
+    if flag is None:
+        if file_seeds is not None:
+            return file_seeds
+        flag = os.environ.get("EDGEKNOW_SEED") or "0"
+    return _int_list(flag)
 
 
-def _base_config(args, file_values: dict[str, str]) -> SimConfig:
+def _base_config(args, file_values: dict) -> SimConfig:
     """Config file values overridden by flags; seeds are set per run."""
-    values: dict = {}
-    for key, value in file_values.items():
-        if key not in _FLAG_FIELDS:
-            raise ValueError(f"unknown config key: {key}")
-        if key != "seed":
-            values[_FLAG_FIELDS[key]] = int(value)
+    values = {
+        _FLAG_FIELDS[key]: value for key, value in file_values.items() if key != "seed"
+    }
     for flag, fld in _FLAG_FIELDS.items():
         if flag == "seed":
             continue
@@ -168,6 +175,8 @@ def cmd_run(args) -> int:
         file_values = _read_config_file(args.config) if args.config else {}
         base = _base_config(args, file_values)
         seeds = _resolve_seeds(args.seed, file_values.get("seed"))
+        if args.threads < 1:
+            raise ValueError(f"--threads must be >= 1, got {args.threads}")
     except (ValueError, TypeError, OSError) as exc:
         print(f"bad config: {exc}", file=sys.stderr)
         return 2
@@ -222,8 +231,10 @@ def cmd_run(args) -> int:
 
     args.out.mkdir(parents=True, exist_ok=True)
     jobs = [(config, workload) for _, _, config in runs]
-    if args.threads > 1:
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
+    # the pool starts every worker up front, so never more than there are jobs
+    workers = min(args.threads, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_execute, jobs))
     else:
         results = [_execute(job) for job in jobs]
@@ -269,6 +280,9 @@ def cmd_topology(args) -> int:
             edge_limit=limit,
             seed=seed,
         )
+        # a trial may run on one node, but an overlay grows from m0 of them
+        if n < config.attachment.m0:
+            raise ValueError(f"need at least m0={config.attachment.m0} nodes, got {n}")
     except ValueError as exc:
         print(f"bad config: {exc}", file=sys.stderr)
         return 2

@@ -199,9 +199,10 @@ def _check_field(cardinality, var: int, state: int, name: str):
 def ingest_csv(path, schema: Schema, node_count: Optional[int] = None) -> Workload:
     """Parse an observation CSV into the cell counts of each (node, var), all
     of whose rows bind the same context variables; row order does not matter.
-    Malformed rows, rows that do not fit the schema or `node_count` or that
-    bind other context variables than earlier rows of their (node, var), raise
-    ValueError with the line number; so does a file without observation rows."""
+    Malformed rows, rows that bind a context twice, do not fit the schema or
+    `node_count` or bind other context variables than earlier rows of their
+    (node, var), raise ValueError with the line number; so does a file
+    without observation rows."""
     # per (node, var): the bound context variables, their cardinalities and
     # the flat cell counts, one cell per (outcome, context states) row-major
     groups: dict[tuple[int, int], tuple[tuple[int, ...], list, np.ndarray]] = {}
@@ -227,6 +228,8 @@ def ingest_csv(path, schema: Schema, node_count: Optional[int] = None) -> Worklo
                     if not name.startswith("c") or not state:
                         raise ValueError(f"bad context field {cell!r}")
                     c = int(name[1:])
+                    if c in bindings:
+                        raise ValueError(f"context {name} bound twice")
                     bindings[c] = int(state)
                     _check_field(schema.context_cardinality, c, bindings[c], name)
                 contexts = tuple(sorted(bindings))
@@ -396,7 +399,7 @@ def setup_trial(config: SimConfig, workload: Optional[Workload] = None) -> Trial
             seed=int(s_topology.generate_state(1)[0]),
         )
     # every neighbor of a node holds that node's one published model
-    models = [RoutingModel(k=config.k_sets) for _ in range(config.node_count)]
+    models = [RoutingModel() for _ in range(config.node_count)]
     nodes = []
     for node_id in range(config.node_count):
         neighbors = sorted(overlay.neighbors(node_id))
@@ -464,23 +467,23 @@ def run_cycle(trial: TrialState, cycle: int, strategy: Optional[Strategy] = None
     # phase 1: knowledge propagation; a node rebuilds and compares only the
     # variables its routing models changed since its last build. Every
     # neighbor of a sender integrates the same snapshots in the same order,
-    # so the sender's published model is integrated once and shared by all
+    # so the sender's published model is integrated once and shared by all;
+    # it holds the last advertisement sent, and nothing before the first build
     outgoing: list[tuple[NodeState, Advertisement]] = []
     for state in trial.nodes:
-        if not state.models_dirty:
+        built, changed = state.last_built, state.changed_vars
+        if built is not None and not changed:
             continue
-        changed = state.changed_vars
         current = build_advertisement(
             state.local_sets(), state.routing_models.values(), policy,
-            config.k_sets, state.last_built, changed,
+            config.k_sets, built, changed,
         )
-        if should_advertise(state.last_advertisement, current, policy, changed):
+        sent = None if built is None else state.published.entries
+        if should_advertise(sent, current, policy, changed):
             outgoing.append((state, current))
         state.last_built = current
         state.changed_vars = set()
-        state.models_dirty = False
     for state, adv in outgoing:
-        state.last_advertisement = adv
         changed = integrate_advertisement(state.published, adv)
         for nb in state.neighbors:
             trial.nodes[nb].models_changed(changed)

@@ -4,33 +4,29 @@ Each network node owns a DiscretePgm: per predicting variable, one joint count
 table over that variable and the context combination it was trained against.
 Variables are plain ints indexed per kind: predicting variables 0..P-1 and
 context variables 0..C-1; which kind an id is follows from where it is held.
+Observations arrive binned, as the per-cell counts `cell_counts` makes.
 Probabilities come from Laplace-smoothed counts (uniform prior); all entropies
-are in bits. A table's conditional answering quality for a set of evidence
-variables is joint entropy minus the sum of the evidence marginal entropies,
-clamped at zero (exact only when the evidence variables are independent).
-The simulation computes it in `routing.answer_entropy`, from the entropies a
-node's local entropy sets hold; `conditional_entropy` and `clamp_diagnostics`
-remain as the table-level reference and its clamp count.
+are in bits. This module computes a table's joint entropy and the marginal
+entropies of its contexts. The conditional answering quality for a set of
+evidence variables, joint entropy minus the sum of the evidence marginal
+entropies clamped at zero (exact only when the evidence variables are
+independent), is computed from those in `routing.answer_entropy`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
 __all__ = [
     "Schema",
-    "ContextAssignment",
     "JointTable",
     "DiscretePgm",
     "cell_counts",
-    "entropy",
     "joint_entropy",
     "marginal_entropy",
-    "conditional_entropy",
-    "clamp_diagnostics",
     "NotADistribution",
     "UnknownVariable",
     "ContextMismatch",
@@ -47,10 +43,6 @@ class UnknownVariable(KeyError):
 
 class ContextMismatch(ValueError):
     pass
-
-
-# A context assignment binds context variables to concrete state indices.
-ContextAssignment = Mapping[int, int]
 
 
 def _cardinality(cards: tuple[int, ...], var: int) -> int:
@@ -132,30 +124,9 @@ class JointTable:
         return self.counts / total
 
 
-class _ClampDiagnostics:
-    """Counts how often a negative chain-rule result was clamped to zero."""
-
-    def __init__(self):
-        self.count = 0
-
-    def reset(self):
-        self.count = 0
-
-
-clamp_diagnostics = _ClampDiagnostics()
-
-
 def _entropy_bits(p: np.ndarray) -> float:
     nz = p[p > 0]
     return float(-(nz * np.log2(nz)).sum())
-
-
-def entropy(dist) -> float:
-    """Shannon entropy in bits of a probability vector, with 0*log(0) = 0."""
-    p = np.asarray(dist, dtype=float)
-    if p.size == 0 or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
-        raise NotADistribution(f"not a probability vector: {dist!r}")
-    return _entropy_bits(p)
 
 
 def joint_entropy(table: JointTable) -> float:
@@ -167,18 +138,6 @@ def marginal_entropy(table: JointTable, context: int) -> float:
     p = table.probabilities()
     other = tuple(i for i in range(p.ndim) if i != axis)
     return _entropy_bits(p.sum(axis=other))
-
-
-def conditional_entropy(table: JointTable, given: Iterable[int]) -> float:
-    """Remaining uncertainty after observing the contexts `given`: joint minus
-    the sum of the evidence marginals, clamped at zero."""
-    value = joint_entropy(table)
-    for var in given:
-        value -= marginal_entropy(table, var)
-    if value < 0:
-        clamp_diagnostics.count += 1
-        value = 0.0
-    return value
 
 
 def cell_counts(
@@ -228,24 +187,12 @@ class DiscretePgm:
             )
         return table
 
-    def observe(self, target: int, ctx: ContextAssignment, outcome: int):
-        """Count one observation; the first observation fixes the context
-        combination of the target's table."""
-        for var, state in ctx.items():
-            if not 0 <= state < self.schema.context_cardinality(var):
-                raise ValueError(f"state {state} out of range for context {var}")
-        if not 0 <= outcome < self.schema.predicting_cardinality(target):
-            raise ValueError(f"outcome {outcome} out of range for {target}")
-        table = self._table_for(target, frozenset(ctx))
-        idx = (outcome,) + tuple(ctx[c] for c in table.contexts)
-        table.counts[idx] += 1.0
-        self.observation_count[target] = self.observation_count.get(target, 0) + 1
-
     def observe_counts(self, target: int, contexts: Iterable[int], counts: np.ndarray):
-        """Bulk form of observe: add per-cell observation counts, shaped
-        (outcomes, context assignments) as `cell_counts` returns them, to the
-        target's table. A wrong-shaped or negative counts array raises
-        ValueError and leaves the table untouched."""
+        """Add per-cell observation counts, shaped (outcomes, context
+        assignments) as `cell_counts` returns them, to the target's table;
+        the first call fixes the table's context combination. A wrong-shaped
+        or negative counts array raises ValueError and leaves the table
+        untouched."""
         table = self._table_for(target, frozenset(contexts))
         n_out = table.counts.shape[0]
         counts = np.asarray(counts)

@@ -31,10 +31,6 @@ from .pgm import DiscretePgm, joint_entropy, marginal_entropy
 NodeId = int
 
 
-class MalformedAdvertisement(ValueError):
-    pass
-
-
 @dataclass(slots=True)
 class EntropySet:
     """Advertised quality summary for one predicting variable in one context
@@ -80,11 +76,6 @@ class AdvertisementPolicy:
     quality_threshold: float = 2.4
     hop_inflation: float = 0.01
 
-    def __post_init__(self):
-        if min(self.change_threshold, self.quality_threshold,
-               self.hop_inflation) < 0:
-            raise ValueError("policy fields must be non-negative")
-
 
 # what a node advertises: per predicting variable, up to K entropy sets
 Advertisement = dict[int, list[EntropySet]]
@@ -96,7 +87,6 @@ _joint = attrgetter("joint")
 class RoutingModel:
     """Summary of the knowledge reachable through one neighbor."""
 
-    k: int
     entries: dict[int, list[EntropySet]] = field(default_factory=dict)
 
     def best_score(self, target: int, bound: frozenset[int]) -> float:
@@ -141,7 +131,8 @@ class NodeState:
     the model of what is reachable through a node is kept once, as its
     `published` model, and each neighbor's `routing_models[node_id]` is that
     same object. Receivers only read their routing models; the sender's
-    advertisements are integrated into `published`."""
+    advertisements are integrated into `published`, which therefore holds
+    the last advertisement sent."""
 
     node_id: NodeId
     pgm: DiscretePgm
@@ -149,10 +140,8 @@ class NodeState:
     routing_models: dict[NodeId, RoutingModel] = field(default_factory=dict)
     # what this node's advertisements have told its neighbors so far
     published: Optional[RoutingModel] = None
-    # the last advertisement sent, and the last one built (sent or not)
-    last_advertisement: Optional[Advertisement] = None
+    # the last advertisement built, sent or not; None before the first build
     last_built: Optional[Advertisement] = None
-    models_dirty: bool = True
     # variables whose routing-model entries changed since the last build
     changed_vars: set[int] = field(default_factory=set)
     _local_sets: Optional[list[EntropySet]] = None
@@ -192,7 +181,6 @@ class NodeState:
         sender, so no caller may mutate it."""
         if changed:
             self.changed_vars |= changed
-            self.models_dirty = True
             for var in changed:
                 self._order_cache.pop(var, None)
 
@@ -221,8 +209,9 @@ def answer_entropy(
     """The node's remaining uncertainty to answer a query for `target` with
     evidence on `bound`, or None if the target is untrained here: the score
     of the node's own entropy set for `target`, which holds the joint and
-    marginal entropies of its table (the table-level
-    `pgm.conditional_entropy` gives the same value)."""
+    marginal entropies of its table, so the value is the table's joint
+    entropy minus the marginal entropies of the bound contexts it holds,
+    clamped at zero."""
     for s in local_sets:
         if s.predicting == target:
             return s.score(bound)
@@ -275,9 +264,7 @@ def build_advertisement(
                 if cur is None or s.joint + eps < cur.joint:
                     best[s.combination] = s.inflated(eps)
         winners = sorted(best.values(), key=_joint)[:k]
-        if not winners:
-            adv.pop(var, None)
-        elif winners != previous.get(var):
+        if winners != previous.get(var):
             adv[var] = winners
     return adv
 
@@ -285,9 +272,10 @@ def build_advertisement(
 def integrate_advertisement(model: RoutingModel, entries: Advertisement) -> set[int]:
     """Replace the model's entries per advertised variable; variables absent
     from the advertisement are retained. Returns the variables whose list
-    changed by value. A list the model already holds, as the same object,
-    was checked when it arrived and is skipped; any other list is checked
-    and stored as it is, sorted by joint first if it is out of order.
+    changed by value; a list the model already holds, as the same object,
+    is skipped unread. Lists are stored as they are: the engine integrates
+    only what `build_advertisement` made, at most K sets per variable over
+    distinct combinations in ascending joint order.
 
     The engine integrates each advertisement once, into the sender's
     published model, and hands the returned set to every neighbor."""
@@ -295,17 +283,7 @@ def integrate_advertisement(model: RoutingModel, entries: Advertisement) -> set[
     held = model.entries
     for var, sets in entries.items():
         old = held.get(var)
-        if old is sets:
-            continue
-        if len(sets) > model.k:
-            raise MalformedAdvertisement(
-                f"{len(sets)} sets for {var} exceeds K={model.k}"
-            )
-        if len({s.combination for s in sets}) != len(sets):
-            raise MalformedAdvertisement(f"duplicate combination for {var}")
-        if any(a.joint > b.joint for a, b in zip(sets, sets[1:])):
-            sets = sorted(sets, key=_joint)
-        if sets != old:
+        if old is not sets and sets != old:
             changed.add(var)
         held[var] = sets
     return changed
@@ -315,18 +293,16 @@ def should_advertise(
     previous: Optional[Advertisement],
     current: Advertisement,
     policy: AdvertisementPolicy,
-    changed: Optional[Iterable[int]] = None,
+    changed: Iterable[int],
 ) -> bool:
     """True when `current` differs from the last sent advertisement
-    `previous`: in its (variable, combination) keys, or by more than the
-    change threshold in a joint. Only the variables in `changed` are
-    compared (all of them when None). That is exact when every other
+    `previous` (None before the first send): in its (variable, combination)
+    keys, or by more than the change threshold in a joint. Only the
+    variables in `changed` are compared. That is exact when every other
     variable's list is the one last built, and the last build was either
     sent or within the threshold of `previous`, as the engine keeps it."""
     if previous is None:
         return True
-    if changed is None:
-        changed = previous.keys() | current.keys()
     threshold = policy.change_threshold
     for var in changed:
         old, new = previous.get(var, ()), current.get(var, ())

@@ -7,8 +7,9 @@ pair of nodes, a routing model's score with one `min` over its sets' scores,
 a node's answer from its count table, the next hop with one `min` over the
 candidate neighbors, an advertisement from scratch out of every local set
 and model entry, propagation with one private routing model per receiver,
-and the workload as raw observation streams rather than cell counts, so the
-tests check the implementation against a second, independent evaluation.
+and the workload as raw observation streams rather than cell counts,
+counted into tables one observation at a time, so the tests check the
+implementation against a second, independent evaluation.
 """
 
 import csv
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 
 from edgeknow.engine import _combination_pool
-from edgeknow.pgm import JointTable, Schema, conditional_entropy
+from edgeknow.pgm import JointTable, Schema, joint_entropy, marginal_entropy
 from edgeknow.routing import (
     Advertisement,
     AdvertisementPolicy,
@@ -88,6 +89,24 @@ def bf_true_conditional(tensor: np.ndarray, given_axes) -> float:
     return total
 
 
+def bf_conditional_entropy(table: JointTable, given: Iterable[int]) -> float:
+    """The chain-rule surrogate over a table's own entropies: joint minus
+    the marginals of the contexts `given`, clamped at zero. A variable that
+    is not one of the table's contexts raises `UnknownVariable`."""
+    value = joint_entropy(table)
+    for var in given:
+        value -= marginal_entropy(table, var)
+    return max(value, 0.0)
+
+
+def bf_observe(pgm, target: int, ctx: dict[int, int], outcome: int):
+    """Count one observation into `pgm`'s table for `target`, one cell at a
+    time: the reference for binning with `cell_counts`."""
+    table = pgm._table_for(target, frozenset(ctx))
+    table.counts[(outcome,) + tuple(ctx[c] for c in table.contexts)] += 1.0
+    pgm.observation_count[target] = pgm.observation_count.get(target, 0) + 1
+
+
 def table_from_tensor(tensor: np.ndarray, pseudocount: float = 1e-9) -> JointTable:
     """Wrap a raw count/probability tensor as a JointTable: axis 0 is the
     predicting variable, context axes follow."""
@@ -97,6 +116,12 @@ def table_from_tensor(tensor: np.ndarray, pseudocount: float = 1e-9) -> JointTab
         counts=np.asarray(tensor, dtype=float),
         pseudocount=pseudocount,
     )
+
+
+def vector_entropy(dist) -> float:
+    """The library's entropy of a probability vector: the joint entropy of
+    a table with the predicting axis alone."""
+    return joint_entropy(table_from_tensor(np.asarray(dist, dtype=float)))
 
 
 def bf_similarity(pgm_a, pgm_b) -> float:
@@ -175,13 +200,13 @@ def bf_best_score(model: RoutingModel, target: int, bound: frozenset[int]) -> fl
 
 def bf_answer_entropy(pgm, target: int, bound: Iterable[int]):
     """A node's answering quality from its count table: the clamped
-    chain-rule surrogate through `conditional_entropy`, or None when the
+    chain-rule surrogate through `bf_conditional_entropy`, or None when the
     target is untrained."""
     table = pgm.tables.get(target)
     if table is None or pgm.observation_count.get(target, 0) == 0:
         return None
     given = [v for v in bound if v in table.contexts]
-    return conditional_entropy(table, given)
+    return bf_conditional_entropy(table, given)
 
 
 def bf_next_hop(state, query):
@@ -256,30 +281,41 @@ def bf_should_advertise(
     return any(abs(new[k] - old[k]) > policy.change_threshold for k in new)
 
 
-def bf_propagate(trial) -> int:
+def well_formed(adv: Advertisement, k: int) -> bool:
+    """What receivers store unchecked: per variable, one to K sets over
+    distinct combinations, in ascending joint order."""
+    return all(
+        0 < len(sets) <= k
+        and len({s.combination for s in sets}) == len(sets)
+        and all(a.joint <= b.joint for a, b in zip(sets, sets[1:]))
+        for sets in adv.values()
+    )
+
+
+def bf_propagate(trial, sent: dict[int, Advertisement]) -> int:
     """Phase 1 of a cycle with one private routing model per receiver: every
     neighbor of a sender integrates the advertisement into its own copy.
-    Give each node private `routing_models` before the first call. Returns
-    the cycle's `adv_sets_sent`."""
+    Give each node private `routing_models` before the first call. `sent`
+    maps each node to the last advertisement it sent, and is updated.
+    Returns the cycle's `adv_sets_sent`."""
     config = trial.config
     policy = config.resolved_policy()
     adv_sets_sent = 0
     outgoing = []
     for state in trial.nodes:
-        if not state.models_dirty:
+        if state.last_built is not None and not state.changed_vars:
             continue
         changed = state.changed_vars
         current = build_advertisement(
             state.local_sets(), state.routing_models.values(), policy,
             config.k_sets, state.last_built, changed,
         )
-        if should_advertise(state.last_advertisement, current, policy, changed):
+        if should_advertise(sent.get(state.node_id), current, policy, changed):
             outgoing.append((state, current))
         state.last_built = current
         state.changed_vars = set()
-        state.models_dirty = False
     for state, adv in outgoing:
-        state.last_advertisement = adv
+        sent[state.node_id] = adv
         for nb in state.neighbors:
             receiver = trial.nodes[nb]
             receiver.models_changed(

@@ -1,7 +1,9 @@
 import os
+from unittest import mock
 
 import pytest
 
+from edgeknow import cli
 from edgeknow.cli import main
 
 from conftest import export_workload_csv
@@ -88,8 +90,15 @@ class TestRun:
     def test_bad_sweep_spec(self, tmp_path):
         assert run_cli(BASE + ["--sweep", "bogus=1", "--out", tmp_path]) == 2
 
-    def test_bad_config_value(self, tmp_path):
+    def test_bad_config_value(self, tmp_path, capsys):
         assert run_cli(["run", "--nodes", "0", "--out", tmp_path]) == 2
+        assert "node_count must be >= 1" in capsys.readouterr().err
+        cfg = tmp_path / "trial.cfg"
+        cfg.write_text("cycles = 2\nnodes=abc\n")
+        assert run_cli(["run", "--config", cfg, "--out", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:2: nodes: invalid literal for int()" in err
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize(
         "flags, message",
@@ -113,8 +122,9 @@ class TestRun:
             (["--sweep", "k=1,x"], None, "got '1,x'"),
             (["--hops", "-3"], None, "hop_budget must be >= 0"),
             (["--cycles", "-1"], None, "cycles must be >= 0"),
+            (["--threads", "0"], None, "--threads must be >= 1, got 0"),
         ],
-        ids=["seed", "env-seed", "sweep", "hops", "cycles"],
+        ids=["seed", "env-seed", "sweep", "hops", "cycles", "threads"],
     )
     def test_bad_number_exits_2(
         self, tmp_path, capsys, monkeypatch, flags, env, message
@@ -158,11 +168,30 @@ class TestRun:
         assert run_cli(BASE + ["--config", cfg, "--seed", "2", "--out", out]) == 0
         assert [p.name for p in out.glob("run_*.csv")] == ["run_seed2_abs.csv"]
 
-    def test_unknown_config_key(self, tmp_path):
+    def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "trial.cfg"
-        for text in ("wat = 1\n", "nodes 12\n"):
+        for text, message in (
+            ("# trial\nwat = 1\n", "2: wat: unknown config key"),
+            ("nodes 12\n", "1: nodes 12: expected key=value"),
+            ("seed = 1,x\n", "1: seed: expected comma-separated integers"),
+        ):
             cfg.write_text(text)
             assert run_cli(["run", "--config", cfg, "--out", tmp_path]) == 2
+            err = capsys.readouterr().err
+            assert f"{cfg}:{message}" in err and len(err.splitlines()) == 1
+
+    def test_pool_never_exceeds_the_runs(self, tmp_path, monkeypatch):
+        # a stand-in pool that runs the jobs in this process
+        pool = mock.MagicMock()
+        pool.return_value.__enter__.return_value.map = map
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", pool)
+        out = tmp_path / "out"
+        args = BASE + ["--strategy", "both", "--threads", "64", "--out", out]
+        assert run_cli(args) == 0
+        assert len(list(out.glob("run_*.csv"))) == 2
+        assert run_cli(BASE + ["--threads", "64", "--out", out]) == 0
+        # one run goes serially
+        assert pool.call_args_list == [mock.call(max_workers=2)]
 
     def test_workload_csv_input(self, tmp_path):
         wl_path = export_small_workload(tmp_path / "workload.csv")
@@ -194,6 +223,7 @@ class TestRun:
             "0,1,2,c-1=0",  # negative context variable
             "0,-1,2,c0=0",  # negative predicting variable
             "0,1,3,c1=0",  # node 0, variable 1 bound c0 on line 2
+            "0,1,2,c0=1,c0=2",  # c0 bound twice
         ],
     )
     def test_bad_workload_row_exits_2_with_line(self, tmp_path, capsys, row):
@@ -249,6 +279,14 @@ class TestTopology:
         out = tmp_path / "topo"
         assert run_cli(["topology", "--nodes", "10", "--m", "0", "--out", out]) == 2
         assert "need 1 <= m < m0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_too_few_nodes_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "topo"
+        args = ["topology", "--nodes", "1", "--edge-limit", "5", "--out", out]
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert err == "bad config: need at least m0=4 nodes, got 1\n"
         assert not out.exists()
 
     def test_bad_seed_exits_2(self, tmp_path, capsys):

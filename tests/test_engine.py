@@ -26,15 +26,18 @@ from edgeknow.engine import (
     setup_trial,
     train_pgms,
 )
-from edgeknow.pgm import DiscretePgm, Schema, cell_counts, conditional_entropy
+from edgeknow.pgm import DiscretePgm, Schema, cell_counts
 from edgeknow.routing import NodeState, Query, RoutingModel
 from edgeknow.topology import AttachmentParams
 
 from conftest import (
     bf_chain_rule,
+    bf_conditional_entropy,
     bf_generate_workload,
+    bf_observe,
     bf_propagate,
     export_workload_csv,
+    well_formed,
 )
 
 
@@ -133,7 +136,7 @@ class TestWorkload:
             for flat, outcome in zip(flat_idx, outcomes):
                 states = np.unravel_index(flat, cards)
                 ctx = {c: int(s) for c, s in zip(contexts, states)}
-                want[node_id].observe(var, ctx, int(outcome))
+                bf_observe(want[node_id], var, ctx, int(outcome))
         got = train_pgms(wl, config.pseudocount)
         for a, b in zip(got, want):
             assert a.observation_count == b.observation_count
@@ -167,7 +170,7 @@ class TestTrainedModels:
             TrainedAssignment(0, 0, (0,), cell_counts(4, 2, flat, outcomes))
         )
         pgm = train_pgms(wl, pseudocount=0.01)[0]
-        h = conditional_entropy(pgm.tables[0], [0])
+        h = NodeState(0, pgm).local_answer(0, frozenset({0}))
         assert h < 0.2
 
 
@@ -259,15 +262,14 @@ class TestOracle:
     def test_min_over_nodes_and_uniform_fallback(self):
         schema = Schema((4,), (2,))
         trained = DiscretePgm(schema, pseudocount=0.01)
-        for _ in range(200):
-            trained.observe(0, {0: 0}, 2)
+        trained.observe_counts(0, (0,), cell_counts(4, 2, [0] * 200, [2] * 200))
         nodes = [
             NodeState(0, DiscretePgm(schema)),
             NodeState(1, trained),
         ]
         q = Query(0, {0: 1}, 3, 0)
         best = oracle_best(q, nodes, pred_card=4)
-        want = conditional_entropy(trained.tables[0], [0])
+        want = bf_conditional_entropy(trained.tables[0], [0])
         assert best == pytest.approx(want)
 
     def test_all_untrained_is_uniform(self):
@@ -305,10 +307,8 @@ class TestTrialSetup:
         for state in trial.nodes:
             assert sorted(trial.overlay.neighbors(state.node_id)) == state.neighbors
             assert set(state.routing_models) == set(state.neighbors)
-            for model in state.routing_models.values():
-                assert model.k == config.k_sets
             # every neighbor holds the node's one published model
-            assert state.published.k == config.k_sets
+            assert state.published.entries == {}
             for nb in state.neighbors:
                 assert trial.nodes[nb].routing_models[state.node_id] is state.published
         assert len({id(state.published) for state in trial.nodes}) == len(trial.nodes)
@@ -463,19 +463,21 @@ class TestSharedModels:
         trial = setup_trial(config)
         ref = setup_trial(config)
         for state in ref.nodes:
-            state.routing_models = {
-                nb: RoutingModel(k=config.k_sets) for nb in state.neighbors
-            }
+            state.routing_models = {nb: RoutingModel() for nb in state.neighbors}
+        ref_sent: dict = {}
         for cycle in range(1, config.cycles + 1):
             sent = run_cycle(trial, cycle).adv_sets_sent
-            assert bf_propagate(ref) == sent
+            assert bf_propagate(ref, ref_sent) == sent
             for state in trial.nodes:
                 for nb in state.neighbors:
                     private = ref.nodes[nb].routing_models[state.node_id]
                     assert private == state.published
                     assert private is not state.published
             for a, b in zip(trial.nodes, ref.nodes):
-                assert a.last_advertisement == b.last_advertisement
+                # the published model is the last advertisement sent
+                assert a.published.entries == ref_sent[a.node_id]
+                assert a.last_built == b.last_built
+                assert well_formed(a.last_built, config.k_sets)
                 assert a.changed_vars == b.changed_vars
 
 

@@ -17,7 +17,7 @@ from edgeknow.topology import (
     survival_slope,
 )
 
-from conftest import bf_generate
+from conftest import bf_generate, bf_observe
 
 SCHEMA = Schema(
     predicting_cardinalities=tuple([2] * 12), context_cardinalities=(2,)
@@ -27,7 +27,7 @@ SCHEMA = Schema(
 def pgm_with(var_indices):
     pgm = DiscretePgm(SCHEMA)
     for i in var_indices:
-        pgm.observe(i, {0: 0}, 0)
+        bf_observe(pgm, i, {0: 0}, 0)
     return pgm
 
 
@@ -218,7 +218,7 @@ def grow_both(m0, m, floor, edge_limit, var_count, trained, seed):
     for variables in trained:
         pgm = DiscretePgm(schema)
         for var in variables:
-            pgm.observe(var, {0: 0}, 0)
+            bf_observe(pgm, var, {0: 0}, 0)
         pgms.append(pgm)
     params = AttachmentParams(m0=m0, m=m, similarity_floor=floor)
     return (
