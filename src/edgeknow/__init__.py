@@ -1,7 +1,7 @@
 """Entropy-guided query routing over networks of locally trained discrete PGMs."""
 
 from .engine import SimConfig, Strategy, TrialMetrics, run_trial
-from .pgm import DiscretePgm, Schema
+from .pgm import JointTable, Schema
 from .routing import AdvertisementPolicy, Query
 from .topology import AttachmentParams, Overlay, generate
 
@@ -12,7 +12,7 @@ __all__ = [
     "Strategy",
     "TrialMetrics",
     "run_trial",
-    "DiscretePgm",
+    "JointTable",
     "Schema",
     "AdvertisementPolicy",
     "Query",

@@ -287,8 +287,8 @@ def cmd_topology(args) -> int:
         print(f"bad config: {exc}", file=sys.stderr)
         return 2
     workload = generate_workload(config, seed)
-    pgms = train_pgms(workload)
-    overlay = generate(config.attachment, pgms, limit, seed)
+    trained = [tables.keys() for tables in train_pgms(workload)]
+    overlay = generate(config.attachment, trained, limit, seed)
     args.out.mkdir(parents=True, exist_ok=True)
     overlay.write_edge_list(args.out / "edges.txt")
     overlay.write_degree_csv(args.out / "degree_histogram.csv")

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .pgm import DiscretePgm, Schema, UnknownVariable, cell_counts
+from .pgm import JointTable, Schema, UnknownVariable, cell_counts
 from .routing import (
     Advertisement,
     AdvertisementPolicy,
@@ -69,6 +69,9 @@ class SimConfig:
     def __post_init__(self):
         if self.contexts_per_table > self.context_var_count:
             raise ValueError("contexts_per_table exceeds context_var_count")
+        # nan fails too: it would make every answer nan
+        if not 0 < self.pseudocount < math.inf:
+            raise ValueError(f"pseudocount must be in (0, inf), got {self.pseudocount}")
         for name in (
             "node_count",
             "predicting_var_count",
@@ -117,7 +120,8 @@ class SimConfig:
 class TrainedAssignment:
     """One node's observations of one variable under one context combination,
     held as `cell_counts`: how many fell into each (outcome, context
-    assignment) cell, assignments flattened row-major in `contexts` order."""
+    assignment) cell, assignments flattened row-major in `contexts` order.
+    `contexts` is strictly ascending, the axis order of the trained table."""
 
     node_id: int
     var: int
@@ -175,14 +179,21 @@ def generate_workload(config: SimConfig, seed: int) -> Workload:
     return workload
 
 
-def train_pgms(workload: Workload, pseudocount: float = 1.0) -> list[DiscretePgm]:
-    pgms = [
-        DiscretePgm(schema=workload.schema, pseudocount=pseudocount)
-        for _ in range(workload.node_count)
-    ]
+def train_pgms(
+    workload: Workload, pseudocount: float = 1.0
+) -> list[dict[int, JointTable]]:
+    """Per node, the Laplace-smoothed count table of each variable it
+    observed: pseudocount plus the entry's counts, with one axis per
+    context. An entry without observations trains nothing."""
+    tables: list[dict[int, JointTable]] = [{} for _ in range(workload.node_count)]
+    cards = workload.schema.context_cardinalities
     for entry in workload.entries:
-        pgms[entry.node_id].observe_counts(entry.var, entry.contexts, entry.counts)
-    return pgms
+        if entry.counts.any():
+            shape = entry.counts.shape[:1] + tuple(cards[c] for c in entry.contexts)
+            tables[entry.node_id][entry.var] = JointTable(
+                entry.var, entry.contexts, (pseudocount + entry.counts).reshape(shape)
+            )
+    return tables
 
 
 def _check_field(cardinality, var: int, state: int, name: str):
@@ -364,19 +375,44 @@ def _cached_oracle(trial: TrialState, query: Query) -> float:
 
 def check_workload(config: SimConfig, workload: Workload):
     """Raise ValueError unless the workload has the config's node count and
-    schema."""
+    schema, and every entry trains a known variable of one of its nodes
+    against strictly ascending known contexts, once per (node, variable),
+    with non-negative counts of the shape `cell_counts` gives."""
     if workload.node_count != config.node_count:
         raise ValueError(
             f"workload has {workload.node_count} nodes, config {config.node_count}"
         )
-    if workload.schema != config.schema():
-        have, want = workload.schema, config.schema()
+    schema = config.schema()
+    if workload.schema != schema:
+        have, want = (
+            f"{len(s.predicting_cardinalities)}/{len(s.context_cardinalities)}"
+            for s in (workload.schema, schema)
+        )
         raise ValueError(
             "workload schema differs from the config's (predicting/context "
-            f"variables {len(have.predicting_cardinalities)}/"
-            f"{len(have.context_cardinalities)} vs "
-            f"{len(want.predicting_cardinalities)}/{len(want.context_cardinalities)})"
+            f"variables {have} vs {want})"
         )
+    seen = set()
+    for entry in workload.entries:
+        where = f"entry for node {entry.node_id}, variable {entry.var}"
+        try:
+            if not 0 <= entry.node_id < workload.node_count:
+                raise ValueError(f"node outside {workload.node_count} nodes")
+            if (entry.node_id, entry.var) in seen:
+                raise ValueError("listed twice")
+            seen.add((entry.node_id, entry.var))
+            if list(entry.contexts) != sorted(set(entry.contexts)):
+                raise ValueError(f"contexts {entry.contexts} not strictly ascending")
+            cards = map(schema.context_cardinality, entry.contexts)
+            shape = (schema.predicting_cardinality(entry.var), math.prod(cards))
+            if np.shape(entry.counts) != shape:
+                raise ValueError(f"counts shaped {np.shape(entry.counts)}, not {shape}")
+            if np.min(entry.counts) < 0:
+                raise ValueError("negative counts")
+        except UnknownVariable as exc:
+            raise ValueError(f"{where}: unknown variable {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
 
 
 def setup_trial(config: SimConfig, workload: Optional[Workload] = None) -> TrialState:
@@ -388,13 +424,13 @@ def setup_trial(config: SimConfig, workload: Optional[Workload] = None) -> Trial
         )
     else:
         check_workload(config, workload)
-    pgms = train_pgms(workload, config.pseudocount)
+    tables = train_pgms(workload, config.pseudocount)
     if config.node_count == 1:
         overlay = Overlay(adjacency={0: set()}, edge_limit=config.edge_limit)
     else:
         overlay = generate(
             config.attachment,
-            pgms,
+            [node_tables.keys() for node_tables in tables],
             config.edge_limit,
             seed=int(s_topology.generate_state(1)[0]),
         )
@@ -406,7 +442,7 @@ def setup_trial(config: SimConfig, workload: Optional[Workload] = None) -> Trial
         nodes.append(
             NodeState(
                 node_id=node_id,
-                pgm=pgms[node_id],
+                tables=tables[node_id],
                 neighbors=neighbors,
                 routing_models={nb: models[nb] for nb in neighbors},
                 published=models[node_id],
@@ -416,8 +452,8 @@ def setup_trial(config: SimConfig, workload: Optional[Workload] = None) -> Trial
     for entry in workload.entries:
         trained_combos.setdefault(entry.var, set()).add(entry.contexts)
     trainers: dict[int, list[int]] = {}
-    for node_id, pgm in enumerate(pgms):
-        for var in sorted(pgm.trained_vars):
+    for node_id, node_tables in enumerate(tables):
+        for var in sorted(node_tables):
             trainers.setdefault(var, []).append(node_id)
     return TrialState(
         config=config,

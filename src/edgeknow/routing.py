@@ -26,7 +26,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .pgm import DiscretePgm, joint_entropy, marginal_entropy
+from .pgm import JointTable, joint_entropy, marginal_entropy
 
 NodeId = int
 
@@ -121,11 +121,12 @@ class Query:
 
 @dataclass
 class NodeState:
-    """Everything one node owns: its PGM, its neighborhood, and one routing
-    model per neighbor. The local caches are safe because the PGM is static
-    once the simulation cycles start; the forwarding orders and the next
-    advertisement depend on the routing models, so whoever changes a model
-    calls `models_changed`.
+    """Everything one node owns: its model (a smoothed count table per
+    trained predicting variable), its neighborhood, and one routing model
+    per neighbor. The local sets, computed from the tables on first use,
+    are safe to keep because the tables are static once the cycles start;
+    the forwarding orders and the next advertisement depend on the routing
+    models, so whoever changes a model calls `models_changed`.
 
     Every neighbor receives the same advertisements in the same order, so
     the model of what is reachable through a node is kept once, as its
@@ -135,7 +136,7 @@ class NodeState:
     the last advertisement sent."""
 
     node_id: NodeId
-    pgm: DiscretePgm
+    tables: dict[int, JointTable]
     neighbors: list[NodeId] = field(default_factory=list)
     routing_models: dict[NodeId, RoutingModel] = field(default_factory=dict)
     # what this node's advertisements have told its neighbors so far
@@ -150,7 +151,7 @@ class NodeState:
 
     def local_sets(self) -> list[EntropySet]:
         if self._local_sets is None:
-            self._local_sets = local_entropy_sets(self.pgm)
+            self._local_sets = local_entropy_sets(self.tables)
         return self._local_sets
 
     def local_answer(self, target: int, bound: frozenset[int]) -> Optional[float]:
@@ -185,12 +186,12 @@ class NodeState:
                 self._order_cache.pop(var, None)
 
 
-def local_entropy_sets(pgm: DiscretePgm) -> list[EntropySet]:
-    """One full entropy set per trained predicting variable, computed from
-    its joint table."""
+def local_entropy_sets(tables: dict[int, JointTable]) -> list[EntropySet]:
+    """One full entropy set per trained predicting variable, in ascending
+    order, computed from its joint table."""
     sets = []
-    for var in sorted(pgm.trained_vars):
-        table = pgm.tables[var]
+    for var in sorted(tables):
+        table = tables[var]
         sets.append(
             EntropySet(
                 predicting=var,
@@ -238,8 +239,6 @@ def build_advertisement(
     a rebuilt list equal to the previous one is kept as that same object, so
     receivers can skip it by identity. Without `previous`, every variable is
     built."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     models = [model.entries for model in routing_models]
     local: dict[int, list[EntropySet]] = {}
     for s in local_sets:
@@ -319,7 +318,7 @@ def should_advertise(
 
 
 def _arrive(state: NodeState, query: Query, bound: frozenset[int]) -> bool:
-    """Handle one query arrival: take over the answer when the local PGM's is
+    """Handle one query arrival: take over the answer when the local model's is
     strictly better and record the visit. True when the query goes on, that
     is when hops remain and the node has neighbors; the hop is then spent."""
     local = state.local_answer(query.target, bound)

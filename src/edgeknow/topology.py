@@ -9,15 +9,9 @@ edge limit are excluded so the degree cap is hard.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
-
-from .pgm import DiscretePgm
-
-
-class IncompatibleModels(ValueError):
-    pass
 
 
 class NoAttachmentTarget(RuntimeError):
@@ -84,15 +78,14 @@ class Overlay:
                 f.write(f"{deg},{count}\n")
 
 
-def incidence_matrix(node_pgms: Sequence[DiscretePgm]) -> np.ndarray:
+def incidence_matrix(trained: Sequence[Collection[int]]) -> np.ndarray:
     """Node x predicting-variable matrix with a 1 where the node trained the
-    variable. Integer, not bool, so a product counts shared variables."""
-    inc = np.zeros(
-        (len(node_pgms), len(node_pgms[0].schema.predicting_cardinalities)),
-        dtype=np.int64,
-    )
-    for i, pgm in enumerate(node_pgms):
-        inc[i, sorted(pgm.trained_vars)] = 1
+    variable, one column per id up to the largest trained. Integer, not
+    bool, so a product counts shared variables."""
+    width = 1 + max((max(ids, default=-1) for ids in trained), default=-1)
+    inc = np.zeros((len(trained), width), dtype=np.int64)
+    for i, ids in enumerate(trained):
+        inc[i, list(ids)] = 1
     return inc
 
 
@@ -159,18 +152,17 @@ def attach(
 
 def generate(
     params: AttachmentParams,
-    node_pgms: Sequence[DiscretePgm],
+    trained: Sequence[Collection[int]],
     edge_limit: int,
     seed: int,
 ) -> Overlay:
-    """Grow the overlay: a clique of the first m0 nodes, then similarity-
-    weighted preferential attachment for each subsequent node, followed by a
+    """Grow the overlay over nodes with the given trained predicting-variable
+    ids: a clique of the first m0 nodes, then similarity-weighted
+    preferential attachment for each subsequent node, followed by a
     connectivity repair pass."""
-    n = len(node_pgms)
+    n = len(trained)
     if n < params.m0:
         raise ValueError(f"need at least m0={params.m0} nodes, got {n}")
-    if any(pgm.schema != node_pgms[0].schema for pgm in node_pgms):
-        raise IncompatibleModels("schemas differ")
     rng = np.random.default_rng(seed)
     overlay = Overlay(
         adjacency={i: set() for i in range(params.m0)},
@@ -181,7 +173,7 @@ def generate(
             overlay.add_edge(u, v)
     degree = np.zeros(n, dtype=np.int64)
     degree[: params.m0] = params.m0 - 1
-    inc = incidence_matrix(node_pgms)
+    inc = incidence_matrix(trained)
     sizes = inc.sum(axis=1)
     for new_id in range(params.m0, n):
         attach(

@@ -4,11 +4,11 @@ The oracles here deliberately avoid the library's vectorized and
 incremental code paths: entropies are computed with plain Python loops over
 explicitly enumerated cells, overlay growth with one `bf_similarity` call per
 pair of nodes, a routing model's score with one `min` over its sets' scores,
-a node's answer from its count table, the next hop with one `min` over the
+a node's answer from its workload entry, the next hop with one `min` over the
 candidate neighbors, an advertisement from scratch out of every local set
 and model entry, propagation with one private routing model per receiver,
 and the workload as raw observation streams rather than cell counts,
-counted into tables one observation at a time, so the tests check the
+counted into plain tensors one observation at a time, so the tests check the
 implementation against a second, independent evaluation.
 """
 
@@ -31,12 +31,7 @@ from edgeknow.routing import (
     integrate_advertisement,
     should_advertise,
 )
-from edgeknow.topology import (
-    IncompatibleModels,
-    NoAttachmentTarget,
-    Overlay,
-    _repair_connectivity,
-)
+from edgeknow.topology import NoAttachmentTarget, Overlay, _repair_connectivity
 
 
 def bf_entropy(probs) -> float:
@@ -99,22 +94,20 @@ def bf_conditional_entropy(table: JointTable, given: Iterable[int]) -> float:
     return max(value, 0.0)
 
 
-def bf_observe(pgm, target: int, ctx: dict[int, int], outcome: int):
-    """Count one observation into `pgm`'s table for `target`, one cell at a
-    time: the reference for binning with `cell_counts`."""
-    table = pgm._table_for(target, frozenset(ctx))
-    table.counts[(outcome,) + tuple(ctx[c] for c in table.contexts)] += 1.0
-    pgm.observation_count[target] = pgm.observation_count.get(target, 0) + 1
+def bf_observe(tensor: np.ndarray, ctx: dict[int, int], outcome: int):
+    """Count one observation into a plain (outcome x context states) count
+    tensor, context axes in ascending variable order, one cell at a time:
+    the reference for binning with `cell_counts`."""
+    tensor[(outcome,) + tuple(ctx[c] for c in sorted(ctx))] += 1
 
 
-def table_from_tensor(tensor: np.ndarray, pseudocount: float = 1e-9) -> JointTable:
+def table_from_tensor(tensor: np.ndarray) -> JointTable:
     """Wrap a raw count/probability tensor as a JointTable: axis 0 is the
     predicting variable, context axes follow."""
     return JointTable(
         predicting=0,
         contexts=tuple(range(tensor.ndim - 1)),
         counts=np.asarray(tensor, dtype=float),
-        pseudocount=pseudocount,
     )
 
 
@@ -124,27 +117,25 @@ def vector_entropy(dist) -> float:
     return joint_entropy(table_from_tensor(np.asarray(dist, dtype=float)))
 
 
-def bf_similarity(pgm_a, pgm_b) -> float:
-    """Overlap coefficient of the trained predicting-variable sets:
+def bf_similarity(a: set[int], b: set[int]) -> float:
+    """Overlap coefficient of two trained predicting-variable sets:
     |A & B| / min(|A|, |B|); zero when either set is empty."""
-    if pgm_a.schema != pgm_b.schema:
-        raise IncompatibleModels("schemas differ")
-    a, b = pgm_a.trained_vars, pgm_b.trained_vars
     if not a or not b:
         return 0.0
     return len(a & b) / min(len(a), len(b))
 
 
 def bf_attachment_probabilities(overlay, arriving, existing, similarity_floor):
-    """Attachment probabilities over the (node, pgm) pairs in `existing`,
-    one similarity per pair; saturated nodes get probability zero."""
+    """Attachment probabilities over the (node, trained set) pairs in
+    `existing`, one similarity per pair; saturated nodes get probability
+    zero."""
     degrees = np.array([overlay.degree(n) for n, _ in existing], dtype=float)
     total = degrees.sum()
     weights = np.zeros(len(existing))
-    for i, (node, pgm) in enumerate(existing):
+    for i, (node, trained) in enumerate(existing):
         if overlay.degree(node) >= overlay.edge_limit:
             continue
-        sim = max(bf_similarity(arriving, pgm), similarity_floor)
+        sim = max(bf_similarity(arriving, trained), similarity_floor)
         weights[i] = degrees[i] / total * sim if total > 0 else sim
     wsum = weights.sum()
     if wsum <= 0:
@@ -152,11 +143,12 @@ def bf_attachment_probabilities(overlay, arriving, existing, similarity_floor):
     return weights / wsum
 
 
-def bf_generate(params, node_pgms, edge_limit, seed) -> Overlay:
-    """Similarity-weighted preferential attachment as one Python loop over
-    the pool of unlinked (node, pgm) pairs per draw, then the library's
-    connectivity repair pass."""
-    n = len(node_pgms)
+def bf_generate(params, trained, edge_limit, seed) -> Overlay:
+    """Similarity-weighted preferential attachment over nodes with the given
+    trained-variable sets, as one Python loop over the pool of unlinked
+    (node, trained set) pairs per draw, then the library's connectivity
+    repair pass."""
+    n = len(trained)
     if n < params.m0:
         raise ValueError(f"need at least m0={params.m0} nodes, got {n}")
     rng = np.random.default_rng(seed)
@@ -167,19 +159,19 @@ def bf_generate(params, node_pgms, edge_limit, seed) -> Overlay:
         for v in range(u + 1, params.m0):
             overlay.add_edge(u, v)
     for new_id in range(params.m0, n):
-        existing = [(node, node_pgms[node]) for node in overlay.nodes]
+        existing = [(node, trained[node]) for node in overlay.nodes]
         overlay.adjacency[new_id] = set()
         for _ in range(params.m):
             pool = [
-                (node, pgm)
-                for node, pgm in existing
+                (node, ids)
+                for node, ids in existing
                 if node not in overlay.adjacency[new_id]
             ]
             if not pool:
                 break
             try:
                 probs = bf_attachment_probabilities(
-                    overlay, node_pgms[new_id], pool, params.similarity_floor
+                    overlay, trained[new_id], pool, params.similarity_floor
                 )
             except NoAttachmentTarget:
                 overlay.saturation_warnings += 1
@@ -198,13 +190,17 @@ def bf_best_score(model: RoutingModel, target: int, bound: frozenset[int]) -> fl
     )
 
 
-def bf_answer_entropy(pgm, target: int, bound: Iterable[int]):
-    """A node's answering quality from its count table: the clamped
-    chain-rule surrogate through `bf_conditional_entropy`, or None when the
-    target is untrained."""
-    table = pgm.tables.get(target)
-    if table is None or pgm.observation_count.get(target, 0) == 0:
+def bf_answer_entropy(entry, schema, pseudocount, bound: Iterable[int]):
+    """A node's answering quality from the workload entry it trained the
+    target on: the clamped chain-rule surrogate through
+    `bf_conditional_entropy` over the entry's smoothed count table, or None
+    when there is no entry or it holds no observation."""
+    if entry is None or entry.counts.sum() == 0:
         return None
+    shape = [schema.predicting_cardinality(entry.var)]
+    shape += [schema.context_cardinality(c) for c in entry.contexts]
+    counts = np.reshape(entry.counts + pseudocount, shape)
+    table = JointTable(entry.var, entry.contexts, counts)
     given = [v for v in bound if v in table.contexts]
     return bf_conditional_entropy(table, given)
 
@@ -236,9 +232,6 @@ def bf_build_advertisement(
     node would advertise: per predicting variable, the K lowest-joint sets over
     distinct context combinations, with sets drawn from routing models inflated
     by one hop and low-quality local sets reduced to joint-only form."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-
     # per variable, per combination: the minimum-joint candidate
     best: dict[int, dict[frozenset, EntropySet]] = {}
 

@@ -221,11 +221,11 @@ class TestAcceptance:
 
     def test_07_topology_cap_and_tail(self):
         config = SimConfig(node_count=800, observations_per_var=50, seed=0)
-        pgms = train_pgms(generate_workload(config, seed=0))
-        capped = generate(AttachmentParams(), pgms, 60, seed=0)
+        trained = [t.keys() for t in train_pgms(generate_workload(config, seed=0))]
+        capped = generate(AttachmentParams(), trained, 60, seed=0)
         degrees = [capped.degree(n) for n in capped.nodes]
         at_limit = sum(d == 60 for d in degrees)
-        uncapped = generate(AttachmentParams(), pgms, 800, seed=0)
+        uncapped = generate(AttachmentParams(), trained, 800, seed=0)
         slope = survival_slope([uncapped.degree(n) for n in uncapped.nodes])
         ok = max(degrees) <= 60 and at_limit >= 2 and -3.5 <= slope <= -1.5
         report(

@@ -15,6 +15,7 @@ from edgeknow.engine import (
     TrialMetrics,
     Workload,
     _cached_oracle,
+    check_workload,
     _make_query,
     accuracy,
     generate_workload,
@@ -26,7 +27,7 @@ from edgeknow.engine import (
     setup_trial,
     train_pgms,
 )
-from edgeknow.pgm import DiscretePgm, Schema, cell_counts
+from edgeknow.pgm import JointTable, Schema, cell_counts
 from edgeknow.routing import NodeState, Query, RoutingModel
 from edgeknow.topology import AttachmentParams
 
@@ -121,10 +122,8 @@ class TestWorkload:
         wl = generate_workload(config, seed)
         ref = bf_generate_workload(config, seed)
         assert len(wl.entries) == len(ref)
-        schema = config.schema()
-        want = [
-            DiscretePgm(schema, config.pseudocount) for _ in range(config.node_count)
-        ]
+        shape = [config.predicting_cardinality]
+        want = [{} for _ in range(config.node_count)]
         for entry, (node_id, var, contexts, flat_idx, outcomes) in zip(wl.entries, ref):
             assert (entry.node_id, entry.var, entry.contexts) == (node_id, var, contexts)
             n_cells = entry.counts.size
@@ -133,26 +132,28 @@ class TestWorkload:
             )
             assert np.array_equal(entry.counts.ravel(), cells)
             cards = [config.context_cardinality] * len(contexts)
+            tensor = np.full(shape + cards, config.pseudocount)
             for flat, outcome in zip(flat_idx, outcomes):
                 states = np.unravel_index(flat, cards)
                 ctx = {c: int(s) for c, s in zip(contexts, states)}
-                bf_observe(want[node_id], var, ctx, int(outcome))
+                bf_observe(tensor, ctx, int(outcome))
+            want[node_id][var] = (contexts, tensor)
         got = train_pgms(wl, config.pseudocount)
-        for a, b in zip(got, want):
-            assert a.observation_count == b.observation_count
-            assert a.tables.keys() == b.tables.keys()
-            for var, table in a.tables.items():
-                assert table.contexts == b.tables[var].contexts
-                assert np.array_equal(table.counts, b.tables[var].counts)
+        for tables, ref_tables in zip(got, want):
+            assert tables.keys() == ref_tables.keys()
+            for var, table in tables.items():
+                assert table.predicting == var
+                assert table.contexts == ref_tables[var][0]
+                assert np.array_equal(table.counts, ref_tables[var][1])
 
 
 class TestTrainedModels:
     def test_training_reproduces_counts(self):
         config = small_config()
         wl = generate_workload(config, seed=5)
-        pgms = train_pgms(wl, config.pseudocount)
+        tables = train_pgms(wl, config.pseudocount)
         entry = wl.entries[0]
-        table = pgms[entry.node_id].tables[entry.var]
+        table = tables[entry.node_id][entry.var]
         assert table.counts.sum() == pytest.approx(
             config.pseudocount * table.counts.size + config.observations_per_var
         )
@@ -169,9 +170,22 @@ class TestTrainedModels:
         wl.entries.append(
             TrainedAssignment(0, 0, (0,), cell_counts(4, 2, flat, outcomes))
         )
-        pgm = train_pgms(wl, pseudocount=0.01)[0]
-        h = NodeState(0, pgm).local_answer(0, frozenset({0}))
+        tables = train_pgms(wl, pseudocount=0.01)[0]
+        h = NodeState(0, tables).local_answer(0, frozenset({0}))
         assert h < 0.2
+
+    def test_entry_without_observations_trains_nothing(self):
+        # so no table is ever built without mass, and an untrained
+        # variable has no local answer
+        wl = Workload(schema=Schema((2, 2), (2,)), node_count=2)
+        wl.entries += [
+            TrainedAssignment(0, 0, (0,), np.zeros((2, 2), dtype=np.int64)),
+            TrainedAssignment(0, 1, (), np.array([[0], [1]])),
+            TrainedAssignment(1, 0, (), np.zeros((2, 1), dtype=np.int64)),
+        ]
+        tables = train_pgms(wl, pseudocount=0.5)
+        assert [sorted(t) for t in tables] == [[1], []]
+        assert NodeState(0, tables[0]).local_answer(0, frozenset()) is None
 
 
 class TestCsvRoundTrip:
@@ -190,10 +204,10 @@ class TestCsvRoundTrip:
                 eb.node_id, eb.var, eb.contexts
             )
             assert np.array_equal(ea.counts, eb.counts)
-        for pa, pb in zip(a, b):
-            assert pa.trained_vars == pb.trained_vars
-            for var in pa.trained_vars:
-                assert np.array_equal(pa.tables[var].counts, pb.tables[var].counts)
+        for ta, tb in zip(a, b):
+            assert ta.keys() == tb.keys()
+            for var in ta:
+                assert np.array_equal(ta[var].counts, tb[var].counts)
 
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -260,21 +274,16 @@ class TestAccuracy:
 
 class TestOracle:
     def test_min_over_nodes_and_uniform_fallback(self):
-        schema = Schema((4,), (2,))
-        trained = DiscretePgm(schema, pseudocount=0.01)
-        trained.observe_counts(0, (0,), cell_counts(4, 2, [0] * 200, [2] * 200))
-        nodes = [
-            NodeState(0, DiscretePgm(schema)),
-            NodeState(1, trained),
-        ]
+        counts = 0.01 + cell_counts(4, 2, [0] * 200, [2] * 200)
+        trained = JointTable(0, (0,), counts)
+        nodes = [NodeState(0, {}), NodeState(1, {0: trained})]
         q = Query(0, {0: 1}, 3, 0)
         best = oracle_best(q, nodes, pred_card=4)
-        want = bf_conditional_entropy(trained.tables[0], [0])
+        want = bf_conditional_entropy(trained, [0])
         assert best == pytest.approx(want)
 
     def test_all_untrained_is_uniform(self):
-        schema = Schema((8,), (2,))
-        nodes = [NodeState(i, DiscretePgm(schema)) for i in range(3)]
+        nodes = [NodeState(i, {}) for i in range(3)]
         q = Query(0, {}, 3, 0)
         assert oracle_best(q, nodes, pred_card=8) == pytest.approx(3.0)
 
@@ -288,8 +297,8 @@ class TestOracle:
                 # independent re-derivation with the brute-force chain rule
                 best = math.log2(card)
                 for state in trial.nodes:
-                    table = state.pgm.tables.get(target)
-                    if table is None or state.pgm.observation_count.get(target, 0) == 0:
+                    table = state.tables.get(target)
+                    if table is None:
                         continue
                     axes = [table.axis_of(c) for c in combo if c in table.contexts]
                     best = min(best, bf_chain_rule(table.probabilities(), axes))
@@ -317,7 +326,7 @@ class TestTrialSetup:
         trial = setup_trial(small_config())
         want: dict[int, list[int]] = {}
         for state in trial.nodes:
-            for var in state.pgm.tables:
+            for var in state.tables:
                 if state.local_answer(var, frozenset()) is not None:
                     want.setdefault(var, []).append(state.node_id)
         assert trial.trainers == want
@@ -347,6 +356,54 @@ class TestTrialSetup:
         for row in metrics.rows:
             assert row.accuracy == 1.0
             assert row.oracle_violations == 0
+
+
+def workload_with_entry(config, **fields):
+    """A valid workload for `config` with one more entry: node 0's
+    predicting variable 1 over contexts (0, 1), overridden by `fields`."""
+    workload = Workload(config.schema(), config.node_count)
+    workload.entries.append(
+        TrainedAssignment(0, 0, (0,), np.ones((8, 4), dtype=np.int64))
+    )
+    entry = dict(node_id=0, var=1, contexts=(0, 1), counts=np.ones((8, 16), int))
+    entry.update(fields)
+    workload.entries.append(TrainedAssignment(**entry))
+    return workload
+
+
+class TestCheckWorkload:
+    def test_accepts_a_valid_workload(self):
+        config = small_config()
+        check_workload(config, workload_with_entry(config))
+        check_workload(config, generate_workload(config, seed=0))
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(node_id=-1), "node outside 12 nodes"),
+            (dict(node_id=12), "node outside 12 nodes"),
+            (dict(var=0, contexts=(0,), counts=np.ones((8, 4), int)), "listed twice"),
+            (dict(contexts=(1, 0)), "not strictly ascending"),
+            (dict(contexts=(0, 0)), "not strictly ascending"),
+            (dict(contexts=(-1, 0)), "unknown variable -1"),
+            (dict(contexts=(0, 3)), "unknown variable 3"),
+            (dict(var=6), "unknown variable 6"),
+            (dict(counts=np.ones(128, int)), "shaped"),
+            (dict(counts=np.ones((8, 4), int)), "shaped"),
+            (dict(counts=np.ones((16, 8), int)), "shaped"),
+            (dict(counts=np.arange(128).reshape(8, 16) - 1), "negative counts"),
+        ],
+        ids=[
+            "negative-node", "node-beyond-count", "duplicate-node-var",
+            "unsorted-contexts", "repeated-context", "negative-context",
+            "unknown-context", "unknown-var", "flat-counts",
+            "too-few-assignments", "transposed-counts", "negative-counts",
+        ],
+    )
+    def test_rejects_bad_entry(self, fields, message):
+        config = small_config()
+        with pytest.raises(ValueError, match=message):
+            setup_trial(config, workload_with_entry(config, **fields))
 
 
 class TestRouteQuery:
@@ -557,8 +614,14 @@ class TestConfigValidation:
             SimConfig(context_var_count=2, contexts_per_table=3)
 
     def test_positive_fields(self):
-        with pytest.raises(ValueError):
-            SimConfig(node_count=0)
+        for name in ("node_count", "k_sets"):
+            with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+                SimConfig(**{name: 0})
+
+    @pytest.mark.parametrize("pseudocount", [0.0, -1.0, math.nan, math.inf])
+    def test_pseudocount_positive_and_finite(self, pseudocount):
+        with pytest.raises(ValueError, match="pseudocount"):
+            SimConfig(pseudocount=pseudocount)
 
     def test_overlay_fits_seed_clique(self):
         SimConfig(node_count=1)

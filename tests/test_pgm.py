@@ -5,12 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgeknow.engine import TrainedAssignment, Workload, train_pgms
 from edgeknow.pgm import (
-    ContextMismatch,
-    DiscretePgm,
     JointTable,
-    NotADistribution,
-    Schema,
     UnknownVariable,
     cell_counts,
     joint_entropy,
@@ -65,10 +62,6 @@ class TestJointEntropy:
     def test_dyadic_cells(self):
         t = np.array([[0.5, 0.25], [0.125, 0.125]])
         assert joint_entropy(table_from_tensor(t)) == pytest.approx(1.75, abs=1e-12)
-
-    def test_empty_table(self):
-        with pytest.raises(NotADistribution):
-            joint_entropy(table_from_tensor(np.zeros((2, 2))))
 
 
 class TestMarginalEntropy:
@@ -131,57 +124,39 @@ class TestConditionalEntropy:
 
 class TestObserve:
     def test_counting_with_uniform_prior(self, binary_schema):
-        pgm = DiscretePgm(binary_schema)
-        pgm.observe_counts(0, (), [[5], [0]])
-        probs = pgm.tables[0].probabilities()
+        wl = Workload(schema=binary_schema, node_count=1)
+        wl.entries.append(TrainedAssignment(0, 0, (), np.array([[5], [0]])))
+        probs = train_pgms(wl)[0][0].probabilities()
         assert probs == pytest.approx([6 / 7, 1 / 7])
 
-    @pytest.mark.parametrize("key", [2, -1])
-    def test_observe_counts_rejects_non_context_keys(self, binary_schema, key):
-        pgm = DiscretePgm(binary_schema)
-        with pytest.raises(ContextMismatch):
-            pgm.observe_counts(0, (key,), np.zeros((2, 2), int))
-        assert pgm.tables == {}
-
     def test_negative_ids_do_not_wrap(self, binary_schema):
-        pgm = DiscretePgm(binary_schema)
         with pytest.raises(UnknownVariable):
             binary_schema.context_cardinality(-1)
         with pytest.raises(UnknownVariable):
-            pgm.observe_counts(-1, (), np.zeros((2, 1), int))
-        assert pgm.tables == {}
+            binary_schema.predicting_cardinality(-1)
 
-    def test_context_combination_is_fixed_by_first_observation(self, binary_schema):
-        pgm = DiscretePgm(binary_schema)
-        pgm.observe_counts(0, (0,), [[0, 1], [0, 0]])
-        with pytest.raises(ContextMismatch):
-            pgm.observe_counts(0, (1,), [[0, 1], [0, 0]])
-
-    def test_coin_flip_convergence(self, binary_schema):
+    def test_coin_flip_convergence(self):
         rng = np.random.default_rng(7)
-        pgm = DiscretePgm(binary_schema)
         outcomes = rng.integers(2, size=1000)
-        pgm.observe_counts(0, (), cell_counts(2, 1, [0] * 1000, outcomes))
-        probs = pgm.tables[0].probabilities()
+        counts = 1.0 + cell_counts(2, 1, [0] * 1000, outcomes)
+        probs = JointTable(0, (), counts.ravel()).probabilities()
         assert probs == pytest.approx([0.5, 0.5], abs=0.05)
         assert vector_entropy(probs) == pytest.approx(1.0, abs=0.01)
 
-    def test_out_of_range_outcome(self, binary_schema):
-        with pytest.raises(ValueError):
-            cell_counts(2, 1, [0], [5])
-
-    def test_observe_counts_matches_loop(self, binary_schema):
-        a = DiscretePgm(binary_schema)
-        b = DiscretePgm(binary_schema)
+    def test_cell_counts_match_loop(self):
         rng = np.random.default_rng(0)
         ctx_idx = rng.integers(4, size=50)
         outcomes = rng.integers(2, size=50)
-        b.observe_counts(0, (0, 1), cell_counts(2, 4, ctx_idx, outcomes))
+        want = np.zeros((2, 2, 2), dtype=np.int64)
         for flat, out in zip(ctx_idx, outcomes):
             c0, c1 = np.unravel_index(flat, (2, 2))
-            bf_observe(a, 0, {0: int(c0), 1: int(c1)}, int(out))
-        assert np.array_equal(a.tables[0].counts, b.tables[0].counts)
-        assert a.observation_count == b.observation_count
+            bf_observe(want, {0: int(c0), 1: int(c1)}, int(out))
+        got = cell_counts(2, 4, ctx_idx, outcomes)
+        assert np.array_equal(got, want.reshape(2, 4))
+
+    def test_out_of_range_outcome(self):
+        with pytest.raises(ValueError):
+            cell_counts(2, 1, [0], [5])
 
     @pytest.mark.parametrize(
         "ctx_idx, outcome", [(4, 0), (-1, 0), (0, 2), (0, -1)]
@@ -202,21 +177,6 @@ class TestObserve:
     def test_cell_counts_rejects_float_indices(self):
         with pytest.raises(TypeError):
             cell_counts(2, 4, np.array([0.0, 3.0]), np.array([1, 0]))
-
-    @pytest.mark.parametrize(
-        "counts",
-        [np.ones((2, 3), int), np.ones((4, 2), int), np.ones(4, int),
-         np.array([[1, 0, 2, 0], [0, -1, 0, 0]])],
-        ids=["too-few-assignments", "transposed", "flat", "negative"],
-    )
-    def test_observe_counts_rejects_bad_counts(self, binary_schema, counts):
-        pgm = DiscretePgm(binary_schema)
-        pgm.observe_counts(0, (0, 1), np.ones((2, 4), int))
-        before = pgm.tables[0].counts.copy()
-        with pytest.raises(ValueError):
-            pgm.observe_counts(0, (0, 1), counts)
-        assert np.array_equal(pgm.tables[0].counts, before)
-        assert pgm.observation_count == {0: 8}
 
 
 def random_tensor(rng, max_axes=3, max_card=4):
@@ -264,23 +224,20 @@ class TestInvariants:
             want = bf_true_conditional(tensor, [1 + c for c in given])
             assert got == pytest.approx(want, abs=1e-9)
 
-    def test_observation_order_irrelevant(self, binary_schema):
+    def test_observation_order_irrelevant(self):
         rng = np.random.default_rng(14)
         observations = [(int(rng.integers(2)), int(rng.integers(2))) for _ in range(40)]
-        a = DiscretePgm(binary_schema)
-        b = DiscretePgm(binary_schema)
-        a.observe_counts(0, (0,), cell_counts(2, 2, *zip(*observations)))
+        whole = cell_counts(2, 2, *zip(*observations))
         rng.shuffle(observations)
-        for ctx, out in observations:
-            b.observe_counts(0, (0,), cell_counts(2, 2, [ctx], [out]))
-        assert np.array_equal(a.tables[0].counts, b.tables[0].counts)
+        one_by_one = sum(cell_counts(2, 2, [ctx], [out]) for ctx, out in observations)
+        assert np.array_equal(whole, one_by_one)
 
-    def test_entropy_decreases_with_concentration(self, binary_schema):
-        pgm = DiscretePgm(binary_schema)
+    def test_entropy_decreases_with_concentration(self):
+        table = table_from_tensor(np.ones((2, 1)))
         previous = math.inf
         for _ in range(30):
-            pgm.observe_counts(0, (), [[0], [1]])
-            h = joint_entropy(pgm.tables[0])
+            table.counts += [[0], [1]]
+            h = joint_entropy(table)
             assert h <= previous + 1e-12
             previous = h
 

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgeknow.pgm import DiscretePgm, Schema
+from edgeknow.engine import TrainedAssignment, Workload, train_pgms
+from edgeknow.pgm import JointTable, Schema
 from edgeknow.routing import (
     AdvertisementPolicy,
     EntropySet,
@@ -27,7 +28,6 @@ from conftest import (
     bf_best_score,
     bf_build_advertisement,
     bf_next_hop,
-    bf_observe,
     bf_should_advertise,
     well_formed,
 )
@@ -39,10 +39,6 @@ def make_set(var_idx, joint, ctx_entropies=None):
         joint=joint,
         context_entropies=dict(ctx_entropies or {}),
     )
-
-
-def empty_pgm():
-    return DiscretePgm(Schema((2, 2, 2), (2, 2)))
 
 
 ZERO_EPS = AdvertisementPolicy(hop_inflation=0.0)
@@ -122,10 +118,6 @@ class TestBuildAdvertisement:
         assert adv[0][0].context_entropies
         assert not adv[1][0].context_entropies
         assert adv[1][0].joint == pytest.approx(2.0)
-
-    def test_rejects_k_below_one(self):
-        with pytest.raises(ValueError):
-            build_advertisement([], [], ZERO_EPS, k=0)
 
     @given(
         st.lists(
@@ -344,15 +336,14 @@ class TestIncrementalBuild:
 def trained_node(node_id, neighbors=(), target_state=0, observations=60):
     """Node whose predicting variable 0 is near-deterministic on target_state
     given context 0."""
-    pgm = DiscretePgm(Schema((2, 2, 2), (2, 2)))
-    counts = np.zeros((2, 2), dtype=np.int64)
-    counts[target_state] = observations
-    pgm.observe_counts(0, (0,), counts)
-    return NodeState(node_id=node_id, pgm=pgm, neighbors=list(neighbors))
+    counts = np.ones((2, 2))
+    counts[target_state] += observations
+    tables = {0: JointTable(0, (0,), counts)}
+    return NodeState(node_id=node_id, tables=tables, neighbors=list(neighbors))
 
 
 def blank_node(node_id, neighbors=()):
-    return NodeState(node_id=node_id, pgm=empty_pgm(), neighbors=list(neighbors))
+    return NodeState(node_id=node_id, tables={}, neighbors=list(neighbors))
 
 
 class TestProcessQuery:
@@ -490,18 +481,19 @@ class TestRandomWalk:
 
 class TestLocalSets:
     def test_one_set_per_trained_var(self):
-        pgm = DiscretePgm(Schema((2, 2, 2), (2, 2)))
-        bf_observe(pgm, 0, {0: 0}, 0)
-        bf_observe(pgm, 2, {1: 1}, 1)
-        sets = local_entropy_sets(pgm)
+        tables = {
+            2: JointTable(2, (1,), np.ones((2, 2))),
+            0: JointTable(0, (0,), np.ones((2, 2))),
+        }
+        sets = local_entropy_sets(tables)
         assert [s.predicting for s in sets] == [0, 2]
         assert sets[0].combination == frozenset({0})
 
     def test_answer_entropy_untrained_is_none(self):
-        assert answer_entropy(local_entropy_sets(empty_pgm()), 0, frozenset()) is None
+        assert answer_entropy(local_entropy_sets({}), 0, frozenset()) is None
 
     def test_answer_entropy_ignores_foreign_evidence(self):
-        sets = local_entropy_sets(trained_node(0).pgm)
+        sets = local_entropy_sets(trained_node(0).tables)
         with_foreign = answer_entropy(sets, 0, frozenset({1}))
         without = answer_entropy(sets, 0, frozenset())
         assert with_foreign == pytest.approx(without)
@@ -509,25 +501,30 @@ class TestLocalSets:
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_answer_entropy_matches_table_reference(self, data):
-        """The local sets' answer is exactly the table's clamped chain-rule
-        value, None included: for random count tables over 1 to 3 of 16
-        contexts, all-zero counts, and a target with no table."""
+        """The local sets' answer is exactly the trained table's clamped
+        chain-rule value, None included: for random count tables over 1 to 3
+        of 16 contexts, all-zero counts, and a target with no entry."""
         schema = Schema((2, 3, 2), (2, 3) * 8)
-        pgm = DiscretePgm(schema, data.draw(st.floats(0.01, 1.0)))
+        pseudocount = data.draw(st.floats(0.01, 1.0))
+        workload = Workload(schema, node_count=1)
         for target in (0, 1):
             contexts = data.draw(
                 st.lists(st.integers(0, 15), min_size=1, max_size=3, unique=True)
             )
+            contexts = tuple(sorted(contexts))
             n_out = schema.predicting_cardinality(target)
             size = n_out * math.prod(schema.context_cardinality(c) for c in contexts)
             counts = data.draw(
                 st.lists(st.integers(0, 9), min_size=size, max_size=size)
             )
-            pgm.observe_counts(target, contexts, np.reshape(counts, (n_out, -1)))
-        sets = local_entropy_sets(pgm)
+            workload.entries.append(
+                TrainedAssignment(0, target, contexts, np.reshape(counts, (n_out, -1)))
+            )
+        sets = local_entropy_sets(train_pgms(workload, pseudocount)[0])
         bound = data.draw(bounds())
         for target in (0, 1, 2):
-            want = bf_answer_entropy(pgm, target, bound)
+            entry = workload.entries[target] if target < 2 else None
+            want = bf_answer_entropy(entry, schema, pseudocount, bound)
             assert answer_entropy(sets, target, bound) == want
 
 

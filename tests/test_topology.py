@@ -3,10 +3,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from edgeknow.pgm import DiscretePgm, Schema
 from edgeknow.topology import (
     AttachmentParams,
-    IncompatibleModels,
     NoAttachmentTarget,
     Overlay,
     attachment_probabilities,
@@ -17,18 +15,7 @@ from edgeknow.topology import (
     survival_slope,
 )
 
-from conftest import bf_generate, bf_observe
-
-SCHEMA = Schema(
-    predicting_cardinalities=tuple([2] * 12), context_cardinalities=(2,)
-)
-
-
-def pgm_with(var_indices):
-    pgm = DiscretePgm(SCHEMA)
-    for i in var_indices:
-        bf_observe(pgm, i, {0: 0}, 0)
-    return pgm
+from conftest import bf_generate
 
 
 def overlay_from_edges(n, edges, limit=100):
@@ -42,7 +29,8 @@ def overlay_from_edges(n, edges, limit=100):
 
 
 def overlaps(arriving, existing):
-    """Overlap coefficients of `arriving` with each model in `existing`."""
+    """Overlap coefficients of `arriving` with each trained set in
+    `existing`."""
     inc = incidence_matrix(list(existing) + [arriving])
     return overlap_coefficients(inc, inc.sum(axis=1), len(existing))
 
@@ -53,56 +41,60 @@ def similarity(a, b):
 
 class TestSimilarity:
     def test_overlap_coefficient(self):
-        a = pgm_with([0, 1, 2])
-        b = pgm_with([1, 2, 3, 4])
+        a = {0, 1, 2}
+        b = {1, 2, 3, 4}
         assert similarity(a, b) == pytest.approx(2 / 3)
 
     def test_identical_sets(self):
-        a = pgm_with([0, 1])
-        assert similarity(a, pgm_with([0, 1])) == 1.0
+        a = {0, 1}
+        assert similarity(a, {0, 1}) == 1.0
 
     def test_subset_is_full_overlap(self):
-        assert similarity(pgm_with([0]), pgm_with([0, 1, 2])) == 1.0
+        assert similarity({0}, {0, 1, 2}) == 1.0
 
     def test_disjoint(self):
-        assert similarity(pgm_with([0]), pgm_with([1])) == 0.0
+        assert similarity({0}, {1}) == 0.0
 
     def test_empty_model(self):
-        assert similarity(pgm_with([]), pgm_with([0])) == 0.0
-        assert similarity(pgm_with([0]), pgm_with([])) == 0.0
+        assert similarity(set(), {0}) == 0.0
+        assert similarity({0}, set()) == 0.0
 
     def test_symmetry(self):
-        a, b = pgm_with([0, 1, 5]), pgm_with([1, 7])
+        a, b = {0, 1, 5}, {1, 7}
         assert similarity(a, b) == similarity(b, a)
 
+    def test_incidence_width_comes_from_the_ids(self):
+        assert incidence_matrix([{0}, {5}, set()]).shape == (3, 6)
+        assert overlaps(set(), [set(), set()]) == pytest.approx([0.0, 0.0])
+
     def test_one_product_per_arrival(self):
-        existing = [pgm_with([0, 1, 2]), pgm_with([]), pgm_with([3])]
-        assert overlaps(pgm_with([1, 2, 3, 4]), existing) == pytest.approx(
+        existing = [{0, 1, 2}, set(), {3}]
+        assert overlaps({1, 2, 3, 4}, existing) == pytest.approx(
             [2 / 3, 0.0, 1.0]
         )
 
 
 class TestAttachmentProbabilities:
     def test_degree_weighted_with_equal_similarity(self):
-        sims = overlaps(pgm_with([0]), [pgm_with([0])] * 3)
+        sims = overlaps({0}, [{0}] * 3)
         probs = attachment_probabilities(np.array([4, 2, 2]), sims, 100)
         assert probs == pytest.approx([0.5, 0.25, 0.25])
 
     def test_saturated_node_excluded(self):
         ov = overlay_from_edges(3, [(0, 1), (0, 2)], limit=2)
         degrees = np.array([ov.degree(n) for n in ov.nodes])
-        sims = overlaps(pgm_with([0]), [pgm_with([0])] * 3)
+        sims = overlaps({0}, [{0}] * 3)
         probs = attachment_probabilities(degrees, sims, ov.edge_limit)
         assert probs[0] == 0.0
         assert probs.sum() == pytest.approx(1.0)
 
     def test_similarity_scales_weights(self):
-        sims = overlaps(pgm_with([0]), [pgm_with([0]), pgm_with([1])])
+        sims = overlaps({0}, [{0}, {1}])
         probs = attachment_probabilities(np.array([1, 1]), sims, 100)
         assert probs == pytest.approx([1.0, 0.0])
 
     def test_floor_rescues_dissimilar_nodes(self):
-        sims = overlaps(pgm_with([0]), [pgm_with([0]), pgm_with([1])])
+        sims = overlaps({0}, [{0}, {1}])
         probs = attachment_probabilities(
             np.array([1, 1]), sims, 100, similarity_floor=0.1
         )
@@ -110,7 +102,7 @@ class TestAttachmentProbabilities:
         assert probs[0] > probs[1]
 
     def test_all_saturated_raises(self):
-        sims = overlaps(pgm_with([0]), [pgm_with([0])] * 2)
+        sims = overlaps({0}, [{0}] * 2)
         with pytest.raises(NoAttachmentTarget):
             attachment_probabilities(np.array([1, 1]), sims, 1)
 
@@ -120,32 +112,32 @@ class TestGenerate:
         return AttachmentParams(m0=m0, m=m, similarity_floor=floor)
 
     def test_seed_clique(self):
-        pgms = [pgm_with([0]) for _ in range(3)]
-        ov = generate(self.params(m0=3, m=1), pgms, edge_limit=10, seed=0)
+        trained = [{0} for _ in range(3)]
+        ov = generate(self.params(m0=3, m=1), trained, edge_limit=10, seed=0)
         assert ov.edges() == [(0, 1), (0, 2), (1, 2)]
 
     def test_arrivals_get_up_to_m_edges(self):
-        pgms = [pgm_with([0]) for _ in range(30)]
-        ov = generate(self.params(), pgms, edge_limit=100, seed=1)
+        trained = [{0} for _ in range(30)]
+        ov = generate(self.params(), trained, edge_limit=100, seed=1)
         for node in range(4, 30):
             assert 1 <= ov.degree(node) - 0 and ov.degree(node) >= 3
 
     def test_deterministic_per_seed(self):
-        pgms = [pgm_with([i % 4]) for i in range(40)]
-        a = generate(self.params(), pgms, edge_limit=100, seed=5)
-        b = generate(self.params(), pgms, edge_limit=100, seed=5)
-        c = generate(self.params(), pgms, edge_limit=100, seed=6)
+        trained = [{i % 4} for i in range(40)]
+        a = generate(self.params(), trained, edge_limit=100, seed=5)
+        b = generate(self.params(), trained, edge_limit=100, seed=5)
+        c = generate(self.params(), trained, edge_limit=100, seed=6)
         assert a.edges() == b.edges()
         assert a.edges() != c.edges()
 
     def test_degree_cap_is_hard(self):
-        pgms = [pgm_with([0]) for _ in range(120)]
-        ov = generate(self.params(), pgms, edge_limit=8, seed=2)
+        trained = [{0} for _ in range(120)]
+        ov = generate(self.params(), trained, edge_limit=8, seed=2)
         assert max(ov.degree(n) for n in ov.nodes) <= 8
 
     def test_connected(self):
-        pgms = [pgm_with([i % 6]) for i in range(80)]
-        ov = generate(self.params(floor=0.01), pgms, edge_limit=100, seed=3)
+        trained = [{i % 6} for i in range(80)]
+        ov = generate(self.params(floor=0.01), trained, edge_limit=100, seed=3)
         seen = {0}
         frontier = [0]
         while frontier:
@@ -158,13 +150,7 @@ class TestGenerate:
 
     def test_too_few_nodes(self):
         with pytest.raises(ValueError):
-            generate(self.params(), [pgm_with([0])] * 2, edge_limit=10, seed=0)
-
-    def test_mixed_schemas_raise(self):
-        other = DiscretePgm(Schema((2, 2), (2,)))
-        pgms = [pgm_with([0]) for _ in range(5)] + [other]
-        with pytest.raises(IncompatibleModels):
-            generate(self.params(), pgms, edge_limit=10, seed=0)
+            generate(self.params(), [{0}] * 2, edge_limit=10, seed=0)
 
     def test_similar_nodes_cluster(self):
         # two model groups with no overlap; with a tiny floor, same-group
@@ -172,11 +158,10 @@ class TestGenerate:
         def group_fraction(floor):
             fracs = []
             for seed in range(20):
-                pgms = [pgm_with([0, 1]) if i % 2 == 0 else pgm_with([6, 7])
-                        for i in range(60)]
+                trained = [{0, 1} if i % 2 == 0 else {6, 7} for i in range(60)]
                 ov = generate(
                     AttachmentParams(m0=4, m=2, similarity_floor=floor),
-                    pgms, edge_limit=100, seed=seed,
+                    trained, edge_limit=100, seed=seed,
                 )
                 same = sum((u % 2) == (v % 2) for u, v in ov.edges())
                 fracs.append(same / len(ov.edges()))
@@ -187,8 +172,8 @@ class TestGenerate:
         assert clustered > flat + 0.2
 
     def test_repair_counter_zero_when_connected(self):
-        pgms = [pgm_with([0]) for _ in range(20)]
-        ov = generate(self.params(), pgms, edge_limit=100, seed=0)
+        trained = [{0} for _ in range(20)]
+        ov = generate(self.params(), trained, edge_limit=100, seed=0)
         assert ov.repair_edges == 0
 
 
@@ -209,27 +194,20 @@ def growth_cases(draw):
         )
     )
     seed = draw(st.integers(0, 2**32 - 1))
-    return m0, m, floor, edge_limit, var_count, trained, seed
+    return m0, m, floor, edge_limit, trained, seed
 
 
-def grow_both(m0, m, floor, edge_limit, var_count, trained, seed):
-    schema = Schema((2,) * var_count, (2,))
-    pgms = []
-    for variables in trained:
-        pgm = DiscretePgm(schema)
-        for var in variables:
-            bf_observe(pgm, var, {0: 0}, 0)
-        pgms.append(pgm)
+def grow_both(m0, m, floor, edge_limit, trained, seed):
     params = AttachmentParams(m0=m0, m=m, similarity_floor=floor)
     return (
-        generate(params, pgms, edge_limit, seed),
-        bf_generate(params, pgms, edge_limit, seed),
+        generate(params, trained, edge_limit, seed),
+        bf_generate(params, trained, edge_limit, seed),
     )
 
 
 # Disjoint trained sets with no floor leave arrivals with zero weight
 # (saturation warnings) and stray components to repair.
-SATURATING = (4, 2, 0.0, 6, 4, [{0}] * 4 + [{1}, {0}, {2}, set()] * 6, 0)
+SATURATING = (4, 2, 0.0, 6, [{0}] * 4 + [{1}, {0}, {2}, set()] * 6, 0)
 
 
 class TestReferenceEquivalence:
@@ -265,8 +243,8 @@ class TestOverlayInvariants:
             ov.add_edge(0, 2)
 
     def test_adjacency_symmetric(self):
-        pgms = [pgm_with([i % 3]) for i in range(25)]
-        ov = generate(AttachmentParams(), pgms, edge_limit=100, seed=4)
+        trained = [{i % 3} for i in range(25)]
+        ov = generate(AttachmentParams(), trained, edge_limit=100, seed=4)
         for u in ov.nodes:
             for v in ov.neighbors(u):
                 assert u in ov.neighbors(v)
@@ -282,8 +260,8 @@ class TestHistogramAndSlope:
         assert degree_histogram(ov) == {1: 4, 4: 1}
 
     def test_histogram_recounts_degrees(self):
-        pgms = [pgm_with([i % 5]) for i in range(50)]
-        ov = generate(AttachmentParams(), pgms, edge_limit=100, seed=7)
+        trained = [{i % 5} for i in range(50)]
+        ov = generate(AttachmentParams(), trained, edge_limit=100, seed=7)
         hist = degree_histogram(ov)
         assert sum(hist.values()) == 50
         degrees = [ov.degree(n) for n in ov.nodes]
@@ -302,8 +280,8 @@ class TestHistogramAndSlope:
         assert slope == pytest.approx(-2.0, abs=0.15)
 
     def test_generated_network_is_heavy_tailed(self):
-        pgms = [pgm_with([i % 4]) for i in range(500)]
-        ov = generate(AttachmentParams(), pgms, edge_limit=500, seed=9)
+        trained = [{i % 4} for i in range(500)]
+        ov = generate(AttachmentParams(), trained, edge_limit=500, seed=9)
         degrees = [ov.degree(n) for n in ov.nodes]
         slope = survival_slope(degrees)
         assert -3.5 < slope < -1.0
