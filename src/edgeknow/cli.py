@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Optional
 
 from .engine import (
+    InvalidField,
     SimConfig,
     Strategy,
     check_workload,
@@ -106,10 +107,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_config_file(path: Path) -> dict:
+def _read_config_file(path: Path) -> tuple[dict, dict]:
     """Config file values by flag name: an int, or for `seed` a list of
-    ints. A bad line raises ValueError naming the file and line."""
-    values = {}
+    ints; and by flag name, the `path:line` that set each. A bad line
+    raises ValueError naming the file and line."""
+    values, lines = {}, {}
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -123,7 +125,8 @@ def _read_config_file(path: Path) -> dict:
             values[key] = _int_list(value) if key == "seed" else int(value)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
-    return values
+        lines[key] = f"{path}:{lineno}"
+    return values, lines
 
 
 def _resolve_seeds(
@@ -137,8 +140,9 @@ def _resolve_seeds(
     return _int_list(flag)
 
 
-def _base_config(args, file_values: dict) -> SimConfig:
-    """Config file values overridden by flags; seeds are set per run."""
+def _base_config(args, file_values: dict, file_lines: dict) -> SimConfig:
+    """Config file values overridden by flags; seeds are set per run. A
+    rejected value from the file is reported with its line."""
     values = {
         _FLAG_FIELDS[key]: value for key, value in file_values.items() if key != "seed"
     }
@@ -153,7 +157,13 @@ def _base_config(args, file_values: dict) -> SimConfig:
         m0=default.m0 if args.m0 is None else args.m0,
         m=default.m if args.m is None else args.m,
     )
-    return SimConfig(**values, attachment=attachment)
+    try:
+        return SimConfig(**values, attachment=attachment)
+    except InvalidField as exc:
+        for key, where in file_lines.items():
+            if _FLAG_FIELDS[key] == exc.name and getattr(args, key) is None:
+                raise ValueError(f"{where}: {key}: {exc}") from None
+        raise
 
 
 def _run_name(param, value, seed, strategy) -> str:
@@ -172,8 +182,10 @@ def _execute(job):
 
 def cmd_run(args) -> int:
     try:
-        file_values = _read_config_file(args.config) if args.config else {}
-        base = _base_config(args, file_values)
+        file_values, file_lines = (
+            _read_config_file(args.config) if args.config else ({}, {})
+        )
+        base = _base_config(args, file_values, file_lines)
         seeds = _resolve_seeds(args.seed, file_values.get("seed"))
         if args.threads < 1:
             raise ValueError(f"--threads must be >= 1, got {args.threads}")

@@ -41,6 +41,18 @@ class OracleViolation(RuntimeError):
     pass
 
 
+class InvalidField(ValueError):
+    """A `SimConfig` value out of its range; `name` is the field's."""
+
+    def __init__(self, name: str, problem: str):
+        # both in args, so a copy or unpickling rebuilds the same error
+        super().__init__(name, problem)
+        self.name = name
+
+    def __str__(self):
+        return " ".join(self.args)
+
+
 class Strategy(str, Enum):
     ABS = "abs"
     RANDOM_WALK = "rw"
@@ -67,11 +79,11 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.contexts_per_table > self.context_var_count:
-            raise ValueError("contexts_per_table exceeds context_var_count")
         # nan fails too: it would make every answer nan
         if not 0 < self.pseudocount < math.inf:
-            raise ValueError(f"pseudocount must be in (0, inf), got {self.pseudocount}")
+            raise InvalidField(
+                "pseudocount", f"must be in (0, inf), got {self.pseudocount}"
+            )
         for name in (
             "node_count",
             "predicting_var_count",
@@ -83,17 +95,19 @@ class SimConfig:
             "k_sets",
         ):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+                raise InvalidField(name, "must be >= 1")
+        if self.contexts_per_table > self.context_var_count:
+            raise InvalidField("contexts_per_table", "exceeds context_var_count")
         # a zero budget means the issuer answers alone; zero cycles, no rows
         for name in ("hop_budget", "cycles"):
             value = getattr(self, name)
             if value is not None and value < 0:
-                raise ValueError(f"{name} must be >= 0")
+                raise InvalidField(name, "must be >= 0")
         m0 = self.attachment.m0
         if 2 <= self.node_count < m0:
-            raise ValueError(f"node_count must be 1 or >= m0={m0}")
+            raise InvalidField("node_count", f"must be 1 or >= m0={m0}")
         if self.edge_limit < m0 - 1:
-            raise ValueError(f"edge_limit must be >= m0-1={m0 - 1}")
+            raise InvalidField("edge_limit", f"must be >= m0-1={m0 - 1}")
 
     def resolved_hops(self) -> int:
         if self.hop_budget is not None:
@@ -376,8 +390,8 @@ def _cached_oracle(trial: TrialState, query: Query) -> float:
 def check_workload(config: SimConfig, workload: Workload):
     """Raise ValueError unless the workload has the config's node count and
     schema, and every entry trains a known variable of one of its nodes
-    against strictly ascending known contexts, once per (node, variable),
-    with non-negative counts of the shape `cell_counts` gives."""
+    against a strictly ascending tuple of known contexts, once per (node,
+    variable), with non-negative counts of the shape `cell_counts` gives."""
     if workload.node_count != config.node_count:
         raise ValueError(
             f"workload has {workload.node_count} nodes, config {config.node_count}"
@@ -401,6 +415,9 @@ def check_workload(config: SimConfig, workload: Workload):
             if (entry.node_id, entry.var) in seen:
                 raise ValueError("listed twice")
             seen.add((entry.node_id, entry.var))
+            # set-up keys on the contexts, so they must be hashable
+            if not isinstance(entry.contexts, tuple):
+                raise ValueError(f"contexts {entry.contexts!r} not a tuple")
             if list(entry.contexts) != sorted(set(entry.contexts)):
                 raise ValueError(f"contexts {entry.contexts} not strictly ascending")
             cards = map(schema.context_cardinality, entry.contexts)
@@ -502,9 +519,12 @@ def run_cycle(trial: TrialState, cycle: int, strategy: Optional[Strategy] = None
 
     # phase 1: knowledge propagation; a node rebuilds and compares only the
     # variables its routing models changed since its last build. Every
-    # neighbor of a sender integrates the same snapshots in the same order,
-    # so the sender's published model is integrated once and shared by all;
-    # it holds the last advertisement sent, and nothing before the first build
+    # neighbor of a sender integrates the same advertisements in the same
+    # order, so the sender's published model is integrated once and shared
+    # by all; it holds what the neighbors were told, and nothing before the
+    # first build. Only the delta is sent and counted: the variables that
+    # integrating reports changed, all a receiver lacks while the overlay is
+    # static and every neighbor received every earlier delta.
     outgoing: list[tuple[NodeState, Advertisement]] = []
     for state in trial.nodes:
         built, changed = state.last_built, state.changed_vars
@@ -520,10 +540,10 @@ def run_cycle(trial: TrialState, cycle: int, strategy: Optional[Strategy] = None
         state.last_built = current
         state.changed_vars = set()
     for state, adv in outgoing:
-        changed = integrate_advertisement(state.published, adv)
+        delta = integrate_advertisement(state.published, adv)
         for nb in state.neighbors:
-            trial.nodes[nb].models_changed(changed)
-        adv_sets_sent += len(state.neighbors) * sum(map(len, adv.values()))
+            trial.nodes[nb].models_changed(delta)
+        adv_sets_sent += len(state.neighbors) * sum(len(adv[var]) for var in delta)
 
     # phase 2: one query per node
     hits = 0

@@ -12,9 +12,15 @@ the variable, where context-aware scoring takes over.
 Propagation is incremental in the manner of routing indices (Crespo and
 Garcia-Molina, ICDCS 2002): integrating an advertisement reports which
 variables' lists changed, and the receiver rebuilds, compares and re-sorts
-only those variables. Every advertisement sent is still a full snapshot.
-Because every neighbor of a sender receives the same snapshots, one routing
-model per sender, shared by its neighbors, stands for all their copies.
+only those variables. Because every neighbor of a sender receives the same
+advertisements, one routing model per sender, shared by its neighbors,
+stands for all their copies. An advertisement is sent as a delta, in the
+manner of triggered updates (RIP, RFC 2453 §3.10.1): only the variables
+whose list that shared model does not already hold by value. Receivers keep
+the variables a delta leaves out, so while the overlay is static and every
+neighbor received every earlier delta, routes are those full snapshots
+would give; the traffic counted, `adv_sets_sent`, is the sets of the delta
+variables times the number of neighbors.
 """
 
 from __future__ import annotations
@@ -132,8 +138,12 @@ class NodeState:
     the model of what is reachable through a node is kept once, as its
     `published` model, and each neighbor's `routing_models[node_id]` is that
     same object. Receivers only read their routing models; the sender's
-    advertisements are integrated into `published`, which therefore holds
-    the last advertisement sent."""
+    advertisements are integrated into `published`, which therefore holds,
+    by value, the last advertisement sent. What integrating one returns is
+    the delta the neighbors are sent: the variables whose list `published`
+    did not yet hold, which is all they lack while the overlay is static
+    and each of them received every earlier delta. `adv_sets_sent` counts
+    the delta's sets once per neighbor."""
 
     node_id: NodeId
     tables: dict[int, JointTable]
@@ -299,7 +309,11 @@ def should_advertise(
     keys, or by more than the change threshold in a joint. Only the
     variables in `changed` are compared. That is exact when every other
     variable's list is the one last built, and the last build was either
-    sent or within the threshold of `previous`, as the engine keeps it."""
+    sent or within the threshold of `previous`, as the engine keeps it.
+    The engine passes the sender's published model as `previous`, so after
+    the first send a True always has a variable whose list differs by
+    value: the delta sent is never empty, and `adv_sets_sent` counts its
+    variables' sets once per neighbor."""
     if previous is None:
         return True
     threshold = policy.change_threshold

@@ -285,15 +285,17 @@ def well_formed(adv: Advertisement, k: int) -> bool:
     )
 
 
-def bf_propagate(trial, sent: dict[int, Advertisement]) -> int:
+def bf_propagate(trial, sent: dict[int, Advertisement]) -> tuple[int, int]:
     """Phase 1 of a cycle with one private routing model per receiver: every
-    neighbor of a sender integrates the advertisement into its own copy.
-    Give each node private `routing_models` before the first call. `sent`
-    maps each node to the last advertisement it sent, and is updated.
-    Returns the cycle's `adv_sets_sent`."""
+    neighbor of a sender integrates the full advertisement into its own
+    copy. Give each node private `routing_models` before the first call.
+    `sent` maps each node to the last advertisement it sent, and is updated.
+    Returns the cycle's `adv_sets_sent` counted per receiver, once over the
+    variables whose private list changed by value (what a delta carries) and
+    once over every advertised variable (a full snapshot)."""
     config = trial.config
     policy = config.resolved_policy()
-    adv_sets_sent = 0
+    delta_sets = snapshot_sets = 0
     outgoing = []
     for state in trial.nodes:
         if state.last_built is not None and not state.changed_vars:
@@ -311,11 +313,14 @@ def bf_propagate(trial, sent: dict[int, Advertisement]) -> int:
         sent[state.node_id] = adv
         for nb in state.neighbors:
             receiver = trial.nodes[nb]
-            receiver.models_changed(
-                integrate_advertisement(receiver.routing_models[state.node_id], adv)
-            )
-        adv_sets_sent += len(state.neighbors) * sum(map(len, adv.values()))
-    return adv_sets_sent
+            private = receiver.routing_models[state.node_id]
+            changed = {
+                var for var, sets in adv.items() if private.entries.get(var) != sets
+            }
+            receiver.models_changed(integrate_advertisement(private, adv))
+            delta_sets += sum(len(adv[var]) for var in changed)
+            snapshot_sets += sum(map(len, adv.values()))
+    return delta_sets, snapshot_sets
 
 
 def bf_generate_workload(config, seed) -> list[tuple]:

@@ -100,6 +100,19 @@ class TestRun:
         assert f"{cfg}:2: nodes: invalid literal for int()" in err
         assert len(err.splitlines()) == 1
 
+    def test_rejected_config_value_names_its_line(self, tmp_path, capsys):
+        cfg = tmp_path / "trial.cfg"
+        cfg.write_text("cycles = 2\nnodes = 0\n")
+        out = tmp_path / "out"
+        assert run_cli(["run", "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err == f"bad config: {cfg}:2: nodes: node_count must be >= 1\n"
+        # the value a flag overrides is not the one rejected
+        cfg.write_text("cycles = 2\nnodes = 12\n")
+        assert run_cli(["run", "--config", cfg, "--nodes", "0", "--out", out]) == 2
+        assert capsys.readouterr().err == "bad config: node_count must be >= 1\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flags, message",
         [

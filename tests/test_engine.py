@@ -385,6 +385,7 @@ class TestCheckWorkload:
             (dict(var=0, contexts=(0,), counts=np.ones((8, 4), int)), "listed twice"),
             (dict(contexts=(1, 0)), "not strictly ascending"),
             (dict(contexts=(0, 0)), "not strictly ascending"),
+            (dict(contexts=[0, 1]), r"contexts \[0, 1\] not a tuple"),
             (dict(contexts=(-1, 0)), "unknown variable -1"),
             (dict(contexts=(0, 3)), "unknown variable 3"),
             (dict(var=6), "unknown variable 6"),
@@ -395,8 +396,8 @@ class TestCheckWorkload:
         ],
         ids=[
             "negative-node", "node-beyond-count", "duplicate-node-var",
-            "unsorted-contexts", "repeated-context", "negative-context",
-            "unknown-context", "unknown-var", "flat-counts",
+            "unsorted-contexts", "repeated-context", "list-contexts",
+            "negative-context", "unknown-context", "unknown-var", "flat-counts",
             "too-few-assignments", "transposed-counts", "negative-counts",
         ],
     )
@@ -524,14 +525,16 @@ class TestSharedModels:
         ref_sent: dict = {}
         for cycle in range(1, config.cycles + 1):
             sent = run_cycle(trial, cycle).adv_sets_sent
-            assert bf_propagate(ref, ref_sent) == sent
+            delta_sets, snapshot_sets = bf_propagate(ref, ref_sent)
+            assert sent == delta_sets <= snapshot_sets
             for state in trial.nodes:
                 for nb in state.neighbors:
                     private = ref.nodes[nb].routing_models[state.node_id]
                     assert private == state.published
                     assert private is not state.published
             for a, b in zip(trial.nodes, ref.nodes):
-                # the published model is the last advertisement sent
+                # the deltas integrated so far add up to the last full
+                # advertisement sent
                 assert a.published.entries == ref_sent[a.node_id]
                 assert a.last_built == b.last_built
                 assert well_formed(a.last_built, config.k_sets)
@@ -613,10 +616,22 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimConfig(context_var_count=2, contexts_per_table=3)
 
-    def test_positive_fields(self):
-        for name in ("node_count", "k_sets"):
-            with pytest.raises(ValueError, match=f"{name} must be >= 1"):
-                SimConfig(**{name: 0})
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "node_count",
+            "predicting_var_count",
+            "context_var_count",
+            "contexts_per_table",
+            "combinations_pool",
+            "vars_trained_per_node",
+            "observations_per_var",
+            "k_sets",
+        ],
+    )
+    def test_positive_fields(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            SimConfig(**{name: 0})
 
     @pytest.mark.parametrize("pseudocount", [0.0, -1.0, math.nan, math.inf])
     def test_pseudocount_positive_and_finite(self, pseudocount):

@@ -28,6 +28,8 @@ from conftest import (
 
 
 class TestEntropy:
+    """`joint_entropy` of a one-axis table: a probability vector's entropy."""
+
     def test_fair_coin(self):
         assert vector_entropy([0.5, 0.5]) == pytest.approx(1.0, abs=1e-12)
 
@@ -123,6 +125,9 @@ class TestConditionalEntropy:
 
 
 class TestObserve:
+    """Binning observations with `cell_counts` and smoothing them into tables
+    with `train_pgms`."""
+
     def test_counting_with_uniform_prior(self, binary_schema):
         wl = Workload(schema=binary_schema, node_count=1)
         wl.entries.append(TrainedAssignment(0, 0, (), np.array([[5], [0]])))
@@ -154,12 +159,8 @@ class TestObserve:
         got = cell_counts(2, 4, ctx_idx, outcomes)
         assert np.array_equal(got, want.reshape(2, 4))
 
-    def test_out_of_range_outcome(self):
-        with pytest.raises(ValueError):
-            cell_counts(2, 1, [0], [5])
-
     @pytest.mark.parametrize(
-        "ctx_idx, outcome", [(4, 0), (-1, 0), (0, 2), (0, -1)]
+        "ctx_idx, outcome", [(4, 0), (-1, 0), (0, 2), (0, -1), (0, 5)]
     )
     def test_cell_counts_rejects_out_of_range(self, ctx_idx, outcome):
         # binning happens in cell_counts; an escaped index would land in
