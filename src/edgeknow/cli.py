@@ -203,6 +203,8 @@ def cmd_run(args) -> int:
         try:
             if name not in _FLAG_FIELDS or not raw:
                 raise ValueError("expected <flag>=<v1>,<v2>,...")
+            if name == "seed":
+                raise ValueError("seeds come from --seed, not --sweep")
             sweep_param, sweep_values = name, _int_list(raw)
         except ValueError as exc:
             print(f"bad sweep expression {args.sweep!r}: {exc}", file=sys.stderr)

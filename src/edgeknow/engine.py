@@ -389,9 +389,10 @@ def _cached_oracle(trial: TrialState, query: Query) -> float:
 
 def check_workload(config: SimConfig, workload: Workload):
     """Raise ValueError unless the workload has the config's node count and
-    schema, and every entry trains a known variable of one of its nodes
-    against a strictly ascending tuple of known contexts, once per (node,
-    variable), with non-negative counts of the shape `cell_counts` gives."""
+    schema, every entry trains a known variable of one of its nodes against
+    a strictly ascending tuple of known contexts, once per (node, variable),
+    with non-negative counts of the shape `cell_counts` gives, and some
+    entry holds an observation."""
     if workload.node_count != config.node_count:
         raise ValueError(
             f"workload has {workload.node_count} nodes, config {config.node_count}"
@@ -430,6 +431,9 @@ def check_workload(config: SimConfig, workload: Workload):
             raise ValueError(f"{where}: unknown variable {exc}") from None
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
+    # queries target trained variables, so some entry must hold an observation
+    if not any(entry.counts.any() for entry in workload.entries):
+        raise ValueError("workload holds no observation")
 
 
 def setup_trial(config: SimConfig, workload: Optional[Workload] = None) -> TrialState:
@@ -463,14 +467,14 @@ def setup_trial(config: SimConfig, workload: Optional[Workload] = None) -> Trial
                 neighbors=neighbors,
                 routing_models={nb: models[nb] for nb in neighbors},
                 published=models[node_id],
+                changed_vars=set(tables[node_id]),
             )
         )
     trained_combos: dict[int, set] = {}
-    for entry in workload.entries:
-        trained_combos.setdefault(entry.var, set()).add(entry.contexts)
     trainers: dict[int, list[int]] = {}
     for node_id, node_tables in enumerate(tables):
-        for var in sorted(node_tables):
+        for var, table in node_tables.items():
+            trained_combos.setdefault(var, set()).add(table.contexts)
             trainers.setdefault(var, []).append(node_id)
     return TrialState(
         config=config,
@@ -511,31 +515,30 @@ def route_query(trial: TrialState, query: Query, strategy: Strategy) -> Query:
     return query
 
 
-def run_cycle(trial: TrialState, cycle: int, strategy: Optional[Strategy] = None) -> CycleMetrics:
+def run_cycle(trial: TrialState, cycle: int) -> CycleMetrics:
     config = trial.config
-    strategy = strategy or config.strategy
+    strategy = config.strategy
     policy = config.resolved_policy()
     adv_sets_sent = 0
 
     # phase 1: knowledge propagation; a node rebuilds and compares only the
-    # variables its routing models changed since its last build. Every
-    # neighbor of a sender integrates the same advertisements in the same
-    # order, so the sender's published model is integrated once and shared
-    # by all; it holds what the neighbors were told, and nothing before the
-    # first build. Only the delta is sent and counted: the variables that
+    # variables it trained, in its first build, or that its routing models
+    # changed since its last build. Every neighbor of a sender integrates the
+    # same advertisements in the same order, so the sender's published model
+    # is integrated once and shared by all; it holds what the neighbors were
+    # told. Only the delta is sent and counted: the variables that
     # integrating reports changed, all a receiver lacks while the overlay is
     # static and every neighbor received every earlier delta.
     outgoing: list[tuple[NodeState, Advertisement]] = []
     for state in trial.nodes:
-        built, changed = state.last_built, state.changed_vars
-        if built is not None and not changed:
+        changed = state.changed_vars
+        if not changed:
             continue
         current = build_advertisement(
             state.local_sets(), state.routing_models.values(), policy,
-            config.k_sets, built, changed,
+            config.k_sets, state.last_built, changed,
         )
-        sent = None if built is None else state.published.entries
-        if should_advertise(sent, current, policy, changed):
+        if should_advertise(state.published.entries, current, policy, changed):
             outgoing.append((state, current))
         state.last_built = current
         state.changed_vars = set()

@@ -151,15 +151,16 @@ class NodeState:
     routing_models: dict[NodeId, RoutingModel] = field(default_factory=dict)
     # what this node's advertisements have told its neighbors so far
     published: Optional[RoutingModel] = None
-    # the last advertisement built, sent or not; None before the first build
-    last_built: Optional[Advertisement] = None
-    # variables whose routing-model entries changed since the last build
+    # the last advertisement built, sent or not
+    last_built: Advertisement = field(default_factory=dict)
+    # variables to rebuild: at set-up the trained ones, then those whose
+    # routing-model entries changed since the last build
     changed_vars: set[int] = field(default_factory=set)
-    _local_sets: Optional[list[EntropySet]] = None
+    _local_sets: Optional[dict[int, EntropySet]] = None
     # per target, per evidence variable set: neighbors by (best_score, id)
     _order_cache: dict[int, dict] = field(default_factory=dict)
 
-    def local_sets(self) -> list[EntropySet]:
+    def local_sets(self) -> dict[int, EntropySet]:
         if self._local_sets is None:
             self._local_sets = local_entropy_sets(self.tables)
         return self._local_sets
@@ -196,26 +197,21 @@ class NodeState:
                 self._order_cache.pop(var, None)
 
 
-def local_entropy_sets(tables: dict[int, JointTable]) -> list[EntropySet]:
-    """One full entropy set per trained predicting variable, in ascending
-    order, computed from its joint table."""
-    sets = []
-    for var in sorted(tables):
-        table = tables[var]
-        sets.append(
-            EntropySet(
-                predicting=var,
-                joint=joint_entropy(table),
-                context_entropies={
-                    c: marginal_entropy(table, c) for c in table.contexts
-                },
-            )
+def local_entropy_sets(tables: dict[int, JointTable]) -> dict[int, EntropySet]:
+    """Per trained predicting variable, in ascending order, the full entropy
+    set computed from its joint table."""
+    return {
+        var: EntropySet(
+            predicting=var,
+            joint=joint_entropy(table),
+            context_entropies={c: marginal_entropy(table, c) for c in table.contexts},
         )
-    return sets
+        for var, table in sorted(tables.items())
+    }
 
 
 def answer_entropy(
-    local_sets: list[EntropySet], target: int, bound: Iterable[int]
+    local_sets: dict[int, EntropySet], target: int, bound: Iterable[int]
 ) -> Optional[float]:
     """The node's remaining uncertainty to answer a query for `target` with
     evidence on `bound`, or None if the target is untrained here: the score
@@ -223,50 +219,41 @@ def answer_entropy(
     marginal entropies of its table, so the value is the table's joint
     entropy minus the marginal entropies of the bound contexts it holds,
     clamped at zero."""
-    for s in local_sets:
-        if s.predicting == target:
-            return s.score(bound)
-    return None
+    s = local_sets.get(target)
+    return None if s is None else s.score(bound)
 
 
 def build_advertisement(
-    local_sets: list[EntropySet],
+    local_sets: dict[int, EntropySet],
     routing_models: Iterable[RoutingModel],
     policy: AdvertisementPolicy,
     k: int,
-    previous: Optional[Advertisement] = None,
-    changed: Iterable[int] = (),
+    previous: Advertisement,
+    changed: Iterable[int],
 ) -> Advertisement:
     """Aggregate local and neighbor-learned entropy sets into the summary this
     node would advertise: per predicting variable, the K lowest-joint sets over
     distinct context combinations, with sets drawn from routing models inflated
-    by one hop and low-quality local sets reduced to joint-only form. Ties in
-    joint go to the combination offered first: local sets in list order, then
-    the models in iteration order.
+    by one hop and a low-quality local set reduced to joint-only form. Ties in
+    joint go to the combination offered first: the local set, then the
+    models in iteration order.
 
     `previous` is the node's last built advertisement and `changed` the
-    variables whose model entries changed since; only those are rebuilt, and
-    a rebuilt list equal to the previous one is kept as that same object, so
-    receivers can skip it by identity. Without `previous`, every variable is
-    built."""
+    variables to rebuild: the trained ones before the first build, then
+    those whose model entries changed since. A rebuilt list equal to the
+    previous one is kept as that same object, so receivers can skip it by
+    identity."""
     models = [model.entries for model in routing_models]
-    local: dict[int, list[EntropySet]] = {}
-    for s in local_sets:
-        local.setdefault(s.predicting, []).append(s)
-    if previous is None:
-        previous = {}
-        changed = set(local).union(*models)
     eps = policy.hop_inflation
     adv = dict(previous)
     for var in changed:
         # per combination: the minimum-joint candidate
         best: dict[frozenset, EntropySet] = {}
-        for s in local.get(var, ()):
+        s = local_sets.get(var)
+        if s is not None:
             if s.score(s.combination) > policy.quality_threshold:
                 s = EntropySet(var, s.joint)
-            cur = best.get(s.combination)
-            if cur is None or s.joint < cur.joint:
-                best[s.combination] = s
+            best[s.combination] = s
         for entries in models:
             for s in entries.get(var, ()):
                 cur = best.get(s.combination)
@@ -299,23 +286,21 @@ def integrate_advertisement(model: RoutingModel, entries: Advertisement) -> set[
 
 
 def should_advertise(
-    previous: Optional[Advertisement],
+    previous: Advertisement,
     current: Advertisement,
     policy: AdvertisementPolicy,
     changed: Iterable[int],
 ) -> bool:
     """True when `current` differs from the last sent advertisement
-    `previous` (None before the first send): in its (variable, combination)
+    `previous` (empty before the first send): in its (variable, combination)
     keys, or by more than the change threshold in a joint. Only the
     variables in `changed` are compared. That is exact when every other
     variable's list is the one last built, and the last build was either
     sent or within the threshold of `previous`, as the engine keeps it.
-    The engine passes the sender's published model as `previous`, so after
-    the first send a True always has a variable whose list differs by
-    value: the delta sent is never empty, and `adv_sets_sent` counts its
-    variables' sets once per neighbor."""
-    if previous is None:
-        return True
+    The engine passes the sender's published model as `previous`, so a
+    True always has a variable whose list differs by value: the delta sent
+    is never empty, and `adv_sets_sent` counts its variables' sets once per
+    neighbor."""
     threshold = policy.change_threshold
     for var in changed:
         old, new = previous.get(var, ()), current.get(var, ())

@@ -8,6 +8,7 @@ edge limit are excluded so the degree cap is hard.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Collection, Iterable, Sequence
 
@@ -78,25 +79,17 @@ class Overlay:
                 f.write(f"{deg},{count}\n")
 
 
-def incidence_matrix(trained: Sequence[Collection[int]]) -> np.ndarray:
-    """Node x predicting-variable matrix with a 1 where the node trained the
-    variable, one column per id up to the largest trained. Integer, not
-    bool, so a product counts shared variables."""
-    width = 1 + max((max(ids, default=-1) for ids in trained), default=-1)
-    inc = np.zeros((len(trained), width), dtype=np.int64)
-    for i, ids in enumerate(trained):
-        inc[i, list(ids)] = 1
-    return inc
-
-
 def overlap_coefficients(
-    inc: np.ndarray, sizes: np.ndarray, node: int
+    trainers: dict[int, list[int]], sizes: np.ndarray, ids: Collection[int]
 ) -> np.ndarray:
-    """Overlap coefficient |A & B| / min(|A|, |B|) of `node`'s trained set
-    with that of every node before it; zero where either set is empty."""
-    shared = inc[:node] @ inc[node]
-    smaller = np.minimum(sizes[:node], sizes[node])
-    return np.divide(shared, smaller, out=np.zeros(node), where=smaller > 0)
+    """Overlap coefficient |A & B| / min(|A|, |B|) of the trained set `ids`
+    with that of every earlier node, given per variable the earlier nodes
+    that trained it and the earlier nodes' set sizes; zero where either set
+    is empty."""
+    earlier = itertools.chain.from_iterable(trainers.get(v, ()) for v in ids)
+    shared = np.bincount(np.fromiter(earlier, np.intp), minlength=len(sizes))
+    smaller = np.minimum(sizes, len(ids))
+    return np.divide(shared, smaller, out=np.zeros(len(sizes)), where=smaller > 0)
 
 
 def attachment_probabilities(
@@ -173,17 +166,15 @@ def generate(
             overlay.add_edge(u, v)
     degree = np.zeros(n, dtype=np.int64)
     degree[: params.m0] = params.m0 - 1
-    inc = incidence_matrix(trained)
-    sizes = inc.sum(axis=1)
-    for new_id in range(params.m0, n):
-        attach(
-            overlay,
-            new_id,
-            overlap_coefficients(inc, sizes, new_id),
-            degree,
-            params,
-            rng,
-        )
+    sizes = np.array([len(ids) for ids in trained], dtype=np.int64)
+    # per variable, the ids of the nodes so far that trained it, ascending
+    trainers: dict[int, list[int]] = {}
+    for new_id, ids in enumerate(trained):
+        if new_id >= params.m0:
+            sims = overlap_coefficients(trainers, sizes[:new_id], ids)
+            attach(overlay, new_id, sims, degree, params, rng)
+        for v in ids:
+            trainers.setdefault(v, []).append(new_id)
     _repair_connectivity(overlay)
     return overlay
 

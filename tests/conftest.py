@@ -223,7 +223,7 @@ def bf_next_hop(state, query):
 
 
 def bf_build_advertisement(
-    local_sets: list[EntropySet],
+    local_sets: dict[int, EntropySet],
     routing_models: Iterable[RoutingModel],
     policy: AdvertisementPolicy,
     k: int,
@@ -241,7 +241,7 @@ def bf_build_advertisement(
         if cur is None or s.joint < cur.joint:
             combos[s.combination] = s
 
-    for s in local_sets:
+    for s in local_sets.values():
         if s.score(s.combination) > policy.quality_threshold:
             offer(EntropySet(s.predicting, s.joint))
         else:
@@ -258,13 +258,11 @@ def bf_build_advertisement(
 
 
 def bf_should_advertise(
-    previous: Advertisement | None,
+    previous: Advertisement,
     current: Advertisement,
     policy: AdvertisementPolicy,
 ) -> bool:
     """The full comparison: every (variable, combination) key and joint."""
-    if previous is None:
-        return True
     old, new = (
         {(var, s.combination): s.joint for var, sets in adv.items() for s in sets}
         for adv in (previous, current)
@@ -289,7 +287,8 @@ def bf_propagate(trial, sent: dict[int, Advertisement]) -> tuple[int, int]:
     """Phase 1 of a cycle with one private routing model per receiver: every
     neighbor of a sender integrates the full advertisement into its own
     copy. Give each node private `routing_models` before the first call.
-    `sent` maps each node to the last advertisement it sent, and is updated.
+    `sent` maps each node that sent to the last advertisement it sent, and
+    is updated.
     Returns the cycle's `adv_sets_sent` counted per receiver, once over the
     variables whose private list changed by value (what a delta carries) and
     once over every advertised variable (a full snapshot)."""
@@ -298,14 +297,14 @@ def bf_propagate(trial, sent: dict[int, Advertisement]) -> tuple[int, int]:
     delta_sets = snapshot_sets = 0
     outgoing = []
     for state in trial.nodes:
-        if state.last_built is not None and not state.changed_vars:
-            continue
         changed = state.changed_vars
+        if not changed:
+            continue
         current = build_advertisement(
             state.local_sets(), state.routing_models.values(), policy,
             config.k_sets, state.last_built, changed,
         )
-        if should_advertise(sent.get(state.node_id), current, policy, changed):
+        if should_advertise(sent.get(state.node_id, {}), current, policy, changed):
             outgoing.append((state, current))
         state.last_built = current
         state.changed_vars = set()

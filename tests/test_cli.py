@@ -1,4 +1,7 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -89,6 +92,15 @@ class TestRun:
 
     def test_bad_sweep_spec(self, tmp_path):
         assert run_cli(BASE + ["--sweep", "bogus=1", "--out", tmp_path]) == 2
+
+    def test_seed_is_not_a_sweep_parameter(self, tmp_path, capsys):
+        # swept seeds would replace --seed's in every run, under --seed's names
+        out = tmp_path / "out"
+        args = BASE + ["--seed", "0,5", "--sweep", "seed=1,2", "--out", out]
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert "seeds come from --seed" in err and len(err.splitlines()) == 1
+        assert not out.exists()
 
     def test_bad_config_value(self, tmp_path, capsys):
         assert run_cli(["run", "--nodes", "0", "--out", tmp_path]) == 2
@@ -322,3 +334,21 @@ class TestTopology:
             degree[v] = degree.get(v, 0) + 1
         assert max(degree.values()) <= 6
         assert "loglog_survival_slope" not in capsys.readouterr().out
+
+
+class TestStudies:
+    def test_cycles_study_writes_one_row_per_cycle(self, tmp_path):
+        repo = Path(__file__).resolve().parents[1]
+        out = tmp_path / "c.csv"
+        env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+        subprocess.run(
+            [
+                sys.executable, str(repo / "scripts" / "studies.py"),
+                "--study", "cycles", "--seeds", "0", "--values", "abs",
+                "--cycles", "1", "--out", str(out),
+            ],
+            check=True, env=env, capture_output=True,
+        )
+        lines = out.read_text().splitlines()
+        assert lines[0] == "value,cycle,accuracy,accuracy_std"
+        assert len(lines) == 2 and lines[1].startswith("abs,1,")

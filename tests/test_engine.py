@@ -318,6 +318,9 @@ class TestTrialSetup:
             assert set(state.routing_models) == set(state.neighbors)
             # every neighbor holds the node's one published model
             assert state.published.entries == {}
+            # the first build covers the trained variables
+            assert state.last_built == {}
+            assert state.changed_vars == set(state.tables)
             for nb in state.neighbors:
                 assert trial.nodes[nb].routing_models[state.node_id] is state.published
         assert len({id(state.published) for state in trial.nodes}) == len(trial.nodes)
@@ -331,6 +334,13 @@ class TestTrialSetup:
                     want.setdefault(var, []).append(state.node_id)
         assert trial.trainers == want
         assert set(trial.trainers) == set(trial.trained_combos)
+
+    def test_entries_without_observations_are_not_targets(self):
+        config = small_config()
+        workload = workload_with_entry(config, counts=np.zeros((8, 16), int))
+        trial = setup_trial(config, workload)
+        assert trial.trained_combos == {0: [(0,)]}
+        assert trial.trainers == {0: [0]}
 
     def test_trained_combos_cover_workload(self):
         config = small_config()
@@ -406,6 +416,18 @@ class TestCheckWorkload:
         with pytest.raises(ValueError, match=message):
             setup_trial(config, workload_with_entry(config, **fields))
 
+    @pytest.mark.parametrize(
+        "entries",
+        [[], [TrainedAssignment(0, 0, (0,), np.zeros((8, 4), dtype=np.int64))]],
+        ids=["no-entries", "all-zero-counts"],
+    )
+    def test_rejects_a_workload_without_observations(self, entries):
+        # queries target trained variables, so there must be one
+        config = small_config()
+        workload = Workload(config.schema(), config.node_count, entries)
+        with pytest.raises(ValueError, match="^workload holds no observation$"):
+            run_trial(config, workload)
+
 
 class TestRouteQuery:
     def test_visited_is_walk_and_budget_spent(self):
@@ -441,10 +463,10 @@ class TestRouteQuery:
         ids=["default", "budget0", "budget1", "one-node", "budget-exceeds-nodes"],
     )
     def test_every_hop_is_spent_on_a_forward(self, strategy, overrides):
-        config = small_config(**overrides)
+        config = small_config(strategy=strategy, **overrides)
         trial = setup_trial(config)
         for cycle in range(1, config.cycles + 1):
-            run_cycle(trial, cycle, strategy)
+            run_cycle(trial, cycle)
         hops = config.resolved_hops()
         for state in trial.nodes:
             done = route_query(trial, _make_query(trial, state.node_id), strategy)
@@ -494,12 +516,12 @@ class TestOracleBound:
         "be answered above log2(predicting_cardinality)",
     )
     def test_no_answer_worse_than_the_uniform_prior(self):
-        config = small_config(combinations_pool=3)
-        uniform = math.log2(config.predicting_cardinality)
         for strategy in Strategy:
+            config = small_config(combinations_pool=3, strategy=strategy)
+            uniform = math.log2(config.predicting_cardinality)
             trial = setup_trial(config)
             for cycle in range(1, config.cycles + 1):
-                run_cycle(trial, cycle, strategy)
+                run_cycle(trial, cycle)
             for achieved, _ in achieved_and_optimal(trial, strategy):
                 assert achieved <= uniform
 
@@ -535,7 +557,7 @@ class TestSharedModels:
             for a, b in zip(trial.nodes, ref.nodes):
                 # the deltas integrated so far add up to the last full
                 # advertisement sent
-                assert a.published.entries == ref_sent[a.node_id]
+                assert a.published.entries == ref_sent.get(a.node_id, {})
                 assert a.last_built == b.last_built
                 assert well_formed(a.last_built, config.k_sets)
                 assert a.changed_vars == b.changed_vars

@@ -27,7 +27,7 @@ from conftest import (
 )
 
 
-class TestEntropy:
+class TestVectorEntropy:
     """`joint_entropy` of a one-axis table: a probability vector's entropy."""
 
     def test_fair_coin(self):
@@ -92,7 +92,7 @@ class TestMarginalEntropy:
             marginal_entropy(table_from_tensor(np.ones((2, 2))), 7)
 
 
-class TestConditionalEntropy:
+class TestChainRule:
     """The chain rule over the library's table entropies."""
 
     def test_empty_evidence_is_joint(self):

@@ -41,6 +41,14 @@ def make_set(var_idx, joint, ctx_entropies=None):
     )
 
 
+def full_build(local, models, policy, k):
+    """An advertisement built from nothing: every variable that the local
+    sets or the models hold."""
+    models = list(models)
+    every = set(local).union(*(model.entries for model in models))
+    return build_advertisement(local, models, policy, k, {}, every)
+
+
 ZERO_EPS = AdvertisementPolicy(hop_inflation=0.0)
 # quality gate disabled: aggregation tests want combinations kept verbatim
 NO_GATE = AdvertisementPolicy(hop_inflation=0.0, quality_threshold=100.0)
@@ -76,8 +84,8 @@ class TestEntropySetScore:
 
 class TestBuildAdvertisement:
     def test_local_only(self):
-        local = [make_set(0, 1.0, {0: 0.4}), make_set(1, 2.0, {1: 0.7})]
-        adv = build_advertisement(local, [], ZERO_EPS, k=2)
+        local = {0: make_set(0, 1.0, {0: 0.4}), 1: make_set(1, 2.0, {1: 0.7})}
+        adv = full_build(local, [], ZERO_EPS, k=2)
         assert set(adv) == {0, 1}
         assert adv[0][0].joint == pytest.approx(1.0)
 
@@ -87,16 +95,16 @@ class TestBuildAdvertisement:
         policy = AdvertisementPolicy(hop_inflation=eps)
         neighbor_model = RoutingModel()
         neighbor_model.entries[0] = [make_set(0, 0.5, {0: 0.2})]
-        local = [make_set(0, 1.0, {0: 0.4})]
-        sets = build_advertisement(local, [neighbor_model], policy, k=2)[0]
+        local = {0: make_set(0, 1.0, {0: 0.4})}
+        sets = full_build(local, [neighbor_model], policy, k=2)[0]
         assert len(sets) == 1  # same combination, minimum wins
         assert sets[0].joint == pytest.approx(0.5 + eps)
 
     def test_distinct_combinations_coexist(self):
-        local = [make_set(0, 1.0, {0: 0.4})]
+        local = {0: make_set(0, 1.0, {0: 0.4})}
         model = RoutingModel()
         model.entries[0] = [make_set(0, 0.5, {1: 0.2})]
-        adv = build_advertisement(local, [model], ZERO_EPS, k=2)
+        adv = full_build(local, [model], ZERO_EPS, k=2)
         assert len(adv[0]) == 2
         assert {s.combination for s in adv[0]} == {
             frozenset({0}),
@@ -104,17 +112,18 @@ class TestBuildAdvertisement:
         }
 
     def test_k_truncation_keeps_lowest_joints(self):
-        local = [
-            EntropySet(0, 1.0 + i, {i: 0.1}) for i in range(5)
-        ]
-        adv = build_advertisement(local, [], NO_GATE, k=2)
+        # one local and four neighbor-learned sets over distinct combinations
+        local = {0: EntropySet(0, 3.0, {0: 0.1})}
+        joints = (1.0, 2.0, 4.0, 5.0)
+        learned = [EntropySet(0, j, {i: 0.1}) for i, j in enumerate(joints, 1)]
+        adv = full_build(local, [RoutingModel({0: learned})], NO_GATE, k=2)
         assert [s.joint for s in adv[0]] == [1.0, 2.0]
 
     def test_quality_gate_reduces_poor_local_sets(self):
         policy = AdvertisementPolicy(quality_threshold=0.5, hop_inflation=0.0)
         good = make_set(0, 1.0, {0: 0.8})   # evidence-free conditional 0.2
         poor = make_set(1, 2.0, {0: 0.8})   # evidence-free conditional 1.2
-        adv = build_advertisement([good, poor], [], policy, k=2)
+        adv = full_build({0: good, 1: poor}, [], policy, k=2)
         assert adv[0][0].context_entropies
         assert not adv[1][0].context_entropies
         assert adv[1][0].joint == pytest.approx(2.0)
@@ -132,11 +141,15 @@ class TestBuildAdvertisement:
     )
     @settings(max_examples=100)
     def test_truncation_matches_brute_force(self, raw, k):
-        local = [
-            EntropySet(v, j, {c: 0.05 for c in combo})
-            for v, j, combo in raw
-        ]
-        adv = build_advertisement(local, [], NO_GATE, k=k)
+        # a variable's first set is the local one, the rest neighbor-learned
+        local, neighbor = {}, RoutingModel()
+        for v, j, combo in raw:
+            s = EntropySet(v, j, {c: 0.05 for c in combo})
+            if v in local:
+                neighbor.entries.setdefault(v, []).append(s)
+            else:
+                local[v] = s
+        adv = full_build(local, [neighbor], NO_GATE, k=k)
         for var in {v for v, _, _ in raw}:
             # brute force: min joint per distinct combination, k lowest kept
             best = {}
@@ -236,7 +249,7 @@ class TestShouldAdvertise:
         return {0: [make_set(0, 1.0)]}
 
     def test_first_time(self):
-        assert should_advertise(None, self.first(), self.policy, ())
+        assert should_advertise({}, self.first(), self.policy, {0})
 
     def test_new_key(self):
         other = {1: [make_set(1, 1.0)]}
@@ -290,15 +303,18 @@ class TestIncrementalBuild:
             quality_threshold=data.draw(st.sampled_from((0.6, 100.0))),
             hop_inflation=data.draw(st.sampled_from((0.0, 0.5))),
         )
-        local = [
-            s for var in range(3) for s in data.draw(model_entries(var))
-        ]
+        local = {}
+        for var in range(3):
+            sets = data.draw(model_entries(var, max_size=1))
+            if sets:
+                local[var] = sets[0]
         neighbors = data.draw(
             st.lists(st.integers(1, 9), min_size=1, max_size=4, unique=True)
         )
         models = {nb: RoutingModel() for nb in neighbors}
-        sent = built = None
-        changed: set[int] = set()
+        sent, built = {}, {}
+        # the first build covers the trained variables
+        changed = set(local)
         for _ in range(data.draw(st.integers(1, 8), label="rounds")):
             for _ in range(data.draw(st.integers(0, 3))):
                 model = models[data.draw(st.sampled_from(neighbors))]
@@ -322,10 +338,9 @@ class TestIncrementalBuild:
                 local, models.values(), policy, k
             )
             assert well_formed(current, k)
-            if built is not None:
-                for var, sets in built.items():
-                    if var not in changed or current.get(var) == sets:
-                        assert current[var] is sets
+            for var, sets in built.items():
+                if var not in changed or current.get(var) == sets:
+                    assert current[var] is sets
             send = should_advertise(sent, current, policy, changed)
             assert send == bf_should_advertise(sent, current, policy)
             if send:
@@ -486,7 +501,8 @@ class TestLocalSets:
             0: JointTable(0, (0,), np.ones((2, 2))),
         }
         sets = local_entropy_sets(tables)
-        assert [s.predicting for s in sets] == [0, 2]
+        assert list(sets) == [0, 2]
+        assert [s.predicting for s in sets.values()] == [0, 2]
         assert sets[0].combination == frozenset({0})
 
     def test_answer_entropy_untrained_is_none(self):
@@ -535,10 +551,8 @@ def advertise_until_stable(nodes, policy, k, max_rounds=60):
     for _ in range(max_rounds):
         sent = 0
         for node in nodes.values():
-            adv = build_advertisement(
-                node.local_sets(), node.routing_models.values(), policy, k
-            )
-            if bf_should_advertise(last_sent.get(node.node_id), adv, policy):
+            adv = full_build(node.local_sets(), node.routing_models.values(), policy, k)
+            if bf_should_advertise(last_sent.get(node.node_id, {}), adv, policy):
                 last_sent[node.node_id] = adv
                 sent += 1
                 for nb in node.neighbors:
@@ -555,9 +569,9 @@ def build_network(n_nodes, edges, joints):
     for i in range(n_nodes):
         node = blank_node(i)
         if joints[i] is not None:
-            node._local_sets = [make_set(0, joints[i], {0: 0.1})]
+            node._local_sets = {0: make_set(0, joints[i], {0: 0.1})}
         else:
-            node._local_sets = []
+            node._local_sets = {}
         nodes[i] = node
     for a, b in edges:
         nodes[a].neighbors.append(b)

@@ -10,7 +10,6 @@ from edgeknow.topology import (
     attachment_probabilities,
     degree_histogram,
     generate,
-    incidence_matrix,
     overlap_coefficients,
     survival_slope,
 )
@@ -30,9 +29,13 @@ def overlay_from_edges(n, edges, limit=100):
 
 def overlaps(arriving, existing):
     """Overlap coefficients of `arriving` with each trained set in
-    `existing`."""
-    inc = incidence_matrix(list(existing) + [arriving])
-    return overlap_coefficients(inc, inc.sum(axis=1), len(existing))
+    `existing`, indexed by variable as overlay growth indexes them."""
+    trainers = {}
+    for node, ids in enumerate(existing):
+        for v in ids:
+            trainers.setdefault(v, []).append(node)
+    sizes = np.array([len(ids) for ids in existing], dtype=np.int64)
+    return overlap_coefficients(trainers, sizes, arriving)
 
 
 def similarity(a, b):
@@ -63,11 +66,12 @@ class TestSimilarity:
         a, b = {0, 1, 5}, {1, 7}
         assert similarity(a, b) == similarity(b, a)
 
-    def test_incidence_width_comes_from_the_ids(self):
-        assert incidence_matrix([{0}, {5}, set()]).shape == (3, 6)
+    def test_untrained_and_unseen_variables(self):
+        assert overlaps({5, 9}, [{0}, {5}, set()]) == pytest.approx([0.0, 1.0, 0.0])
         assert overlaps(set(), [set(), set()]) == pytest.approx([0.0, 0.0])
+        assert overlaps({0}, []).shape == (0,)
 
-    def test_one_product_per_arrival(self):
+    def test_one_count_per_earlier_node(self):
         existing = [{0, 1, 2}, set(), {3}]
         assert overlaps({1, 2, 3, 4}, existing) == pytest.approx(
             [2 / 3, 0.0, 1.0]
