@@ -21,7 +21,6 @@ import numpy as np
 
 from .pgm import JointTable, Schema, UnknownVariable, cell_counts
 from .routing import (
-    Advertisement,
     AdvertisementPolicy,
     NodeState,
     Query,
@@ -391,8 +390,8 @@ def check_workload(config: SimConfig, workload: Workload):
     """Raise ValueError unless the workload has the config's node count and
     schema, every entry trains a known variable of one of its nodes against
     a strictly ascending tuple of known contexts, once per (node, variable),
-    with non-negative counts of the shape `cell_counts` gives, and some
-    entry holds an observation."""
+    with non-negative counts in an integer array of the shape `cell_counts`
+    gives, and some entry holds an observation."""
     if workload.node_count != config.node_count:
         raise ValueError(
             f"workload has {workload.node_count} nodes, config {config.node_count}"
@@ -421,11 +420,17 @@ def check_workload(config: SimConfig, workload: Workload):
                 raise ValueError(f"contexts {entry.contexts!r} not a tuple")
             if list(entry.contexts) != sorted(set(entry.contexts)):
                 raise ValueError(f"contexts {entry.contexts} not strictly ascending")
+            counts = entry.counts
+            if not isinstance(counts, np.ndarray):
+                raise ValueError(f"counts a {type(counts).__name__}, not an array")
+            # nan passes the sign check, and inf or a fraction is no tally
+            if not np.issubdtype(counts.dtype, np.integer):
+                raise ValueError(f"counts of dtype {counts.dtype}, not integers")
             cards = map(schema.context_cardinality, entry.contexts)
             shape = (schema.predicting_cardinality(entry.var), math.prod(cards))
-            if np.shape(entry.counts) != shape:
-                raise ValueError(f"counts shaped {np.shape(entry.counts)}, not {shape}")
-            if np.min(entry.counts) < 0:
+            if counts.shape != shape:
+                raise ValueError(f"counts shaped {counts.shape}, not {shape}")
+            if counts.min() < 0:
                 raise ValueError("negative counts")
         except UnknownVariable as exc:
             raise ValueError(f"{where}: unknown variable {exc}") from None
@@ -523,30 +528,37 @@ def run_cycle(trial: TrialState, cycle: int) -> CycleMetrics:
 
     # phase 1: knowledge propagation; a node rebuilds and compares only the
     # variables it trained, in its first build, or that its routing models
-    # changed since its last build. Every neighbor of a sender integrates the
-    # same advertisements in the same order, so the sender's published model
-    # is integrated once and shared by all; it holds what the neighbors were
-    # told. Only the delta is sent and counted: the variables that
-    # integrating reports changed, all a receiver lacks while the overlay is
-    # static and every neighbor received every earlier delta.
-    outgoing: list[tuple[NodeState, Advertisement]] = []
+    # changed since its last build. A rebuilt list equal to the published
+    # one is dropped, with any unsent list of its variable; the others wait
+    # in `unsent` until `should_advertise` finds a rebuilt list worth
+    # sending. Every neighbor of a sender integrates the same sends in the
+    # same order, so the sender's published model is integrated once and
+    # shared by all, and a send carries only the unsent lists: all a
+    # receiver lacks while the overlay is static and every neighbor
+    # received every earlier send.
+    outgoing: list[NodeState] = []
     for state in trial.nodes:
-        changed = state.changed_vars
-        if not changed:
+        if not state.changed_vars:
             continue
-        current = build_advertisement(
+        published = state.published.entries
+        rebuilt = build_advertisement(
             state.local_sets(), state.routing_models.values(), policy,
-            config.k_sets, state.last_built, changed,
+            config.k_sets, state.changed_vars,
         )
-        if should_advertise(state.published.entries, current, policy, changed):
-            outgoing.append((state, current))
-        state.last_built = current
+        for var, sets in list(rebuilt.items()):
+            if sets == published.get(var):
+                del rebuilt[var]
+                state.unsent.pop(var, None)
+        state.unsent.update(rebuilt)
+        if should_advertise(published, rebuilt, policy):
+            outgoing.append(state)
         state.changed_vars = set()
-    for state, adv in outgoing:
+    for state in outgoing:
+        adv, state.unsent = state.unsent, {}
         delta = integrate_advertisement(state.published, adv)
         for nb in state.neighbors:
             trial.nodes[nb].models_changed(delta)
-        adv_sets_sent += len(state.neighbors) * sum(len(adv[var]) for var in delta)
+        adv_sets_sent += len(state.neighbors) * sum(map(len, adv.values()))
 
     # phase 2: one query per node
     hits = 0

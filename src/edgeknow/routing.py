@@ -15,12 +15,12 @@ variables' lists changed, and the receiver rebuilds, compares and re-sorts
 only those variables. Because every neighbor of a sender receives the same
 advertisements, one routing model per sender, shared by its neighbors,
 stands for all their copies. An advertisement is sent as a delta, in the
-manner of triggered updates (RIP, RFC 2453 §3.10.1): only the variables
-whose list that shared model does not already hold by value. Receivers keep
-the variables a delta leaves out, so while the overlay is static and every
-neighbor received every earlier delta, routes are those full snapshots
-would give; the traffic counted, `adv_sets_sent`, is the sets of the delta
-variables times the number of neighbors.
+manner of triggered updates (RIP, RFC 2453 §3.10.1): a node keeps the lists
+it built since its last send that differ from its published model, and a
+send carries only those. Receivers keep the variables a delta leaves out,
+so while the overlay is static and every neighbor received every earlier
+delta, routes are those full snapshots would give; the traffic counted,
+`adv_sets_sent`, is the sets of the delta times the number of neighbors.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ class EntropySet:
 
     Sets, and the lists of sets an advertisement holds, are never mutated
     after a build: inflated copies share their source's context entropies
-    and combination, and one advertised list is shared by the sender's
-    later builds and every receiver's routing model."""
+    and combination, and one sent list is shared by every receiver's
+    routing model."""
 
     predicting: int
     joint: float
@@ -137,22 +137,22 @@ class NodeState:
     Every neighbor receives the same advertisements in the same order, so
     the model of what is reachable through a node is kept once, as its
     `published` model, and each neighbor's `routing_models[node_id]` is that
-    same object. Receivers only read their routing models; the sender's
-    advertisements are integrated into `published`, which therefore holds,
-    by value, the last advertisement sent. What integrating one returns is
-    the delta the neighbors are sent: the variables whose list `published`
-    did not yet hold, which is all they lack while the overlay is static
-    and each of them received every earlier delta. `adv_sets_sent` counts
-    the delta's sets once per neighbor."""
+    same object. Receivers only read their routing models; the node's sends
+    are integrated into `published`, which therefore holds what the
+    neighbors were told. `unsent` holds the lists built since the last send
+    that differ by value from `published`: a send carries exactly those,
+    which is all the neighbors lack while the overlay is static and each of
+    them received every earlier send, and `adv_sets_sent` counts their sets
+    once per neighbor."""
 
     node_id: NodeId
     tables: dict[int, JointTable]
     neighbors: list[NodeId] = field(default_factory=list)
     routing_models: dict[NodeId, RoutingModel] = field(default_factory=dict)
-    # what this node's advertisements have told its neighbors so far
-    published: Optional[RoutingModel] = None
-    # the last advertisement built, sent or not
-    last_built: Advertisement = field(default_factory=dict)
+    # what this node's sends have told its neighbors so far
+    published: RoutingModel = field(default_factory=RoutingModel)
+    # the lists built since the last send that differ from `published`
+    unsent: Advertisement = field(default_factory=dict)
     # variables to rebuild: at set-up the trained ones, then those whose
     # routing-model entries changed since the last build
     changed_vars: set[int] = field(default_factory=set)
@@ -228,25 +228,18 @@ def build_advertisement(
     routing_models: Iterable[RoutingModel],
     policy: AdvertisementPolicy,
     k: int,
-    previous: Advertisement,
-    changed: Iterable[int],
+    variables: Iterable[int],
 ) -> Advertisement:
-    """Aggregate local and neighbor-learned entropy sets into the summary this
-    node would advertise: per predicting variable, the K lowest-joint sets over
-    distinct context combinations, with sets drawn from routing models inflated
-    by one hop and a low-quality local set reduced to joint-only form. Ties in
-    joint go to the combination offered first: the local set, then the
-    models in iteration order.
-
-    `previous` is the node's last built advertisement and `changed` the
-    variables to rebuild: the trained ones before the first build, then
-    those whose model entries changed since. A rebuilt list equal to the
-    previous one is kept as that same object, so receivers can skip it by
-    identity."""
+    """The lists this node would advertise for `variables`: per variable, the
+    K lowest-joint sets over distinct context combinations, drawn from its
+    local set and its routing models, with sets from routing models inflated
+    by one hop and a low-quality local set reduced to joint-only form. Ties
+    in joint go to the combination offered first: the local set, then the
+    models in iteration order."""
     models = [model.entries for model in routing_models]
     eps = policy.hop_inflation
-    adv = dict(previous)
-    for var in changed:
+    adv = {}
+    for var in variables:
         # per combination: the minimum-joint candidate
         best: dict[frozenset, EntropySet] = {}
         s = local_sets.get(var)
@@ -259,27 +252,23 @@ def build_advertisement(
                 cur = best.get(s.combination)
                 if cur is None or s.joint + eps < cur.joint:
                     best[s.combination] = s.inflated(eps)
-        winners = sorted(best.values(), key=_joint)[:k]
-        if winners != previous.get(var):
-            adv[var] = winners
+        adv[var] = sorted(best.values(), key=_joint)[:k]
     return adv
 
 
 def integrate_advertisement(model: RoutingModel, entries: Advertisement) -> set[int]:
     """Replace the model's entries per advertised variable; variables absent
     from the advertisement are retained. Returns the variables whose list
-    changed by value; a list the model already holds, as the same object,
-    is skipped unread. Lists are stored as they are: the engine integrates
+    changed by value. Lists are stored as they are: the engine integrates
     only what `build_advertisement` made, at most K sets per variable over
     distinct combinations in ascending joint order.
 
-    The engine integrates each advertisement once, into the sender's
-    published model, and hands the returned set to every neighbor."""
+    The engine integrates each send once, into the sender's published model,
+    and hands the returned set to every neighbor."""
     changed = set()
     held = model.entries
     for var, sets in entries.items():
-        old = held.get(var)
-        if old is not sets and sets != old:
+        if sets != held.get(var):
             changed.add(var)
         held[var] = sets
     return changed
@@ -289,23 +278,15 @@ def should_advertise(
     previous: Advertisement,
     current: Advertisement,
     policy: AdvertisementPolicy,
-    changed: Iterable[int],
 ) -> bool:
-    """True when `current` differs from the last sent advertisement
-    `previous` (empty before the first send): in its (variable, combination)
-    keys, or by more than the change threshold in a joint. Only the
-    variables in `changed` are compared. That is exact when every other
-    variable's list is the one last built, and the last build was either
-    sent or within the threshold of `previous`, as the engine keeps it.
-    The engine passes the sender's published model as `previous`, so a
-    True always has a variable whose list differs by value: the delta sent
-    is never empty, and `adv_sets_sent` counts its variables' sets once per
-    neighbor."""
+    """True when a list in `current` differs from the one `previous` holds
+    for its variable (none before the first send): in its combinations, or
+    by more than the change threshold in a joint. The engine passes the
+    sender's published model as `previous` and only the rebuilt lists that
+    differ from it by value as `current`."""
     threshold = policy.change_threshold
-    for var in changed:
-        old, new = previous.get(var, ()), current.get(var, ())
-        if old is new:
-            continue
+    for var, new in current.items():
+        old = previous.get(var, ())
         if len(old) != len(new):
             return True
         joints = {s.combination: s.joint for s in old}

@@ -27,9 +27,6 @@ from edgeknow.routing import (
     AdvertisementPolicy,
     EntropySet,
     RoutingModel,
-    build_advertisement,
-    integrate_advertisement,
-    should_advertise,
 )
 from edgeknow.topology import NoAttachmentTarget, Overlay, _repair_connectivity
 
@@ -283,12 +280,16 @@ def well_formed(adv: Advertisement, k: int) -> bool:
     )
 
 
-def bf_propagate(trial, sent: dict[int, Advertisement]) -> tuple[int, int]:
-    """Phase 1 of a cycle with one private routing model per receiver: every
-    neighbor of a sender integrates the full advertisement into its own
-    copy. Give each node private `routing_models` before the first call.
-    `sent` maps each node that sent to the last advertisement it sent, and
-    is updated.
+def bf_propagate(trial, sent: dict, built: dict) -> tuple[int, int]:
+    """Phase 1 of a cycle from scratch, with one private routing model per
+    receiver: every node builds its full advertisement with
+    `bf_build_advertisement`, sends it when `bf_should_advertise` says it
+    differs from the last one it sent, and every neighbor of a sender
+    integrates the full advertisement into its own copy. Give each node
+    private `routing_models` before the first call. `sent` and `built` map
+    each node to the last advertisement it sent and built, and are updated;
+    each node's `changed_vars` become the variables whose private lists
+    changed by value this cycle.
     Returns the cycle's `adv_sets_sent` counted per receiver, once over the
     variables whose private list changed by value (what a delta carries) and
     once over every advertised variable (a full snapshot)."""
@@ -297,26 +298,21 @@ def bf_propagate(trial, sent: dict[int, Advertisement]) -> tuple[int, int]:
     delta_sets = snapshot_sets = 0
     outgoing = []
     for state in trial.nodes:
-        changed = state.changed_vars
-        if not changed:
-            continue
-        current = build_advertisement(
-            state.local_sets(), state.routing_models.values(), policy,
-            config.k_sets, state.last_built, changed,
+        adv = bf_build_advertisement(
+            state.local_sets(), state.routing_models.values(), policy, config.k_sets
         )
-        if should_advertise(sent.get(state.node_id, {}), current, policy, changed):
-            outgoing.append((state, current))
-        state.last_built = current
+        built[state.node_id] = adv
+        if bf_should_advertise(sent.get(state.node_id, {}), adv, policy):
+            outgoing.append((state, adv))
         state.changed_vars = set()
     for state, adv in outgoing:
         sent[state.node_id] = adv
         for nb in state.neighbors:
             receiver = trial.nodes[nb]
-            private = receiver.routing_models[state.node_id]
-            changed = {
-                var for var, sets in adv.items() if private.entries.get(var) != sets
-            }
-            receiver.models_changed(integrate_advertisement(private, adv))
+            held = receiver.routing_models[state.node_id].entries
+            changed = {var for var, sets in adv.items() if held.get(var) != sets}
+            held.update(adv)
+            receiver.changed_vars |= changed
             delta_sets += sum(len(adv[var]) for var in changed)
             snapshot_sets += sum(map(len, adv.values()))
     return delta_sets, snapshot_sets

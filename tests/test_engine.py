@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -28,7 +29,7 @@ from edgeknow.engine import (
     train_pgms,
 )
 from edgeknow.pgm import JointTable, Schema, cell_counts
-from edgeknow.routing import NodeState, Query, RoutingModel
+from edgeknow.routing import AdvertisementPolicy, NodeState, Query, RoutingModel
 from edgeknow.topology import AttachmentParams
 
 from conftest import (
@@ -319,7 +320,7 @@ class TestTrialSetup:
             # every neighbor holds the node's one published model
             assert state.published.entries == {}
             # the first build covers the trained variables
-            assert state.last_built == {}
+            assert state.unsent == {}
             assert state.changed_vars == set(state.tables)
             for nb in state.neighbors:
                 assert trial.nodes[nb].routing_models[state.node_id] is state.published
@@ -381,6 +382,14 @@ def workload_with_entry(config, **fields):
     return workload
 
 
+def one_cell(value):
+    """Valid counts for `workload_with_entry`'s entry, as floats, with one
+    cell set to `value`."""
+    counts = np.ones((8, 16))
+    counts[3, 5] = value
+    return counts
+
+
 class TestCheckWorkload:
     def test_accepts_a_valid_workload(self):
         config = small_config()
@@ -403,12 +412,17 @@ class TestCheckWorkload:
             (dict(counts=np.ones((8, 4), int)), "shaped"),
             (dict(counts=np.ones((16, 8), int)), "shaped"),
             (dict(counts=np.arange(128).reshape(8, 16) - 1), "negative counts"),
+            (dict(counts=one_cell(np.nan)), "dtype float64, not integers"),
+            (dict(counts=one_cell(np.inf)), "dtype float64, not integers"),
+            (dict(counts=one_cell(0.5)), "dtype float64, not integers"),
+            (dict(counts=np.ones((8, 16), int).tolist()), "counts a list, not an array"),
         ],
         ids=[
             "negative-node", "node-beyond-count", "duplicate-node-var",
             "unsorted-contexts", "repeated-context", "list-contexts",
             "negative-context", "unknown-context", "unknown-var", "flat-counts",
             "too-few-assignments", "transposed-counts", "negative-counts",
+            "nan-count", "inf-count", "fractional-count", "list-counts",
         ],
     )
     def test_rejects_bad_entry(self, fields, message):
@@ -545,9 +559,10 @@ class TestSharedModels:
         for state in ref.nodes:
             state.routing_models = {nb: RoutingModel() for nb in state.neighbors}
         ref_sent: dict = {}
+        ref_built: dict = {}
         for cycle in range(1, config.cycles + 1):
             sent = run_cycle(trial, cycle).adv_sets_sent
-            delta_sets, snapshot_sets = bf_propagate(ref, ref_sent)
+            delta_sets, snapshot_sets = bf_propagate(ref, ref_sent, ref_built)
             assert sent == delta_sets <= snapshot_sets
             for state in trial.nodes:
                 for nb in state.neighbors:
@@ -557,10 +572,93 @@ class TestSharedModels:
             for a, b in zip(trial.nodes, ref.nodes):
                 # the deltas integrated so far add up to the last full
                 # advertisement sent
-                assert a.published.entries == ref_sent.get(a.node_id, {})
-                assert a.last_built == b.last_built
-                assert well_formed(a.last_built, config.k_sets)
+                last_sent = ref_sent.get(a.node_id, {})
+                assert a.published.entries == last_sent
+                # the unsent lists are the last full build's lists that
+                # differ from the last full advertisement sent
+                assert a.unsent == {
+                    var: sets for var, sets in ref_built[a.node_id].items()
+                    if sets != last_sent.get(var)
+                }
+                assert well_formed(a.unsent, config.k_sets)
                 assert a.changed_vars == b.changed_vars
+
+
+class TestUnsent:
+    def test_a_list_within_the_threshold_waits_for_the_next_send(self):
+        """A two-node line: node 1 trains variables 0 and 1 over context 0,
+        node 0 trains nothing. With one set per list, change threshold 0.1
+        and no hop inflation, node 1's lists are its local sets, and node
+        0's echoes tie with them. Node 1 is retrained by replacing a table:
+        a rebuilt list within the threshold of the published one stays
+        unsent, the next send carries it, and a rebuild back to the
+        published value discards it."""
+        config = SimConfig(
+            node_count=2,
+            predicting_var_count=2,
+            context_var_count=1,
+            contexts_per_table=1,
+            predicting_cardinality=2,
+            context_cardinality=2,
+            k_sets=1,
+            attachment=AttachmentParams(m0=2, m=1),
+        )
+        workload = Workload(config.schema(), config.node_count)
+        for var in (0, 1):
+            workload.entries.append(
+                TrainedAssignment(1, var, (0,), np.array([[8, 0], [0, 8]]))
+            )
+        trial = setup_trial(config, workload)
+        policy = AdvertisementPolicy(
+            change_threshold=0.1, quality_threshold=100.0, hop_inflation=0.0
+        )
+        config.resolved_policy = lambda: policy
+        node = trial.nodes[1]
+        assert node.neighbors == [0]
+        cycles = itertools.count(1)
+
+        def propagate():
+            return run_cycle(trial, next(cycles)).adv_sets_sent
+
+        def retrain(var, diagonal):
+            # pseudocount 1 plus `diagonal` - 1 observations of outcome s
+            # under context state s, for s = 0 and 1
+            counts = np.array([[diagonal, 1.0], [1.0, diagonal]])
+            node.tables[var] = JointTable(var, (0,), counts)
+            node._local_sets = None
+            node.changed_vars.add(var)
+            trial.oracle_cache.clear()
+            return node.local_sets()[var]
+
+        # node 1 sends both lists, node 0 echoes them, node 1 keeps its own
+        assert [propagate() for _ in range(3)] == [2, 2, 0]
+        published = node.published.entries
+        old = published[0][0]
+        assert old == retrain(0, 9.0)
+        assert propagate() == 0
+        # a slightly sharper model of variable 0 waits
+        s0 = retrain(0, 10.0)
+        assert 0 < old.joint - s0.joint < 0.1
+        assert propagate() == 0
+        assert node.unsent == {0: [s0]}
+        assert published[0] == [old]
+        # a much sharper one of variable 1 is sent, and variable 0's list
+        # goes with it: two lists of one set each, to one neighbor
+        s1 = retrain(1, 20.0)
+        assert published[1][0].joint - s1.joint > 0.1
+        assert propagate() == 2
+        assert node.unsent == {}
+        assert published == {0: [s0], 1: [s1]}
+        assert trial.nodes[0].routing_models[1].entries is published
+        assert [propagate() for _ in range(2)] == [2, 0]
+        # a list within the threshold, then one equal to the published list
+        assert 0 < s0.joint - retrain(0, 11.0).joint < 0.1
+        assert propagate() == 0
+        assert set(node.unsent) == {0}
+        assert retrain(0, 10.0) == s0
+        assert propagate() == 0
+        assert node.unsent == {}
+        assert published == {0: [s0], 1: [s1]}
 
 
 class TestRunTrial:

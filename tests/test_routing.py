@@ -46,7 +46,7 @@ def full_build(local, models, policy, k):
     sets or the models hold."""
     models = list(models)
     every = set(local).union(*(model.entries for model in models))
-    return build_advertisement(local, models, policy, k, {}, every)
+    return build_advertisement(local, models, policy, k, every)
 
 
 ZERO_EPS = AdvertisementPolicy(hop_inflation=0.0)
@@ -249,19 +249,19 @@ class TestShouldAdvertise:
         return {0: [make_set(0, 1.0)]}
 
     def test_first_time(self):
-        assert should_advertise({}, self.first(), self.policy, {0})
+        assert should_advertise({}, self.first(), self.policy)
 
     def test_new_key(self):
         other = {1: [make_set(1, 1.0)]}
-        assert should_advertise(self.first(), other, self.policy, {0, 1})
+        assert should_advertise(self.first(), other, self.policy)
 
     def test_small_change_suppressed(self):
         other = {0: [make_set(0, 1.05)]}
-        assert not should_advertise(self.first(), other, self.policy, {0})
+        assert not should_advertise(self.first(), other, self.policy)
 
     def test_large_change_sent(self):
         other = {0: [make_set(0, 1.5)]}
-        assert should_advertise(self.first(), other, self.policy, {0})
+        assert should_advertise(self.first(), other, self.policy)
 
 
 def model_entries(var, max_size=2, min_size=0):
@@ -292,11 +292,13 @@ class TestIncrementalBuild:
     @settings(max_examples=200, deadline=None)
     def test_matches_full_rebuild(self, data):
         """Random integrations into one node's routing models, each round
-        followed by an incremental build: it equals the from-scratch
-        reference, winner order included, is well formed, and keeps the
-        lists of variables that did not change; integration reports exactly
-        the variables whose lists changed by value; the restricted change
-        test agrees with the full comparison."""
+        followed by an incremental build of the changed variables, staged as
+        the engine stages them: merged into the earlier lists, they equal
+        the from-scratch reference, winner order included, and are well
+        formed; integration reports exactly the variables whose lists
+        changed by value; the send decision over the rebuilt lists that
+        differ from those sent agrees with the full comparison, and a send
+        of the unsent lists makes the sent model the full advertisement."""
         k = data.draw(st.integers(1, 3), label="k")
         policy = AdvertisementPolicy(
             change_threshold=data.draw(st.sampled_from((0.0, 0.3, 0.6))),
@@ -312,7 +314,7 @@ class TestIncrementalBuild:
             st.lists(st.integers(1, 9), min_size=1, max_size=4, unique=True)
         )
         models = {nb: RoutingModel() for nb in neighbors}
-        sent, built = {}, {}
+        sent, built, unsent = RoutingModel(), {}, {}
         # the first build covers the trained variables
         changed = set(local)
         for _ in range(data.draw(st.integers(1, 8), label="rounds")):
@@ -331,21 +333,27 @@ class TestIncrementalBuild:
                     var for var, sets in adv.items() if before.get(var) != sets
                 }
                 changed |= got
-            current = build_advertisement(
-                local, models.values(), policy, k, built, changed
-            )
-            assert current == bf_build_advertisement(
-                local, models.values(), policy, k
-            )
-            assert well_formed(current, k)
-            for var, sets in built.items():
-                if var not in changed or current.get(var) == sets:
-                    assert current[var] is sets
-            send = should_advertise(sent, current, policy, changed)
-            assert send == bf_should_advertise(sent, current, policy)
+            rebuilt = build_advertisement(local, models.values(), policy, k, changed)
+            assert set(rebuilt) == changed
+            built.update(rebuilt)
+            assert built == bf_build_advertisement(local, models.values(), policy, k)
+            assert well_formed(built, k)
+            for var, sets in list(rebuilt.items()):
+                if sets == sent.entries.get(var):
+                    del rebuilt[var]
+                    unsent.pop(var, None)
+            unsent.update(rebuilt)
+            assert unsent == {
+                var: sets for var, sets in built.items()
+                if sets != sent.entries.get(var)
+            }
+            send = should_advertise(sent.entries, rebuilt, policy)
+            assert send == bf_should_advertise(sent.entries, built, policy)
             if send:
-                sent = current
-            built, changed = current, set()
+                assert integrate_advertisement(sent, unsent) == set(unsent)
+                assert sent.entries == built
+                unsent = {}
+            changed = set()
 
 
 def trained_node(node_id, neighbors=(), target_state=0, observations=60):
