@@ -1,7 +1,7 @@
 """Entropy-guided query routing over networks of locally trained discrete PGMs."""
 
 from .engine import SimConfig, Strategy, TrialMetrics, run_trial
-from .pgm import JointTable, Schema
+from .pgm import JointTable
 from .routing import AdvertisementPolicy, Query
 from .topology import AttachmentParams, Overlay, generate
 
@@ -13,7 +13,6 @@ __all__ = [
     "TrialMetrics",
     "run_trial",
     "JointTable",
-    "Schema",
     "AdvertisementPolicy",
     "Query",
     "AttachmentParams",

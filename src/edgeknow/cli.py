@@ -175,6 +175,17 @@ def _run_name(param, value, seed, strategy) -> str:
     return "run_" + "_".join(parts)
 
 
+def _make_out_dir(out: Path) -> bool:
+    """Create `out` and its parents; False, after one line on stderr, when
+    that fails, as when `out` or one of its parents is a file."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"bad --out: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _execute(job):
     config, workload = job
     return run_trial(config, workload)
@@ -213,9 +224,7 @@ def cmd_run(args) -> int:
     workload = None
     if args.workload_csv:
         try:
-            workload = ingest_csv(
-                args.workload_csv, base.schema(), node_count=base.node_count
-            )
+            workload = ingest_csv(args.workload_csv, base)
         except (ValueError, OSError) as exc:
             print(f"bad workload: {exc}", file=sys.stderr)
             return 2
@@ -243,7 +252,8 @@ def cmd_run(args) -> int:
                 print(f"bad workload for {name}: {exc}", file=sys.stderr)
                 return 2
 
-    args.out.mkdir(parents=True, exist_ok=True)
+    if not _make_out_dir(args.out):
+        return 2
     jobs = [(config, workload) for _, _, config in runs]
     # the pool starts every worker up front, so never more than there are jobs
     workers = min(args.threads, len(jobs))
@@ -300,10 +310,11 @@ def cmd_topology(args) -> int:
     except ValueError as exc:
         print(f"bad config: {exc}", file=sys.stderr)
         return 2
+    if not _make_out_dir(args.out):
+        return 2
     workload = generate_workload(config, seed)
-    trained = [tables.keys() for tables in train_pgms(workload)]
+    trained = [tables.keys() for tables in train_pgms(workload, config)]
     overlay = generate(config.attachment, trained, limit, seed)
-    args.out.mkdir(parents=True, exist_ok=True)
     overlay.write_edge_list(args.out / "edges.txt")
     overlay.write_degree_csv(args.out / "degree_histogram.csv")
     degrees = [overlay.degree(node) for node in overlay.nodes]

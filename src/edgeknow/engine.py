@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .pgm import JointTable, Schema, UnknownVariable, cell_counts
+from .pgm import JointTable, cell_counts
 from .routing import (
     AdvertisementPolicy,
     NodeState,
@@ -95,6 +95,9 @@ class SimConfig:
         ):
             if getattr(self, name) < 1:
                 raise InvalidField(name, "must be >= 1")
+        for name in ("predicting_cardinality", "context_cardinality"):
+            if getattr(self, name) < 2:
+                raise InvalidField(name, "must be >= 2")
         if self.contexts_per_table > self.context_var_count:
             raise InvalidField("contexts_per_table", "exceeds context_var_count")
         # a zero budget means the issuer answers alone; zero cycles, no rows
@@ -120,14 +123,6 @@ class SimConfig:
             hop_inflation=0.001,
         )
 
-    def schema(self) -> Schema:
-        return Schema(
-            predicting_cardinalities=(self.predicting_cardinality,)
-            * self.predicting_var_count,
-            context_cardinalities=(self.context_cardinality,)
-            * self.context_var_count,
-        )
-
 
 @dataclass
 class TrainedAssignment:
@@ -144,7 +139,6 @@ class TrainedAssignment:
 
 @dataclass
 class Workload:
-    schema: Schema
     node_count: int
     entries: list[TrainedAssignment] = field(default_factory=list)
 
@@ -164,12 +158,11 @@ def generate_workload(config: SimConfig, seed: int) -> Workload:
     Per concrete context assignment the outcome is a discretized Gaussian with
     a uniformly placed mean and a stddev of one state width."""
     rng = np.random.default_rng(seed)
-    schema = config.schema()
     pool = _combination_pool(config, rng)
     pred_card = config.predicting_cardinality
     ctx_card = config.context_cardinality
     n_assign = ctx_card**config.contexts_per_table
-    workload = Workload(schema=schema, node_count=config.node_count)
+    workload = Workload(node_count=config.node_count)
     n_trained = min(config.vars_trained_per_node, config.predicting_var_count)
     for node_id in range(config.node_count):
         var_ids = rng.choice(
@@ -192,45 +185,41 @@ def generate_workload(config: SimConfig, seed: int) -> Workload:
     return workload
 
 
-def train_pgms(
-    workload: Workload, pseudocount: float = 1.0
-) -> list[dict[int, JointTable]]:
+def train_pgms(workload: Workload, config: SimConfig) -> list[dict[int, JointTable]]:
     """Per node, the Laplace-smoothed count table of each variable it
-    observed: pseudocount plus the entry's counts, with one axis per
-    context. An entry without observations trains nothing."""
+    observed: the config's pseudocount plus the entry's counts, with one
+    axis per context. An entry without observations trains nothing."""
     tables: list[dict[int, JointTable]] = [{} for _ in range(workload.node_count)]
-    cards = workload.schema.context_cardinalities
     for entry in workload.entries:
         if entry.counts.any():
-            shape = entry.counts.shape[:1] + tuple(cards[c] for c in entry.contexts)
+            cards = (config.context_cardinality,) * len(entry.contexts)
+            counts = config.pseudocount + entry.counts
             tables[entry.node_id][entry.var] = JointTable(
-                entry.var, entry.contexts, (pseudocount + entry.counts).reshape(shape)
+                entry.contexts, counts.reshape(entry.counts.shape[:1] + cards)
             )
     return tables
 
 
-def _check_field(cardinality, var: int, state: int, name: str):
-    """Reject a CSV value whose variable or state does not fit the schema,
-    naming the CSV field."""
-    try:
-        card = cardinality(var)
-    except UnknownVariable:
-        raise ValueError(f"unknown variable {name}") from None
+def _check_field(var: int, var_count: int, state: int, card: int, name: str):
+    """Reject a CSV value whose variable or state is outside the config's
+    ranges, naming the CSV field."""
+    if not 0 <= var < var_count:
+        raise ValueError(f"unknown variable {name}")
     if not 0 <= state < card:
         raise ValueError(f"state {state} out of range for {name}")
 
 
-def ingest_csv(path, schema: Schema, node_count: Optional[int] = None) -> Workload:
+def ingest_csv(path, config: SimConfig) -> Workload:
     """Parse an observation CSV into the cell counts of each (node, var), all
     of whose rows bind the same context variables; row order does not matter.
-    Malformed rows, rows that bind a context twice, do not fit the schema or
-    `node_count` or bind other context variables than earlier rows of their
-    (node, var), raise ValueError with the line number; so does a file
-    without observation rows."""
-    # per (node, var): the bound context variables, their cardinalities and
-    # the flat cell counts, one cell per (outcome, context states) row-major
-    groups: dict[tuple[int, int], tuple[tuple[int, ...], list, np.ndarray]] = {}
-    max_node = -1
+    Malformed rows, rows that bind a context twice, fall outside the config's
+    nodes, variables or states or bind other context variables than earlier
+    rows of their (node, var), raise ValueError with the line number; so does
+    a file without observation rows."""
+    pred_card, ctx_card = config.predicting_cardinality, config.context_cardinality
+    # per (node, var): the bound context variables and the flat cell counts,
+    # one cell per (outcome, context states) row-major
+    groups: dict[tuple[int, int], tuple[tuple[int, ...], np.ndarray]] = {}
     with open(path, newline="") as f:
         for lineno, row in enumerate(csv.reader(f), start=1):
             if not row:
@@ -241,10 +230,13 @@ def ingest_csv(path, schema: Schema, node_count: Optional[int] = None) -> Worklo
                 node_id = int(row[0])
                 var = int(row[1])
                 outcome = int(row[2])
-                if node_id < 0 or (node_count is not None and node_id >= node_count):
-                    raise ValueError(f"node_id {node_id} outside {node_count} nodes")
+                if not 0 <= node_id < config.node_count:
+                    raise ValueError(
+                        f"node_id {node_id} outside {config.node_count} nodes"
+                    )
                 _check_field(
-                    schema.predicting_cardinality, var, outcome, f"predicting_var {var}"
+                    var, config.predicting_var_count, outcome, pred_card,
+                    f"predicting_var {var}",
                 )
                 bindings = {}
                 for cell in row[3:]:
@@ -255,14 +247,15 @@ def ingest_csv(path, schema: Schema, node_count: Optional[int] = None) -> Worklo
                     if c in bindings:
                         raise ValueError(f"context {name} bound twice")
                     bindings[c] = int(state)
-                    _check_field(schema.context_cardinality, c, bindings[c], name)
+                    _check_field(
+                        c, config.context_var_count, bindings[c], ctx_card, name
+                    )
                 contexts = tuple(sorted(bindings))
                 group = groups.get((node_id, var))
                 if group is None:
-                    cards = [schema.context_cardinality(c) for c in contexts]
-                    cells = schema.predicting_cardinality(var) * math.prod(cards)
+                    cells = pred_card * ctx_card ** len(contexts)
                     group = groups[node_id, var] = (
-                        contexts, cards, np.zeros(cells, dtype=np.int64)
+                        contexts, np.zeros(cells, dtype=np.int64)
                     )
                 elif contexts != group[0]:
                     raise ValueError(
@@ -272,18 +265,14 @@ def ingest_csv(path, schema: Schema, node_count: Optional[int] = None) -> Worklo
             except (ValueError, IndexError) as exc:
                 raise ValueError(f"{path}: malformed row at line {lineno}: {exc}")
             cell = outcome
-            for c, card in zip(contexts, group[1]):
-                cell = cell * card + bindings[c]
-            group[2][cell] += 1
-            max_node = max(max_node, node_id)
+            for c in contexts:
+                cell = cell * ctx_card + bindings[c]
+            group[1][cell] += 1
     if not groups:
         raise ValueError(f"{path}: no observation rows")
-    workload = Workload(
-        schema=schema,
-        node_count=node_count if node_count is not None else max_node + 1,
-    )
-    for (node_id, var), (contexts, _, cells) in sorted(groups.items()):
-        counts = cells.reshape(schema.predicting_cardinality(var), -1)
+    workload = Workload(node_count=config.node_count)
+    for (node_id, var), (contexts, cells) in sorted(groups.items()):
+        counts = cells.reshape(pred_card, -1)
         workload.entries.append(TrainedAssignment(node_id, var, contexts, counts))
     return workload
 
@@ -387,24 +376,15 @@ def _cached_oracle(trial: TrialState, query: Query) -> float:
 
 
 def check_workload(config: SimConfig, workload: Workload):
-    """Raise ValueError unless the workload has the config's node count and
-    schema, every entry trains a known variable of one of its nodes against
-    a strictly ascending tuple of known contexts, once per (node, variable),
-    with non-negative counts in an integer array of the shape `cell_counts`
-    gives, and some entry holds an observation."""
+    """Raise ValueError unless the workload has the config's node count,
+    every entry trains one of the config's variables at one of its nodes
+    against a strictly ascending tuple of the config's contexts, once per
+    (node, variable), with non-negative counts in an integer array of the
+    shape `cell_counts` gives for the config's cardinalities, and some entry
+    holds an observation."""
     if workload.node_count != config.node_count:
         raise ValueError(
             f"workload has {workload.node_count} nodes, config {config.node_count}"
-        )
-    schema = config.schema()
-    if workload.schema != schema:
-        have, want = (
-            f"{len(s.predicting_cardinalities)}/{len(s.context_cardinalities)}"
-            for s in (workload.schema, schema)
-        )
-        raise ValueError(
-            "workload schema differs from the config's (predicting/context "
-            f"variables {have} vs {want})"
         )
     seen = set()
     for entry in workload.entries:
@@ -420,20 +400,25 @@ def check_workload(config: SimConfig, workload: Workload):
                 raise ValueError(f"contexts {entry.contexts!r} not a tuple")
             if list(entry.contexts) != sorted(set(entry.contexts)):
                 raise ValueError(f"contexts {entry.contexts} not strictly ascending")
+            if not 0 <= entry.var < config.predicting_var_count:
+                raise ValueError(f"unknown variable {entry.var}")
+            for c in entry.contexts:
+                if not 0 <= c < config.context_var_count:
+                    raise ValueError(f"unknown variable {c}")
             counts = entry.counts
             if not isinstance(counts, np.ndarray):
                 raise ValueError(f"counts a {type(counts).__name__}, not an array")
             # nan passes the sign check, and inf or a fraction is no tally
             if not np.issubdtype(counts.dtype, np.integer):
                 raise ValueError(f"counts of dtype {counts.dtype}, not integers")
-            cards = map(schema.context_cardinality, entry.contexts)
-            shape = (schema.predicting_cardinality(entry.var), math.prod(cards))
+            shape = (
+                config.predicting_cardinality,
+                config.context_cardinality ** len(entry.contexts),
+            )
             if counts.shape != shape:
                 raise ValueError(f"counts shaped {counts.shape}, not {shape}")
             if counts.min() < 0:
                 raise ValueError("negative counts")
-        except UnknownVariable as exc:
-            raise ValueError(f"{where}: unknown variable {exc}") from None
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
     # queries target trained variables, so some entry must hold an observation
@@ -450,7 +435,7 @@ def setup_trial(config: SimConfig, workload: Optional[Workload] = None) -> Trial
         )
     else:
         check_workload(config, workload)
-    tables = train_pgms(workload, config.pseudocount)
+    tables = train_pgms(workload, config)
     if config.node_count == 1:
         overlay = Overlay(adjacency={0: set()}, edge_limit=config.edge_limit)
     else:

@@ -5,7 +5,9 @@ Laplace-smoothed counts (pseudocount plus observations) over that variable
 and the context combination it was trained against, as `engine.train_pgms`
 builds them from the workload's binned cell counts (`cell_counts`).
 Variables are plain ints indexed per kind: predicting variables 0..P-1 and
-context variables 0..C-1; which kind an id is follows from where it is held.
+context variables 0..C-1; which kind an id is follows from where it is held,
+and a table is filed under its predicting variable's id. The counts and
+cardinalities of both kinds are `engine.SimConfig`'s.
 All entropies are in bits. This module computes a table's joint entropy and
 the marginal entropies of its contexts. The conditional answering quality
 for a set of evidence variables, joint entropy minus the sum of the evidence
@@ -20,49 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Schema",
     "JointTable",
     "cell_counts",
     "joint_entropy",
     "marginal_entropy",
-    "UnknownVariable",
 ]
-
-
-class UnknownVariable(KeyError):
-    pass
-
-
-def _cardinality(cards: tuple[int, ...], var: int) -> int:
-    # a negative id must not wrap around through tuple indexing
-    if not 0 <= var < len(cards):
-        raise UnknownVariable(var)
-    return cards[var]
-
-
-@dataclass(frozen=True)
-class Schema:
-    """Shared structure of every node's model: state counts per variable."""
-
-    predicting_cardinalities: tuple[int, ...]
-    context_cardinalities: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "predicting_cardinalities", tuple(self.predicting_cardinalities)
-        )
-        object.__setattr__(
-            self, "context_cardinalities", tuple(self.context_cardinalities)
-        )
-        for card in self.predicting_cardinalities + self.context_cardinalities:
-            if card < 2:
-                raise ValueError(f"cardinality must be >= 2, got {card}")
-
-    def predicting_cardinality(self, var: int) -> int:
-        return _cardinality(self.predicting_cardinalities, var)
-
-    def context_cardinality(self, var: int) -> int:
-        return _cardinality(self.context_cardinalities, var)
 
 
 @dataclass
@@ -73,15 +37,12 @@ class JointTable:
     order of `contexts`. The tables `engine.train_pgms` builds hold smoothed
     counts, so every cell is positive."""
 
-    predicting: int
     contexts: tuple[int, ...]
     counts: np.ndarray
 
     def axis_of(self, context: int) -> int:
-        try:
-            return 1 + self.contexts.index(context)
-        except ValueError:
-            raise UnknownVariable(context) from None
+        """The axis of `context`; ValueError when the table lacks it."""
+        return 1 + self.contexts.index(context)
 
     def probabilities(self) -> np.ndarray:
         return self.counts / self.counts.sum()

@@ -45,9 +45,10 @@ class EntropySet:
     Sets, and the lists of sets an advertisement holds, are never mutated
     after a build: inflated copies share their source's context entropies
     and combination, and one sent list is shared by every receiver's
-    routing model."""
+    routing model. A set is filed under its predicting variable's key and
+    only compared with sets of the same variable, so it does not repeat the
+    variable's id."""
 
-    predicting: int
     joint: float
     context_entropies: dict[int, float] = field(default_factory=dict)
     # the bound context variables, derived from context_entropies when not
@@ -61,9 +62,7 @@ class EntropySet:
             self.combination = frozenset(self.context_entropies)
 
     def inflated(self, eps: float) -> "EntropySet":
-        return EntropySet(
-            self.predicting, self.joint + eps, self.context_entropies, self.combination
-        )
+        return EntropySet(self.joint + eps, self.context_entropies, self.combination)
 
     def score(self, bound: Iterable[int]) -> float:
         """Conditional entropy estimate for evidence on `bound`: only bound
@@ -202,7 +201,6 @@ def local_entropy_sets(tables: dict[int, JointTable]) -> dict[int, EntropySet]:
     set computed from its joint table."""
     return {
         var: EntropySet(
-            predicting=var,
             joint=joint_entropy(table),
             context_entropies={c: marginal_entropy(table, c) for c in table.contexts},
         )
@@ -245,7 +243,7 @@ def build_advertisement(
         s = local_sets.get(var)
         if s is not None:
             if s.score(s.combination) > policy.quality_threshold:
-                s = EntropySet(var, s.joint)
+                s = EntropySet(s.joint)
             best[s.combination] = s
         for entries in models:
             for s in entries.get(var, ()):

@@ -20,8 +20,8 @@ from typing import Iterable
 import numpy as np
 import pytest
 
-from edgeknow.engine import _combination_pool
-from edgeknow.pgm import JointTable, Schema, joint_entropy, marginal_entropy
+from edgeknow.engine import SimConfig, _combination_pool
+from edgeknow.pgm import JointTable, joint_entropy, marginal_entropy
 from edgeknow.routing import (
     Advertisement,
     AdvertisementPolicy,
@@ -84,7 +84,7 @@ def bf_true_conditional(tensor: np.ndarray, given_axes) -> float:
 def bf_conditional_entropy(table: JointTable, given: Iterable[int]) -> float:
     """The chain-rule surrogate over a table's own entropies: joint minus
     the marginals of the contexts `given`, clamped at zero. A variable that
-    is not one of the table's contexts raises `UnknownVariable`."""
+    is not one of the table's contexts raises ValueError."""
     value = joint_entropy(table)
     for var in given:
         value -= marginal_entropy(table, var)
@@ -102,7 +102,6 @@ def table_from_tensor(tensor: np.ndarray) -> JointTable:
     """Wrap a raw count/probability tensor as a JointTable: axis 0 is the
     predicting variable, context axes follow."""
     return JointTable(
-        predicting=0,
         contexts=tuple(range(tensor.ndim - 1)),
         counts=np.asarray(tensor, dtype=float),
     )
@@ -187,17 +186,18 @@ def bf_best_score(model: RoutingModel, target: int, bound: frozenset[int]) -> fl
     )
 
 
-def bf_answer_entropy(entry, schema, pseudocount, bound: Iterable[int]):
+def bf_answer_entropy(entry, config, bound: Iterable[int]):
     """A node's answering quality from the workload entry it trained the
     target on: the clamped chain-rule surrogate through
-    `bf_conditional_entropy` over the entry's smoothed count table, or None
-    when there is no entry or it holds no observation."""
+    `bf_conditional_entropy` over the entry's count table smoothed with the
+    config's pseudocount, or None when there is no entry or it holds no
+    observation."""
     if entry is None or entry.counts.sum() == 0:
         return None
-    shape = [schema.predicting_cardinality(entry.var)]
-    shape += [schema.context_cardinality(c) for c in entry.contexts]
-    counts = np.reshape(entry.counts + pseudocount, shape)
-    table = JointTable(entry.var, entry.contexts, counts)
+    shape = [config.predicting_cardinality]
+    shape += [config.context_cardinality for _ in entry.contexts]
+    counts = np.reshape(entry.counts + config.pseudocount, shape)
+    table = JointTable(entry.contexts, counts)
     given = [v for v in bound if v in table.contexts]
     return bf_conditional_entropy(table, given)
 
@@ -232,21 +232,21 @@ def bf_build_advertisement(
     # per variable, per combination: the minimum-joint candidate
     best: dict[int, dict[frozenset, EntropySet]] = {}
 
-    def offer(s: EntropySet):
-        combos = best.setdefault(s.predicting, {})
+    def offer(var: int, s: EntropySet):
+        combos = best.setdefault(var, {})
         cur = combos.get(s.combination)
         if cur is None or s.joint < cur.joint:
             combos[s.combination] = s
 
-    for s in local_sets.values():
+    for var, s in local_sets.items():
         if s.score(s.combination) > policy.quality_threshold:
-            offer(EntropySet(s.predicting, s.joint))
+            offer(var, EntropySet(s.joint))
         else:
-            offer(s)
+            offer(var, s)
     for model in routing_models:
-        for sets in model.entries.values():
+        for var, sets in model.entries.items():
             for s in sets:
-                offer(s.inflated(policy.hop_inflation))
+                offer(var, s.inflated(policy.hop_inflation))
 
     return {
         var: sorted(combos.values(), key=lambda s: s.joint)[:k]
@@ -345,16 +345,17 @@ def bf_generate_workload(config, seed) -> list[tuple]:
     return entries
 
 
-def export_workload_csv(workload, path):
+def export_workload_csv(workload, config, path):
     """Write a workload in the CSV form `engine.ingest_csv` reads: rows of
     node_id, predicting var index, outcome, then one c<j>=<state> field per
-    bound context variable j. Each entry's counts expand into one row per
-    observation, in cell order."""
+    bound context variable j, whose states number the config's context
+    cardinality. Each entry's counts expand into one row per observation,
+    in cell order."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["node_id", "predicting_var", "outcome"])
         for entry in workload.entries:
-            cards = [workload.schema.context_cardinality(c) for c in entry.contexts]
+            cards = [config.context_cardinality for _ in entry.contexts]
             for (outcome, flat), n in np.ndenumerate(entry.counts):
                 states = np.unravel_index(flat, cards)
                 row = [entry.node_id, entry.var, outcome]
@@ -363,5 +364,13 @@ def export_workload_csv(workload, path):
 
 
 @pytest.fixture
-def binary_schema():
-    return Schema(predicting_cardinalities=(2,), context_cardinalities=(2, 2))
+def binary_config():
+    """One node, one binary predicting variable, two binary contexts."""
+    return SimConfig(
+        node_count=1,
+        predicting_var_count=1,
+        context_var_count=2,
+        contexts_per_table=2,
+        predicting_cardinality=2,
+        context_cardinality=2,
+    )

@@ -2,7 +2,8 @@
 
 Every test here exercises a full published operating point and prints one
 PASS/FAIL line (run with -s to see them). These are slow: the whole module
-takes on the order of ten minutes on one core. Heavy runs are shared through
+took 86 s on a 2-core VM (Python 3.11, numpy 2.4), nearly all of it in the
+fixtures. Heavy runs are shared through
 module-scoped fixtures, and every trial's oracle-violation count feeds the
 final zero-violations check.
 """
@@ -221,7 +222,8 @@ class TestAcceptance:
 
     def test_07_topology_cap_and_tail(self):
         config = SimConfig(node_count=800, observations_per_var=50, seed=0)
-        trained = [t.keys() for t in train_pgms(generate_workload(config, seed=0))]
+        workload = generate_workload(config, seed=0)
+        trained = [t.keys() for t in train_pgms(workload, config)]
         capped = generate(AttachmentParams(), trained, 60, seed=0)
         degrees = [capped.degree(n) for n in capped.nodes]
         at_limit = sum(d == 60 for d in degrees)

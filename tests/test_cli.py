@@ -37,7 +37,7 @@ def export_small_workload(path):
         contexts_per_table=2, combinations_pool=2,
         vars_trained_per_node=2, observations_per_var=200,
     )
-    export_workload_csv(generate_workload(config, seed=0), path)
+    export_workload_csv(generate_workload(config, seed=0), config, path)
     return path
 
 
@@ -244,6 +244,7 @@ class TestRun:
         [
             "0,1,2,c0=9",  # context state beyond cardinality 4
             "0,1,2,c7=1",  # context variable beyond the 3 configured
+            "0,6,2,c0=1",  # predicting variable beyond the 6 configured
             "12,1,2,c0=1",  # node id beyond --nodes 12
             "0,1,2,c-1=0",  # negative context variable
             "0,-1,2,c0=0",  # negative predicting variable
@@ -334,6 +335,19 @@ class TestTopology:
             degree[v] = degree.get(v, 0) + 1
         assert max(degree.values()) <= 6
         assert "loglog_survival_slope" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["run", "topology"])
+def test_out_not_a_directory_exits_2(tmp_path, capsys, command):
+    args = BASE[1:] if command == "run" else ["--nodes", "8"]
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out in (blocker, blocker / "out"):
+        assert run_cli([command, *args, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bad --out: ") and len(err.splitlines()) == 1
+        assert str(out) in err
+    assert blocker.read_text() == ""
 
 
 class TestStudies:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from edgeknow.engine import (
     CycleMetrics,
     HIT_TOLERANCE_BITS,
+    InvalidField,
     OracleViolation,
     SimConfig,
     Strategy,
@@ -28,7 +29,7 @@ from edgeknow.engine import (
     setup_trial,
     train_pgms,
 )
-from edgeknow.pgm import JointTable, Schema, cell_counts
+from edgeknow.pgm import JointTable, cell_counts
 from edgeknow.routing import AdvertisementPolicy, NodeState, Query, RoutingModel
 from edgeknow.topology import AttachmentParams
 
@@ -139,11 +140,10 @@ class TestWorkload:
                 ctx = {c: int(s) for c, s in zip(contexts, states)}
                 bf_observe(tensor, ctx, int(outcome))
             want[node_id][var] = (contexts, tensor)
-        got = train_pgms(wl, config.pseudocount)
+        got = train_pgms(wl, config)
         for tables, ref_tables in zip(got, want):
             assert tables.keys() == ref_tables.keys()
             for var, table in tables.items():
-                assert table.predicting == var
                 assert table.contexts == ref_tables[var][0]
                 assert np.array_equal(table.counts, ref_tables[var][1])
 
@@ -152,7 +152,7 @@ class TestTrainedModels:
     def test_training_reproduces_counts(self):
         config = small_config()
         wl = generate_workload(config, seed=5)
-        tables = train_pgms(wl, config.pseudocount)
+        tables = train_pgms(wl, config)
         entry = wl.entries[0]
         table = tables[entry.node_id][entry.var]
         assert table.counts.sum() == pytest.approx(
@@ -164,27 +164,34 @@ class TestTrainedModels:
         )
 
     def test_deterministic_stream_gives_low_conditional_entropy(self):
-        schema = Schema((4,), (2,))
-        wl = Workload(schema=schema, node_count=1)
+        config = small_config(
+            node_count=1, predicting_cardinality=4, context_cardinality=2,
+            pseudocount=0.01,
+        )
+        wl = Workload(node_count=1)
         flat = np.tile([0, 1], 400)
         outcomes = np.where(flat == 0, 1, 3)  # outcome fixed by the context
         wl.entries.append(
             TrainedAssignment(0, 0, (0,), cell_counts(4, 2, flat, outcomes))
         )
-        tables = train_pgms(wl, pseudocount=0.01)[0]
+        tables = train_pgms(wl, config)[0]
         h = NodeState(0, tables).local_answer(0, frozenset({0}))
         assert h < 0.2
 
     def test_entry_without_observations_trains_nothing(self):
         # so no table is ever built without mass, and an untrained
         # variable has no local answer
-        wl = Workload(schema=Schema((2, 2), (2,)), node_count=2)
+        config = small_config(
+            node_count=2, predicting_cardinality=2, context_cardinality=2,
+            pseudocount=0.5, attachment=AttachmentParams(m0=2, m=1),
+        )
+        wl = Workload(node_count=2)
         wl.entries += [
             TrainedAssignment(0, 0, (0,), np.zeros((2, 2), dtype=np.int64)),
             TrainedAssignment(0, 1, (), np.array([[0], [1]])),
             TrainedAssignment(1, 0, (), np.zeros((2, 1), dtype=np.int64)),
         ]
-        tables = train_pgms(wl, pseudocount=0.5)
+        tables = train_pgms(wl, config)
         assert [sorted(t) for t in tables] == [[1], []]
         assert NodeState(0, tables[0]).local_answer(0, frozenset()) is None
 
@@ -194,10 +201,10 @@ class TestCsvRoundTrip:
         config = small_config(observations_per_var=50)
         wl = generate_workload(config, seed=6)
         path = tmp_path / "workload.csv"
-        export_workload_csv(wl, path)
-        back = ingest_csv(path, config.schema())
-        a = train_pgms(wl)
-        b = train_pgms(back)
+        export_workload_csv(wl, config, path)
+        back = ingest_csv(path, config)
+        a = train_pgms(wl, config)
+        b = train_pgms(back, config)
         assert back.node_count == wl.node_count
         assert len(back.entries) == len(wl.entries)
         for ea, eb in zip(wl.entries, back.entries):
@@ -214,32 +221,32 @@ class TestCsvRoundTrip:
         path = tmp_path / "bad.csv"
         path.write_text("node_id,predicting_var,outcome\n0,1,2,c0=1\n0,oops,1\n")
         with pytest.raises(ValueError, match="line 3"):
-            ingest_csv(path, small_config().schema())
+            ingest_csv(path, small_config())
 
     def test_bad_context_field(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("0,1,2,x0=1\n")
         with pytest.raises(ValueError, match="line 1"):
-            ingest_csv(path, small_config().schema())
+            ingest_csv(path, small_config())
 
     def test_outcome_out_of_range(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("0,1,99\n")
         with pytest.raises(ValueError, match="line 1"):
-            ingest_csv(path, small_config().schema())
+            ingest_csv(path, small_config())
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         for text in ("", "node_id,predicting_var,outcome\n"):
             path.write_text(text)
             with pytest.raises(ValueError, match="no observation rows"):
-                ingest_csv(path, small_config().schema())
+                ingest_csv(path, small_config())
 
     def test_single_row(self, tmp_path):
         path = tmp_path / "one.csv"
         path.write_text("3,2,1,c0=0,c2=3\n")
-        wl = ingest_csv(path, small_config().schema())
-        assert wl.node_count == 4
+        wl = ingest_csv(path, small_config())
+        assert wl.node_count == 12
         entry = wl.entries[0]
         assert entry.node_id == 3
         assert entry.var == 2
@@ -276,7 +283,7 @@ class TestAccuracy:
 class TestOracle:
     def test_min_over_nodes_and_uniform_fallback(self):
         counts = 0.01 + cell_counts(4, 2, [0] * 200, [2] * 200)
-        trained = JointTable(0, (0,), counts)
+        trained = JointTable((0,), counts)
         nodes = [NodeState(0, {}), NodeState(1, {0: trained})]
         q = Query(0, {0: 1}, 3, 0)
         best = oracle_best(q, nodes, pred_card=4)
@@ -356,8 +363,8 @@ class TestTrialSetup:
         workload = generate_workload(small_config(node_count=8), seed=0)
         with pytest.raises(ValueError, match="8 nodes"):
             setup_trial(small_config(), workload)
-        workload = generate_workload(small_config(predicting_var_count=4), seed=0)
-        with pytest.raises(ValueError, match="schema"):
+        workload = generate_workload(small_config(context_cardinality=3), seed=0)
+        with pytest.raises(ValueError, match="shaped"):
             setup_trial(small_config(), workload)
 
     def test_single_node_network(self):
@@ -372,7 +379,7 @@ class TestTrialSetup:
 def workload_with_entry(config, **fields):
     """A valid workload for `config` with one more entry: node 0's
     predicting variable 1 over contexts (0, 1), overridden by `fields`."""
-    workload = Workload(config.schema(), config.node_count)
+    workload = Workload(config.node_count)
     workload.entries.append(
         TrainedAssignment(0, 0, (0,), np.ones((8, 4), dtype=np.int64))
     )
@@ -438,7 +445,7 @@ class TestCheckWorkload:
     def test_rejects_a_workload_without_observations(self, entries):
         # queries target trained variables, so there must be one
         config = small_config()
-        workload = Workload(config.schema(), config.node_count, entries)
+        workload = Workload(config.node_count, entries)
         with pytest.raises(ValueError, match="^workload holds no observation$"):
             run_trial(config, workload)
 
@@ -603,7 +610,7 @@ class TestUnsent:
             k_sets=1,
             attachment=AttachmentParams(m0=2, m=1),
         )
-        workload = Workload(config.schema(), config.node_count)
+        workload = Workload(config.node_count)
         for var in (0, 1):
             workload.entries.append(
                 TrainedAssignment(1, var, (0,), np.array([[8, 0], [0, 8]]))
@@ -624,7 +631,7 @@ class TestUnsent:
             # pseudocount 1 plus `diagonal` - 1 observations of outcome s
             # under context state s, for s = 0 and 1
             counts = np.array([[diagonal, 1.0], [1.0, diagonal]])
-            node.tables[var] = JointTable(var, (0,), counts)
+            node.tables[var] = JointTable((0,), counts)
             node._local_sets = None
             node.changed_vars.add(var)
             trial.oracle_cache.clear()
@@ -752,6 +759,12 @@ class TestConfigValidation:
     def test_positive_fields(self, name):
         with pytest.raises(ValueError, match=f"{name} must be >= 1"):
             SimConfig(**{name: 0})
+
+    @pytest.mark.parametrize("name", ["predicting_cardinality", "context_cardinality"])
+    def test_cardinality_at_least_two(self, name):
+        with pytest.raises(InvalidField, match=f"^{name} must be >= 2$") as info:
+            SimConfig(**{name: 1})
+        assert info.value.name == name
 
     @pytest.mark.parametrize("pseudocount", [0.0, -1.0, math.nan, math.inf])
     def test_pseudocount_positive_and_finite(self, pseudocount):

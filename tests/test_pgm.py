@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgeknow.engine import TrainedAssignment, Workload, train_pgms
+from edgeknow.engine import TrainedAssignment, Workload, check_workload, train_pgms
 from edgeknow.pgm import (
     JointTable,
-    UnknownVariable,
     cell_counts,
     joint_entropy,
     marginal_entropy,
@@ -88,7 +87,7 @@ class TestMarginalEntropy:
         assert marginal_entropy(table, 0) == pytest.approx(1.0, abs=1e-12)
 
     def test_unknown_variable(self):
-        with pytest.raises(UnknownVariable):
+        with pytest.raises(ValueError):
             marginal_entropy(table_from_tensor(np.ones((2, 2))), 7)
 
 
@@ -108,7 +107,7 @@ class TestChainRule:
     def test_rejects_non_context(self):
         table = table_from_tensor(np.ones((2, 2)))
         for context in (1, -1):
-            with pytest.raises(UnknownVariable):
+            with pytest.raises(ValueError):
                 bf_conditional_entropy(table, [context])
 
     def test_clamps_and_counts_correlated_contexts(self):
@@ -128,23 +127,26 @@ class TestObserve:
     """Binning observations with `cell_counts` and smoothing them into tables
     with `train_pgms`."""
 
-    def test_counting_with_uniform_prior(self, binary_schema):
-        wl = Workload(schema=binary_schema, node_count=1)
+    def test_counting_with_uniform_prior(self, binary_config):
+        wl = Workload(node_count=1)
         wl.entries.append(TrainedAssignment(0, 0, (), np.array([[5], [0]])))
-        probs = train_pgms(wl)[0][0].probabilities()
+        probs = train_pgms(wl, binary_config)[0][0].probabilities()
         assert probs == pytest.approx([6 / 7, 1 / 7])
 
-    def test_negative_ids_do_not_wrap(self, binary_schema):
-        with pytest.raises(UnknownVariable):
-            binary_schema.context_cardinality(-1)
-        with pytest.raises(UnknownVariable):
-            binary_schema.predicting_cardinality(-1)
+    def test_negative_ids_do_not_wrap(self, binary_config):
+        # -1 would index the last variable of a per-variable sequence
+        for var, contexts in ((-1, (0,)), (0, (-1,))):
+            wl = Workload(node_count=1)
+            counts = np.ones((2, 2), dtype=np.int64)
+            wl.entries.append(TrainedAssignment(0, var, contexts, counts))
+            with pytest.raises(ValueError, match="unknown variable -1"):
+                check_workload(binary_config, wl)
 
     def test_coin_flip_convergence(self):
         rng = np.random.default_rng(7)
         outcomes = rng.integers(2, size=1000)
         counts = 1.0 + cell_counts(2, 1, [0] * 1000, outcomes)
-        probs = JointTable(0, (), counts.ravel()).probabilities()
+        probs = JointTable((), counts.ravel()).probabilities()
         assert probs == pytest.approx([0.5, 0.5], abs=0.05)
         assert vector_entropy(probs) == pytest.approx(1.0, abs=0.01)
 

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgeknow.engine import TrainedAssignment, Workload, train_pgms
-from edgeknow.pgm import JointTable, Schema
+from edgeknow.engine import SimConfig, TrainedAssignment, Workload, train_pgms
+from edgeknow.pgm import JointTable
 from edgeknow.routing import (
     AdvertisementPolicy,
     EntropySet,
@@ -33,14 +33,6 @@ from conftest import (
 )
 
 
-def make_set(var_idx, joint, ctx_entropies=None):
-    return EntropySet(
-        predicting=var_idx,
-        joint=joint,
-        context_entropies=dict(ctx_entropies or {}),
-    )
-
-
 def full_build(local, models, policy, k):
     """An advertisement built from nothing: every variable that the local
     sets or the models hold."""
@@ -56,35 +48,35 @@ NO_GATE = AdvertisementPolicy(hop_inflation=0.0, quality_threshold=100.0)
 
 class TestEntropySetScore:
     def test_both_contexts_bound(self):
-        s = make_set(0, 0.8, {1: 0.2, 2: 0.3})
+        s = EntropySet(0.8, {1: 0.2, 2: 0.3})
         assert s.score({1, 2}) == pytest.approx(0.3)
 
     def test_one_context_bound(self):
-        s = make_set(0, 0.8, {1: 0.2, 2: 0.3})
+        s = EntropySet(0.8, {1: 0.2, 2: 0.3})
         assert s.score({1}) == pytest.approx(0.6)
 
     def test_unknown_bound_vars_ignored(self):
-        s = make_set(0, 0.8, {1: 0.2})
+        s = EntropySet(0.8, {1: 0.2})
         assert s.score({5, 6}) == pytest.approx(0.8)
 
     def test_reduced_set_scores_joint(self):
-        s = make_set(0, 0.8)
+        s = EntropySet(0.8)
         assert not s.context_entropies
         assert s.score({1, 2}) == pytest.approx(0.8)
 
     def test_clamped_at_zero(self):
-        s = make_set(0, 0.4, {1: 0.3, 2: 0.3})
+        s = EntropySet(0.4, {1: 0.3, 2: 0.3})
         assert s.score({1, 2}) == 0.0
 
     def test_inflation_accumulates(self):
-        s = make_set(0, 1.0, {1: 0.5}).inflated(0.01).inflated(0.01)
+        s = EntropySet(1.0, {1: 0.5}).inflated(0.01).inflated(0.01)
         assert s.joint == pytest.approx(1.02)
         assert s.context_entropies == {1: 0.5}
 
 
 class TestBuildAdvertisement:
     def test_local_only(self):
-        local = {0: make_set(0, 1.0, {0: 0.4}), 1: make_set(1, 2.0, {1: 0.7})}
+        local = {0: EntropySet(1.0, {0: 0.4}), 1: EntropySet(2.0, {1: 0.7})}
         adv = full_build(local, [], ZERO_EPS, k=2)
         assert set(adv) == {0, 1}
         assert adv[0][0].joint == pytest.approx(1.0)
@@ -94,16 +86,16 @@ class TestBuildAdvertisement:
         eps = 0.01
         policy = AdvertisementPolicy(hop_inflation=eps)
         neighbor_model = RoutingModel()
-        neighbor_model.entries[0] = [make_set(0, 0.5, {0: 0.2})]
-        local = {0: make_set(0, 1.0, {0: 0.4})}
+        neighbor_model.entries[0] = [EntropySet(0.5, {0: 0.2})]
+        local = {0: EntropySet(1.0, {0: 0.4})}
         sets = full_build(local, [neighbor_model], policy, k=2)[0]
         assert len(sets) == 1  # same combination, minimum wins
         assert sets[0].joint == pytest.approx(0.5 + eps)
 
     def test_distinct_combinations_coexist(self):
-        local = {0: make_set(0, 1.0, {0: 0.4})}
+        local = {0: EntropySet(1.0, {0: 0.4})}
         model = RoutingModel()
-        model.entries[0] = [make_set(0, 0.5, {1: 0.2})]
+        model.entries[0] = [EntropySet(0.5, {1: 0.2})]
         adv = full_build(local, [model], ZERO_EPS, k=2)
         assert len(adv[0]) == 2
         assert {s.combination for s in adv[0]} == {
@@ -113,16 +105,16 @@ class TestBuildAdvertisement:
 
     def test_k_truncation_keeps_lowest_joints(self):
         # one local and four neighbor-learned sets over distinct combinations
-        local = {0: EntropySet(0, 3.0, {0: 0.1})}
+        local = {0: EntropySet(3.0, {0: 0.1})}
         joints = (1.0, 2.0, 4.0, 5.0)
-        learned = [EntropySet(0, j, {i: 0.1}) for i, j in enumerate(joints, 1)]
+        learned = [EntropySet(j, {i: 0.1}) for i, j in enumerate(joints, 1)]
         adv = full_build(local, [RoutingModel({0: learned})], NO_GATE, k=2)
         assert [s.joint for s in adv[0]] == [1.0, 2.0]
 
     def test_quality_gate_reduces_poor_local_sets(self):
         policy = AdvertisementPolicy(quality_threshold=0.5, hop_inflation=0.0)
-        good = make_set(0, 1.0, {0: 0.8})   # evidence-free conditional 0.2
-        poor = make_set(1, 2.0, {0: 0.8})   # evidence-free conditional 1.2
+        good = EntropySet(1.0, {0: 0.8})   # evidence-free conditional 0.2
+        poor = EntropySet(2.0, {0: 0.8})   # evidence-free conditional 1.2
         adv = full_build({0: good, 1: poor}, [], policy, k=2)
         assert adv[0][0].context_entropies
         assert not adv[1][0].context_entropies
@@ -144,7 +136,7 @@ class TestBuildAdvertisement:
         # a variable's first set is the local one, the rest neighbor-learned
         local, neighbor = {}, RoutingModel()
         for v, j, combo in raw:
-            s = EntropySet(v, j, {c: 0.05 for c in combo})
+            s = EntropySet(j, {c: 0.05 for c in combo})
             if v in local:
                 neighbor.entries.setdefault(v, []).append(s)
             else:
@@ -167,17 +159,17 @@ class TestBuildAdvertisement:
 class TestIntegrate:
     def test_replaces_and_retains(self):
         model = RoutingModel()
-        model.entries[0] = [make_set(0, 5.0)]
-        model.entries[1] = [make_set(1, 4.0)]
-        integrate_advertisement(model, {0: [make_set(0, 1.0)]})
+        model.entries[0] = [EntropySet(5.0)]
+        model.entries[1] = [EntropySet(4.0)]
+        integrate_advertisement(model, {0: [EntropySet(1.0)]})
         assert model.entries[0][0].joint == pytest.approx(1.0)
         assert model.entries[1][0].joint == pytest.approx(4.0)
 
     def test_best_score_reads_integrated_list(self):
         model = RoutingModel()
-        model.entries[0] = [make_set(0, 5.0)]
+        model.entries[0] = [EntropySet(5.0)]
         assert model.best_score(0, frozenset()) == pytest.approx(5.0)
-        integrate_advertisement(model, {0: [make_set(0, 1.0)]})
+        integrate_advertisement(model, {0: [EntropySet(1.0)]})
         assert model.best_score(0, frozenset()) == pytest.approx(1.0)
 
 
@@ -203,7 +195,7 @@ class TestBestScore:
         # {1, 8} iterates 8 first, and (1.0 - 0.2) - 0.1 != (1.0 - 0.1) - 0.2
         bound = evidence([1, 8])
         assert list(bound) == [8, 1]
-        model = RoutingModel({0: [make_set(0, 1.0, {1: 0.1, 8: 0.2})]})
+        model = RoutingModel({0: [EntropySet(1.0, {1: 0.1, 8: 0.2})]})
         assert model.best_score(0, bound) == (1.0 - 0.2) - 0.1 != 0.7
 
     @given(st.data())
@@ -227,9 +219,7 @@ class TestBestScore:
             st.tuples(ids, bits(0.0, 1.5, (0.1, 0.2, 0.3, 0.7, 1.1))), max_size=4
         ).map(dict)
         sets = st.lists(
-            st.builds(
-                EntropySet, st.just(0), bits(0.0, 3.0, (0.9, 1.0, 2.0, 3.0)), entropies
-            ),
+            st.builds(EntropySet, bits(0.0, 3.0, (0.9, 1.0, 2.0, 3.0)), entropies),
             max_size=12,
         )
         model = RoutingModel(data.draw(st.dictionaries(st.integers(0, 2), sets)))
@@ -246,21 +236,21 @@ class TestShouldAdvertise:
     policy = AdvertisementPolicy(change_threshold=0.1)
 
     def first(self):
-        return {0: [make_set(0, 1.0)]}
+        return {0: [EntropySet(1.0)]}
 
     def test_first_time(self):
         assert should_advertise({}, self.first(), self.policy)
 
     def test_new_key(self):
-        other = {1: [make_set(1, 1.0)]}
+        other = {1: [EntropySet(1.0)]}
         assert should_advertise(self.first(), other, self.policy)
 
     def test_small_change_suppressed(self):
-        other = {0: [make_set(0, 1.05)]}
+        other = {0: [EntropySet(1.05)]}
         assert not should_advertise(self.first(), other, self.policy)
 
     def test_large_change_sent(self):
-        other = {0: [make_set(0, 1.5)]}
+        other = {0: [EntropySet(1.5)]}
         assert should_advertise(self.first(), other, self.policy)
 
 
@@ -281,7 +271,7 @@ def model_entries(var, max_size=2, min_size=0):
     )
     return raw.map(
         lambda sets: [
-            make_set(var, joint, {c: h for c in combo})
+            EntropySet(joint, {c: h for c in combo})
             for combo, joint, h in sorted(sets, key=lambda t: t[1])
         ]
     )
@@ -361,7 +351,7 @@ def trained_node(node_id, neighbors=(), target_state=0, observations=60):
     given context 0."""
     counts = np.ones((2, 2))
     counts[target_state] += observations
-    tables = {0: JointTable(0, (0,), counts)}
+    tables = {0: JointTable((0,), counts)}
     return NodeState(node_id=node_id, tables=tables, neighbors=list(neighbors))
 
 
@@ -386,28 +376,28 @@ class TestProcessQuery:
 
     def test_forwards_to_lowest_scoring_neighbor(self):
         node = blank_node(0, neighbors=[1, 2])
-        node.routing_models[1] = RoutingModel({0: [make_set(0, 3.0)]})
-        node.routing_models[2] = RoutingModel({0: [make_set(0, 1.0)]})
+        node.routing_models[1] = RoutingModel({0: [EntropySet(3.0)]})
+        node.routing_models[2] = RoutingModel({0: [EntropySet(1.0)]})
         q = Query(0, {}, hops_remaining=2, issuer=0)
         assert process_query(node, q) == 2
 
     def test_tie_breaks_to_lowest_node_id(self):
         node = blank_node(0, neighbors=[5, 3])
         for nb in (5, 3):
-            node.routing_models[nb] = RoutingModel({0: [make_set(0, 1.0)]})
+            node.routing_models[nb] = RoutingModel({0: [EntropySet(1.0)]})
         assert process_query(node, Query(0, {}, 2, 0)) == 3
 
     def test_visited_neighbors_avoided(self):
         node = blank_node(1, neighbors=[0, 2])
-        node.routing_models[0] = RoutingModel({0: [make_set(0, 0.1)]})
-        node.routing_models[2] = RoutingModel({0: [make_set(0, 9.0)]})
+        node.routing_models[0] = RoutingModel({0: [EntropySet(0.1)]})
+        node.routing_models[2] = RoutingModel({0: [EntropySet(9.0)]})
         q = Query(0, {}, hops_remaining=3, issuer=0, visited=[0])
         assert process_query(node, q) == 2
         assert q.hops_remaining == 2  # the forward spends one hop
 
     def test_all_visited_falls_back_to_any_neighbor(self):
         node = blank_node(1, neighbors=[0])
-        node.routing_models[0] = RoutingModel({0: [make_set(0, 0.1)]})
+        node.routing_models[0] = RoutingModel({0: [EntropySet(0.1)]})
         q = Query(0, {}, hops_remaining=3, issuer=0, visited=[0, 1])
         assert process_query(node, q) == 0
 
@@ -418,8 +408,8 @@ class TestProcessQuery:
         for node, nbs in ((a, [1]), (b, [0, 2]), (c, [1])):
             for nb in nbs:
                 node.routing_models[nb] = RoutingModel()
-        b.routing_models[2].entries[0] = [make_set(0, 0.01)]
-        b.routing_models[0].entries[0] = [make_set(0, 5.0)]
+        b.routing_models[2].entries[0] = [EntropySet(0.01)]
+        b.routing_models[0].entries[0] = [EntropySet(5.0)]
         q = Query(0, {}, hops_remaining=2, issuer=0)
         assert process_query(a, q) == 1
         assert process_query(b, q) == 2
@@ -430,21 +420,21 @@ class TestProcessQuery:
     def test_order_recomputed_after_models_change(self):
         node = blank_node(0, neighbors=[1, 2])
         node.routing_models[1] = RoutingModel(
-            {0: [make_set(0, 1.0)], 1: [make_set(1, 1.0)]}
+            {0: [EntropySet(1.0)], 1: [EntropySet(1.0)]}
         )
         node.routing_models[2] = RoutingModel(
-            {0: [make_set(0, 3.0)], 1: [make_set(1, 3.0)]}
+            {0: [EntropySet(3.0)], 1: [EntropySet(3.0)]}
         )
         assert process_query(node, Query(0, {}, 2, 0)) == 1
         assert process_query(node, Query(1, {}, 2, 0)) == 1
         kept = node.forwarding_order(1, frozenset())
         # an equal list changes nothing: no rebuild, no order dropped
         node.models_changed(
-            integrate_advertisement(node.routing_models[2], {0: [make_set(0, 3.0)]})
+            integrate_advertisement(node.routing_models[2], {0: [EntropySet(3.0)]})
         )
         assert not node.changed_vars
         changed = integrate_advertisement(
-            node.routing_models[2], {0: [make_set(0, 0.5)], 1: [make_set(1, 3.0)]}
+            node.routing_models[2], {0: [EntropySet(0.5)], 1: [EntropySet(3.0)]}
         )
         assert changed == {0}
         node.models_changed(changed)
@@ -505,13 +495,13 @@ class TestRandomWalk:
 class TestLocalSets:
     def test_one_set_per_trained_var(self):
         tables = {
-            2: JointTable(2, (1,), np.ones((2, 2))),
-            0: JointTable(0, (0,), np.ones((2, 2))),
+            2: JointTable((1,), np.ones((2, 2))),
+            0: JointTable((0,), np.ones((2, 2))),
         }
         sets = local_entropy_sets(tables)
         assert list(sets) == [0, 2]
-        assert [s.predicting for s in sets.values()] == [0, 2]
         assert sets[0].combination == frozenset({0})
+        assert sets[2].combination == frozenset({1})
 
     def test_answer_entropy_untrained_is_none(self):
         assert answer_entropy(local_entropy_sets({}), 0, frozenset()) is None
@@ -528,27 +518,33 @@ class TestLocalSets:
         """The local sets' answer is exactly the trained table's clamped
         chain-rule value, None included: for random count tables over 1 to 3
         of 16 contexts, all-zero counts, and a target with no entry."""
-        schema = Schema((2, 3, 2), (2, 3) * 8)
-        pseudocount = data.draw(st.floats(0.01, 1.0))
-        workload = Workload(schema, node_count=1)
+        config = SimConfig(
+            node_count=1,
+            predicting_var_count=3,
+            context_var_count=16,
+            predicting_cardinality=data.draw(st.integers(2, 3)),
+            context_cardinality=data.draw(st.integers(2, 3)),
+            pseudocount=data.draw(st.floats(0.01, 1.0)),
+        )
+        workload = Workload(node_count=1)
         for target in (0, 1):
             contexts = data.draw(
                 st.lists(st.integers(0, 15), min_size=1, max_size=3, unique=True)
             )
             contexts = tuple(sorted(contexts))
-            n_out = schema.predicting_cardinality(target)
-            size = n_out * math.prod(schema.context_cardinality(c) for c in contexts)
+            n_out = config.predicting_cardinality
+            size = n_out * config.context_cardinality ** len(contexts)
             counts = data.draw(
                 st.lists(st.integers(0, 9), min_size=size, max_size=size)
             )
             workload.entries.append(
                 TrainedAssignment(0, target, contexts, np.reshape(counts, (n_out, -1)))
             )
-        sets = local_entropy_sets(train_pgms(workload, pseudocount)[0])
+        sets = local_entropy_sets(train_pgms(workload, config)[0])
         bound = data.draw(bounds())
         for target in (0, 1, 2):
             entry = workload.entries[target] if target < 2 else None
-            want = bf_answer_entropy(entry, schema, pseudocount, bound)
+            want = bf_answer_entropy(entry, config, bound)
             assert answer_entropy(sets, target, bound) == want
 
 
@@ -577,7 +573,7 @@ def build_network(n_nodes, edges, joints):
     for i in range(n_nodes):
         node = blank_node(i)
         if joints[i] is not None:
-            node._local_sets = {0: make_set(0, joints[i], {0: 0.1})}
+            node._local_sets = {0: EntropySet(joints[i], {0: 0.1})}
         else:
             node._local_sets = {}
         nodes[i] = node
