@@ -1,7 +1,6 @@
 """Entropy-guided query routing over networks of locally trained discrete PGMs."""
 
 from .engine import SimConfig, Strategy, TrialMetrics, run_trial
-from .pgm import JointTable
 from .routing import AdvertisementPolicy, Query
 from .topology import AttachmentParams, Overlay, generate
 
@@ -12,7 +11,6 @@ __all__ = [
     "Strategy",
     "TrialMetrics",
     "run_trial",
-    "JointTable",
     "AdvertisementPolicy",
     "Query",
     "AttachmentParams",

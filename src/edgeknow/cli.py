@@ -21,11 +21,9 @@ from .engine import (
     InvalidField,
     SimConfig,
     Strategy,
-    check_workload,
     generate_workload,
     ingest_csv,
     run_trial,
-    train_pgms,
 )
 from .topology import AttachmentParams, generate, survival_slope
 
@@ -221,14 +219,6 @@ def cmd_run(args) -> int:
             print(f"bad sweep expression {args.sweep!r}: {exc}", file=sys.stderr)
             return 2
 
-    workload = None
-    if args.workload_csv:
-        try:
-            workload = ingest_csv(args.workload_csv, base)
-        except (ValueError, OSError) as exc:
-            print(f"bad workload: {exc}", file=sys.stderr)
-            return 2
-
     runs = []
     for value in sweep_values:
         for seed in seeds:
@@ -244,17 +234,20 @@ def cmd_run(args) -> int:
                         print(f"bad config for {name}: {exc}", file=sys.stderr)
                         return 2
                 runs.append((name, value, config))
-    if workload is not None:
-        for name, _, config in runs:
+    # each run reads the CSV against its own ranges, once per distinct ranges
+    workloads, jobs = {}, []
+    for name, _, config in runs:
+        key = (config.node_count, config.predicting_var_count, config.context_var_count)
+        if args.workload_csv and key not in workloads:
             try:
-                check_workload(config, workload)
-            except ValueError as exc:
+                workloads[key] = ingest_csv(args.workload_csv, config)
+            except (ValueError, OSError) as exc:
                 print(f"bad workload for {name}: {exc}", file=sys.stderr)
                 return 2
+        jobs.append((config, workloads.get(key)))
 
     if not _make_out_dir(args.out):
         return 2
-    jobs = [(config, workload) for _, _, config in runs]
     # the pool starts every worker up front, so never more than there are jobs
     workers = min(args.threads, len(jobs))
     if workers > 1:
@@ -313,7 +306,10 @@ def cmd_topology(args) -> int:
     if not _make_out_dir(args.out):
         return 2
     workload = generate_workload(config, seed)
-    trained = [tables.keys() for tables in train_pgms(workload, config)]
+    trained: list[list[int]] = [[] for _ in range(n)]
+    for entry in workload.entries:
+        if entry.counts.any():
+            trained[entry.node_id].append(entry.var)
     overlay = generate(config.attachment, trained, limit, seed)
     overlay.write_edge_list(args.out / "edges.txt")
     overlay.write_degree_csv(args.out / "degree_histogram.csv")

@@ -19,9 +19,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .pgm import JointTable, cell_counts
+from . import routing
+from .pgm import cell_counts
 from .routing import (
     AdvertisementPolicy,
+    EntropySet,
     NodeState,
     Query,
     RoutingModel,
@@ -185,19 +187,19 @@ def generate_workload(config: SimConfig, seed: int) -> Workload:
     return workload
 
 
-def train_pgms(workload: Workload, config: SimConfig) -> list[dict[int, JointTable]]:
-    """Per node, the Laplace-smoothed count table of each variable it
-    observed: the config's pseudocount plus the entry's counts, with one
-    axis per context. An entry without observations trains nothing."""
-    tables: list[dict[int, JointTable]] = [{} for _ in range(workload.node_count)]
-    for entry in workload.entries:
-        if entry.counts.any():
-            cards = (config.context_cardinality,) * len(entry.contexts)
-            counts = config.pseudocount + entry.counts
-            tables[entry.node_id][entry.var] = JointTable(
-                entry.contexts, counts.reshape(entry.counts.shape[:1] + cards)
-            )
-    return tables
+def train_pgms(workload: Workload, config: SimConfig) -> list[dict[int, EntropySet]]:
+    """Per node, keyed by variable in entry order, the full entropy set of
+    each variable it observed: one `routing.local_entropy_sets` pass (looked
+    up on the module, where perfbench wraps it) over the entries with
+    observations, smoothed with the config's pseudocount."""
+    trained = [entry for entry in workload.entries if entry.counts.any()]
+    sets = routing.local_entropy_sets(
+        trained, config.context_cardinality, config.pseudocount
+    )
+    models: list[dict[int, EntropySet]] = [{} for _ in range(workload.node_count)]
+    for entry, s in zip(trained, sets):
+        models[entry.node_id][entry.var] = s
+    return models
 
 
 def _check_field(var: int, var_count: int, state: int, card: int, name: str):
@@ -435,36 +437,35 @@ def setup_trial(config: SimConfig, workload: Optional[Workload] = None) -> Trial
         )
     else:
         check_workload(config, workload)
-    tables = train_pgms(workload, config)
+    local_sets = train_pgms(workload, config)
     if config.node_count == 1:
         overlay = Overlay(adjacency={0: set()}, edge_limit=config.edge_limit)
     else:
         overlay = generate(
             config.attachment,
-            [node_tables.keys() for node_tables in tables],
+            [sets.keys() for sets in local_sets],
             config.edge_limit,
             seed=int(s_topology.generate_state(1)[0]),
         )
     # every neighbor of a node holds that node's one published model
     models = [RoutingModel() for _ in range(config.node_count)]
     nodes = []
-    for node_id in range(config.node_count):
+    trained_combos: dict[int, set] = {}
+    trainers: dict[int, list[int]] = {}
+    for node_id, sets in enumerate(local_sets):
         neighbors = sorted(overlay.neighbors(node_id))
         nodes.append(
             NodeState(
                 node_id=node_id,
-                tables=tables[node_id],
+                local_sets=sets,
                 neighbors=neighbors,
                 routing_models={nb: models[nb] for nb in neighbors},
                 published=models[node_id],
-                changed_vars=set(tables[node_id]),
+                changed_vars=set(sets),
             )
         )
-    trained_combos: dict[int, set] = {}
-    trainers: dict[int, list[int]] = {}
-    for node_id, node_tables in enumerate(tables):
-        for var, table in node_tables.items():
-            trained_combos.setdefault(var, set()).add(table.contexts)
+        for var, s in sets.items():
+            trained_combos.setdefault(var, set()).add(tuple(s.context_entropies))
             trainers.setdefault(var, []).append(node_id)
     return TrialState(
         config=config,
@@ -527,7 +528,7 @@ def run_cycle(trial: TrialState, cycle: int) -> CycleMetrics:
             continue
         published = state.published.entries
         rebuilt = build_advertisement(
-            state.local_sets(), state.routing_models.values(), policy,
+            state.local_sets, state.routing_models.values(), policy,
             config.k_sets, state.changed_vars,
         )
         for var, sets in list(rebuilt.items()):

@@ -1,67 +1,78 @@
-"""Discrete probabilistic graphical models with entropy-based quality metrics.
+"""Discrete probabilistic graphical models summarised by their entropies.
 
-A node's model is, per trained predicting variable, one JointTable: the
-Laplace-smoothed counts (pseudocount plus observations) over that variable
-and the context combination it was trained against, as `engine.train_pgms`
-builds them from the workload's binned cell counts (`cell_counts`).
+A node's model of one trained predicting variable is the Laplace-smoothed
+count table over that variable and the context combination it was trained
+against: the config's pseudocount plus the workload's binned cell counts
+(`cell_counts`). Only the table's summary is kept, computed once at set-up
+from the counts (`table_entropies`, through `routing.local_entropy_sets`):
+its joint entropy and the marginal entropy of each of its contexts.
 Variables are plain ints indexed per kind: predicting variables 0..P-1 and
-context variables 0..C-1; which kind an id is follows from where it is held,
-and a table is filed under its predicting variable's id. The counts and
-cardinalities of both kinds are `engine.SimConfig`'s.
-All entropies are in bits. This module computes a table's joint entropy and
-the marginal entropies of its contexts. The conditional answering quality
-for a set of evidence variables, joint entropy minus the sum of the evidence
-marginal entropies clamped at zero (exact only when the evidence variables
-are independent), is computed from those in `routing.answer_entropy`.
+context variables 0..C-1; which kind an id is follows from where it is
+held. The counts and cardinalities of both kinds are `engine.SimConfig`'s.
+All entropies are in bits. The conditional answering quality for a set of
+evidence variables, joint entropy minus the sum of the evidence marginal
+entropies clamped at zero (exact only when the evidence variables are
+independent), is computed from the summary in `routing.answer_entropy`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-__all__ = [
-    "JointTable",
-    "cell_counts",
-    "joint_entropy",
-    "marginal_entropy",
-]
+# cells per batch of `table_entropies`, which bounds its float buffers
+BATCH_CELLS = 1 << 16
 
 
-@dataclass
-class JointTable:
-    """Dense count tensor over (predicting states x context states).
-
-    Axis 0 is the predicting variable; context axes follow in the ascending
-    order of `contexts`. The tables `engine.train_pgms` builds hold smoothed
-    counts, so every cell is positive."""
-
-    contexts: tuple[int, ...]
-    counts: np.ndarray
-
-    def axis_of(self, context: int) -> int:
-        """The axis of `context`; ValueError when the table lacks it."""
-        return 1 + self.contexts.index(context)
-
-    def probabilities(self) -> np.ndarray:
-        return self.counts / self.counts.sum()
+def _row_entropies(p: np.ndarray) -> np.ndarray:
+    """The entropy of each probability vector on the last axis of `p`, a 0
+    adding 0; a row is summed as a flat vector is, whatever its batch."""
+    terms = np.zeros_like(p)
+    np.log2(p, out=terms, where=p > 0)
+    terms *= p
+    return -terms.sum(axis=-1)
 
 
-def _entropy_bits(p: np.ndarray) -> float:
-    nz = p[p > 0]
-    return float(-(nz * np.log2(nz)).sum())
-
-
-def joint_entropy(table: JointTable) -> float:
-    return _entropy_bits(table.probabilities().ravel())
-
-
-def marginal_entropy(table: JointTable, context: int) -> float:
-    axis = table.axis_of(context)
-    p = table.probabilities()
-    other = tuple(i for i in range(p.ndim) if i != axis)
-    return _entropy_bits(p.sum(axis=other))
+def table_entropies(
+    entries: Sequence, context_cardinality: int, pseudocount: float
+) -> list[tuple[float, list[float]]]:
+    """Per entry, in order, the joint entropy of its table and the marginal
+    entropy of each of its contexts in axis order; an entry has the
+    `contexts` and `counts` of an `engine.TrainedAssignment`, and its table
+    is `pseudocount` plus its counts. One pass per number of contexts, in
+    batches of about `BATCH_CELLS` cells. A joint is taken from the table's
+    cells over their pairwise total, as from the table alone; a marginal
+    state's mass is the integer count of its slice plus the pseudocount of
+    its cells, over that total (counts are summed as floats: exact below
+    2**53)."""
+    card = context_cardinality
+    by_width: dict[int, list[int]] = {}
+    for i, entry in enumerate(entries):
+        by_width.setdefault(len(entry.contexts), []).append(i)
+    out: list = [None] * len(entries)
+    for width, index in by_width.items():
+        n_out, n_assign = entries[index[0]].counts.shape
+        step = max(1, BATCH_CELLS // (n_out * n_assign))
+        for start in range(0, len(index), step):
+            batch = index[start : start + step]
+            cells = np.empty((len(batch), n_out * n_assign))
+            for row, i in zip(cells, batch):
+                row[:] = entries[i].counts.reshape(-1)
+            per_assign = cells.reshape(len(batch), n_out, n_assign).sum(axis=1)
+            states = np.empty((len(batch), width, card))
+            for axis in range(width):
+                by_axis = per_assign.reshape(len(batch), card**axis, card, -1)
+                states[:, axis] = by_axis.sum(axis=(1, 3))
+            cells += pseudocount
+            totals = cells.sum(axis=1)[:, None]
+            cells /= totals
+            states += pseudocount * (n_out * n_assign // card)
+            states /= totals[:, None]
+            joints = _row_entropies(cells).tolist()
+            for i, joint, hs in zip(batch, joints, _row_entropies(states).tolist()):
+                out[i] = (joint, hs)
+    return out
 
 
 def cell_counts(

@@ -28,11 +28,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .pgm import JointTable, joint_entropy, marginal_entropy
+from .pgm import table_entropies
 
 NodeId = int
 
@@ -126,12 +126,11 @@ class Query:
 
 @dataclass
 class NodeState:
-    """Everything one node owns: its model (a smoothed count table per
-    trained predicting variable), its neighborhood, and one routing model
-    per neighbor. The local sets, computed from the tables on first use,
-    are safe to keep because the tables are static once the cycles start;
-    the forwarding orders and the next advertisement depend on the routing
-    models, so whoever changes a model calls `models_changed`.
+    """Everything one node owns: its model, as the full entropy set of each
+    trained predicting variable (`local_sets`, fixed at set-up), its
+    neighborhood, and one routing model per neighbor. The forwarding orders
+    and the next advertisement depend on the routing models, so whoever
+    changes a model calls `models_changed`.
 
     Every neighbor receives the same advertisements in the same order, so
     the model of what is reachable through a node is kept once, as its
@@ -145,7 +144,7 @@ class NodeState:
     once per neighbor."""
 
     node_id: NodeId
-    tables: dict[int, JointTable]
+    local_sets: dict[int, EntropySet]
     neighbors: list[NodeId] = field(default_factory=list)
     routing_models: dict[NodeId, RoutingModel] = field(default_factory=dict)
     # what this node's sends have told its neighbors so far
@@ -155,17 +154,11 @@ class NodeState:
     # variables to rebuild: at set-up the trained ones, then those whose
     # routing-model entries changed since the last build
     changed_vars: set[int] = field(default_factory=set)
-    _local_sets: Optional[dict[int, EntropySet]] = None
     # per target, per evidence variable set: neighbors by (best_score, id)
     _order_cache: dict[int, dict] = field(default_factory=dict)
 
-    def local_sets(self) -> dict[int, EntropySet]:
-        if self._local_sets is None:
-            self._local_sets = local_entropy_sets(self.tables)
-        return self._local_sets
-
     def local_answer(self, target: int, bound: frozenset[int]) -> Optional[float]:
-        return answer_entropy(self.local_sets(), target, bound)
+        return answer_entropy(self.local_sets, target, bound)
 
     def forwarding_order(self, target: int, bound: frozenset[int]) -> list[NodeId]:
         """Neighbors sorted by the conditional entropy their routing models
@@ -196,16 +189,16 @@ class NodeState:
                 self._order_cache.pop(var, None)
 
 
-def local_entropy_sets(tables: dict[int, JointTable]) -> dict[int, EntropySet]:
-    """Per trained predicting variable, in ascending order, the full entropy
-    set computed from its joint table."""
-    return {
-        var: EntropySet(
-            joint=joint_entropy(table),
-            context_entropies={c: marginal_entropy(table, c) for c in table.contexts},
-        )
-        for var, table in sorted(tables.items())
-    }
+def local_entropy_sets(
+    entries: Sequence, context_cardinality: int, pseudocount: float
+) -> list[EntropySet]:
+    """The full entropy set of each entry's table, in order, from the
+    batched `table_entropies` pass over the same arguments."""
+    summaries = table_entropies(entries, context_cardinality, pseudocount)
+    return [
+        EntropySet(joint, dict(zip(entry.contexts, hs)))
+        for entry, (joint, hs) in zip(entries, summaries)
+    ]
 
 
 def answer_entropy(

@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from edgeknow.engine import SimConfig, _combination_pool
-from edgeknow.pgm import JointTable, joint_entropy, marginal_entropy
 from edgeknow.routing import (
     Advertisement,
     AdvertisementPolicy,
@@ -81,14 +80,23 @@ def bf_true_conditional(tensor: np.ndarray, given_axes) -> float:
     return total
 
 
-def bf_conditional_entropy(table: JointTable, given: Iterable[int]) -> float:
-    """The chain-rule surrogate over a table's own entropies: joint minus
-    the marginals of the contexts `given`, clamped at zero. A variable that
-    is not one of the table's contexts raises ValueError."""
-    value = joint_entropy(table)
-    for var in given:
-        value -= marginal_entropy(table, var)
-    return max(value, 0.0)
+def bf_summary(tensor: np.ndarray, contexts) -> tuple[float, dict[int, float]]:
+    """A count tensor's joint entropy and, per context variable of
+    `contexts` (axes 1.. in order), its marginal entropy, via explicit
+    loops."""
+    return bf_joint_entropy(tensor), {
+        c: bf_entropy(bf_marginal(tensor, 1 + i)) for i, c in enumerate(contexts)
+    }
+
+
+def bf_conditional_entropy(
+    tensor: np.ndarray, contexts, given: Iterable[int]
+) -> float:
+    """The chain-rule surrogate of a count tensor whose axes after the first
+    are the context variables `contexts`: `bf_chain_rule` over the axes of
+    the variables `given`. A variable that is not one of `contexts` raises
+    ValueError."""
+    return bf_chain_rule(tensor, [1 + tuple(contexts).index(v) for v in given])
 
 
 def bf_observe(tensor: np.ndarray, ctx: dict[int, int], outcome: int):
@@ -98,19 +106,12 @@ def bf_observe(tensor: np.ndarray, ctx: dict[int, int], outcome: int):
     tensor[(outcome,) + tuple(ctx[c] for c in sorted(ctx))] += 1
 
 
-def table_from_tensor(tensor: np.ndarray) -> JointTable:
-    """Wrap a raw count/probability tensor as a JointTable: axis 0 is the
-    predicting variable, context axes follow."""
-    return JointTable(
-        contexts=tuple(range(tensor.ndim - 1)),
-        counts=np.asarray(tensor, dtype=float),
-    )
-
-
-def vector_entropy(dist) -> float:
-    """The library's entropy of a probability vector: the joint entropy of
-    a table with the predicting axis alone."""
-    return joint_entropy(table_from_tensor(np.asarray(dist, dtype=float)))
+def smoothed_tensor(entry, config) -> np.ndarray:
+    """A workload entry's counts plus the config's pseudocount, with one
+    axis per context after the predicting axis."""
+    shape = [config.predicting_cardinality]
+    shape += [config.context_cardinality for _ in entry.contexts]
+    return np.reshape(entry.counts + config.pseudocount, shape)
 
 
 def bf_similarity(a: set[int], b: set[int]) -> float:
@@ -189,17 +190,15 @@ def bf_best_score(model: RoutingModel, target: int, bound: frozenset[int]) -> fl
 def bf_answer_entropy(entry, config, bound: Iterable[int]):
     """A node's answering quality from the workload entry it trained the
     target on: the clamped chain-rule surrogate through
-    `bf_conditional_entropy` over the entry's count table smoothed with the
+    `bf_conditional_entropy` over the entry's count tensor smoothed with the
     config's pseudocount, or None when there is no entry or it holds no
     observation."""
     if entry is None or entry.counts.sum() == 0:
         return None
-    shape = [config.predicting_cardinality]
-    shape += [config.context_cardinality for _ in entry.contexts]
-    counts = np.reshape(entry.counts + config.pseudocount, shape)
-    table = JointTable(entry.contexts, counts)
-    given = [v for v in bound if v in table.contexts]
-    return bf_conditional_entropy(table, given)
+    given = [v for v in bound if v in entry.contexts]
+    return bf_conditional_entropy(
+        smoothed_tensor(entry, config), entry.contexts, given
+    )
 
 
 def bf_next_hop(state, query):
@@ -299,7 +298,7 @@ def bf_propagate(trial, sent: dict, built: dict) -> tuple[int, int]:
     outgoing = []
     for state in trial.nodes:
         adv = bf_build_advertisement(
-            state.local_sets(), state.routing_models.values(), policy, config.k_sets
+            state.local_sets, state.routing_models.values(), policy, config.k_sets
         )
         built[state.node_id] = adv
         if bf_should_advertise(sent.get(state.node_id, {}), adv, policy):

@@ -13,20 +13,17 @@ import math
 import numpy as np
 import pytest
 
-from edgeknow.engine import SimConfig, Strategy, run_trial
-from edgeknow.pgm import joint_entropy, marginal_entropy
-from edgeknow.topology import AttachmentParams, generate, survival_slope
-from edgeknow.engine import generate_workload, train_pgms
-
-from conftest import (
-    bf_chain_rule,
-    bf_conditional_entropy,
-    bf_entropy,
-    bf_joint_entropy,
-    bf_marginal,
-    table_from_tensor,
-    vector_entropy,
+from edgeknow.engine import (
+    SimConfig,
+    Strategy,
+    TrainedAssignment,
+    generate_workload,
+    run_trial,
 )
+from edgeknow.routing import local_entropy_sets
+from edgeknow.topology import AttachmentParams, generate, survival_slope
+
+from conftest import bf_conditional_entropy, bf_summary
 
 ALL_RUNS = []
 
@@ -223,7 +220,10 @@ class TestAcceptance:
     def test_07_topology_cap_and_tail(self):
         config = SimConfig(node_count=800, observations_per_var=50, seed=0)
         workload = generate_workload(config, seed=0)
-        trained = [t.keys() for t in train_pgms(workload, config)]
+        trained = [[] for _ in range(config.node_count)]
+        for entry in workload.entries:
+            if entry.counts.any():
+                trained[entry.node_id].append(entry.var)
         capped = generate(AttachmentParams(), trained, 60, seed=0)
         degrees = [capped.degree(n) for n in capped.nodes]
         at_limit = sum(d == 60 for d in degrees)
@@ -242,33 +242,25 @@ class TestAcceptance:
         cases = 0
         worst = 0.0
         for _ in range(400):
-            shape = [int(rng.integers(2, 5)) for _ in range(rng.integers(1, 4))]
-            tensor = rng.gamma(0.7, size=shape) + 1e-12
-            table = table_from_tensor(tensor)
-            probs = (tensor / tensor.sum()).ravel()
-            worst = max(worst, abs(vector_entropy(probs) - bf_entropy(probs)))
-            worst = max(
-                worst, abs(joint_entropy(table) - bf_joint_entropy(tensor))
-            )
-            cases += 2
-            for axis in range(tensor.ndim):
-                # the predicting axis (0) has no library marginal
-                h = (
-                    vector_entropy(bf_marginal(tensor, 0)) if axis == 0
-                    else marginal_entropy(table, axis - 1)
-                )
-                worst = max(
-                    worst, abs(h - bf_entropy(bf_marginal(tensor, axis)))
-                )
-                cases += 1
-            given = [
-                i for i in range(tensor.ndim - 1) if rng.random() < 0.5
-            ]
+            card = int(rng.integers(2, 5))
+            shape = [int(rng.integers(2, 5))] + [card] * int(rng.integers(0, 3))
+            counts = rng.integers(0, int(rng.integers(1, 200)), size=shape)
+            pseudocount = float(rng.uniform(0.01, 2.0))
+            contexts = tuple(range(len(shape) - 1))
+            entry = TrainedAssignment(0, 0, contexts, counts.reshape(shape[0], -1))
+            s = local_entropy_sets([entry], card, pseudocount)[0]
+            tensor = counts + pseudocount
+            joint, marginals = bf_summary(tensor, contexts)
+            worst = max(worst, abs(s.joint - joint))
+            for c in contexts:
+                worst = max(worst, abs(s.context_entropies[c] - marginals[c]))
+            cases += 1 + len(contexts)
+            given = [c for c in contexts if rng.random() < 0.5]
             worst = max(
                 worst,
                 abs(
-                    bf_conditional_entropy(table, given)
-                    - bf_chain_rule(tensor, [1 + g for g in given])
+                    s.score(frozenset(given))
+                    - bf_conditional_entropy(tensor, contexts, given)
                 ),
             )
             cases += 1

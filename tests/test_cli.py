@@ -228,7 +228,8 @@ class TestRun:
         assert (out / "run_seed0_abs.csv").exists()
 
     @pytest.mark.parametrize(
-        "sweep, code", [("k=1,2", 0), ("nodes=12,16", 2), ("predicting=2", 2)]
+        "sweep, code",
+        [("k=1,2", 0), ("nodes=12,16", 0), ("nodes=8,12", 2), ("predicting=2", 2)],
     )
     def test_workload_csv_with_sweep(self, tmp_path, capsys, sweep, code):
         wl_path = export_small_workload(tmp_path / "workload.csv")
@@ -236,8 +237,41 @@ class TestRun:
         args = BASE + ["--workload-csv", wl_path, "--sweep", sweep, "--out", out]
         assert run_cli(args) == code
         if code == 2:
-            assert "bad workload" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            # the first swept value's run is the one the CSV does not fit
+            value = sweep.partition("=")[2].split(",")[0]
+            assert f"bad workload for run_{sweep.partition('=')[0]}{value}_" in err
+            assert "line" in err and len(err.splitlines()) == 1
             assert not list(out.glob("run_*.csv"))  # rejected before any job
+
+    @pytest.mark.parametrize(
+        "sweep, row, code",
+        [
+            ("predicting=8,10", "0,7,2,c0=1", 0),
+            ("nodes=8,12", "7,5,2,c0=1", 0),
+            ("predicting=6,8", "0,7,2,c0=1", 2),
+        ],
+        ids=["more-predicting", "more-nodes", "row-outside-a-run"],
+    )
+    def test_workload_csv_is_read_per_swept_range(
+        self, tmp_path, capsys, sweep, row, code
+    ):
+        # each run reads the CSV against its own variable and node ranges
+        wl_path = tmp_path / "w.csv"
+        wl_path.write_text(f"{row}\n")
+        out = tmp_path / "out"
+        args = [
+            "run", "--nodes", "8", "--predicting", "6", "--contexts", "3",
+            "--contexts-per-table", "1", "--cycles", "1", "--sweep", sweep,
+            "--workload-csv", wl_path, "--out", out,
+        ]
+        assert run_cli(args) == code
+        if code == 0:
+            assert len(list(out.glob("run_*.csv"))) == 2
+        else:
+            err = capsys.readouterr().err
+            assert "bad workload for run_predicting6_seed0_abs" in err
+            assert "line 1" in err and "unknown variable predicting_var 7" in err
 
     @pytest.mark.parametrize(
         "row",

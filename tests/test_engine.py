@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,17 +30,24 @@ from edgeknow.engine import (
     setup_trial,
     train_pgms,
 )
-from edgeknow.pgm import JointTable, cell_counts
-from edgeknow.routing import AdvertisementPolicy, NodeState, Query, RoutingModel
+from edgeknow.pgm import cell_counts
+from edgeknow.routing import (
+    AdvertisementPolicy,
+    NodeState,
+    Query,
+    RoutingModel,
+    local_entropy_sets,
+)
 from edgeknow.topology import AttachmentParams
 
 from conftest import (
-    bf_chain_rule,
     bf_conditional_entropy,
     bf_generate_workload,
     bf_observe,
     bf_propagate,
+    bf_summary,
     export_workload_csv,
+    smoothed_tensor,
     well_formed,
 )
 
@@ -141,27 +149,27 @@ class TestWorkload:
                 bf_observe(tensor, ctx, int(outcome))
             want[node_id][var] = (contexts, tensor)
         got = train_pgms(wl, config)
-        for tables, ref_tables in zip(got, want):
-            assert tables.keys() == ref_tables.keys()
-            for var, table in tables.items():
-                assert table.contexts == ref_tables[var][0]
-                assert np.array_equal(table.counts, ref_tables[var][1])
+        for sets, ref_tensors in zip(got, want):
+            assert sets.keys() == ref_tensors.keys()
+            for var, s in sets.items():
+                contexts, tensor = ref_tensors[var]
+                joint, marginals = bf_summary(tensor, contexts)
+                assert s.joint == pytest.approx(joint, abs=1e-12)
+                assert list(s.context_entropies) == list(marginals)
+                assert s.context_entropies == pytest.approx(marginals, abs=1e-12)
 
 
 class TestTrainedModels:
     def test_training_reproduces_counts(self):
         config = small_config()
         wl = generate_workload(config, seed=5)
-        tables = train_pgms(wl, config)
-        entry = wl.entries[0]
-        table = tables[entry.node_id][entry.var]
-        assert table.counts.sum() == pytest.approx(
-            config.pseudocount * table.counts.size + config.observations_per_var
-        )
-        assert np.array_equal(
-            table.counts.reshape(entry.counts.shape),
-            config.pseudocount + entry.counts,
-        )
+        trained = train_pgms(wl, config)
+        for entry in wl.entries:
+            s = trained[entry.node_id][entry.var]
+            tensor = smoothed_tensor(entry, config)
+            joint, marginals = bf_summary(tensor, entry.contexts)
+            assert s.joint == pytest.approx(joint, abs=1e-12)
+            assert s.context_entropies == pytest.approx(marginals, abs=1e-12)
 
     def test_deterministic_stream_gives_low_conditional_entropy(self):
         config = small_config(
@@ -174,8 +182,8 @@ class TestTrainedModels:
         wl.entries.append(
             TrainedAssignment(0, 0, (0,), cell_counts(4, 2, flat, outcomes))
         )
-        tables = train_pgms(wl, config)[0]
-        h = NodeState(0, tables).local_answer(0, frozenset({0}))
+        sets = train_pgms(wl, config)[0]
+        h = NodeState(0, sets).local_answer(0, frozenset({0}))
         assert h < 0.2
 
     def test_entry_without_observations_trains_nothing(self):
@@ -191,9 +199,9 @@ class TestTrainedModels:
             TrainedAssignment(0, 1, (), np.array([[0], [1]])),
             TrainedAssignment(1, 0, (), np.zeros((2, 1), dtype=np.int64)),
         ]
-        tables = train_pgms(wl, config)
-        assert [sorted(t) for t in tables] == [[1], []]
-        assert NodeState(0, tables[0]).local_answer(0, frozenset()) is None
+        trained = train_pgms(wl, config)
+        assert [sorted(sets) for sets in trained] == [[1], []]
+        assert NodeState(0, trained[0]).local_answer(0, frozenset()) is None
 
 
 class TestCsvRoundTrip:
@@ -212,10 +220,7 @@ class TestCsvRoundTrip:
                 eb.node_id, eb.var, eb.contexts
             )
             assert np.array_equal(ea.counts, eb.counts)
-        for ta, tb in zip(a, b):
-            assert ta.keys() == tb.keys()
-            for var in ta:
-                assert np.array_equal(ta[var].counts, tb[var].counts)
+        assert a == b
 
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -282,12 +287,13 @@ class TestAccuracy:
 
 class TestOracle:
     def test_min_over_nodes_and_uniform_fallback(self):
-        counts = 0.01 + cell_counts(4, 2, [0] * 200, [2] * 200)
-        trained = JointTable((0,), counts)
-        nodes = [NodeState(0, {}), NodeState(1, {0: trained})]
+        counts = cell_counts(4, 2, [0] * 200, [2] * 200)
+        entry = TrainedAssignment(1, 0, (0,), counts)
+        trained = {0: local_entropy_sets([entry], 2, 0.01)[0]}
+        nodes = [NodeState(0, {}), NodeState(1, trained)]
         q = Query(0, {0: 1}, 3, 0)
         best = oracle_best(q, nodes, pred_card=4)
-        want = bf_conditional_entropy(trained, [0])
+        want = bf_conditional_entropy(0.01 + counts, (0,), [0])
         assert best == pytest.approx(want)
 
     def test_all_untrained_is_uniform(self):
@@ -297,19 +303,23 @@ class TestOracle:
 
     def test_matches_independent_enumeration(self):
         config = small_config(node_count=10)
-        trial = setup_trial(config)
+        workload = generate_workload(config, seed=8)
+        trial = setup_trial(config, workload)
         card = config.predicting_cardinality
         for target, combos in trial.trained_combos.items():
             for combo in [()] + combos:
                 q = Query(target, {c: 0 for c in combo}, 3, 0)
                 # independent re-derivation with the brute-force chain rule
+                # over each trainer's workload entry
                 best = math.log2(card)
-                for state in trial.nodes:
-                    table = state.tables.get(target)
-                    if table is None:
+                for entry in workload.entries:
+                    if entry.var != target:
                         continue
-                    axes = [table.axis_of(c) for c in combo if c in table.contexts]
-                    best = min(best, bf_chain_rule(table.probabilities(), axes))
+                    given = [c for c in combo if c in entry.contexts]
+                    tensor = smoothed_tensor(entry, config)
+                    best = min(
+                        best, bf_conditional_entropy(tensor, entry.contexts, given)
+                    )
                 got = oracle_best(q, trial.nodes, card)
                 assert got == pytest.approx(best, abs=1e-9)
                 # scanning only the target's trainers finds the same minimum
@@ -328,7 +338,7 @@ class TestTrialSetup:
             assert state.published.entries == {}
             # the first build covers the trained variables
             assert state.unsent == {}
-            assert state.changed_vars == set(state.tables)
+            assert state.changed_vars == set(state.local_sets)
             for nb in state.neighbors:
                 assert trial.nodes[nb].routing_models[state.node_id] is state.published
         assert len({id(state.published) for state in trial.nodes}) == len(trial.nodes)
@@ -337,7 +347,7 @@ class TestTrialSetup:
         trial = setup_trial(small_config())
         want: dict[int, list[int]] = {}
         for state in trial.nodes:
-            for var in state.tables:
+            for var in state.local_sets:
                 if state.local_answer(var, frozenset()) is not None:
                     want.setdefault(var, []).append(state.node_id)
         assert trial.trainers == want
@@ -596,7 +606,7 @@ class TestUnsent:
         """A two-node line: node 1 trains variables 0 and 1 over context 0,
         node 0 trains nothing. With one set per list, change threshold 0.1
         and no hop inflation, node 1's lists are its local sets, and node
-        0's echoes tie with them. Node 1 is retrained by replacing a table:
+        0's echoes tie with them. Node 1 is retrained by replacing a local set:
         a rebuilt list within the threshold of the published one stays
         unsent, the next send carries it, and a rebuild back to the
         published value discards it."""
@@ -630,28 +640,28 @@ class TestUnsent:
         def retrain(var, diagonal):
             # pseudocount 1 plus `diagonal` - 1 observations of outcome s
             # under context state s, for s = 0 and 1
-            counts = np.array([[diagonal, 1.0], [1.0, diagonal]])
-            node.tables[var] = JointTable((0,), counts)
-            node._local_sets = None
+            counts = np.array([[diagonal - 1, 0], [0, diagonal - 1]])
+            entry = TrainedAssignment(1, var, (0,), counts)
+            node.local_sets[var] = local_entropy_sets([entry], 2, 1.0)[0]
             node.changed_vars.add(var)
             trial.oracle_cache.clear()
-            return node.local_sets()[var]
+            return node.local_sets[var]
 
         # node 1 sends both lists, node 0 echoes them, node 1 keeps its own
         assert [propagate() for _ in range(3)] == [2, 2, 0]
         published = node.published.entries
         old = published[0][0]
-        assert old == retrain(0, 9.0)
+        assert old == retrain(0, 9)
         assert propagate() == 0
         # a slightly sharper model of variable 0 waits
-        s0 = retrain(0, 10.0)
+        s0 = retrain(0, 10)
         assert 0 < old.joint - s0.joint < 0.1
         assert propagate() == 0
         assert node.unsent == {0: [s0]}
         assert published[0] == [old]
         # a much sharper one of variable 1 is sent, and variable 0's list
         # goes with it: two lists of one set each, to one neighbor
-        s1 = retrain(1, 20.0)
+        s1 = retrain(1, 20)
         assert published[1][0].joint - s1.joint > 0.1
         assert propagate() == 2
         assert node.unsent == {}
@@ -659,10 +669,10 @@ class TestUnsent:
         assert trial.nodes[0].routing_models[1].entries is published
         assert [propagate() for _ in range(2)] == [2, 0]
         # a list within the threshold, then one equal to the published list
-        assert 0 < s0.joint - retrain(0, 11.0).joint < 0.1
+        assert 0 < s0.joint - retrain(0, 11).joint < 0.1
         assert propagate() == 0
         assert set(node.unsent) == {0}
-        assert retrain(0, 10.0) == s0
+        assert retrain(0, 10) == s0
         assert propagate() == 0
         assert node.unsent == {}
         assert published == {0: [s0], 1: [s1]}
@@ -695,6 +705,24 @@ class TestRunTrial:
         metrics = run_trial(small_config(cycles=0))
         assert metrics.rows == []
         assert metrics.converged_accuracy() == 0.0
+
+    def test_underflowing_pseudocount_gives_finite_entropies(self):
+        # a pseudocount of 5e-324 over some 300 observations underflows to
+        # a probability of 0 in every unobserved cell, which must add 0 bits
+        config = small_config(pseudocount=5e-324)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            metrics = run_trial(config)
+            trial = setup_trial(config)
+        assert len(metrics.rows) == config.cycles
+        assert metrics.oracle_violations == 0
+        values = [
+            h
+            for state in trial.nodes
+            for s in state.local_sets.values()
+            for h in (s.joint, *s.context_entropies.values())
+        ]
+        assert values and all(math.isfinite(h) and h >= 0 for h in values)
 
     def test_strategies_share_workload(self):
         # paired runs: same seed must produce the same trained combos

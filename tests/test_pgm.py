@@ -1,137 +1,149 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgeknow import pgm
 from edgeknow.engine import TrainedAssignment, Workload, check_workload, train_pgms
-from edgeknow.pgm import (
-    JointTable,
-    cell_counts,
-    joint_entropy,
-    marginal_entropy,
-)
+from edgeknow.pgm import cell_counts
+from edgeknow.routing import EntropySet, local_entropy_sets
 
 from conftest import (
-    bf_chain_rule,
     bf_conditional_entropy,
     bf_entropy,
     bf_joint_entropy,
     bf_marginal,
     bf_observe,
+    bf_summary,
     bf_true_conditional,
-    table_from_tensor,
-    vector_entropy,
 )
 
 
+def entropy_set(counts, pseudocount=0.0) -> EntropySet:
+    """The library's entropy set of a count tensor smoothed with
+    `pseudocount`: axis 0 is the predicting variable, and axes 1.. are the
+    contexts 0.., all with the cardinality of axis 1."""
+    counts = np.asarray(counts)
+    n_ctx = counts.ndim - 1
+    card = counts.shape[1] if n_ctx else 2
+    entry = TrainedAssignment(
+        0, 0, tuple(range(n_ctx)), counts.reshape(len(counts), -1)
+    )
+    return local_entropy_sets([entry], card, pseudocount)[0]
+
+
 class TestVectorEntropy:
-    """`joint_entropy` of a one-axis table: a probability vector's entropy."""
+    """The joint entropy of a table with the predicting axis alone: a
+    probability vector's entropy."""
 
     def test_fair_coin(self):
-        assert vector_entropy([0.5, 0.5]) == pytest.approx(1.0, abs=1e-12)
+        assert entropy_set([[1], [1]]).joint == pytest.approx(1.0, abs=1e-12)
 
     def test_certainty(self):
-        assert vector_entropy([1.0, 0.0]) == 0.0
+        assert entropy_set([[1], [0]]).joint == 0.0
 
     def test_skewed_coin(self):
         # -(0.9 log2 0.9 + 0.1 log2 0.1), frozen from a hand evaluation
-        assert vector_entropy([0.9, 0.1]) == pytest.approx(0.4689955935892812, abs=1e-9)
+        assert entropy_set([[9], [1]]).joint == pytest.approx(
+            0.4689955935892812, abs=1e-9
+        )
 
-    @given(
-        st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=1, max_size=16)
-    )
-    def test_bounds(self, weights):
-        p = np.array(weights) / sum(weights)
-        h = vector_entropy(p)
-        assert -1e-12 <= h <= math.log2(len(p)) + 1e-9
-        assert h == pytest.approx(bf_entropy(p), abs=1e-9)
+    @given(st.lists(st.integers(1, 10**6), min_size=1, max_size=16))
+    def test_bounds(self, counts):
+        h = entropy_set(np.reshape(counts, (-1, 1))).joint
+        assert -1e-12 <= h <= math.log2(len(counts)) + 1e-9
+        p = np.array(counts) / sum(counts)
+        assert h == pytest.approx(bf_entropy(p), abs=1e-12)
 
 
 class TestJointEntropy:
     def test_uniform_2x2(self):
-        assert joint_entropy(table_from_tensor(np.full((2, 2), 0.25))) == (
+        assert entropy_set(np.ones((2, 2), dtype=np.int64)).joint == (
             pytest.approx(2.0, abs=1e-12)
         )
 
     def test_single_cell(self):
-        t = np.zeros((2, 2))
-        t[1, 0] = 1.0
-        assert joint_entropy(table_from_tensor(t)) == 0.0
+        t = np.zeros((2, 2), dtype=np.int64)
+        t[1, 0] = 1
+        assert entropy_set(t).joint == 0.0
 
     def test_dyadic_cells(self):
-        t = np.array([[0.5, 0.25], [0.125, 0.125]])
-        assert joint_entropy(table_from_tensor(t)) == pytest.approx(1.75, abs=1e-12)
+        s = entropy_set([[4, 2], [1, 1]])
+        assert s.joint == pytest.approx(1.75, abs=1e-12)
 
 
 class TestMarginalEntropy:
     def test_uniform_any_axis(self):
-        table = table_from_tensor(np.full((4, 3), 1.0))
-        h = vector_entropy(bf_marginal(table.counts, 0))
-        assert h == pytest.approx(2.0, abs=1e-12)
-        assert marginal_entropy(table, 0) == pytest.approx(
+        t = np.ones((4, 3), dtype=np.int64)
+        assert bf_entropy(bf_marginal(t, 0)) == pytest.approx(2.0, abs=1e-12)
+        assert entropy_set(t).context_entropies[0] == pytest.approx(
             math.log2(3), abs=1e-12
         )
 
     def test_deterministic_context_axis(self):
-        t = np.zeros((2, 3))
-        t[:, 1] = 0.5
-        assert marginal_entropy(table_from_tensor(t), 0) == 0.0
+        t = np.zeros((2, 3), dtype=np.int64)
+        t[:, 1] = 5
+        assert entropy_set(t).context_entropies[0] == 0.0
 
     def test_symmetric_2x2(self):
-        table = table_from_tensor(np.array([[0.4, 0.1], [0.1, 0.4]]))
-        h = vector_entropy(bf_marginal(table.counts, 0))
-        assert h == pytest.approx(1.0, abs=1e-12)
-        assert bf_marginal(table.counts, 0) == pytest.approx([0.5, 0.5])
-        assert marginal_entropy(table, 0) == pytest.approx(1.0, abs=1e-12)
+        t = np.array([[4, 1], [1, 4]])
+        assert bf_marginal(t, 1) == pytest.approx([0.5, 0.5])
+        assert entropy_set(t).context_entropies[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_unknown_variable(self):
-        with pytest.raises(ValueError):
-            marginal_entropy(table_from_tensor(np.ones((2, 2))), 7)
+        # a set holds the marginals of its table's contexts and no others,
+        # so evidence on another variable leaves its score alone
+        s = entropy_set(np.ones((2, 2), dtype=np.int64), 1.0)
+        assert list(s.context_entropies) == [0]
+        assert s.score(frozenset({7})) == s.joint
 
 
 class TestChainRule:
-    """The chain rule over the library's table entropies."""
+    """The chain rule over the library's entropy sets."""
 
     def test_empty_evidence_is_joint(self):
-        table = table_from_tensor(np.array([[0.4, 0.1], [0.1, 0.4]]))
-        assert bf_conditional_entropy(table, []) == joint_entropy(table)
+        t = np.array([[4, 1], [1, 4]])
+        s = entropy_set(t)
+        assert s.score(frozenset()) == s.joint
+        assert s.joint == pytest.approx(
+            bf_conditional_entropy(t, (0,), []), abs=1e-12
+        )
 
     def test_independent_uniform(self):
-        table = table_from_tensor(np.full((2, 2), 0.25))
-        got = bf_conditional_entropy(table, [0])
+        t = np.ones((2, 2), dtype=np.int64)
+        got = entropy_set(t).score(frozenset({0}))
         assert got == pytest.approx(1.0, abs=1e-12)
-        assert got == pytest.approx(bf_true_conditional(table.counts, [1]), abs=1e-12)
+        assert got == pytest.approx(bf_true_conditional(t, [1]), abs=1e-12)
 
     def test_rejects_non_context(self):
-        table = table_from_tensor(np.ones((2, 2)))
+        # the reference answers only for the table's own contexts
         for context in (1, -1):
             with pytest.raises(ValueError):
-                bf_conditional_entropy(table, [context])
+                bf_conditional_entropy(np.ones((2, 2)), (0,), [context])
 
     def test_clamps_and_counts_correlated_contexts(self):
         # two perfectly correlated contexts: H(P,C0,C1) = 1 < H(C0)+H(C1) = 2
-        t = np.zeros((2, 2, 2))
-        t[0, 0, 0] = 0.5
-        t[0, 1, 1] = 0.5
-        table = table_from_tensor(t)
-        unclamped = joint_entropy(table) - sum(
-            marginal_entropy(table, c) for c in (0, 1)
-        )
+        t = np.zeros((2, 2, 2), dtype=np.int64)
+        t[0, 0, 0] = 1
+        t[0, 1, 1] = 1
+        s = entropy_set(t)
+        unclamped = s.joint - sum(s.context_entropies.values())
         assert unclamped == pytest.approx(-1.0, abs=1e-12)
-        assert bf_conditional_entropy(table, [0, 1]) == 0.0
+        assert s.score(frozenset({0, 1})) == 0.0
 
 
-class TestObserve:
-    """Binning observations with `cell_counts` and smoothing them into tables
-    with `train_pgms`."""
+class TestCellCounts:
+    """Binning observations with `cell_counts`, and training on them with
+    `train_pgms`."""
 
     def test_counting_with_uniform_prior(self, binary_config):
         wl = Workload(node_count=1)
         wl.entries.append(TrainedAssignment(0, 0, (), np.array([[5], [0]])))
-        probs = train_pgms(wl, binary_config)[0][0].probabilities()
-        assert probs == pytest.approx([6 / 7, 1 / 7])
+        s = train_pgms(wl, binary_config)[0][0]
+        assert s.joint == pytest.approx(bf_entropy([6 / 7, 1 / 7]), abs=1e-12)
 
     def test_negative_ids_do_not_wrap(self, binary_config):
         # -1 would index the last variable of a per-variable sequence
@@ -145,10 +157,9 @@ class TestObserve:
     def test_coin_flip_convergence(self):
         rng = np.random.default_rng(7)
         outcomes = rng.integers(2, size=1000)
-        counts = 1.0 + cell_counts(2, 1, [0] * 1000, outcomes)
-        probs = JointTable((), counts.ravel()).probabilities()
-        assert probs == pytest.approx([0.5, 0.5], abs=0.05)
-        assert vector_entropy(probs) == pytest.approx(1.0, abs=0.01)
+        counts = cell_counts(2, 1, [0] * 1000, outcomes)
+        assert (counts / counts.sum()).ravel() == pytest.approx([0.5, 0.5], abs=0.05)
+        assert entropy_set(counts, 1.0).joint == pytest.approx(1.0, abs=0.01)
 
     def test_cell_counts_match_loop(self):
         rng = np.random.default_rng(0)
@@ -182,48 +193,49 @@ class TestObserve:
             cell_counts(2, 4, np.array([0.0, 3.0]), np.array([1, 0]))
 
 
-def random_tensor(rng, max_axes=3, max_card=4):
+def random_counts(rng, max_contexts=2, max_card=4):
+    """Integer counts over a predicting axis and up to `max_contexts`
+    context axes of one cardinality, and a pseudocount."""
     shape = [rng.integers(2, max_card + 1)]
-    for _ in range(rng.integers(0, max_axes)):
-        shape.append(rng.integers(2, max_card + 1))
-    return rng.gamma(0.8, size=shape) + 1e-12
+    shape += [rng.integers(2, max_card + 1)] * rng.integers(0, max_contexts + 1)
+    return rng.integers(0, 20, size=shape), float(rng.uniform(0.01, 2.0))
 
 
 class TestInvariants:
     def test_joint_dominates_marginals(self):
         rng = np.random.default_rng(11)
         for _ in range(300):
-            tensor = random_tensor(rng)
-            table = table_from_tensor(tensor)
-            marginals = [vector_entropy(bf_marginal(tensor, 0))] + [
-                marginal_entropy(table, c) for c in table.contexts
-            ]
+            counts, pseudocount = random_counts(rng)
+            s = entropy_set(counts, pseudocount)
+            marginals = [bf_entropy(bf_marginal(counts + pseudocount, 0))]
+            marginals += s.context_entropies.values()
             for h in marginals:
-                assert joint_entropy(table) >= h - 1e-9
+                assert s.joint >= h - 1e-9
 
     def test_chain_rule_matches_brute_force(self):
         rng = np.random.default_rng(12)
         for _ in range(300):
-            tensor = random_tensor(rng)
-            table = table_from_tensor(tensor)
-            n_ctx = tensor.ndim - 1
-            given = [i for i in range(n_ctx) if rng.random() < 0.5]
-            got = bf_conditional_entropy(table, given)
-            want = bf_chain_rule(tensor, [1 + c for c in given])
+            counts, pseudocount = random_counts(rng)
+            contexts = tuple(range(counts.ndim - 1))
+            given = [c for c in contexts if rng.random() < 0.5]
+            got = entropy_set(counts, pseudocount).score(frozenset(given))
+            want = bf_conditional_entropy(counts + pseudocount, contexts, given)
             assert got == pytest.approx(want, abs=1e-9)
 
     def test_product_table_equals_true_conditional(self):
         rng = np.random.default_rng(13)
         for _ in range(200):
-            marginals = [rng.gamma(1.0, size=rng.integers(2, 5)) + 1e-9
-                         for _ in range(rng.integers(2, 4))]
+            card = rng.integers(2, 5)
+            marginals = [rng.integers(1, 20, size=rng.integers(2, 5))]
+            marginals += [
+                rng.integers(1, 20, size=card) for _ in range(rng.integers(1, 3))
+            ]
             tensor = marginals[0]
             for m in marginals[1:]:
                 tensor = np.multiply.outer(tensor, m)
-            table = table_from_tensor(tensor)
             n_ctx = tensor.ndim - 1
-            given = [i for i in range(n_ctx) if rng.random() < 0.5]
-            got = bf_conditional_entropy(table, given)
+            given = [c for c in range(n_ctx) if rng.random() < 0.5]
+            got = entropy_set(tensor).score(frozenset(given))
             want = bf_true_conditional(tensor, [1 + c for c in given])
             assert got == pytest.approx(want, abs=1e-9)
 
@@ -236,29 +248,58 @@ class TestInvariants:
         assert np.array_equal(whole, one_by_one)
 
     def test_entropy_decreases_with_concentration(self):
-        table = table_from_tensor(np.ones((2, 1)))
         previous = math.inf
-        for _ in range(30):
-            table.counts += [[0], [1]]
-            h = joint_entropy(table)
+        for n in range(1, 31):
+            h = entropy_set([[1], [n]]).joint
             assert h <= previous + 1e-12
             previous = h
 
     @settings(max_examples=200)
     @given(st.data())
     def test_joint_matches_brute_force(self, data):
-        shape = data.draw(
-            st.lists(st.integers(2, 4), min_size=1, max_size=3)
-        )
+        shape = [data.draw(st.integers(2, 4))]
+        shape += [data.draw(st.integers(2, 4))] * data.draw(st.integers(0, 2))
         cells = data.draw(
             st.lists(
-                st.floats(min_value=1e-6, max_value=10.0),
+                st.integers(0, 50),
                 min_size=int(np.prod(shape)),
                 max_size=int(np.prod(shape)),
             )
         )
-        tensor = np.array(cells).reshape(shape)
-        table = table_from_tensor(tensor)
-        assert joint_entropy(table) == pytest.approx(
-            bf_joint_entropy(tensor), abs=1e-9
+        pseudocount = data.draw(st.floats(0.01, 2.0))
+        counts = np.array(cells).reshape(shape)
+        assert entropy_set(counts, pseudocount).joint == pytest.approx(
+            bf_joint_entropy(counts + pseudocount), abs=1e-9
         )
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_batched_sets_match_brute_force(self, data):
+        """Every joint and marginal of one batched pass over tables of 0 to
+        3 contexts lies within 1e-12 of the brute-force references, for any
+        integer dtype, and equals the value of its table taken alone,
+        with batches small enough that tables fall into several."""
+        n_out = data.draw(st.integers(2, 5))
+        card = data.draw(st.integers(2, 5))
+        pseudocount = data.draw(st.floats(0.01, 2.0))
+        dtypes = [np.int8, np.uint8, np.int16, np.int32, np.int64, np.uint64]
+        dtype = data.draw(st.sampled_from(dtypes))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        entries = []
+        for var in range(data.draw(st.integers(1, 8))):
+            picked = rng.choice(6, size=rng.integers(0, 4), replace=False)
+            contexts = tuple(sorted(int(c) for c in picked))
+            size = (n_out, card ** len(contexts))
+            high = data.draw(st.sampled_from([2, 20, 100]))
+            counts = rng.integers(0, high, size=size)
+            entries.append(TrainedAssignment(0, var, contexts, counts.astype(dtype)))
+        batch_cells = data.draw(st.integers(1, 3 * n_out * card**3))
+        with mock.patch.object(pgm, "BATCH_CELLS", batch_cells):
+            sets = local_entropy_sets(entries, card, pseudocount)
+        for entry, s in zip(entries, sets, strict=True):
+            tensor = entry.counts.reshape((n_out,) + (card,) * len(entry.contexts))
+            joint, marginals = bf_summary(tensor + pseudocount, entry.contexts)
+            assert s.joint == pytest.approx(joint, abs=1e-12)
+            assert list(s.context_entropies) == list(marginals)
+            assert s.context_entropies == pytest.approx(marginals, abs=1e-12)
+            assert [s] == local_entropy_sets([entry], card, pseudocount)

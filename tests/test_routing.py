@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgeknow.engine import SimConfig, TrainedAssignment, Workload, train_pgms
-from edgeknow.pgm import JointTable
 from edgeknow.routing import (
     AdvertisementPolicy,
     EntropySet,
@@ -111,7 +110,7 @@ class TestBuildAdvertisement:
         adv = full_build(local, [RoutingModel({0: learned})], NO_GATE, k=2)
         assert [s.joint for s in adv[0]] == [1.0, 2.0]
 
-    def test_quality_gate_reduces_poor_local_sets(self):
+    def test_quality_gate_reduces_poor_sets(self):
         policy = AdvertisementPolicy(quality_threshold=0.5, hop_inflation=0.0)
         good = EntropySet(1.0, {0: 0.8})   # evidence-free conditional 0.2
         poor = EntropySet(2.0, {0: 0.8})   # evidence-free conditional 1.2
@@ -349,14 +348,15 @@ class TestIncrementalBuild:
 def trained_node(node_id, neighbors=(), target_state=0, observations=60):
     """Node whose predicting variable 0 is near-deterministic on target_state
     given context 0."""
-    counts = np.ones((2, 2))
-    counts[target_state] += observations
-    tables = {0: JointTable((0,), counts)}
-    return NodeState(node_id=node_id, tables=tables, neighbors=list(neighbors))
+    counts = np.zeros((2, 2), dtype=np.int64)
+    counts[target_state] = observations
+    entry = TrainedAssignment(node_id, 0, (0,), counts)
+    sets = {0: local_entropy_sets([entry], 2, 1.0)[0]}
+    return NodeState(node_id=node_id, local_sets=sets, neighbors=list(neighbors))
 
 
 def blank_node(node_id, neighbors=()):
-    return NodeState(node_id=node_id, tables={}, neighbors=list(neighbors))
+    return NodeState(node_id=node_id, local_sets={}, neighbors=list(neighbors))
 
 
 class TestProcessQuery:
@@ -494,20 +494,27 @@ class TestRandomWalk:
 
 class TestLocalSets:
     def test_one_set_per_trained_var(self):
-        tables = {
-            2: JointTable((1,), np.ones((2, 2))),
-            0: JointTable((0,), np.ones((2, 2))),
-        }
-        sets = local_entropy_sets(tables)
-        assert list(sets) == [0, 2]
+        config = SimConfig(
+            node_count=1, predicting_var_count=3, context_var_count=2,
+            contexts_per_table=1, predicting_cardinality=2, context_cardinality=2,
+        )
+        ones = np.ones((2, 2), dtype=np.int64)
+        workload = Workload(node_count=1)
+        workload.entries += [
+            TrainedAssignment(0, 2, (1,), ones),
+            TrainedAssignment(0, 0, (0,), ones),
+        ]
+        sets = train_pgms(workload, config)[0]
+        assert list(sets) == [2, 0]
         assert sets[0].combination == frozenset({0})
         assert sets[2].combination == frozenset({1})
 
     def test_answer_entropy_untrained_is_none(self):
-        assert answer_entropy(local_entropy_sets({}), 0, frozenset()) is None
+        assert local_entropy_sets([], 2, 1.0) == []
+        assert answer_entropy({}, 0, frozenset()) is None
 
     def test_answer_entropy_ignores_foreign_evidence(self):
-        sets = local_entropy_sets(trained_node(0).tables)
+        sets = trained_node(0).local_sets
         with_foreign = answer_entropy(sets, 0, frozenset({1}))
         without = answer_entropy(sets, 0, frozenset())
         assert with_foreign == pytest.approx(without)
@@ -515,9 +522,9 @@ class TestLocalSets:
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_answer_entropy_matches_table_reference(self, data):
-        """The local sets' answer is exactly the trained table's clamped
-        chain-rule value, None included: for random count tables over 1 to 3
-        of 16 contexts, all-zero counts, and a target with no entry."""
+        """The local sets' answer is the trained table's clamped chain-rule
+        value, None included: for random count tables over 1 to 3 of 16
+        contexts, all-zero counts, and a target with no entry."""
         config = SimConfig(
             node_count=1,
             predicting_var_count=3,
@@ -540,12 +547,16 @@ class TestLocalSets:
             workload.entries.append(
                 TrainedAssignment(0, target, contexts, np.reshape(counts, (n_out, -1)))
             )
-        sets = local_entropy_sets(train_pgms(workload, config)[0])
+        sets = train_pgms(workload, config)[0]
         bound = data.draw(bounds())
         for target in (0, 1, 2):
             entry = workload.entries[target] if target < 2 else None
             want = bf_answer_entropy(entry, config, bound)
-            assert answer_entropy(sets, target, bound) == want
+            got = answer_entropy(sets, target, bound)
+            if want is None:
+                assert got is None
+            else:
+                assert got == pytest.approx(want, abs=1e-12)
 
 
 def advertise_until_stable(nodes, policy, k, max_rounds=60):
@@ -555,7 +566,7 @@ def advertise_until_stable(nodes, policy, k, max_rounds=60):
     for _ in range(max_rounds):
         sent = 0
         for node in nodes.values():
-            adv = full_build(node.local_sets(), node.routing_models.values(), policy, k)
+            adv = full_build(node.local_sets, node.routing_models.values(), policy, k)
             if bf_should_advertise(last_sent.get(node.node_id, {}), adv, policy):
                 last_sent[node.node_id] = adv
                 sent += 1
@@ -573,9 +584,7 @@ def build_network(n_nodes, edges, joints):
     for i in range(n_nodes):
         node = blank_node(i)
         if joints[i] is not None:
-            node._local_sets = {0: EntropySet(joints[i], {0: 0.1})}
-        else:
-            node._local_sets = {}
+            node.local_sets = {0: EntropySet(joints[i], {0: 0.1})}
         nodes[i] = node
     for a, b in edges:
         nodes[a].neighbors.append(b)
