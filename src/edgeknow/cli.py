@@ -285,8 +285,12 @@ def cmd_run(args) -> int:
 
 def cmd_topology(args) -> int:
     n = args.nodes
-    limit = args.edge_limit if args.edge_limit > 0 else n
+    limit = args.edge_limit or n
     try:
+        if args.edge_limit < 0:
+            raise ValueError(
+                f"edge_limit must be >= 0 (0 = unlimited), got {args.edge_limit}"
+            )
         seed = _resolve_seeds(args.seed)[0]
         config = SimConfig(
             node_count=n,
@@ -320,9 +324,12 @@ def cmd_topology(args) -> int:
         print(f"saturation_warnings={overlay.saturation_warnings}")
     if overlay.repair_edges:
         print(f"repair_edges={overlay.repair_edges}")
-    if args.edge_limit <= 0:
-        slope = survival_slope(degrees)
-        print(f"loglog_survival_slope={slope:.3f}")
+    if args.edge_limit == 0:
+        # a lone seed clique has one distinct degree, and so no slope
+        try:
+            print(f"loglog_survival_slope={survival_slope(degrees):.3f}")
+        except ValueError:
+            pass
     return 0
 
 

@@ -194,7 +194,8 @@ def train_pgms(workload: Workload, config: SimConfig) -> list[dict[int, EntropyS
     observations, smoothed with the config's pseudocount."""
     trained = [entry for entry in workload.entries if entry.counts.any()]
     sets = routing.local_entropy_sets(
-        trained, config.context_cardinality, config.pseudocount
+        trained, config.context_var_count, config.context_cardinality,
+        config.pseudocount,
     )
     models: list[dict[int, EntropySet]] = [{} for _ in range(workload.node_count)]
     for entry, s in zip(trained, sets):
@@ -464,8 +465,8 @@ def setup_trial(config: SimConfig, workload: Optional[Workload] = None) -> Trial
                 changed_vars=set(sets),
             )
         )
-        for var, s in sets.items():
-            trained_combos.setdefault(var, set()).add(tuple(s.context_entropies))
+        for var, (_, combination, _) in sets.items():
+            trained_combos.setdefault(var, set()).add(tuple(sorted(combination)))
             trainers.setdefault(var, []).append(node_id)
     return TrialState(
         config=config,

@@ -5,14 +5,17 @@ count table over that variable and the context combination it was trained
 against: the config's pseudocount plus the workload's binned cell counts
 (`cell_counts`). Only the table's summary is kept, computed once at set-up
 from the counts (`table_entropies`, through `routing.local_entropy_sets`):
-its joint entropy and the marginal entropy of each of its contexts.
+its joint entropy and the marginal entropy of each of its contexts, held as
+an entropy-set row with one entropy slot per context variable of the config
+and 0.0 in the slots of contexts the table does not hold, since subtracting
+0.0 changes no float.
 Variables are plain ints indexed per kind: predicting variables 0..P-1 and
 context variables 0..C-1; which kind an id is follows from where it is
 held. The counts and cardinalities of both kinds are `engine.SimConfig`'s.
 All entropies are in bits. The conditional answering quality for a set of
 evidence variables, joint entropy minus the sum of the evidence marginal
 entropies clamped at zero (exact only when the evidence variables are
-independent), is computed from the summary in `routing.answer_entropy`.
+independent), is computed from the row in `routing.answer_entropy`.
 """
 
 from __future__ import annotations

@@ -2,12 +2,17 @@
 
 Nodes advertise, per predicting variable, up to K entropy sets (one per
 context combination): a joint entropy plus the marginal entropies of the
-combination's context variables. Sets learned from a neighbor are re-advertised
-with a small additive per-hop inflation so that loops cannot sustain
-spuriously low values and shortest paths win ties. Local sets whose
-evidence-free conditional quality is poor are advertised in reduced
-(joint-only) form; those still steer queries toward the cluster that trained
-the variable, where context-aware scoring takes over.
+combination's context variables, held as an immutable row `(joint,
+combination, entropies)` (`EntropySet`). `entropies` has one slot per
+context variable; a context the set does not hold has 0.0 there, and since
+`x - 0.0 == x` for every float, a score that subtracts the slot of every
+bound context is exactly the joint minus the held bound marginals. Sets
+learned from a neighbor are re-advertised with a small additive per-hop
+inflation so that loops cannot sustain spuriously low values and shortest
+paths win ties. Local sets whose evidence-free conditional quality is poor
+are advertised in reduced (joint-only) form; those still steer queries
+toward the cluster that trained the variable, where context-aware scoring
+takes over.
 
 Propagation is incremental in the manner of routing indices (Crespo and
 Garcia-Molina, ICDCS 2002): integrating an advertisement reports which
@@ -25,9 +30,10 @@ delta, routes are those full snapshots would give; the traffic counted,
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -37,42 +43,30 @@ from .pgm import table_entropies
 NodeId = int
 
 
-@dataclass(slots=True)
-class EntropySet:
-    """Advertised quality summary for one predicting variable in one context
-    combination. Empty context_entropies marks the reduced (joint-only) form.
+# An entropy set, the row (joint, combination, entropies): `combination` is
+# the frozenset of the set's context variables, one object per distinct
+# combination, and `entropies` is `context_var_count` wide. The reduced
+# (joint-only) form holds no context. Rows are never mutated: an inflated
+# copy shares its source's combination and entropies, and one sent list is
+# shared by every receiver's routing model. A set is filed under its
+# predicting variable's key and only compared with sets of the same
+# variable, so it does not repeat the id.
+EntropySet = tuple[float, frozenset[int], tuple[float, ...]]
 
-    Sets, and the lists of sets an advertisement holds, are never mutated
-    after a build: inflated copies share their source's context entropies
-    and combination, and one sent list is shared by every receiver's
-    routing model. A set is filed under its predicting variable's key and
-    only compared with sets of the same variable, so it does not repeat the
-    variable's id."""
+@functools.cache
+def _no_entropies(width: int) -> tuple[float, ...]:
+    """The entropies of the reduced form, one shared row per width."""
+    return (0.0,) * width
 
-    joint: float
-    context_entropies: dict[int, float] = field(default_factory=dict)
-    # the bound context variables, derived from context_entropies when not
-    # given; computed once here because every offer and check keys on it
-    combination: Optional[frozenset[int]] = field(
-        default=None, compare=False, repr=False
-    )
 
-    def __post_init__(self):
-        if self.combination is None:
-            self.combination = frozenset(self.context_entropies)
-
-    def inflated(self, eps: float) -> "EntropySet":
-        return EntropySet(self.joint + eps, self.context_entropies, self.combination)
-
-    def score(self, bound: Iterable[int]) -> float:
-        """Conditional entropy estimate for evidence on `bound`: only bound
-        variables present in this set contribute to the subtraction."""
-        value = self.joint
-        for var in bound:
-            h = self.context_entropies.get(var)
-            if h is not None:
-                value -= h
-        return max(value, 0.0)
+def _score(s: EntropySet, bound: Iterable[int]) -> float:
+    """Conditional entropy estimate of `s` for evidence on `bound`: its joint
+    minus the entropies of the bound variables in `bound`'s iteration order,
+    clamped at zero; bound variables the set does not hold subtract 0.0."""
+    value, _, entropies = s
+    for var in bound:
+        value -= entropies[var]
+    return max(value, 0.0)
 
 
 @dataclass
@@ -85,7 +79,7 @@ class AdvertisementPolicy:
 # what a node advertises: per predicting variable, up to K entropy sets
 Advertisement = dict[int, list[EntropySet]]
 
-_joint = attrgetter("joint")
+_joint = itemgetter(0)
 
 
 @dataclass
@@ -95,18 +89,14 @@ class RoutingModel:
     entries: dict[int, list[EntropySet]] = field(default_factory=dict)
 
     def best_score(self, target: int, bound: frozenset[int]) -> float:
-        """The lowest `EntropySet.score` over the target's sets, inf when
-        there are none. Inlined: clamping the minimum once equals the
-        minimum of clamped scores, and subtracting in `bound`'s order, as
-        `score` does, keeps every float bit-identical."""
+        """The lowest clamped score over the target's sets, inf when there
+        are none. Inlined: clamping the minimum once equals the minimum of
+        clamped scores, and subtracting in `bound`'s order, as `_score`
+        does, keeps every float bit-identical."""
         best = math.inf
-        for s in self.entries.get(target, ()):
-            value = s.joint
-            hs = s.context_entropies
+        for value, _, entropies in self.entries.get(target, ()):
             for var in bound:
-                h = hs.get(var)
-                if h is not None:
-                    value -= h
+                value -= entropies[var]
             if value < best:
                 best = value
         return max(best, 0.0)
@@ -190,15 +180,30 @@ class NodeState:
 
 
 def local_entropy_sets(
-    entries: Sequence, context_cardinality: int, pseudocount: float
+    entries: Sequence,
+    context_var_count: int,
+    context_cardinality: int,
+    pseudocount: float,
 ) -> list[EntropySet]:
     """The full entropy set of each entry's table, in order, from the
-    batched `table_entropies` pass over the same arguments."""
+    batched `table_entropies` pass over the entries, cardinality and
+    pseudocount, with rows `context_var_count` wide. Entries over the same
+    contexts share one combination object, filled from a dict of the
+    ascending contexts: a frozenset's iteration order depends on how it was
+    filled once ids share a hash slot, and the quality gate subtracts in it."""
     summaries = table_entropies(entries, context_cardinality, pseudocount)
-    return [
-        EntropySet(joint, dict(zip(entry.contexts, hs)))
-        for entry, (joint, hs) in zip(entries, summaries)
-    ]
+    combinations: dict[tuple[int, ...], frozenset[int]] = {}
+    sets = []
+    for entry, (joint, hs) in zip(entries, summaries):
+        combination = combinations.get(entry.contexts)
+        if combination is None:
+            combination = frozenset(dict.fromkeys(entry.contexts))
+            combinations[entry.contexts] = combination
+        entropies = [0.0] * context_var_count
+        for c, h in zip(entry.contexts, hs):
+            entropies[c] = h
+        sets.append((joint, combination, tuple(entropies)))
+    return sets
 
 
 def answer_entropy(
@@ -211,7 +216,7 @@ def answer_entropy(
     entropy minus the marginal entropies of the bound contexts it holds,
     clamped at zero."""
     s = local_sets.get(target)
-    return None if s is None else s.score(bound)
+    return None if s is None else _score(s, bound)
 
 
 def build_advertisement(
@@ -235,14 +240,17 @@ def build_advertisement(
         best: dict[frozenset, EntropySet] = {}
         s = local_sets.get(var)
         if s is not None:
-            if s.score(s.combination) > policy.quality_threshold:
-                s = EntropySet(s.joint)
-            best[s.combination] = s
+            joint, combination, entropies = s
+            if _score(s, combination) > policy.quality_threshold:
+                combination = frozenset()
+                s = (joint, combination, _no_entropies(len(entropies)))
+            best[combination] = s
         for entries in models:
-            for s in entries.get(var, ()):
-                cur = best.get(s.combination)
-                if cur is None or s.joint + eps < cur.joint:
-                    best[s.combination] = s.inflated(eps)
+            for joint, combination, entropies in entries.get(var, ()):
+                joint += eps
+                cur = best.get(combination)
+                if cur is None or joint < cur[0]:
+                    best[combination] = (joint, combination, entropies)
         adv[var] = sorted(best.values(), key=_joint)[:k]
     return adv
 
@@ -280,10 +288,10 @@ def should_advertise(
         old = previous.get(var, ())
         if len(old) != len(new):
             return True
-        joints = {s.combination: s.joint for s in old}
-        for s in new:
-            joint = joints.get(s.combination)
-            if joint is None or abs(s.joint - joint) > threshold:
+        joints = {combination: joint for joint, combination, _ in old}
+        for joint, combination, _ in new:
+            was = joints.get(combination)
+            if was is None or abs(joint - was) > threshold:
                 return True
     return False
 

@@ -229,10 +229,13 @@ def degree_histogram(overlay: Overlay) -> dict[int, int]:
 
 def survival_slope(degrees: Iterable[int]) -> float:
     """Least-squares slope of the log-log complementary CDF of the degree
-    sequence (power-law check)."""
+    sequence (power-law check). A line needs two points: fewer than two
+    distinct positive degrees raise ValueError."""
     degs = np.sort(np.asarray(list(degrees), dtype=float))
     n = len(degs)
     ks = np.unique(degs[degs >= 1])
+    if len(ks) < 2:
+        raise ValueError(f"{len(ks)} distinct positive degrees, need 2 for a slope")
     survival = np.array([(degs >= k).sum() / n for k in ks])
     x, y = np.log10(ks), np.log10(survival)
     slope, _ = np.polyfit(x, y, 1)

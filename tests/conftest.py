@@ -9,24 +9,21 @@ candidate neighbors, an advertisement from scratch out of every local set
 and model entry, propagation with one private routing model per receiver,
 and the workload as raw observation streams rather than cell counts,
 counted into plain tensors one observation at a time, so the tests check the
-implementation against a second, independent evaluation.
+implementation against a second, independent evaluation. The references
+read entropy sets as plain `(joint, {context: entropy})` views (`view`), not
+as the library's rows, and score a view from its dict (`bf_score`).
 """
 
 import csv
 import itertools
 import math
-from typing import Iterable
+from typing import Iterable, Optional
 
 import numpy as np
 import pytest
 
 from edgeknow.engine import SimConfig, _combination_pool
-from edgeknow.routing import (
-    Advertisement,
-    AdvertisementPolicy,
-    EntropySet,
-    RoutingModel,
-)
+from edgeknow.routing import AdvertisementPolicy, RoutingModel
 from edgeknow.topology import NoAttachmentTarget, Overlay, _repair_connectivity
 
 
@@ -178,11 +175,58 @@ def bf_generate(params, trained, edge_limit, seed) -> Overlay:
     return overlay
 
 
+# rows that tests make by hand are this wide: evidence over context ids 0-15
+# then iterates unsorted, ids 8-15 sharing hash slots with 0-7
+ROW_WIDTH = 16
+
+
+def row(joint: float, hs: Optional[dict[int, float]] = None, width: int = ROW_WIDTH):
+    """A library entropy-set row with the marginal entropies `hs` (none: the
+    reduced form), its combination filled in ascending context order as the
+    library fills those of its local sets."""
+    hs = hs or {}
+    entropies = [0.0] * width
+    for c, h in hs.items():
+        entropies[c] = h
+    return joint, frozenset(dict.fromkeys(sorted(hs))), tuple(entropies)
+
+
+def view(s: tuple) -> tuple[float, dict[int, float]]:
+    """A library row as the `(joint, {context: entropy})` view the
+    references read, its dict in ascending context order."""
+    joint, combination, entropies = s
+    return joint, {c: entropies[c] for c in sorted(combination)}
+
+
+def views(entries: dict) -> dict[int, list]:
+    """Per variable, the views of a list of rows."""
+    return {var: [view(s) for s in sets] for var, sets in entries.items()}
+
+
+def bf_score(v: tuple[float, dict[int, float]], bound: Iterable[int]) -> float:
+    """A view's clamped chain-rule score for evidence on `bound`: its joint
+    minus the entropy of each bound context its dict holds, subtracted in
+    `bound`'s iteration order."""
+    value, hs = v
+    for var in bound:
+        h = hs.get(var)
+        if h is not None:
+            value -= h
+    return max(value, 0.0)
+
+
+def bf_gate_score(v: tuple[float, dict[int, float]]) -> float:
+    """The evidence-free conditional quality the quality gate compares: the
+    view's score with all its own contexts bound, in the iteration order of
+    the frozenset of its dict."""
+    return bf_score(v, frozenset(v[1]))
+
+
 def bf_best_score(model: RoutingModel, target: int, bound: frozenset[int]) -> float:
     """The lowest clamped score over the model's sets for `target`, as one
-    `min` over `EntropySet.score`; inf when there are none."""
+    `min` over `bf_score` of their views; inf when there are none."""
     return min(
-        (s.score(bound) for s in model.entries.get(target, ())),
+        (bf_score(view(s), bound) for s in model.entries.get(target, ())),
         default=math.inf,
     )
 
@@ -219,48 +263,51 @@ def bf_next_hop(state, query):
 
 
 def bf_build_advertisement(
-    local_sets: dict[int, EntropySet],
-    routing_models: Iterable[RoutingModel],
+    local_sets: dict[int, tuple],
+    routing_models: Iterable[dict[int, list]],
     policy: AdvertisementPolicy,
     k: int,
-) -> Advertisement:
+) -> dict[int, list]:
     """Aggregate local and neighbor-learned entropy sets into the summary this
     node would advertise: per predicting variable, the K lowest-joint sets over
     distinct context combinations, with sets drawn from routing models inflated
-    by one hop and low-quality local sets reduced to joint-only form."""
+    by one hop and low-quality local sets reduced to joint-only form. Every
+    set, taken and returned, is a view; a routing model is a dict of lists of
+    views per variable."""
     # per variable, per combination: the minimum-joint candidate
-    best: dict[int, dict[frozenset, EntropySet]] = {}
+    best: dict[int, dict[frozenset, tuple]] = {}
 
-    def offer(var: int, s: EntropySet):
+    def offer(var: int, joint: float, hs: dict[int, float]):
         combos = best.setdefault(var, {})
-        cur = combos.get(s.combination)
-        if cur is None or s.joint < cur.joint:
-            combos[s.combination] = s
+        cur = combos.get(frozenset(hs))
+        if cur is None or joint < cur[0]:
+            combos[frozenset(hs)] = (joint, hs)
 
-    for var, s in local_sets.items():
-        if s.score(s.combination) > policy.quality_threshold:
-            offer(var, EntropySet(s.joint))
+    for var, (joint, hs) in local_sets.items():
+        if bf_gate_score((joint, hs)) > policy.quality_threshold:
+            offer(var, joint, {})
         else:
-            offer(var, s)
+            offer(var, joint, hs)
     for model in routing_models:
-        for var, sets in model.entries.items():
-            for s in sets:
-                offer(var, s.inflated(policy.hop_inflation))
+        for var, sets in model.items():
+            for joint, hs in sets:
+                offer(var, joint + policy.hop_inflation, hs)
 
     return {
-        var: sorted(combos.values(), key=lambda s: s.joint)[:k]
+        var: sorted(combos.values(), key=lambda v: v[0])[:k]
         for var, combos in best.items()
     }
 
 
 def bf_should_advertise(
-    previous: Advertisement,
-    current: Advertisement,
+    previous: dict[int, list],
+    current: dict[int, list],
     policy: AdvertisementPolicy,
 ) -> bool:
-    """The full comparison: every (variable, combination) key and joint."""
+    """The full comparison of two advertisements of views: every (variable,
+    combination) key and joint."""
     old, new = (
-        {(var, s.combination): s.joint for var, sets in adv.items() for s in sets}
+        {(var, frozenset(hs)): joint for var, sets in adv.items() for joint, hs in sets}
         for adv in (previous, current)
     )
     if set(old) != set(new):
@@ -268,13 +315,14 @@ def bf_should_advertise(
     return any(abs(new[k] - old[k]) > policy.change_threshold for k in new)
 
 
-def well_formed(adv: Advertisement, k: int) -> bool:
-    """What receivers store unchecked: per variable, one to K sets over
-    distinct combinations, in ascending joint order."""
+def well_formed(adv: dict[int, list], k: int) -> bool:
+    """What receivers store unchecked, read from an advertisement's views:
+    per variable, one to K sets over distinct combinations, in ascending
+    joint order."""
     return all(
         0 < len(sets) <= k
-        and len({s.combination for s in sets}) == len(sets)
-        and all(a.joint <= b.joint for a, b in zip(sets, sets[1:]))
+        and len({frozenset(hs) for _, hs in sets}) == len(sets)
+        and all(a[0] <= b[0] for a, b in zip(sets, sets[1:]))
         for sets in adv.values()
     )
 
@@ -285,8 +333,9 @@ def bf_propagate(trial, sent: dict, built: dict) -> tuple[int, int]:
     `bf_build_advertisement`, sends it when `bf_should_advertise` says it
     differs from the last one it sent, and every neighbor of a sender
     integrates the full advertisement into its own copy. Give each node
-    private `routing_models` before the first call. `sent` and `built` map
-    each node to the last advertisement it sent and built, and are updated;
+    private `routing_models`, empty dicts of lists of views per variable,
+    before the first call. `sent` and `built` map each node to the last
+    advertisement of views it sent and built, and are updated;
     each node's `changed_vars` become the variables whose private lists
     changed by value this cycle.
     Returns the cycle's `adv_sets_sent` counted per receiver, once over the
@@ -297,8 +346,9 @@ def bf_propagate(trial, sent: dict, built: dict) -> tuple[int, int]:
     delta_sets = snapshot_sets = 0
     outgoing = []
     for state in trial.nodes:
+        local = {var: view(s) for var, s in state.local_sets.items()}
         adv = bf_build_advertisement(
-            state.local_sets, state.routing_models.values(), policy, config.k_sets
+            local, state.routing_models.values(), policy, config.k_sets
         )
         built[state.node_id] = adv
         if bf_should_advertise(sent.get(state.node_id, {}), adv, policy):
@@ -308,7 +358,7 @@ def bf_propagate(trial, sent: dict, built: dict) -> tuple[int, int]:
         sent[state.node_id] = adv
         for nb in state.neighbors:
             receiver = trial.nodes[nb]
-            held = receiver.routing_models[state.node_id].entries
+            held = receiver.routing_models[state.node_id]
             changed = {var for var, sets in adv.items() if held.get(var) != sets}
             held.update(adv)
             receiver.changed_vars |= changed

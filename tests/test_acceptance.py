@@ -20,10 +20,10 @@ from edgeknow.engine import (
     generate_workload,
     run_trial,
 )
-from edgeknow.routing import local_entropy_sets
+from edgeknow.routing import answer_entropy, local_entropy_sets
 from edgeknow.topology import AttachmentParams, generate, survival_slope
 
-from conftest import bf_conditional_entropy, bf_summary
+from conftest import bf_conditional_entropy, bf_summary, view
 
 ALL_RUNS = []
 
@@ -248,18 +248,19 @@ class TestAcceptance:
             pseudocount = float(rng.uniform(0.01, 2.0))
             contexts = tuple(range(len(shape) - 1))
             entry = TrainedAssignment(0, 0, contexts, counts.reshape(shape[0], -1))
-            s = local_entropy_sets([entry], card, pseudocount)[0]
+            s = local_entropy_sets([entry], len(contexts), card, pseudocount)[0]
+            got, hs = view(s)
             tensor = counts + pseudocount
             joint, marginals = bf_summary(tensor, contexts)
-            worst = max(worst, abs(s.joint - joint))
+            worst = max(worst, abs(got - joint))
             for c in contexts:
-                worst = max(worst, abs(s.context_entropies[c] - marginals[c]))
+                worst = max(worst, abs(hs[c] - marginals[c]))
             cases += 1 + len(contexts)
             given = [c for c in contexts if rng.random() < 0.5]
             worst = max(
                 worst,
                 abs(
-                    s.score(frozenset(given))
+                    answer_entropy({0: s}, 0, frozenset(given))
                     - bf_conditional_entropy(tensor, contexts, given)
                 ),
             )

@@ -349,6 +349,23 @@ class TestTopology:
         assert err == "bad config: need at least m0=4 nodes, got 1\n"
         assert not out.exists()
 
+    def test_negative_edge_limit_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "topo"
+        args = ["topology", "--nodes", "10", "--edge-limit", "-3", "--out", out]
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert err == "bad config: edge_limit must be >= 0 (0 = unlimited), got -3\n"
+        assert not out.exists()
+
+    def test_seed_clique_alone_prints_no_slope(self, tmp_path, capsys):
+        # four nodes are only the m0=4 seed clique: every degree is 3, and a
+        # line through one point has no slope
+        out = tmp_path / "topo"
+        assert run_cli(["topology", "--nodes", "4", "--out", out]) == 0
+        printed = capsys.readouterr().out
+        assert "max_degree=3" in printed
+        assert "loglog_survival_slope" not in printed
+
     def test_bad_seed_exits_2(self, tmp_path, capsys):
         out = tmp_path / "topo"
         assert run_cli(["topology", "--nodes", "10", "--seed", "x", "--out", out]) == 2

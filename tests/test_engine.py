@@ -35,7 +35,6 @@ from edgeknow.routing import (
     AdvertisementPolicy,
     NodeState,
     Query,
-    RoutingModel,
     local_entropy_sets,
 )
 from edgeknow.topology import AttachmentParams
@@ -48,6 +47,8 @@ from conftest import (
     bf_summary,
     export_workload_csv,
     smoothed_tensor,
+    view,
+    views,
     well_formed,
 )
 
@@ -154,9 +155,10 @@ class TestWorkload:
             for var, s in sets.items():
                 contexts, tensor = ref_tensors[var]
                 joint, marginals = bf_summary(tensor, contexts)
-                assert s.joint == pytest.approx(joint, abs=1e-12)
-                assert list(s.context_entropies) == list(marginals)
-                assert s.context_entropies == pytest.approx(marginals, abs=1e-12)
+                got, hs = view(s)
+                assert got == pytest.approx(joint, abs=1e-12)
+                assert list(hs) == list(marginals)
+                assert hs == pytest.approx(marginals, abs=1e-12)
 
 
 class TestTrainedModels:
@@ -165,11 +167,11 @@ class TestTrainedModels:
         wl = generate_workload(config, seed=5)
         trained = train_pgms(wl, config)
         for entry in wl.entries:
-            s = trained[entry.node_id][entry.var]
+            got, hs = view(trained[entry.node_id][entry.var])
             tensor = smoothed_tensor(entry, config)
             joint, marginals = bf_summary(tensor, entry.contexts)
-            assert s.joint == pytest.approx(joint, abs=1e-12)
-            assert s.context_entropies == pytest.approx(marginals, abs=1e-12)
+            assert got == pytest.approx(joint, abs=1e-12)
+            assert hs == pytest.approx(marginals, abs=1e-12)
 
     def test_deterministic_stream_gives_low_conditional_entropy(self):
         config = small_config(
@@ -289,7 +291,7 @@ class TestOracle:
     def test_min_over_nodes_and_uniform_fallback(self):
         counts = cell_counts(4, 2, [0] * 200, [2] * 200)
         entry = TrainedAssignment(1, 0, (0,), counts)
-        trained = {0: local_entropy_sets([entry], 2, 0.01)[0]}
+        trained = {0: local_entropy_sets([entry], 1, 2, 0.01)[0]}
         nodes = [NodeState(0, {}), NodeState(1, trained)]
         q = Query(0, {0: 1}, 3, 0)
         best = oracle_best(q, nodes, pred_card=4)
@@ -574,7 +576,7 @@ class TestSharedModels:
         trial = setup_trial(config)
         ref = setup_trial(config)
         for state in ref.nodes:
-            state.routing_models = {nb: RoutingModel() for nb in state.neighbors}
+            state.routing_models = {nb: {} for nb in state.neighbors}
         ref_sent: dict = {}
         ref_built: dict = {}
         for cycle in range(1, config.cycles + 1):
@@ -584,20 +586,19 @@ class TestSharedModels:
             for state in trial.nodes:
                 for nb in state.neighbors:
                     private = ref.nodes[nb].routing_models[state.node_id]
-                    assert private == state.published
-                    assert private is not state.published
+                    assert private == views(state.published.entries)
             for a, b in zip(trial.nodes, ref.nodes):
                 # the deltas integrated so far add up to the last full
                 # advertisement sent
                 last_sent = ref_sent.get(a.node_id, {})
-                assert a.published.entries == last_sent
+                assert views(a.published.entries) == last_sent
                 # the unsent lists are the last full build's lists that
                 # differ from the last full advertisement sent
-                assert a.unsent == {
+                assert views(a.unsent) == {
                     var: sets for var, sets in ref_built[a.node_id].items()
                     if sets != last_sent.get(var)
                 }
-                assert well_formed(a.unsent, config.k_sets)
+                assert well_formed(views(a.unsent), config.k_sets)
                 assert a.changed_vars == b.changed_vars
 
 
@@ -642,7 +643,9 @@ class TestUnsent:
             # under context state s, for s = 0 and 1
             counts = np.array([[diagonal - 1, 0], [0, diagonal - 1]])
             entry = TrainedAssignment(1, var, (0,), counts)
-            node.local_sets[var] = local_entropy_sets([entry], 2, 1.0)[0]
+            node.local_sets[var] = local_entropy_sets(
+                [entry], config.context_var_count, 2, 1.0
+            )[0]
             node.changed_vars.add(var)
             trial.oracle_cache.clear()
             return node.local_sets[var]
@@ -655,21 +658,21 @@ class TestUnsent:
         assert propagate() == 0
         # a slightly sharper model of variable 0 waits
         s0 = retrain(0, 10)
-        assert 0 < old.joint - s0.joint < 0.1
+        assert 0 < old[0] - s0[0] < 0.1
         assert propagate() == 0
         assert node.unsent == {0: [s0]}
         assert published[0] == [old]
         # a much sharper one of variable 1 is sent, and variable 0's list
         # goes with it: two lists of one set each, to one neighbor
         s1 = retrain(1, 20)
-        assert published[1][0].joint - s1.joint > 0.1
+        assert published[1][0][0] - s1[0] > 0.1
         assert propagate() == 2
         assert node.unsent == {}
         assert published == {0: [s0], 1: [s1]}
         assert trial.nodes[0].routing_models[1].entries is published
         assert [propagate() for _ in range(2)] == [2, 0]
         # a list within the threshold, then one equal to the published list
-        assert 0 < s0.joint - retrain(0, 11).joint < 0.1
+        assert 0 < s0[0] - retrain(0, 11)[0] < 0.1
         assert propagate() == 0
         assert set(node.unsent) == {0}
         assert retrain(0, 10) == s0
@@ -719,8 +722,8 @@ class TestRunTrial:
         values = [
             h
             for state in trial.nodes
-            for s in state.local_sets.values()
-            for h in (s.joint, *s.context_entropies.values())
+            for joint, hs in map(view, state.local_sets.values())
+            for h in (joint, *hs.values())
         ]
         assert values and all(math.isfinite(h) and h >= 0 for h in values)
 

@@ -1,4 +1,5 @@
 import math
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -9,9 +10,10 @@ from hypothesis import strategies as st
 from edgeknow import pgm
 from edgeknow.engine import TrainedAssignment, Workload, check_workload, train_pgms
 from edgeknow.pgm import cell_counts
-from edgeknow.routing import EntropySet, local_entropy_sets
+from edgeknow.routing import answer_entropy, local_entropy_sets
 
 from conftest import (
+    ROW_WIDTH,
     bf_conditional_entropy,
     bf_entropy,
     bf_joint_entropy,
@@ -22,7 +24,25 @@ from conftest import (
 )
 
 
-def entropy_set(counts, pseudocount=0.0) -> EntropySet:
+class Summary(NamedTuple):
+    """A library entropy-set row read back: its joint, the marginal entropy
+    of each context it holds in ascending order, and the row itself."""
+
+    joint: float
+    marginals: dict[int, float]
+    row: tuple
+
+    def score(self, bound: frozenset[int]) -> float:
+        """The row's score for evidence on `bound`, as a node answers."""
+        return answer_entropy({0: self.row}, 0, bound)
+
+
+def summary(s: tuple) -> Summary:
+    joint, combination, entropies = s
+    return Summary(joint, {c: entropies[c] for c in sorted(combination)}, s)
+
+
+def entropy_set(counts, pseudocount=0.0) -> Summary:
     """The library's entropy set of a count tensor smoothed with
     `pseudocount`: axis 0 is the predicting variable, and axes 1.. are the
     contexts 0.., all with the cardinality of axis 1."""
@@ -32,7 +52,7 @@ def entropy_set(counts, pseudocount=0.0) -> EntropySet:
     entry = TrainedAssignment(
         0, 0, tuple(range(n_ctx)), counts.reshape(len(counts), -1)
     )
-    return local_entropy_sets([entry], card, pseudocount)[0]
+    return summary(local_entropy_sets([entry], ROW_WIDTH, card, pseudocount)[0])
 
 
 class TestVectorEntropy:
@@ -79,25 +99,25 @@ class TestMarginalEntropy:
     def test_uniform_any_axis(self):
         t = np.ones((4, 3), dtype=np.int64)
         assert bf_entropy(bf_marginal(t, 0)) == pytest.approx(2.0, abs=1e-12)
-        assert entropy_set(t).context_entropies[0] == pytest.approx(
+        assert entropy_set(t).marginals[0] == pytest.approx(
             math.log2(3), abs=1e-12
         )
 
     def test_deterministic_context_axis(self):
         t = np.zeros((2, 3), dtype=np.int64)
         t[:, 1] = 5
-        assert entropy_set(t).context_entropies[0] == 0.0
+        assert entropy_set(t).marginals[0] == 0.0
 
     def test_symmetric_2x2(self):
         t = np.array([[4, 1], [1, 4]])
         assert bf_marginal(t, 1) == pytest.approx([0.5, 0.5])
-        assert entropy_set(t).context_entropies[0] == pytest.approx(1.0, abs=1e-12)
+        assert entropy_set(t).marginals[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_unknown_variable(self):
         # a set holds the marginals of its table's contexts and no others,
         # so evidence on another variable leaves its score alone
         s = entropy_set(np.ones((2, 2), dtype=np.int64), 1.0)
-        assert list(s.context_entropies) == [0]
+        assert list(s.marginals) == [0]
         assert s.score(frozenset({7})) == s.joint
 
 
@@ -130,7 +150,7 @@ class TestChainRule:
         t[0, 0, 0] = 1
         t[0, 1, 1] = 1
         s = entropy_set(t)
-        unclamped = s.joint - sum(s.context_entropies.values())
+        unclamped = s.joint - sum(s.marginals.values())
         assert unclamped == pytest.approx(-1.0, abs=1e-12)
         assert s.score(frozenset({0, 1})) == 0.0
 
@@ -142,8 +162,8 @@ class TestCellCounts:
     def test_counting_with_uniform_prior(self, binary_config):
         wl = Workload(node_count=1)
         wl.entries.append(TrainedAssignment(0, 0, (), np.array([[5], [0]])))
-        s = train_pgms(wl, binary_config)[0][0]
-        assert s.joint == pytest.approx(bf_entropy([6 / 7, 1 / 7]), abs=1e-12)
+        joint = train_pgms(wl, binary_config)[0][0][0]
+        assert joint == pytest.approx(bf_entropy([6 / 7, 1 / 7]), abs=1e-12)
 
     def test_negative_ids_do_not_wrap(self, binary_config):
         # -1 would index the last variable of a per-variable sequence
@@ -208,7 +228,7 @@ class TestInvariants:
             counts, pseudocount = random_counts(rng)
             s = entropy_set(counts, pseudocount)
             marginals = [bf_entropy(bf_marginal(counts + pseudocount, 0))]
-            marginals += s.context_entropies.values()
+            marginals += s.marginals.values()
             for h in marginals:
                 assert s.joint >= h - 1e-9
 
@@ -295,11 +315,20 @@ class TestInvariants:
             entries.append(TrainedAssignment(0, var, contexts, counts.astype(dtype)))
         batch_cells = data.draw(st.integers(1, 3 * n_out * card**3))
         with mock.patch.object(pgm, "BATCH_CELLS", batch_cells):
-            sets = local_entropy_sets(entries, card, pseudocount)
-        for entry, s in zip(entries, sets, strict=True):
+            sets = local_entropy_sets(entries, 6, card, pseudocount)
+        for entry, row in zip(entries, sets, strict=True):
+            s = summary(row)
             tensor = entry.counts.reshape((n_out,) + (card,) * len(entry.contexts))
             joint, marginals = bf_summary(tensor + pseudocount, entry.contexts)
             assert s.joint == pytest.approx(joint, abs=1e-12)
-            assert list(s.context_entropies) == list(marginals)
-            assert s.context_entropies == pytest.approx(marginals, abs=1e-12)
-            assert [s] == local_entropy_sets([entry], card, pseudocount)
+            assert list(s.marginals) == list(marginals)
+            assert s.marginals == pytest.approx(marginals, abs=1e-12)
+            assert [row] == local_entropy_sets([entry], 6, card, pseudocount)
+            # a context the table does not hold has entropy 0.0 in the row
+            assert [row[2][c] for c in range(6) if c not in entry.contexts] == [
+                0.0
+            ] * (6 - len(entry.contexts))
+        # entries over the same contexts share one combination object
+        shared: dict = {}
+        for entry, row in zip(entries, sets):
+            assert shared.setdefault(entry.contexts, row[1]) is row[1]

@@ -283,6 +283,11 @@ class TestHistogramAndSlope:
         slope = survival_slope(degrees)
         assert slope == pytest.approx(-2.0, abs=0.15)
 
+    @pytest.mark.parametrize("degrees", [[], [0, 0], [3, 3, 3, 3], [0, 2, 2]])
+    def test_survival_slope_needs_two_distinct_degrees(self, degrees):
+        with pytest.raises(ValueError, match="need 2"):
+            survival_slope(degrees)
+
     def test_generated_network_is_heavy_tailed(self):
         trained = [{i % 4} for i in range(500)]
         ov = generate(AttachmentParams(), trained, edge_limit=500, seed=9)
