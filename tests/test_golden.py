@@ -2,10 +2,14 @@
 
 The files under tests/golden/ are run CSVs (`TrialMetrics.write_csv`) and
 overlay edge lists (`Overlay.write_edge_list`) for two seeds and both
-strategies. Any refactor that is meant to keep results unchanged must keep
-these bytes unchanged. The configuration keeps K below the pool of context
-combinations (so advertisements are truncated), lets advertisement traffic
-die out within the run and leaves accuracy below saturation.
+strategies, for two configurations. Any refactor that is meant to keep
+results unchanged must keep these bytes unchanged. `CONFIG` keeps K below the
+pool of context combinations (so advertisements are truncated), lets
+advertisement traffic die out within the run and leaves accuracy below
+saturation. `POOL_CONFIG` (files prefixed `pool_`) has K=10 over a pool of 40
+combinations of 3 of 10 contexts: many lists hold fewer than K sets or none,
+and evidence sets span context ids 8 and 9, which share hash slots with 0
+and 1, so they iterate unsorted.
 
 Regenerate (only when a change is meant to alter results, and say why):
     PYTHONPATH=src python tests/test_golden.py
@@ -30,21 +34,45 @@ CONFIG = SimConfig(
     k_sets=2,
     cycles=6,
 )
+POOL_CONFIG = SimConfig(
+    node_count=40,
+    predicting_var_count=4,
+    vars_trained_per_node=1,
+    context_var_count=10,
+    contexts_per_table=3,
+    combinations_pool=40,
+    observations_per_var=300,
+    pseudocount=0.25,
+    k_sets=10,
+    cycles=6,
+)
+# file name prefix per configuration
+CASES = {"": CONFIG, "pool_": POOL_CONFIG}
 SEEDS = (0, 1)
-NAMES = [f"edges_seed{seed}.txt" for seed in SEEDS] + [
-    f"run_seed{seed}_{strategy.value}.csv" for seed in SEEDS for strategy in Strategy
+NAMES = [
+    name
+    for prefix in CASES
+    for name in [f"{prefix}edges_seed{seed}.txt" for seed in SEEDS]
+    + [
+        f"{prefix}run_seed{seed}_{strategy.value}.csv"
+        for seed in SEEDS
+        for strategy in Strategy
+    ]
 ]
 
 
 def write_golden(out_dir: Path):
     out_dir.mkdir(parents=True, exist_ok=True)
-    for seed in SEEDS:
-        config = replace(CONFIG, seed=seed)
-        setup_trial(config).overlay.write_edge_list(out_dir / f"edges_seed{seed}.txt")
-        for strategy in Strategy:
-            run_trial(replace(config, strategy=strategy)).write_csv(
-                out_dir / f"run_seed{seed}_{strategy.value}.csv"
+    for prefix, base in CASES.items():
+        for seed in SEEDS:
+            config = replace(base, seed=seed)
+            setup_trial(config).overlay.write_edge_list(
+                out_dir / f"{prefix}edges_seed{seed}.txt"
             )
+            for strategy in Strategy:
+                run_trial(replace(config, strategy=strategy)).write_csv(
+                    out_dir / f"{prefix}run_seed{seed}_{strategy.value}.csv"
+                )
 
 
 @pytest.fixture(scope="module")
