@@ -319,7 +319,9 @@ def cmd_topology(args) -> int:
     overlay.write_degree_csv(args.out / "degree_histogram.csv")
     degrees = [overlay.degree(node) for node in overlay.nodes]
     print(f"nodes={n} edges={len(overlay.edges())} max_degree={max(degrees)}")
-    print(f"nodes_at_limit={sum(d == limit for d in degrees)}")
+    # uncapped, the limit is n and no node, of at most n - 1 neighbors, is at it
+    if args.edge_limit:
+        print(f"nodes_at_limit={sum(d == limit for d in degrees)}")
     if overlay.saturation_warnings:
         print(f"saturation_warnings={overlay.saturation_warnings}")
     if overlay.repair_edges:

@@ -330,12 +330,19 @@ class TrialState:
     config: SimConfig
     nodes: list[NodeState]
     overlay: Overlay
+    # what every node has told its neighbors
+    model: RoutingModel
     trained_combos: dict[int, list[tuple[int, ...]]]
     # per predicting variable, the ids of the nodes that trained it, ascending
     trainers: dict[int, list[int]]
     query_rng: np.random.Generator
     walk_rng: np.random.Generator
     oracle_cache: dict = field(default_factory=dict)
+    # the variables queries target: the keys of `trained_combos`
+    targets: list[int] = field(init=False)
+
+    def __post_init__(self):
+        self.targets = list(self.trained_combos)
 
 
 def accuracy(
@@ -355,11 +362,10 @@ def accuracy(
 def oracle_best(query: Query, nodes: Sequence[NodeState], pred_card: int) -> float:
     """Minimum answering entropy over the given nodes; untrained nodes
     answer from the uniform prior at log2(cardinality)."""
-    bound = frozenset(query.ctx)
     uniform = math.log2(pred_card)
     best = uniform
     for state in nodes:
-        local = state.local_answer(query.target, bound)
+        local = state.local_answer(query.target, query.bound)
         if local is not None and local < best:
             best = local
     return best
@@ -369,7 +375,7 @@ def _cached_oracle(trial: TrialState, query: Query) -> float:
     # answering entropies depend on which variables are bound, not on the
     # concrete states, so the cache keys on the evidence variable set; every
     # node that did not train the target answers None, so only trainers count
-    key = (query.target, frozenset(query.ctx))
+    key = (query.target, query.bound)
     if key not in trial.oracle_cache:
         trainers = [trial.nodes[n] for n in trial.trainers.get(query.target, ())]
         trial.oracle_cache[key] = oracle_best(
@@ -448,8 +454,11 @@ def setup_trial(config: SimConfig, workload: Optional[Workload] = None) -> Trial
             config.edge_limit,
             seed=int(s_topology.generate_state(1)[0]),
         )
-    # every neighbor of a node holds that node's one published model
-    models = [RoutingModel() for _ in range(config.node_count)]
+    model = RoutingModel(
+        config.node_count,
+        config.context_var_count,
+        (entropies for sets in local_sets for _, _, entropies in sets.values()),
+    )
     nodes = []
     trained_combos: dict[int, set] = {}
     trainers: dict[int, list[int]] = {}
@@ -459,9 +468,8 @@ def setup_trial(config: SimConfig, workload: Optional[Workload] = None) -> Trial
             NodeState(
                 node_id=node_id,
                 local_sets=sets,
+                model=model,
                 neighbors=neighbors,
-                routing_models={nb: models[nb] for nb in neighbors},
-                published=models[node_id],
                 changed_vars=set(sets),
             )
         )
@@ -472,6 +480,7 @@ def setup_trial(config: SimConfig, workload: Optional[Workload] = None) -> Trial
         config=config,
         nodes=nodes,
         overlay=overlay,
+        model=model,
         trained_combos={v: sorted(c) for v, c in sorted(trained_combos.items())},
         trainers=trainers,
         query_rng=np.random.default_rng(s_query),
@@ -481,7 +490,7 @@ def setup_trial(config: SimConfig, workload: Optional[Workload] = None) -> Trial
 
 def _make_query(trial: TrialState, issuer: int) -> Query:
     rng = trial.query_rng
-    targets = list(trial.trained_combos)
+    targets = trial.targets
     target = targets[rng.integers(len(targets))]
     combos = trial.trained_combos[target]
     combo = combos[rng.integers(len(combos))]
@@ -514,22 +523,22 @@ def run_cycle(trial: TrialState, cycle: int) -> CycleMetrics:
     adv_sets_sent = 0
 
     # phase 1: knowledge propagation; a node rebuilds and compares only the
-    # variables it trained, in its first build, or that its routing models
-    # changed since its last build. A rebuilt list equal to the published
+    # variables it trained, in its first build, or whose lists changed at a
+    # neighbor since its last build. A rebuilt list equal to the published
     # one is dropped, with any unsent list of its variable; the others wait
     # in `unsent` until `should_advertise` finds a rebuilt list worth
     # sending. Every neighbor of a sender integrates the same sends in the
-    # same order, so the sender's published model is integrated once and
-    # shared by all, and a send carries only the unsent lists: all a
-    # receiver lacks while the overlay is static and every neighbor
-    # received every earlier send.
+    # same order, so a send is integrated once, into the shared model, and
+    # carries only the unsent lists: all a receiver lacks while the overlay
+    # is static and every neighbor received every earlier send.
+    lists = trial.model.lists
     outgoing: list[NodeState] = []
     for state in trial.nodes:
         if not state.changed_vars:
             continue
-        published = state.published.entries
+        published = lists[state.node_id]
         rebuilt = build_advertisement(
-            state.local_sets, state.routing_models.values(), policy,
+            state.local_sets, [lists[nb] for nb in state.neighbors], policy,
             config.k_sets, state.changed_vars,
         )
         for var, sets in list(rebuilt.items()):
@@ -542,7 +551,7 @@ def run_cycle(trial: TrialState, cycle: int) -> CycleMetrics:
         state.changed_vars = set()
     for state in outgoing:
         adv, state.unsent = state.unsent, {}
-        delta = integrate_advertisement(state.published, adv)
+        delta = integrate_advertisement(trial.model, state.node_id, adv)
         for nb in state.neighbors:
             trial.nodes[nb].models_changed(delta)
         adv_sets_sent += len(state.neighbors) * sum(map(len, adv.values()))

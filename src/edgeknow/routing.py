@@ -1,4 +1,4 @@
-"""Routing models, entropy-set advertisement, query forwarding.
+"""Routing model, entropy-set advertisement, query forwarding.
 
 Nodes advertise, per predicting variable, up to K entropy sets (one per
 context combination): a joint entropy plus the marginal entropies of the
@@ -17,21 +17,31 @@ takes over.
 Propagation is incremental in the manner of routing indices (Crespo and
 Garcia-Molina, ICDCS 2002): integrating an advertisement reports which
 variables' lists changed, and the receiver rebuilds, compares and re-sorts
-only those variables. Because every neighbor of a sender receives the same
-advertisements, one routing model per sender, shared by its neighbors,
-stands for all their copies. An advertisement is sent as a delta, in the
-manner of triggered updates (RIP, RFC 2453 §3.10.1): a node keeps the lists
-it built since its last send that differ from its published model, and a
-send carries only those. Receivers keep the variables a delta leaves out,
-so while the overlay is static and every neighbor received every earlier
-delta, routes are those full snapshots would give; the traffic counted,
-`adv_sets_sent`, is the sets of the delta times the number of neighbors.
+only those variables. Every neighbor of a sender receives the same
+advertisements, so one trial-wide `RoutingModel` holds, per node, the lists
+it has told its neighbors, and stands for all their copies. An
+advertisement is sent as a delta, in the manner of triggered updates (RIP,
+RFC 2453 §3.10.1): a node keeps the lists it built since its last send that
+differ from its published lists, and a send carries only those. Receivers
+keep the variables a delta leaves out, so while the overlay is static and
+every neighbor received every earlier delta, routes are those full
+snapshots would give; the traffic counted, `adv_sets_sent`, is the sets of
+the delta times the number of neighbors.
+
+The model also holds the published lists column-wise, per variable, as
+(nodes x width) arrays of joints and of origins, indexes into a table of
+the local sets' `entropies` rows. A query's next hop is then read from one
+vector per (target, evidence) key that scores every node's list at once:
+numpy subtracts elementwise in the evidence set's order, so each score is
+the float `_score` gives for that set.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
@@ -82,24 +92,99 @@ Advertisement = dict[int, list[EntropySet]]
 _joint = itemgetter(0)
 
 
-@dataclass
 class RoutingModel:
-    """Summary of the knowledge reachable through one neighbor."""
+    """What every node has told its neighbors: per node, its published
+    lists, and per variable the same lists as columns, scored for all nodes
+    at once.
 
-    entries: dict[int, list[EntropySet]] = field(default_factory=dict)
+    `lists[node]` holds, per variable, the last list the node sent; its
+    neighbors read it when they build. The columns of a variable are two
+    (nodes x width) arrays, width the longest list so far: the sets' joints,
+    padded with inf, and their origins, indexes into the entropy table,
+    padded with 0, the reduced form's all-zero row. The table holds the
+    `entropies` rows given at construction, which must include every row of
+    every list integrated later: at set-up those of the local sets, which
+    every inflated copy and reduced form shares. An integration marks the
+    rows of the changed variables stale, and the first score after rewrites
+    them in one write per column."""
 
-    def best_score(self, target: int, bound: frozenset[int]) -> float:
-        """The lowest clamped score over the target's sets, inf when there
-        are none. Inlined: clamping the minimum once equals the minimum of
-        clamped scores, and subtracting in `bound`'s order, as `_score`
-        does, keeps every float bit-identical."""
-        best = math.inf
-        for value, _, entropies in self.entries.get(target, ()):
+    def __init__(
+        self, node_count: int, width: int, rows: Iterable[tuple[float, ...]] = ()
+    ):
+        self.lists: list[Advertisement] = [{} for _ in range(node_count)]
+        origins = {_no_entropies(width): 0}
+        for entropies in rows:
+            origins.setdefault(entropies, len(origins))
+        self._origins = origins
+        # per context variable, its entropy in every row of the table
+        self._entropies = np.array(list(origins), dtype=float).T.copy()
+        # per variable: (joints, origins)
+        self._columns: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # per variable: the lists that changed since its columns' write, by node
+        self._stale: defaultdict[int, dict[NodeId, list]] = defaultdict(dict)
+        # per target, per evidence variable set: every node's best score
+        self._scores: dict[int, dict[frozenset[int], array]] = {}
+
+    def _changed(self, node: NodeId, changed: Iterable[int]):
+        held, stale, scores = self.lists[node], self._stale, self._scores
+        for var in changed:
+            stale[var][node] = held[var]
+            scores.pop(var, None)
+
+    def _column(self, var: int) -> tuple[np.ndarray, np.ndarray]:
+        column = self._columns.get(var)
+        stale = self._stale.pop(var, None)
+        if column is None:
+            nodes = range(len(self.lists))
+            lists = [published.get(var, ()) for published in self.lists]
+        elif stale is None:
+            return column
+        else:
+            nodes, lists = list(stale), list(stale.values())
+        lengths = np.array(list(map(len, lists)), dtype=np.intp)
+        held = 0 if column is None else column[0].shape[1]
+        if column is None or lengths.max() > held:
+            shape = (len(self.lists), max(lengths.max(), held, 1))
+            grown = (np.full(shape, math.inf), np.zeros(shape, dtype=np.int32))
+            if column is not None:
+                grown[0][:, :held] = column[0]
+                grown[1][:, :held] = column[1]
+            column = self._columns[var] = grown
+        node_ids = np.array(nodes, dtype=np.intp)
+        column[0][node_ids] = math.inf
+        column[1][node_ids] = 0
+        index = self._origins
+        joints = [joint for sets in lists for joint, _, _ in sets]
+        origins = [index[entropies] for sets in lists for _, _, entropies in sets]
+        # flat slot of each set: its node's row, then its rank in the list
+        starts = np.cumsum(lengths) - lengths
+        slots = np.arange(len(joints)) + np.repeat(
+            node_ids * column[0].shape[1] - starts, lengths
+        )
+        column[0].flat[slots] = joints
+        column[1].flat[slots] = origins
+        return column
+
+    def best_score(self, target: int, bound: frozenset[int]) -> array:
+        """Per node, the lowest clamped score over its published sets for
+        `target` under evidence on `bound`, inf when it published none: each
+        set's joint minus its entropies of the bound variables, subtracted
+        in `bound`'s iteration order, so every float is the one `_score`
+        gives. Kept until a list of `target` changes. Equal evidence sets
+        share one vector: queries fill theirs in ascending order, so equal
+        sets iterate alike."""
+        by_bound = self._scores.get(target)
+        if by_bound is None:
+            by_bound = self._scores[target] = {}
+        scores = by_bound.get(bound)
+        if scores is None:
+            joints, origins = self._column(target)
+            value = joints
             for var in bound:
-                value -= entropies[var]
-            if value < best:
-                best = value
-        return max(best, 0.0)
+                value = value - self._entropies[var][origins]
+            best = np.maximum(value.min(axis=1), 0.0)
+            scores = by_bound[bound] = array("d", best.tobytes())
+        return scores
 
 
 @dataclass
@@ -112,67 +197,63 @@ class Query:
     answered_by: Optional[NodeId] = None
     quality: float = math.inf
     visited: list[NodeId] = field(default_factory=list)
+    # the evidence variables, iterating in the order scores subtract in
+    bound: frozenset[int] = field(init=False)
+
+    def __post_init__(self):
+        self.bound = frozenset(self.ctx)
 
 
 @dataclass
 class NodeState:
     """Everything one node owns: its model, as the full entropy set of each
     trained predicting variable (`local_sets`, fixed at set-up), its
-    neighborhood, and one routing model per neighbor. The forwarding orders
-    and the next advertisement depend on the routing models, so whoever
-    changes a model calls `models_changed`.
+    neighborhood, ascending, and the trial's shared routing model, whose
+    `lists[node_id]` are what this node's sends have told its neighbors. The
+    forwarding orders and the next advertisement depend on the neighbors'
+    lists, so whoever changes them calls `models_changed`.
 
-    Every neighbor receives the same advertisements in the same order, so
-    the model of what is reachable through a node is kept once, as its
-    `published` model, and each neighbor's `routing_models[node_id]` is that
-    same object. Receivers only read their routing models; the node's sends
-    are integrated into `published`, which therefore holds what the
-    neighbors were told. `unsent` holds the lists built since the last send
-    that differ by value from `published`: a send carries exactly those,
-    which is all the neighbors lack while the overlay is static and each of
-    them received every earlier send, and `adv_sets_sent` counts their sets
-    once per neighbor."""
+    `unsent` holds the lists built since the last send that differ by value
+    from the published ones: a send carries exactly those, which is all the
+    neighbors lack while the overlay is static and each of them received
+    every earlier send, and `adv_sets_sent` counts their sets once per
+    neighbor."""
 
     node_id: NodeId
     local_sets: dict[int, EntropySet]
+    model: RoutingModel
     neighbors: list[NodeId] = field(default_factory=list)
-    routing_models: dict[NodeId, RoutingModel] = field(default_factory=dict)
-    # what this node's sends have told its neighbors so far
-    published: RoutingModel = field(default_factory=RoutingModel)
-    # the lists built since the last send that differ from `published`
+    # the lists built since the last send that differ from the published ones
     unsent: Advertisement = field(default_factory=dict)
     # variables to rebuild: at set-up the trained ones, then those whose
-    # routing-model entries changed since the last build
+    # lists changed at a neighbor since the last build
     changed_vars: set[int] = field(default_factory=set)
-    # per target, per evidence variable set: neighbors by (best_score, id)
+    # per target, per evidence variable set: neighbors by (best score, id)
     _order_cache: dict[int, dict] = field(default_factory=dict)
 
     def local_answer(self, target: int, bound: frozenset[int]) -> Optional[float]:
         return answer_entropy(self.local_sets, target, bound)
 
     def forwarding_order(self, target: int, bound: frozenset[int]) -> list[NodeId]:
-        """Neighbors sorted by the conditional entropy their routing models
-        promise for `target` under evidence on `bound`, ties to the lowest id."""
+        """Neighbors sorted by the conditional entropy their published lists
+        promise for `target` under evidence on `bound`, ties to the lowest
+        id: the sort is stable and `neighbors` ascending."""
         orders = self._order_cache.get(target)
         if orders is None:
             orders = self._order_cache[target] = {}
         order = orders.get(bound)
         if order is None:
-            models = self.routing_models
-            order = sorted(
-                self.neighbors,
-                key=lambda n: (models[n].best_score(target, bound), n),
-            )
-            orders[bound] = order
+            scores = self.model.best_score(target, bound)
+            order = orders[bound] = sorted(self.neighbors, key=scores.__getitem__)
         return order
 
     def models_changed(self, changed: set[int]):
-        """Record that the routing models' lists for the variables in
-        `changed` changed by value: the next cycle rebuilds those variables
-        of this node's advertisement, and their forwarding orders are
-        recomputed. Orders for other targets stay cached. `changed` is
-        copied, never kept: one set is passed to every neighbor of a
-        sender, so no caller may mutate it."""
+        """Record that the neighbors' lists for the variables in `changed`
+        changed by value: the next cycle rebuilds those variables of this
+        node's advertisement, and their forwarding orders are recomputed.
+        Orders for other targets stay cached. `changed` is copied, never
+        kept: one set is passed to every neighbor of a sender, so no caller
+        may mutate it."""
         if changed:
             self.changed_vars |= changed
             for var in changed:
@@ -221,18 +302,17 @@ def answer_entropy(
 
 def build_advertisement(
     local_sets: dict[int, EntropySet],
-    routing_models: Iterable[RoutingModel],
+    neighbor_lists: Sequence[Advertisement],
     policy: AdvertisementPolicy,
     k: int,
     variables: Iterable[int],
 ) -> Advertisement:
     """The lists this node would advertise for `variables`: per variable, the
     K lowest-joint sets over distinct context combinations, drawn from its
-    local set and its routing models, with sets from routing models inflated
+    local set and its neighbors' published lists, with learned sets inflated
     by one hop and a low-quality local set reduced to joint-only form. Ties
     in joint go to the combination offered first: the local set, then the
-    models in iteration order."""
-    models = [model.entries for model in routing_models]
+    neighbors' lists in order."""
     eps = policy.hop_inflation
     adv = {}
     for var in variables:
@@ -245,8 +325,8 @@ def build_advertisement(
                 combination = frozenset()
                 s = (joint, combination, _no_entropies(len(entropies)))
             best[combination] = s
-        for entries in models:
-            for joint, combination, entropies in entries.get(var, ()):
+        for published in neighbor_lists:
+            for joint, combination, entropies in published.get(var, ()):
                 joint += eps
                 cur = best.get(combination)
                 if cur is None or joint < cur[0]:
@@ -255,21 +335,25 @@ def build_advertisement(
     return adv
 
 
-def integrate_advertisement(model: RoutingModel, entries: Advertisement) -> set[int]:
-    """Replace the model's entries per advertised variable; variables absent
-    from the advertisement are retained. Returns the variables whose list
-    changed by value. Lists are stored as they are: the engine integrates
-    only what `build_advertisement` made, at most K sets per variable over
-    distinct combinations in ascending joint order.
+def integrate_advertisement(
+    model: RoutingModel, node: NodeId, entries: Advertisement
+) -> set[int]:
+    """Replace `node`'s published lists per advertised variable; variables
+    absent from the advertisement are retained. Returns the variables whose
+    list changed by value, and marks their columns and scores stale. Lists
+    are stored as they are: the engine integrates only what
+    `build_advertisement` made, at most K sets per variable over distinct
+    combinations in ascending joint order.
 
-    The engine integrates each send once, into the sender's published model,
-    and hands the returned set to every neighbor."""
+    The engine integrates each send once and hands the returned set to
+    every neighbor of the sender."""
     changed = set()
-    held = model.entries
+    held = model.lists[node]
     for var, sets in entries.items():
         if sets != held.get(var):
             changed.add(var)
         held[var] = sets
+    model._changed(node, changed)
     return changed
 
 
@@ -281,7 +365,7 @@ def should_advertise(
     """True when a list in `current` differs from the one `previous` holds
     for its variable (none before the first send): in its combinations, or
     by more than the change threshold in a joint. The engine passes the
-    sender's published model as `previous` and only the rebuilt lists that
+    sender's published lists as `previous` and only the rebuilt lists that
     differ from it by value as `current`."""
     threshold = policy.change_threshold
     for var, new in current.items():
@@ -296,11 +380,11 @@ def should_advertise(
     return False
 
 
-def _arrive(state: NodeState, query: Query, bound: frozenset[int]) -> bool:
+def _arrive(state: NodeState, query: Query) -> bool:
     """Handle one query arrival: take over the answer when the local model's is
     strictly better and record the visit. True when the query goes on, that
     is when hops remain and the node has neighbors; the hop is then spent."""
-    local = state.local_answer(query.target, bound)
+    local = state.local_answer(query.target, query.bound)
     if local is not None and local < query.quality:
         query.answered_by = state.node_id
         query.quality = local
@@ -316,10 +400,9 @@ def process_query(state: NodeState, query: Query) -> Optional[NodeId]:
     neighbor scoring the smallest conditional entropy (the best of all
     neighbors once every one is visited), or None when the query goes back
     to its issuer."""
-    bound = frozenset(query.ctx)
-    if not _arrive(state, query, bound):
+    if not _arrive(state, query):
         return None
-    order = state.forwarding_order(query.target, bound)
+    order = state.forwarding_order(query.target, query.bound)
     for n in order:
         if n not in query.visited:
             return n
@@ -332,7 +415,7 @@ def random_walk_step(
     """Directed random walk baseline: identical arrival handling, but the
     next node is uniform over unvisited neighbors (any neighbor once all are
     visited)."""
-    if not _arrive(state, query, frozenset(query.ctx)):
+    if not _arrive(state, query):
         return None
     candidates = [n for n in state.neighbors if n not in query.visited]
     candidates = candidates or state.neighbors

@@ -3,10 +3,11 @@
 The oracles here deliberately avoid the library's vectorized and
 incremental code paths: entropies are computed with plain Python loops over
 explicitly enumerated cells, overlay growth with one `bf_similarity` call per
-pair of nodes, a routing model's score with one `min` over its sets' scores,
-a node's answer from its workload entry, the next hop with one `min` over the
-candidate neighbors, an advertisement from scratch out of every local set
-and model entry, propagation with one private routing model per receiver,
+pair of nodes, a node's best score with one `min` over its published sets'
+scores, a node's answer from its workload entry, the next hop with one `min`
+over the candidate neighbors, an advertisement from scratch out of every
+local set and neighbor list, propagation with one private copy of each
+sender's lists per receiver,
 and the workload as raw observation streams rather than cell counts,
 counted into plain tensors one observation at a time, so the tests check the
 implementation against a second, independent evaluation. The references
@@ -23,7 +24,7 @@ import numpy as np
 import pytest
 
 from edgeknow.engine import SimConfig, _combination_pool
-from edgeknow.routing import AdvertisementPolicy, RoutingModel
+from edgeknow.routing import AdvertisementPolicy
 from edgeknow.topology import NoAttachmentTarget, Overlay, _repair_connectivity
 
 
@@ -222,11 +223,12 @@ def bf_gate_score(v: tuple[float, dict[int, float]]) -> float:
     return bf_score(v, frozenset(v[1]))
 
 
-def bf_best_score(model: RoutingModel, target: int, bound: frozenset[int]) -> float:
-    """The lowest clamped score over the model's sets for `target`, as one
-    `min` over `bf_score` of their views; inf when there are none."""
+def bf_best_score(lists: dict, target: int, bound: frozenset[int]) -> float:
+    """The lowest clamped score over one node's published sets for `target`
+    (`lists` holds a list of rows per variable), as one `min` over
+    `bf_score` of their views; inf when there are none."""
     return min(
-        (bf_score(view(s), bound) for s in model.entries.get(target, ())),
+        (bf_score(view(s), bound) for s in lists.get(target, ())),
         default=math.inf,
     )
 
@@ -247,33 +249,31 @@ def bf_answer_entropy(entry, config, bound: Iterable[int]):
 
 def bf_next_hop(state, query):
     """The next hop as one min over the candidates (the unvisited neighbors,
-    or every neighbor once all are visited), keyed on (bf_best_score, node
-    id)."""
+    or every neighbor once all are visited), keyed on (bf_best_score of the
+    neighbor's published lists, node id)."""
     visited = set(query.visited)
     unvisited = [n for n in state.neighbors if n not in visited]
     candidates = unvisited if unvisited else list(state.neighbors)
     bound = frozenset(query.ctx)
+    lists = state.model.lists
     return min(
         candidates,
-        key=lambda n: (
-            bf_best_score(state.routing_models[n], query.target, bound),
-            n,
-        ),
+        key=lambda n: (bf_best_score(lists[n], query.target, bound), n),
     )
 
 
 def bf_build_advertisement(
     local_sets: dict[int, tuple],
-    routing_models: Iterable[dict[int, list]],
+    neighbor_lists: Iterable[dict[int, list]],
     policy: AdvertisementPolicy,
     k: int,
 ) -> dict[int, list]:
     """Aggregate local and neighbor-learned entropy sets into the summary this
     node would advertise: per predicting variable, the K lowest-joint sets over
-    distinct context combinations, with sets drawn from routing models inflated
-    by one hop and low-quality local sets reduced to joint-only form. Every
-    set, taken and returned, is a view; a routing model is a dict of lists of
-    views per variable."""
+    distinct context combinations, with sets drawn from neighbors' lists
+    inflated by one hop and low-quality local sets reduced to joint-only form.
+    Every set, taken and returned, is a view; a neighbor's lists are a dict
+    of lists of views per variable."""
     # per variable, per combination: the minimum-joint candidate
     best: dict[int, dict[frozenset, tuple]] = {}
 
@@ -288,8 +288,8 @@ def bf_build_advertisement(
             offer(var, joint, {})
         else:
             offer(var, joint, hs)
-    for model in routing_models:
-        for var, sets in model.items():
+    for lists in neighbor_lists:
+        for var, sets in lists.items():
             for joint, hs in sets:
                 offer(var, joint + policy.hop_inflation, hs)
 
@@ -327,15 +327,15 @@ def well_formed(adv: dict[int, list], k: int) -> bool:
     )
 
 
-def bf_propagate(trial, sent: dict, built: dict) -> tuple[int, int]:
-    """Phase 1 of a cycle from scratch, with one private routing model per
-    receiver: every node builds its full advertisement with
-    `bf_build_advertisement`, sends it when `bf_should_advertise` says it
-    differs from the last one it sent, and every neighbor of a sender
-    integrates the full advertisement into its own copy. Give each node
-    private `routing_models`, empty dicts of lists of views per variable,
+def bf_propagate(trial, private: dict, sent: dict, built: dict) -> tuple[int, int]:
+    """Phase 1 of a cycle from scratch, with one private copy of each
+    sender's lists per receiver: every node builds its full advertisement
+    with `bf_build_advertisement`, sends it when `bf_should_advertise` says
+    it differs from the last one it sent, and every neighbor of a sender
+    integrates the full advertisement into its own copy. `private[receiver]
+    [sender]` is that copy, a dict of lists of views per variable, empty
     before the first call. `sent` and `built` map each node to the last
-    advertisement of views it sent and built, and are updated;
+    advertisement of views it sent and built; all three are updated, and
     each node's `changed_vars` become the variables whose private lists
     changed by value this cycle.
     Returns the cycle's `adv_sets_sent` counted per receiver, once over the
@@ -347,8 +347,9 @@ def bf_propagate(trial, sent: dict, built: dict) -> tuple[int, int]:
     outgoing = []
     for state in trial.nodes:
         local = {var: view(s) for var, s in state.local_sets.items()}
+        copies = private[state.node_id]
         adv = bf_build_advertisement(
-            local, state.routing_models.values(), policy, config.k_sets
+            local, [copies[nb] for nb in state.neighbors], policy, config.k_sets
         )
         built[state.node_id] = adv
         if bf_should_advertise(sent.get(state.node_id, {}), adv, policy):
@@ -358,7 +359,7 @@ def bf_propagate(trial, sent: dict, built: dict) -> tuple[int, int]:
         sent[state.node_id] = adv
         for nb in state.neighbors:
             receiver = trial.nodes[nb]
-            held = receiver.routing_models[state.node_id]
+            held = private[nb][state.node_id]
             changed = {var for var, sets in adv.items() if held.get(var) != sets}
             held.update(adv)
             receiver.changed_vars |= changed

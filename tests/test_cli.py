@@ -385,7 +385,16 @@ class TestTopology:
             degree[u] = degree.get(u, 0) + 1
             degree[v] = degree.get(v, 0) + 1
         assert max(degree.values()) <= 6
-        assert "loglog_survival_slope" not in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert "loglog_survival_slope" not in printed
+        at_limit = sum(d == 6 for d in degree.values())
+        assert f"nodes_at_limit={at_limit}\n" in printed
+
+    def test_uncapped_overlay_prints_no_limit_count(self, tmp_path, capsys):
+        # a four-node clique: every degree is 3, and there is no cap to reach
+        out = tmp_path / "topo"
+        assert run_cli(["topology", "--nodes", "4", "--out", out]) == 0
+        assert "nodes_at_limit" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["run", "topology"])

@@ -35,6 +35,8 @@ from edgeknow.routing import (
     AdvertisementPolicy,
     NodeState,
     Query,
+    RoutingModel,
+    answer_entropy,
     local_entropy_sets,
 )
 from edgeknow.topology import AttachmentParams
@@ -185,7 +187,7 @@ class TestTrainedModels:
             TrainedAssignment(0, 0, (0,), cell_counts(4, 2, flat, outcomes))
         )
         sets = train_pgms(wl, config)[0]
-        h = NodeState(0, sets).local_answer(0, frozenset({0}))
+        h = answer_entropy(sets, 0, frozenset({0}))
         assert h < 0.2
 
     def test_entry_without_observations_trains_nothing(self):
@@ -203,7 +205,7 @@ class TestTrainedModels:
         ]
         trained = train_pgms(wl, config)
         assert [sorted(sets) for sets in trained] == [[1], []]
-        assert NodeState(0, trained[0]).local_answer(0, frozenset()) is None
+        assert answer_entropy(trained[0], 0, frozenset()) is None
 
 
 class TestCsvRoundTrip:
@@ -292,14 +294,16 @@ class TestOracle:
         counts = cell_counts(4, 2, [0] * 200, [2] * 200)
         entry = TrainedAssignment(1, 0, (0,), counts)
         trained = {0: local_entropy_sets([entry], 1, 2, 0.01)[0]}
-        nodes = [NodeState(0, {}), NodeState(1, trained)]
+        model = RoutingModel(2, 1)
+        nodes = [NodeState(0, {}, model), NodeState(1, trained, model)]
         q = Query(0, {0: 1}, 3, 0)
         best = oracle_best(q, nodes, pred_card=4)
         want = bf_conditional_entropy(0.01 + counts, (0,), [0])
         assert best == pytest.approx(want)
 
     def test_all_untrained_is_uniform(self):
-        nodes = [NodeState(i, {}) for i in range(3)]
+        model = RoutingModel(3, 1)
+        nodes = [NodeState(i, {}, model) for i in range(3)]
         q = Query(0, {}, 3, 0)
         assert oracle_best(q, nodes, pred_card=8) == pytest.approx(3.0)
 
@@ -335,15 +339,12 @@ class TestTrialSetup:
         assert len(trial.nodes) == config.node_count
         for state in trial.nodes:
             assert sorted(trial.overlay.neighbors(state.node_id)) == state.neighbors
-            assert set(state.routing_models) == set(state.neighbors)
-            # every neighbor holds the node's one published model
-            assert state.published.entries == {}
+            # every node reads its neighbors' lists from the one shared model
+            assert state.model is trial.model
             # the first build covers the trained variables
             assert state.unsent == {}
             assert state.changed_vars == set(state.local_sets)
-            for nb in state.neighbors:
-                assert trial.nodes[nb].routing_models[state.node_id] is state.published
-        assert len({id(state.published) for state in trial.nodes}) == len(trial.nodes)
+        assert trial.model.lists == [{} for _ in range(config.node_count)]
 
     def test_trainers_are_the_nodes_that_trained_each_variable(self):
         trial = setup_trial(small_config())
@@ -575,23 +576,24 @@ class TestSharedModels:
         )
         trial = setup_trial(config)
         ref = setup_trial(config)
-        for state in ref.nodes:
-            state.routing_models = {nb: {} for nb in state.neighbors}
+        private = {
+            state.node_id: {nb: {} for nb in state.neighbors} for state in ref.nodes
+        }
         ref_sent: dict = {}
         ref_built: dict = {}
+        lists = trial.model.lists
         for cycle in range(1, config.cycles + 1):
             sent = run_cycle(trial, cycle).adv_sets_sent
-            delta_sets, snapshot_sets = bf_propagate(ref, ref_sent, ref_built)
+            delta_sets, snapshot_sets = bf_propagate(ref, private, ref_sent, ref_built)
             assert sent == delta_sets <= snapshot_sets
             for state in trial.nodes:
                 for nb in state.neighbors:
-                    private = ref.nodes[nb].routing_models[state.node_id]
-                    assert private == views(state.published.entries)
+                    assert private[nb][state.node_id] == views(lists[state.node_id])
             for a, b in zip(trial.nodes, ref.nodes):
                 # the deltas integrated so far add up to the last full
                 # advertisement sent
                 last_sent = ref_sent.get(a.node_id, {})
-                assert views(a.published.entries) == last_sent
+                assert views(lists[a.node_id]) == last_sent
                 # the unsent lists are the last full build's lists that
                 # differ from the last full advertisement sent
                 assert views(a.unsent) == {
@@ -652,7 +654,7 @@ class TestUnsent:
 
         # node 1 sends both lists, node 0 echoes them, node 1 keeps its own
         assert [propagate() for _ in range(3)] == [2, 2, 0]
-        published = node.published.entries
+        published = trial.model.lists[1]
         old = published[0][0]
         assert old == retrain(0, 9)
         assert propagate() == 0
@@ -669,7 +671,7 @@ class TestUnsent:
         assert propagate() == 2
         assert node.unsent == {}
         assert published == {0: [s0], 1: [s1]}
-        assert trial.nodes[0].routing_models[1].entries is published
+        assert trial.model.lists[1] is published
         assert [propagate() for _ in range(2)] == [2, 0]
         # a list within the threshold, then one equal to the published list
         assert 0 < s0[0] - retrain(0, 11)[0] < 0.1

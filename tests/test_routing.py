@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgeknow.engine import SimConfig, TrainedAssignment, Workload, train_pgms
+from edgeknow.engine import (
+    SimConfig,
+    TrainedAssignment,
+    Workload,
+    run_cycle,
+    setup_trial,
+    train_pgms,
+)
 from edgeknow.routing import (
     AdvertisementPolicy,
     NodeState,
@@ -37,12 +44,27 @@ from conftest import (
 )
 
 
-def full_build(local, models, policy, k):
+def full_build(local, neighbor_lists, policy, k):
     """An advertisement built from nothing: every variable that the local
-    sets or the models hold."""
-    models = list(models)
-    every = set(local).union(*(model.entries for model in models))
-    return build_advertisement(local, models, policy, k, every)
+    sets or the neighbors' lists hold."""
+    neighbor_lists = list(neighbor_lists)
+    every = set(local).union(*neighbor_lists)
+    return build_advertisement(local, neighbor_lists, policy, k, every)
+
+
+def published_model(published, node_count=None):
+    """A shared routing model whose nodes published `published` (per node,
+    per variable, a list of rows), its entropy table holding those rows;
+    `node_count` defaults to one past the highest node."""
+    if node_count is None:
+        node_count = max(published) + 1
+    rows = [
+        s[2] for lists in published.values() for sets in lists.values() for s in sets
+    ]
+    model = RoutingModel(node_count, ROW_WIDTH, rows)
+    for node, lists in published.items():
+        integrate_advertisement(model, node, lists)
+    return model
 
 
 ZERO_EPS = AdvertisementPolicy(hop_inflation=0.0)
@@ -55,7 +77,7 @@ def scores(s, bound):
     paths, a node's own answer and a routing model's best score, which
     must agree."""
     answer = answer_entropy({0: s}, 0, bound)
-    assert RoutingModel({0: [s]}).best_score(0, bound) == answer
+    assert published_model({0: {0: [s]}}).best_score(0, bound)[0] == answer
     return answer
 
 
@@ -87,7 +109,7 @@ class TestEntropySetScore:
         policy = AdvertisementPolicy(hop_inflation=0.01)
         source = s = row(1.0, {1: 0.5})
         for _ in range(2):
-            (s,) = full_build({}, [RoutingModel({0: [s]})], policy, k=1)[0]
+            (s,) = full_build({}, [{0: [s]}], policy, k=1)[0]
         assert s[0] == pytest.approx(1.02)
         assert s[1] is source[1] and s[2] is source[2]
 
@@ -103,18 +125,16 @@ class TestBuildAdvertisement:
         # neighbor advertises a better set; it is re-offered one hop inflated
         eps = 0.01
         policy = AdvertisementPolicy(hop_inflation=eps)
-        neighbor_model = RoutingModel()
-        neighbor_model.entries[0] = [row(0.5, {0: 0.2})]
+        neighbor = {0: [row(0.5, {0: 0.2})]}
         local = {0: row(1.0, {0: 0.4})}
-        sets = full_build(local, [neighbor_model], policy, k=2)[0]
+        sets = full_build(local, [neighbor], policy, k=2)[0]
         assert len(sets) == 1  # same combination, minimum wins
         assert sets[0][0] == pytest.approx(0.5 + eps)
 
     def test_distinct_combinations_coexist(self):
         local = {0: row(1.0, {0: 0.4})}
-        model = RoutingModel()
-        model.entries[0] = [row(0.5, {1: 0.2})]
-        adv = full_build(local, [model], ZERO_EPS, k=2)
+        neighbor = {0: [row(0.5, {1: 0.2})]}
+        adv = full_build(local, [neighbor], ZERO_EPS, k=2)
         assert len(adv[0]) == 2
         assert {s[1] for s in adv[0]} == {
             frozenset({0}),
@@ -126,7 +146,7 @@ class TestBuildAdvertisement:
         local = {0: row(3.0, {0: 0.1})}
         joints = (1.0, 2.0, 4.0, 5.0)
         learned = [row(j, {i: 0.1}) for i, j in enumerate(joints, 1)]
-        adv = full_build(local, [RoutingModel({0: learned})], NO_GATE, k=2)
+        adv = full_build(local, [{0: learned}], NO_GATE, k=2)
         assert [s[0] for s in adv[0]] == [1.0, 2.0]
 
     def test_quality_gate_reduces_poor_sets(self):
@@ -151,11 +171,11 @@ class TestBuildAdvertisement:
     @settings(max_examples=100)
     def test_truncation_matches_brute_force(self, raw, k):
         # a variable's first set is the local one, the rest neighbor-learned
-        local, neighbor = {}, RoutingModel()
+        local, neighbor = {}, {}
         for v, j, combo in raw:
             s = row(j, {c: 0.05 for c in combo})
             if v in local:
-                neighbor.entries.setdefault(v, []).append(s)
+                neighbor.setdefault(v, []).append(s)
             else:
                 local[v] = s
         adv = full_build(local, [neighbor], NO_GATE, k=k)
@@ -175,18 +195,19 @@ class TestBuildAdvertisement:
 
 class TestIntegrate:
     def test_replaces_and_retains(self):
-        model = RoutingModel()
-        model.entries[0] = [row(5.0)]
-        model.entries[1] = [row(4.0)]
-        integrate_advertisement(model, {0: [row(1.0)]})
-        assert model.entries == {0: [row(1.0)], 1: [row(4.0)]}
+        model = published_model({0: {0: [row(5.0)], 1: [row(4.0)]}})
+        integrate_advertisement(model, 0, {0: [row(1.0)]})
+        assert model.lists == [{0: [row(1.0)], 1: [row(4.0)]}]
 
     def test_best_score_reads_integrated_list(self):
-        model = RoutingModel()
-        model.entries[0] = [row(5.0)]
-        assert model.best_score(0, frozenset()) == pytest.approx(5.0)
-        integrate_advertisement(model, {0: [row(1.0)]})
-        assert model.best_score(0, frozenset()) == pytest.approx(1.0)
+        model = published_model({0: {0: [row(5.0)]}, 1: {0: [row(2.0)]}})
+        kept = model.best_score(0, frozenset())
+        assert list(kept) == [5.0, 2.0]
+        # the vector is kept until a list of its target changes by value
+        integrate_advertisement(model, 1, {0: [row(2.0)], 1: [row(3.0)]})
+        assert model.best_score(0, frozenset()) is kept
+        integrate_advertisement(model, 0, {0: [row(1.0)]})
+        assert list(model.best_score(0, frozenset())) == [1.0, 2.0]
 
 
 def evidence(keys):
@@ -206,13 +227,31 @@ def bounds():
     )
 
 
+def bits(lo, hi, decimals):
+    """Floats in [lo, hi], often one of `decimals`."""
+    return st.one_of(st.sampled_from(decimals), st.floats(lo, hi))
+
+
+def scored_rows(keys):
+    """Rows over up to 4 of the 16 contexts, drawn mostly from `keys`, with
+    joints low enough for scores to go negative and short decimals often:
+    their differences round differently in different subtraction orders."""
+    ids = st.integers(0, 15)
+    if keys:
+        ids = st.one_of(st.sampled_from(keys), st.sampled_from(keys), ids)
+    entropies = st.lists(
+        st.tuples(ids, bits(0.0, 1.5, (0.1, 0.2, 0.3, 0.7, 1.1))), max_size=4
+    ).map(dict)
+    return st.builds(row, bits(0.0, 3.0, (0.9, 1.0, 2.0, 3.0)), entropies)
+
+
 class TestBestScore:
     def test_subtracts_in_evidence_order(self):
         # {1, 8} iterates 8 first, and (1.0 - 0.2) - 0.1 != (1.0 - 0.1) - 0.2
         bound = evidence([1, 8])
         assert list(bound) == [8, 1]
-        model = RoutingModel({0: [row(1.0, {1: 0.1, 8: 0.2})]})
-        assert model.best_score(0, bound) == (1.0 - 0.2) - 0.1 != 0.7
+        model = published_model({0: {0: [row(1.0, {1: 0.1, 8: 0.2})]}})
+        assert model.best_score(0, bound)[0] == (1.0 - 0.2) - 0.1 != 0.7
 
     @given(st.data())
     @settings(max_examples=300)
@@ -224,31 +263,110 @@ class TestBestScore:
         different subtraction orders."""
         keys = data.draw(st.lists(st.integers(0, 15), max_size=6, unique=True))
         bound = evidence(sorted(keys, reverse=data.draw(st.booleans())))
-        ids = st.integers(0, 15)
-        if keys:
-            ids = st.one_of(st.sampled_from(keys), st.sampled_from(keys), ids)
-
-        def bits(lo, hi, decimals):
-            return st.one_of(st.sampled_from(decimals), st.floats(lo, hi))
-
-        entropies = st.lists(
-            st.tuples(ids, bits(0.0, 1.5, (0.1, 0.2, 0.3, 0.7, 1.1))), max_size=4
-        ).map(dict)
-        sets = st.lists(
-            st.builds(row, bits(0.0, 3.0, (0.9, 1.0, 2.0, 3.0)), entropies),
-            max_size=12,
-        )
-        model = RoutingModel(data.draw(st.dictionaries(st.integers(0, 2), sets)))
+        sets = st.lists(scored_rows(keys), max_size=12)
+        lists = data.draw(st.dictionaries(st.integers(0, 2), sets))
+        model = published_model({0: lists})
         for target in range(4):
-            want = bf_best_score(model, target, bound)
-            assert model.best_score(target, bound) == want
+            want = bf_best_score(lists, target, bound)
+            assert model.best_score(target, bound)[0] == want
         # one set at a time, so that no lower score hides a wrong one; a
         # node's answer and the quality gate score a set as a model does
-        for s in itertools.chain.from_iterable(model.entries.values()):
-            alone = RoutingModel({0: [s]})
-            assert alone.best_score(0, bound) == bf_best_score(alone, 0, bound)
+        for s in itertools.chain.from_iterable(lists.values()):
+            alone = published_model({0: {0: [s]}})
+            assert alone.best_score(0, bound)[0] == bf_best_score({0: [s]}, 0, bound)
             assert answer_entropy({0: s}, 0, bound) == bf_score(view(s), bound)
             assert_gate_score(s, bf_gate_score(view(s)))
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_every_node_matches_reference_after_integrations(self, data):
+        """Rounds of random integrations into a model of up to 12 nodes,
+        each followed by scores for every node and key, which must be
+        exactly the reference over that node's lists: for a target no node
+        published, empty lists, lists of 0 to 5 rows (so most are shorter
+        than the longest), reduced rows, and evidence over contexts 0-15
+        filled in either order. Equal evidence sets share one vector, so
+        each set is scored in the order it was first drawn in."""
+        keys = data.draw(st.lists(st.integers(0, 15), max_size=6, unique=True))
+        rows = data.draw(st.lists(scored_rows(keys), min_size=1, max_size=8))
+        node_count = data.draw(st.integers(1, 12))
+        model = RoutingModel(node_count, ROW_WIDTH, [s[2] for s in rows])
+        picks = st.tuples(
+            bits(0.0, 3.0, (0.9, 1.0, 2.0, 3.0)), st.sampled_from(rows + [row(0.0)])
+        )
+        orders = {}
+        for _ in range(data.draw(st.integers(1, 4))):
+            for _ in range(data.draw(st.integers(0, 4))):
+                node = data.draw(st.integers(0, node_count - 1))
+                var = data.draw(st.integers(0, 2))
+                sets = data.draw(st.lists(picks, max_size=5))
+                integrate_advertisement(
+                    model, node, {var: [(joint, s[1], s[2]) for joint, s in sets]}
+                )
+            for _ in range(2):
+                subset = data.draw(
+                    st.just(keys) | st.lists(st.sampled_from(keys or [0]), unique=True)
+                )
+                bound = evidence(sorted(subset, reverse=data.draw(st.booleans())))
+                bound = orders.setdefault(bound, bound)
+                for target in range(4):
+                    scores = model.best_score(target, bound)
+                    for node, lists in enumerate(model.lists):
+                        assert scores[node] == bf_best_score(lists, target, bound)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_every_node_matches_reference_after_propagation(self, data):
+        """After each cycle of a trial over 16 contexts, and after random
+        integrations, every node's score in a key's vector is exactly the
+        reference over that node's published lists: for a target no node
+        published, empty lists, lists shorter than the longest, reduced sets
+        (sparse tables fail the quality gate) and evidence on contexts 8-15,
+        which often iterates unsorted. Evidence is filled in ascending order,
+        as queries fill it: equal evidence sets share one vector."""
+        config = SimConfig(
+            node_count=data.draw(st.integers(4, 12)),
+            predicting_var_count=3,
+            context_var_count=ROW_WIDTH,
+            contexts_per_table=data.draw(st.integers(1, 4)),
+            combinations_pool=data.draw(st.integers(1, 20)),
+            vars_trained_per_node=data.draw(st.integers(1, 2)),
+            observations_per_var=data.draw(st.integers(10, 200)),
+            k_sets=data.draw(st.integers(1, 6)),
+            seed=data.draw(st.integers(0, 2**16)),
+        )
+        trial = setup_trial(config)
+        model = trial.model
+        # a trained combination, as queries bind, with or without other ids
+        combos = [c for cs in trial.trained_combos.values() for c in cs]
+        keys = st.tuples(
+            st.sampled_from(combos), st.lists(st.integers(0, 15), max_size=3)
+        ).map(lambda t: set(t[0]).union(t[1]))
+
+        def check():
+            for _ in range(3):
+                bound = evidence(sorted(data.draw(keys)))
+                for target in range(config.predicting_var_count + 1):
+                    scores = model.best_score(target, bound)
+                    assert len(scores) == config.node_count
+                    for node, lists in enumerate(model.lists):
+                        assert scores[node] == bf_best_score(lists, target, bound)
+
+        for cycle in range(1, data.draw(st.integers(1, 3)) + 1):
+            run_cycle(trial, cycle)
+            check()
+        # lists of local rows at other joints, reduced ones (None) among them
+        local = [s for state in trial.nodes for s in state.local_sets.values()]
+        picks = st.tuples(st.floats(0.0, 8.0), st.sampled_from(local + [None]))
+        for _ in range(data.draw(st.integers(1, 6))):
+            node = data.draw(st.integers(0, config.node_count - 1))
+            var = data.draw(st.integers(0, config.predicting_var_count - 1))
+            sets = [
+                row(joint) if s is None else (joint, s[1], s[2])
+                for joint, s in data.draw(st.lists(picks, max_size=config.k_sets))
+            ]
+            integrate_advertisement(model, node, {var: sets})
+        check()
 
 
 def gate_keeps(s, threshold) -> bool:
@@ -316,14 +434,15 @@ class TestIncrementalBuild:
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_matches_full_rebuild(self, data):
-        """Random integrations into one node's routing models, each round
+        """Random integrations into one node's neighbors' lists, each round
         followed by an incremental build of the changed variables, staged as
         the engine stages them: merged into the earlier lists, they equal
         the from-scratch reference, winner order included, and are well
         formed; integration reports exactly the variables whose lists
         changed by value; the send decision over the rebuilt lists that
         differ from those sent agrees with the full comparison, and a send
-        of the unsent lists makes the sent model the full advertisement."""
+        of the unsent lists makes the node's published lists the full
+        advertisement."""
         k = data.draw(st.integers(1, 3), label="k")
         policy = AdvertisementPolicy(
             change_threshold=data.draw(st.sampled_from((0.0, 0.3, 0.6))),
@@ -338,68 +457,72 @@ class TestIncrementalBuild:
         neighbors = data.draw(
             st.lists(st.integers(1, 9), min_size=1, max_size=4, unique=True)
         )
-        models = {nb: RoutingModel() for nb in neighbors}
-        sent, built, unsent = RoutingModel(), {}, {}
+        # node 0 builds; its published lists are what it sent
+        model = RoutingModel(10, ROW_WIDTH)
+        neighbor_lists = [model.lists[nb] for nb in neighbors]
+        sent, built, unsent = model.lists[0], {}, {}
         # the first build covers the trained variables
         changed = set(local)
         for _ in range(data.draw(st.integers(1, 8), label="rounds")):
             for _ in range(data.draw(st.integers(0, 3))):
-                model = models[data.draw(st.sampled_from(neighbors))]
+                sender = data.draw(st.sampled_from(neighbors))
+                held = model.lists[sender]
                 adv = {}
                 for var in data.draw(st.sets(st.integers(0, 3))):
-                    held = model.entries.get(var)
-                    if held is not None and data.draw(st.booleans()):
-                        adv[var] = held  # re-sent: the same list object
+                    if var in held and data.draw(st.booleans()):
+                        adv[var] = held[var]  # re-sent: the same list object
                     else:
                         adv[var] = data.draw(model_entries(var, k, 1))
-                before = dict(model.entries)
-                got = integrate_advertisement(model, adv)
+                before = dict(held)
+                got = integrate_advertisement(model, sender, adv)
                 assert got == {
                     var for var, sets in adv.items() if before.get(var) != sets
                 }
                 changed |= got
-            rebuilt = build_advertisement(local, models.values(), policy, k, changed)
+            rebuilt = build_advertisement(local, neighbor_lists, policy, k, changed)
             assert set(rebuilt) == changed
             built.update(rebuilt)
             assert views(built) == bf_build_advertisement(
                 {var: view(s) for var, s in local.items()},
-                [views(model.entries) for model in models.values()],
+                [views(lists) for lists in neighbor_lists],
                 policy,
                 k,
             )
             assert well_formed(views(built), k)
             for var, sets in list(rebuilt.items()):
-                if sets == sent.entries.get(var):
+                if sets == sent.get(var):
                     del rebuilt[var]
                     unsent.pop(var, None)
             unsent.update(rebuilt)
             assert unsent == {
-                var: sets for var, sets in built.items()
-                if sets != sent.entries.get(var)
+                var: sets for var, sets in built.items() if sets != sent.get(var)
             }
-            send = should_advertise(sent.entries, rebuilt, policy)
-            assert send == bf_should_advertise(
-                views(sent.entries), views(built), policy
-            )
+            send = should_advertise(sent, rebuilt, policy)
+            assert send == bf_should_advertise(views(sent), views(built), policy)
             if send:
-                assert integrate_advertisement(sent, unsent) == set(unsent)
-                assert sent.entries == built
+                assert integrate_advertisement(model, 0, unsent) == set(unsent)
+                assert sent == built
                 unsent = {}
             changed = set()
 
 
-def trained_node(node_id, neighbors=(), target_state=0, observations=60):
+def trained_node(node_id, neighbors=(), target_state=0, observations=60, model=None):
     """Node whose predicting variable 0 is near-deterministic on target_state
     given context 0."""
     counts = np.zeros((2, 2), dtype=np.int64)
     counts[target_state] = observations
     entry = TrainedAssignment(node_id, 0, (0,), counts)
-    sets = {0: local_entropy_sets([entry], ROW_WIDTH, 2, 1.0)[0]}
-    return NodeState(node_id=node_id, local_sets=sets, neighbors=list(neighbors))
+    node = blank_node(node_id, neighbors, model)
+    node.local_sets = {0: local_entropy_sets([entry], ROW_WIDTH, 2, 1.0)[0]}
+    return node
 
 
-def blank_node(node_id, neighbors=()):
-    return NodeState(node_id=node_id, local_sets={}, neighbors=list(neighbors))
+def blank_node(node_id, neighbors=(), model=None):
+    """Node without local sets, its neighbors ascending, on `model` or on a
+    model of its own that no node published to."""
+    if model is None:
+        model = RoutingModel(max([node_id, *neighbors]) + 1, ROW_WIDTH)
+    return NodeState(node_id, {}, model, sorted(neighbors))
 
 
 class TestProcessQuery:
@@ -418,41 +541,36 @@ class TestProcessQuery:
         assert q.quality == 0.0
 
     def test_forwards_to_lowest_scoring_neighbor(self):
-        node = blank_node(0, neighbors=[1, 2])
-        node.routing_models[1] = RoutingModel({0: [row(3.0)]})
-        node.routing_models[2] = RoutingModel({0: [row(1.0)]})
+        model = published_model({1: {0: [row(3.0)]}, 2: {0: [row(1.0)]}})
+        node = blank_node(0, neighbors=[1, 2], model=model)
         q = Query(0, {}, hops_remaining=2, issuer=0)
         assert process_query(node, q) == 2
 
     def test_tie_breaks_to_lowest_node_id(self):
-        node = blank_node(0, neighbors=[5, 3])
-        for nb in (5, 3):
-            node.routing_models[nb] = RoutingModel({0: [row(1.0)]})
+        model = published_model({nb: {0: [row(1.0)]} for nb in (5, 3)})
+        node = blank_node(0, neighbors=[5, 3], model=model)
         assert process_query(node, Query(0, {}, 2, 0)) == 3
 
     def test_visited_neighbors_avoided(self):
-        node = blank_node(1, neighbors=[0, 2])
-        node.routing_models[0] = RoutingModel({0: [row(0.1)]})
-        node.routing_models[2] = RoutingModel({0: [row(9.0)]})
+        model = published_model({0: {0: [row(0.1)]}, 2: {0: [row(9.0)]}})
+        node = blank_node(1, neighbors=[0, 2], model=model)
         q = Query(0, {}, hops_remaining=3, issuer=0, visited=[0])
         assert process_query(node, q) == 2
         assert q.hops_remaining == 2  # the forward spends one hop
 
     def test_all_visited_falls_back_to_any_neighbor(self):
-        node = blank_node(1, neighbors=[0])
-        node.routing_models[0] = RoutingModel({0: [row(0.1)]})
+        node = blank_node(1, neighbors=[0], model=published_model({0: {0: [row(0.1)]}}))
         q = Query(0, {}, hops_remaining=3, issuer=0, visited=[0, 1])
         assert process_query(node, q) == 0
 
     def test_hop_accounting_along_a_line(self):
-        a = trained_node(0, neighbors=[1], target_state=0)
-        b = trained_node(1, neighbors=[0, 2], target_state=1, observations=5)
-        c = blank_node(2, neighbors=[1])
-        for node, nbs in ((a, [1]), (b, [0, 2]), (c, [1])):
-            for nb in nbs:
-                node.routing_models[nb] = RoutingModel()
-        b.routing_models[2].entries[0] = [row(0.01)]
-        b.routing_models[0].entries[0] = [row(5.0)]
+        # what nodes 0 and 2 published, as node 1 reads it
+        model = published_model({0: {0: [row(5.0)]}, 2: {0: [row(0.01)]}})
+        a = trained_node(0, neighbors=[1], target_state=0, model=model)
+        b = trained_node(
+            1, neighbors=[0, 2], target_state=1, observations=5, model=model
+        )
+        c = blank_node(2, neighbors=[1], model=model)
         q = Query(0, {}, hops_remaining=2, issuer=0)
         assert process_query(a, q) == 1
         assert process_query(b, q) == 2
@@ -461,23 +579,19 @@ class TestProcessQuery:
         assert q.hops_remaining == 0
 
     def test_order_recomputed_after_models_change(self):
-        node = blank_node(0, neighbors=[1, 2])
-        node.routing_models[1] = RoutingModel(
-            {0: [row(1.0)], 1: [row(1.0)]}
-        )
-        node.routing_models[2] = RoutingModel(
-            {0: [row(3.0)], 1: [row(3.0)]}
-        )
+        model = published_model({
+            1: {0: [row(1.0)], 1: [row(1.0)]},
+            2: {0: [row(3.0)], 1: [row(3.0)]},
+        })
+        node = blank_node(0, neighbors=[1, 2], model=model)
         assert process_query(node, Query(0, {}, 2, 0)) == 1
         assert process_query(node, Query(1, {}, 2, 0)) == 1
         kept = node.forwarding_order(1, frozenset())
         # an equal list changes nothing: no rebuild, no order dropped
-        node.models_changed(
-            integrate_advertisement(node.routing_models[2], {0: [row(3.0)]})
-        )
+        node.models_changed(integrate_advertisement(model, 2, {0: [row(3.0)]}))
         assert not node.changed_vars
         changed = integrate_advertisement(
-            node.routing_models[2], {0: [row(0.5)], 1: [row(3.0)]}
+            model, 2, {0: [row(0.5)], 1: [row(3.0)]}
         )
         assert changed == {0}
         node.models_changed(changed)
@@ -492,12 +606,12 @@ class TestProcessQuery:
         neighbors = data.draw(
             st.lists(st.integers(0, 30), min_size=1, max_size=12, unique=True)
         )
-        node = blank_node(99, neighbors=neighbors)
+        published = {}
         for nb in neighbors:
             entries = {var: data.draw(model_entries(var)) for var in (0, 1)}
-            node.routing_models[nb] = RoutingModel(
-                {var: sets for var, sets in entries.items() if sets}
-            )
+            published[nb] = {var: sets for var, sets in entries.items() if sets}
+        model = published_model(published, node_count=100)
+        node = blank_node(99, neighbors=neighbors, model=model)
         # repeated queries on one node reuse its cached forwarding orders
         for _ in range(data.draw(st.integers(1, 6))):
             target = data.draw(st.sampled_from((0, 1)))
@@ -630,13 +744,15 @@ def advertise_until_stable(nodes, policy, k, max_rounds=60):
     for _ in range(max_rounds):
         sent = 0
         for node in nodes.values():
-            adv = full_build(node.local_sets, node.routing_models.values(), policy, k)
+            lists = node.model.lists
+            adv = full_build(
+                node.local_sets, [lists[nb] for nb in node.neighbors], policy, k
+            )
             previous = views(last_sent.get(node.node_id, {}))
             if bf_should_advertise(previous, views(adv), policy):
                 last_sent[node.node_id] = adv
                 sent += 1
-                for nb in node.neighbors:
-                    integrate_advertisement(nodes[nb].routing_models[node.node_id], adv)
+                integrate_advertisement(node.model, node.node_id, adv)
         if sent == 0:
             return
     raise AssertionError("advertisement loop did not converge")
@@ -644,18 +760,19 @@ def advertise_until_stable(nodes, policy, k, max_rounds=60):
 
 def build_network(n_nodes, edges, joints):
     """Nodes with synthetic local sets: node i advertises predicting variable 0
-    at the given joint entropy (None for untrained)."""
+    at the given joint entropy (None for untrained), on one shared model."""
+    model = RoutingModel(n_nodes, ROW_WIDTH)
     nodes = {}
     for i in range(n_nodes):
-        node = blank_node(i)
+        node = blank_node(i, model=model)
         if joints[i] is not None:
             node.local_sets = {0: row(joints[i], {0: 0.1})}
         nodes[i] = node
     for a, b in edges:
         nodes[a].neighbors.append(b)
         nodes[b].neighbors.append(a)
-        nodes[a].routing_models[b] = RoutingModel()
-        nodes[b].routing_models[a] = RoutingModel()
+    for node in nodes.values():
+        node.neighbors.sort()
     return nodes
 
 
@@ -704,9 +821,8 @@ class TestPropagation:
 
         for i in range(n):
             for nb in nodes[i].neighbors:
-                model = nodes[i].routing_models[nb]
                 got = min(
-                    (s[0] for s in model.entries.get(0, [])),
+                    (s[0] for s in nodes[i].model.lists[nb].get(0, [])),
                     default=math.inf,
                 )
                 assert got == pytest.approx(best_through(nb), abs=1e-9)
@@ -732,7 +848,6 @@ class TestPropagation:
         # inflation guarantees no advertised value ever dips below the best
         # genuine local value, no matter how many times a loop re-offers it
         floor = min(joints)
-        for node in nodes.values():
-            for model in node.routing_models.values():
-                for s in model.entries.get(0, []):
-                    assert s[0] >= floor - 1e-9
+        for lists in nodes[0].model.lists:
+            for s in lists.get(0, []):
+                assert s[0] >= floor - 1e-9
