@@ -120,9 +120,7 @@ class SimConfig:
 
     def resolved_policy(self) -> AdvertisementPolicy:
         return AdvertisementPolicy(
-            change_threshold=0.005,
-            quality_threshold=0.8 * math.log2(self.predicting_cardinality),
-            hop_inflation=0.001,
+            quality_threshold=0.8 * math.log2(self.predicting_cardinality)
         )
 
 
@@ -553,7 +551,7 @@ def run_cycle(trial: TrialState, cycle: int) -> CycleMetrics:
         adv, state.unsent = state.unsent, {}
         delta = integrate_advertisement(trial.model, state.node_id, adv)
         for nb in state.neighbors:
-            trial.nodes[nb].models_changed(delta)
+            trial.nodes[nb].changed_vars |= delta
         adv_sets_sent += len(state.neighbors) * sum(map(len, adv.values()))
 
     # phase 2: one query per node

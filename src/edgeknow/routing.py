@@ -33,7 +33,11 @@ The model also holds the published lists column-wise, per variable, as
 the local sets' `entropies` rows. A query's next hop is then read from one
 vector per (target, evidence) key that scores every node's list at once:
 numpy subtracts elementwise in the evidence set's order, so each score is
-the float `_score` gives for that set.
+the float `_score` gives for that set. Beside the vector, the model keeps
+each node's neighbors sorted by it, the node's forwarding order for the
+key, a per-query lookup in the manner of routing indices. Vectors, orders
+and column rows derive from the published lists alone, so the integration
+that changes a list is the one place that drops them.
 """
 
 from __future__ import annotations
@@ -81,9 +85,9 @@ def _score(s: EntropySet, bound: Iterable[int]) -> float:
 
 @dataclass
 class AdvertisementPolicy:
-    change_threshold: float = 0.05
+    change_threshold: float = 0.005
     quality_threshold: float = 2.4
-    hop_inflation: float = 0.01
+    hop_inflation: float = 0.001
 
 
 # what a node advertises: per predicting variable, up to K entropy sets
@@ -93,9 +97,10 @@ _joint = itemgetter(0)
 
 
 class RoutingModel:
-    """What every node has told its neighbors: per node, its published
-    lists, and per variable the same lists as columns, scored for all nodes
-    at once.
+    """What every node has told its neighbors, and what the trial derives
+    from it: per node, its published lists; per variable, the same lists
+    as columns, scored for all nodes at once; and per node, its forwarding
+    orders.
 
     `lists[node]` holds, per variable, the last list the node sent; its
     neighbors read it when they build. The columns of a variable are two
@@ -104,9 +109,13 @@ class RoutingModel:
     padded with 0, the reduced form's all-zero row. The table holds the
     `entropies` rows given at construction, which must include every row of
     every list integrated later: at set-up those of the local sets, which
-    every inflated copy and reduced form shares. An integration marks the
-    rows of the changed variables stale, and the first score after rewrites
-    them in one write per column."""
+    every inflated copy and reduced form shares.
+
+    Per (target, evidence variable set) key, the model keeps every node's
+    best score and each node's forwarding order. `integrate_advertisement`
+    alone drops them: when a list of a target changes by value, it drops
+    the target's scores and orders and logs the changed rows, which the
+    target's next score writes into its columns, one write per column."""
 
     def __init__(
         self, node_count: int, width: int, rows: Iterable[tuple[float, ...]] = ()
@@ -124,27 +133,21 @@ class RoutingModel:
         self._stale: defaultdict[int, dict[NodeId, list]] = defaultdict(dict)
         # per target, per evidence variable set: every node's best score
         self._scores: dict[int, dict[frozenset[int], array]] = {}
-
-    def _changed(self, node: NodeId, changed: Iterable[int]):
-        held, stale, scores = self.lists[node], self._stale, self._scores
-        for var in changed:
-            stale[var][node] = held[var]
-            scores.pop(var, None)
+        # per target, per evidence variable set, per node: its neighbors by
+        # (best score, id)
+        self._orders: dict[int, dict[frozenset[int], dict[NodeId, list]]] = {}
 
     def _column(self, var: int) -> tuple[np.ndarray, np.ndarray]:
         column = self._columns.get(var)
-        stale = self._stale.pop(var, None)
-        if column is None:
-            nodes = range(len(self.lists))
-            lists = [published.get(var, ()) for published in self.lists]
-        elif stale is None:
+        stale = self._stale.pop(var, {})
+        if column is not None and not stale:
             return column
-        else:
-            nodes, lists = list(stale), list(stale.values())
+        nodes, lists = list(stale), list(stale.values())
         lengths = np.array(list(map(len, lists)), dtype=np.intp)
         held = 0 if column is None else column[0].shape[1]
-        if column is None or lengths.max() > held:
-            shape = (len(self.lists), max(lengths.max(), held, 1))
+        width = max(lengths.max(initial=1), held)
+        if width > held:
+            shape = (len(self.lists), width)
             grown = (np.full(shape, math.inf), np.zeros(shape, dtype=np.int32))
             if column is not None:
                 grown[0][:, :held] = column[0]
@@ -186,6 +189,26 @@ class RoutingModel:
             scores = by_bound[bound] = array("d", best.tobytes())
         return scores
 
+    def forwarding_order(
+        self, node: NodeId, neighbors: list[NodeId], target: int, bound: frozenset[int]
+    ) -> list[NodeId]:
+        """`node`'s neighbors, given ascending, sorted by the conditional
+        entropy their published lists promise for `target` under evidence
+        on `bound`, ties to the lowest id: the sort is stable. Kept until a
+        list of `target` changes; a node's neighbors are fixed for the
+        model's life."""
+        by_bound = self._orders.get(target)
+        if by_bound is None:
+            by_bound = self._orders[target] = {}
+        orders = by_bound.get(bound)
+        if orders is None:
+            orders = by_bound[bound] = {}
+        order = orders.get(node)
+        if order is None:
+            scores = self.best_score(target, bound)
+            order = orders[node] = sorted(neighbors, key=scores.__getitem__)
+        return order
+
 
 @dataclass
 class Query:
@@ -209,9 +232,8 @@ class NodeState:
     """Everything one node owns: its model, as the full entropy set of each
     trained predicting variable (`local_sets`, fixed at set-up), its
     neighborhood, ascending, and the trial's shared routing model, whose
-    `lists[node_id]` are what this node's sends have told its neighbors. The
-    forwarding orders and the next advertisement depend on the neighbors'
-    lists, so whoever changes them calls `models_changed`.
+    `lists[node_id]` are what this node's sends have told its neighbors, and
+    which keeps this node's forwarding orders.
 
     `unsent` holds the lists built since the last send that differ by value
     from the published ones: a send carries exactly those, which is all the
@@ -228,36 +250,9 @@ class NodeState:
     # variables to rebuild: at set-up the trained ones, then those whose
     # lists changed at a neighbor since the last build
     changed_vars: set[int] = field(default_factory=set)
-    # per target, per evidence variable set: neighbors by (best score, id)
-    _order_cache: dict[int, dict] = field(default_factory=dict)
 
     def local_answer(self, target: int, bound: frozenset[int]) -> Optional[float]:
         return answer_entropy(self.local_sets, target, bound)
-
-    def forwarding_order(self, target: int, bound: frozenset[int]) -> list[NodeId]:
-        """Neighbors sorted by the conditional entropy their published lists
-        promise for `target` under evidence on `bound`, ties to the lowest
-        id: the sort is stable and `neighbors` ascending."""
-        orders = self._order_cache.get(target)
-        if orders is None:
-            orders = self._order_cache[target] = {}
-        order = orders.get(bound)
-        if order is None:
-            scores = self.model.best_score(target, bound)
-            order = orders[bound] = sorted(self.neighbors, key=scores.__getitem__)
-        return order
-
-    def models_changed(self, changed: set[int]):
-        """Record that the neighbors' lists for the variables in `changed`
-        changed by value: the next cycle rebuilds those variables of this
-        node's advertisement, and their forwarding orders are recomputed.
-        Orders for other targets stay cached. `changed` is copied, never
-        kept: one set is passed to every neighbor of a sender, so no caller
-        may mutate it."""
-        if changed:
-            self.changed_vars |= changed
-            for var in changed:
-                self._order_cache.pop(var, None)
 
 
 def local_entropy_sets(
@@ -340,20 +335,24 @@ def integrate_advertisement(
 ) -> set[int]:
     """Replace `node`'s published lists per advertised variable; variables
     absent from the advertisement are retained. Returns the variables whose
-    list changed by value, and marks their columns and scores stale. Lists
-    are stored as they are: the engine integrates only what
+    list changed by value; for each, logs the node's new list for the
+    variable's columns and drops the scores and forwarding orders of the
+    variable as a target, the only place the model drops them. Lists are
+    stored as they are: the engine integrates only what
     `build_advertisement` made, at most K sets per variable over distinct
     combinations in ascending joint order.
 
-    The engine integrates each send once and hands the returned set to
-    every neighbor of the sender."""
+    The engine integrates each send once and adds the returned set to the
+    variables every neighbor of the sender rebuilds."""
     changed = set()
     held = model.lists[node]
     for var, sets in entries.items():
         if sets != held.get(var):
             changed.add(var)
+            model._stale[var][node] = sets
+            model._scores.pop(var, None)
+            model._orders.pop(var, None)
         held[var] = sets
-    model._changed(node, changed)
     return changed
 
 
@@ -402,7 +401,9 @@ def process_query(state: NodeState, query: Query) -> Optional[NodeId]:
     to its issuer."""
     if not _arrive(state, query):
         return None
-    order = state.forwarding_order(query.target, query.bound)
+    order = state.model.forwarding_order(
+        state.node_id, state.neighbors, query.target, query.bound
+    )
     for n in order:
         if n not in query.visited:
             return n

@@ -8,8 +8,6 @@ module-scoped fixtures, and every trial's oracle-violation count feeds the
 final zero-violations check.
 """
 
-import math
-
 import numpy as np
 import pytest
 

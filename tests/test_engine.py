@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgeknow.engine import (
-    CycleMetrics,
     HIT_TOLERANCE_BITS,
     InvalidField,
     OracleViolation,
@@ -826,3 +825,5 @@ class TestConfigValidation:
     def test_default_policy_tracks_cardinality(self):
         policy = SimConfig(predicting_cardinality=8).resolved_policy()
         assert policy.quality_threshold == pytest.approx(2.4)
+        # runs take the other fields from the policy's defaults
+        assert (policy.change_threshold, policy.hop_inflation) == (0.005, 0.001)

@@ -586,19 +586,17 @@ class TestProcessQuery:
         node = blank_node(0, neighbors=[1, 2], model=model)
         assert process_query(node, Query(0, {}, 2, 0)) == 1
         assert process_query(node, Query(1, {}, 2, 0)) == 1
-        kept = node.forwarding_order(1, frozenset())
+        orders = [model.forwarding_order(0, [1, 2], t, frozenset()) for t in (0, 1)]
         # an equal list changes nothing: no rebuild, no order dropped
-        node.models_changed(integrate_advertisement(model, 2, {0: [row(3.0)]}))
-        assert not node.changed_vars
+        assert integrate_advertisement(model, 2, {0: [row(3.0)]}) == set()
+        assert model.forwarding_order(0, [1, 2], 0, frozenset()) is orders[0]
         changed = integrate_advertisement(
             model, 2, {0: [row(0.5)], 1: [row(3.0)]}
         )
         assert changed == {0}
-        node.models_changed(changed)
-        assert node.changed_vars == {0}
         assert process_query(node, Query(0, {}, 2, 0)) == 2
         # the order for the unchanged target survives, as the same object
-        assert node.forwarding_order(1, frozenset()) is kept
+        assert model.forwarding_order(0, [1, 2], 1, frozenset()) is orders[1]
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -622,6 +620,68 @@ class TestProcessQuery:
                 visited = data.draw(st.lists(st.sampled_from(neighbors), unique=True))
             query = Query(target, {c: 0 for c in bound}, 1, 99, visited=visited)
             assert process_query(node, query) == bf_next_hop(node, query)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_next_hops_follow_integrations(self, data):
+        """Integrations interleaved with queries at random nodes of a model of
+        up to 12 nodes: every next hop is the reference's over the lists as
+        they stand. Integrations land at neighbors and non-neighbors of the
+        queried nodes, repeat a list by value, or grow a list past every
+        earlier length, and target 2 is never published. Each round ends
+        with a list change, at a neighbor of a queried node, of a target
+        whose order that query cached, and the query is asked again."""
+        node_count = data.draw(st.integers(2, 12))
+        rows = data.draw(st.lists(scored_rows([0, 1, 2]), min_size=1, max_size=6))
+        model = RoutingModel(node_count, ROW_WIDTH, [s[2] for s in rows])
+        nodes = [
+            blank_node(i, data.draw(st.lists(
+                st.integers(0, node_count - 1).filter(lambda n, i=i: n != i),
+                min_size=1, unique=True,
+            )), model)
+            for i in range(node_count)
+        ]
+        picks = st.tuples(
+            bits(0.0, 3.0, (0.9, 1.0, 2.0, 3.0)), st.sampled_from(rows + [row(0.0)])
+        )
+
+        def sets(size):
+            return [(joint, s[1], s[2]) for joint, s in data.draw(
+                st.lists(picks, min_size=size, max_size=size)
+            )]
+
+        def ask(node, target, bound):
+            visited = data.draw(st.lists(st.sampled_from(node.neighbors), unique=True))
+            query = Query(target, {c: 0 for c in bound}, 1, node.node_id, visited=visited)
+            assert process_query(node, query) == bf_next_hop(node, query)
+
+        for _ in range(data.draw(st.integers(1, 4))):
+            for _ in range(data.draw(st.integers(0, 4))):
+                node = data.draw(st.integers(0, node_count - 1))
+                var = data.draw(st.integers(0, 1))
+                held = model.lists[node].get(var)
+                kind = data.draw(st.sampled_from(("random", "equal", "longer")))
+                if kind == "equal" and held is not None:
+                    assert integrate_advertisement(model, node, {var: list(held)}) == set()
+                    continue
+                longest = max((len(ls.get(var, ())) for ls in model.lists), default=0)
+                size = longest + 1 if kind == "longer" else data.draw(st.integers(0, 3))
+                integrate_advertisement(model, node, {var: sets(size)})
+            asked = []
+            for _ in range(data.draw(st.integers(1, 4))):
+                node = data.draw(st.sampled_from(nodes))
+                target = data.draw(st.integers(0, 2))
+                bound = data.draw(st.frozensets(st.integers(0, 2)))
+                ask(node, target, bound)
+                if target != 2:
+                    asked.append((node, target, bound))
+            if asked:
+                node, target, bound = data.draw(st.sampled_from(asked))
+                nb = data.draw(st.sampled_from(node.neighbors))
+                joints = [s[0] for s in model.lists[nb].get(target, ())]
+                lower = [(min(joints, default=1.0) - 1.0, *sets(1)[0][1:])]
+                assert integrate_advertisement(model, nb, {target: lower}) == {target}
+                ask(node, target, bound)
 
 
 class TestRandomWalk:
