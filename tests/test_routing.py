@@ -678,8 +678,10 @@ class TestProcessQuery:
             if asked:
                 node, target, bound = data.draw(st.sampled_from(asked))
                 nb = data.draw(st.sampled_from(node.neighbors))
+                # a set below every held joint, so the list differs by value
                 joints = [s[0] for s in model.lists[nb].get(target, ())]
-                lower = [(min(joints, default=1.0) - 1.0, *sets(1)[0][1:])]
+                _, combination, entropies = sets(1)[0]
+                lower = [(min(joints, default=1.0) - 1.0, combination, entropies)]
                 assert integrate_advertisement(model, nb, {target: lower}) == {target}
                 ask(node, target, bound)
 
