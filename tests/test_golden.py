@@ -11,8 +11,18 @@ combinations of 3 of 10 contexts: many lists hold fewer than K sets or none,
 and evidence sets span context ids 8 and 9, which share hash slots with 0
 and 1, so they iterate unsorted.
 
-Regenerate (only when a change is meant to alter results, and say why):
+`perfbench_seed0.sha256` holds the sha256 of the run rows and edge list that
+each benchmark workload (`perfbench/run.py`) writes at seed 0; CI checks it
+with `sha256sum -c` after running the workloads.
+
+Regenerate (only when a change is meant to alter results, and say why), the
+benchmark digests with the other goldens:
     PYTHONPATH=src python tests/test_golden.py
+    for w in steady-256 pool-256 grow-1024; do
+        python perfbench/run.py --workload $w --seed 0 --seconds 0
+    done
+    sha256sum perfbench/out/{steady-256,pool-256,grow-1024}-0-{rows.csv,edges.txt} \
+        > tests/golden/perfbench_seed0.sha256
 """
 
 from dataclasses import replace
@@ -46,6 +56,8 @@ POOL_CONFIG = SimConfig(
     k_sets=10,
     cycles=6,
 )
+# the benchmark workloads' output digests, checked in CI, not here
+PERFBENCH_DIGESTS = "perfbench_seed0.sha256"
 # file name prefix per configuration
 CASES = {"": CONFIG, "pool_": POOL_CONFIG}
 SEEDS = (0, 1)
@@ -84,7 +96,8 @@ def regenerated(tmp_path_factory):
 
 def test_file_set(regenerated):
     assert sorted(p.name for p in regenerated.iterdir()) == sorted(NAMES)
-    assert sorted(p.name for p in GOLDEN_DIR.iterdir()) == sorted(NAMES)
+    committed = sorted(NAMES + [PERFBENCH_DIGESTS])
+    assert sorted(p.name for p in GOLDEN_DIR.iterdir()) == committed
 
 
 @pytest.mark.parametrize("name", NAMES)
