@@ -7,7 +7,8 @@ pair of nodes, a node's best score with one `min` over its published sets'
 scores, a node's answer from its workload entry, the next hop with one `min`
 over the candidate neighbors, an advertisement from scratch out of every
 local set and neighbor list, propagation with one private copy of each
-sender's lists per receiver,
+sender's lists per receiver, a whole trial (`bf_run_trial`) from those
+pieces and set-up alone,
 and the workload as raw observation streams rather than cell counts,
 counted into plain tensors one observation at a time, so the tests check the
 implementation against a second, independent evaluation. The references
@@ -18,12 +19,18 @@ as the library's rows, and score a view from its dict (`bf_score`).
 import csv
 import itertools
 import math
+from types import SimpleNamespace
 from typing import Iterable, Optional
 
 import numpy as np
 import pytest
 
-from edgeknow.engine import SimConfig, _combination_pool
+from edgeknow.engine import (
+    SimConfig,
+    _combination_pool,
+    generate_workload,
+    setup_trial,
+)
 from edgeknow.routing import AdvertisementPolicy
 from edgeknow.topology import NoAttachmentTarget, Overlay, _repair_connectivity
 
@@ -225,11 +232,10 @@ def bf_gate_score(v: tuple[float, dict[int, float]]) -> float:
 
 def bf_best_score(lists: dict, target: int, bound: frozenset[int]) -> float:
     """The lowest clamped score over one node's published sets for `target`
-    (`lists` holds a list of rows per variable), as one `min` over
-    `bf_score` of their views; inf when there are none."""
+    (`lists` holds a list of views per variable), as one `min` over their
+    `bf_score`; inf when there are none."""
     return min(
-        (bf_score(view(s), bound) for s in lists.get(target, ())),
-        default=math.inf,
+        (bf_score(v, bound) for v in lists.get(target, ())), default=math.inf
     )
 
 
@@ -247,18 +253,18 @@ def bf_answer_entropy(entry, config, bound: Iterable[int]):
     )
 
 
-def bf_next_hop(state, query):
-    """The next hop as one min over the candidates (the unvisited neighbors,
-    or every neighbor once all are visited), keyed on (bf_best_score of the
-    neighbor's published lists, node id)."""
+def bf_next_hop(neighbors, published: dict, query):
+    """The next hop as one min over the candidates (the unvisited
+    `neighbors`, or every neighbor once all are visited), keyed on
+    (bf_best_score of the neighbor's lists, node id); `published[n]` holds
+    neighbor n's lists of views per variable."""
     visited = set(query.visited)
-    unvisited = [n for n in state.neighbors if n not in visited]
-    candidates = unvisited if unvisited else list(state.neighbors)
+    unvisited = [n for n in neighbors if n not in visited]
+    candidates = unvisited if unvisited else list(neighbors)
     bound = frozenset(query.ctx)
-    lists = state.model.lists
     return min(
         candidates,
-        key=lambda n: (bf_best_score(lists[n], query.target, bound), n),
+        key=lambda n: (bf_best_score(published[n], query.target, bound), n),
     )
 
 
@@ -327,7 +333,9 @@ def well_formed(adv: dict[int, list], k: int) -> bool:
     )
 
 
-def bf_propagate(trial, private: dict, sent: dict, built: dict) -> tuple[int, int]:
+def bf_propagate(
+    trial, private: dict, sent: dict, built: dict, changed: dict
+) -> tuple[int, int]:
     """Phase 1 of a cycle from scratch, with one private copy of each
     sender's lists per receiver: every node builds its full advertisement
     with `bf_build_advertisement`, sends it when `bf_should_advertise` says
@@ -335,9 +343,10 @@ def bf_propagate(trial, private: dict, sent: dict, built: dict) -> tuple[int, in
     integrates the full advertisement into its own copy. `private[receiver]
     [sender]` is that copy, a dict of lists of views per variable, empty
     before the first call. `sent` and `built` map each node to the last
-    advertisement of views it sent and built; all three are updated, and
-    each node's `changed_vars` become the variables whose private lists
-    changed by value this cycle.
+    advertisement of views it sent and built, and `changed` to the variables
+    whose private lists changed by value at it this cycle; all four are
+    updated. Only the trial's config and its nodes' ids, local sets and
+    neighbors are read.
     Returns the cycle's `adv_sets_sent` counted per receiver, once over the
     variables whose private list changed by value (what a delta carries) and
     once over every advertised variable (a full snapshot)."""
@@ -354,18 +363,101 @@ def bf_propagate(trial, private: dict, sent: dict, built: dict) -> tuple[int, in
         built[state.node_id] = adv
         if bf_should_advertise(sent.get(state.node_id, {}), adv, policy):
             outgoing.append((state, adv))
-        state.changed_vars = set()
+        changed[state.node_id] = set()
     for state, adv in outgoing:
         sent[state.node_id] = adv
         for nb in state.neighbors:
-            receiver = trial.nodes[nb]
             held = private[nb][state.node_id]
-            changed = {var for var, sets in adv.items() if held.get(var) != sets}
+            delta = {var for var, sets in adv.items() if held.get(var) != sets}
             held.update(adv)
-            receiver.changed_vars |= changed
-            delta_sets += sum(len(adv[var]) for var in changed)
+            changed[nb] |= delta
+            delta_sets += sum(len(adv[var]) for var in delta)
             snapshot_sets += sum(map(len, adv.values()))
     return delta_sets, snapshot_sets
+
+
+def bf_run_trial(config, workload=None) -> list[tuple[int, list[dict]]]:
+    """A whole trial from scratch: per cycle, its `adv_sets_sent` and one
+    record per query (issuer, target, bound, path, answered_by, achieved,
+    optimal, hit). Set-up supplies the workload (drawn from the same
+    `SeedSequence` stream when none is given), each node's local sets and
+    the overlay; the rest is the `bf_*` pieces: `bf_propagate` over private
+    copies, forwarding as `bf_next_hop` over the forwarding node's copies
+    (or a uniform draw for `rw`), answers as `bf_score` of the node's local
+    set, each checked against its entry tensor through `bf_answer_entropy`,
+    and an oracle over every node. The take-over compares answers of
+    different nodes, whose tables can be permutations of one another with
+    entropies equal up to rounding, so it reads the set-up summaries, not
+    the tensor values. Queries and walks draw from the query and walk
+    streams in the engine's order."""
+    trial = setup_trial(config, workload)
+    s_workload, _, s_query, s_walk = np.random.SeedSequence(config.seed).spawn(4)
+    if workload is None:
+        workload = generate_workload(config, int(s_workload.generate_state(1)[0]))
+    entries = {(e.node_id, e.var): e for e in workload.entries}
+    combos: dict[int, set] = {}
+    for e in workload.entries:
+        if e.counts.any():
+            combos.setdefault(e.var, set()).add(e.contexts)
+    targets = sorted(combos)
+    query_rng = np.random.default_rng(s_query)
+    walk_rng = np.random.default_rng(s_walk)
+    neighbors = {state.node_id: state.neighbors for state in trial.nodes}
+    n, hops = config.node_count, config.resolved_hops()
+    uniform = math.log2(config.predicting_cardinality)
+    answers: dict = {}
+
+    def answer(node, target, bound):
+        key = (node, target, bound)
+        if key not in answers:
+            s = trial.nodes[node].local_sets.get(target)
+            value = None if s is None else bf_score(view(s), bound)
+            want = bf_answer_entropy(entries.get((node, target)), config, bound)
+            assert (value is None) == (want is None)
+            assert value is None or abs(value - want) <= 1e-9
+            answers[key] = value
+        return answers[key]
+
+    private = {i: {nb: {} for nb in neighbors[i]} for i in range(n)}
+    sent, built, changed = {}, {}, {}
+    cycles = []
+    for _ in range(config.cycles):
+        adv_sets_sent, _ = bf_propagate(trial, private, sent, built, changed)
+        records = []
+        for issuer in range(n):
+            target = targets[query_rng.integers(len(targets))]
+            options = sorted(combos[target])
+            combo = options[query_rng.integers(len(options))]
+            ctx = {c: int(query_rng.integers(config.context_cardinality)) for c in combo}
+            bound = frozenset(ctx)
+            query = SimpleNamespace(target=target, ctx=ctx, visited=[])
+            quality, answered_by, left, node = math.inf, None, hops, issuer
+            while True:
+                local = answer(node, target, bound)
+                if local is not None and local < quality:
+                    quality, answered_by = local, node
+                query.visited.append(node)
+                if left == 0 or not neighbors[node]:
+                    break
+                left -= 1
+                if config.strategy.value == "rw":
+                    unvisited = [m for m in neighbors[node] if m not in query.visited]
+                    candidates = unvisited or neighbors[node]
+                    node = candidates[walk_rng.integers(len(candidates))]
+                else:
+                    node = bf_next_hop(neighbors[node], private[node], query)
+            achieved = quality if math.isfinite(quality) else uniform
+            optimal = min(
+                [uniform] + [a for a in (answer(m, target, bound) for m in range(n))
+                             if a is not None]
+            )
+            records.append(dict(
+                issuer=issuer, target=target, bound=bound, path=query.visited,
+                answered_by=answered_by, achieved=achieved, optimal=optimal,
+                hit=achieved <= optimal + 1e-6,
+            ))
+        cycles.append((adv_sets_sent, records))
+    return cycles
 
 
 def bf_generate_workload(config, seed) -> list[tuple]:

@@ -580,10 +580,13 @@ class TestSharedModels:
         }
         ref_sent: dict = {}
         ref_built: dict = {}
+        ref_changed: dict = {}
         lists = trial.model.lists
         for cycle in range(1, config.cycles + 1):
             sent = run_cycle(trial, cycle).adv_sets_sent
-            delta_sets, snapshot_sets = bf_propagate(ref, private, ref_sent, ref_built)
+            delta_sets, snapshot_sets = bf_propagate(
+                ref, private, ref_sent, ref_built, ref_changed
+            )
             assert sent == delta_sets <= snapshot_sets
             for state in trial.nodes:
                 for nb in state.neighbors:
@@ -600,7 +603,7 @@ class TestSharedModels:
                     if sets != last_sent.get(var)
                 }
                 assert well_formed(views(a.unsent), config.k_sets)
-                assert a.changed_vars == b.changed_vars
+                assert a.changed_vars == ref_changed[b.node_id]
 
 
 class TestUnsent:

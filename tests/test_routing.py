@@ -267,13 +267,13 @@ class TestBestScore:
         lists = data.draw(st.dictionaries(st.integers(0, 2), sets))
         model = published_model({0: lists})
         for target in range(4):
-            want = bf_best_score(lists, target, bound)
+            want = bf_best_score(views(lists), target, bound)
             assert model.best_score(target, bound)[0] == want
         # one set at a time, so that no lower score hides a wrong one; a
         # node's answer and the quality gate score a set as a model does
         for s in itertools.chain.from_iterable(lists.values()):
             alone = published_model({0: {0: [s]}})
-            assert alone.best_score(0, bound)[0] == bf_best_score({0: [s]}, 0, bound)
+            assert alone.best_score(0, bound)[0] == bf_score(view(s), bound)
             assert answer_entropy({0: s}, 0, bound) == bf_score(view(s), bound)
             assert_gate_score(s, bf_gate_score(view(s)))
 
@@ -312,7 +312,7 @@ class TestBestScore:
                 for target in range(4):
                     scores = model.best_score(target, bound)
                     for node, lists in enumerate(model.lists):
-                        assert scores[node] == bf_best_score(lists, target, bound)
+                        assert scores[node] == bf_best_score(views(lists), target, bound)
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
@@ -350,7 +350,7 @@ class TestBestScore:
                     scores = model.best_score(target, bound)
                     assert len(scores) == config.node_count
                     for node, lists in enumerate(model.lists):
-                        assert scores[node] == bf_best_score(lists, target, bound)
+                        assert scores[node] == bf_best_score(views(lists), target, bound)
 
         for cycle in range(1, data.draw(st.integers(1, 3)) + 1):
             run_cycle(trial, cycle)
@@ -525,6 +525,12 @@ def blank_node(node_id, neighbors=(), model=None):
     return NodeState(node_id, {}, model, sorted(neighbors))
 
 
+def reference_hop(node, query):
+    """`bf_next_hop` over the lists `node`'s neighbors published."""
+    published = {nb: views(node.model.lists[nb]) for nb in node.neighbors}
+    return bf_next_hop(node.neighbors, published, query)
+
+
 class TestProcessQuery:
     def test_zero_budget_returns_at_issuer(self):
         node = trained_node(0)
@@ -619,7 +625,7 @@ class TestProcessQuery:
             else:
                 visited = data.draw(st.lists(st.sampled_from(neighbors), unique=True))
             query = Query(target, {c: 0 for c in bound}, 1, 99, visited=visited)
-            assert process_query(node, query) == bf_next_hop(node, query)
+            assert process_query(node, query) == reference_hop(node, query)
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
@@ -653,7 +659,7 @@ class TestProcessQuery:
         def ask(node, target, bound):
             visited = data.draw(st.lists(st.sampled_from(node.neighbors), unique=True))
             query = Query(target, {c: 0 for c in bound}, 1, node.node_id, visited=visited)
-            assert process_query(node, query) == bf_next_hop(node, query)
+            assert process_query(node, query) == reference_hop(node, query)
 
         for _ in range(data.draw(st.integers(1, 4))):
             for _ in range(data.draw(st.integers(0, 4))):
