@@ -45,13 +45,25 @@ _FLAG_FIELDS = {
 
 
 def _int_list(text: str) -> list[int]:
+    """Distinct comma-separated integers: a repeated seed or sweep value
+    would name two runs alike."""
     try:
         values = [int(v) for v in text.split(",") if v]
     except ValueError:
         values = []
     if not values:
         raise ValueError(f"expected comma-separated integers, got {text!r}")
+    if len(set(values)) < len(values):
+        repeated = next(v for v in values if values.count(v) > 1)
+        raise ValueError(f"repeated value {repeated} in {text!r}")
     return values
+
+
+def _seed_list(text: str) -> list[int]:
+    seeds = _int_list(text)
+    if min(seeds) < 0:
+        raise ValueError(f"negative seed {min(seeds)}")
+    return seeds
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -120,7 +132,7 @@ def _read_config_file(path: Path) -> tuple[dict, dict]:
                 raise ValueError("expected key=value")
             if key not in _FLAG_FIELDS:
                 raise ValueError("unknown config key")
-            values[key] = _int_list(value) if key == "seed" else int(value)
+            values[key] = _seed_list(value) if key == "seed" else int(value)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
         lines[key] = f"{path}:{lineno}"
@@ -135,7 +147,7 @@ def _resolve_seeds(
         if file_seeds is not None:
             return file_seeds
         flag = os.environ.get("EDGEKNOW_SEED") or "0"
-    return _int_list(flag)
+    return _seed_list(flag)
 
 
 def _base_config(args, file_values: dict, file_lines: dict) -> SimConfig:

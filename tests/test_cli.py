@@ -148,8 +148,15 @@ class TestRun:
             (["--hops", "-3"], None, "hop_budget must be >= 0"),
             (["--cycles", "-1"], None, "cycles must be >= 0"),
             (["--threads", "0"], None, "--threads must be >= 1, got 0"),
+            (["--seed", "-1"], None, "negative seed -1"),
+            ([], "-3", "negative seed -3"),
+            (["--seed", "0,2,0"], None, "repeated value 0 in '0,2,0'"),
+            (["--sweep", "k=1,1"], None, "repeated value 1 in '1,1'"),
         ],
-        ids=["seed", "env-seed", "sweep", "hops", "cycles", "threads"],
+        ids=[
+            "seed", "env-seed", "sweep", "hops", "cycles", "threads",
+            "negative-seed", "negative-env-seed", "repeated-seed", "repeated-sweep",
+        ],
     )
     def test_bad_number_exits_2(
         self, tmp_path, capsys, monkeypatch, flags, env, message
@@ -192,6 +199,15 @@ class TestRun:
         out = tmp_path / "flag"
         assert run_cli(BASE + ["--config", cfg, "--seed", "2", "--out", out]) == 0
         assert [p.name for p in out.glob("run_*.csv")] == ["run_seed2_abs.csv"]
+
+    def test_negative_config_file_seed_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "trial.cfg"
+        cfg.write_text("nodes = 8\nseed = -2\n")
+        out = tmp_path / "out"
+        assert run_cli(["run", "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err == f"bad config: {cfg}:2: seed: negative seed -2\n"
+        assert not out.exists()
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "trial.cfg"
@@ -370,6 +386,12 @@ class TestTopology:
         out = tmp_path / "topo"
         assert run_cli(["topology", "--nodes", "10", "--seed", "x", "--out", out]) == 2
         assert "expected comma-separated integers, got 'x'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "topo"
+        assert run_cli(["topology", "--nodes", "10", "--seed", "-1", "--out", out]) == 2
+        assert capsys.readouterr().err == "bad config: negative seed -1\n"
         assert not out.exists()
 
     def test_edge_limit_respected(self, tmp_path, capsys):
