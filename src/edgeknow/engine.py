@@ -452,27 +452,18 @@ def setup_trial(config: SimConfig, workload: Optional[Workload] = None) -> Trial
             config.edge_limit,
             seed=int(s_topology.generate_state(1)[0]),
         )
+    neighbors = [sorted(overlay.neighbors(node_id)) for node_id in range(len(local_sets))]
     model = RoutingModel(
-        config.node_count,
+        local_sets, neighbors, config.predicting_var_count, config.k_sets,
         config.context_var_count,
-        (entropies for sets in local_sets for _, _, entropies in sets.values()),
     )
     nodes = []
     trained_combos: dict[int, set] = {}
     trainers: dict[int, list[int]] = {}
     for node_id, sets in enumerate(local_sets):
-        neighbors = sorted(overlay.neighbors(node_id))
-        nodes.append(
-            NodeState(
-                node_id=node_id,
-                local_sets=sets,
-                model=model,
-                neighbors=neighbors,
-                changed_vars=set(sets),
-            )
-        )
-        for var, (_, combination, _) in sets.items():
-            trained_combos.setdefault(var, set()).add(tuple(sorted(combination)))
+        nodes.append(NodeState(node_id, sets, model, neighbors[node_id]))
+        for var, (_, contexts, _) in sets.items():
+            trained_combos.setdefault(var, set()).add(contexts)
             trainers.setdefault(var, []).append(node_id)
     return TrialState(
         config=config,
@@ -520,39 +511,32 @@ def run_cycle(trial: TrialState, cycle: int) -> CycleMetrics:
     policy = config.resolved_policy()
     adv_sets_sent = 0
 
-    # phase 1: knowledge propagation; a node rebuilds and compares only the
-    # variables it trained, in its first build, or whose lists changed at a
-    # neighbor since its last build. A rebuilt list equal to the published
-    # one is dropped, with any unsent list of its variable; the others wait
-    # in `unsent` until `should_advertise` finds a rebuilt list worth
-    # sending. Every neighbor of a sender integrates the same sends in the
-    # same order, so a send is integrated once, into the shared model, and
-    # carries only the unsent lists: all a receiver lacks while the overlay
-    # is static and every neighbor received every earlier send.
-    lists = trial.model.lists
-    outgoing: list[NodeState] = []
-    for state in trial.nodes:
-        if not state.changed_vars:
-            continue
-        published = lists[state.node_id]
-        rebuilt = build_advertisement(
-            state.local_sets, [lists[nb] for nb in state.neighbors], policy,
-            config.k_sets, state.changed_vars,
-        )
-        for var, sets in list(rebuilt.items()):
-            if sets == published.get(var):
-                del rebuilt[var]
-                state.unsent.pop(var, None)
-        state.unsent.update(rebuilt)
-        if should_advertise(published, rebuilt, policy):
-            outgoing.append(state)
-        state.changed_vars = set()
-    for state in outgoing:
-        adv, state.unsent = state.unsent, {}
-        delta = integrate_advertisement(trial.model, state.node_id, adv)
-        for nb in state.neighbors:
-            trial.nodes[nb].changed_vars |= delta
-        adv_sets_sent += len(state.neighbors) * sum(map(len, adv.values()))
+    # phase 1: knowledge propagation, one pass per variable that some node
+    # must rebuild: at set-up its trainers, then the neighbors of its
+    # senders. Every build reads the lists as the cycle found them, as
+    # sends are integrated after the last build. A rebuilt list equal to
+    # the published one is dropped, with any unsent list of its variable;
+    # the others wait, unsent, until `should_advertise` finds a rebuilt list
+    # of their node worth sending. A send is integrated once, into the
+    # shared model, and carries only the node's unsent lists: all its
+    # neighbors lack while the overlay is static and each of them received
+    # every earlier send.
+    model = trial.model
+    senders = np.zeros(config.node_count, dtype=bool)
+    for var in np.flatnonzero(model.changed.any(axis=1)):
+        nodes = np.flatnonzero(model.changed[var])
+        model.changed[var] = False
+        joints, origins = build_advertisement(model, var, nodes, policy)
+        differs = (joints != model.joints[var, nodes]).any(axis=1)
+        differs |= (origins != model.origins[var, nodes]).any(axis=1)
+        model.pending[var, nodes] = differs
+        nodes, joints, origins = nodes[differs], joints[differs], origins[differs]
+        model.unsent_joints[var, nodes] = joints
+        model.unsent_origins[var, nodes] = origins
+        senders[should_advertise(model, var, nodes, joints, origins, policy)] = True
+    for var in np.flatnonzero((model.pending & senders).any(axis=1)):
+        nodes = np.flatnonzero(model.pending[var] & senders)
+        adv_sets_sent += integrate_advertisement(model, var, nodes)
 
     # phase 2: one query per node
     hits = 0

@@ -2,22 +2,22 @@
 
 Nodes advertise, per predicting variable, up to K entropy sets (one per
 context combination): a joint entropy plus the marginal entropies of the
-combination's context variables, held as an immutable row `(joint,
-combination, entropies)` (`EntropySet`). `entropies` has one slot per
-context variable; a context the set does not hold has 0.0 there, and since
-`x - 0.0 == x` for every float, a score that subtracts the slot of every
-bound context is exactly the joint minus the held bound marginals. Sets
-learned from a neighbor are re-advertised with a small additive per-hop
-inflation so that loops cannot sustain spuriously low values and shortest
-paths win ties. Local sets whose evidence-free conditional quality is poor
-are advertised in reduced (joint-only) form; those still steer queries
-toward the cluster that trained the variable, where context-aware scoring
-takes over.
+combination's context variables. Every set starts as a node's local set, the
+summary of one trained table, so an advertised set is its joint and its
+origin, the index of that local set's `(contexts, entropies)` row in the
+trial's entropy table; `entropies` has one slot per context variable, 0.0
+where the set has no context, and since `x - 0.0 == x` for every float, a
+score that subtracts the slot of every bound context is exactly the joint
+minus the held bound marginals. Sets learned from a neighbor are
+re-advertised with a small additive per-hop inflation so that loops cannot
+sustain spuriously low values and shortest paths win ties. Local sets whose
+evidence-free conditional quality is poor are advertised in reduced
+(joint-only) form, origin 0; those still steer queries toward the cluster
+that trained the variable, where context-aware scoring takes over.
 
 Propagation is incremental in the manner of routing indices (Crespo and
-Garcia-Molina, ICDCS 2002): integrating an advertisement reports which
-variables' lists changed, and the receiver rebuilds, compares and re-sorts
-only those variables. Every neighbor of a sender receives the same
+Garcia-Molina, ICDCS 2002): a node rebuilds only the variables whose lists
+changed at a neighbor. Every neighbor of a sender receives the same
 advertisements, so one trial-wide `RoutingModel` holds, per node, the lists
 it has told its neighbors, and stands for all their copies. An
 advertisement is sent as a delta, in the manner of triggered updates (RIP,
@@ -28,26 +28,26 @@ every neighbor received every earlier delta, routes are those full
 snapshots would give; the traffic counted, `adv_sets_sent`, is the sets of
 the delta times the number of neighbors.
 
-The model also holds the published lists column-wise, per variable, as
-(nodes x width) arrays of joints and of origins, indexes into a table of
-the local sets' `entropies` rows. A query's next hop is then read from one
-vector per (target, evidence) key that scores every node's list at once:
-numpy subtracts elementwise in the evidence set's order, so each score is
-the float `_score` gives for that set. Beside the vector, the model keeps
-each node's neighbors sorted by it, the node's forwarding order for the
-key, a per-query lookup in the manner of routing indices. Vectors, orders
-and column rows derive from the published lists alone, so the integration
-that changes a list is the one place that drops them.
+The model holds everything per variable as arrays over nodes: the published
+lists as (nodes x K) joints, padded with inf, and origins, padded with 0;
+the unsent lists alike, with a pending mask; and which nodes must rebuild
+the variable. Every build of a cycle reads the lists as they stood at its
+start, so `build_advertisement`, `should_advertise` and
+`integrate_advertisement` each handle one variable for every affected node
+at once. A set's combination is the table's combination id of its origin. A
+query's next hop is read from one vector per (target, evidence) key that
+scores every node's list at once: numpy subtracts elementwise in the
+evidence set's order, so each score is the float `_score` gives for that
+set. Beside the vector, the model keeps each node's neighbors sorted by it,
+the node's forwarding order for the key; an integration of the target drops
+both.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from array import array
-from collections import defaultdict
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -57,30 +57,20 @@ from .pgm import table_entropies
 NodeId = int
 
 
-# An entropy set, the row (joint, combination, entropies): `combination` is
-# the frozenset of the set's context variables, one object per distinct
-# combination, and `entropies` is `context_var_count` wide. The reduced
-# (joint-only) form holds no context. Rows are never mutated: an inflated
-# copy shares its source's combination and entropies, and one sent list is
-# shared by every receiver's routing model. A set is filed under its
-# predicting variable's key and only compared with sets of the same
-# variable, so it does not repeat the id.
-EntropySet = tuple[float, frozenset[int], tuple[float, ...]]
-
-@functools.cache
-def _no_entropies(width: int) -> tuple[float, ...]:
-    """The entropies of the reduced form, one shared row per width."""
-    return (0.0,) * width
+# A node's local entropy set of one trained variable, the row (joint,
+# contexts, entropies): `contexts` is the table's ascending context tuple
+# and `entropies` is `context_var_count` wide.
+EntropySet = tuple[float, tuple[int, ...], tuple[float, ...]]
 
 
-def _score(s: EntropySet, bound: Iterable[int]) -> float:
-    """Conditional entropy estimate of `s` for evidence on `bound`: its joint
-    minus the entropies of the bound variables in `bound`'s iteration order,
-    clamped at zero; bound variables the set does not hold subtract 0.0."""
-    value, _, entropies = s
+def _score(joint: float, entropies: Sequence[float], bound: Iterable[int]) -> float:
+    """Conditional entropy estimate of a set for evidence on `bound`: its
+    joint minus the entropies of the bound variables in `bound`'s iteration
+    order, clamped at zero; bound variables the set does not hold subtract
+    0.0."""
     for var in bound:
-        value -= entropies[var]
-    return max(value, 0.0)
+        joint -= entropies[var]
+    return max(joint, 0.0)
 
 
 @dataclass
@@ -90,99 +80,90 @@ class AdvertisementPolicy:
     hop_inflation: float = 0.001
 
 
-# what a node advertises: per predicting variable, up to K entropy sets
-Advertisement = dict[int, list[EntropySet]]
-
-_joint = itemgetter(0)
-
-
 class RoutingModel:
-    """What every node has told its neighbors, and what the trial derives
-    from it: per node, its published lists; per variable, the same lists
-    as columns, scored for all nodes at once; and per node, its forwarding
-    orders.
+    """What every node has told its neighbors, what it has still to tell,
+    and what the trial derives from it, over fixed neighbor lists.
 
-    `lists[node]` holds, per variable, the last list the node sent; its
-    neighbors read it when they build. The columns of a variable are two
-    (nodes x width) arrays, width the longest list so far: the sets' joints,
-    padded with inf, and their origins, indexes into the entropy table,
-    padded with 0, the reduced form's all-zero row. The table holds the
-    `entropies` rows given at construction, which must include every row of
-    every list integrated later: at set-up those of the local sets, which
-    every inflated copy and reduced form shares.
+    Per variable and node: the local set as its joint (inf when untrained),
+    origin and gate score, the evidence-free score of the quality gate,
+    computed once here in the iteration order of the frozenset of the
+    table's contexts filled from a dict; `changed`, whether the node must
+    rebuild the variable; the published lists (`joints`, `origins`, K slots
+    each, ascending joint first); and the unsent lists, valid where
+    `pending`. The entropy table holds origin 0, the reduced form's all-zero
+    row with no context, then one row per distinct `(contexts, entropies)`
+    of the local sets; `combos` maps each origin to its combination's id.
 
     Per (target, evidence variable set) key, the model keeps every node's
-    best score and each node's forwarding order. `integrate_advertisement`
-    alone drops them: when a list of a target changes by value, it drops
-    the target's scores and orders and logs the changed rows, which the
-    target's next score writes into its columns, one write per column."""
+    best score and each node's forwarding order, until an integration of
+    the target drops them."""
 
     def __init__(
-        self, node_count: int, width: int, rows: Iterable[tuple[float, ...]] = ()
+        self,
+        local_sets: Sequence[dict[int, EntropySet]],
+        neighbors: Sequence[Sequence[NodeId]],
+        variables: int,
+        k: int,
+        width: int,
     ):
-        self.lists: list[Advertisement] = [{} for _ in range(node_count)]
-        origins = {_no_entropies(width): 0}
-        for entropies in rows:
-            origins.setdefault(entropies, len(origins))
-        self._origins = origins
+        shape = (variables, len(local_sets))
+        self.local_joints = np.full(shape, math.inf)
+        self.local_origins = np.zeros(shape, dtype=np.int32)
+        self.gates = np.zeros(shape)
+        rows = {((), (0.0,) * width): 0}
+        for node, sets in enumerate(local_sets):
+            for var, (joint, contexts, entropies) in sets.items():
+                origin = rows.setdefault((contexts, entropies), len(rows))
+                self.local_joints[var, node] = joint
+                self.local_origins[var, node] = origin
+                bound = frozenset(dict.fromkeys(contexts))
+                self.gates[var, node] = _score(joint, entropies, bound)
+        self.changed = np.isfinite(self.local_joints)
         # per context variable, its entropy in every row of the table
-        self._entropies = np.array(list(origins), dtype=float).T.copy()
-        # per variable: (joints, origins)
-        self._columns: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        # per variable: the lists that changed since its columns' write, by node
-        self._stale: defaultdict[int, dict[NodeId, list]] = defaultdict(dict)
+        self._entropies = np.array([e for _, e in rows], dtype=float).T.copy()
+        combos: dict[tuple[int, ...], int] = {}
+        self.combos = np.array(
+            [combos.setdefault(c, len(combos)) for c, _ in rows], dtype=np.intp
+        )
+        self.degree = np.array([len(nbs) for nbs in neighbors], dtype=np.intp)
+        self._starts = np.cumsum(self.degree) - self.degree
+        self._neighbors = np.array(
+            [nb for nbs in neighbors for nb in nbs], dtype=np.intp
+        )
+        self.joints = np.full(shape + (k,), math.inf)
+        self.origins = np.zeros(shape + (k,), dtype=np.int32)
+        self.unsent_joints = self.joints.copy()
+        self.unsent_origins = self.origins.copy()
+        self.pending = np.zeros(shape, dtype=bool)
         # per target, per evidence variable set: every node's best score
         self._scores: dict[int, dict[frozenset[int], array]] = {}
         # per target, per evidence variable set, per node: its neighbors by
         # (best score, id)
         self._orders: dict[int, dict[frozenset[int], dict[NodeId, list]]] = {}
 
-    def _column(self, var: int) -> tuple[np.ndarray, np.ndarray]:
-        column = self._columns.get(var)
-        stale = self._stale.pop(var, {})
-        if column is not None and not stale:
-            return column
-        nodes, lists = list(stale), list(stale.values())
-        lengths = np.array(list(map(len, lists)), dtype=np.intp)
-        held = 0 if column is None else column[0].shape[1]
-        width = max(lengths.max(initial=1), held)
-        if width > held:
-            shape = (len(self.lists), width)
-            grown = (np.full(shape, math.inf), np.zeros(shape, dtype=np.int32))
-            if column is not None:
-                grown[0][:, :held] = column[0]
-                grown[1][:, :held] = column[1]
-            column = self._columns[var] = grown
-        node_ids = np.array(nodes, dtype=np.intp)
-        column[0][node_ids] = math.inf
-        column[1][node_ids] = 0
-        index = self._origins
-        joints = [joint for sets in lists for joint, _, _ in sets]
-        origins = [index[entropies] for sets in lists for _, _, entropies in sets]
-        # flat slot of each set: its node's row, then its rank in the list
-        starts = np.cumsum(lengths) - lengths
-        slots = np.arange(len(joints)) + np.repeat(
-            node_ids * column[0].shape[1] - starts, lengths
-        )
-        column[0].flat[slots] = joints
-        column[1].flat[slots] = origins
-        return column
+    def neighbors_of(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The neighbors of `nodes`, each node's ascending and the nodes in
+        order, and how many each node has."""
+        counts = self.degree[nodes]
+        flat = np.arange(counts.sum())
+        flat += np.repeat(self._starts[nodes] - (np.cumsum(counts) - counts), counts)
+        return self._neighbors[flat], counts
 
     def best_score(self, target: int, bound: frozenset[int]) -> array:
         """Per node, the lowest clamped score over its published sets for
         `target` under evidence on `bound`, inf when it published none: each
         set's joint minus its entropies of the bound variables, subtracted
         in `bound`'s iteration order, so every float is the one `_score`
-        gives. Kept until a list of `target` changes. Equal evidence sets
-        share one vector: queries fill theirs in ascending order, so equal
-        sets iterate alike."""
+        gives. Kept until a list of `target` is integrated. Equal evidence
+        sets share one vector: queries fill theirs in ascending order, so
+        equal sets iterate alike."""
         by_bound = self._scores.get(target)
         if by_bound is None:
             by_bound = self._scores[target] = {}
         scores = by_bound.get(bound)
         if scores is None:
-            joints, origins = self._column(target)
-            value = joints
+            origins = self.origins[target]
+            value = self.joints[target]
             for var in bound:
                 value = value - self._entropies[var][origins]
             best = np.maximum(value.min(axis=1), 0.0)
@@ -195,7 +176,7 @@ class RoutingModel:
         """`node`'s neighbors, given ascending, sorted by the conditional
         entropy their published lists promise for `target` under evidence
         on `bound`, ties to the lowest id: the sort is stable. Kept until a
-        list of `target` changes; a node's neighbors are fixed for the
+        list of `target` is integrated; a node's neighbors are fixed for the
         model's life."""
         by_bound = self._orders.get(target)
         if by_bound is None:
@@ -231,25 +212,14 @@ class Query:
 class NodeState:
     """Everything one node owns: its model, as the full entropy set of each
     trained predicting variable (`local_sets`, fixed at set-up), its
-    neighborhood, ascending, and the trial's shared routing model, whose
-    `lists[node_id]` are what this node's sends have told its neighbors, and
-    which keeps this node's forwarding orders.
-
-    `unsent` holds the lists built since the last send that differ by value
-    from the published ones: a send carries exactly those, which is all the
-    neighbors lack while the overlay is static and each of them received
-    every earlier send, and `adv_sets_sent` counts their sets once per
-    neighbor."""
+    neighborhood, ascending, and the trial's shared routing model, which
+    holds what this node has told its neighbors and keeps its forwarding
+    orders."""
 
     node_id: NodeId
     local_sets: dict[int, EntropySet]
     model: RoutingModel
     neighbors: list[NodeId] = field(default_factory=list)
-    # the lists built since the last send that differ from the published ones
-    unsent: Advertisement = field(default_factory=dict)
-    # variables to rebuild: at set-up the trained ones, then those whose
-    # lists changed at a neighbor since the last build
-    changed_vars: set[int] = field(default_factory=set)
 
     def local_answer(self, target: int, bound: frozenset[int]) -> Optional[float]:
         return answer_entropy(self.local_sets, target, bound)
@@ -263,22 +233,14 @@ def local_entropy_sets(
 ) -> list[EntropySet]:
     """The full entropy set of each entry's table, in order, from the
     batched `table_entropies` pass over the entries, cardinality and
-    pseudocount, with rows `context_var_count` wide. Entries over the same
-    contexts share one combination object, filled from a dict of the
-    ascending contexts: a frozenset's iteration order depends on how it was
-    filled once ids share a hash slot, and the quality gate subtracts in it."""
+    pseudocount, with rows `context_var_count` wide."""
     summaries = table_entropies(entries, context_cardinality, pseudocount)
-    combinations: dict[tuple[int, ...], frozenset[int]] = {}
     sets = []
     for entry, (joint, hs) in zip(entries, summaries):
-        combination = combinations.get(entry.contexts)
-        if combination is None:
-            combination = frozenset(dict.fromkeys(entry.contexts))
-            combinations[entry.contexts] = combination
         entropies = [0.0] * context_var_count
         for c, h in zip(entry.contexts, hs):
             entropies[c] = h
-        sets.append((joint, combination, tuple(entropies)))
+        sets.append((joint, entry.contexts, tuple(entropies)))
     return sets
 
 
@@ -292,91 +254,92 @@ def answer_entropy(
     entropy minus the marginal entropies of the bound contexts it holds,
     clamped at zero."""
     s = local_sets.get(target)
-    return None if s is None else _score(s, bound)
+    return None if s is None else _score(s[0], s[2], bound)
 
 
 def build_advertisement(
-    local_sets: dict[int, EntropySet],
-    neighbor_lists: Sequence[Advertisement],
-    policy: AdvertisementPolicy,
-    k: int,
-    variables: Iterable[int],
-) -> Advertisement:
-    """The lists this node would advertise for `variables`: per variable, the
-    K lowest-joint sets over distinct context combinations, drawn from its
-    local set and its neighbors' published lists, with learned sets inflated
-    by one hop and a low-quality local set reduced to joint-only form. Ties
-    in joint go to the combination offered first: the local set, then the
-    neighbors' lists in order."""
-    eps = policy.hop_inflation
-    adv = {}
-    for var in variables:
-        # per combination: the minimum-joint candidate
-        best: dict[frozenset, EntropySet] = {}
-        s = local_sets.get(var)
-        if s is not None:
-            joint, combination, entropies = s
-            if _score(s, combination) > policy.quality_threshold:
-                combination = frozenset()
-                s = (joint, combination, _no_entropies(len(entropies)))
-            best[combination] = s
-        for published in neighbor_lists:
-            for joint, combination, entropies in published.get(var, ()):
-                joint += eps
-                cur = best.get(combination)
-                if cur is None or joint < cur[0]:
-                    best[combination] = (joint, combination, entropies)
-        adv[var] = sorted(best.values(), key=_joint)[:k]
-    return adv
-
-
-def integrate_advertisement(
-    model: RoutingModel, node: NodeId, entries: Advertisement
-) -> set[int]:
-    """Replace `node`'s published lists per advertised variable; variables
-    absent from the advertisement are retained. Returns the variables whose
-    list changed by value; for each, logs the node's new list for the
-    variable's columns and drops the scores and forwarding orders of the
-    variable as a target, the only place the model drops them. Lists are
-    stored as they are: the engine integrates only what
-    `build_advertisement` made, at most K sets per variable over distinct
-    combinations in ascending joint order.
-
-    The engine integrates each send once and adds the returned set to the
-    variables every neighbor of the sender rebuilds."""
-    changed = set()
-    held = model.lists[node]
-    for var, sets in entries.items():
-        if sets != held.get(var):
-            changed.add(var)
-            model._stale[var][node] = sets
-            model._scores.pop(var, None)
-            model._orders.pop(var, None)
-        held[var] = sets
-    return changed
+    model: RoutingModel, var: int, nodes: np.ndarray, policy: AdvertisementPolicy
+) -> tuple[np.ndarray, np.ndarray]:
+    """The lists `nodes` (ascending) would advertise for `var`, as (nodes x
+    K) joints and origins: per node, the K lowest-joint sets over distinct
+    context combinations, drawn from its local set, reduced to joint-only
+    form when its gate score exceeds the quality threshold, and then from
+    its neighbors' published lists in ascending neighbor order, inflated by
+    one hop. Per combination the lowest joint wins, ties to the earlier
+    offer; winners are ordered by joint, ties to the combination offered
+    first."""
+    k = model.joints.shape[2]
+    senders, counts = model.neighbors_of(nodes)
+    local = np.where(
+        model.gates[var, nodes] > policy.quality_threshold,
+        0, model.local_origins[var, nodes],
+    )
+    # offers in order within each node: its local set, then the learned sets
+    joint = np.concatenate(
+        (model.local_joints[var, nodes],
+         (model.joints[var, senders] + policy.hop_inflation).ravel())
+    )
+    origin = np.concatenate((local, model.origins[var, senders].ravel()))
+    rank = np.arange(len(nodes))
+    owner = np.concatenate((rank, np.repeat(np.repeat(rank, counts), k)))
+    offer = np.flatnonzero(np.isfinite(joint))
+    joint, origin, owner = joint[offer], origin[offer], owner[offer]
+    # combination ids are below the number of origins
+    group = owner * len(model.combos) + model.combos[origin]
+    # per (node, combination): the lowest joint, ties to the earliest offer
+    order = np.lexsort((offer, joint, group))
+    first = np.flatnonzero(np.diff(group[order], prepend=-1))
+    win = order[first]
+    first_offer = np.minimum.reduceat(offer[order], first)
+    order = np.lexsort((first_offer, joint[win], owner[win]))
+    win, owner = win[order], owner[win][order]
+    slot = np.arange(len(win)) - np.searchsorted(owner, owner)
+    kept = slot < k
+    joints = np.full((len(nodes), k), math.inf)
+    origins = np.zeros((len(nodes), k), dtype=np.int32)
+    joints[owner[kept], slot[kept]] = joint[win[kept]]
+    origins[owner[kept], slot[kept]] = origin[win[kept]]
+    return joints, origins
 
 
 def should_advertise(
-    previous: Advertisement,
-    current: Advertisement,
+    model: RoutingModel,
+    var: int,
+    nodes: np.ndarray,
+    joints: np.ndarray,
+    origins: np.ndarray,
     policy: AdvertisementPolicy,
-) -> bool:
-    """True when a list in `current` differs from the one `previous` holds
-    for its variable (none before the first send): in its combinations, or
-    by more than the change threshold in a joint. The engine passes the
-    sender's published lists as `previous` and only the rebuilt lists that
-    differ from it by value as `current`."""
-    threshold = policy.change_threshold
-    for var, new in current.items():
-        old = previous.get(var, ())
-        if len(old) != len(new):
-            return True
-        joints = {combination: joint for joint, combination, _ in old}
-        for joint, combination, _ in new:
-            was = joints.get(combination)
-            if was is None or abs(joint - was) > threshold:
-                return True
-    return False
+) -> list[NodeId]:
+    """The nodes among `nodes` whose new list for `var` (rows of `joints`
+    and `origins`) differs from their published one: in its combinations,
+    or by more than the change threshold in a joint. The engine passes only
+    the rebuilt lists that differ from the published ones by value."""
+    held, was_held = np.isfinite(joints), np.isfinite(model.joints[var, nodes])
+    combos = model.combos[origins]
+    same = combos[:, :, None] == model.combos[model.origins[var, nodes]][:, None, :]
+    same &= was_held[:, None, :]
+    # a published list holds each combination once, so a sum picks its joint
+    was = np.where(same, model.joints[var, nodes][:, None, :], 0.0).sum(axis=2)
+    moved = ~same.any(axis=2) | (np.abs(joints - was) > policy.change_threshold)
+    send = (held.sum(axis=1) != was_held.sum(axis=1)) | (held & moved).any(axis=1)
+    return nodes[send].tolist()
+
+
+def integrate_advertisement(model: RoutingModel, var: int, nodes: np.ndarray) -> int:
+    """Send the unsent lists of `var` of `nodes`: they become the nodes'
+    published lists, their neighbors must rebuild `var`, and the scores and
+    forwarding orders of `var` as a target are dropped, the only place the
+    model drops them. Returns the sets delivered, each node's once per
+    neighbor."""
+    joints = model.unsent_joints[var, nodes]
+    model.joints[var, nodes] = joints
+    model.origins[var, nodes] = model.unsent_origins[var, nodes]
+    model.pending[var, nodes] = False
+    receivers, counts = model.neighbors_of(nodes)
+    model.changed[var, receivers] = True
+    model._scores.pop(var, None)
+    model._orders.pop(var, None)
+    return int(np.isfinite(joints).sum(axis=1) @ counts)
 
 
 def _arrive(state: NodeState, query: Query) -> bool:

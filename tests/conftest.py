@@ -189,21 +189,44 @@ ROW_WIDTH = 16
 
 
 def row(joint: float, hs: Optional[dict[int, float]] = None, width: int = ROW_WIDTH):
-    """A library entropy-set row with the marginal entropies `hs` (none: the
-    reduced form), its combination filled in ascending context order as the
-    library fills those of its local sets."""
+    """A library entropy-set row `(joint, contexts, entropies)` with the
+    marginal entropies `hs` (none: the reduced form)."""
     hs = hs or {}
     entropies = [0.0] * width
     for c, h in hs.items():
         entropies[c] = h
-    return joint, frozenset(dict.fromkeys(sorted(hs))), tuple(entropies)
+    return joint, tuple(sorted(hs)), tuple(entropies)
 
 
 def view(s: tuple) -> tuple[float, dict[int, float]]:
     """A library row as the `(joint, {context: entropy})` view the
     references read, its dict in ascending context order."""
-    joint, combination, entropies = s
-    return joint, {c: entropies[c] for c in sorted(combination)}
+    joint, contexts, entropies = s
+    return joint, {c: entropies[c] for c in sorted(contexts)}
+
+
+def published_rows(model, local_sets, unsent=False) -> list[dict[int, list]]:
+    """Per node, per variable it published, its list as library rows read
+    from the model's arrays (with `unsent`, its unsent lists instead);
+    `local_sets`, per node, are those the model was built from, which give
+    each origin its row."""
+    joints, origins = model.joints, model.origins
+    if unsent:
+        joints = np.where(model.pending[:, :, None], model.unsent_joints, math.inf)
+        origins = model.unsent_origins
+    width = model._entropies.shape[0]
+    rows = {0: ((), (0.0,) * width)}
+    for node, sets in enumerate(local_sets):
+        for var, (_, contexts, entropies) in sets.items():
+            rows[int(model.local_origins[var, node])] = (contexts, entropies)
+    out: list[dict[int, list]] = [{} for _ in range(joints.shape[1])]
+    for var, node in zip(*np.nonzero(np.isfinite(joints[:, :, 0]))):
+        out[node][int(var)] = [
+            (float(joint), *rows[int(origin)])
+            for joint, origin in zip(joints[var, node], origins[var, node])
+            if joint < math.inf
+        ]
+    return out
 
 
 def views(entries: dict) -> dict[int, list]:

@@ -47,6 +47,7 @@ from conftest import (
     bf_propagate,
     bf_summary,
     export_workload_csv,
+    published_rows,
     smoothed_tensor,
     view,
     views,
@@ -293,7 +294,7 @@ class TestOracle:
         counts = cell_counts(4, 2, [0] * 200, [2] * 200)
         entry = TrainedAssignment(1, 0, (0,), counts)
         trained = {0: local_entropy_sets([entry], 1, 2, 0.01)[0]}
-        model = RoutingModel(2, 1)
+        model = RoutingModel([{}, trained], [[], []], 1, 1, 1)
         nodes = [NodeState(0, {}, model), NodeState(1, trained, model)]
         q = Query(0, {0: 1}, 3, 0)
         best = oracle_best(q, nodes, pred_card=4)
@@ -301,7 +302,7 @@ class TestOracle:
         assert best == pytest.approx(want)
 
     def test_all_untrained_is_uniform(self):
-        model = RoutingModel(3, 1)
+        model = RoutingModel([{}] * 3, [[]] * 3, 1, 1, 1)
         nodes = [NodeState(i, {}, model) for i in range(3)]
         q = Query(0, {}, 3, 0)
         assert oracle_best(q, nodes, pred_card=8) == pytest.approx(3.0)
@@ -341,9 +342,10 @@ class TestTrialSetup:
             # every node reads its neighbors' lists from the one shared model
             assert state.model is trial.model
             # the first build covers the trained variables
-            assert state.unsent == {}
-            assert state.changed_vars == set(state.local_sets)
-        assert trial.model.lists == [{} for _ in range(config.node_count)]
+            changed = trial.model.changed[:, state.node_id]
+            assert set(np.flatnonzero(changed)) == set(state.local_sets)
+        assert not trial.model.pending.any()
+        assert published_rows(trial.model, []) == [{}] * config.node_count
 
     def test_trainers_are_the_nodes_that_trained_each_variable(self):
         trial = setup_trial(small_config())
@@ -581,29 +583,34 @@ class TestSharedModels:
         ref_sent: dict = {}
         ref_built: dict = {}
         ref_changed: dict = {}
-        lists = trial.model.lists
+        model = trial.model
+        local_sets = [state.local_sets for state in trial.nodes]
         for cycle in range(1, config.cycles + 1):
             sent = run_cycle(trial, cycle).adv_sets_sent
             delta_sets, snapshot_sets = bf_propagate(
                 ref, private, ref_sent, ref_built, ref_changed
             )
             assert sent == delta_sets <= snapshot_sets
+            published = [views(lists) for lists in published_rows(model, local_sets)]
             for state in trial.nodes:
                 for nb in state.neighbors:
-                    assert private[nb][state.node_id] == views(lists[state.node_id])
-            for a, b in zip(trial.nodes, ref.nodes):
+                    assert private[nb][state.node_id] == published[state.node_id]
+            for state in trial.nodes:
+                node = state.node_id
                 # the deltas integrated so far add up to the last full
                 # advertisement sent
-                last_sent = ref_sent.get(a.node_id, {})
-                assert views(lists[a.node_id]) == last_sent
+                last_sent = ref_sent.get(node, {})
+                assert published[node] == last_sent
                 # the unsent lists are the last full build's lists that
                 # differ from the last full advertisement sent
-                assert views(a.unsent) == {
-                    var: sets for var, sets in ref_built[a.node_id].items()
+                unsent = views(published_rows(model, local_sets, True)[node])
+                assert unsent == {
+                    var: sets for var, sets in ref_built[node].items()
                     if sets != last_sent.get(var)
                 }
-                assert well_formed(views(a.unsent), config.k_sets)
-                assert a.changed_vars == ref_changed[b.node_id]
+                assert well_formed(unsent, config.k_sets)
+                changed = set(np.flatnonzero(model.changed[:, node]))
+                assert changed == ref_changed[node]
 
 
 class TestUnsent:
@@ -611,7 +618,7 @@ class TestUnsent:
         """A two-node line: node 1 trains variables 0 and 1 over context 0,
         node 0 trains nothing. With one set per list, change threshold 0.1
         and no hop inflation, node 1's lists are its local sets, and node
-        0's echoes tie with them. Node 1 is retrained by replacing a local set:
+        0's echoes tie with them. Node 1 is retrained by replacing a local joint:
         a rebuilt list within the threshold of the published one stays
         unsent, the next send carries it, and a rebuild back to the
         published value discards it."""
@@ -635,54 +642,57 @@ class TestUnsent:
             change_threshold=0.1, quality_threshold=100.0, hop_inflation=0.0
         )
         config.resolved_policy = lambda: policy
-        node = trial.nodes[1]
-        assert node.neighbors == [0]
+        assert trial.nodes[1].neighbors == [0]
+        model = trial.model
+        local_sets = [state.local_sets for state in trial.nodes]
         cycles = itertools.count(1)
 
         def propagate():
             return run_cycle(trial, next(cycles)).adv_sets_sent
 
+        def joints(unsent=False):
+            # node 1's published (or unsent) joints, per variable
+            lists = published_rows(model, local_sets, unsent)[1]
+            return {var: [s[0] for s in sets] for var, sets in lists.items()}
+
         def retrain(var, diagonal):
-            # pseudocount 1 plus `diagonal` - 1 observations of outcome s
-            # under context state s, for s = 0 and 1
+            # the joint of pseudocount 1 plus `diagonal` - 1 observations of
+            # outcome s under context state s, for s = 0 and 1, as node 1's
+            # local joint of `var`
             counts = np.array([[diagonal - 1, 0], [0, diagonal - 1]])
             entry = TrainedAssignment(1, var, (0,), counts)
-            node.local_sets[var] = local_entropy_sets(
-                [entry], config.context_var_count, 2, 1.0
-            )[0]
-            node.changed_vars.add(var)
-            trial.oracle_cache.clear()
-            return node.local_sets[var]
+            joint = local_entropy_sets([entry], 1, 2, 1.0)[0][0]
+            model.local_joints[var, 1] = joint
+            model.changed[var, 1] = True
+            return joint
 
         # node 1 sends both lists, node 0 echoes them, node 1 keeps its own
         assert [propagate() for _ in range(3)] == [2, 2, 0]
-        published = trial.model.lists[1]
-        old = published[0][0]
+        (old,) = joints()[0]
         assert old == retrain(0, 9)
         assert propagate() == 0
         # a slightly sharper model of variable 0 waits
         s0 = retrain(0, 10)
-        assert 0 < old[0] - s0[0] < 0.1
+        assert 0 < old - s0 < 0.1
         assert propagate() == 0
-        assert node.unsent == {0: [s0]}
-        assert published[0] == [old]
+        assert joints(unsent=True) == {0: [s0]}
+        assert joints()[0] == [old]
         # a much sharper one of variable 1 is sent, and variable 0's list
         # goes with it: two lists of one set each, to one neighbor
         s1 = retrain(1, 20)
-        assert published[1][0][0] - s1[0] > 0.1
+        assert joints()[1][0] - s1 > 0.1
         assert propagate() == 2
-        assert node.unsent == {}
-        assert published == {0: [s0], 1: [s1]}
-        assert trial.model.lists[1] is published
+        assert joints(unsent=True) == {}
+        assert joints() == {0: [s0], 1: [s1]}
         assert [propagate() for _ in range(2)] == [2, 0]
         # a list within the threshold, then one equal to the published list
-        assert 0 < s0[0] - retrain(0, 11)[0] < 0.1
+        assert 0 < s0 - retrain(0, 11) < 0.1
         assert propagate() == 0
-        assert set(node.unsent) == {0}
+        assert set(joints(unsent=True)) == {0}
         assert retrain(0, 10) == s0
         assert propagate() == 0
-        assert node.unsent == {}
-        assert published == {0: [s0], 1: [s1]}
+        assert joints(unsent=True) == {}
+        assert joints() == {0: [s0], 1: [s1]}
 
 
 class TestRunTrial:

@@ -38,8 +38,8 @@ class Summary(NamedTuple):
 
 
 def summary(s: tuple) -> Summary:
-    joint, combination, entropies = s
-    return Summary(joint, {c: entropies[c] for c in sorted(combination)}, s)
+    joint, contexts, entropies = s
+    return Summary(joint, {c: entropies[c] for c in contexts}, s)
 
 
 def entropy_set(counts, pseudocount=0.0) -> Summary:
@@ -324,11 +324,8 @@ class TestInvariants:
             assert list(s.marginals) == list(marginals)
             assert s.marginals == pytest.approx(marginals, abs=1e-12)
             assert [row] == local_entropy_sets([entry], 6, card, pseudocount)
+            assert row[1] == entry.contexts
             # a context the table does not hold has entropy 0.0 in the row
             assert [row[2][c] for c in range(6) if c not in entry.contexts] == [
                 0.0
             ] * (6 - len(entry.contexts))
-        # entries over the same contexts share one combination object
-        shared: dict = {}
-        for entry, row in zip(entries, sets):
-            assert shared.setdefault(entry.contexts, row[1]) is row[1]

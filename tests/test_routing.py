@@ -37,34 +37,117 @@ from conftest import (
     bf_next_hop,
     bf_score,
     bf_should_advertise,
+    published_rows,
     row,
     view,
     views,
     well_formed,
 )
 
+# the variables tests publish and build; a network's extra rows lie beyond
+VARIABLES = 4
+
+
+class Net:
+    """A routing model over nodes with the given local sets and ascending
+    neighbor lists (none by default), whose entropy table also holds the
+    rows `extra`, as node 0's local sets of variables past `VARIABLES`.
+    Lists are rows `(joint, contexts, entropies)` of the table, and are
+    published by sending them through `integrate_advertisement`."""
+
+    def __init__(self, local_sets, neighbors=None, k=2, extra=(), width=ROW_WIDTH):
+        self.local_sets = [dict(sets) for sets in local_sets]
+        self.local_sets[0].update({VARIABLES + i: s for i, s in enumerate(extra)})
+        if neighbors is None:
+            neighbors = [[] for _ in local_sets]
+        self.model = RoutingModel(
+            self.local_sets, neighbors, VARIABLES + len(extra), k, width
+        )
+        self.row_of = {0: ((), (0.0,) * width)}
+        for node, sets in enumerate(self.local_sets):
+            for var, (_, contexts, entropies) in sets.items():
+                self.row_of[int(self.model.local_origins[var, node])] = (
+                    contexts, entropies
+                )
+        self.origin = {r: origin for origin, r in self.row_of.items()}
+
+    def arrays(self, sets):
+        """A list of rows as a (1 x K) array of joints and one of origins."""
+        k = self.model.joints.shape[2]
+        joints = np.full((1, k), math.inf)
+        origins = np.zeros((1, k), dtype=np.int32)
+        for slot, (joint, contexts, entropies) in enumerate(sets):
+            joints[0, slot] = joint
+            origins[0, slot] = self.origin[contexts, entropies]
+        return joints, origins
+
+    def rows(self, joints, origins):
+        """The rows of one node's arrays."""
+        return [
+            (float(joint), *self.row_of[int(origin)])
+            for joint, origin in zip(joints, origins)
+            if joint < math.inf
+        ]
+
+    def publish(self, node, lists):
+        """Send `lists`, per variable a list of rows, as `node`'s."""
+        model = self.model
+        for var, sets in lists.items():
+            joints, origins = self.arrays(sets)
+            model.unsent_joints[var, node], model.unsent_origins[var, node] = (
+                joints[0], origins[0]
+            )
+            model.pending[var, node] = True
+            integrate_advertisement(model, var, np.array([node]))
+
+    def lists(self, node):
+        """`node`'s published lists."""
+        return published_rows(self.model, self.local_sets)[node]
+
+    def build(self, node, variables, policy):
+        """The lists `node` would advertise for `variables`."""
+        built = {}
+        for var in sorted(variables):
+            joints, origins = build_advertisement(
+                self.model, var, np.array([node]), policy
+            )
+            built[var] = self.rows(joints[0], origins[0])
+        return built
+
 
 def full_build(local, neighbor_lists, policy, k):
-    """An advertisement built from nothing: every variable that the local
-    sets or the neighbors' lists hold."""
-    neighbor_lists = list(neighbor_lists)
-    every = set(local).union(*neighbor_lists)
-    return build_advertisement(local, neighbor_lists, policy, k, every)
+    """An advertisement built from nothing by a node with local sets
+    `local`, for every variable that they or the neighbors' lists hold.
+    A neighbor's lists longer than K are published by consecutive
+    neighbors, K sets each, so the offers keep their order."""
+    chunks = []
+    for lists in neighbor_lists:
+        longest = max(map(len, lists.values()), default=0)
+        for start in range(0, max(longest, 1), k):
+            chunks.append(
+                {var: sets[start : start + k] for var, sets in lists.items()}
+            )
+    extra = [s for lists in chunks for sets in lists.values() for s in sets]
+    m = len(chunks)
+    net = Net(
+        [local] + [{}] * m, [list(range(1, m + 1))] + [[0]] * m, k, extra
+    )
+    for nb, lists in enumerate(chunks, 1):
+        net.publish(nb, lists)
+    return net.build(0, set(local).union(*neighbor_lists), policy)
 
 
-def published_model(published, node_count=None):
-    """A shared routing model whose nodes published `published` (per node,
-    per variable, a list of rows), its entropy table holding those rows;
-    `node_count` defaults to one past the highest node."""
+def published_net(published, node_count=None, k=2):
+    """A network of unlinked nodes that published `published` (per node,
+    per variable, a list of rows); `node_count` defaults to one past the
+    highest node."""
     if node_count is None:
         node_count = max(published) + 1
-    rows = [
-        s[2] for lists in published.values() for sets in lists.values() for s in sets
-    ]
-    model = RoutingModel(node_count, ROW_WIDTH, rows)
+    extra = [s for lists in published.values() for sets in lists.values() for s in sets]
+    net = Net([{}] * node_count, k=k, extra=extra)
     for node, lists in published.items():
-        integrate_advertisement(model, node, lists)
-    return model
+        net.publish(node, lists)
+    return net
 
 
 ZERO_EPS = AdvertisementPolicy(hop_inflation=0.0)
@@ -77,7 +160,7 @@ def scores(s, bound):
     paths, a node's own answer and a routing model's best score, which
     must agree."""
     answer = answer_entropy({0: s}, 0, bound)
-    assert published_model({0: {0: [s]}}).best_score(0, bound)[0] == answer
+    assert published_net({0: {0: [s]}}).model.best_score(0, bound)[0] == answer
     return answer
 
 
@@ -105,13 +188,13 @@ class TestEntropySetScore:
 
     def test_inflation_accumulates(self):
         # re-advertised over two hops: the joint is inflated twice, and the
-        # copies share the source's combination and entropies
+        # copies keep the source's contexts and entropies
         policy = AdvertisementPolicy(hop_inflation=0.01)
         source = s = row(1.0, {1: 0.5})
         for _ in range(2):
             (s,) = full_build({}, [{0: [s]}], policy, k=1)[0]
         assert s[0] == pytest.approx(1.02)
-        assert s[1] is source[1] and s[2] is source[2]
+        assert s[1:] == source[1:]
 
 
 class TestBuildAdvertisement:
@@ -136,10 +219,7 @@ class TestBuildAdvertisement:
         neighbor = {0: [row(0.5, {1: 0.2})]}
         adv = full_build(local, [neighbor], ZERO_EPS, k=2)
         assert len(adv[0]) == 2
-        assert {s[1] for s in adv[0]} == {
-            frozenset({0}),
-            frozenset({1}),
-        }
+        assert {s[1] for s in adv[0]} == {(0,), (1,)}
 
     def test_k_truncation_keeps_lowest_joints(self):
         # one local and four neighbor-learned sets over distinct combinations
@@ -195,18 +275,24 @@ class TestBuildAdvertisement:
 
 class TestIntegrate:
     def test_replaces_and_retains(self):
-        model = published_model({0: {0: [row(5.0)], 1: [row(4.0)]}})
-        integrate_advertisement(model, 0, {0: [row(1.0)]})
-        assert model.lists == [{0: [row(1.0)], 1: [row(4.0)]}]
+        net = Net([{}, {}], [[1], [0]])
+        net.publish(0, {0: [row(5.0)], 1: [row(4.0)]})
+        net.model.changed[:] = False
+        net.publish(0, {0: [row(1.0)]})
+        assert net.lists(0) == {0: [row(1.0)], 1: [row(4.0)]}
+        # the neighbor must rebuild the variable sent, and only that one
+        assert np.flatnonzero(net.model.changed[:, 1]).tolist() == [0]
+        assert not net.model.pending.any()
 
     def test_best_score_reads_integrated_list(self):
-        model = published_model({0: {0: [row(5.0)]}, 1: {0: [row(2.0)]}})
+        net = published_net({0: {0: [row(5.0)]}, 1: {0: [row(2.0)]}})
+        model = net.model
         kept = model.best_score(0, frozenset())
         assert list(kept) == [5.0, 2.0]
-        # the vector is kept until a list of its target changes by value
-        integrate_advertisement(model, 1, {0: [row(2.0)], 1: [row(3.0)]})
+        # the vector is kept until a list of its target is integrated
+        net.publish(1, {1: [row(3.0)]})
         assert model.best_score(0, frozenset()) is kept
-        integrate_advertisement(model, 0, {0: [row(1.0)]})
+        net.publish(0, {0: [row(1.0)]})
         assert list(model.best_score(0, frozenset())) == [1.0, 2.0]
 
 
@@ -250,7 +336,7 @@ class TestBestScore:
         # {1, 8} iterates 8 first, and (1.0 - 0.2) - 0.1 != (1.0 - 0.1) - 0.2
         bound = evidence([1, 8])
         assert list(bound) == [8, 1]
-        model = published_model({0: {0: [row(1.0, {1: 0.1, 8: 0.2})]}})
+        model = published_net({0: {0: [row(1.0, {1: 0.1, 8: 0.2})]}}).model
         assert model.best_score(0, bound)[0] == (1.0 - 0.2) - 0.1 != 0.7
 
     @given(st.data())
@@ -265,16 +351,14 @@ class TestBestScore:
         bound = evidence(sorted(keys, reverse=data.draw(st.booleans())))
         sets = st.lists(scored_rows(keys), max_size=12)
         lists = data.draw(st.dictionaries(st.integers(0, 2), sets))
-        model = published_model({0: lists})
-        for target in range(4):
+        model = published_net({0: lists}, k=12).model
+        for target in range(VARIABLES):
             want = bf_best_score(views(lists), target, bound)
             assert model.best_score(target, bound)[0] == want
         # one set at a time, so that no lower score hides a wrong one; a
         # node's answer and the quality gate score a set as a model does
         for s in itertools.chain.from_iterable(lists.values()):
-            alone = published_model({0: {0: [s]}})
-            assert alone.best_score(0, bound)[0] == bf_score(view(s), bound)
-            assert answer_entropy({0: s}, 0, bound) == bf_score(view(s), bound)
+            assert scores(s, bound) == bf_score(view(s), bound)
             assert_gate_score(s, bf_gate_score(view(s)))
 
     @given(st.data())
@@ -290,7 +374,8 @@ class TestBestScore:
         keys = data.draw(st.lists(st.integers(0, 15), max_size=6, unique=True))
         rows = data.draw(st.lists(scored_rows(keys), min_size=1, max_size=8))
         node_count = data.draw(st.integers(1, 12))
-        model = RoutingModel(node_count, ROW_WIDTH, [s[2] for s in rows])
+        net = Net([{}] * node_count, k=5, extra=rows)
+        model = net.model
         picks = st.tuples(
             bits(0.0, 3.0, (0.9, 1.0, 2.0, 3.0)), st.sampled_from(rows + [row(0.0)])
         )
@@ -300,19 +385,18 @@ class TestBestScore:
                 node = data.draw(st.integers(0, node_count - 1))
                 var = data.draw(st.integers(0, 2))
                 sets = data.draw(st.lists(picks, max_size=5))
-                integrate_advertisement(
-                    model, node, {var: [(joint, s[1], s[2]) for joint, s in sets]}
-                )
+                net.publish(node, {var: [(joint, *s[1:]) for joint, s in sets]})
+            published = [views(net.lists(node)) for node in range(node_count)]
             for _ in range(2):
                 subset = data.draw(
                     st.just(keys) | st.lists(st.sampled_from(keys or [0]), unique=True)
                 )
                 bound = evidence(sorted(subset, reverse=data.draw(st.booleans())))
                 bound = orders.setdefault(bound, bound)
-                for target in range(4):
+                for target in range(VARIABLES):
                     scores = model.best_score(target, bound)
-                    for node, lists in enumerate(model.lists):
-                        assert scores[node] == bf_best_score(views(lists), target, bound)
+                    for node, lists in enumerate(published):
+                        assert scores[node] == bf_best_score(lists, target, bound)
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
@@ -337,6 +421,7 @@ class TestBestScore:
         )
         trial = setup_trial(config)
         model = trial.model
+        local_sets = [state.local_sets for state in trial.nodes]
         # a trained combination, as queries bind, with or without other ids
         combos = [c for cs in trial.trained_combos.values() for c in cs]
         keys = st.tuples(
@@ -344,28 +429,34 @@ class TestBestScore:
         ).map(lambda t: set(t[0]).union(t[1]))
 
         def check():
+            published = [views(lists) for lists in published_rows(model, local_sets)]
             for _ in range(3):
                 bound = evidence(sorted(data.draw(keys)))
-                for target in range(config.predicting_var_count + 1):
+                for target in range(config.predicting_var_count):
                     scores = model.best_score(target, bound)
                     assert len(scores) == config.node_count
-                    for node, lists in enumerate(model.lists):
-                        assert scores[node] == bf_best_score(views(lists), target, bound)
+                    for node, lists in enumerate(published):
+                        assert scores[node] == bf_best_score(lists, target, bound)
 
         for cycle in range(1, data.draw(st.integers(1, 3)) + 1):
             run_cycle(trial, cycle)
             check()
-        # lists of local rows at other joints, reduced ones (None) among them
-        local = [s for state in trial.nodes for s in state.local_sets.values()]
+        # lists of local sets at other joints, reduced ones (None) among them
+        local = [(node, var) for node, sets in enumerate(local_sets) for var in sets]
         picks = st.tuples(st.floats(0.0, 8.0), st.sampled_from(local + [None]))
         for _ in range(data.draw(st.integers(1, 6))):
             node = data.draw(st.integers(0, config.node_count - 1))
             var = data.draw(st.integers(0, config.predicting_var_count - 1))
-            sets = [
-                row(joint) if s is None else (joint, s[1], s[2])
-                for joint, s in data.draw(st.lists(picks, max_size=config.k_sets))
-            ]
-            integrate_advertisement(model, node, {var: sets})
+            sets = data.draw(st.lists(picks, max_size=config.k_sets))
+            model.unsent_joints[var, node] = math.inf
+            model.unsent_origins[var, node] = 0
+            for slot, (joint, source) in enumerate(sets):
+                model.unsent_joints[var, node, slot] = joint
+                if source is not None:
+                    model.unsent_origins[var, node, slot] = model.local_origins[
+                        source[1], source[0]
+                    ]
+            integrate_advertisement(model, var, np.array([node]))
         check()
 
 
@@ -373,7 +464,8 @@ def gate_keeps(s, threshold) -> bool:
     """Whether the quality gate advertises local set `s` whole at
     `threshold`, that is whether its evidence-free score is at most that."""
     policy = AdvertisementPolicy(quality_threshold=threshold)
-    return build_advertisement({0: s}, [], policy, 1, [0])[0] == [s]
+    net = Net([{0: s}], k=1, width=len(s[2]))
+    return net.build(0, [0], policy)[0] == [s]
 
 
 def assert_gate_score(s, want):
@@ -391,20 +483,31 @@ class TestShouldAdvertise:
     def first(self):
         return {0: [row(1.0)]}
 
+    def senders(self, previous, current):
+        """The nodes `should_advertise` sends for, over each variable of
+        `current` in turn, when node 0 published `previous`."""
+        net = published_net({0: previous})
+        return [
+            should_advertise(
+                net.model, var, np.array([0]), *net.arrays(sets), self.policy
+            )
+            for var, sets in current.items()
+        ]
+
     def test_first_time(self):
-        assert should_advertise({}, self.first(), self.policy)
+        assert self.senders({}, self.first()) == [[0]]
 
     def test_new_key(self):
         other = {1: [row(1.0)]}
-        assert should_advertise(self.first(), other, self.policy)
+        assert self.senders(self.first(), other) == [[0]]
 
     def test_small_change_suppressed(self):
         other = {0: [row(1.05)]}
-        assert not should_advertise(self.first(), other, self.policy)
+        assert self.senders(self.first(), other) == [[]]
 
     def test_large_change_sent(self):
         other = {0: [row(1.5)]}
-        assert should_advertise(self.first(), other, self.policy)
+        assert self.senders(self.first(), other) == [[0]]
 
 
 def model_entries(var, max_size=2, min_size=0):
@@ -430,18 +533,26 @@ def model_entries(var, max_size=2, min_size=0):
     )
 
 
+# every row `model_entries` draws, as its (contexts, entropies) goes
+ENTRY_ROWS = [
+    row(1.0, {c: h for c in combo})
+    for combo in ((), (0,), (1,), (0, 1))
+    for h in (0.5, 1.0)
+]
+
+
 class TestIncrementalBuild:
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_matches_full_rebuild(self, data):
-        """Random integrations into one node's neighbors' lists, each round
-        followed by an incremental build of the changed variables, staged as
+        """Random sends by one node's neighbors, each round followed by an
+        incremental build of the variables the node must rebuild, staged as
         the engine stages them: merged into the earlier lists, they equal
         the from-scratch reference, winner order included, and are well
-        formed; integration reports exactly the variables whose lists
-        changed by value; the send decision over the rebuilt lists that
-        differ from those sent agrees with the full comparison, and a send
-        of the unsent lists makes the node's published lists the full
+        formed; a send makes its receivers rebuild exactly the variables
+        sent; the send decision over the rebuilt lists that differ from
+        those sent agrees with the full comparison, and a send of the
+        unsent lists makes the node's published lists the full
         advertisement."""
         k = data.draw(st.integers(1, 3), label="k")
         policy = AdvertisementPolicy(
@@ -458,33 +569,34 @@ class TestIncrementalBuild:
             st.lists(st.integers(1, 9), min_size=1, max_size=4, unique=True)
         )
         # node 0 builds; its published lists are what it sent
-        model = RoutingModel(10, ROW_WIDTH)
-        neighbor_lists = [model.lists[nb] for nb in neighbors]
-        sent, built, unsent = model.lists[0], {}, {}
+        links = [sorted(neighbors)] + [[0] if n in neighbors else [] for n in range(1, 10)]
+        net = Net([local] + [{}] * 9, links, k, ENTRY_ROWS)
+        model = net.model
+        local_views = {var: view(s) for var, s in local.items()}
+        sent, built, unsent = {}, {}, {}
         # the first build covers the trained variables
-        changed = set(local)
+        assert set(np.flatnonzero(model.changed[:VARIABLES, 0])) == set(local)
         for _ in range(data.draw(st.integers(1, 8), label="rounds")):
             for _ in range(data.draw(st.integers(0, 3))):
                 sender = data.draw(st.sampled_from(neighbors))
-                held = model.lists[sender]
+                held = net.lists(sender)
                 adv = {}
                 for var in data.draw(st.sets(st.integers(0, 3))):
                     if var in held and data.draw(st.booleans()):
-                        adv[var] = held[var]  # re-sent: the same list object
+                        adv[var] = held[var]  # re-sent by value
                     else:
                         adv[var] = data.draw(model_entries(var, k, 1))
-                before = dict(held)
-                got = integrate_advertisement(model, sender, adv)
-                assert got == {
-                    var for var, sets in adv.items() if before.get(var) != sets
-                }
-                changed |= got
-            rebuilt = build_advertisement(local, neighbor_lists, policy, k, changed)
-            assert set(rebuilt) == changed
+                before = set(np.flatnonzero(model.changed[:VARIABLES, 0]))
+                net.publish(sender, adv)
+                after = set(np.flatnonzero(model.changed[:VARIABLES, 0]))
+                assert after == before | set(adv)
+            changed = np.flatnonzero(model.changed[:VARIABLES, 0]).tolist()
+            model.changed[:, 0] = False
+            rebuilt = net.build(0, changed, policy)
             built.update(rebuilt)
             assert views(built) == bf_build_advertisement(
-                {var: view(s) for var, s in local.items()},
-                [views(lists) for lists in neighbor_lists],
+                local_views,
+                [views(net.lists(nb)) for nb in sorted(neighbors)],
                 policy,
                 k,
             )
@@ -497,13 +609,16 @@ class TestIncrementalBuild:
             assert unsent == {
                 var: sets for var, sets in built.items() if sets != sent.get(var)
             }
-            send = should_advertise(sent, rebuilt, policy)
+            send = any(
+                should_advertise(model, var, np.array([0]), *net.arrays(sets), policy)
+                for var, sets in rebuilt.items()
+            )
             assert send == bf_should_advertise(views(sent), views(built), policy)
             if send:
-                assert integrate_advertisement(model, 0, unsent) == set(unsent)
-                assert sent == built
+                net.publish(0, unsent)
+                sent.update(unsent)
+                assert net.lists(0) == sent == built
                 unsent = {}
-            changed = set()
 
 
 def trained_node(node_id, neighbors=(), target_state=0, observations=60, model=None):
@@ -521,13 +636,13 @@ def blank_node(node_id, neighbors=(), model=None):
     """Node without local sets, its neighbors ascending, on `model` or on a
     model of its own that no node published to."""
     if model is None:
-        model = RoutingModel(max([node_id, *neighbors]) + 1, ROW_WIDTH)
+        model = Net([{}] * (max([node_id, *neighbors]) + 1)).model
     return NodeState(node_id, {}, model, sorted(neighbors))
 
 
-def reference_hop(node, query):
+def reference_hop(net, node, query):
     """`bf_next_hop` over the lists `node`'s neighbors published."""
-    published = {nb: views(node.model.lists[nb]) for nb in node.neighbors}
+    published = {nb: views(net.lists(nb)) for nb in node.neighbors}
     return bf_next_hop(node.neighbors, published, query)
 
 
@@ -547,31 +662,32 @@ class TestProcessQuery:
         assert q.quality == 0.0
 
     def test_forwards_to_lowest_scoring_neighbor(self):
-        model = published_model({1: {0: [row(3.0)]}, 2: {0: [row(1.0)]}})
-        node = blank_node(0, neighbors=[1, 2], model=model)
+        net = published_net({1: {0: [row(3.0)]}, 2: {0: [row(1.0)]}})
+        node = blank_node(0, neighbors=[1, 2], model=net.model)
         q = Query(0, {}, hops_remaining=2, issuer=0)
         assert process_query(node, q) == 2
 
     def test_tie_breaks_to_lowest_node_id(self):
-        model = published_model({nb: {0: [row(1.0)]} for nb in (5, 3)})
-        node = blank_node(0, neighbors=[5, 3], model=model)
+        net = published_net({nb: {0: [row(1.0)]} for nb in (5, 3)})
+        node = blank_node(0, neighbors=[5, 3], model=net.model)
         assert process_query(node, Query(0, {}, 2, 0)) == 3
 
     def test_visited_neighbors_avoided(self):
-        model = published_model({0: {0: [row(0.1)]}, 2: {0: [row(9.0)]}})
-        node = blank_node(1, neighbors=[0, 2], model=model)
+        net = published_net({0: {0: [row(0.1)]}, 2: {0: [row(9.0)]}})
+        node = blank_node(1, neighbors=[0, 2], model=net.model)
         q = Query(0, {}, hops_remaining=3, issuer=0, visited=[0])
         assert process_query(node, q) == 2
         assert q.hops_remaining == 2  # the forward spends one hop
 
     def test_all_visited_falls_back_to_any_neighbor(self):
-        node = blank_node(1, neighbors=[0], model=published_model({0: {0: [row(0.1)]}}))
+        net = published_net({0: {0: [row(0.1)]}}, node_count=2)
+        node = blank_node(1, neighbors=[0], model=net.model)
         q = Query(0, {}, hops_remaining=3, issuer=0, visited=[0, 1])
         assert process_query(node, q) == 0
 
     def test_hop_accounting_along_a_line(self):
         # what nodes 0 and 2 published, as node 1 reads it
-        model = published_model({0: {0: [row(5.0)]}, 2: {0: [row(0.01)]}})
+        model = published_net({0: {0: [row(5.0)]}, 2: {0: [row(0.01)]}}).model
         a = trained_node(0, neighbors=[1], target_state=0, model=model)
         b = trained_node(
             1, neighbors=[0, 2], target_state=1, observations=5, model=model
@@ -585,23 +701,18 @@ class TestProcessQuery:
         assert q.hops_remaining == 0
 
     def test_order_recomputed_after_models_change(self):
-        model = published_model({
+        net = published_net({
             1: {0: [row(1.0)], 1: [row(1.0)]},
             2: {0: [row(3.0)], 1: [row(3.0)]},
         })
+        model = net.model
         node = blank_node(0, neighbors=[1, 2], model=model)
         assert process_query(node, Query(0, {}, 2, 0)) == 1
         assert process_query(node, Query(1, {}, 2, 0)) == 1
         orders = [model.forwarding_order(0, [1, 2], t, frozenset()) for t in (0, 1)]
-        # an equal list changes nothing: no rebuild, no order dropped
-        assert integrate_advertisement(model, 2, {0: [row(3.0)]}) == set()
-        assert model.forwarding_order(0, [1, 2], 0, frozenset()) is orders[0]
-        changed = integrate_advertisement(
-            model, 2, {0: [row(0.5)], 1: [row(3.0)]}
-        )
-        assert changed == {0}
+        net.publish(2, {0: [row(0.5)]})
         assert process_query(node, Query(0, {}, 2, 0)) == 2
-        # the order for the unchanged target survives, as the same object
+        # the order for the target not sent survives, as the same object
         assert model.forwarding_order(0, [1, 2], 1, frozenset()) is orders[1]
 
     @given(st.data())
@@ -614,8 +725,8 @@ class TestProcessQuery:
         for nb in neighbors:
             entries = {var: data.draw(model_entries(var)) for var in (0, 1)}
             published[nb] = {var: sets for var, sets in entries.items() if sets}
-        model = published_model(published, node_count=100)
-        node = blank_node(99, neighbors=neighbors, model=model)
+        net = published_net(published, node_count=100)
+        node = blank_node(99, neighbors=neighbors, model=net.model)
         # repeated queries on one node reuse its cached forwarding orders
         for _ in range(data.draw(st.integers(1, 6))):
             target = data.draw(st.sampled_from((0, 1)))
@@ -625,7 +736,7 @@ class TestProcessQuery:
             else:
                 visited = data.draw(st.lists(st.sampled_from(neighbors), unique=True))
             query = Query(target, {c: 0 for c in bound}, 1, 99, visited=visited)
-            assert process_query(node, query) == reference_hop(node, query)
+            assert process_query(node, query) == reference_hop(net, node, query)
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
@@ -633,18 +744,18 @@ class TestProcessQuery:
         """Integrations interleaved with queries at random nodes of a model of
         up to 12 nodes: every next hop is the reference's over the lists as
         they stand. Integrations land at neighbors and non-neighbors of the
-        queried nodes, repeat a list by value, or grow a list past every
-        earlier length, and target 2 is never published. Each round ends
-        with a list change, at a neighbor of a queried node, of a target
-        whose order that query cached, and the query is asked again."""
+        queried nodes, repeat a list by value or send 0 to K sets, and
+        target 2 is never published. Each round ends with a list change, at
+        a neighbor of a queried node, of a target whose order that query
+        cached, and the query is asked again."""
         node_count = data.draw(st.integers(2, 12))
         rows = data.draw(st.lists(scored_rows([0, 1, 2]), min_size=1, max_size=6))
-        model = RoutingModel(node_count, ROW_WIDTH, [s[2] for s in rows])
+        net = Net([{}] * node_count, k=3, extra=rows)
         nodes = [
             blank_node(i, data.draw(st.lists(
                 st.integers(0, node_count - 1).filter(lambda n, i=i: n != i),
                 min_size=1, unique=True,
-            )), model)
+            )), net.model)
             for i in range(node_count)
         ]
         picks = st.tuples(
@@ -652,27 +763,24 @@ class TestProcessQuery:
         )
 
         def sets(size):
-            return [(joint, s[1], s[2]) for joint, s in data.draw(
+            return [(joint, *s[1:]) for joint, s in data.draw(
                 st.lists(picks, min_size=size, max_size=size)
             )]
 
         def ask(node, target, bound):
             visited = data.draw(st.lists(st.sampled_from(node.neighbors), unique=True))
             query = Query(target, {c: 0 for c in bound}, 1, node.node_id, visited=visited)
-            assert process_query(node, query) == reference_hop(node, query)
+            assert process_query(node, query) == reference_hop(net, node, query)
 
         for _ in range(data.draw(st.integers(1, 4))):
             for _ in range(data.draw(st.integers(0, 4))):
                 node = data.draw(st.integers(0, node_count - 1))
                 var = data.draw(st.integers(0, 1))
-                held = model.lists[node].get(var)
-                kind = data.draw(st.sampled_from(("random", "equal", "longer")))
-                if kind == "equal" and held is not None:
-                    assert integrate_advertisement(model, node, {var: list(held)}) == set()
-                    continue
-                longest = max((len(ls.get(var, ())) for ls in model.lists), default=0)
-                size = longest + 1 if kind == "longer" else data.draw(st.integers(0, 3))
-                integrate_advertisement(model, node, {var: sets(size)})
+                held = net.lists(node).get(var)
+                if held is not None and data.draw(st.booleans()):
+                    net.publish(node, {var: held})
+                else:
+                    net.publish(node, {var: sets(data.draw(st.integers(0, 3)))})
             asked = []
             for _ in range(data.draw(st.integers(1, 4))):
                 node = data.draw(st.sampled_from(nodes))
@@ -685,10 +793,10 @@ class TestProcessQuery:
                 node, target, bound = data.draw(st.sampled_from(asked))
                 nb = data.draw(st.sampled_from(node.neighbors))
                 # a set below every held joint, so the list differs by value
-                joints = [s[0] for s in model.lists[nb].get(target, ())]
-                _, combination, entropies = sets(1)[0]
-                lower = [(min(joints, default=1.0) - 1.0, combination, entropies)]
-                assert integrate_advertisement(model, nb, {target: lower}) == {target}
+                joints = [s[0] for s in net.lists(nb).get(target, ())]
+                _, contexts, entropies = sets(1)[0]
+                lower = [(min(joints, default=1.0) - 1.0, contexts, entropies)]
+                net.publish(nb, {target: lower})
                 ask(node, target, bound)
 
 
@@ -731,8 +839,8 @@ class TestLocalSets:
         ]
         sets = train_pgms(workload, config)[0]
         assert list(sets) == [2, 0]
-        assert sets[0][1] == frozenset({0})
-        assert sets[2][1] == frozenset({1})
+        assert sets[0][1] == (0,)
+        assert sets[2][1] == (1,)
 
     def test_answer_entropy_untrained_is_none(self):
         assert local_entropy_sets([], ROW_WIDTH, 2, 1.0) == []
@@ -805,43 +913,34 @@ class TestLocalSets:
         assert_gate_score(s, bf_gate_score(view(s)))
 
 
-def advertise_until_stable(nodes, policy, k, max_rounds=60):
-    """Drive the gossip loop by hand, with full builds and comparisons,
-    until no node wants to send."""
+def advertise_until_stable(net, policy, max_rounds=60):
+    """Drive the gossip loop by hand, node by node, with full builds of
+    variable 0 and full comparisons, until no node wants to send."""
     last_sent = {}
+    nodes = range(net.model.joints.shape[1])
     for _ in range(max_rounds):
         sent = 0
-        for node in nodes.values():
-            lists = node.model.lists
-            adv = full_build(
-                node.local_sets, [lists[nb] for nb in node.neighbors], policy, k
-            )
-            previous = views(last_sent.get(node.node_id, {}))
+        for node in nodes:
+            adv = net.build(node, [0], policy)
+            previous = views(last_sent.get(node, {}))
             if bf_should_advertise(previous, views(adv), policy):
-                last_sent[node.node_id] = adv
+                last_sent[node] = adv
                 sent += 1
-                integrate_advertisement(node.model, node.node_id, adv)
+                net.publish(node, adv)
         if sent == 0:
             return
     raise AssertionError("advertisement loop did not converge")
 
 
-def build_network(n_nodes, edges, joints):
-    """Nodes with synthetic local sets: node i advertises predicting variable 0
-    at the given joint entropy (None for untrained), on one shared model."""
-    model = RoutingModel(n_nodes, ROW_WIDTH)
-    nodes = {}
-    for i in range(n_nodes):
-        node = blank_node(i, model=model)
-        if joints[i] is not None:
-            node.local_sets = {0: row(joints[i], {0: 0.1})}
-        nodes[i] = node
+def build_network(n_nodes, edges, joints, k=2):
+    """A network whose node i holds predicting variable 0 at the given joint
+    entropy (None for untrained)."""
+    neighbors = [[] for _ in range(n_nodes)]
     for a, b in edges:
-        nodes[a].neighbors.append(b)
-        nodes[b].neighbors.append(a)
-    for node in nodes.values():
-        node.neighbors.sort()
-    return nodes
+        neighbors[a].append(b)
+        neighbors[b].append(a)
+    local = [{} if j is None else {0: row(j, {0: 0.1})} for j in joints]
+    return Net(local, [sorted(nbs) for nbs in neighbors], k)
 
 
 class TestPropagation:
@@ -861,8 +960,8 @@ class TestPropagation:
         policy = AdvertisementPolicy(
             change_threshold=0.0, hop_inflation=eps, quality_threshold=100.0
         )
-        nodes = build_network(n, edges, joints)
-        advertise_until_stable(nodes, policy, k=2)
+        net = build_network(n, edges, joints)
+        advertise_until_stable(net, policy)
 
         # brute-force expectation: advertisements echo back to their source,
         # so the value held for neighbor b is min over all nodes u of
@@ -888,9 +987,9 @@ class TestPropagation:
             return best
 
         for i in range(n):
-            for nb in nodes[i].neighbors:
+            for nb in adj[i]:
                 got = min(
-                    (s[0] for s in nodes[i].model.lists[nb].get(0, [])),
+                    (s[0] for s in net.lists(nb).get(0, [])),
                     default=math.inf,
                 )
                 assert got == pytest.approx(best_through(nb), abs=1e-9)
@@ -911,11 +1010,11 @@ class TestPropagation:
         policy = AdvertisementPolicy(
             change_threshold=0.0, hop_inflation=0.05, quality_threshold=100.0
         )
-        nodes = build_network(n, list(edges), joints)
-        advertise_until_stable(nodes, policy, k=2, max_rounds=200)
+        net = build_network(n, list(edges), joints)
+        advertise_until_stable(net, policy, max_rounds=200)
         # inflation guarantees no advertised value ever dips below the best
         # genuine local value, no matter how many times a loop re-offers it
         floor = min(joints)
-        for lists in nodes[0].model.lists:
-            for s in lists.get(0, []):
+        for node in range(n):
+            for s in net.lists(node).get(0, []):
                 assert s[0] >= floor - 1e-9
