@@ -3,9 +3,12 @@
 A trial: generate a synthetic Gaussian workload (or ingest one from CSV),
 train one model per node, grow the similarity-clustered overlay, then run
 cycles in which every node first propagates its knowledge and then issues one
-query. Each query's achieved quality is compared against an exhaustive-search
-oracle (the minimum answering entropy over all nodes); accuracy is the hit
-rate within a small tolerance.
+query. Propagation works on the shared routing model's per-variable arrays:
+one pass per variable that some node must rebuild builds, compares and
+stages that variable's lists for all those nodes at once, and the sends are
+integrated per variable after the last pass. Each query's achieved quality
+is compared against an exhaustive-search oracle (the minimum answering
+entropy over all nodes); accuracy is the hit rate within a small tolerance.
 """
 
 from __future__ import annotations
@@ -452,7 +455,7 @@ def setup_trial(config: SimConfig, workload: Optional[Workload] = None) -> Trial
             config.edge_limit,
             seed=int(s_topology.generate_state(1)[0]),
         )
-    neighbors = [sorted(overlay.neighbors(node_id)) for node_id in range(len(local_sets))]
+    neighbors = [sorted(overlay.neighbors(n)) for n in range(config.node_count)]
     model = RoutingModel(
         local_sets, neighbors, config.predicting_var_count, config.k_sets,
         config.context_var_count,

@@ -6,9 +6,11 @@ against: the config's pseudocount plus the workload's binned cell counts
 (`cell_counts`). Only the table's summary is kept, computed once at set-up
 from the counts (`table_entropies`, through `routing.local_entropy_sets`):
 its joint entropy and the marginal entropy of each of its contexts, held as
-an entropy-set row with one entropy slot per context variable of the config
-and 0.0 in the slots of contexts the table does not hold, since subtracting
-0.0 changes no float.
+the local entropy set `(joint, contexts, entropies)`, with one entropy slot
+per context variable of the config and 0.0 in the slots of contexts the
+table does not hold, since subtracting 0.0 changes no float. The routing
+model keeps each distinct `(contexts, entropies)` once, as a row of its
+entropy table, and an advertised set names its row by index.
 Variables are plain ints indexed per kind: predicting variables 0..P-1 and
 context variables 0..C-1; which kind an id is follows from where it is
 held. The counts and cardinalities of both kinds are `engine.SimConfig`'s.

@@ -451,7 +451,8 @@ def bf_run_trial(config, workload=None) -> list[tuple[int, list[dict]]]:
             target = targets[query_rng.integers(len(targets))]
             options = sorted(combos[target])
             combo = options[query_rng.integers(len(options))]
-            ctx = {c: int(query_rng.integers(config.context_cardinality)) for c in combo}
+            card = config.context_cardinality
+            ctx = {c: int(query_rng.integers(card)) for c in combo}
             bound = frozenset(ctx)
             query = SimpleNamespace(target=target, ctx=ctx, visited=[])
             quality, answered_by, left, node = math.inf, None, hops, issuer

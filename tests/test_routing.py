@@ -569,7 +569,8 @@ class TestIncrementalBuild:
             st.lists(st.integers(1, 9), min_size=1, max_size=4, unique=True)
         )
         # node 0 builds; its published lists are what it sent
-        links = [sorted(neighbors)] + [[0] if n in neighbors else [] for n in range(1, 10)]
+        links = [sorted(neighbors)]
+        links += [[0] if n in neighbors else [] for n in range(1, 10)]
         net = Net([local] + [{}] * 9, links, k, ENTRY_ROWS)
         model = net.model
         local_views = {var: view(s) for var, s in local.items()}
