@@ -11,18 +11,18 @@ combinations of 3 of 10 contexts: many lists hold fewer than K sets or none,
 and evidence sets span context ids 8 and 9, which share hash slots with 0
 and 1, so they iterate unsorted.
 
-`perfbench_seed0.sha256` holds the sha256 of the run rows and edge list that
-each benchmark workload (`perfbench/run.py`) writes at seed 0; CI checks it
-with `sha256sum -c` after running the workloads.
+`perfbench_seeds.sha256` holds the sha256 of the run rows and edge list that
+each benchmark workload (`perfbench/run.py`) writes at seeds 0, 1 and 2 (18
+files); CI checks it with `sha256sum -c` after running the workloads.
 
 Regenerate (only when a change is meant to alter results, and say why), the
 benchmark digests with the other goldens:
     PYTHONPATH=src python tests/test_golden.py
-    for w in steady-256 pool-256 grow-1024; do
-        python perfbench/run.py --workload $w --seed 0 --seconds 0
-    done
-    sha256sum perfbench/out/{steady-256,pool-256,grow-1024}-0-{rows.csv,edges.txt} \
-        > tests/golden/perfbench_seed0.sha256
+    for s in 0 1 2; do for w in steady-256 pool-256 grow-1024; do
+        python perfbench/run.py --workload $w --seed $s --seconds 0
+    done; done
+    sha256sum perfbench/out/{steady-256,pool-256,grow-1024}-{0,1,2}-{rows.csv,edges.txt} \
+        > tests/golden/perfbench_seeds.sha256
 """
 
 from dataclasses import replace
@@ -57,7 +57,7 @@ POOL_CONFIG = SimConfig(
     cycles=6,
 )
 # the benchmark workloads' output digests, checked in CI, not here
-PERFBENCH_DIGESTS = "perfbench_seed0.sha256"
+PERFBENCH_DIGESTS = "perfbench_seeds.sha256"
 # file name prefix per configuration
 CASES = {"": CONFIG, "pool_": POOL_CONFIG}
 SEEDS = (0, 1)
