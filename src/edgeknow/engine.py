@@ -6,9 +6,12 @@ cycles in which every node first propagates its knowledge and then issues one
 query. Propagation works on the shared routing model's per-variable arrays:
 one pass per variable that some node must rebuild builds, compares and
 stages that variable's lists for all those nodes at once, and the sends are
-integrated per variable after the last pass. Each query's achieved quality
-is compared against an exhaustive-search oracle (the minimum answering
-entropy over all nodes); accuracy is the hit rate within a small tolerance.
+integrated per variable after the last pass. A query reads its key's answer
+vector, every node's local answer, from the model: a node on its path takes
+the answer over when its own is strictly better. Each query's achieved
+quality is compared against an exhaustive-search oracle (the minimum of that
+vector, at most the uniform prior); accuracy is the hit rate within a small
+tolerance.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -27,7 +30,6 @@ from .pgm import cell_counts
 from .routing import (
     AdvertisementPolicy,
     EntropySet,
-    NodeState,
     Query,
     RoutingModel,
     build_advertisement,
@@ -105,8 +107,11 @@ class SimConfig:
                 raise InvalidField(name, "must be >= 2")
         if self.contexts_per_table > self.context_var_count:
             raise InvalidField("contexts_per_table", "exceeds context_var_count")
-        # a zero budget means the issuer answers alone; zero cycles, no rows
-        for name in ("hop_budget", "cycles"):
+        if not isinstance(self.strategy, Strategy):
+            raise InvalidField("strategy", f"{self.strategy!r} is not a Strategy")
+        # a zero budget means the issuer answers alone; zero cycles, no rows;
+        # numpy seeds from non-negative integers only
+        for name in ("hop_budget", "cycles", "seed"):
             value = getattr(self, name)
             if value is not None and value < 0:
                 raise InvalidField(name, "must be >= 0")
@@ -329,16 +334,14 @@ class TrialMetrics:
 @dataclass
 class TrialState:
     config: SimConfig
-    nodes: list[NodeState]
     overlay: Overlay
-    # what every node has told its neighbors
+    # per node, its neighbors, ascending
+    neighbors: list[list[int]]
+    # what every node knows and has told its neighbors
     model: RoutingModel
     trained_combos: dict[int, list[tuple[int, ...]]]
-    # per predicting variable, the ids of the nodes that trained it, ascending
-    trainers: dict[int, list[int]]
     query_rng: np.random.Generator
     walk_rng: np.random.Generator
-    oracle_cache: dict = field(default_factory=dict)
     # the variables queries target: the keys of `trained_combos`
     targets: list[int] = field(init=False)
 
@@ -360,29 +363,11 @@ def accuracy(
     return hit, regret
 
 
-def oracle_best(query: Query, nodes: Sequence[NodeState], pred_card: int) -> float:
-    """Minimum answering entropy over the given nodes; untrained nodes
-    answer from the uniform prior at log2(cardinality)."""
-    uniform = math.log2(pred_card)
-    best = uniform
-    for state in nodes:
-        local = state.local_answer(query.target, query.bound)
-        if local is not None and local < best:
-            best = local
-    return best
-
-
-def _cached_oracle(trial: TrialState, query: Query) -> float:
-    # answering entropies depend on which variables are bound, not on the
-    # concrete states, so the cache keys on the evidence variable set; every
-    # node that did not train the target answers None, so only trainers count
-    key = (query.target, query.bound)
-    if key not in trial.oracle_cache:
-        trainers = [trial.nodes[n] for n in trial.trainers.get(query.target, ())]
-        trial.oracle_cache[key] = oracle_best(
-            query, trainers, trial.config.predicting_cardinality
-        )
-    return trial.oracle_cache[key]
+def oracle_best(model: RoutingModel, query: Query, pred_card: int) -> float:
+    """Minimum answering entropy over all nodes for the query's key, at most
+    the uniform prior log2(cardinality) that untrained nodes answer from.
+    Answers depend on which variables are bound, not on their states."""
+    return min(math.log2(pred_card), model.answers(query.target, query.bound)[1])
 
 
 def check_workload(config: SimConfig, workload: Workload):
@@ -460,21 +445,16 @@ def setup_trial(config: SimConfig, workload: Optional[Workload] = None) -> Trial
         local_sets, neighbors, config.predicting_var_count, config.k_sets,
         config.context_var_count,
     )
-    nodes = []
     trained_combos: dict[int, set] = {}
-    trainers: dict[int, list[int]] = {}
-    for node_id, sets in enumerate(local_sets):
-        nodes.append(NodeState(node_id, sets, model, neighbors[node_id]))
+    for sets in local_sets:
         for var, (_, contexts, _) in sets.items():
             trained_combos.setdefault(var, set()).add(contexts)
-            trainers.setdefault(var, []).append(node_id)
     return TrialState(
         config=config,
-        nodes=nodes,
         overlay=overlay,
+        neighbors=neighbors,
         model=model,
         trained_combos={v: sorted(c) for v, c in sorted(trained_combos.items())},
-        trainers=trainers,
         query_rng=np.random.default_rng(s_query),
         walk_rng=np.random.default_rng(s_walk),
     )
@@ -498,13 +478,14 @@ def _make_query(trial: TrialState, issuer: int) -> Query:
 
 
 def route_query(trial: TrialState, query: Query, strategy: Strategy) -> Query:
+    model, neighbors, rng = trial.model, trial.neighbors, trial.walk_rng
+    answers = model.answers(query.target, query.bound)[0]
     node = query.issuer
     while node is not None:
-        state = trial.nodes[node]
         if strategy is Strategy.RANDOM_WALK:
-            node = random_walk_step(state, query, trial.walk_rng)
+            node = random_walk_step(node, neighbors[node], query, answers, rng)
         else:
-            node = process_query(state, query)
+            node = process_query(model, node, neighbors[node], query, answers)
     return query
 
 
@@ -547,11 +528,10 @@ def run_cycle(trial: TrialState, cycle: int) -> CycleMetrics:
     regret_sum = 0.0
     hit_flags = []
     uniform = math.log2(config.predicting_cardinality)
-    for state in trial.nodes:
-        query = _make_query(trial, issuer=state.node_id)
-        done = route_query(trial, query, strategy)
+    for issuer in range(config.node_count):
+        done = route_query(trial, _make_query(trial, issuer), strategy)
         achieved = done.quality if math.isfinite(done.quality) else uniform
-        optimal = _cached_oracle(trial, done)
+        optimal = oracle_best(model, done, config.predicting_cardinality)
         try:
             hit, regret = accuracy(achieved, optimal)
         except OracleViolation:
@@ -560,7 +540,7 @@ def run_cycle(trial: TrialState, cycle: int) -> CycleMetrics:
         hits += hit
         hit_flags.append(1.0 if hit else 0.0)
         regret_sum += regret
-    issued = len(trial.nodes)
+    issued = config.node_count
     flags = np.asarray(hit_flags)
     return CycleMetrics(
         cycle=cycle,

@@ -17,7 +17,8 @@ held. The counts and cardinalities of both kinds are `engine.SimConfig`'s.
 All entropies are in bits. The conditional answering quality for a set of
 evidence variables, joint entropy minus the sum of the evidence marginal
 entropies clamped at zero (exact only when the evidence variables are
-independent), is computed from the row in `routing.answer_entropy`.
+independent), is computed for every node at once from the routing model's
+local joints and entropy table in `routing.answer_entropy`.
 """
 
 from __future__ import annotations

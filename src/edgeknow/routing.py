@@ -28,19 +28,22 @@ every neighbor received every earlier delta, routes are those full
 snapshots would give; the traffic counted, `adv_sets_sent`, is the sets of
 the delta times the number of neighbors.
 
-The model holds everything per variable as arrays over nodes: the published
-lists as (nodes x K) joints, padded with inf, and origins, padded with 0;
-the unsent lists alike, with a pending mask; and which nodes must rebuild
-the variable. Every build of a cycle reads the lists as they stood at its
+The model holds everything per variable as arrays over nodes: the local
+sets as joints (inf where untrained) and origins; the published lists as
+(nodes x K) joints, padded with inf, and origins, padded with 0; the unsent
+lists alike, with a pending mask; and which nodes must rebuild the
+variable. Every build of a cycle reads the lists as they stood at its
 start, so `build_advertisement`, `should_advertise` and
 `integrate_advertisement` each handle one variable for every affected node
-at once. A set's combination is the table's combination id of its origin. A
-query's next hop is read from one vector per (target, evidence) key that
-scores every node's list at once: numpy subtracts elementwise in the
-evidence set's order, so each score is the float `_score` gives for that
-set. Beside the vector, the model keeps each node's neighbors sorted by it,
-the node's forwarding order for the key; an integration of the target drops
-both.
+at once. A set's combination is the table's combination id of its origin.
+Per (target, evidence) key, one numpy expression scores every node's
+published lists (`best_score`) and one every node's local set
+(`answer_entropy`): numpy subtracts elementwise in the evidence set's
+order, so each score is the float `_score` gives for that set. Beside the
+score vector, the model keeps each node's neighbors sorted by it, the
+node's forwarding order for the key; an integration of the target drops
+both. The answer vector and its minimum, the oracle's optimum, are kept for
+the model's life, since local sets are fixed at set-up.
 """
 
 from __future__ import annotations
@@ -81,8 +84,8 @@ class AdvertisementPolicy:
 
 
 class RoutingModel:
-    """What every node has told its neighbors, what it has still to tell,
-    and what the trial derives from it, over fixed neighbor lists.
+    """What every node knows, has told its neighbors and has still to
+    tell, and what the trial derives from it, over fixed neighbor lists.
 
     Per variable and node: the local set as its joint (inf when untrained),
     origin and gate score, the evidence-free score of the quality gate,
@@ -96,7 +99,8 @@ class RoutingModel:
 
     Per (target, evidence variable set) key, the model keeps every node's
     best score and each node's forwarding order, until an integration of
-    the target drops them."""
+    the target drops them, and every node's local answer with their
+    minimum, for its life."""
 
     def __init__(
         self,
@@ -140,6 +144,9 @@ class RoutingModel:
         # per target, per evidence variable set, per node: its neighbors by
         # (best score, id)
         self._orders: dict[int, dict[frozenset[int], dict[NodeId, list]]] = {}
+        # per (target, evidence variable set): every node's local answer, and
+        # the least of them
+        self._answers: dict[tuple[int, frozenset[int]], tuple[array, float]] = {}
 
     def neighbors_of(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The neighbors of `nodes`, each node's ascending and the nodes in
@@ -149,26 +156,43 @@ class RoutingModel:
         flat += np.repeat(self._starts[nodes] - (np.cumsum(counts) - counts), counts)
         return self._neighbors[flat], counts
 
+    def subtract(self, joints, origins, bound: frozenset[int]) -> np.ndarray:
+        """`joints` less, for each variable of `bound` in its iteration
+        order, that variable's entropy in the table rows `origins` name:
+        unclamped, the floats `_score` gives."""
+        for var in bound:
+            joints = joints - self._entropies[var][origins]
+        return joints
+
     def best_score(self, target: int, bound: frozenset[int]) -> array:
         """Per node, the lowest clamped score over its published sets for
-        `target` under evidence on `bound`, inf when it published none: each
-        set's joint minus its entropies of the bound variables, subtracted
-        in `bound`'s iteration order, so every float is the one `_score`
-        gives. Kept until a list of `target` is integrated. Equal evidence
-        sets share one vector: queries fill theirs in ascending order, so
-        equal sets iterate alike."""
+        `target` under evidence on `bound`, inf when it published none. Kept
+        until a list of `target` is integrated. Equal evidence sets share
+        one vector: queries fill theirs in ascending order, so equal sets
+        iterate alike."""
         by_bound = self._scores.get(target)
         if by_bound is None:
             by_bound = self._scores[target] = {}
         scores = by_bound.get(bound)
         if scores is None:
-            origins = self.origins[target]
-            value = self.joints[target]
-            for var in bound:
-                value = value - self._entropies[var][origins]
+            value = self.subtract(self.joints[target], self.origins[target], bound)
             best = np.maximum(value.min(axis=1), 0.0)
             scores = by_bound[bound] = array("d", best.tobytes())
         return scores
+
+    def answers(self, target: int, bound: frozenset[int]) -> tuple[array, float]:
+        """Per node, its local answer for `target` under evidence on `bound`
+        (`answer_entropy`, looked up on the module, where perfbench wraps
+        it), and their minimum, kept for the model's life: local sets are
+        fixed. Equal evidence sets share them, as in `best_score`."""
+        key = (target, bound)
+        found = self._answers.get(key)
+        if found is None:
+            values = answer_entropy(self, target, bound)
+            found = self._answers[key] = (
+                array("d", values.tobytes()), float(values.min())
+            )
+        return found
 
     def forwarding_order(
         self, node: NodeId, neighbors: list[NodeId], target: int, bound: frozenset[int]
@@ -208,23 +232,6 @@ class Query:
         self.bound = frozenset(self.ctx)
 
 
-@dataclass
-class NodeState:
-    """Everything one node owns: its model, as the full entropy set of each
-    trained predicting variable (`local_sets`, fixed at set-up), its
-    neighborhood, ascending, and the trial's shared routing model, which
-    holds what this node has told its neighbors and keeps its forwarding
-    orders."""
-
-    node_id: NodeId
-    local_sets: dict[int, EntropySet]
-    model: RoutingModel
-    neighbors: list[NodeId] = field(default_factory=list)
-
-    def local_answer(self, target: int, bound: frozenset[int]) -> Optional[float]:
-        return answer_entropy(self.local_sets, target, bound)
-
-
 def local_entropy_sets(
     entries: Sequence,
     context_var_count: int,
@@ -245,16 +252,16 @@ def local_entropy_sets(
 
 
 def answer_entropy(
-    local_sets: dict[int, EntropySet], target: int, bound: Iterable[int]
-) -> Optional[float]:
-    """The node's remaining uncertainty to answer a query for `target` with
-    evidence on `bound`, or None if the target is untrained here: the score
+    model: RoutingModel, target: int, bound: frozenset[int]
+) -> np.ndarray:
+    """Per node, its remaining uncertainty to answer a query for `target`
+    with evidence on `bound`, inf where the target is untrained: the score
     of the node's own entropy set for `target`, which holds the joint and
     marginal entropies of its table, so the value is the table's joint
     entropy minus the marginal entropies of the bound contexts it holds,
     clamped at zero."""
-    s = local_sets.get(target)
-    return None if s is None else _score(s[0], s[2], bound)
+    joints, origins = model.local_joints[target], model.local_origins[target]
+    return np.maximum(model.subtract(joints, origins, bound), 0.0)
 
 
 def build_advertisement(
@@ -342,31 +349,38 @@ def integrate_advertisement(model: RoutingModel, var: int, nodes: np.ndarray) ->
     return int(np.isfinite(joints).sum(axis=1) @ counts)
 
 
-def _arrive(state: NodeState, query: Query) -> bool:
-    """Handle one query arrival: take over the answer when the local model's is
-    strictly better and record the visit. True when the query goes on, that
-    is when hops remain and the node has neighbors; the hop is then spent."""
-    local = state.local_answer(query.target, query.bound)
-    if local is not None and local < query.quality:
-        query.answered_by = state.node_id
+def _arrive(
+    node: NodeId, neighbors: list[NodeId], query: Query, answers: array
+) -> bool:
+    """Handle one query arrival: take over the answer when the node's own,
+    its slot of the key's `answers`, is strictly better, and record the
+    visit. True when the query goes on, that is when hops remain and the
+    node has neighbors; the hop is then spent."""
+    local = answers[node]
+    if local < query.quality:
+        query.answered_by = node
         query.quality = local
-    query.visited.append(state.node_id)
-    if query.hops_remaining > 0 and state.neighbors:
+    query.visited.append(node)
+    if query.hops_remaining > 0 and neighbors:
         query.hops_remaining -= 1
         return True
     return False
 
 
-def process_query(state: NodeState, query: Query) -> Optional[NodeId]:
-    """Handle one query arrival and return the next node: the unvisited
-    neighbor scoring the smallest conditional entropy (the best of all
-    neighbors once every one is visited), or None when the query goes back
-    to its issuer."""
-    if not _arrive(state, query):
+def process_query(
+    model: RoutingModel,
+    node: NodeId,
+    neighbors: list[NodeId],
+    query: Query,
+    answers: array,
+) -> Optional[NodeId]:
+    """Handle one query arrival at `node`, whose neighbors are given
+    ascending, and return the next node: the unvisited neighbor scoring the
+    smallest conditional entropy (the best of all neighbors once every one
+    is visited), or None when the query goes back to its issuer."""
+    if not _arrive(node, neighbors, query, answers):
         return None
-    order = state.model.forwarding_order(
-        state.node_id, state.neighbors, query.target, query.bound
-    )
+    order = model.forwarding_order(node, neighbors, query.target, query.bound)
     for n in order:
         if n not in query.visited:
             return n
@@ -374,13 +388,17 @@ def process_query(state: NodeState, query: Query) -> Optional[NodeId]:
 
 
 def random_walk_step(
-    state: NodeState, query: Query, rng: np.random.Generator
+    node: NodeId,
+    neighbors: list[NodeId],
+    query: Query,
+    answers: array,
+    rng: np.random.Generator,
 ) -> Optional[NodeId]:
     """Directed random walk baseline: identical arrival handling, but the
     next node is uniform over unvisited neighbors (any neighbor once all are
     visited)."""
-    if not _arrive(state, query):
+    if not _arrive(node, neighbors, query, answers):
         return None
-    candidates = [n for n in state.neighbors if n not in query.visited]
-    candidates = candidates or state.neighbors
+    candidates = [n for n in neighbors if n not in query.visited]
+    candidates = candidates or neighbors
     return candidates[rng.integers(len(candidates))]

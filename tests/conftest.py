@@ -30,8 +30,9 @@ from edgeknow.engine import (
     _combination_pool,
     generate_workload,
     setup_trial,
+    train_pgms,
 )
-from edgeknow.routing import AdvertisementPolicy
+from edgeknow.routing import AdvertisementPolicy, RoutingModel, answer_entropy
 from edgeknow.topology import NoAttachmentTarget, Overlay, _repair_connectivity
 
 
@@ -229,6 +230,25 @@ def published_rows(model, local_sets, unsent=False) -> list[dict[int, list]]:
     return out
 
 
+def set_up(config, workload=None):
+    """`setup_trial`'s trial, its workload (drawn from the same
+    `SeedSequence` stream when none is given) and the local sets it
+    trained, per node, by `train_pgms`."""
+    trial = setup_trial(config, workload)
+    if workload is None:
+        s_workload = np.random.SeedSequence(config.seed).spawn(4)[0]
+        workload = generate_workload(config, int(s_workload.generate_state(1)[0]))
+    return trial, workload, train_pgms(workload, config)
+
+
+def library_answer(s: tuple, bound: frozenset[int]) -> float:
+    """The library's answer of a node whose local set of variable 0 is the
+    row `s`, for evidence on `bound`: `answer_entropy` over a one-node
+    model."""
+    model = RoutingModel([{0: s}], [[]], 1, 1, len(s[2]))
+    return float(answer_entropy(model, 0, bound)[0])
+
+
 def views(entries: dict) -> dict[int, list]:
     """Per variable, the views of a list of rows."""
     return {var: [view(s) for s in sets] for var, sets in entries.items()}
@@ -357,7 +377,7 @@ def well_formed(adv: dict[int, list], k: int) -> bool:
 
 
 def bf_propagate(
-    trial, private: dict, sent: dict, built: dict, changed: dict
+    trial, local_sets: list, private: dict, sent: dict, built: dict, changed: dict
 ) -> tuple[int, int]:
     """Phase 1 of a cycle from scratch, with one private copy of each
     sender's lists per receiver: every node builds its full advertisement
@@ -368,8 +388,8 @@ def bf_propagate(
     before the first call. `sent` and `built` map each node to the last
     advertisement of views it sent and built, and `changed` to the variables
     whose private lists changed by value at it this cycle; all four are
-    updated. Only the trial's config and its nodes' ids, local sets and
-    neighbors are read.
+    updated. Of the trial, only its config and neighbor lists are read;
+    `local_sets` are the nodes' local sets, as `set_up` gives them.
     Returns the cycle's `adv_sets_sent` counted per receiver, once over the
     variables whose private list changed by value (what a delta carries) and
     once over every advertised variable (a full snapshot)."""
@@ -377,20 +397,19 @@ def bf_propagate(
     policy = config.resolved_policy()
     delta_sets = snapshot_sets = 0
     outgoing = []
-    for state in trial.nodes:
-        local = {var: view(s) for var, s in state.local_sets.items()}
-        copies = private[state.node_id]
-        adv = bf_build_advertisement(
-            local, [copies[nb] for nb in state.neighbors], policy, config.k_sets
-        )
-        built[state.node_id] = adv
-        if bf_should_advertise(sent.get(state.node_id, {}), adv, policy):
-            outgoing.append((state, adv))
-        changed[state.node_id] = set()
-    for state, adv in outgoing:
-        sent[state.node_id] = adv
-        for nb in state.neighbors:
-            held = private[nb][state.node_id]
+    for node, sets in enumerate(local_sets):
+        local = {var: view(s) for var, s in sets.items()}
+        copies = private[node]
+        learned = [copies[nb] for nb in trial.neighbors[node]]
+        adv = bf_build_advertisement(local, learned, policy, config.k_sets)
+        built[node] = adv
+        if bf_should_advertise(sent.get(node, {}), adv, policy):
+            outgoing.append((node, adv))
+        changed[node] = set()
+    for node, adv in outgoing:
+        sent[node] = adv
+        for nb in trial.neighbors[node]:
+            held = private[nb][node]
             delta = {var for var, sets in adv.items() if held.get(var) != sets}
             held.update(adv)
             changed[nb] |= delta
@@ -402,21 +421,19 @@ def bf_propagate(
 def bf_run_trial(config, workload=None) -> list[tuple[int, list[dict]]]:
     """A whole trial from scratch: per cycle, its `adv_sets_sent` and one
     record per query (issuer, target, bound, path, answered_by, achieved,
-    optimal, hit). Set-up supplies the workload (drawn from the same
-    `SeedSequence` stream when none is given), each node's local sets and
-    the overlay; the rest is the `bf_*` pieces: `bf_propagate` over private
-    copies, forwarding as `bf_next_hop` over the forwarding node's copies
-    (or a uniform draw for `rw`), answers as `bf_score` of the node's local
-    set, each checked against its entry tensor through `bf_answer_entropy`,
-    and an oracle over every node. The take-over compares answers of
+    optimal, hit). Set-up (`set_up`) supplies the workload (drawn from the
+    same `SeedSequence` stream when none is given), each node's local sets
+    and the overlay; the rest is the `bf_*` pieces: `bf_propagate` over
+    private copies, forwarding as `bf_next_hop` over the forwarding node's
+    copies (or a uniform draw for `rw`), answers as `bf_score` of the
+    node's local set, each checked against its entry tensor through
+    `bf_answer_entropy`, and an oracle over every node. The take-over compares answers of
     different nodes, whose tables can be permutations of one another with
     entropies equal up to rounding, so it reads the set-up summaries, not
     the tensor values. Queries and walks draw from the query and walk
     streams in the engine's order."""
-    trial = setup_trial(config, workload)
-    s_workload, _, s_query, s_walk = np.random.SeedSequence(config.seed).spawn(4)
-    if workload is None:
-        workload = generate_workload(config, int(s_workload.generate_state(1)[0]))
+    trial, workload, local_sets = set_up(config, workload)
+    _, _, s_query, s_walk = np.random.SeedSequence(config.seed).spawn(4)
     entries = {(e.node_id, e.var): e for e in workload.entries}
     combos: dict[int, set] = {}
     for e in workload.entries:
@@ -425,7 +442,7 @@ def bf_run_trial(config, workload=None) -> list[tuple[int, list[dict]]]:
     targets = sorted(combos)
     query_rng = np.random.default_rng(s_query)
     walk_rng = np.random.default_rng(s_walk)
-    neighbors = {state.node_id: state.neighbors for state in trial.nodes}
+    neighbors = trial.neighbors
     n, hops = config.node_count, config.resolved_hops()
     uniform = math.log2(config.predicting_cardinality)
     answers: dict = {}
@@ -433,7 +450,7 @@ def bf_run_trial(config, workload=None) -> list[tuple[int, list[dict]]]:
     def answer(node, target, bound):
         key = (node, target, bound)
         if key not in answers:
-            s = trial.nodes[node].local_sets.get(target)
+            s = local_sets[node].get(target)
             value = None if s is None else bf_score(view(s), bound)
             want = bf_answer_entropy(entries.get((node, target)), config, bound)
             assert (value is None) == (want is None)
@@ -445,7 +462,9 @@ def bf_run_trial(config, workload=None) -> list[tuple[int, list[dict]]]:
     sent, built, changed = {}, {}, {}
     cycles = []
     for _ in range(config.cycles):
-        adv_sets_sent, _ = bf_propagate(trial, private, sent, built, changed)
+        adv_sets_sent, _ = bf_propagate(
+            trial, local_sets, private, sent, built, changed
+        )
         records = []
         for issuer in range(n):
             target = targets[query_rng.integers(len(targets))]

@@ -18,10 +18,10 @@ from edgeknow.engine import (
     generate_workload,
     run_trial,
 )
-from edgeknow.routing import answer_entropy, local_entropy_sets
+from edgeknow.routing import local_entropy_sets
 from edgeknow.topology import AttachmentParams, generate, survival_slope
 
-from conftest import bf_conditional_entropy, bf_summary, view
+from conftest import bf_conditional_entropy, bf_summary, library_answer, view
 
 ALL_RUNS = []
 
@@ -258,7 +258,7 @@ class TestAcceptance:
             worst = max(
                 worst,
                 abs(
-                    answer_entropy({0: s}, 0, frozenset(given))
+                    library_answer(s, frozenset(given))
                     - bf_conditional_entropy(tensor, contexts, given)
                 ),
             )

@@ -16,7 +16,6 @@ from edgeknow.engine import (
     TrainedAssignment,
     TrialMetrics,
     Workload,
-    _cached_oracle,
     check_workload,
     _make_query,
     accuracy,
@@ -32,7 +31,6 @@ from edgeknow.engine import (
 from edgeknow.pgm import cell_counts
 from edgeknow.routing import (
     AdvertisementPolicy,
-    NodeState,
     Query,
     RoutingModel,
     answer_entropy,
@@ -47,7 +45,9 @@ from conftest import (
     bf_propagate,
     bf_summary,
     export_workload_csv,
+    library_answer,
     published_rows,
+    set_up,
     smoothed_tensor,
     view,
     views,
@@ -187,7 +187,7 @@ class TestTrainedModels:
             TrainedAssignment(0, 0, (0,), cell_counts(4, 2, flat, outcomes))
         )
         sets = train_pgms(wl, config)[0]
-        h = answer_entropy(sets, 0, frozenset({0}))
+        h = library_answer(sets[0], frozenset({0}))
         assert h < 0.2
 
     def test_entry_without_observations_trains_nothing(self):
@@ -205,7 +205,8 @@ class TestTrainedModels:
         ]
         trained = train_pgms(wl, config)
         assert [sorted(sets) for sets in trained] == [[1], []]
-        assert answer_entropy(trained[0], 0, frozenset()) is None
+        model = RoutingModel(trained, [[1], [0]], 2, 1, config.context_var_count)
+        assert answer_entropy(model, 0, frozenset()).tolist() == [math.inf] * 2
 
 
 class TestCsvRoundTrip:
@@ -295,17 +296,15 @@ class TestOracle:
         entry = TrainedAssignment(1, 0, (0,), counts)
         trained = {0: local_entropy_sets([entry], 1, 2, 0.01)[0]}
         model = RoutingModel([{}, trained], [[], []], 1, 1, 1)
-        nodes = [NodeState(0, {}, model), NodeState(1, trained, model)]
         q = Query(0, {0: 1}, 3, 0)
-        best = oracle_best(q, nodes, pred_card=4)
+        best = oracle_best(model, q, pred_card=4)
         want = bf_conditional_entropy(0.01 + counts, (0,), [0])
         assert best == pytest.approx(want)
 
     def test_all_untrained_is_uniform(self):
         model = RoutingModel([{}] * 3, [[]] * 3, 1, 1, 1)
-        nodes = [NodeState(i, {}, model) for i in range(3)]
         q = Query(0, {}, 3, 0)
-        assert oracle_best(q, nodes, pred_card=8) == pytest.approx(3.0)
+        assert oracle_best(model, q, pred_card=8) == pytest.approx(3.0)
 
     def test_matches_independent_enumeration(self):
         config = small_config(node_count=10)
@@ -326,43 +325,42 @@ class TestOracle:
                     best = min(
                         best, bf_conditional_entropy(tensor, entry.contexts, given)
                     )
-                got = oracle_best(q, trial.nodes, card)
+                got = oracle_best(trial.model, q, card)
                 assert got == pytest.approx(best, abs=1e-9)
-                # scanning only the target's trainers finds the same minimum
-                assert _cached_oracle(trial, q) == got
+
+    def test_answers_are_finite_exactly_where_trained(self):
+        # so the minimum over all nodes is the minimum over the trainers
+        config = small_config()
+        trial, _, local_sets = set_up(config)
+        for target in range(config.predicting_var_count):
+            answers, best = trial.model.answers(target, frozenset({0}))
+            trained = [target in sets for sets in local_sets]
+            assert np.isfinite(answers).tolist() == trained
+            assert best == min(answers)
 
 
 class TestTrialSetup:
     def test_node_and_model_wiring(self):
         config = small_config()
-        trial = setup_trial(config)
-        assert len(trial.nodes) == config.node_count
-        for state in trial.nodes:
-            assert sorted(trial.overlay.neighbors(state.node_id)) == state.neighbors
-            # every node reads its neighbors' lists from the one shared model
-            assert state.model is trial.model
+        trial, _, local_sets = set_up(config)
+        assert len(trial.neighbors) == config.node_count
+        for node, neighbors in enumerate(trial.neighbors):
+            assert sorted(trial.overlay.neighbors(node)) == neighbors
             # the first build covers the trained variables
-            changed = trial.model.changed[:, state.node_id]
-            assert set(np.flatnonzero(changed)) == set(state.local_sets)
+            changed = trial.model.changed[:, node]
+            assert set(np.flatnonzero(changed)) == set(local_sets[node])
         assert not trial.model.pending.any()
         assert published_rows(trial.model, []) == [{}] * config.node_count
-
-    def test_trainers_are_the_nodes_that_trained_each_variable(self):
-        trial = setup_trial(small_config())
-        want: dict[int, list[int]] = {}
-        for state in trial.nodes:
-            for var in state.local_sets:
-                if state.local_answer(var, frozenset()) is not None:
-                    want.setdefault(var, []).append(state.node_id)
-        assert trial.trainers == want
-        assert set(trial.trainers) == set(trial.trained_combos)
 
     def test_entries_without_observations_are_not_targets(self):
         config = small_config()
         workload = workload_with_entry(config, counts=np.zeros((8, 16), int))
         trial = setup_trial(config, workload)
         assert trial.trained_combos == {0: [(0,)]}
-        assert trial.trainers == {0: [0]}
+        # and no node answers for them
+        trained = np.isfinite(trial.model.answers(0, frozenset())[0])
+        assert np.flatnonzero(trained).tolist() == [0]
+        assert trial.model.answers(1, frozenset())[1] == math.inf
 
     def test_trained_combos_cover_workload(self):
         config = small_config()
@@ -479,7 +477,7 @@ class TestRouteQuery:
         assert len(done.visited) == 5  # issuer plus one node per hop
         assert done.visited[0] == 0
         for a, b in zip(done.visited, done.visited[1:]):
-            assert b in trial.nodes[a].neighbors
+            assert b in trial.neighbors[a]
 
     def test_random_walk_also_respects_topology(self):
         config = small_config(hop_budget=6)
@@ -488,7 +486,39 @@ class TestRouteQuery:
         done = route_query(trial, q, Strategy.RANDOM_WALK)
         assert len(done.visited) == 7
         for a, b in zip(done.visited, done.visited[1:]):
-            assert b in trial.nodes[a].neighbors
+            assert b in trial.neighbors[a]
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_earlier_of_equal_answers_answers(self, strategy):
+        # node 0 trained variable 1 alone; every other node trained variable
+        # 0 on the same counts, so they all give the same answer
+        config = small_config(hop_budget=4, strategy=strategy)
+        counts = np.arange(32).reshape(8, 4) % 5
+        workload = Workload(config.node_count)
+        workload.entries.append(TrainedAssignment(0, 1, (0,), counts))
+        for node in range(1, config.node_count):
+            workload.entries.append(TrainedAssignment(node, 0, (0,), counts))
+        trial = setup_trial(config, workload)
+        done = route_query(trial, Query(0, {0: 2}, 4, issuer=0), strategy)
+        assert len(set(done.visited[1:])) > 1
+        answers = trial.model.answers(0, frozenset({0}))[0]
+        assert len({answers[node] for node in done.visited[1:]}) == 1
+        assert done.answered_by == done.visited[1]
+        assert done.quality == answers[done.visited[1]]
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_path_without_a_trainer_leaves_the_query_unanswered(self, strategy):
+        # 12 nodes train 2 of 40 variables each, so some variable is untrained
+        config = small_config(predicting_var_count=40, hop_budget=3, strategy=strategy)
+        trial, _, local_sets = set_up(config)
+        untrained = next(
+            v for v in range(config.predicting_var_count)
+            if not any(v in sets for sets in local_sets)
+        )
+        done = route_query(trial, Query(untrained, {}, 3, issuer=0), strategy)
+        assert len(done.visited) == 4
+        assert done.answered_by is None
+        assert done.quality == math.inf
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     @pytest.mark.parametrize(
@@ -503,10 +533,10 @@ class TestRouteQuery:
         for cycle in range(1, config.cycles + 1):
             run_cycle(trial, cycle)
         hops = config.resolved_hops()
-        for state in trial.nodes:
-            done = route_query(trial, _make_query(trial, state.node_id), strategy)
+        for issuer, neighbors in enumerate(trial.neighbors):
+            done = route_query(trial, _make_query(trial, issuer), strategy)
             # an issuer without neighbors answers alone and spends nothing
-            spent = hops if state.neighbors else 0
+            spent = hops if neighbors else 0
             assert done.hops_remaining == hops - spent
             assert len(done.visited) == 1 + spent
 
@@ -514,11 +544,12 @@ class TestRouteQuery:
 def achieved_and_optimal(trial, strategy):
     """Route one fresh query per node; yield each query's achieved quality
     (the uniform prior when no node answered) and its oracle optimum."""
-    uniform = math.log2(trial.config.predicting_cardinality)
+    card = trial.config.predicting_cardinality
+    uniform = math.log2(card)
     for issuer in range(trial.config.node_count):
         done = route_query(trial, _make_query(trial, issuer), strategy)
         achieved = done.quality if math.isfinite(done.quality) else uniform
-        yield achieved, _cached_oracle(trial, done)
+        yield achieved, oracle_best(trial.model, done, card)
 
 
 class TestOracleBound:
@@ -576,27 +607,26 @@ class TestSharedModels:
             seed=data.draw(st.integers(0, 2**16)),
         )
         trial = setup_trial(config)
-        ref = setup_trial(config)
+        ref, _, local_sets = set_up(config)
         private = {
-            state.node_id: {nb: {} for nb in state.neighbors} for state in ref.nodes
+            node: {nb: {} for nb in neighbors}
+            for node, neighbors in enumerate(ref.neighbors)
         }
         ref_sent: dict = {}
         ref_built: dict = {}
         ref_changed: dict = {}
         model = trial.model
-        local_sets = [state.local_sets for state in trial.nodes]
         for cycle in range(1, config.cycles + 1):
             sent = run_cycle(trial, cycle).adv_sets_sent
             delta_sets, snapshot_sets = bf_propagate(
-                ref, private, ref_sent, ref_built, ref_changed
+                ref, local_sets, private, ref_sent, ref_built, ref_changed
             )
             assert sent == delta_sets <= snapshot_sets
             published = [views(lists) for lists in published_rows(model, local_sets)]
-            for state in trial.nodes:
-                for nb in state.neighbors:
-                    assert private[nb][state.node_id] == published[state.node_id]
-            for state in trial.nodes:
-                node = state.node_id
+            for node, neighbors in enumerate(trial.neighbors):
+                for nb in neighbors:
+                    assert private[nb][node] == published[node]
+            for node in range(config.node_count):
                 # the deltas integrated so far add up to the last full
                 # advertisement sent
                 last_sent = ref_sent.get(node, {})
@@ -642,9 +672,9 @@ class TestUnsent:
             change_threshold=0.1, quality_threshold=100.0, hop_inflation=0.0
         )
         config.resolved_policy = lambda: policy
-        assert trial.nodes[1].neighbors == [0]
+        assert trial.neighbors[1] == [0]
         model = trial.model
-        local_sets = [state.local_sets for state in trial.nodes]
+        local_sets = train_pgms(workload, config)
         cycles = itertools.count(1)
 
         def propagate():
@@ -730,13 +760,13 @@ class TestRunTrial:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             metrics = run_trial(config)
-            trial = setup_trial(config)
+            _, _, local_sets = set_up(config)
         assert len(metrics.rows) == config.cycles
         assert metrics.oracle_violations == 0
         values = [
             h
-            for state in trial.nodes
-            for joint, hs in map(view, state.local_sets.values())
+            for sets in local_sets
+            for joint, hs in map(view, sets.values())
             for h in (joint, *hs.values())
         ]
         assert values and all(math.isfinite(h) and h >= 0 for h in values)
@@ -830,6 +860,15 @@ class TestConfigValidation:
         for bad in (dict(hop_budget=-3), dict(cycles=-1)):
             with pytest.raises(ValueError, match="must be >= 0"):
                 SimConfig(**bad)
+
+    def test_seed_not_negative(self):
+        SimConfig(seed=0)
+        with pytest.raises(InvalidField, match="^seed must be >= 0$"):
+            SimConfig(node_count=8, seed=-1, cycles=1)
+
+    def test_strategy_is_a_member(self):
+        with pytest.raises(InvalidField, match="^strategy 'rw' is not a Strategy$"):
+            SimConfig(strategy="rw")
 
     def test_default_hop_budget(self):
         assert SimConfig(node_count=256).resolved_hops() == 16

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from edgeknow import pgm
 from edgeknow.engine import TrainedAssignment, Workload, check_workload, train_pgms
 from edgeknow.pgm import cell_counts
-from edgeknow.routing import answer_entropy, local_entropy_sets
+from edgeknow.routing import local_entropy_sets
 
 from conftest import (
     ROW_WIDTH,
@@ -21,6 +21,7 @@ from conftest import (
     bf_observe,
     bf_summary,
     bf_true_conditional,
+    library_answer,
 )
 
 
@@ -34,7 +35,7 @@ class Summary(NamedTuple):
 
     def score(self, bound: frozenset[int]) -> float:
         """The row's score for evidence on `bound`, as a node answers."""
-        return answer_entropy({0: self.row}, 0, bound)
+        return library_answer(self.row, bound)
 
 
 def summary(s: tuple) -> Summary:

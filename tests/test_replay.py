@@ -20,7 +20,8 @@ def library_trial(config, workload=None) -> list[tuple[int, list[dict]]]:
     `adv_sets_sent` and a record of each query `run_cycle` routed, scored by
     the engine's oracle and hit test."""
     trial = engine.setup_trial(config, workload)
-    uniform = math.log2(config.predicting_cardinality)
+    card = config.predicting_cardinality
+    uniform = math.log2(card)
     routed = []
 
     def recorded(trial, query, strategy):
@@ -36,7 +37,7 @@ def library_trial(config, workload=None) -> list[tuple[int, list[dict]]]:
             records = []
             for query in routed:
                 achieved = query.quality if math.isfinite(query.quality) else uniform
-                optimal = engine._cached_oracle(trial, query)
+                optimal = engine.oracle_best(trial.model, query, card)
                 records.append(dict(
                     issuer=query.issuer, target=query.target, bound=query.bound,
                     path=query.visited, answered_by=query.answered_by,

@@ -11,12 +11,10 @@ from edgeknow.engine import (
     TrainedAssignment,
     Workload,
     run_cycle,
-    setup_trial,
     train_pgms,
 )
 from edgeknow.routing import (
     AdvertisementPolicy,
-    NodeState,
     Query,
     RoutingModel,
     answer_entropy,
@@ -37,8 +35,10 @@ from conftest import (
     bf_next_hop,
     bf_score,
     bf_should_advertise,
+    library_answer,
     published_rows,
     row,
+    set_up,
     view,
     views,
     well_formed,
@@ -159,7 +159,7 @@ def scores(s, bound):
     """A set's score for evidence on `bound` through both library read
     paths, a node's own answer and a routing model's best score, which
     must agree."""
-    answer = answer_entropy({0: s}, 0, bound)
+    answer = library_answer(s, bound)
     assert published_net({0: {0: [s]}}).model.best_score(0, bound)[0] == answer
     return answer
 
@@ -295,6 +295,17 @@ class TestIntegrate:
         net.publish(0, {0: [row(1.0)]})
         assert list(model.best_score(0, frozenset())) == [1.0, 2.0]
 
+    def test_answers_survive_integrations(self):
+        # local sets are fixed at set-up, so a key's answers are kept for
+        # the model's life
+        net = Net([{0: row(2.0, {1: 0.5})}, {}], [[1], [0]])
+        answers, best = net.model.answers(0, frozenset({1}))
+        assert list(answers) == [1.5, math.inf] and best == 1.5
+        net.publish(0, {0: [row(1.0)]})
+        net.publish(1, {0: [row(0.5)]})
+        assert net.model.answers(0, frozenset({1})) == (answers, best)
+        assert net.model.answers(0, frozenset({1}))[0] is answers
+
 
 def evidence(keys):
     """A query's evidence variable set, built as `process_query` builds it:
@@ -419,9 +430,8 @@ class TestBestScore:
             k_sets=data.draw(st.integers(1, 6)),
             seed=data.draw(st.integers(0, 2**16)),
         )
-        trial = setup_trial(config)
+        trial, _, local_sets = set_up(config)
         model = trial.model
-        local_sets = [state.local_sets for state in trial.nodes]
         # a trained combination, as queries bind, with or without other ids
         combos = [c for cs in trial.trained_combos.values() for c in cs]
         keys = st.tuples(
@@ -622,82 +632,73 @@ class TestIncrementalBuild:
                 unsent = {}
 
 
-def trained_node(node_id, neighbors=(), target_state=0, observations=60, model=None):
-    """Node whose predicting variable 0 is near-deterministic on target_state
-    given context 0."""
+def trained_set(target_state=0, observations=60):
+    """A local set of predicting variable 0 that is near-deterministic on
+    target_state given context 0."""
     counts = np.zeros((2, 2), dtype=np.int64)
     counts[target_state] = observations
-    entry = TrainedAssignment(node_id, 0, (0,), counts)
-    node = blank_node(node_id, neighbors, model)
-    node.local_sets = {0: local_entropy_sets([entry], ROW_WIDTH, 2, 1.0)[0]}
-    return node
+    entry = TrainedAssignment(0, 0, (0,), counts)
+    return local_entropy_sets([entry], ROW_WIDTH, 2, 1.0)[0]
 
 
-def blank_node(node_id, neighbors=(), model=None):
-    """Node without local sets, its neighbors ascending, on `model` or on a
-    model of its own that no node published to."""
-    if model is None:
-        model = Net([{}] * (max([node_id, *neighbors]) + 1)).model
-    return NodeState(node_id, {}, model, sorted(neighbors))
+def hop(model, node, neighbors, query):
+    """`process_query` at `node`, its neighbors sorted, with the answers of
+    the query's key read from `model`."""
+    answers = model.answers(query.target, query.bound)[0]
+    return process_query(model, node, sorted(neighbors), query, answers)
 
 
-def reference_hop(net, node, query):
-    """`bf_next_hop` over the lists `node`'s neighbors published."""
-    published = {nb: views(net.lists(nb)) for nb in node.neighbors}
-    return bf_next_hop(node.neighbors, published, query)
+def reference_hop(net, neighbors, query):
+    """`bf_next_hop` over the lists `neighbors` published."""
+    published = {nb: views(net.lists(nb)) for nb in neighbors}
+    return bf_next_hop(sorted(neighbors), published, query)
 
 
 class TestProcessQuery:
     def test_zero_budget_returns_at_issuer(self):
-        node = trained_node(0)
+        model = Net([{0: trained_set()}]).model
         q = Query(0, {}, hops_remaining=0, issuer=0)
-        assert process_query(node, q) is None
+        assert hop(model, 0, [], q) is None
         assert q.visited == [0]
         assert q.answered_by == 0
 
     def test_local_improvement_only_when_strictly_better(self):
-        node = trained_node(0)
+        model = Net([{0: trained_set()}]).model
         q = Query(0, {}, hops_remaining=0, issuer=0, quality=0.0)
-        assert process_query(node, q) is None
+        assert hop(model, 0, [], q) is None
         assert q.answered_by is None
         assert q.quality == 0.0
 
     def test_forwards_to_lowest_scoring_neighbor(self):
         net = published_net({1: {0: [row(3.0)]}, 2: {0: [row(1.0)]}})
-        node = blank_node(0, neighbors=[1, 2], model=net.model)
         q = Query(0, {}, hops_remaining=2, issuer=0)
-        assert process_query(node, q) == 2
+        assert hop(net.model, 0, [1, 2], q) == 2
 
     def test_tie_breaks_to_lowest_node_id(self):
         net = published_net({nb: {0: [row(1.0)]} for nb in (5, 3)})
-        node = blank_node(0, neighbors=[5, 3], model=net.model)
-        assert process_query(node, Query(0, {}, 2, 0)) == 3
+        assert hop(net.model, 0, [5, 3], Query(0, {}, 2, 0)) == 3
 
     def test_visited_neighbors_avoided(self):
         net = published_net({0: {0: [row(0.1)]}, 2: {0: [row(9.0)]}})
-        node = blank_node(1, neighbors=[0, 2], model=net.model)
         q = Query(0, {}, hops_remaining=3, issuer=0, visited=[0])
-        assert process_query(node, q) == 2
+        assert hop(net.model, 1, [0, 2], q) == 2
         assert q.hops_remaining == 2  # the forward spends one hop
 
     def test_all_visited_falls_back_to_any_neighbor(self):
         net = published_net({0: {0: [row(0.1)]}}, node_count=2)
-        node = blank_node(1, neighbors=[0], model=net.model)
         q = Query(0, {}, hops_remaining=3, issuer=0, visited=[0, 1])
-        assert process_query(node, q) == 0
+        assert hop(net.model, 1, [0], q) == 0
 
     def test_hop_accounting_along_a_line(self):
-        # what nodes 0 and 2 published, as node 1 reads it
-        model = published_net({0: {0: [row(5.0)]}, 2: {0: [row(0.01)]}}).model
-        a = trained_node(0, neighbors=[1], target_state=0, model=model)
-        b = trained_node(
-            1, neighbors=[0, 2], target_state=1, observations=5, model=model
-        )
-        c = blank_node(2, neighbors=[1], model=model)
+        # nodes 0 and 1 trained variable 0; what nodes 0 and 2 published,
+        # as node 1 reads it
+        net = Net([{0: trained_set(0)}, {0: trained_set(1, observations=5)}, {}])
+        net.publish(0, {0: [row(5.0)]})
+        net.publish(2, {0: [row(0.01)]})
         q = Query(0, {}, hops_remaining=2, issuer=0)
-        assert process_query(a, q) == 1
-        assert process_query(b, q) == 2
-        assert process_query(c, q) is None
+        assert hop(net.model, 0, [1], q) == 1
+        assert hop(net.model, 1, [0, 2], q) == 2
+        assert hop(net.model, 2, [1], q) is None
         assert q.visited == [0, 1, 2]
         assert q.hops_remaining == 0
 
@@ -707,12 +708,11 @@ class TestProcessQuery:
             2: {0: [row(3.0)], 1: [row(3.0)]},
         })
         model = net.model
-        node = blank_node(0, neighbors=[1, 2], model=model)
-        assert process_query(node, Query(0, {}, 2, 0)) == 1
-        assert process_query(node, Query(1, {}, 2, 0)) == 1
+        assert hop(model, 0, [1, 2], Query(0, {}, 2, 0)) == 1
+        assert hop(model, 0, [1, 2], Query(1, {}, 2, 0)) == 1
         orders = [model.forwarding_order(0, [1, 2], t, frozenset()) for t in (0, 1)]
         net.publish(2, {0: [row(0.5)]})
-        assert process_query(node, Query(0, {}, 2, 0)) == 2
+        assert hop(model, 0, [1, 2], Query(0, {}, 2, 0)) == 2
         # the order for the target not sent survives, as the same object
         assert model.forwarding_order(0, [1, 2], 1, frozenset()) is orders[1]
 
@@ -727,7 +727,6 @@ class TestProcessQuery:
             entries = {var: data.draw(model_entries(var)) for var in (0, 1)}
             published[nb] = {var: sets for var, sets in entries.items() if sets}
         net = published_net(published, node_count=100)
-        node = blank_node(99, neighbors=neighbors, model=net.model)
         # repeated queries on one node reuse its cached forwarding orders
         for _ in range(data.draw(st.integers(1, 6))):
             target = data.draw(st.sampled_from((0, 1)))
@@ -737,7 +736,8 @@ class TestProcessQuery:
             else:
                 visited = data.draw(st.lists(st.sampled_from(neighbors), unique=True))
             query = Query(target, {c: 0 for c in bound}, 1, 99, visited=visited)
-            assert process_query(node, query) == reference_hop(net, node, query)
+            want = reference_hop(net, neighbors, query)
+            assert hop(net.model, 99, neighbors, query) == want
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
@@ -752,11 +752,11 @@ class TestProcessQuery:
         node_count = data.draw(st.integers(2, 12))
         rows = data.draw(st.lists(scored_rows([0, 1, 2]), min_size=1, max_size=6))
         net = Net([{}] * node_count, k=3, extra=rows)
-        nodes = [
-            blank_node(i, data.draw(st.lists(
+        links = [
+            sorted(data.draw(st.lists(
                 st.integers(0, node_count - 1).filter(lambda n, i=i: n != i),
                 min_size=1, unique=True,
-            )), net.model)
+            )))
             for i in range(node_count)
         ]
         picks = st.tuples(
@@ -769,9 +769,10 @@ class TestProcessQuery:
             )]
 
         def ask(node, target, bound):
-            visited = data.draw(st.lists(st.sampled_from(node.neighbors), unique=True))
-            query = Query(target, {c: 0 for c in bound}, 1, node.node_id, visited=visited)
-            assert process_query(node, query) == reference_hop(net, node, query)
+            visited = data.draw(st.lists(st.sampled_from(links[node]), unique=True))
+            query = Query(target, {c: 0 for c in bound}, 1, node, visited=visited)
+            want = reference_hop(net, links[node], query)
+            assert hop(net.model, node, links[node], query) == want
 
         for _ in range(data.draw(st.integers(1, 4))):
             for _ in range(data.draw(st.integers(0, 4))):
@@ -784,7 +785,7 @@ class TestProcessQuery:
                     net.publish(node, {var: sets(data.draw(st.integers(0, 3)))})
             asked = []
             for _ in range(data.draw(st.integers(1, 4))):
-                node = data.draw(st.sampled_from(nodes))
+                node = data.draw(st.integers(0, node_count - 1))
                 target = data.draw(st.integers(0, 2))
                 bound = data.draw(st.frozensets(st.integers(0, 2)))
                 ask(node, target, bound)
@@ -792,7 +793,7 @@ class TestProcessQuery:
                     asked.append((node, target, bound))
             if asked:
                 node, target, bound = data.draw(st.sampled_from(asked))
-                nb = data.draw(st.sampled_from(node.neighbors))
+                nb = data.draw(st.sampled_from(links[node]))
                 # a set below every held joint, so the list differs by value
                 joints = [s[0] for s in net.lists(nb).get(target, ())]
                 _, contexts, entropies = sets(1)[0]
@@ -801,28 +802,33 @@ class TestProcessQuery:
                 ask(node, target, bound)
 
 
+def untrained_answers(node_count):
+    """A key's answers at `node_count` nodes that trained nothing."""
+    return Net([{}] * node_count).model.answers(0, frozenset())[0]
+
+
 class TestRandomWalk:
     def test_uniform_over_unvisited(self):
-        node = blank_node(0, neighbors=[1, 2, 3])
+        answers = untrained_answers(4)
         counts = {1: 0, 2: 0, 3: 0}
         rng = np.random.default_rng(0)
         for _ in range(600):
             q = Query(0, {}, 4, 0, visited=[])
-            counts[random_walk_step(node, q, rng)] += 1
+            counts[random_walk_step(0, [1, 2, 3], q, answers, rng)] += 1
         for n in counts.values():
             assert 130 < n < 270
 
     def test_prefers_unvisited(self):
-        node = blank_node(1, neighbors=[0, 2])
+        answers = untrained_answers(3)
         rng = np.random.default_rng(1)
         for _ in range(20):
             q = Query(0, {}, 4, 0, visited=[0])
-            assert random_walk_step(node, q, rng) == 2
+            assert random_walk_step(1, [0, 2], q, answers, rng) == 2
 
     def test_budget_spent_returns(self):
-        node = blank_node(1, neighbors=[0])
         q = Query(0, {}, hops_remaining=0, issuer=0, visited=[0])
-        assert random_walk_step(node, q, np.random.default_rng(2)) is None
+        rng = np.random.default_rng(2)
+        assert random_walk_step(1, [0], q, untrained_answers(2), rng) is None
         assert q.visited == [0, 1]
 
 
@@ -843,22 +849,24 @@ class TestLocalSets:
         assert sets[0][1] == (0,)
         assert sets[2][1] == (1,)
 
-    def test_answer_entropy_untrained_is_none(self):
+    def test_answer_entropy_untrained_is_inf(self):
         assert local_entropy_sets([], ROW_WIDTH, 2, 1.0) == []
-        assert answer_entropy({}, 0, frozenset()) is None
+        model = Net([{}, {0: trained_set()}]).model
+        untrained, trained = answer_entropy(model, 0, frozenset())
+        assert untrained == math.inf and 0 <= trained < math.inf
+        assert (answer_entropy(model, 1, frozenset()) == math.inf).all()
 
     def test_answer_entropy_ignores_foreign_evidence(self):
-        sets = trained_node(0).local_sets
-        with_foreign = answer_entropy(sets, 0, frozenset({1}))
-        without = answer_entropy(sets, 0, frozenset())
+        with_foreign = library_answer(trained_set(), frozenset({1}))
+        without = library_answer(trained_set(), frozenset())
         assert with_foreign == pytest.approx(without)
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_answer_entropy_matches_table_reference(self, data):
         """The local sets' answer is the trained table's clamped chain-rule
-        value, None included: for random count tables over 1 to 3 of 16
-        contexts, all-zero counts, and a target with no entry."""
+        value, inf where there is none: for random count tables over 1 to 3
+        of 16 contexts, all-zero counts, and a target with no entry."""
         config = SimConfig(
             node_count=1,
             predicting_var_count=3,
@@ -882,13 +890,14 @@ class TestLocalSets:
                 TrainedAssignment(0, target, contexts, np.reshape(counts, (n_out, -1)))
             )
         sets = train_pgms(workload, config)[0]
+        model = RoutingModel([sets], [[]], 3, 1, 16)
         bound = data.draw(bounds())
         for target in (0, 1, 2):
             entry = workload.entries[target] if target < 2 else None
             want = bf_answer_entropy(entry, config, bound)
-            got = answer_entropy(sets, target, bound)
+            got = answer_entropy(model, target, bound)[0]
             if want is None:
-                assert got is None
+                assert got == math.inf
             else:
                 assert got == pytest.approx(want, abs=1e-12)
                 # and exactly the dict reference's value for the same set
