@@ -6,12 +6,14 @@ cycles in which every node first propagates its knowledge and then issues one
 query. Propagation works on the shared routing model's per-variable arrays:
 one pass per variable that some node must rebuild builds, compares and
 stages that variable's lists for all those nodes at once, and the sends are
-integrated per variable after the last pass. A query reads its key's answer
-vector, every node's local answer, from the model: a node on its path takes
-the answer over when its own is strictly better. Each query's achieved
-quality is compared against an exhaustive-search oracle (the minimum of that
-vector, at most the uniform prior); accuracy is the hit rate within a small
-tolerance.
+integrated per variable after the last pass. A cycle's queries are drawn
+first, in issuer order, and then routed together: `abs` moves every query of
+a block of issuers one hop per `process_query` step, over the forwarding
+ranks of their keys, while `rw` walks each query in turn. A query takes the
+first least answer along its path from its key's answer vector, every
+node's local answer. Its achieved quality is compared against an
+exhaustive-search oracle (the minimum of that vector, at most the uniform
+prior); accuracy is the hit rate within a small tolerance.
 """
 
 from __future__ import annotations
@@ -35,16 +37,15 @@ from .routing import (
     build_advertisement,
     integrate_advertisement,
     process_query,
-    random_walk_step,
+    random_walk,
     should_advertise,
 )
 from .topology import AttachmentParams, Overlay, generate
 
 HIT_TOLERANCE_BITS = 1e-6
-
-
-class OracleViolation(RuntimeError):
-    pass
+# `abs` routes at most this many queries at once, which bounds the (queries x
+# nodes) temporaries of a hop; queries are independent, so any block is exact
+ISSUER_BLOCK = 256
 
 
 class InvalidField(ValueError):
@@ -350,24 +351,45 @@ class TrialState:
 
 
 def accuracy(
-    achieved: float, optimal: float, tolerance: float = HIT_TOLERANCE_BITS
-) -> tuple[bool, float]:
-    """Hit/miss against the exhaustive oracle plus normalized regret. The
-    oracle is a true lower bound; beating it means a bug."""
-    if achieved < optimal - tolerance:
-        raise OracleViolation(
-            f"achieved {achieved} beats exhaustive optimum {optimal}"
-        )
-    hit = achieved <= optimal + tolerance
-    regret = (achieved - optimal) / max(optimal, 1e-9)
-    return hit, regret
+    achieved: np.ndarray, optimal: np.ndarray, tolerance: float = HIT_TOLERANCE_BITS
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per query, hit or miss against the exhaustive oracle, normalized
+    regret, and whether it beat the oracle, a true lower bound, which means
+    a bug: such a query is a miss with no regret."""
+    violation = achieved < optimal - tolerance
+    hit = (achieved <= optimal + tolerance) & ~violation
+    regret = (achieved - optimal) / np.maximum(optimal, 1e-9)
+    return hit, np.where(violation, 0.0, regret), violation
 
 
-def oracle_best(model: RoutingModel, query: Query, pred_card: int) -> float:
-    """Minimum answering entropy over all nodes for the query's key, at most
-    the uniform prior log2(cardinality) that untrained nodes answer from.
-    Answers depend on which variables are bound, not on their states."""
-    return min(math.log2(pred_card), model.answers(query.target, query.bound)[1])
+def oracle_best(model: RoutingModel, queries: list[Query], pred_card: int):
+    """Per query, the minimum answering entropy over all nodes for its key,
+    at most the uniform prior log2(cardinality) that untrained nodes answer
+    from. Answers depend on which variables are bound, not on their
+    states."""
+    best = [model.answers(query.target, query.bound)[1] for query in queries]
+    return np.minimum(math.log2(pred_card), best)
+
+
+def key_index(queries: list[Query]) -> tuple[list, np.ndarray]:
+    """The distinct (target, evidence) keys of `queries`, first seen first,
+    and each query's index among them."""
+    keys: dict[tuple[int, frozenset[int]], int] = {}
+    index = [keys.setdefault((q.target, q.bound), len(keys)) for q in queries]
+    return list(keys), np.array(index, dtype=np.intp)
+
+
+def take_over(
+    model: RoutingModel, queries: list[Query], paths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per query, the step of its path (a row of `paths`) whose node's
+    answer it takes, the first least of its key's answers along the path,
+    and that answer, inf when no node on the path answered."""
+    keys, index = key_index(queries)
+    answers = np.stack([model.answers(target, bound)[0] for target, bound in keys])
+    along = answers.reshape(-1).take((index * answers.shape[1])[:, None] + paths)
+    step = along.argmin(axis=1)
+    return step, along[np.arange(len(queries)), step]
 
 
 def check_workload(config: SimConfig, workload: Workload):
@@ -466,27 +488,38 @@ def _make_query(trial: TrialState, issuer: int) -> Query:
     target = targets[rng.integers(len(targets))]
     combos = trial.trained_combos[target]
     combo = combos[rng.integers(len(combos))]
-    ctx = {
-        c: int(rng.integers(trial.config.context_cardinality)) for c in combo
-    }
-    return Query(
-        target=target,
-        ctx=ctx,
-        hops_remaining=trial.config.resolved_hops(),
-        issuer=issuer,
-    )
+    ctx = {c: int(rng.integers(trial.config.context_cardinality)) for c in combo}
+    return Query(target=target, ctx=ctx, issuer=issuer)
 
 
-def route_query(trial: TrialState, query: Query, strategy: Strategy) -> Query:
-    model, neighbors, rng = trial.model, trial.neighbors, trial.walk_rng
-    answers = model.answers(query.target, query.bound)[0]
-    node = query.issuer
-    while node is not None:
-        if strategy is Strategy.RANDOM_WALK:
-            node = random_walk_step(node, neighbors[node], query, answers, rng)
-        else:
-            node = process_query(model, node, neighbors[node], query, answers)
-    return query
+def route_query(
+    trial: TrialState, queries: list[Query], strategy: Strategy
+) -> np.ndarray:
+    """The paths of `queries`, one row each: the issuer, then the node each
+    hop reached, padded with the pad node n after a node without neighbors.
+    `abs` routes each block of `ISSUER_BLOCK` queries in lockstep, one
+    `process_query` step per hop, over the forwarding ranks of their keys;
+    `rw` walks each query in turn, drawing from the walk stream in query
+    order."""
+    model, n = trial.model, trial.config.node_count
+    hops = trial.config.resolved_hops()
+    paths = np.full((len(queries), hops + 1), n, dtype=np.int32)
+    paths[:, 0] = [query.issuer for query in queries]
+    if strategy is Strategy.RANDOM_WALK:
+        for row, query in zip(paths, queries):
+            path = random_walk(trial.neighbors, query.issuer, hops, trial.walk_rng)
+            row[: len(path)] = path
+        return paths
+    for start in range(0, len(queries), ISSUER_BLOCK):
+        block = paths[start : start + ISSUER_BLOCK]
+        keys, index = key_index(queries[start : start + ISSUER_BLOCK])
+        ranks = np.stack([model.ranks(target, bound) for target, bound in keys])
+        visited = np.zeros((len(block), n + 1), dtype=bool)
+        for hop in range(1, hops + 1):
+            block[:, hop] = process_query(
+                model, block[:, hop - 1], visited, ranks, index
+            )
+    return paths
 
 
 def run_cycle(trial: TrialState, cycle: int) -> CycleMetrics:
@@ -522,36 +555,26 @@ def run_cycle(trial: TrialState, cycle: int) -> CycleMetrics:
         nodes = np.flatnonzero(model.pending[var] & senders)
         adv_sets_sent += integrate_advertisement(model, var, nodes)
 
-    # phase 2: one query per node
-    hits = 0
-    violations = 0
-    regret_sum = 0.0
-    hit_flags = []
-    uniform = math.log2(config.predicting_cardinality)
-    for issuer in range(config.node_count):
-        done = route_query(trial, _make_query(trial, issuer), strategy)
-        achieved = done.quality if math.isfinite(done.quality) else uniform
-        optimal = oracle_best(model, done, config.predicting_cardinality)
-        try:
-            hit, regret = accuracy(achieved, optimal)
-        except OracleViolation:
-            violations += 1
-            hit, regret = False, 0.0
-        hits += hit
-        hit_flags.append(1.0 if hit else 0.0)
-        regret_sum += regret
+    # phase 2: one query per node, drawn in issuer order, routed together
+    queries = [_make_query(trial, issuer) for issuer in range(config.node_count)]
+    paths = route_query(trial, queries, strategy)
+    achieved = take_over(model, queries, paths)[1]
+    achieved[np.isinf(achieved)] = math.log2(config.predicting_cardinality)
+    optimal = oracle_best(model, queries, config.predicting_cardinality)
+    hit, regret, violation = accuracy(achieved, optimal)
     issued = config.node_count
-    flags = np.asarray(hit_flags)
+    hits = int(hit.sum())
     return CycleMetrics(
         cycle=cycle,
         strategy=strategy,
         issued=issued,
         hits=hits,
         accuracy=hits / issued,
-        accuracy_std=float(flags.std()),
-        mean_regret=regret_sum / issued,
+        accuracy_std=float(hit.astype(float).std()),
+        # summed in issuer order: np.sum adds pairwise, which changes the bits
+        mean_regret=float(np.add.accumulate(regret)[-1]) / issued,
         adv_sets_sent=adv_sets_sent,
-        oracle_violations=violations,
+        oracle_violations=int(violation.sum()),
     )
 
 

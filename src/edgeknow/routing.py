@@ -39,19 +39,26 @@ at once. A set's combination is the table's combination id of its origin.
 Per (target, evidence) key, one numpy expression scores every node's
 published lists (`best_score`) and one every node's local set
 (`answer_entropy`): numpy subtracts elementwise in the evidence set's
-order, so each score is the float `_score` gives for that set. Beside the
-score vector, the model keeps each node's neighbors sorted by it, the
-node's forwarding order for the key; an integration of the target drops
-both. The answer vector and its minimum, the oracle's optimum, are kept for
-the model's life, since local sets are fixed at set-up.
+order, so each score is the float `_score` gives for that set. The model
+keeps, per key, every node's forwarding rank, its place in a stable sort
+of the score vector, until an integration of the target drops it; and the
+answer vector and its minimum, the oracle's optimum, for the model's life,
+since local sets are fixed at set-up. Both vectors have one more slot, for
+a pad node n that ranks behind every node and answers nothing.
+
+Queries move in lockstep: `process_query` forwards every query in flight
+one hop, to its current node's neighbor of least rank, visited neighbors
+ranking n behind the others, over the (nodes+1 x max degree) neighbor
+matrix padded with node n. A query takes the answer of the first node on
+its path whose answer is least (`argmin` returns the first), the strict
+`<` of a walk that keeps the best answer so far.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -98,9 +105,10 @@ class RoutingModel:
     of the local sets; `combos` maps each origin to its combination's id.
 
     Per (target, evidence variable set) key, the model keeps every node's
-    best score and each node's forwarding order, until an integration of
-    the target drops them, and every node's local answer with their
-    minimum, for its life."""
+    forwarding rank, until an integration of the target drops them, and
+    every node's local answer with their minimum, for its life. Both have a
+    slot for the pad node n, which pads `neighbor_rows`: each node's
+    neighbors, ascending, then one all-pad row for node n itself."""
 
     def __init__(
         self,
@@ -134,19 +142,21 @@ class RoutingModel:
         self._neighbors = np.array(
             [nb for nbs in neighbors for nb in nbs], dtype=np.intp
         )
+        n, width = len(local_sets), max(1, self.degree.max(initial=0))
+        self.neighbor_rows = np.full((n + 1, width), n, dtype=np.int32)
+        row = np.arange(n).repeat(self.degree)
+        column = np.arange(len(self._neighbors)) - self._starts[row]
+        self.neighbor_rows[row, column] = self._neighbors
         self.joints = np.full(shape + (k,), math.inf)
         self.origins = np.zeros(shape + (k,), dtype=np.int32)
         self.unsent_joints = self.joints.copy()
         self.unsent_origins = self.origins.copy()
         self.pending = np.zeros(shape, dtype=bool)
-        # per target, per evidence variable set: every node's best score
-        self._scores: dict[int, dict[frozenset[int], array]] = {}
-        # per target, per evidence variable set, per node: its neighbors by
-        # (best score, id)
-        self._orders: dict[int, dict[frozenset[int], dict[NodeId, list]]] = {}
+        # per target, per evidence variable set: every node's forwarding rank
+        self._ranks: dict[int, dict[frozenset[int], np.ndarray]] = {}
         # per (target, evidence variable set): every node's local answer, and
         # the least of them
-        self._answers: dict[tuple[int, frozenset[int]], tuple[array, float]] = {}
+        self._answers: dict[tuple[int, frozenset[int]], tuple] = {}
 
     def neighbors_of(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The neighbors of `nodes`, each node's ascending and the nodes in
@@ -164,67 +174,48 @@ class RoutingModel:
             joints = joints - self._entropies[var][origins]
         return joints
 
-    def best_score(self, target: int, bound: frozenset[int]) -> array:
+    def best_score(self, target: int, bound: frozenset[int]) -> np.ndarray:
         """Per node, the lowest clamped score over its published sets for
-        `target` under evidence on `bound`, inf when it published none. Kept
-        until a list of `target` is integrated. Equal evidence sets share
-        one vector: queries fill theirs in ascending order, so equal sets
-        iterate alike."""
-        by_bound = self._scores.get(target)
-        if by_bound is None:
-            by_bound = self._scores[target] = {}
-        scores = by_bound.get(bound)
-        if scores is None:
-            value = self.subtract(self.joints[target], self.origins[target], bound)
-            best = np.maximum(value.min(axis=1), 0.0)
-            scores = by_bound[bound] = array("d", best.tobytes())
-        return scores
+        `target` under evidence on `bound`, inf when it published none."""
+        value = self.subtract(self.joints[target], self.origins[target], bound)
+        return np.maximum(value.min(axis=1), 0.0)
 
-    def answers(self, target: int, bound: frozenset[int]) -> tuple[array, float]:
+    def ranks(self, target: int, bound: frozenset[int]) -> np.ndarray:
+        """Per node, its forwarding rank for `target` under evidence on
+        `bound`: its place among all nodes by `best_score`, ties to the
+        lowest id (the sort is stable); then the pad node n, ranked 2n,
+        behind every node even with the visited penalty of n. Kept until a
+        list of `target` is integrated. Equal evidence sets share one
+        vector: queries fill theirs in ascending order, so equal sets
+        iterate alike."""
+        by_bound = self._ranks.setdefault(target, {})
+        ranks = by_bound.get(bound)
+        if ranks is None:
+            n = len(self.degree)
+            ranks = by_bound[bound] = np.full(n + 1, 2 * n, dtype=np.int32)
+            order = self.best_score(target, bound).argsort(kind="stable")
+            ranks[order] = np.arange(n, dtype=np.int32)
+        return ranks
+
+    def answers(self, target: int, bound: frozenset[int]) -> tuple[np.ndarray, float]:
         """Per node, its local answer for `target` under evidence on `bound`
         (`answer_entropy`, looked up on the module, where perfbench wraps
-        it), and their minimum, kept for the model's life: local sets are
-        fixed. Equal evidence sets share them, as in `best_score`."""
+        it), then inf for the pad node n; and their minimum. Kept for the
+        model's life: local sets are fixed. Equal evidence sets share them,
+        as in `ranks`."""
         key = (target, bound)
         found = self._answers.get(key)
         if found is None:
-            values = answer_entropy(self, target, bound)
-            found = self._answers[key] = (
-                array("d", values.tobytes()), float(values.min())
-            )
+            values = np.append(answer_entropy(self, target, bound), math.inf)
+            found = self._answers[key] = (values, float(values.min()))
         return found
-
-    def forwarding_order(
-        self, node: NodeId, neighbors: list[NodeId], target: int, bound: frozenset[int]
-    ) -> list[NodeId]:
-        """`node`'s neighbors, given ascending, sorted by the conditional
-        entropy their published lists promise for `target` under evidence
-        on `bound`, ties to the lowest id: the sort is stable. Kept until a
-        list of `target` is integrated; a node's neighbors are fixed for the
-        model's life."""
-        by_bound = self._orders.get(target)
-        if by_bound is None:
-            by_bound = self._orders[target] = {}
-        orders = by_bound.get(bound)
-        if orders is None:
-            orders = by_bound[bound] = {}
-        order = orders.get(node)
-        if order is None:
-            scores = self.best_score(target, bound)
-            order = orders[node] = sorted(neighbors, key=scores.__getitem__)
-        return order
 
 
 @dataclass
 class Query:
     target: int
     ctx: dict[int, int]
-    hops_remaining: int
     issuer: NodeId
-    # the node whose local answer set `quality`; None while none could answer
-    answered_by: Optional[NodeId] = None
-    quality: float = math.inf
-    visited: list[NodeId] = field(default_factory=list)
     # the evidence variables, iterating in the order scores subtract in
     bound: frozenset[int] = field(init=False)
 
@@ -334,9 +325,9 @@ def should_advertise(
 
 def integrate_advertisement(model: RoutingModel, var: int, nodes: np.ndarray) -> int:
     """Send the unsent lists of `var` of `nodes`: they become the nodes'
-    published lists, their neighbors must rebuild `var`, and the scores and
-    forwarding orders of `var` as a target are dropped, the only place the
-    model drops them. Returns the sets delivered, each node's once per
+    published lists, their neighbors must rebuild `var`, and the forwarding
+    ranks of `var` as a target are dropped, the only place the model drops
+    them. Returns the sets delivered, each node's once per
     neighbor."""
     joints = model.unsent_joints[var, nodes]
     model.joints[var, nodes] = joints
@@ -344,61 +335,47 @@ def integrate_advertisement(model: RoutingModel, var: int, nodes: np.ndarray) ->
     model.pending[var, nodes] = False
     receivers, counts = model.neighbors_of(nodes)
     model.changed[var, receivers] = True
-    model._scores.pop(var, None)
-    model._orders.pop(var, None)
+    model._ranks.pop(var, None)
     return int(np.isfinite(joints).sum(axis=1) @ counts)
-
-
-def _arrive(
-    node: NodeId, neighbors: list[NodeId], query: Query, answers: array
-) -> bool:
-    """Handle one query arrival: take over the answer when the node's own,
-    its slot of the key's `answers`, is strictly better, and record the
-    visit. True when the query goes on, that is when hops remain and the
-    node has neighbors; the hop is then spent."""
-    local = answers[node]
-    if local < query.quality:
-        query.answered_by = node
-        query.quality = local
-    query.visited.append(node)
-    if query.hops_remaining > 0 and neighbors:
-        query.hops_remaining -= 1
-        return True
-    return False
 
 
 def process_query(
     model: RoutingModel,
-    node: NodeId,
-    neighbors: list[NodeId],
-    query: Query,
-    answers: array,
-) -> Optional[NodeId]:
-    """Handle one query arrival at `node`, whose neighbors are given
-    ascending, and return the next node: the unvisited neighbor scoring the
-    smallest conditional entropy (the best of all neighbors once every one
-    is visited), or None when the query goes back to its issuer."""
-    if not _arrive(node, neighbors, query, answers):
-        return None
-    order = model.forwarding_order(node, neighbors, query.target, query.bound)
-    for n in order:
-        if n not in query.visited:
-            return n
-    return order[0]
+    nodes: np.ndarray,
+    visited: np.ndarray,
+    ranks: np.ndarray,
+    keys: np.ndarray,
+) -> np.ndarray:
+    """Forward every query in flight one hop and return the nodes they go
+    to. Query i is at `nodes[i]`, which is marked in row i of `visited`, a
+    (queries x nodes+1) mask of the nodes it has been at; row `keys[i]` of
+    `ranks` holds its key's forwarding ranks. It goes to the neighbor of
+    least rank, visited ones ranking n behind, so the best unvisited
+    neighbor, or the best of all once every one is visited; from a node
+    without neighbors, to the pad node n, and from there nowhere else."""
+    queries, width = np.arange(len(nodes)), visited.shape[1]
+    visited[queries, nodes] = True
+    step = model.neighbor_rows[nodes]
+    # flat takes: twice as fast as fancy indexing with two index arrays
+    rank = ranks.reshape(-1).take((keys * width)[:, None] + step)
+    penalty = visited.reshape(-1).take((queries * width)[:, None] + step)
+    rank += penalty * np.int32(width - 1)
+    return step[queries, rank.argmin(axis=1)]
 
 
-def random_walk_step(
-    node: NodeId,
-    neighbors: list[NodeId],
-    query: Query,
-    answers: array,
+def random_walk(
+    neighbors: Sequence[list[NodeId]],
+    issuer: NodeId,
+    hops: int,
     rng: np.random.Generator,
-) -> Optional[NodeId]:
-    """Directed random walk baseline: identical arrival handling, but the
-    next node is uniform over unvisited neighbors (any neighbor once all are
-    visited)."""
-    if not _arrive(node, neighbors, query, answers):
-        return None
-    candidates = [n for n in neighbors if n not in query.visited]
-    candidates = candidates or neighbors
-    return candidates[rng.integers(len(candidates))]
+) -> list[NodeId]:
+    """Directed random walk baseline: the path of a query from `issuer`,
+    spending each of `hops` on a uniform draw over the current node's
+    unvisited neighbors (any neighbor once all are visited), and stopping
+    at a node without neighbors."""
+    path = [issuer]
+    while len(path) <= hops and neighbors[path[-1]]:
+        candidates = [n for n in neighbors[path[-1]] if n not in path]
+        candidates = candidates or neighbors[path[-1]]
+        path.append(candidates[rng.integers(len(candidates))])
+    return path

@@ -17,16 +17,17 @@ from conftest import bf_run_trial
 
 def library_trial(config, workload=None) -> list[tuple[int, list[dict]]]:
     """The engine's trial in `bf_run_trial`'s form: per cycle, its
-    `adv_sets_sent` and a record of each query `run_cycle` routed, scored by
-    the engine's oracle and hit test."""
+    `adv_sets_sent` and a record of each query of the batch `run_cycle`
+    routed, its answer taken over and scored by the engine's take-over,
+    oracle and hit test."""
     trial = engine.setup_trial(config, workload)
-    card = config.predicting_cardinality
+    n, card = config.node_count, config.predicting_cardinality
     uniform = math.log2(card)
     routed = []
 
-    def recorded(trial, query, strategy):
-        routed.append(route_query(trial, query, strategy))
-        return routed[-1]
+    def recorded(trial, queries, strategy):
+        routed.append((queries, route_query(trial, queries, strategy)))
+        return routed[-1][1]
 
     route_query = engine.route_query
     cycles = []
@@ -34,15 +35,22 @@ def library_trial(config, workload=None) -> list[tuple[int, list[dict]]]:
         patch.setattr(engine, "route_query", recorded)
         for cycle in range(1, config.cycles + 1):
             row = engine.run_cycle(trial, cycle)
+            (queries, paths), = routed
+            step, quality = engine.take_over(trial.model, queries, paths)
+            achieved = np.where(np.isinf(quality), uniform, quality)
+            optimal = engine.oracle_best(trial.model, queries, card)
+            hit = engine.accuracy(achieved, optimal)[0]
             records = []
-            for query in routed:
-                achieved = query.quality if math.isfinite(query.quality) else uniform
-                optimal = engine.oracle_best(trial.model, query, card)
+            for i, query in enumerate(queries):
+                path = paths[i][paths[i] < n].tolist()
                 records.append(dict(
                     issuer=query.issuer, target=query.target, bound=query.bound,
-                    path=query.visited, answered_by=query.answered_by,
-                    achieved=achieved, optimal=optimal,
-                    hit=engine.accuracy(achieved, optimal)[0],
+                    path=path,
+                    answered_by=(
+                        int(paths[i, step[i]]) if math.isfinite(quality[i]) else None
+                    ),
+                    achieved=float(achieved[i]), optimal=float(optimal[i]),
+                    hit=bool(hit[i]),
                 ))
             assert sum(r["hit"] for r in records) == row.hits
             cycles.append((row.adv_sets_sent, records))

@@ -1,5 +1,6 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from edgeknow.engine import (
     SimConfig,
     TrainedAssignment,
     Workload,
+    key_index,
     run_cycle,
+    take_over,
     train_pgms,
 )
 from edgeknow.routing import (
@@ -22,7 +25,7 @@ from edgeknow.routing import (
     integrate_advertisement,
     local_entropy_sets,
     process_query,
-    random_walk_step,
+    random_walk,
     should_advertise,
 )
 
@@ -137,14 +140,14 @@ def full_build(local, neighbor_lists, policy, k):
     return net.build(0, set(local).union(*neighbor_lists), policy)
 
 
-def published_net(published, node_count=None, k=2):
-    """A network of unlinked nodes that published `published` (per node,
-    per variable, a list of rows); `node_count` defaults to one past the
-    highest node."""
+def published_net(published, node_count=None, k=2, neighbors=None):
+    """A network of nodes, unlinked unless `neighbors` lists each node's,
+    that published `published` (per node, per variable, a list of rows);
+    `node_count` defaults to one past the highest node."""
     if node_count is None:
-        node_count = max(published) + 1
+        node_count = len(neighbors) if neighbors else max(published) + 1
     extra = [s for lists in published.values() for sets in lists.values() for s in sets]
-    net = Net([{}] * node_count, k=k, extra=extra)
+    net = Net([{}] * node_count, neighbors, k=k, extra=extra)
     for node, lists in published.items():
         net.publish(node, lists)
     return net
@@ -287,20 +290,24 @@ class TestIntegrate:
     def test_best_score_reads_integrated_list(self):
         net = published_net({0: {0: [row(5.0)]}, 1: {0: [row(2.0)]}})
         model = net.model
-        kept = model.best_score(0, frozenset())
-        assert list(kept) == [5.0, 2.0]
-        # the vector is kept until a list of its target is integrated
+        assert list(model.best_score(0, frozenset())) == [5.0, 2.0]
+        kept = model.ranks(0, frozenset())
+        # node 1 ranks first; the pad node 2 ranks 2n
+        assert list(kept) == [1, 0, 4]
+        # the ranks are kept until a list of their target is integrated
         net.publish(1, {1: [row(3.0)]})
-        assert model.best_score(0, frozenset()) is kept
+        assert model.ranks(0, frozenset()) is kept
         net.publish(0, {0: [row(1.0)]})
         assert list(model.best_score(0, frozenset())) == [1.0, 2.0]
+        assert list(model.ranks(0, frozenset())) == [0, 1, 4]
 
     def test_answers_survive_integrations(self):
         # local sets are fixed at set-up, so a key's answers are kept for
         # the model's life
         net = Net([{0: row(2.0, {1: 0.5})}, {}], [[1], [0]])
         answers, best = net.model.answers(0, frozenset({1}))
-        assert list(answers) == [1.5, math.inf] and best == 1.5
+        # and inf for the pad node
+        assert list(answers) == [1.5, math.inf, math.inf] and best == 1.5
         net.publish(0, {0: [row(1.0)]})
         net.publish(1, {0: [row(0.5)]})
         assert net.model.answers(0, frozenset({1})) == (answers, best)
@@ -308,7 +315,7 @@ class TestIntegrate:
 
 
 def evidence(keys):
-    """A query's evidence variable set, built as `process_query` builds it:
+    """A query's evidence variable set, built as `Query` builds it:
     from the keys of its context assignment, in the drawn insertion order."""
     return frozenset({c: 0 for c in keys})
 
@@ -641,117 +648,181 @@ def trained_set(target_state=0, observations=60):
     return local_entropy_sets([entry], ROW_WIDTH, 2, 1.0)[0]
 
 
-def hop(model, node, neighbors, query):
-    """`process_query` at `node`, its neighbors sorted, with the answers of
-    the query's key read from `model`."""
-    answers = model.answers(query.target, query.bound)[0]
-    return process_query(model, node, sorted(neighbors), query, answers)
+def step(model, nodes, queries, visited=None):
+    """The next nodes of `queries` from one `process_query` call: query i at
+    `nodes[i]`, having been at the nodes `visited[i]` (none by default),
+    over the forwarding ranks of its key, as `route_query` stacks them."""
+    keys, index = key_index(queries)
+    ranks = np.stack([model.ranks(target, bound) for target, bound in keys])
+    mask = np.zeros((len(queries), len(model.degree) + 1), dtype=bool)
+    for row, nodes_visited in zip(mask, visited or [()] * len(queries)):
+        row[list(nodes_visited)] = True
+    return process_query(model, np.array(nodes), mask, ranks, index).tolist()
 
 
-def reference_hop(net, neighbors, query):
-    """`bf_next_hop` over the lists `neighbors` published."""
+def walk(model, queries, hops):
+    """The paths of `queries` from their issuers over `hops` lockstep
+    `process_query` calls, as `route_query` routes a block."""
+    paths = np.full((len(queries), hops + 1), len(model.degree), dtype=np.int32)
+    paths[:, 0] = [query.issuer for query in queries]
+    keys, index = key_index(queries)
+    ranks = np.stack([model.ranks(target, bound) for target, bound in keys])
+    visited = np.zeros((len(queries), len(model.degree) + 1), dtype=bool)
+    for hop in range(1, hops + 1):
+        paths[:, hop] = process_query(model, paths[:, hop - 1], visited, ranks, index)
+    return paths
+
+
+def reference_hop(net, node, query, visited):
+    """`bf_next_hop` at `node` over the lists its neighbors published."""
+    neighbors = net.model.neighbor_rows[node][: net.model.degree[node]].tolist()
     published = {nb: views(net.lists(nb)) for nb in neighbors}
-    return bf_next_hop(sorted(neighbors), published, query)
+    asked = SimpleNamespace(target=query.target, ctx=query.ctx, visited=list(visited))
+    return bf_next_hop(neighbors, published, asked)
 
 
 class TestProcessQuery:
     def test_zero_budget_returns_at_issuer(self):
         model = Net([{0: trained_set()}]).model
-        q = Query(0, {}, hops_remaining=0, issuer=0)
-        assert hop(model, 0, [], q) is None
-        assert q.visited == [0]
-        assert q.answered_by == 0
+        queries = [Query(0, {}, 0)]
+        paths = walk(model, queries, 0)
+        assert paths.tolist() == [[0]]
+        step_, quality = take_over(model, queries, paths)
+        assert step_.tolist() == [0]
+        assert quality[0] == model.answers(0, frozenset())[0][0] < math.inf
+
+    def test_node_without_neighbors_moves_to_the_pad(self):
+        # an issuer without neighbors answers alone: its path is padded with
+        # node n, which answers nothing
+        model = Net([{0: trained_set()}, {}], [[], []]).model
+        queries = [Query(0, {}, 0)]
+        paths = walk(model, queries, 3)
+        assert paths.tolist() == [[0, 2, 2, 2]]
+        assert take_over(model, queries, paths)[0].tolist() == [0]
 
     def test_local_improvement_only_when_strictly_better(self):
-        model = Net([{0: trained_set()}]).model
-        q = Query(0, {}, hops_remaining=0, issuer=0, quality=0.0)
-        assert hop(model, 0, [], q) is None
-        assert q.answered_by is None
-        assert q.quality == 0.0
+        # nodes 0 and 2 answer alike, node 1 better
+        net = Net([{0: trained_set(1, 5)}, {0: trained_set(0)}, {0: trained_set(1, 5)}])
+        model = net.model
+        answers = model.answers(0, frozenset())[0]
+        assert answers[0] == answers[2] > answers[1]
+        queries = [Query(0, {}, 2), Query(0, {}, 0), Query(0, {}, 0)]
+        paths = np.array([[2, 0, 2], [0, 2, 1], [0, 3, 3]])
+        step_, quality = take_over(model, queries, paths)
+        assert step_.tolist() == [0, 2, 0]
+        assert quality.tolist() == [answers[2], answers[1], answers[0]]
+
+    def test_unanswered_path_takes_inf(self):
+        model = Net([{}, {}, {0: trained_set()}], [[1], [0], []]).model
+        step_, quality = take_over(model, [Query(0, {}, 0)], np.array([[0, 1, 0]]))
+        assert step_.tolist() == [0] and quality.tolist() == [math.inf]
 
     def test_forwards_to_lowest_scoring_neighbor(self):
-        net = published_net({1: {0: [row(3.0)]}, 2: {0: [row(1.0)]}})
-        q = Query(0, {}, hops_remaining=2, issuer=0)
-        assert hop(net.model, 0, [1, 2], q) == 2
+        net = published_net(
+            {1: {0: [row(3.0)]}, 2: {0: [row(1.0)]}}, neighbors=[[1, 2], [0], [0]]
+        )
+        assert step(net.model, [0], [Query(0, {}, 0)]) == [2]
 
     def test_tie_breaks_to_lowest_node_id(self):
-        net = published_net({nb: {0: [row(1.0)]} for nb in (5, 3)})
-        assert hop(net.model, 0, [5, 3], Query(0, {}, 2, 0)) == 3
+        links = [[3, 5], [], [], [0], [], [0]]
+        net = published_net({nb: {0: [row(1.0)]} for nb in (5, 3)}, neighbors=links)
+        assert step(net.model, [0], [Query(0, {}, 0)]) == [3]
 
     def test_visited_neighbors_avoided(self):
-        net = published_net({0: {0: [row(0.1)]}, 2: {0: [row(9.0)]}})
-        q = Query(0, {}, hops_remaining=3, issuer=0, visited=[0])
-        assert hop(net.model, 1, [0, 2], q) == 2
-        assert q.hops_remaining == 2  # the forward spends one hop
+        net = published_net(
+            {0: {0: [row(0.1)]}, 2: {0: [row(9.0)]}}, neighbors=[[1], [0, 2], [1]]
+        )
+        assert step(net.model, [1], [Query(0, {}, 0)], [[0]]) == [2]
+        assert step(net.model, [1], [Query(0, {}, 0)]) == [0]
 
     def test_all_visited_falls_back_to_any_neighbor(self):
-        net = published_net({0: {0: [row(0.1)]}}, node_count=2)
-        q = Query(0, {}, hops_remaining=3, issuer=0, visited=[0, 1])
-        assert hop(net.model, 1, [0], q) == 0
+        net = published_net(
+            {0: {0: [row(0.1)]}, 2: {0: [row(9.0)]}}, neighbors=[[1], [0, 2], [1]]
+        )
+        assert step(net.model, [1], [Query(0, {}, 0)], [[0, 1, 2]]) == [0]
 
     def test_hop_accounting_along_a_line(self):
         # nodes 0 and 1 trained variable 0; what nodes 0 and 2 published,
         # as node 1 reads it
-        net = Net([{0: trained_set(0)}, {0: trained_set(1, observations=5)}, {}])
+        net = Net(
+            [{0: trained_set(0)}, {0: trained_set(1, observations=5)}, {}],
+            [[1], [0, 2], [1]],
+        )
         net.publish(0, {0: [row(5.0)]})
         net.publish(2, {0: [row(0.01)]})
-        q = Query(0, {}, hops_remaining=2, issuer=0)
-        assert hop(net.model, 0, [1], q) == 1
-        assert hop(net.model, 1, [0, 2], q) == 2
-        assert hop(net.model, 2, [1], q) is None
-        assert q.visited == [0, 1, 2]
-        assert q.hops_remaining == 0
+        queries = [Query(0, {}, 0)]
+        paths = walk(net.model, queries, 2)
+        # one node per hop, every hop spent on a forward
+        assert paths.tolist() == [[0, 1, 2]]
+        assert take_over(net.model, queries, paths)[0].tolist() == [0]
 
     def test_order_recomputed_after_models_change(self):
         net = published_net({
             1: {0: [row(1.0)], 1: [row(1.0)]},
             2: {0: [row(3.0)], 1: [row(3.0)]},
-        })
+        }, neighbors=[[1, 2], [0], [0]])
         model = net.model
-        assert hop(model, 0, [1, 2], Query(0, {}, 2, 0)) == 1
-        assert hop(model, 0, [1, 2], Query(1, {}, 2, 0)) == 1
-        orders = [model.forwarding_order(0, [1, 2], t, frozenset()) for t in (0, 1)]
+        queries = [Query(0, {}, 0), Query(1, {}, 0)]
+        assert step(model, [0, 0], queries) == [1, 1]
+        ranks = [model.ranks(t, frozenset()) for t in (0, 1)]
         net.publish(2, {0: [row(0.5)]})
-        assert hop(model, 0, [1, 2], Query(0, {}, 2, 0)) == 2
-        # the order for the target not sent survives, as the same object
-        assert model.forwarding_order(0, [1, 2], 1, frozenset()) is orders[1]
+        assert step(model, [0, 0], queries) == [2, 1]
+        assert model.ranks(0, frozenset()) is not ranks[0]
+        # the ranks of the target not sent survive, as the same object
+        assert model.ranks(1, frozenset()) is ranks[1]
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_matches_reference_next_hop(self, data):
-        neighbors = data.draw(
-            st.lists(st.integers(0, 30), min_size=1, max_size=12, unique=True)
-        )
+        """Many queries in one call, at nodes of mixed degree (so rows are
+        padded), over distinct keys, each having visited a random set of
+        nodes or every neighbor of its node."""
+        node_count = data.draw(st.integers(2, 30))
+        # node 0 has neighbors, others may have none
+        links = [
+            sorted(data.draw(st.lists(
+                st.integers(0, node_count - 1).filter(lambda n, i=i: n != i),
+                min_size=i == 0, max_size=12, unique=True,
+            )))
+            for i in range(node_count)
+        ]
         published = {}
-        for nb in neighbors:
+        for node in range(node_count):
             entries = {var: data.draw(model_entries(var)) for var in (0, 1)}
-            published[nb] = {var: sets for var, sets in entries.items() if sets}
-        net = published_net(published, node_count=100)
-        # repeated queries on one node reuse its cached forwarding orders
-        for _ in range(data.draw(st.integers(1, 6))):
+            published[node] = {var: sets for var, sets in entries.items() if sets}
+        net = published_net(published, node_count=node_count, neighbors=links)
+        linked = [node for node in range(node_count) if links[node]]
+        nodes, queries, visited = [], [], []
+        for _ in range(data.draw(st.integers(1, 8))):
+            node = data.draw(st.sampled_from(linked))
             target = data.draw(st.sampled_from((0, 1)))
             bound = data.draw(st.frozensets(st.sampled_from((0, 1, 2))))
             if data.draw(st.booleans()):
-                visited = list(neighbors)
+                seen = links[node]
             else:
-                visited = data.draw(st.lists(st.sampled_from(neighbors), unique=True))
-            query = Query(target, {c: 0 for c in bound}, 1, 99, visited=visited)
-            want = reference_hop(net, neighbors, query)
-            assert hop(net.model, 99, neighbors, query) == want
+                seen = data.draw(st.lists(st.integers(0, node_count - 1), unique=True))
+            nodes.append(node)
+            queries.append(Query(target, {c: 0 for c in bound}, node))
+            visited.append(seen)
+        got = step(net.model, nodes, queries, visited)
+        want = [
+            reference_hop(net, node, query, seen)
+            for node, query, seen in zip(nodes, queries, visited)
+        ]
+        assert got == want
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
     def test_next_hops_follow_integrations(self, data):
-        """Integrations interleaved with queries at random nodes of a model of
-        up to 12 nodes: every next hop is the reference's over the lists as
-        they stand. Integrations land at neighbors and non-neighbors of the
-        queried nodes, repeat a list by value or send 0 to K sets, and
-        target 2 is never published. Each round ends with a list change, at
-        a neighbor of a queried node, of a target whose order that query
-        cached, and the query is asked again."""
+        """Integrations interleaved with batches of queries at random nodes
+        of a model of up to 12 nodes: every next hop is the reference's over
+        the lists as they stand. Integrations land at neighbors and
+        non-neighbors of the queried nodes, repeat a list by value or send 0
+        to K sets, and target 2 is never published. Each round ends with a
+        list change, at a neighbor of a queried node, of a target whose
+        ranks that batch cached, and the query is asked again."""
         node_count = data.draw(st.integers(2, 12))
         rows = data.draw(st.lists(scored_rows([0, 1, 2]), min_size=1, max_size=6))
-        net = Net([{}] * node_count, k=3, extra=rows)
         links = [
             sorted(data.draw(st.lists(
                 st.integers(0, node_count - 1).filter(lambda n, i=i: n != i),
@@ -759,6 +830,7 @@ class TestProcessQuery:
             )))
             for i in range(node_count)
         ]
+        net = Net([{}] * node_count, links, k=3, extra=rows)
         picks = st.tuples(
             bits(0.0, 3.0, (0.9, 1.0, 2.0, 3.0)), st.sampled_from(rows + [row(0.0)])
         )
@@ -768,11 +840,19 @@ class TestProcessQuery:
                 st.lists(picks, min_size=size, max_size=size)
             )]
 
-        def ask(node, target, bound):
-            visited = data.draw(st.lists(st.sampled_from(links[node]), unique=True))
-            query = Query(target, {c: 0 for c in bound}, 1, node, visited=visited)
-            want = reference_hop(net, links[node], query)
-            assert hop(net.model, node, links[node], query) == want
+        def ask(asked):
+            nodes = [node for node, _, _ in asked]
+            queries = [Query(target, {c: 0 for c in bound}, node)
+                       for node, target, bound in asked]
+            visited = [
+                data.draw(st.lists(st.sampled_from(links[node]), unique=True))
+                for node in nodes
+            ]
+            want = [
+                reference_hop(net, node, query, seen)
+                for node, query, seen in zip(nodes, queries, visited)
+            ]
+            assert step(net.model, nodes, queries, visited) == want
 
         for _ in range(data.draw(st.integers(1, 4))):
             for _ in range(data.draw(st.integers(0, 4))):
@@ -783,53 +863,47 @@ class TestProcessQuery:
                     net.publish(node, {var: held})
                 else:
                     net.publish(node, {var: sets(data.draw(st.integers(0, 3)))})
-            asked = []
-            for _ in range(data.draw(st.integers(1, 4))):
-                node = data.draw(st.integers(0, node_count - 1))
-                target = data.draw(st.integers(0, 2))
-                bound = data.draw(st.frozensets(st.integers(0, 2)))
-                ask(node, target, bound)
-                if target != 2:
-                    asked.append((node, target, bound))
-            if asked:
-                node, target, bound = data.draw(st.sampled_from(asked))
+            asked = [
+                (data.draw(st.integers(0, node_count - 1)),
+                 data.draw(st.integers(0, 2)),
+                 data.draw(st.frozensets(st.integers(0, 2))))
+                for _ in range(data.draw(st.integers(1, 4)))
+            ]
+            ask(asked)
+            published = [key for key in asked if key[1] != 2]
+            if published:
+                node, target, bound = data.draw(st.sampled_from(published))
                 nb = data.draw(st.sampled_from(links[node]))
                 # a set below every held joint, so the list differs by value
                 joints = [s[0] for s in net.lists(nb).get(target, ())]
                 _, contexts, entropies = sets(1)[0]
                 lower = [(min(joints, default=1.0) - 1.0, contexts, entropies)]
                 net.publish(nb, {target: lower})
-                ask(node, target, bound)
-
-
-def untrained_answers(node_count):
-    """A key's answers at `node_count` nodes that trained nothing."""
-    return Net([{}] * node_count).model.answers(0, frozenset())[0]
+                ask([(node, target, bound)])
 
 
 class TestRandomWalk:
     def test_uniform_over_unvisited(self):
-        answers = untrained_answers(4)
         counts = {1: 0, 2: 0, 3: 0}
         rng = np.random.default_rng(0)
         for _ in range(600):
-            q = Query(0, {}, 4, 0, visited=[])
-            counts[random_walk_step(0, [1, 2, 3], q, answers, rng)] += 1
+            path = random_walk([[1, 2, 3], [0], [0], [0]], 0, 1, rng)
+            counts[path[1]] += 1
         for n in counts.values():
             assert 130 < n < 270
 
     def test_prefers_unvisited(self):
-        answers = untrained_answers(3)
         rng = np.random.default_rng(1)
         for _ in range(20):
-            q = Query(0, {}, 4, 0, visited=[0])
-            assert random_walk_step(1, [0, 2], q, answers, rng) == 2
+            assert random_walk([[1], [0, 2], [1]], 0, 2, rng) == [0, 1, 2]
 
     def test_budget_spent_returns(self):
-        q = Query(0, {}, hops_remaining=0, issuer=0, visited=[0])
         rng = np.random.default_rng(2)
-        assert random_walk_step(1, [0], q, untrained_answers(2), rng) is None
-        assert q.visited == [0, 1]
+        state = rng.bit_generator.state
+        assert random_walk([[1], [0]], 1, 0, rng) == [1]
+        # no draw is made when no hop is spent, nor at a node without neighbors
+        assert random_walk([[], []], 0, 3, rng) == [0]
+        assert rng.bit_generator.state == state
 
 
 class TestLocalSets:
