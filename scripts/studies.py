@@ -23,15 +23,21 @@ per value. Studies:
 
 Usage: python3 scripts/studies.py --study {cycles,hops,k,pool,context_size}
        [--seeds 0,1] [--values 2,4] [--cycles 10] [--out out/hops.csv]
+
+Seeds and values are distinct comma-separated lists; `--cycles 0` writes
+the header alone. A bad list, or a value the study's config rejects, exits
+with status 2 and one line on stderr, before `--out` is opened.
 """
 
 import argparse
+import sys
 from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
+from edgeknow.cli import _int_list, _seed_list
 from edgeknow.engine import SimConfig, Strategy, run_trial
 
 
@@ -74,11 +80,15 @@ STUDIES = {
 }
 
 
-def _split(text: str) -> list[str]:
-    return [v for v in text.split(",") if v]
+def _strategy_list(text: str) -> list[Strategy]:
+    """Distinct comma-separated strategies, as `_int_list` reads integers."""
+    values = [Strategy(v) for v in text.split(",") if v]
+    if not values or len(set(values)) < len(values):
+        raise ValueError(f"expected distinct comma-separated strategies, got {text!r}")
+    return values
 
 
-def main():
+def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--study", required=True, choices=sorted(STUDIES))
     ap.add_argument("--seeds", type=str, help="comma list (default per study)")
@@ -87,28 +97,36 @@ def main():
     ap.add_argument("--out", type=Path, help="output CSV (default out/<study>.csv)")
     args = ap.parse_args()
     study = STUDIES[args.study]
-    seeds = [int(s) for s in _split(args.seeds or study.seeds)]
-    values = _split(args.values or study.values)
-    parse = Strategy if study.field == "strategy" else int
-    base = SimConfig(cycles=args.cycles or study.cycles, **study.fixed)
+    parse = _strategy_list if study.field == "strategy" else _int_list
+    try:
+        seeds = _seed_list(args.seeds or study.seeds)
+        values = parse(args.values or study.values)
+        cycles = study.cycles if args.cycles is None else args.cycles
+        base = SimConfig(cycles=cycles, **study.fixed)
+        configs = [
+            [replace(base, seed=seed, **{study.field: value}) for seed in seeds]
+            for value in values
+        ]
+    except ValueError as exc:
+        print(f"bad study {args.study}: {exc}", file=sys.stderr)
+        return 2
     out = args.out or Path("out") / f"{args.study}.csv"
 
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w") as f:
         f.write("value,cycle,accuracy,accuracy_std\n")
-        for value in values:
-            runs = [
-                run_trial(replace(base, seed=seed, **{study.field: parse(value)}))
-                for seed in seeds
-            ]
+        for value, trials in zip(values, configs):
+            label = value.value if study.field == "strategy" else value
+            runs = [run_trial(config) for config in trials]
             acc = np.mean([[r.accuracy for r in m.rows] for m in runs], axis=0)
             std = np.mean([[r.accuracy_std for r in m.rows] for m in runs], axis=0)
             for cycle, (a, s) in enumerate(zip(acc, std), start=1):
-                f.write(f"{value},{cycle},{a:.6f},{s:.6f}\n")
+                f.write(f"{label},{cycle},{a:.6f},{s:.6f}\n")
             converged = np.mean([m.converged_accuracy() for m in runs])
-            print(f"{study.field}={value} converged_accuracy={converged:.6f}")
+            print(f"{study.field}={label} converged_accuracy={converged:.6f}")
     print(f"wrote {out}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

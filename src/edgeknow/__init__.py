@@ -1,7 +1,7 @@
 """Entropy-guided query routing over networks of locally trained discrete PGMs."""
 
 from .engine import SimConfig, Strategy, TrialMetrics, run_trial
-from .routing import AdvertisementPolicy, Query
+from .routing import AdvertisementPolicy
 from .topology import AttachmentParams, Overlay, generate
 
 __version__ = "0.1.0"
@@ -12,7 +12,6 @@ __all__ = [
     "TrialMetrics",
     "run_trial",
     "AdvertisementPolicy",
-    "Query",
     "AttachmentParams",
     "Overlay",
     "generate",

@@ -9,10 +9,12 @@ stages that variable's lists for all those nodes at once, and the sends are
 integrated per variable after the last pass. A cycle's queries are drawn
 first, in issuer order, and then routed together: `abs` moves every query of
 a block of issuers one hop per `process_query` step, over the forwarding
-ranks of their keys, while `rw` walks each query in turn. A query takes the
-first least answer along its path from its key's answer vector, every
-node's local answer. Its achieved quality is compared against an
-exhaustive-search oracle (the minimum of that vector, at most the uniform
+ranks of their keys, while `rw` walks each query in turn. A query is its
+key, a target and the context variables it binds as evidence: the paper's
+quality metric conditions on the bound set, so no context state is drawn.
+A query takes the first least answer along its path from its key's answer
+vector, every node's local answer. Its achieved quality is compared against
+an exhaustive-search oracle (the minimum of that vector, at most the uniform
 prior); accuracy is the hit rate within a small tolerance.
 """
 
@@ -32,7 +34,6 @@ from .pgm import cell_counts
 from .routing import (
     AdvertisementPolicy,
     EntropySet,
-    Query,
     RoutingModel,
     build_advertisement,
     integrate_advertisement,
@@ -340,7 +341,9 @@ class TrialState:
     neighbors: list[list[int]]
     # what every node knows and has told its neighbors
     model: RoutingModel
-    trained_combos: dict[int, list[tuple[int, ...]]]
+    # per trained variable, the evidence set of each combination it was
+    # trained on, by ascending tuple; one object per distinct set
+    trained_combos: dict[int, list[frozenset[int]]]
     query_rng: np.random.Generator
     walk_rng: np.random.Generator
     # the variables queries target: the keys of `trained_combos`
@@ -351,45 +354,39 @@ class TrialState:
 
 
 def accuracy(
-    achieved: np.ndarray, optimal: np.ndarray, tolerance: float = HIT_TOLERANCE_BITS
+    achieved: np.ndarray, optimal: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per query, hit or miss against the exhaustive oracle, normalized
-    regret, and whether it beat the oracle, a true lower bound, which means
-    a bug: such a query is a miss with no regret."""
-    violation = achieved < optimal - tolerance
-    hit = (achieved <= optimal + tolerance) & ~violation
+    """Per query, hit or miss against the exhaustive oracle, within
+    `HIT_TOLERANCE_BITS`, normalized regret, and whether it beat the oracle,
+    a true lower bound, which means a bug: such a query is a miss with no
+    regret."""
+    violation = achieved < optimal - HIT_TOLERANCE_BITS
+    hit = (achieved <= optimal + HIT_TOLERANCE_BITS) & ~violation
     regret = (achieved - optimal) / np.maximum(optimal, 1e-9)
     return hit, np.where(violation, 0.0, regret), violation
 
 
-def oracle_best(model: RoutingModel, queries: list[Query], pred_card: int):
-    """Per query, the minimum answering entropy over all nodes for its key,
-    at most the uniform prior log2(cardinality) that untrained nodes answer
-    from. Answers depend on which variables are bound, not on their
-    states."""
-    best = [model.answers(query.target, query.bound)[1] for query in queries]
-    return np.minimum(math.log2(pred_card), best)
-
-
-def key_index(queries: list[Query]) -> tuple[list, np.ndarray]:
-    """The distinct (target, evidence) keys of `queries`, first seen first,
-    and each query's index among them."""
-    keys: dict[tuple[int, frozenset[int]], int] = {}
-    index = [keys.setdefault((q.target, q.bound), len(keys)) for q in queries]
-    return list(keys), np.array(index, dtype=np.intp)
+def oracle_best(
+    model: RoutingModel, keys: list, index: np.ndarray, pred_card: int
+) -> np.ndarray:
+    """Per query, its key's (`keys[index[i]]`) minimum answering entropy
+    over all nodes, at most the uniform prior log2(cardinality) that
+    untrained nodes answer from."""
+    best = [model.answers(target, bound)[1] for target, bound in keys]
+    return np.minimum(math.log2(pred_card), best)[index]
 
 
 def take_over(
-    model: RoutingModel, queries: list[Query], paths: np.ndarray
+    model: RoutingModel, keys: list, index: np.ndarray, paths: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per query, the step of its path (a row of `paths`) whose node's
-    answer it takes, the first least of its key's answers along the path,
-    and that answer, inf when no node on the path answered."""
-    keys, index = key_index(queries)
+    answer it takes, the first least of its key's (`keys[index[i]]`)
+    answers along the path, and that answer, inf when no node on the path
+    answered."""
     answers = np.stack([model.answers(target, bound)[0] for target, bound in keys])
     along = answers.reshape(-1).take((index * answers.shape[1])[:, None] + paths)
     step = along.argmin(axis=1)
-    return step, along[np.arange(len(queries)), step]
+    return step, along[np.arange(len(index)), step]
 
 
 def check_workload(config: SimConfig, workload: Workload):
@@ -471,53 +468,65 @@ def setup_trial(config: SimConfig, workload: Optional[Workload] = None) -> Trial
     for sets in local_sets:
         for var, (_, contexts, _) in sets.items():
             trained_combos.setdefault(var, set()).add(contexts)
+    evidence: dict[tuple[int, ...], frozenset[int]] = {}
     return TrialState(
         config=config,
         overlay=overlay,
         neighbors=neighbors,
         model=model,
-        trained_combos={v: sorted(c) for v, c in sorted(trained_combos.items())},
+        trained_combos={
+            var: [evidence.setdefault(c, frozenset(c)) for c in sorted(combos)]
+            for var, combos in sorted(trained_combos.items())
+        },
         query_rng=np.random.default_rng(s_query),
         walk_rng=np.random.default_rng(s_walk),
     )
 
 
-def _make_query(trial: TrialState, issuer: int) -> Query:
-    rng = trial.query_rng
-    targets = trial.targets
-    target = targets[rng.integers(len(targets))]
-    combos = trial.trained_combos[target]
-    combo = combos[rng.integers(len(combos))]
-    ctx = {c: int(rng.integers(trial.config.context_cardinality)) for c in combo}
-    return Query(target=target, ctx=ctx, issuer=issuer)
+def draw_queries(trial: TrialState) -> tuple[list, np.ndarray]:
+    """A cycle's queries, query i node i's: for each issuer in turn, a
+    target drawn from `trial.targets`, then one of its trained combinations,
+    the only draws from the query stream. Returns the distinct (target,
+    evidence) keys, first drawn first, and each query's index among
+    them."""
+    rng, targets = trial.query_rng, trial.targets
+    keys: dict[tuple[int, frozenset[int]], int] = {}
+    index = np.empty(trial.config.node_count, dtype=np.intp)
+    for issuer in range(len(index)):
+        target = targets[rng.integers(len(targets))]
+        combos = trial.trained_combos[target]
+        index[issuer] = keys.setdefault(
+            (target, combos[rng.integers(len(combos))]), len(keys)
+        )
+    return list(keys), index
 
 
 def route_query(
-    trial: TrialState, queries: list[Query], strategy: Strategy
+    trial: TrialState, keys: list, index: np.ndarray, strategy: Strategy
 ) -> np.ndarray:
-    """The paths of `queries`, one row each: the issuer, then the node each
-    hop reached, padded with the pad node n after a node without neighbors.
-    `abs` routes each block of `ISSUER_BLOCK` queries in lockstep, one
-    `process_query` step per hop, over the forwarding ranks of their keys;
-    `rw` walks each query in turn, drawing from the walk stream in query
-    order."""
+    """The paths of the queries whose keys are `keys[index[i]]`, one row
+    each: the issuer, node i, then the node each hop reached, padded with
+    the pad node n after a node without neighbors. `abs` routes each block
+    of `ISSUER_BLOCK` queries in lockstep, one `process_query` step per hop,
+    over the forwarding ranks of the block's keys; `rw` walks each query in
+    turn, drawing from the walk stream in query order."""
     model, n = trial.model, trial.config.node_count
     hops = trial.config.resolved_hops()
-    paths = np.full((len(queries), hops + 1), n, dtype=np.int32)
-    paths[:, 0] = [query.issuer for query in queries]
+    paths = np.full((len(index), hops + 1), n, dtype=np.int32)
+    paths[:, 0] = np.arange(len(index))
     if strategy is Strategy.RANDOM_WALK:
-        for row, query in zip(paths, queries):
-            path = random_walk(trial.neighbors, query.issuer, hops, trial.walk_rng)
+        for issuer, row in enumerate(paths):
+            path = random_walk(trial.neighbors, issuer, hops, trial.walk_rng)
             row[: len(path)] = path
         return paths
-    for start in range(0, len(queries), ISSUER_BLOCK):
+    for start in range(0, len(index), ISSUER_BLOCK):
         block = paths[start : start + ISSUER_BLOCK]
-        keys, index = key_index(queries[start : start + ISSUER_BLOCK])
-        ranks = np.stack([model.ranks(target, bound) for target, bound in keys])
+        used, rows = np.unique(index[start : start + ISSUER_BLOCK], return_inverse=True)
+        ranks = np.stack([model.ranks(*keys[key]) for key in used])
         visited = np.zeros((len(block), n + 1), dtype=bool)
         for hop in range(1, hops + 1):
             block[:, hop] = process_query(
-                model, block[:, hop - 1], visited, ranks, index
+                model, block[:, hop - 1], visited, ranks, rows
             )
     return paths
 
@@ -556,11 +565,11 @@ def run_cycle(trial: TrialState, cycle: int) -> CycleMetrics:
         adv_sets_sent += integrate_advertisement(model, var, nodes)
 
     # phase 2: one query per node, drawn in issuer order, routed together
-    queries = [_make_query(trial, issuer) for issuer in range(config.node_count)]
-    paths = route_query(trial, queries, strategy)
-    achieved = take_over(model, queries, paths)[1]
+    keys, index = draw_queries(trial)
+    paths = route_query(trial, keys, index, strategy)
+    achieved = take_over(model, keys, index, paths)[1]
     achieved[np.isinf(achieved)] = math.log2(config.predicting_cardinality)
-    optimal = oracle_best(model, queries, config.predicting_cardinality)
+    optimal = oracle_best(model, keys, index, config.predicting_cardinality)
     hit, regret, violation = accuracy(achieved, optimal)
     issued = config.node_count
     hits = int(hit.sum())

@@ -36,15 +36,17 @@ variable. Every build of a cycle reads the lists as they stood at its
 start, so `build_advertisement`, `should_advertise` and
 `integrate_advertisement` each handle one variable for every affected node
 at once. A set's combination is the table's combination id of its origin.
-Per (target, evidence) key, one numpy expression scores every node's
-published lists (`best_score`) and one every node's local set
-(`answer_entropy`): numpy subtracts elementwise in the evidence set's
-order, so each score is the float `_score` gives for that set. The model
-keeps, per key, every node's forwarding rank, its place in a stable sort
-of the score vector, until an integration of the target drops it; and the
-answer vector and its minimum, the oracle's optimum, for the model's life,
-since local sets are fixed at set-up. Both vectors have one more slot, for
-a pad node n that ranks behind every node and answers nothing.
+A query is its key: a target and its evidence, the frozenset of the
+context variables it binds; no score reads a context's state. Per key, one
+numpy expression scores every node's published lists (`best_score`) and
+one every node's local set (`answer_entropy`): numpy subtracts elementwise
+in the evidence set's order, so each score is the float `_score` gives for
+that set. The model keeps, per key, every node's forwarding rank, its place
+in a stable sort of the score vector, until an integration of the target
+drops it; and the answer vector and its minimum, the oracle's optimum, for
+the model's life, since local sets are fixed at set-up. Both vectors have
+one more slot, for a pad node n that ranks behind every node and answers
+nothing.
 
 Queries move in lockstep: `process_query` forwards every query in flight
 one hop, to its current node's neighbor of least rank, visited neighbors
@@ -57,7 +59,7 @@ its path whose answer is least (`argmin` returns the first), the strict
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -186,8 +188,8 @@ class RoutingModel:
         lowest id (the sort is stable); then the pad node n, ranked 2n,
         behind every node even with the visited penalty of n. Kept until a
         list of `target` is integrated. Equal evidence sets share one
-        vector: queries fill theirs in ascending order, so equal sets
-        iterate alike."""
+        vector: a trial makes each of its sets once, from the ascending
+        combination tuple."""
         by_bound = self._ranks.setdefault(target, {})
         ranks = by_bound.get(bound)
         if ranks is None:
@@ -209,18 +211,6 @@ class RoutingModel:
             values = np.append(answer_entropy(self, target, bound), math.inf)
             found = self._answers[key] = (values, float(values.min()))
         return found
-
-
-@dataclass
-class Query:
-    target: int
-    ctx: dict[int, int]
-    issuer: NodeId
-    # the evidence variables, iterating in the order scores subtract in
-    bound: frozenset[int] = field(init=False)
-
-    def __post_init__(self):
-        self.bound = frozenset(self.ctx)
 
 
 def local_entropy_sets(

@@ -19,7 +19,6 @@ as the library's rows, and score a view from its dict (`bf_score`).
 import csv
 import itertools
 import math
-from types import SimpleNamespace
 from typing import Iterable, Optional
 
 import numpy as np
@@ -296,18 +295,18 @@ def bf_answer_entropy(entry, config, bound: Iterable[int]):
     )
 
 
-def bf_next_hop(neighbors, published: dict, query):
-    """The next hop as one min over the candidates (the unvisited
-    `neighbors`, or every neighbor once all are visited), keyed on
+def bf_next_hop(
+    neighbors, published: dict, target: int, bound: frozenset[int], visited
+):
+    """The next hop of a query for `target` with evidence on `bound` that
+    has been at the nodes `visited`, as one min over the candidates (the
+    unvisited `neighbors`, or every neighbor once all are visited), keyed on
     (bf_best_score of the neighbor's lists, node id); `published[n]` holds
     neighbor n's lists of views per variable."""
-    visited = set(query.visited)
     unvisited = [n for n in neighbors if n not in visited]
     candidates = unvisited if unvisited else list(neighbors)
-    bound = frozenset(query.ctx)
     return min(
-        candidates,
-        key=lambda n: (bf_best_score(published[n], query.target, bound), n),
+        candidates, key=lambda n: (bf_best_score(published[n], target, bound), n)
     )
 
 
@@ -431,7 +430,8 @@ def bf_run_trial(config, workload=None) -> list[tuple[int, list[dict]]]:
     different nodes, whose tables can be permutations of one another with
     entropies equal up to rounding, so it reads the set-up summaries, not
     the tensor values. Queries and walks draw from the query and walk
-    streams in the engine's order."""
+    streams in the engine's order: per issuer, a target, then one of its
+    trained combinations, whose ascending tuple makes the evidence set."""
     trial, workload, local_sets = set_up(config, workload)
     _, _, s_query, s_walk = np.random.SeedSequence(config.seed).spawn(4)
     entries = {(e.node_id, e.var): e for e in workload.entries}
@@ -469,33 +469,32 @@ def bf_run_trial(config, workload=None) -> list[tuple[int, list[dict]]]:
         for issuer in range(n):
             target = targets[query_rng.integers(len(targets))]
             options = sorted(combos[target])
-            combo = options[query_rng.integers(len(options))]
-            card = config.context_cardinality
-            ctx = {c: int(query_rng.integers(card)) for c in combo}
-            bound = frozenset(ctx)
-            query = SimpleNamespace(target=target, ctx=ctx, visited=[])
+            bound = frozenset(options[query_rng.integers(len(options))])
+            visited = []
             quality, answered_by, left, node = math.inf, None, hops, issuer
             while True:
                 local = answer(node, target, bound)
                 if local is not None and local < quality:
                     quality, answered_by = local, node
-                query.visited.append(node)
+                visited.append(node)
                 if left == 0 or not neighbors[node]:
                     break
                 left -= 1
                 if config.strategy.value == "rw":
-                    unvisited = [m for m in neighbors[node] if m not in query.visited]
+                    unvisited = [m for m in neighbors[node] if m not in visited]
                     candidates = unvisited or neighbors[node]
                     node = candidates[walk_rng.integers(len(candidates))]
                 else:
-                    node = bf_next_hop(neighbors[node], private[node], query)
+                    node = bf_next_hop(
+                        neighbors[node], private[node], target, bound, visited
+                    )
             achieved = quality if math.isfinite(quality) else uniform
             optimal = min(
                 [uniform] + [a for a in (answer(m, target, bound) for m in range(n))
                              if a is not None]
             )
             records.append(dict(
-                issuer=issuer, target=target, bound=bound, path=query.visited,
+                issuer=issuer, target=target, bound=bound, path=visited,
                 answered_by=answered_by, achieved=achieved, optimal=optimal,
                 hit=achieved <= optimal + 1e-6,
             ))

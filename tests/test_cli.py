@@ -432,19 +432,56 @@ def test_out_not_a_directory_exits_2(tmp_path, capsys, command):
     assert blocker.read_text() == ""
 
 
+def run_study(*flags):
+    """`scripts/studies.py` run with `flags` in a subprocess."""
+    repo = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+    return subprocess.run(
+        [sys.executable, str(repo / "scripts" / "studies.py"), *map(str, flags)],
+        env=env, capture_output=True, text=True,
+    )
+
+
 class TestStudies:
     def test_cycles_study_writes_one_row_per_cycle(self, tmp_path):
-        repo = Path(__file__).resolve().parents[1]
         out = tmp_path / "c.csv"
-        env = dict(os.environ, PYTHONPATH=str(repo / "src"))
-        subprocess.run(
-            [
-                sys.executable, str(repo / "scripts" / "studies.py"),
-                "--study", "cycles", "--seeds", "0", "--values", "abs",
-                "--cycles", "1", "--out", str(out),
-            ],
-            check=True, env=env, capture_output=True,
-        )
+        run_study(
+            "--study", "cycles", "--seeds", "0", "--values", "abs",
+            "--cycles", "1", "--out", out,
+        ).check_returncode()
         lines = out.read_text().splitlines()
         assert lines[0] == "value,cycle,accuracy,accuracy_std"
         assert len(lines) == 2 and lines[1].startswith("abs,1,")
+
+    def test_zero_cycles_write_no_rows(self, tmp_path):
+        out = tmp_path / "c.csv"
+        run_study(
+            "--study", "cycles", "--seeds", "0", "--values", "abs",
+            "--cycles", "0", "--out", out,
+        ).check_returncode()
+        assert out.read_text() == "value,cycle,accuracy,accuracy_std\n"
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--study", "hops", "--values", "x"], "expected comma-separated"),
+            (["--study", "hops", "--values", "2,2"], "repeated value 2"),
+            (["--study", "cycles", "--values", "abs,x"], "'x' is not a valid"),
+            (["--study", "cycles", "--values", "rw,rw"], "distinct"),
+            (["--study", "hops", "--seeds", "-1"], "negative seed -1"),
+            (["--study", "context_size", "--values", "9"],
+             "contexts_per_table exceeds context_var_count"),
+            (["--study", "hops", "--cycles", "-1"], "cycles must be >= 0"),
+        ],
+        ids=["value", "repeated-value", "strategy", "repeated-strategy",
+             "negative-seed", "config", "negative-cycles"],
+    )
+    def test_bad_study_exits_2_before_opening_out(self, tmp_path, flags, message):
+        out = tmp_path / "kept.csv"
+        out.write_text("kept\n")
+        result = run_study(*flags, "--out", out)
+        assert result.returncode == 2
+        assert len(result.stderr.splitlines()) == 1 and message in result.stderr
+        assert out.read_text() == "kept\n"
+        result = run_study(*flags, "--out", tmp_path / "new" / "s.csv")
+        assert result.returncode == 2 and not (tmp_path / "new").exists()

@@ -17,8 +17,8 @@ from edgeknow.engine import (
     TrialMetrics,
     Workload,
     check_workload,
-    _make_query,
     accuracy,
+    draw_queries,
     generate_workload,
     ingest_csv,
     oracle_best,
@@ -32,7 +32,6 @@ from edgeknow.engine import (
 from edgeknow.pgm import cell_counts
 from edgeknow.routing import (
     AdvertisementPolicy,
-    Query,
     RoutingModel,
     answer_entropy,
     local_entropy_sets,
@@ -319,14 +318,15 @@ class TestOracle:
         entry = TrainedAssignment(1, 0, (0,), counts)
         trained = {0: local_entropy_sets([entry], 1, 2, 0.01)[0]}
         model = RoutingModel([{}, trained], [[], []], 1, 1, 1)
-        best = oracle_best(model, [Query(0, {0: 1}, 0)], pred_card=4)[0]
+        keys, index = [(0, frozenset({0}))], np.zeros(1, dtype=np.intp)
+        best = oracle_best(model, keys, index, pred_card=4)[0]
         want = bf_conditional_entropy(0.01 + counts, (0,), [0])
         assert best == pytest.approx(want)
 
     def test_all_untrained_is_uniform(self):
         model = RoutingModel([{}] * 3, [[]] * 3, 1, 1, 1)
-        q = Query(0, {}, 0)
-        assert oracle_best(model, [q], pred_card=8)[0] == pytest.approx(3.0)
+        keys, index = [(0, frozenset())], np.zeros(1, dtype=np.intp)
+        assert oracle_best(model, keys, index, pred_card=8)[0] == pytest.approx(3.0)
 
     def test_matches_independent_enumeration(self):
         config = small_config(node_count=10)
@@ -334,8 +334,7 @@ class TestOracle:
         trial = setup_trial(config, workload)
         card = config.predicting_cardinality
         for target, combos in trial.trained_combos.items():
-            for combo in [()] + combos:
-                q = Query(target, {c: 0 for c in combo}, 0)
+            for combo in [frozenset()] + combos:
                 # independent re-derivation with the brute-force chain rule
                 # over each trainer's workload entry
                 best = math.log2(card)
@@ -347,7 +346,8 @@ class TestOracle:
                     best = min(
                         best, bf_conditional_entropy(tensor, entry.contexts, given)
                     )
-                got = oracle_best(trial.model, [q], card)[0]
+                index = np.zeros(1, dtype=np.intp)
+                got = oracle_best(trial.model, [(target, combo)], index, card)[0]
                 assert got == pytest.approx(best, abs=1e-9)
 
     def test_answers_are_finite_exactly_where_trained(self):
@@ -379,7 +379,7 @@ class TestTrialSetup:
         config = small_config()
         workload = workload_with_entry(config, counts=np.zeros((8, 16), int))
         trial = setup_trial(config, workload)
-        assert trial.trained_combos == {0: [(0,)]}
+        assert trial.trained_combos == {0: [frozenset({0})]}
         # and no node answers for them
         trained = np.isfinite(trial.model.answers(0, frozenset())[0])
         assert np.flatnonzero(trained).tolist() == [0]
@@ -390,7 +390,8 @@ class TestTrialSetup:
         trial = setup_trial(config)
         assert trial.trained_combos
         for var, combos in trial.trained_combos.items():
-            assert combos == sorted(set(combos))
+            tuples = [tuple(sorted(combo)) for combo in combos]
+            assert tuples == sorted(set(tuples))
             for combo in combos:
                 assert len(combo) == config.contexts_per_table
 
@@ -485,13 +486,48 @@ class TestCheckWorkload:
             run_trial(config, workload)
 
 
-def routed(trial, queries, strategy):
-    """Per query of `queries`, routed together: its path, its pads dropped,
-    the node whose answer it took (None when no node answered) and that
-    answer."""
+class TestDrawQueries:
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_a_target_then_a_combination_per_issuer(self, strategy):
+        """A cycle makes two scalar draws per issuer from the query stream,
+        a target and then one of its trained combinations, and no other;
+        keys come first drawn first, and equal evidence sets, across
+        targets too, are one object."""
+        config = small_config(cycles=2, strategy=strategy)
+        trial = setup_trial(config)
+        s_query = np.random.SeedSequence(config.seed).spawn(4)[2]
+        fresh = np.random.default_rng(s_query)
+
+        def drawn():
+            keys = []
+            for _ in range(config.node_count):
+                target = trial.targets[fresh.integers(len(trial.targets))]
+                combos = trial.trained_combos[target]
+                keys.append((target, combos[fresh.integers(len(combos))]))
+            return keys
+
+        run_cycle(trial, 1)
+        drawn()
+        assert trial.query_rng.bit_generator.state == fresh.bit_generator.state
+        keys, index = draw_queries(trial)
+        want = drawn()
+        assert trial.query_rng.bit_generator.state == fresh.bit_generator.state
+        assert index.dtype == np.intp
+        assert [keys[i] for i in index] == want
+        assert keys == list(dict.fromkeys(want))
+        # some key repeats, and some evidence set serves two targets
+        assert len(keys) < len(index)
+        assert len({bound for _, bound in keys}) < len(keys)
+        assert len({id(bound) for _, bound in keys}) == len({b for _, b in keys})
+
+
+def routed(trial, keys, index, strategy):
+    """Per query, query i node i's with key `keys[index[i]]`, routed
+    together: its path, its pads dropped, the node whose answer it took
+    (None when no node answered) and that answer."""
     n = trial.config.node_count
-    paths = route_query(trial, queries, strategy)
-    step, quality = take_over(trial.model, queries, paths)
+    paths = route_query(trial, keys, index, strategy)
+    step, quality = take_over(trial.model, keys, index, paths)
     for path, at, answer in zip(paths, step, quality):
         answered_by = int(path[at]) if math.isfinite(answer) else None
         yield path[path < n].tolist(), answered_by, float(answer)
@@ -501,20 +537,22 @@ class TestRouteQuery:
     def test_visited_is_walk_and_budget_spent(self):
         config = small_config(hop_budget=4)
         trial = setup_trial(config)
-        target = list(trial.trained_combos)[0]
-        queries = [Query(target, {}, issuer) for issuer in (0, 5, 0)]
-        for path, _, _ in routed(trial, queries, Strategy.ABS):
+        keys = [(trial.targets[0], frozenset())]
+        index = np.zeros(config.node_count, dtype=np.intp)
+        paths = [path for path, _, _ in routed(trial, keys, index, Strategy.ABS)]
+        for path in paths:
             assert len(path) == 5  # issuer plus one node per hop
             for a, b in zip(path, path[1:]):
                 assert b in trial.neighbors[a]
-        assert [path[0] for path, _, _ in routed(trial, queries, Strategy.ABS)] == [0, 5, 0]
+        assert [path[0] for path in paths] == list(range(config.node_count))
 
     def test_random_walk_also_respects_topology(self):
         config = small_config(hop_budget=6)
         trial = setup_trial(config)
-        queries = [Query(list(trial.trained_combos)[0], {}, issuer=3)]
-        (path, _, _), = routed(trial, queries, Strategy.RANDOM_WALK)
-        assert len(path) == 7
+        keys = [(trial.targets[0], frozenset())]
+        index = np.zeros(4, dtype=np.intp)
+        *_, (path, _, _) = routed(trial, keys, index, Strategy.RANDOM_WALK)
+        assert len(path) == 7 and path[0] == 3
         for a, b in zip(path, path[1:]):
             assert b in trial.neighbors[a]
 
@@ -529,7 +567,8 @@ class TestRouteQuery:
         for node in range(1, config.node_count):
             workload.entries.append(TrainedAssignment(node, 0, (0,), counts))
         trial = setup_trial(config, workload)
-        (path, answered_by, quality), = routed(trial, [Query(0, {0: 2}, 0)], strategy)
+        keys, index = [(0, frozenset({0}))], np.zeros(1, dtype=np.intp)
+        (path, answered_by, quality), = routed(trial, keys, index, strategy)
         assert len(set(path[1:])) > 1
         answers = trial.model.answers(0, frozenset({0}))[0]
         assert len({answers[node] for node in path[1:]}) == 1
@@ -545,7 +584,8 @@ class TestRouteQuery:
             v for v in range(config.predicting_var_count)
             if not any(v in sets for sets in local_sets)
         )
-        (path, answered_by, quality), = routed(trial, [Query(untrained, {}, 0)], strategy)
+        keys, index = [(untrained, frozenset())], np.zeros(1, dtype=np.intp)
+        (path, answered_by, quality), = routed(trial, keys, index, strategy)
         assert len(path) == 4
         assert answered_by is None
         assert quality == math.inf
@@ -563,9 +603,8 @@ class TestRouteQuery:
         for cycle in range(1, config.cycles + 1):
             run_cycle(trial, cycle)
         hops = config.resolved_hops()
-        queries = [_make_query(trial, issuer) for issuer in range(config.node_count)]
         for (path, _, _), neighbors in zip(
-            routed(trial, queries, strategy), trial.neighbors
+            routed(trial, *draw_queries(trial), strategy), trial.neighbors
         ):
             # an issuer without neighbors answers alone and spends nothing
             assert len(path) == 1 + (hops if neighbors else 0)
@@ -575,10 +614,10 @@ class TestRouteQuery:
         config = small_config(cycles=2)
         trial = setup_trial(config)
         run_cycle(trial, 1)
-        queries = [_make_query(trial, issuer) for issuer in range(config.node_count)]
-        whole = route_query(trial, queries, Strategy.ABS)
+        keys, index = draw_queries(trial)
+        whole = route_query(trial, keys, index, Strategy.ABS)
         monkeypatch.setattr(engine, "ISSUER_BLOCK", 5)
-        assert np.array_equal(route_query(trial, queries, Strategy.ABS), whole)
+        assert np.array_equal(route_query(trial, keys, index, Strategy.ABS), whole)
 
 
 def achieved_and_optimal(trial, strategy):
@@ -586,9 +625,9 @@ def achieved_and_optimal(trial, strategy):
     (the uniform prior when no node answered) and its oracle optimum."""
     card = trial.config.predicting_cardinality
     uniform = math.log2(card)
-    queries = [_make_query(trial, issuer) for issuer in range(trial.config.node_count)]
-    optimal = oracle_best(trial.model, queries, card)
-    for (_, _, quality), best in zip(routed(trial, queries, strategy), optimal):
+    keys, index = draw_queries(trial)
+    optimal = oracle_best(trial.model, keys, index, card)
+    for (_, _, quality), best in zip(routed(trial, keys, index, strategy), optimal):
         yield (quality if math.isfinite(quality) else uniform), best
 
 

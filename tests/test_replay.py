@@ -25,9 +25,9 @@ def library_trial(config, workload=None) -> list[tuple[int, list[dict]]]:
     uniform = math.log2(card)
     routed = []
 
-    def recorded(trial, queries, strategy):
-        routed.append((queries, route_query(trial, queries, strategy)))
-        return routed[-1][1]
+    def recorded(trial, keys, index, strategy):
+        routed.append((keys, index, route_query(trial, keys, index, strategy)))
+        return routed[-1][2]
 
     route_query = engine.route_query
     cycles = []
@@ -35,17 +35,17 @@ def library_trial(config, workload=None) -> list[tuple[int, list[dict]]]:
         patch.setattr(engine, "route_query", recorded)
         for cycle in range(1, config.cycles + 1):
             row = engine.run_cycle(trial, cycle)
-            (queries, paths), = routed
-            step, quality = engine.take_over(trial.model, queries, paths)
+            (keys, index, paths), = routed
+            step, quality = engine.take_over(trial.model, keys, index, paths)
             achieved = np.where(np.isinf(quality), uniform, quality)
-            optimal = engine.oracle_best(trial.model, queries, card)
+            optimal = engine.oracle_best(trial.model, keys, index, card)
             hit = engine.accuracy(achieved, optimal)[0]
             records = []
-            for i, query in enumerate(queries):
+            for i, key in enumerate(index):
+                target, bound = keys[key]
                 path = paths[i][paths[i] < n].tolist()
                 records.append(dict(
-                    issuer=query.issuer, target=query.target, bound=query.bound,
-                    path=path,
+                    issuer=i, target=target, bound=bound, path=path,
                     answered_by=(
                         int(paths[i, step[i]]) if math.isfinite(quality[i]) else None
                     ),

@@ -1,6 +1,5 @@
 import itertools
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,14 +10,12 @@ from edgeknow.engine import (
     SimConfig,
     TrainedAssignment,
     Workload,
-    key_index,
     run_cycle,
     take_over,
     train_pgms,
 )
 from edgeknow.routing import (
     AdvertisementPolicy,
-    Query,
     RoutingModel,
     answer_entropy,
     build_advertisement,
@@ -315,9 +312,9 @@ class TestIntegrate:
 
 
 def evidence(keys):
-    """A query's evidence variable set, built as `Query` builds it:
-    from the keys of its context assignment, in the drawn insertion order."""
-    return frozenset({c: 0 for c in keys})
+    """An evidence variable set built from `keys` in their order, as set-up
+    builds a query's from its ascending combination tuple."""
+    return frozenset(keys)
 
 
 def bounds():
@@ -648,46 +645,59 @@ def trained_set(target_state=0, observations=60):
     return local_entropy_sets([entry], ROW_WIDTH, 2, 1.0)[0]
 
 
-def step(model, nodes, queries, visited=None):
-    """The next nodes of `queries` from one `process_query` call: query i at
-    `nodes[i]`, having been at the nodes `visited[i]` (none by default),
-    over the forwarding ranks of its key, as `route_query` stacks them."""
-    keys, index = key_index(queries)
+# the keys of queries for variable 0 with no evidence, as `draw_queries`
+# returns them, and the index of one such query
+UNBOUND, ONE = [(0, frozenset())], np.zeros(1, dtype=np.intp)
+
+
+def keyed(asked):
+    """The distinct keys of the (target, evidence) pairs `asked`, first seen
+    first, and each pair's index among them, as `draw_queries` returns
+    them."""
+    keys: dict = {}
+    index = [keys.setdefault(key, len(keys)) for key in asked]
+    return list(keys), np.array(index, dtype=np.intp)
+
+
+def step(model, nodes, keys, index, visited=None):
+    """The next nodes of the queries with keys `keys[index[i]]` from one
+    `process_query` call: query i at `nodes[i]`, having been at the nodes
+    `visited[i]` (none by default), over the forwarding ranks of `keys`,
+    as `route_query` stacks them."""
     ranks = np.stack([model.ranks(target, bound) for target, bound in keys])
-    mask = np.zeros((len(queries), len(model.degree) + 1), dtype=bool)
-    for row, nodes_visited in zip(mask, visited or [()] * len(queries)):
+    mask = np.zeros((len(index), len(model.degree) + 1), dtype=bool)
+    for row, nodes_visited in zip(mask, visited or [()] * len(index)):
         row[list(nodes_visited)] = True
     return process_query(model, np.array(nodes), mask, ranks, index).tolist()
 
 
-def walk(model, queries, hops):
-    """The paths of `queries` from their issuers over `hops` lockstep
-    `process_query` calls, as `route_query` routes a block."""
-    paths = np.full((len(queries), hops + 1), len(model.degree), dtype=np.int32)
-    paths[:, 0] = [query.issuer for query in queries]
-    keys, index = key_index(queries)
+def walk(model, keys, index, hops):
+    """The paths of the queries with keys `keys[index[i]]`, query i node
+    i's, over `hops` lockstep `process_query` calls, as `route_query` routes
+    a block."""
+    paths = np.full((len(index), hops + 1), len(model.degree), dtype=np.int32)
+    paths[:, 0] = np.arange(len(index))
     ranks = np.stack([model.ranks(target, bound) for target, bound in keys])
-    visited = np.zeros((len(queries), len(model.degree) + 1), dtype=bool)
+    visited = np.zeros((len(index), len(model.degree) + 1), dtype=bool)
     for hop in range(1, hops + 1):
         paths[:, hop] = process_query(model, paths[:, hop - 1], visited, ranks, index)
     return paths
 
 
-def reference_hop(net, node, query, visited):
-    """`bf_next_hop` at `node` over the lists its neighbors published."""
+def reference_hop(net, node, key, visited):
+    """`bf_next_hop` at `node` of a query with `key`, over the lists its
+    neighbors published."""
     neighbors = net.model.neighbor_rows[node][: net.model.degree[node]].tolist()
     published = {nb: views(net.lists(nb)) for nb in neighbors}
-    asked = SimpleNamespace(target=query.target, ctx=query.ctx, visited=list(visited))
-    return bf_next_hop(neighbors, published, asked)
+    return bf_next_hop(neighbors, published, *key, visited)
 
 
 class TestProcessQuery:
     def test_zero_budget_returns_at_issuer(self):
         model = Net([{0: trained_set()}]).model
-        queries = [Query(0, {}, 0)]
-        paths = walk(model, queries, 0)
+        paths = walk(model, UNBOUND, ONE, 0)
         assert paths.tolist() == [[0]]
-        step_, quality = take_over(model, queries, paths)
+        step_, quality = take_over(model, UNBOUND, ONE, paths)
         assert step_.tolist() == [0]
         assert quality[0] == model.answers(0, frozenset())[0][0] < math.inf
 
@@ -695,10 +705,9 @@ class TestProcessQuery:
         # an issuer without neighbors answers alone: its path is padded with
         # node n, which answers nothing
         model = Net([{0: trained_set()}, {}], [[], []]).model
-        queries = [Query(0, {}, 0)]
-        paths = walk(model, queries, 3)
+        paths = walk(model, UNBOUND, ONE, 3)
         assert paths.tolist() == [[0, 2, 2, 2]]
-        assert take_over(model, queries, paths)[0].tolist() == [0]
+        assert take_over(model, UNBOUND, ONE, paths)[0].tolist() == [0]
 
     def test_local_improvement_only_when_strictly_better(self):
         # nodes 0 and 2 answer alike, node 1 better
@@ -706,40 +715,39 @@ class TestProcessQuery:
         model = net.model
         answers = model.answers(0, frozenset())[0]
         assert answers[0] == answers[2] > answers[1]
-        queries = [Query(0, {}, 2), Query(0, {}, 0), Query(0, {}, 0)]
         paths = np.array([[2, 0, 2], [0, 2, 1], [0, 3, 3]])
-        step_, quality = take_over(model, queries, paths)
+        step_, quality = take_over(model, UNBOUND, ONE.repeat(3), paths)
         assert step_.tolist() == [0, 2, 0]
         assert quality.tolist() == [answers[2], answers[1], answers[0]]
 
     def test_unanswered_path_takes_inf(self):
         model = Net([{}, {}, {0: trained_set()}], [[1], [0], []]).model
-        step_, quality = take_over(model, [Query(0, {}, 0)], np.array([[0, 1, 0]]))
+        step_, quality = take_over(model, UNBOUND, ONE, np.array([[0, 1, 0]]))
         assert step_.tolist() == [0] and quality.tolist() == [math.inf]
 
     def test_forwards_to_lowest_scoring_neighbor(self):
         net = published_net(
             {1: {0: [row(3.0)]}, 2: {0: [row(1.0)]}}, neighbors=[[1, 2], [0], [0]]
         )
-        assert step(net.model, [0], [Query(0, {}, 0)]) == [2]
+        assert step(net.model, [0], UNBOUND, ONE) == [2]
 
     def test_tie_breaks_to_lowest_node_id(self):
         links = [[3, 5], [], [], [0], [], [0]]
         net = published_net({nb: {0: [row(1.0)]} for nb in (5, 3)}, neighbors=links)
-        assert step(net.model, [0], [Query(0, {}, 0)]) == [3]
+        assert step(net.model, [0], UNBOUND, ONE) == [3]
 
     def test_visited_neighbors_avoided(self):
         net = published_net(
             {0: {0: [row(0.1)]}, 2: {0: [row(9.0)]}}, neighbors=[[1], [0, 2], [1]]
         )
-        assert step(net.model, [1], [Query(0, {}, 0)], [[0]]) == [2]
-        assert step(net.model, [1], [Query(0, {}, 0)]) == [0]
+        assert step(net.model, [1], UNBOUND, ONE, [[0]]) == [2]
+        assert step(net.model, [1], UNBOUND, ONE) == [0]
 
     def test_all_visited_falls_back_to_any_neighbor(self):
         net = published_net(
             {0: {0: [row(0.1)]}, 2: {0: [row(9.0)]}}, neighbors=[[1], [0, 2], [1]]
         )
-        assert step(net.model, [1], [Query(0, {}, 0)], [[0, 1, 2]]) == [0]
+        assert step(net.model, [1], UNBOUND, ONE, [[0, 1, 2]]) == [0]
 
     def test_hop_accounting_along_a_line(self):
         # nodes 0 and 1 trained variable 0; what nodes 0 and 2 published,
@@ -750,11 +758,10 @@ class TestProcessQuery:
         )
         net.publish(0, {0: [row(5.0)]})
         net.publish(2, {0: [row(0.01)]})
-        queries = [Query(0, {}, 0)]
-        paths = walk(net.model, queries, 2)
+        paths = walk(net.model, UNBOUND, ONE, 2)
         # one node per hop, every hop spent on a forward
         assert paths.tolist() == [[0, 1, 2]]
-        assert take_over(net.model, queries, paths)[0].tolist() == [0]
+        assert take_over(net.model, UNBOUND, ONE, paths)[0].tolist() == [0]
 
     def test_order_recomputed_after_models_change(self):
         net = published_net({
@@ -762,11 +769,11 @@ class TestProcessQuery:
             2: {0: [row(3.0)], 1: [row(3.0)]},
         }, neighbors=[[1, 2], [0], [0]])
         model = net.model
-        queries = [Query(0, {}, 0), Query(1, {}, 0)]
-        assert step(model, [0, 0], queries) == [1, 1]
+        keys, index = [(0, frozenset()), (1, frozenset())], np.arange(2)
+        assert step(model, [0, 0], keys, index) == [1, 1]
         ranks = [model.ranks(t, frozenset()) for t in (0, 1)]
         net.publish(2, {0: [row(0.5)]})
-        assert step(model, [0, 0], queries) == [2, 1]
+        assert step(model, [0, 0], keys, index) == [2, 1]
         assert model.ranks(0, frozenset()) is not ranks[0]
         # the ranks of the target not sent survive, as the same object
         assert model.ranks(1, frozenset()) is ranks[1]
@@ -792,7 +799,7 @@ class TestProcessQuery:
             published[node] = {var: sets for var, sets in entries.items() if sets}
         net = published_net(published, node_count=node_count, neighbors=links)
         linked = [node for node in range(node_count) if links[node]]
-        nodes, queries, visited = [], [], []
+        nodes, asked, visited = [], [], []
         for _ in range(data.draw(st.integers(1, 8))):
             node = data.draw(st.sampled_from(linked))
             target = data.draw(st.sampled_from((0, 1)))
@@ -802,12 +809,12 @@ class TestProcessQuery:
             else:
                 seen = data.draw(st.lists(st.integers(0, node_count - 1), unique=True))
             nodes.append(node)
-            queries.append(Query(target, {c: 0 for c in bound}, node))
+            asked.append((target, bound))
             visited.append(seen)
-        got = step(net.model, nodes, queries, visited)
+        got = step(net.model, nodes, *keyed(asked), visited)
         want = [
-            reference_hop(net, node, query, seen)
-            for node, query, seen in zip(nodes, queries, visited)
+            reference_hop(net, node, key, seen)
+            for node, key, seen in zip(nodes, asked, visited)
         ]
         assert got == want
 
@@ -842,17 +849,16 @@ class TestProcessQuery:
 
         def ask(asked):
             nodes = [node for node, _, _ in asked]
-            queries = [Query(target, {c: 0 for c in bound}, node)
-                       for node, target, bound in asked]
+            pairs = [(target, bound) for _, target, bound in asked]
             visited = [
                 data.draw(st.lists(st.sampled_from(links[node]), unique=True))
                 for node in nodes
             ]
             want = [
-                reference_hop(net, node, query, seen)
-                for node, query, seen in zip(nodes, queries, visited)
+                reference_hop(net, node, key, seen)
+                for node, key, seen in zip(nodes, pairs, visited)
             ]
-            assert step(net.model, nodes, queries, visited) == want
+            assert step(net.model, nodes, *keyed(pairs), visited) == want
 
         for _ in range(data.draw(st.integers(1, 4))):
             for _ in range(data.draw(st.integers(0, 4))):
