@@ -26,7 +26,8 @@ Usage: python3 scripts/studies.py --study {cycles,hops,k,pool,context_size}
 
 Seeds and values are distinct comma-separated lists; `--cycles 0` writes
 the header alone. A bad list, or a value the study's config rejects, exits
-with status 2 and one line on stderr, before `--out` is opened.
+with status 2 and one line on stderr, before `--out` is opened; so does an
+`--out` that cannot be opened, as under a file or at a directory.
 """
 
 import argparse
@@ -37,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from edgeknow.cli import _int_list, _seed_list
+from edgeknow.cli import _int_list, _make_out_dir, _seed_list
 from edgeknow.engine import SimConfig, Strategy, run_trial
 
 
@@ -111,9 +112,14 @@ def main() -> int:
         print(f"bad study {args.study}: {exc}", file=sys.stderr)
         return 2
     out = args.out or Path("out") / f"{args.study}.csv"
-
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w") as f:
+    if not _make_out_dir(out.parent):
+        return 2
+    try:
+        f = open(out, "w")
+    except OSError as exc:
+        print(f"bad --out: {exc}", file=sys.stderr)
+        return 2
+    with f:
         f.write("value,cycle,accuracy,accuracy_std\n")
         for value, trials in zip(values, configs):
             label = value.value if study.field == "strategy" else value

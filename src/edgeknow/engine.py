@@ -4,9 +4,9 @@ A trial: generate a synthetic Gaussian workload (or ingest one from CSV),
 train one model per node, grow the similarity-clustered overlay, then run
 cycles in which every node first propagates its knowledge and then issues one
 query. Propagation works on the shared routing model's per-variable arrays:
-one pass per variable that some node must rebuild builds, compares and
-stages that variable's lists for all those nodes at once, and the sends are
-integrated per variable after the last pass. A cycle's queries are drawn
+one pass per variable that some node must rebuild builds, stages and
+compares that variable's lists for all those nodes at once, and the sends
+are integrated per variable after the last pass. A cycle's queries are drawn
 first, in issuer order, and then routed together: `abs` moves every query of
 a block of issuers one hop per `process_query` step, over the forwarding
 ranks of their keys, while `rw` walks each query in turn. A query is its
@@ -346,11 +346,6 @@ class TrialState:
     trained_combos: dict[int, list[frozenset[int]]]
     query_rng: np.random.Generator
     walk_rng: np.random.Generator
-    # the variables queries target: the keys of `trained_combos`
-    targets: list[int] = field(init=False)
-
-    def __post_init__(self):
-        self.targets = list(self.trained_combos)
 
 
 def accuracy(
@@ -372,7 +367,7 @@ def oracle_best(
     """Per query, its key's (`keys[index[i]]`) minimum answering entropy
     over all nodes, at most the uniform prior log2(cardinality) that
     untrained nodes answer from."""
-    best = [model.answers(target, bound)[1] for target, bound in keys]
+    best = [model.answers(target, bound).min() for target, bound in keys]
     return np.minimum(math.log2(pred_card), best)[index]
 
 
@@ -383,7 +378,7 @@ def take_over(
     answer it takes, the first least of its key's (`keys[index[i]]`)
     answers along the path, and that answer, inf when no node on the path
     answered."""
-    answers = np.stack([model.answers(target, bound)[0] for target, bound in keys])
+    answers = np.stack([model.answers(target, bound) for target, bound in keys])
     along = answers.reshape(-1).take((index * answers.shape[1])[:, None] + paths)
     step = along.argmin(axis=1)
     return step, along[np.arange(len(index)), step]
@@ -485,11 +480,11 @@ def setup_trial(config: SimConfig, workload: Optional[Workload] = None) -> Trial
 
 def draw_queries(trial: TrialState) -> tuple[list, np.ndarray]:
     """A cycle's queries, query i node i's: for each issuer in turn, a
-    target drawn from `trial.targets`, then one of its trained combinations,
-    the only draws from the query stream. Returns the distinct (target,
-    evidence) keys, first drawn first, and each query's index among
-    them."""
-    rng, targets = trial.query_rng, trial.targets
+    target drawn from the trained variables, then one of its trained
+    combinations, the only draws from the query stream. Returns the
+    distinct (target, evidence) keys, first drawn first, and each query's
+    index among them."""
+    rng, targets = trial.query_rng, list(trial.trained_combos)
     keys: dict[tuple[int, frozenset[int]], int] = {}
     index = np.empty(trial.config.node_count, dtype=np.intp)
     for issuer in range(len(index)):
@@ -540,29 +535,25 @@ def run_cycle(trial: TrialState, cycle: int) -> CycleMetrics:
     # phase 1: knowledge propagation, one pass per variable that some node
     # must rebuild: at set-up its trainers, then the neighbors of its
     # senders. Every build reads the lists as the cycle found them, as
-    # sends are integrated after the last build. A rebuilt list equal to
-    # the published one is dropped, with any unsent list of its variable;
-    # the others wait, unsent, until `should_advertise` finds a rebuilt list
-    # of their node worth sending. A send is integrated once, into the
-    # shared model, and carries only the node's unsent lists: all its
-    # neighbors lack while the overlay is static and each of them received
-    # every earlier send.
+    # sends are integrated after the last build. Every rebuilt list is
+    # staged, unsent; those that differ from the published ones wait until
+    # `should_advertise` finds a rebuilt list of their node worth sending.
+    # A send is integrated once, into the shared model, and carries only
+    # the node's pending lists: all its neighbors lack while the overlay is
+    # static and each of them received every earlier send.
     model = trial.model
     senders = np.zeros(config.node_count, dtype=bool)
     for var in np.flatnonzero(model.changed.any(axis=1)):
         nodes = np.flatnonzero(model.changed[var])
         model.changed[var] = False
         joints, origins = build_advertisement(model, var, nodes, policy)
-        differs = (joints != model.joints[var, nodes]).any(axis=1)
-        differs |= (origins != model.origins[var, nodes]).any(axis=1)
-        model.pending[var, nodes] = differs
-        nodes, joints, origins = nodes[differs], joints[differs], origins[differs]
         model.unsent_joints[var, nodes] = joints
         model.unsent_origins[var, nodes] = origins
-        senders[should_advertise(model, var, nodes, joints, origins, policy)] = True
-    for var in np.flatnonzero((model.pending & senders).any(axis=1)):
-        nodes = np.flatnonzero(model.pending[var] & senders)
-        adv_sets_sent += integrate_advertisement(model, var, nodes)
+        senders[should_advertise(model, var, nodes, policy)] = True
+    senders = np.flatnonzero(senders)
+    pending = model.pending(senders)
+    for var in np.flatnonzero(pending.any(axis=1)):
+        adv_sets_sent += integrate_advertisement(model, var, senders[pending[var]])
 
     # phase 2: one query per node, drawn in issuer order, routed together
     keys, index = draw_queries(trial)

@@ -21,8 +21,8 @@ changed at a neighbor. Every neighbor of a sender receives the same
 advertisements, so one trial-wide `RoutingModel` holds, per node, the lists
 it has told its neighbors, and stands for all their copies. An
 advertisement is sent as a delta, in the manner of triggered updates (RIP,
-RFC 2453 §3.10.1): a node keeps the lists it built since its last send that
-differ from its published lists, and a send carries only those. Receivers
+RFC 2453 §3.10.1): a node stages every list it rebuilds, and a send carries
+only the staged lists that differ from its published ones. Receivers
 keep the variables a delta leaves out, so while the overlay is static and
 every neighbor received every earlier delta, routes are those full
 snapshots would give; the traffic counted, `adv_sets_sent`, is the sets of
@@ -30,22 +30,23 @@ the delta times the number of neighbors.
 
 The model holds everything per variable as arrays over nodes: the local
 sets as joints (inf where untrained) and origins; the published lists as
-(nodes x K) joints, padded with inf, and origins, padded with 0; the unsent
-lists alike, with a pending mask; and which nodes must rebuild the
-variable. Every build of a cycle reads the lists as they stood at its
-start, so `build_advertisement`, `should_advertise` and
-`integrate_advertisement` each handle one variable for every affected node
-at once. A set's combination is the table's combination id of its origin.
-A query is its key: a target and its evidence, the frozenset of the
-context variables it binds; no score reads a context's state. Per key, one
-numpy expression scores every node's published lists (`best_score`) and
-one every node's local set (`answer_entropy`): numpy subtracts elementwise
-in the evidence set's order, so each score is the float `_score` gives for
-that set. The model keeps, per key, every node's forwarding rank, its place
-in a stable sort of the score vector, until an integration of the target
-drops it; and the answer vector and its minimum, the oracle's optimum, for
-the model's life, since local sets are fixed at set-up. Both vectors have
-one more slot, for a pad node n that ranks behind every node and answers
+(nodes x K) joints, padded with inf, and origins, padded with 0; the staged
+(unsent) lists alike, pending where they differ from the published ones;
+and which nodes must rebuild the variable. Every build of a cycle reads the
+lists as they stood at its start, so `build_advertisement`,
+`should_advertise` and `integrate_advertisement` each handle one variable
+for every affected node at once. A set's combination is the table's
+combination id of its origin. A query is its key: a target and its
+evidence, the frozenset of the context variables it binds; no score reads a
+context's state. Per key, one numpy expression scores every node's
+published lists (`best_score`) and one every node's local set
+(`answer_entropy`): `RoutingModel.subtract` subtracts elementwise in the
+evidence set's order, the one scoring path, which the quality gate also
+takes. The model keeps, per key, every node's forwarding rank, its place in
+a stable sort of the score vector, until an integration of the target drops
+it; and the answer vector, whose minimum is the oracle's optimum, for the
+model's life, since local sets are fixed at set-up. Both vectors have one
+more slot, for a pad node n that ranks behind every node and answers
 nothing.
 
 Queries move in lockstep: `process_query` forwards every query in flight
@@ -60,7 +61,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -75,16 +76,6 @@ NodeId = int
 EntropySet = tuple[float, tuple[int, ...], tuple[float, ...]]
 
 
-def _score(joint: float, entropies: Sequence[float], bound: Iterable[int]) -> float:
-    """Conditional entropy estimate of a set for evidence on `bound`: its
-    joint minus the entropies of the bound variables in `bound`'s iteration
-    order, clamped at zero; bound variables the set does not hold subtract
-    0.0."""
-    for var in bound:
-        joint -= entropies[var]
-    return max(joint, 0.0)
-
-
 @dataclass
 class AdvertisementPolicy:
     change_threshold: float = 0.005
@@ -97,20 +88,22 @@ class RoutingModel:
     tell, and what the trial derives from it, over fixed neighbor lists.
 
     Per variable and node: the local set as its joint (inf when untrained),
-    origin and gate score, the evidence-free score of the quality gate,
-    computed once here in the iteration order of the frozenset of the
-    table's contexts filled from a dict; `changed`, whether the node must
-    rebuild the variable; the published lists (`joints`, `origins`, K slots
-    each, ascending joint first); and the unsent lists, valid where
-    `pending`. The entropy table holds origin 0, the reduced form's all-zero
-    row with no context, then one row per distinct `(contexts, entropies)`
-    of the local sets; `combos` maps each origin to its combination's id.
+    origin and gate score, the evidence-free score of the quality gate:
+    `subtract` over the table's own contexts, in the iteration order of
+    their frozenset filled from a dict, clamped at 0, taken once here for
+    each combination; `changed`, whether the node must rebuild the variable; the
+    published lists (`joints`, `origins`, K slots each, ascending joint
+    first); and the unsent lists, the node's last rebuilt ones, pending
+    where they differ from the published ones. The entropy table holds
+    origin 0, the reduced form's all-zero row with no context, then one row
+    per distinct `(contexts, entropies)` of the local sets; `combos` maps
+    each origin to its combination's id.
 
     Per (target, evidence variable set) key, the model keeps every node's
     forwarding rank, until an integration of the target drops them, and
-    every node's local answer with their minimum, for its life. Both have a
-    slot for the pad node n, which pads `neighbor_rows`: each node's
-    neighbors, ascending, then one all-pad row for node n itself."""
+    every node's local answer, for its life. Both have a slot for the pad
+    node n, which pads `neighbor_rows`: each node's neighbors, ascending,
+    then one all-pad row for node n itself."""
 
     def __init__(
         self,
@@ -123,55 +116,62 @@ class RoutingModel:
         shape = (variables, len(local_sets))
         self.local_joints = np.full(shape, math.inf)
         self.local_origins = np.zeros(shape, dtype=np.int32)
-        self.gates = np.zeros(shape)
         rows = {((), (0.0,) * width): 0}
+        # per combination, the (variable, node) of each local set over it
+        trained: dict[tuple[int, ...], list[tuple[int, int]]] = {}
         for node, sets in enumerate(local_sets):
             for var, (joint, contexts, entropies) in sets.items():
                 origin = rows.setdefault((contexts, entropies), len(rows))
                 self.local_joints[var, node] = joint
                 self.local_origins[var, node] = origin
-                bound = frozenset(dict.fromkeys(contexts))
-                self.gates[var, node] = _score(joint, entropies, bound)
+                trained.setdefault(contexts, []).append((var, node))
         self.changed = np.isfinite(self.local_joints)
         # per context variable, its entropy in every row of the table
         self._entropies = np.array([e for _, e in rows], dtype=float).T.copy()
+        self.gates = np.zeros(shape)
+        for contexts, cells in trained.items():
+            var, node = np.array(cells).T
+            scores = self.subtract(
+                self.local_joints[var, node], self.local_origins[var, node],
+                frozenset(dict.fromkeys(contexts)),
+            )
+            self.gates[var, node] = np.maximum(scores, 0.0)
         combos: dict[tuple[int, ...], int] = {}
         self.combos = np.array(
             [combos.setdefault(c, len(combos)) for c, _ in rows], dtype=np.intp
         )
         self.degree = np.array([len(nbs) for nbs in neighbors], dtype=np.intp)
-        self._starts = np.cumsum(self.degree) - self.degree
-        self._neighbors = np.array(
-            [nb for nbs in neighbors for nb in nbs], dtype=np.intp
-        )
         n, width = len(local_sets), max(1, self.degree.max(initial=0))
         self.neighbor_rows = np.full((n + 1, width), n, dtype=np.int32)
-        row = np.arange(n).repeat(self.degree)
-        column = np.arange(len(self._neighbors)) - self._starts[row]
-        self.neighbor_rows[row, column] = self._neighbors
+        for node, nbs in enumerate(neighbors):
+            self.neighbor_rows[node, : len(nbs)] = nbs
         self.joints = np.full(shape + (k,), math.inf)
         self.origins = np.zeros(shape + (k,), dtype=np.int32)
         self.unsent_joints = self.joints.copy()
         self.unsent_origins = self.origins.copy()
-        self.pending = np.zeros(shape, dtype=bool)
         # per target, per evidence variable set: every node's forwarding rank
         self._ranks: dict[int, dict[frozenset[int], np.ndarray]] = {}
-        # per (target, evidence variable set): every node's local answer, and
-        # the least of them
-        self._answers: dict[tuple[int, frozenset[int]], tuple] = {}
+        # per (target, evidence variable set): every node's local answer
+        self._answers: dict[tuple[int, frozenset[int]], np.ndarray] = {}
 
     def neighbors_of(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The neighbors of `nodes`, each node's ascending and the nodes in
         order, and how many each node has."""
-        counts = self.degree[nodes]
-        flat = np.arange(counts.sum())
-        flat += np.repeat(self._starts[nodes] - (np.cumsum(counts) - counts), counts)
-        return self._neighbors[flat], counts
+        rows = self.neighbor_rows[nodes]
+        return rows[rows < len(self.degree)], self.degree[nodes]
+
+    def pending(self, nodes: np.ndarray) -> np.ndarray:
+        """Per variable, whether each of `nodes` holds an unsent list that
+        differs from its published one, as a (variables x nodes) mask."""
+        differs = self.unsent_joints != self.joints
+        differs |= self.unsent_origins != self.origins
+        return differs.any(axis=2)[:, nodes]
 
     def subtract(self, joints, origins, bound: frozenset[int]) -> np.ndarray:
         """`joints` less, for each variable of `bound` in its iteration
-        order, that variable's entropy in the table rows `origins` name:
-        unclamped, the floats `_score` gives."""
+        order, that variable's entropy in the table rows `origins` name,
+        unclamped: the one subtraction behind every score, the gates,
+        `best_score` and `answer_entropy`."""
         for var in bound:
             joints = joints - self._entropies[var][origins]
         return joints
@@ -199,18 +199,18 @@ class RoutingModel:
             ranks[order] = np.arange(n, dtype=np.int32)
         return ranks
 
-    def answers(self, target: int, bound: frozenset[int]) -> tuple[np.ndarray, float]:
+    def answers(self, target: int, bound: frozenset[int]) -> np.ndarray:
         """Per node, its local answer for `target` under evidence on `bound`
         (`answer_entropy`, looked up on the module, where perfbench wraps
-        it), then inf for the pad node n; and their minimum. Kept for the
-        model's life: local sets are fixed. Equal evidence sets share them,
-        as in `ranks`."""
+        it), then inf for the pad node n. Kept for the model's life: local
+        sets are fixed. Equal evidence sets share one vector, as in
+        `ranks`."""
         key = (target, bound)
-        found = self._answers.get(key)
-        if found is None:
+        values = self._answers.get(key)
+        if values is None:
             values = np.append(answer_entropy(self, target, bound), math.inf)
-            found = self._answers[key] = (values, float(values.min()))
-        return found
+            self._answers[key] = values
+        return values
 
 
 def local_entropy_sets(
@@ -291,17 +291,14 @@ def build_advertisement(
 
 
 def should_advertise(
-    model: RoutingModel,
-    var: int,
-    nodes: np.ndarray,
-    joints: np.ndarray,
-    origins: np.ndarray,
-    policy: AdvertisementPolicy,
+    model: RoutingModel, var: int, nodes: np.ndarray, policy: AdvertisementPolicy
 ) -> list[NodeId]:
-    """The nodes among `nodes` whose new list for `var` (rows of `joints`
-    and `origins`) differs from their published one: in its combinations,
-    or by more than the change threshold in a joint. The engine passes only
-    the rebuilt lists that differ from the published ones by value."""
+    """The nodes among `nodes` whose unsent list for `var` differs from
+    their published one: in its combinations, or by more than the change
+    threshold in a joint. A list equal to the published one sends
+    nothing."""
+    joints = model.unsent_joints[var, nodes]
+    origins = model.unsent_origins[var, nodes]
     held, was_held = np.isfinite(joints), np.isfinite(model.joints[var, nodes])
     combos = model.combos[origins]
     same = combos[:, :, None] == model.combos[model.origins[var, nodes]][:, None, :]
@@ -322,7 +319,6 @@ def integrate_advertisement(model: RoutingModel, var: int, nodes: np.ndarray) ->
     joints = model.unsent_joints[var, nodes]
     model.joints[var, nodes] = joints
     model.origins[var, nodes] = model.unsent_origins[var, nodes]
-    model.pending[var, nodes] = False
     receivers, counts = model.neighbors_of(nodes)
     model.changed[var, receivers] = True
     model._ranks.pop(var, None)

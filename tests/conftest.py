@@ -207,12 +207,14 @@ def view(s: tuple) -> tuple[float, dict[int, float]]:
 
 def published_rows(model, local_sets, unsent=False) -> list[dict[int, list]]:
     """Per node, per variable it published, its list as library rows read
-    from the model's arrays (with `unsent`, its unsent lists instead);
-    `local_sets`, per node, are those the model was built from, which give
-    each origin its row."""
+    from the model's arrays (with `unsent`, its unsent lists that differ
+    from its published ones instead); `local_sets`, per node, are those the
+    model was built from, which give each origin its row."""
     joints, origins = model.joints, model.origins
     if unsent:
-        joints = np.where(model.pending[:, :, None], model.unsent_joints, math.inf)
+        same = (model.unsent_joints == joints).all(axis=2)
+        same &= (model.unsent_origins == origins).all(axis=2)
+        joints = np.where(same[:, :, None], math.inf, model.unsent_joints)
         origins = model.unsent_origins
     width = model._entropies.shape[0]
     rows = {0: ((), (0.0,) * width)}

@@ -485,3 +485,16 @@ class TestStudies:
         assert out.read_text() == "kept\n"
         result = run_study(*flags, "--out", tmp_path / "new" / "s.csv")
         assert result.returncode == 2 and not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("where", ["under-file", "directory"])
+    def test_unopenable_out_exits_2_with_one_line(self, tmp_path, where):
+        (tmp_path / "file").write_text("kept\n")
+        out = tmp_path / "file" / "s.csv" if where == "under-file" else tmp_path
+        result = run_study(
+            "--study", "cycles", "--seeds", "0", "--values", "abs",
+            "--cycles", "0", "--out", out,
+        )
+        assert result.returncode == 2
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("bad --out: ")
+        assert (tmp_path / "file").read_text() == "kept\n"

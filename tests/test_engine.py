@@ -355,11 +355,10 @@ class TestOracle:
         config = small_config()
         trial, _, local_sets = set_up(config)
         for target in range(config.predicting_var_count):
-            answers, best = trial.model.answers(target, frozenset({0}))
+            answers = trial.model.answers(target, frozenset({0}))
             # and the pad node answers nothing
             trained = [target in sets for sets in local_sets] + [False]
             assert np.isfinite(answers).tolist() == trained
-            assert best == min(answers)
 
 
 class TestTrialSetup:
@@ -372,7 +371,7 @@ class TestTrialSetup:
             # the first build covers the trained variables
             changed = trial.model.changed[:, node]
             assert set(np.flatnonzero(changed)) == set(local_sets[node])
-        assert not trial.model.pending.any()
+        assert not trial.model.pending(np.arange(config.node_count)).any()
         assert published_rows(trial.model, []) == [{}] * config.node_count
 
     def test_entries_without_observations_are_not_targets(self):
@@ -381,9 +380,9 @@ class TestTrialSetup:
         trial = setup_trial(config, workload)
         assert trial.trained_combos == {0: [frozenset({0})]}
         # and no node answers for them
-        trained = np.isfinite(trial.model.answers(0, frozenset())[0])
+        trained = np.isfinite(trial.model.answers(0, frozenset()))
         assert np.flatnonzero(trained).tolist() == [0]
-        assert trial.model.answers(1, frozenset())[1] == math.inf
+        assert (trial.model.answers(1, frozenset()) == math.inf).all()
 
     def test_trained_combos_cover_workload(self):
         config = small_config()
@@ -497,11 +496,12 @@ class TestDrawQueries:
         trial = setup_trial(config)
         s_query = np.random.SeedSequence(config.seed).spawn(4)[2]
         fresh = np.random.default_rng(s_query)
+        targets = list(trial.trained_combos)
 
         def drawn():
             keys = []
             for _ in range(config.node_count):
-                target = trial.targets[fresh.integers(len(trial.targets))]
+                target = targets[fresh.integers(len(targets))]
                 combos = trial.trained_combos[target]
                 keys.append((target, combos[fresh.integers(len(combos))]))
             return keys
@@ -537,7 +537,7 @@ class TestRouteQuery:
     def test_visited_is_walk_and_budget_spent(self):
         config = small_config(hop_budget=4)
         trial = setup_trial(config)
-        keys = [(trial.targets[0], frozenset())]
+        keys = [(next(iter(trial.trained_combos)), frozenset())]
         index = np.zeros(config.node_count, dtype=np.intp)
         paths = [path for path, _, _ in routed(trial, keys, index, Strategy.ABS)]
         for path in paths:
@@ -549,7 +549,7 @@ class TestRouteQuery:
     def test_random_walk_also_respects_topology(self):
         config = small_config(hop_budget=6)
         trial = setup_trial(config)
-        keys = [(trial.targets[0], frozenset())]
+        keys = [(next(iter(trial.trained_combos)), frozenset())]
         index = np.zeros(4, dtype=np.intp)
         *_, (path, _, _) = routed(trial, keys, index, Strategy.RANDOM_WALK)
         assert len(path) == 7 and path[0] == 3
@@ -570,7 +570,7 @@ class TestRouteQuery:
         keys, index = [(0, frozenset({0}))], np.zeros(1, dtype=np.intp)
         (path, answered_by, quality), = routed(trial, keys, index, strategy)
         assert len(set(path[1:])) > 1
-        answers = trial.model.answers(0, frozenset({0}))[0]
+        answers = trial.model.answers(0, frozenset({0}))
         assert len({answers[node] for node in path[1:]}) == 1
         assert answered_by == path[1]
         assert quality == answers[path[1]]

@@ -89,16 +89,17 @@ class Net:
             if joint < math.inf
         ]
 
+    def stage(self, node, var, sets):
+        """Stage a list of rows as `node`'s unsent list of `var`."""
+        joints, origins = self.arrays(sets)
+        self.model.unsent_joints[var, node] = joints[0]
+        self.model.unsent_origins[var, node] = origins[0]
+
     def publish(self, node, lists):
         """Send `lists`, per variable a list of rows, as `node`'s."""
-        model = self.model
         for var, sets in lists.items():
-            joints, origins = self.arrays(sets)
-            model.unsent_joints[var, node], model.unsent_origins[var, node] = (
-                joints[0], origins[0]
-            )
-            model.pending[var, node] = True
-            integrate_advertisement(model, var, np.array([node]))
+            self.stage(node, var, sets)
+            integrate_advertisement(self.model, var, np.array([node]))
 
     def lists(self, node):
         """`node`'s published lists."""
@@ -282,7 +283,7 @@ class TestIntegrate:
         assert net.lists(0) == {0: [row(1.0)], 1: [row(4.0)]}
         # the neighbor must rebuild the variable sent, and only that one
         assert np.flatnonzero(net.model.changed[:, 1]).tolist() == [0]
-        assert not net.model.pending.any()
+        assert not net.model.pending(np.arange(2)).any()
 
     def test_best_score_reads_integrated_list(self):
         net = published_net({0: {0: [row(5.0)]}, 1: {0: [row(2.0)]}})
@@ -302,13 +303,39 @@ class TestIntegrate:
         # local sets are fixed at set-up, so a key's answers are kept for
         # the model's life
         net = Net([{0: row(2.0, {1: 0.5})}, {}], [[1], [0]])
-        answers, best = net.model.answers(0, frozenset({1}))
+        answers = net.model.answers(0, frozenset({1}))
         # and inf for the pad node
-        assert list(answers) == [1.5, math.inf, math.inf] and best == 1.5
+        assert list(answers) == [1.5, math.inf, math.inf]
         net.publish(0, {0: [row(1.0)]})
         net.publish(1, {0: [row(0.5)]})
-        assert net.model.answers(0, frozenset({1})) == (answers, best)
-        assert net.model.answers(0, frozenset({1}))[0] is answers
+        assert net.model.answers(0, frozenset({1})) is answers
+        assert list(answers) == [1.5, math.inf, math.inf]
+
+
+class TestNeighborsOf:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_concatenated_lists(self, data):
+        """The neighbors of any sequence of nodes, repeats and any order
+        included, are their ascending neighbor lists concatenated, with each
+        node's count: over random lists plus an isolated node and a node at
+        the maximum degree, linked to every other node."""
+        node_count = data.draw(st.integers(0, 12))
+        links = [
+            sorted(data.draw(st.lists(
+                st.integers(0, node_count + 1).filter(lambda n, i=i: n != i),
+                unique=True,
+            )))
+            for i in range(node_count)
+        ]
+        # node n is isolated; node n + 1 is linked to every other node
+        links += [[], list(range(node_count + 1))]
+        model = RoutingModel([{}] * len(links), links, 1, 1, ROW_WIDTH)
+        assert model.degree.max() == len(links) - 1
+        nodes = data.draw(st.lists(st.integers(0, len(links) - 1)))
+        got, counts = model.neighbors_of(np.array(nodes, dtype=np.intp))
+        assert got.tolist() == [nb for node in nodes for nb in links[node]]
+        assert counts.tolist() == [len(links[node]) for node in nodes]
 
 
 def evidence(keys):
@@ -499,14 +526,14 @@ class TestShouldAdvertise:
 
     def senders(self, previous, current):
         """The nodes `should_advertise` sends for, over each variable of
-        `current` in turn, when node 0 published `previous`."""
+        `current` in turn, staged as node 0's unsent list, when node 0
+        published `previous`."""
         net = published_net({0: previous})
-        return [
-            should_advertise(
-                net.model, var, np.array([0]), *net.arrays(sets), self.policy
-            )
-            for var, sets in current.items()
-        ]
+        sent = []
+        for var, sets in current.items():
+            net.stage(0, var, sets)
+            sent.append(should_advertise(net.model, var, np.array([0]), self.policy))
+        return sent
 
     def test_first_time(self):
         assert self.senders({}, self.first()) == [[0]]
@@ -522,6 +549,12 @@ class TestShouldAdvertise:
     def test_large_change_sent(self):
         other = {0: [row(1.5)]}
         assert self.senders(self.first(), other) == [[0]]
+
+    def test_list_equal_to_published_not_sent(self):
+        # a reduced row and an inf pad in the K=2 slots, staged as published
+        assert self.senders(self.first(), self.first()) == [[]]
+        # and the first time, an empty list staged as none published
+        assert self.senders({}, {0: []}) == [[]]
 
 
 def model_entries(var, max_size=2, min_size=0):
@@ -560,13 +593,14 @@ class TestIncrementalBuild:
     @settings(max_examples=200, deadline=None)
     def test_matches_full_rebuild(self, data):
         """Random sends by one node's neighbors, each round followed by an
-        incremental build of the variables the node must rebuild, staged as
-        the engine stages them: merged into the earlier lists, they equal
-        the from-scratch reference, winner order included, and are well
-        formed; a send makes its receivers rebuild exactly the variables
-        sent; the send decision over the rebuilt lists that differ from
-        those sent agrees with the full comparison, and a send of the
-        unsent lists makes the node's published lists the full
+        incremental build of the variables the node must rebuild, every
+        rebuilt list staged as the engine stages it, equal ones included:
+        merged into the earlier lists, they equal the from-scratch
+        reference, winner order included, and are well formed; a send makes
+        its receivers rebuild exactly the variables sent; the pending lists
+        are those built that differ from those sent, the send decision over
+        the staged lists agrees with the full comparison, and a send of the
+        pending lists makes the node's published lists the full
         advertisement."""
         k = data.draw(st.integers(1, 3), label="k")
         policy = AdvertisementPolicy(
@@ -588,7 +622,8 @@ class TestIncrementalBuild:
         net = Net([local] + [{}] * 9, links, k, ENTRY_ROWS)
         model = net.model
         local_views = {var: view(s) for var, s in local.items()}
-        sent, built, unsent = {}, {}, {}
+        sent, built = {}, {}
+        node = np.array([0])
         # the first build covers the trained variables
         assert set(np.flatnonzero(model.changed[:VARIABLES, 0])) == set(local)
         for _ in range(data.draw(st.integers(1, 8), label="rounds")):
@@ -608,6 +643,8 @@ class TestIncrementalBuild:
             changed = np.flatnonzero(model.changed[:VARIABLES, 0]).tolist()
             model.changed[:, 0] = False
             rebuilt = net.build(0, changed, policy)
+            for var, sets in rebuilt.items():
+                net.stage(0, var, sets)
             built.update(rebuilt)
             assert views(built) == bf_build_advertisement(
                 local_views,
@@ -616,24 +653,21 @@ class TestIncrementalBuild:
                 k,
             )
             assert well_formed(views(built), k)
-            for var, sets in list(rebuilt.items()):
-                if sets == sent.get(var):
-                    del rebuilt[var]
-                    unsent.pop(var, None)
-            unsent.update(rebuilt)
-            assert unsent == {
+            unsent = {
                 var: sets for var, sets in built.items() if sets != sent.get(var)
             }
+            pending = np.flatnonzero(model.pending(node)[:, 0])
+            assert set(pending) == set(unsent)
             send = any(
-                should_advertise(model, var, np.array([0]), *net.arrays(sets), policy)
-                for var, sets in rebuilt.items()
+                should_advertise(model, var, node, policy) for var in rebuilt
             )
             assert send == bf_should_advertise(views(sent), views(built), policy)
             if send:
-                net.publish(0, unsent)
+                for var in pending:
+                    integrate_advertisement(model, var, node)
                 sent.update(unsent)
                 assert net.lists(0) == sent == built
-                unsent = {}
+                assert not model.pending(node).any()
 
 
 def trained_set(target_state=0, observations=60):
@@ -699,7 +733,7 @@ class TestProcessQuery:
         assert paths.tolist() == [[0]]
         step_, quality = take_over(model, UNBOUND, ONE, paths)
         assert step_.tolist() == [0]
-        assert quality[0] == model.answers(0, frozenset())[0][0] < math.inf
+        assert quality[0] == model.answers(0, frozenset())[0] < math.inf
 
     def test_node_without_neighbors_moves_to_the_pad(self):
         # an issuer without neighbors answers alone: its path is padded with
@@ -713,7 +747,7 @@ class TestProcessQuery:
         # nodes 0 and 2 answer alike, node 1 better
         net = Net([{0: trained_set(1, 5)}, {0: trained_set(0)}, {0: trained_set(1, 5)}])
         model = net.model
-        answers = model.answers(0, frozenset())[0]
+        answers = model.answers(0, frozenset())
         assert answers[0] == answers[2] > answers[1]
         paths = np.array([[2, 0, 2], [0, 2, 1], [0, 3, 3]])
         step_, quality = take_over(model, UNBOUND, ONE.repeat(3), paths)
