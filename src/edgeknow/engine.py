@@ -7,11 +7,13 @@ query. Propagation works on the shared routing model's per-variable arrays:
 one pass per variable that some node must rebuild builds, stages and
 compares that variable's lists for all those nodes at once, and the sends
 are integrated per variable after the last pass. A cycle's queries are drawn
-first, in issuer order, and then routed together: `abs` moves every query of
-a block of issuers one hop per `process_query` step, over the forwarding
-ranks of their keys, while `rw` walks each query in turn. A query is its
-key, a target and the context variables it binds as evidence: the paper's
-quality metric conditions on the bound set, so no context state is drawn.
+first, in issuer order, and then routed together: both strategies move
+every query of a block of issuers one hop per `process_query` step, to the
+neighbor of least key, `abs` keying each neighbor by its forwarding rank
+for the query's key and `rw` by a uniform draw from the walk stream. A
+query is its key, a target and the context variables it binds as evidence:
+the paper's quality metric conditions on the bound set, so no context state
+is drawn.
 A query takes the first least answer along its path from its key's answer
 vector, every node's local answer. Its achieved quality is compared against
 an exhaustive-search oracle (the minimum of that vector, at most the uniform
@@ -38,14 +40,14 @@ from .routing import (
     build_advertisement,
     integrate_advertisement,
     process_query,
-    random_walk,
     should_advertise,
 )
 from .topology import AttachmentParams, Overlay, generate
 
 HIT_TOLERANCE_BITS = 1e-6
-# `abs` routes at most this many queries at once, which bounds the (queries x
-# nodes) temporaries of a hop; queries are independent, so any block is exact
+# at most this many queries are routed at once, which bounds the (queries x
+# nodes) temporaries of a hop; `abs` queries are independent, so any block is
+# exact for them, while `rw` draws one (block x max degree) array per hop
 ISSUER_BLOCK = 256
 
 
@@ -335,10 +337,13 @@ class TrialMetrics:
 
 @dataclass
 class TrialState:
+    """What a trial carries from cycle to cycle. The overlay's neighbor
+    lists are held once, as the model's neighbor matrix, which the hop
+    step of both strategies reads; `query_rng` draws the queries and
+    `walk_rng` the keys of `rw`'s hops."""
+
     config: SimConfig
     overlay: Overlay
-    # per node, its neighbors, ascending
-    neighbors: list[list[int]]
     # what every node knows and has told its neighbors
     model: RoutingModel
     # per trained variable, the evidence set of each combination it was
@@ -467,7 +472,6 @@ def setup_trial(config: SimConfig, workload: Optional[Workload] = None) -> Trial
     return TrialState(
         config=config,
         overlay=overlay,
-        neighbors=neighbors,
         model=model,
         trained_combos={
             var: [evidence.setdefault(c, frozenset(c)) for c in sorted(combos)]
@@ -501,28 +505,39 @@ def route_query(
 ) -> np.ndarray:
     """The paths of the queries whose keys are `keys[index[i]]`, one row
     each: the issuer, node i, then the node each hop reached, padded with
-    the pad node n after a node without neighbors. `abs` routes each block
-    of `ISSUER_BLOCK` queries in lockstep, one `process_query` step per hop,
-    over the forwarding ranks of the block's keys; `rw` walks each query in
-    turn, drawing from the walk stream in query order."""
+    the pad node n after a node without neighbors. Each block of
+    `ISSUER_BLOCK` queries moves in lockstep, one `process_query` step per
+    hop, which keys every slot of a query's row of the neighbor matrix:
+    `abs` with the slot node's forwarding rank for the query's key (the pad
+    node ranks 2n), `rw` with a uniform draw in [0, 1) from the walk
+    stream, one (block x max degree) array per hop, and 2n at the pad
+    node."""
     model, n = trial.model, trial.config.node_count
     hops = trial.config.resolved_hops()
     paths = np.full((len(index), hops + 1), n, dtype=np.int32)
     paths[:, 0] = np.arange(len(index))
-    if strategy is Strategy.RANDOM_WALK:
-        for issuer, row in enumerate(paths):
-            path = random_walk(trial.neighbors, issuer, hops, trial.walk_rng)
-            row[: len(path)] = path
-        return paths
     for start in range(0, len(index), ISSUER_BLOCK):
         block = paths[start : start + ISSUER_BLOCK]
-        used, rows = np.unique(index[start : start + ISSUER_BLOCK], return_inverse=True)
-        ranks = np.stack([model.ranks(*keys[key]) for key in used])
+        queries = np.arange(len(block))
+        if strategy is Strategy.ABS:
+            used, rows = np.unique(
+                index[start : start + ISSUER_BLOCK], return_inverse=True
+            )
+            ranks = np.stack([model.ranks(*keys[key]) for key in used]).reshape(-1)
+            # where each query's key's ranks start in the flat stack
+            first = (rows * (n + 1))[:, None]
         visited = np.zeros((len(block), n + 1), dtype=bool)
         for hop in range(1, hops + 1):
-            block[:, hop] = process_query(
-                model, block[:, hop - 1], visited, ranks, rows
-            )
+            nodes = block[:, hop - 1]
+            visited[queries, nodes] = True
+            step = model.neighbor_rows[nodes]
+            if strategy is Strategy.ABS:
+                # a flat take, as in `process_query`
+                slot_keys = ranks.take(first + step)
+            else:
+                slot_keys = trial.walk_rng.random(step.shape)
+                slot_keys[step == n] = 2 * n
+            block[:, hop] = process_query(step, visited, slot_keys)
     return paths
 
 

@@ -49,12 +49,17 @@ model's life, since local sets are fixed at set-up. Both vectors have one
 more slot, for a pad node n that ranks behind every node and answers
 nothing.
 
-Queries move in lockstep: `process_query` forwards every query in flight
-one hop, to its current node's neighbor of least rank, visited neighbors
-ranking n behind the others, over the (nodes+1 x max degree) neighbor
-matrix padded with node n. A query takes the answer of the first node on
-its path whose answer is least (`argmin` returns the first), the strict
-`<` of a walk that keeps the best answer so far.
+Queries move in lockstep, both strategies through one hop step over the
+(nodes+1 x max degree) neighbor matrix padded with node n: each hop keys
+every neighbor slot of a query's node, a neighbor in [0, n) and the pad
+node 2n, and `process_query` adds n to the key of every visited slot and
+forwards the query to the slot of least key. `abs` takes the keys from
+the forwarding ranks of the query's key, so it goes to the best unvisited
+neighbor; `rw` draws them uniformly from [0, 1), which makes its hop a
+uniform draw over the unvisited neighbors, or over all of them once every
+one is visited. A query takes the answer of the first node on its path
+whose answer is least (`argmin` returns the first), the strict `<` of a
+walk that keeps the best answer so far.
 """
 
 from __future__ import annotations
@@ -326,42 +331,19 @@ def integrate_advertisement(model: RoutingModel, var: int, nodes: np.ndarray) ->
 
 
 def process_query(
-    model: RoutingModel,
-    nodes: np.ndarray,
-    visited: np.ndarray,
-    ranks: np.ndarray,
-    keys: np.ndarray,
+    step: np.ndarray, visited: np.ndarray, keys: np.ndarray
 ) -> np.ndarray:
     """Forward every query in flight one hop and return the nodes they go
-    to. Query i is at `nodes[i]`, which is marked in row i of `visited`, a
-    (queries x nodes+1) mask of the nodes it has been at; row `keys[i]` of
-    `ranks` holds its key's forwarding ranks. It goes to the neighbor of
-    least rank, visited ones ranking n behind, so the best unvisited
-    neighbor, or the best of all once every one is visited; from a node
-    without neighbors, to the pad node n, and from there nowhere else."""
-    queries, width = np.arange(len(nodes)), visited.shape[1]
-    visited[queries, nodes] = True
-    step = model.neighbor_rows[nodes]
-    # flat takes: twice as fast as fancy indexing with two index arrays
-    rank = ranks.reshape(-1).take((keys * width)[:, None] + step)
+    to. Query i is at a node whose row of the neighbor matrix is `step[i]`;
+    row i of `visited`, a (queries x nodes+1) mask, marks the nodes it has
+    been at; and `keys[i]` holds one key per slot of `step[i]`, in [0, n)
+    for a neighbor and 2n for the pad node n. The key of every visited
+    slot grows by n, in place, and the query goes to the slot of least key,
+    the first on a tie: to its least-keyed unvisited neighbor, or the
+    least-keyed of all once every one is visited; from a node without
+    neighbors, to the pad node, and from there nowhere else."""
+    queries, width = np.arange(len(step)), visited.shape[1]
+    # a flat take: twice as fast as fancy indexing with two index arrays
     penalty = visited.reshape(-1).take((queries * width)[:, None] + step)
-    rank += penalty * np.int32(width - 1)
-    return step[queries, rank.argmin(axis=1)]
-
-
-def random_walk(
-    neighbors: Sequence[list[NodeId]],
-    issuer: NodeId,
-    hops: int,
-    rng: np.random.Generator,
-) -> list[NodeId]:
-    """Directed random walk baseline: the path of a query from `issuer`,
-    spending each of `hops` on a uniform draw over the current node's
-    unvisited neighbors (any neighbor once all are visited), and stopping
-    at a node without neighbors."""
-    path = [issuer]
-    while len(path) <= hops and neighbors[path[-1]]:
-        candidates = [n for n in neighbors[path[-1]] if n not in path]
-        candidates = candidates or neighbors[path[-1]]
-        path.append(candidates[rng.integers(len(candidates))])
-    return path
+    keys += penalty * np.int32(width - 1)
+    return step[queries, keys.argmin(axis=1)]

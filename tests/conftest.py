@@ -24,6 +24,7 @@ from typing import Iterable, Optional
 import numpy as np
 import pytest
 
+from edgeknow import engine
 from edgeknow.engine import (
     SimConfig,
     _combination_pool,
@@ -389,7 +390,7 @@ def bf_propagate(
     before the first call. `sent` and `built` map each node to the last
     advertisement of views it sent and built, and `changed` to the variables
     whose private lists changed by value at it this cycle; all four are
-    updated. Of the trial, only its config and neighbor lists are read;
+    updated. Of the trial, only its config and overlay are read;
     `local_sets` are the nodes' local sets, as `set_up` gives them.
     Returns the cycle's `adv_sets_sent` counted per receiver, once over the
     variables whose private list changed by value (what a delta carries) and
@@ -398,10 +399,11 @@ def bf_propagate(
     policy = config.resolved_policy()
     delta_sets = snapshot_sets = 0
     outgoing = []
+    neighbors = [sorted(trial.overlay.neighbors(m)) for m in range(config.node_count)]
     for node, sets in enumerate(local_sets):
         local = {var: view(s) for var, s in sets.items()}
         copies = private[node]
-        learned = [copies[nb] for nb in trial.neighbors[node]]
+        learned = [copies[nb] for nb in neighbors[node]]
         adv = bf_build_advertisement(local, learned, policy, config.k_sets)
         built[node] = adv
         if bf_should_advertise(sent.get(node, {}), adv, policy):
@@ -409,7 +411,7 @@ def bf_propagate(
         changed[node] = set()
     for node, adv in outgoing:
         sent[node] = adv
-        for nb in trial.neighbors[node]:
+        for nb in neighbors[node]:
             held = private[nb][node]
             delta = {var for var, sets in adv.items() if held.get(var) != sets}
             held.update(adv)
@@ -426,14 +428,19 @@ def bf_run_trial(config, workload=None) -> list[tuple[int, list[dict]]]:
     same `SeedSequence` stream when none is given), each node's local sets
     and the overlay; the rest is the `bf_*` pieces: `bf_propagate` over
     private copies, forwarding as `bf_next_hop` over the forwarding node's
-    copies (or a uniform draw for `rw`), answers as `bf_score` of the
+    copies (or the least walk draw for `rw`), answers as `bf_score` of the
     node's local set, each checked against its entry tensor through
-    `bf_answer_entropy`, and an oracle over every node. The take-over compares answers of
-    different nodes, whose tables can be permutations of one another with
-    entropies equal up to rounding, so it reads the set-up summaries, not
-    the tensor values. Queries and walks draw from the query and walk
-    streams in the engine's order: per issuer, a target, then one of its
-    trained combinations, whose ascending tuple makes the evidence set."""
+    `bf_answer_entropy`, and an oracle over every node. The take-over
+    compares answers of different nodes, whose tables can be permutations
+    of one another with entropies equal up to rounding, so it reads the
+    set-up summaries, not the tensor values. Queries and walks draw from
+    the query and walk streams in the engine's order: per issuer, a target,
+    then one of its trained combinations, whose ascending tuple makes the
+    evidence set; per block of `engine.ISSUER_BLOCK` issuers, one array of
+    walk draws per hop, a row per issuer and a column per neighbor slot up
+    to the highest degree. A walking query reads its row: it goes to the
+    neighbor, in ascending order, of least draw among the unvisited ones,
+    or among all once every one is visited."""
     trial, workload, local_sets = set_up(config, workload)
     _, _, s_query, s_walk = np.random.SeedSequence(config.seed).spawn(4)
     entries = {(e.node_id, e.var): e for e in workload.entries}
@@ -444,8 +451,10 @@ def bf_run_trial(config, workload=None) -> list[tuple[int, list[dict]]]:
     targets = sorted(combos)
     query_rng = np.random.default_rng(s_query)
     walk_rng = np.random.default_rng(s_walk)
-    neighbors = trial.neighbors
     n, hops = config.node_count, config.resolved_hops()
+    neighbors = [sorted(trial.overlay.neighbors(node)) for node in range(n)]
+    width = max([1] + [len(nbs) for nbs in neighbors])
+    per_block = engine.ISSUER_BLOCK
     uniform = math.log2(config.predicting_cardinality)
     answers: dict = {}
 
@@ -469,6 +478,9 @@ def bf_run_trial(config, workload=None) -> list[tuple[int, list[dict]]]:
         )
         records = []
         for issuer in range(n):
+            if config.strategy.value == "rw" and issuer % per_block == 0:
+                block = min(per_block, n - issuer)
+                draws = [walk_rng.random((block, width)) for _ in range(hops)]
             target = targets[query_rng.integers(len(targets))]
             options = sorted(combos[target])
             bound = frozenset(options[query_rng.integers(len(options))])
@@ -481,15 +493,16 @@ def bf_run_trial(config, workload=None) -> list[tuple[int, list[dict]]]:
                 visited.append(node)
                 if left == 0 or not neighbors[node]:
                     break
-                left -= 1
                 if config.strategy.value == "rw":
-                    unvisited = [m for m in neighbors[node] if m not in visited]
-                    candidates = unvisited or neighbors[node]
-                    node = candidates[walk_rng.integers(len(candidates))]
+                    drawn = draws[hops - left][issuer % per_block]
+                    offers = list(zip(drawn, neighbors[node]))
+                    unvisited = [o for o in offers if o[1] not in visited]
+                    node = min(unvisited or offers)[1]
                 else:
                     node = bf_next_hop(
                         neighbors[node], private[node], target, bound, visited
                     )
+                left -= 1
             achieved = quality if math.isfinite(quality) else uniform
             optimal = min(
                 [uniform] + [a for a in (answer(m, target, bound) for m in range(n))

@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -365,9 +366,10 @@ class TestTrialSetup:
     def test_node_and_model_wiring(self):
         config = small_config()
         trial, _, local_sets = set_up(config)
-        assert len(trial.neighbors) == config.node_count
-        for node, neighbors in enumerate(trial.neighbors):
-            assert sorted(trial.overlay.neighbors(node)) == neighbors
+        assert len(trial.model.degree) == config.node_count
+        for node in range(config.node_count):
+            neighbors = trial.model.neighbors_of(np.array([node]))[0]
+            assert neighbors.tolist() == sorted(trial.overlay.neighbors(node))
             # the first build covers the trained variables
             changed = trial.model.changed[:, node]
             assert set(np.flatnonzero(changed)) == set(local_sets[node])
@@ -543,7 +545,7 @@ class TestRouteQuery:
         for path in paths:
             assert len(path) == 5  # issuer plus one node per hop
             for a, b in zip(path, path[1:]):
-                assert b in trial.neighbors[a]
+                assert b in trial.overlay.neighbors(a)
         assert [path[0] for path in paths] == list(range(config.node_count))
 
     def test_random_walk_also_respects_topology(self):
@@ -554,7 +556,7 @@ class TestRouteQuery:
         *_, (path, _, _) = routed(trial, keys, index, Strategy.RANDOM_WALK)
         assert len(path) == 7 and path[0] == 3
         for a, b in zip(path, path[1:]):
-            assert b in trial.neighbors[a]
+            assert b in trial.overlay.neighbors(a)
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_earlier_of_equal_answers_answers(self, strategy):
@@ -603,11 +605,11 @@ class TestRouteQuery:
         for cycle in range(1, config.cycles + 1):
             run_cycle(trial, cycle)
         hops = config.resolved_hops()
-        for (path, _, _), neighbors in zip(
-            routed(trial, *draw_queries(trial), strategy), trial.neighbors
+        for (path, _, _), degree in zip(
+            routed(trial, *draw_queries(trial), strategy), trial.model.degree
         ):
             # an issuer without neighbors answers alone and spends nothing
-            assert len(path) == 1 + (hops if neighbors else 0)
+            assert len(path) == 1 + (hops if degree else 0)
 
     def test_blocks_route_as_one(self, monkeypatch):
         # queries are independent, so any block size gives the same paths
@@ -685,11 +687,17 @@ class TestSharedModels:
             observations_per_var=data.draw(st.integers(20, 300)),
             seed=data.draw(st.integers(0, 2**16)),
         )
+        # the engine and the reference read the policy from the config
+        policy = replace(
+            config.resolved_policy(),
+            change_threshold=data.draw(st.sampled_from((0.005, 0.05, 0.5))),
+        )
+        config.resolved_policy = lambda: policy
         trial = setup_trial(config)
         ref, _, local_sets = set_up(config)
         private = {
-            node: {nb: {} for nb in neighbors}
-            for node, neighbors in enumerate(ref.neighbors)
+            node: {nb: {} for nb in ref.overlay.neighbors(node)}
+            for node in range(config.node_count)
         }
         ref_sent: dict = {}
         ref_built: dict = {}
@@ -702,8 +710,8 @@ class TestSharedModels:
             )
             assert sent == delta_sets <= snapshot_sets
             published = [views(lists) for lists in published_rows(model, local_sets)]
-            for node, neighbors in enumerate(trial.neighbors):
-                for nb in neighbors:
+            for node in range(config.node_count):
+                for nb in trial.overlay.neighbors(node):
                     assert private[nb][node] == published[node]
             for node in range(config.node_count):
                 # the deltas integrated so far add up to the last full
@@ -751,7 +759,7 @@ class TestUnsent:
             change_threshold=0.1, quality_threshold=100.0, hop_inflation=0.0
         )
         config.resolved_policy = lambda: policy
-        assert trial.neighbors[1] == [0]
+        assert trial.overlay.neighbors(1) == {0}
         model = trial.model
         local_sets = train_pgms(workload, config)
         cycles = itertools.count(1)

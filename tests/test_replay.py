@@ -86,7 +86,9 @@ class TestReplay:
         """Per query: issuer, target, evidence, path, answering node, achieved
         and optimal quality and hit; per cycle: the sets sent. Over 1 to 24
         nodes, pools of up to 10 contexts (ids 8 and 9 share hash slots with
-        0 and 1), K from 1 to 4, hop budgets from 0, both strategies, and
+        0 and 1), K from 1 to 4, hop budgets from 0, both strategies, blocks
+        of 1 to 30 queries, change thresholds from 0.005 to 0.5 (the engine
+        and the reference read the config's `resolved_policy`), and
         workloads in which some nodes trained nothing."""
         contexts = data.draw(st.integers(2, 10))
         config = SimConfig(
@@ -113,6 +115,13 @@ class TestReplay:
                         max_size=config.node_count - 1)
             )
             workload = untrain(drawn, idle, data.draw(st.booleans()))
-        assert_same_trial(
-            library_trial(config, workload), bf_run_trial(config, workload)
+        policy = replace(
+            config.resolved_policy(),
+            change_threshold=data.draw(st.sampled_from((0.005, 0.05, 0.5))),
         )
+        config.resolved_policy = lambda: policy
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "ISSUER_BLOCK", data.draw(st.integers(1, 30)))
+            assert_same_trial(
+                library_trial(config, workload), bf_run_trial(config, workload)
+            )

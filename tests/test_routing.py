@@ -1,5 +1,6 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from hypothesis import strategies as st
 
 from edgeknow.engine import (
     SimConfig,
+    Strategy,
     TrainedAssignment,
     Workload,
+    route_query,
     run_cycle,
     take_over,
     train_pgms,
@@ -22,7 +25,6 @@ from edgeknow.routing import (
     integrate_advertisement,
     local_entropy_sets,
     process_query,
-    random_walk,
     should_advertise,
 )
 
@@ -696,26 +698,23 @@ def keyed(asked):
 def step(model, nodes, keys, index, visited=None):
     """The next nodes of the queries with keys `keys[index[i]]` from one
     `process_query` call: query i at `nodes[i]`, having been at the nodes
-    `visited[i]` (none by default), over the forwarding ranks of `keys`,
-    as `route_query` stacks them."""
+    `visited[i]` (none by default), keyed by the forwarding ranks of
+    `keys`, as `route_query` keys `abs` queries."""
     ranks = np.stack([model.ranks(target, bound) for target, bound in keys])
     mask = np.zeros((len(index), len(model.degree) + 1), dtype=bool)
     for row, nodes_visited in zip(mask, visited or [()] * len(index)):
         row[list(nodes_visited)] = True
-    return process_query(model, np.array(nodes), mask, ranks, index).tolist()
+    rows = model.neighbor_rows[nodes]
+    return process_query(rows, mask, ranks[index[:, None], rows]).tolist()
 
 
-def walk(model, keys, index, hops):
+def walk(model, keys, index, hops, strategy=Strategy.ABS, rng=None):
     """The paths of the queries with keys `keys[index[i]]`, query i node
-    i's, over `hops` lockstep `process_query` calls, as `route_query` routes
-    a block."""
-    paths = np.full((len(index), hops + 1), len(model.degree), dtype=np.int32)
-    paths[:, 0] = np.arange(len(index))
-    ranks = np.stack([model.ranks(target, bound) for target, bound in keys])
-    visited = np.zeros((len(index), len(model.degree) + 1), dtype=bool)
-    for hop in range(1, hops + 1):
-        paths[:, hop] = process_query(model, paths[:, hop - 1], visited, ranks, index)
-    return paths
+    i's, that `route_query` gives over `hops` with the walk stream `rng`,
+    from a trial that holds just `model`."""
+    config = SimpleNamespace(node_count=len(model.degree), resolved_hops=lambda: hops)
+    trial = SimpleNamespace(config=config, model=model, walk_rng=rng)
+    return route_query(trial, keys, index, strategy)
 
 
 def reference_hop(net, node, key, visited):
@@ -922,27 +921,65 @@ class TestProcessQuery:
                 ask([(node, target, bound)])
 
 
-class TestRandomWalk:
-    def test_uniform_over_unvisited(self):
-        counts = {1: 0, 2: 0, 3: 0}
-        rng = np.random.default_rng(0)
-        for _ in range(600):
-            path = random_walk([[1, 2, 3], [0], [0], [0]], 0, 1, rng)
-            counts[path[1]] += 1
-        for n in counts.values():
-            assert 130 < n < 270
+# node 0 linked to nodes 1-3, node 4 to none
+STAR = [[1, 2, 3], [0], [0], [0], []]
+# 3000 walks: a count of a draw of probability 1/3 (1/2) has a standard
+# deviation of about 26 (27), so 150 is over five of them
+WALKS, SPREAD = 3000, 150
 
-    def test_prefers_unvisited(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            assert random_walk([[1], [0, 2], [1]], 0, 2, rng) == [0, 1, 2]
+
+@pytest.fixture(scope="class")
+def star_walks():
+    """The `rw` paths of `WALKS` routings, seven hops each, of one query per
+    node of `STAR`, stacked (walks x queries x hops+1): query 0 goes from
+    the hub to a leaf and back, until it saw every leaf by hop 5."""
+    model = Net([{}] * len(STAR), STAR).model
+    rng = np.random.default_rng(0)
+    index = ONE.repeat(len(STAR))
+    return np.stack([
+        walk(model, UNBOUND, index, 7, Strategy.RANDOM_WALK, rng)
+        for _ in range(WALKS)
+    ])
+
+
+class TestRandomWalk:
+    def test_uniform_over_unvisited(self, star_walks):
+        hub = star_walks[:, 0]
+        # the first hop, from node 0 with every leaf unvisited
+        counts = np.bincount(hub[:, 1], minlength=4)
+        assert counts[0] == 0
+        assert (abs(counts[1:] - WALKS / 3) < SPREAD).all()
+        # the second leaf, with the first visited: the lower of the other two
+        # as often as the higher
+        lower = hub[:, 3] == np.where(hub[:, 1] == 1, 2, 1)
+        assert abs(lower.sum() - WALKS / 2) < SPREAD
+
+    def test_prefers_unvisited(self, star_walks):
+        hub = star_walks[:, 0]
+        # back to the hub from each leaf, its one (visited) neighbor
+        assert (hub[:, 0::2] == 0).all()
+        # and no leaf twice while one is unvisited
+        assert (np.sort(hub[:, 1:6:2], axis=1) == [1, 2, 3]).all()
+
+    def test_uniform_over_all_once_all_visited(self, star_walks):
+        counts = np.bincount(star_walks[:, 0, 7], minlength=4)
+        assert counts[0] == 0
+        assert (abs(counts[1:] - WALKS / 3) < SPREAD).all()
+
+    def test_node_without_neighbors_moves_to_the_pad(self, star_walks):
+        # node 4 has no neighbors, so its query goes to the pad node 5 and
+        # stays there
+        assert (star_walks[:, 4, 0] == 4).all()
+        assert (star_walks[:, 4, 1:] == 5).all()
 
     def test_budget_spent_returns(self):
+        model = Net([{}] * len(STAR), STAR).model
         rng = np.random.default_rng(2)
         state = rng.bit_generator.state
-        assert random_walk([[1], [0]], 1, 0, rng) == [1]
-        # no draw is made when no hop is spent, nor at a node without neighbors
-        assert random_walk([[], []], 0, 3, rng) == [0]
+        index = ONE.repeat(len(STAR))
+        paths = walk(model, UNBOUND, index, 0, Strategy.RANDOM_WALK, rng)
+        assert paths.tolist() == [[node] for node in range(len(STAR))]
+        # no hop spent, so no draw made
         assert rng.bit_generator.state == state
 
 
