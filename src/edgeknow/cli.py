@@ -24,6 +24,7 @@ from .engine import (
     generate_workload,
     ingest_csv,
     run_trial,
+    trial_streams,
 )
 from .topology import AttachmentParams, generate, survival_slope
 
@@ -321,12 +322,15 @@ def cmd_topology(args) -> int:
         return 2
     if not _make_out_dir(args.out):
         return 2
-    workload = generate_workload(config, seed)
+    # the streams and trained variables `setup_trial` grows its overlay
+    # from, reading one batch of counts at a time
+    workload_seed, overlay_seed, _, _ = trial_streams(seed)
     trained: list[list[int]] = [[] for _ in range(n)]
-    for entry in workload.entries:
-        if entry.counts.any():
-            trained[entry.node_id].append(entry.var)
-    overlay = generate(config.attachment, trained, limit, seed)
+    for batch in generate_workload(config, workload_seed):
+        for entry in batch:
+            if entry.counts.any():
+                trained[entry.node_id].append(entry.var)
+    overlay = generate(config.attachment, trained, limit, overlay_seed)
     overlay.write_edge_list(args.out / "edges.txt")
     overlay.write_degree_csv(args.out / "degree_histogram.csv")
     degrees = [overlay.degree(node) for node in overlay.nodes]

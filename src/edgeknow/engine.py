@@ -3,17 +3,19 @@
 A trial: generate a synthetic Gaussian workload (or ingest one from CSV),
 train one model per node, grow the similarity-clustered overlay, then run
 cycles in which every node first propagates its knowledge and then issues one
-query. Propagation works on the shared routing model's per-variable arrays:
-one pass per variable that some node must rebuild builds, stages and
-compares that variable's lists for all those nodes at once, and the sends
-are integrated per variable after the last pass. A cycle's queries are drawn
-first, in issuer order, and then routed together: both strategies move
-every query of a block of issuers one hop per `process_query` step, to the
-neighbor of least key, `abs` keying each neighbor by its forwarding rank
-for the query's key and `rw` by a uniform draw from the walk stream. A
-query is its key, a target and the context variables it binds as evidence:
-the paper's quality metric conditions on the bound set, so no context state
-is drawn.
+query. Set-up summarises the workload a batch of entries at a time into the
+local sets' arrays (`routing.LocalSets`), which the overlay, the queries and
+the routing model read. Propagation works on the shared routing model's
+per-variable arrays: one pass per variable that some node must rebuild
+builds, stages and compares that variable's lists for all those nodes at
+once, and the sends are integrated per variable after the last pass. A
+cycle's queries are drawn first, in issuer order, and then routed together:
+both strategies move every query of a block of issuers one hop per
+`process_query` step, to the neighbor of least key, `abs` keying each
+neighbor by its forwarding rank for the query's key and `rw` by a uniform
+draw from the walk stream. A query is its key, a target and the context
+variables it binds as evidence: the paper's quality metric conditions on the
+bound set, so no context state is drawn.
 A query takes the first least answer along its path from its key's answer
 vector, every node's local answer. Its achieved quality is compared against
 an exhaustive-search oracle (the minimum of that vector, at most the uniform
@@ -27,15 +29,15 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from . import routing
-from .pgm import cell_counts
+from .pgm import BATCH_CELLS, cell_counts
 from .routing import (
     AdvertisementPolicy,
-    EntropySet,
+    LocalSets,
     RoutingModel,
     build_advertisement,
     integrate_advertisement,
@@ -151,6 +153,8 @@ class TrainedAssignment:
 
 @dataclass
 class Workload:
+    """A workload held whole, counts and all, as a CSV's is."""
+
     node_count: int
     entries: list[TrainedAssignment] = field(default_factory=list)
 
@@ -164,53 +168,52 @@ def _combination_pool(config: SimConfig, rng: np.random.Generator):
     return [all_combos[j] for j in sorted(idx)]
 
 
-def generate_workload(config: SimConfig, seed: int) -> Workload:
+def generate_workload(config: SimConfig, seed: int) -> Iterator[list]:
     """Synthetic Gaussian workload: every node trains a random subset of
     predicting variables, each against one context combination from the pool.
     Per concrete context assignment the outcome is a discretized Gaussian with
-    a uniformly placed mean and a stddev of one state width."""
+    a uniformly placed mean and a stddev of one state width. Entries come in
+    draw order, in new lists of as many as `pgm.table_entropies` batches."""
     rng = np.random.default_rng(seed)
     pool = _combination_pool(config, rng)
     pred_card = config.predicting_cardinality
     ctx_card = config.context_cardinality
     n_assign = ctx_card**config.contexts_per_table
-    workload = Workload(node_count=config.node_count)
+    size = max(1, BATCH_CELLS // (pred_card * n_assign))
     n_trained = min(config.vars_trained_per_node, config.predicting_var_count)
+    batch: list[TrainedAssignment] = []
     for node_id in range(config.node_count):
-        var_ids = rng.choice(
-            config.predicting_var_count, size=n_trained, replace=False
-        )
+        var_ids = rng.choice(config.predicting_var_count, size=n_trained, replace=False)
         for var_idx in sorted(var_ids):
             contexts = pool[rng.integers(len(pool))]
             means = rng.uniform(0, pred_card - 1, size=n_assign)
             flat_idx = rng.integers(n_assign, size=config.observations_per_var)
             raw = means[flat_idx] + rng.standard_normal(config.observations_per_var)
             outcomes = np.clip(np.rint(raw), 0, pred_card - 1).astype(np.int64)
-            workload.entries.append(
-                TrainedAssignment(
-                    node_id=node_id,
-                    var=int(var_idx),
-                    contexts=contexts,
-                    counts=cell_counts(pred_card, n_assign, flat_idx, outcomes),
-                )
-            )
-    return workload
+            counts = cell_counts(pred_card, n_assign, flat_idx, outcomes)
+            batch.append(TrainedAssignment(node_id, int(var_idx), contexts, counts))
+            if len(batch) == size:
+                yield batch
+                batch = []
+    if batch:
+        yield batch
 
 
-def train_pgms(workload: Workload, config: SimConfig) -> list[dict[int, EntropySet]]:
-    """Per node, keyed by variable in entry order, the full entropy set of
-    each variable it observed: one `routing.local_entropy_sets` pass (looked
-    up on the module, where perfbench wraps it) over the entries with
-    observations, smoothed with the config's pseudocount."""
-    trained = [entry for entry in workload.entries if entry.counts.any()]
-    sets = routing.local_entropy_sets(
-        trained, config.context_var_count, config.context_cardinality,
-        config.pseudocount,
-    )
-    models: list[dict[int, EntropySet]] = [{} for _ in range(workload.node_count)]
-    for entry, s in zip(trained, sets):
-        models[entry.node_id][entry.var] = s
-    return models
+def train_pgms(batches: Iterable[list], config: SimConfig) -> LocalSets:
+    """The local entropy set of every entry with observations, in order:
+    one `routing.local_entropy_sets` pass (looked up on the module, where
+    perfbench wraps it) over the batches, smoothed with the config's
+    pseudocount."""
+    trained = ([entry for entry in batch if entry.counts.any()] for batch in batches)
+    args = config.context_var_count, config.context_cardinality, config.pseudocount
+    return routing.local_entropy_sets(trained, *args)
+
+
+def trial_streams(seed: int) -> list:
+    """A trial's four streams, spawned from its seed: the workload's and the
+    overlay's seeds, then the query and walk `SeedSequence`s."""
+    streams = np.random.SeedSequence(seed).spawn(4)
+    return [int(s.generate_state(1)[0]) for s in streams[:2]] + streams[2:]
 
 
 def _check_field(var: int, var_count: int, state: int, card: int, name: str):
@@ -441,42 +444,34 @@ def check_workload(config: SimConfig, workload: Workload):
 
 
 def setup_trial(config: SimConfig, workload: Optional[Workload] = None) -> TrialState:
-    ss = np.random.SeedSequence(config.seed)
-    s_workload, s_topology, s_query, s_walk = ss.spawn(4)
+    workload_seed, overlay_seed, s_query, s_walk = trial_streams(config.seed)
     if workload is None:
-        workload = generate_workload(
-            config, seed=int(s_workload.generate_state(1)[0])
-        )
+        batches = generate_workload(config, workload_seed)
     else:
         check_workload(config, workload)
-    local_sets = train_pgms(workload, config)
+        batches = [workload.entries]
+    sets = train_pgms(batches, config)
     if config.node_count == 1:
         overlay = Overlay(adjacency={0: set()}, edge_limit=config.edge_limit)
     else:
-        overlay = generate(
-            config.attachment,
-            [sets.keys() for sets in local_sets],
-            config.edge_limit,
-            seed=int(s_topology.generate_state(1)[0]),
-        )
+        trained: list[list[int]] = [[] for _ in range(config.node_count)]
+        for node, var in zip(sets.nodes.tolist(), sets.variables.tolist()):
+            trained[node].append(var)
+        overlay = generate(config.attachment, trained, config.edge_limit, overlay_seed)
     neighbors = [sorted(overlay.neighbors(n)) for n in range(config.node_count)]
-    model = RoutingModel(
-        local_sets, neighbors, config.predicting_var_count, config.k_sets,
-        config.context_var_count,
-    )
-    trained_combos: dict[int, set] = {}
-    for sets in local_sets:
-        for var, (_, contexts, _) in sets.items():
-            trained_combos.setdefault(var, set()).add(contexts)
-    evidence: dict[tuple[int, ...], frozenset[int]] = {}
+    model = RoutingModel(sets, neighbors, config.predicting_var_count, config.k_sets)
+    # per trained variable, ascending, the evidence set of each combination it
+    # was trained on, by ascending tuple; one object per distinct set
+    evidence = {c: frozenset(c) for c in sets.combinations}
+    pairs = zip(sets.variables.tolist(), sets.combos.tolist())
+    trained_combos: dict[int, list[frozenset[int]]] = {}
+    for var, contexts in sorted({(v, sets.combinations[c]) for v, c in pairs}):
+        trained_combos.setdefault(var, []).append(evidence[contexts])
     return TrialState(
         config=config,
         overlay=overlay,
         model=model,
-        trained_combos={
-            var: [evidence.setdefault(c, frozenset(c)) for c in sorted(combos)]
-            for var, combos in sorted(trained_combos.items())
-        },
+        trained_combos=trained_combos,
         query_rng=np.random.default_rng(s_query),
         walk_rng=np.random.default_rng(s_walk),
     )

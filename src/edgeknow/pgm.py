@@ -3,14 +3,13 @@
 A node's model of one trained predicting variable is the Laplace-smoothed
 count table over that variable and the context combination it was trained
 against: the config's pseudocount plus the workload's binned cell counts
-(`cell_counts`). Only the table's summary is kept, computed once at set-up
-from the counts (`table_entropies`, through `routing.local_entropy_sets`):
-its joint entropy and the marginal entropy of each of its contexts, held as
-the local entropy set `(joint, contexts, entropies)`, with one entropy slot
-per context variable of the config and 0.0 in the slots of contexts the
-table does not hold, since subtracting 0.0 changes no float. The routing
-model keeps each distinct `(contexts, entropies)` once, as a row of its
-entropy table, and an advertised set names its row by index.
+(`cell_counts`). Only the table's summary is kept, computed at set-up one
+batch of tables at a time (`table_entropies`, through
+`routing.local_entropy_sets`): its joint entropy and the marginal entropy of
+each of its contexts, in an entropy row with one slot per context variable
+of the config and 0.0 in the others, since subtracting 0.0 changes no float.
+The routing model keeps each distinct (combination, entropy row) once, as a
+row of its entropy table, and an advertised set names its row by index.
 Variables are plain ints indexed per kind: predicting variables 0..P-1 and
 context variables 0..C-1; which kind an id is follows from where it is
 held. The counts and cardinalities of both kinds are `engine.SimConfig`'s.
@@ -27,7 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-# cells per batch of `table_entropies`, which bounds its float buffers
+# cells per batch of `table_entropies` and of the synthetic workload's
+# entries, which bounds the float buffers and the counts held at once
 BATCH_CELLS = 1 << 16
 
 
@@ -41,23 +41,24 @@ def _row_entropies(p: np.ndarray) -> np.ndarray:
 
 
 def table_entropies(
-    entries: Sequence, context_cardinality: int, pseudocount: float
-) -> list[tuple[float, list[float]]]:
-    """Per entry, in order, the joint entropy of its table and the marginal
-    entropy of each of its contexts in axis order; an entry has the
-    `contexts` and `counts` of an `engine.TrainedAssignment`, and its table
-    is `pseudocount` plus its counts. One pass per number of contexts, in
-    batches of about `BATCH_CELLS` cells. A joint is taken from the table's
-    cells over their pairwise total, as from the table alone; a marginal
-    state's mass is the integer count of its slice plus the pseudocount of
-    its cells, over that total (counts are summed as floats: exact below
-    2**53)."""
+    entries: Sequence, width: int, context_cardinality: int, pseudocount: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per entry, in order, the joint entropy of its table and its entropy
+    row, `width` wide, the marginal entropy of each of its contexts in that
+    context's slot; an entry has the `contexts` and `counts` of an
+    `engine.TrainedAssignment`, and its table is `pseudocount` plus its
+    counts. One pass per number of
+    contexts, in batches of about `BATCH_CELLS` cells. A joint is taken from
+    the table's cells over their pairwise total, as from the table alone; a
+    marginal state's mass is the integer count of its slice plus the
+    pseudocount of its cells, over that total (counts are summed as floats:
+    exact below 2**53)."""
     card = context_cardinality
-    by_width: dict[int, list[int]] = {}
+    by_axes: dict[int, list[int]] = {}
     for i, entry in enumerate(entries):
-        by_width.setdefault(len(entry.contexts), []).append(i)
-    out: list = [None] * len(entries)
-    for width, index in by_width.items():
+        by_axes.setdefault(len(entry.contexts), []).append(i)
+    joints, entropies = np.empty(len(entries)), np.zeros((len(entries), width))
+    for axes, index in by_axes.items():
         n_out, n_assign = entries[index[0]].counts.shape
         step = max(1, BATCH_CELLS // (n_out * n_assign))
         for start in range(0, len(index), step):
@@ -66,8 +67,8 @@ def table_entropies(
             for row, i in zip(cells, batch):
                 row[:] = entries[i].counts.reshape(-1)
             per_assign = cells.reshape(len(batch), n_out, n_assign).sum(axis=1)
-            states = np.empty((len(batch), width, card))
-            for axis in range(width):
+            states = np.empty((len(batch), axes, card))
+            for axis in range(axes):
                 by_axis = per_assign.reshape(len(batch), card**axis, card, -1)
                 states[:, axis] = by_axis.sum(axis=(1, 3))
             cells += pseudocount
@@ -75,10 +76,11 @@ def table_entropies(
             cells /= totals
             states += pseudocount * (n_out * n_assign // card)
             states /= totals[:, None]
-            joints = _row_entropies(cells).tolist()
-            for i, joint, hs in zip(batch, joints, _row_entropies(states).tolist()):
-                out[i] = (joint, hs)
-    return out
+            joints[batch] = _row_entropies(cells)
+            slots = np.array([entries[i].contexts for i in batch], dtype=np.intp)
+            slots = slots.reshape(len(batch), axes)
+            entropies[np.array(batch)[:, None], slots] = _row_entropies(states)
+    return joints, entropies
 
 
 def cell_counts(

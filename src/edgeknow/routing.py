@@ -3,17 +3,19 @@
 Nodes advertise, per predicting variable, up to K entropy sets (one per
 context combination): a joint entropy plus the marginal entropies of the
 combination's context variables. Every set starts as a node's local set, the
-summary of one trained table, so an advertised set is its joint and its
-origin, the index of that local set's `(contexts, entropies)` row in the
-trial's entropy table; `entropies` has one slot per context variable, 0.0
-where the set has no context, and since `x - 0.0 == x` for every float, a
-score that subtracts the slot of every bound context is exactly the joint
-minus the held bound marginals. Sets learned from a neighbor are
-re-advertised with a small additive per-hop inflation so that loops cannot
-sustain spuriously low values and shortest paths win ties. Local sets whose
-evidence-free conditional quality is poor are advertised in reduced
-(joint-only) form, origin 0; those still steer queries toward the cluster
-that trained the variable, where context-aware scoring takes over.
+summary of one trained table (`LocalSets`, made at set-up one batch of
+tables at a time by `local_entropy_sets`), so an advertised set is its joint
+and its origin, the index of that local set's (combination, entropy row)
+in the trial's entropy table; an entropy row has one slot per context
+variable, 0.0 where the set has no context, and since `x - 0.0 == x` for
+every float, a score that subtracts the slot of every bound context is
+exactly the joint minus the held bound marginals. Sets learned from a
+neighbor are re-advertised with a small additive per-hop inflation so that
+loops cannot sustain spuriously low values and shortest paths win ties.
+Local sets whose evidence-free conditional quality is poor are advertised
+in reduced (joint-only) form, origin 0; those still steer queries toward
+the cluster that trained the variable, where context-aware scoring takes
+over.
 
 Propagation is incremental in the manner of routing indices (Crespo and
 Garcia-Molina, ICDCS 2002): a node rebuilds only the variables whose lists
@@ -28,45 +30,31 @@ every neighbor received every earlier delta, routes are those full
 snapshots would give; the traffic counted, `adv_sets_sent`, is the sets of
 the delta times the number of neighbors.
 
-The model holds everything per variable as arrays over nodes: the local
-sets as joints (inf where untrained) and origins; the published lists as
-(nodes x K) joints, padded with inf, and origins, padded with 0; the staged
-(unsent) lists alike, pending where they differ from the published ones;
-and which nodes must rebuild the variable. Every build of a cycle reads the
-lists as they stood at its start, so `build_advertisement`,
-`should_advertise` and `integrate_advertisement` each handle one variable
-for every affected node at once. A set's combination is the table's
-combination id of its origin. A query is its key: a target and its
-evidence, the frozenset of the context variables it binds; no score reads a
-context's state. Per key, one numpy expression scores every node's
-published lists (`best_score`) and one every node's local set
-(`answer_entropy`): `RoutingModel.subtract` subtracts elementwise in the
-evidence set's order, the one scoring path, which the quality gate also
-takes. The model keeps, per key, every node's forwarding rank, its place in
-a stable sort of the score vector, until an integration of the target drops
-it; and the answer vector, whose minimum is the oracle's optimum, for the
-model's life, since local sets are fixed at set-up. Both vectors have one
-more slot, for a pad node n that ranks behind every node and answers
-nothing.
+The model holds everything per variable as arrays over nodes
+(`RoutingModel`), and every build of a cycle reads the lists as they stood
+at its start, so `build_advertisement`, `should_advertise` and
+`integrate_advertisement` each handle one variable for every affected node
+at once. A query is its key: a target and its evidence, the frozenset of the
+context variables it binds. Per key, one numpy expression scores every
+node's published lists (`best_score`) and one every node's local set
+(`answer_entropy`), both through `RoutingModel.subtract`, the one scoring
+path, which the quality gate also takes.
 
-Queries move in lockstep, both strategies through one hop step over the
-(nodes+1 x max degree) neighbor matrix padded with node n: each hop keys
-every neighbor slot of a query's node, a neighbor in [0, n) and the pad
-node 2n, and `process_query` adds n to the key of every visited slot and
-forwards the query to the slot of least key. `abs` takes the keys from
-the forwarding ranks of the query's key, so it goes to the best unvisited
-neighbor; `rw` draws them uniformly from [0, 1), which makes its hop a
-uniform draw over the unvisited neighbors, or over all of them once every
-one is visited. A query takes the answer of the first node on its path
-whose answer is least (`argmin` returns the first), the strict `<` of a
-walk that keeps the best answer so far.
+Queries move in lockstep, both strategies through one hop step
+(`process_query`) over the neighbor matrix padded with node n: `abs` keys
+a node's neighbor slots with the forwarding ranks of the query's key, so it
+goes to the best unvisited neighbor, and `rw` with uniform draws, a uniform
+hop over the unvisited neighbors, or over all once every one is visited. A
+query takes the answer of the first node on its path whose answer is least
+(`argmin` returns the first), the strict `<` of a walk that keeps the best
+answer so far.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -75,10 +63,18 @@ from .pgm import table_entropies
 NodeId = int
 
 
-# A node's local entropy set of one trained variable, the row (joint,
-# contexts, entropies): `contexts` is the table's ascending context tuple
-# and `entropies` is `context_var_count` wide.
-EntropySet = tuple[float, tuple[int, ...], tuple[float, ...]]
+@dataclass
+class LocalSets:
+    """Local entropy sets, one entry per trained table, as parallel arrays:
+    node, variable, combination (an index into `combinations`, ascending
+    context tuples, () then first-seen), joint entropy and entropy row."""
+
+    nodes: np.ndarray
+    variables: np.ndarray
+    combos: np.ndarray
+    joints: np.ndarray
+    entropies: np.ndarray
+    combinations: list[tuple[int, ...]]
 
 
 @dataclass
@@ -92,7 +88,8 @@ class RoutingModel:
     """What every node knows, has told its neighbors and has still to
     tell, and what the trial derives from it, over fixed neighbor lists.
 
-    Per variable and node: the local set as its joint (inf when untrained),
+    Per variable and node, from the `LocalSets` arrays of the trial's
+    local sets: the local set as its joint (inf when untrained),
     origin and gate score, the evidence-free score of the quality gate:
     `subtract` over the table's own contexts, in the iteration order of
     their frozenset filled from a dict, clamped at 0, taken once here for
@@ -101,8 +98,8 @@ class RoutingModel:
     first); and the unsent lists, the node's last rebuilt ones, pending
     where they differ from the published ones. The entropy table holds
     origin 0, the reduced form's all-zero row with no context, then one row
-    per distinct `(contexts, entropies)` of the local sets; `combos` maps
-    each origin to its combination's id.
+    per distinct (combination, entropy row) of the local sets, in first-seen
+    order; `combos` maps each origin to its combination's id.
 
     Per (target, evidence variable set) key, the model keeps every node's
     forwarding rank, until an integration of the target drops them, and
@@ -111,42 +108,35 @@ class RoutingModel:
     then one all-pad row for node n itself."""
 
     def __init__(
-        self,
-        local_sets: Sequence[dict[int, EntropySet]],
-        neighbors: Sequence[Sequence[NodeId]],
-        variables: int,
-        k: int,
-        width: int,
+        self, sets: LocalSets, neighbors: Sequence, variables: int, k: int
     ):
-        shape = (variables, len(local_sets))
-        self.local_joints = np.full(shape, math.inf)
-        self.local_origins = np.zeros(shape, dtype=np.int32)
-        rows = {((), (0.0,) * width): 0}
-        # per combination, the (variable, node) of each local set over it
-        trained: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-        for node, sets in enumerate(local_sets):
-            for var, (joint, contexts, entropies) in sets.items():
-                origin = rows.setdefault((contexts, entropies), len(rows))
-                self.local_joints[var, node] = joint
-                self.local_origins[var, node] = origin
-                trained.setdefault(contexts, []).append((var, node))
-        self.changed = np.isfinite(self.local_joints)
-        # per context variable, its entropy in every row of the table
-        self._entropies = np.array([e for _, e in rows], dtype=float).T.copy()
-        self.gates = np.zeros(shape)
-        for contexts, cells in trained.items():
-            var, node = np.array(cells).T
-            scores = self.subtract(
-                self.local_joints[var, node], self.local_origins[var, node],
-                frozenset(dict.fromkeys(contexts)),
-            )
-            self.gates[var, node] = np.maximum(scores, 0.0)
-        combos: dict[tuple[int, ...], int] = {}
-        self.combos = np.array(
-            [combos.setdefault(c, len(combos)) for c, _ in rows], dtype=np.intp
+        shape = (variables, len(neighbors))
+        # rows (combination, entropies): the reduced form's, then each local
+        # set's; equal rows share the first's origin, numbered by first sight
+        rows = np.zeros((len(sets.joints) + 1, 1 + sets.entropies.shape[1]))
+        rows[1:, 0], rows[1:, 1:] = sets.combos, sets.entropies
+        _, first, inverse = np.unique(
+            rows, axis=0, return_index=True, return_inverse=True
         )
+        seen = np.argsort(first)
+        origins = np.argsort(seen).astype(np.int32)[inverse.reshape(-1)][1:]
+        self.combos = rows[first[seen], 0].astype(np.intp)
+        # per context variable, its entropy in every row of the table
+        self._entropies = rows[first[seen], 1:].T.copy()
+        cells = sets.variables, sets.nodes
+        self.local_joints = np.full(shape, math.inf)
+        self.local_joints[cells] = sets.joints
+        self.local_origins = np.zeros(shape, dtype=np.int32)
+        self.local_origins[cells] = origins
+        self.changed = np.isfinite(self.local_joints)
+        self.gates = np.zeros(shape)
+        for combo in np.unique(sets.combos).tolist():
+            over = sets.combos == combo
+            bound = frozenset(dict.fromkeys(sets.combinations[combo]))
+            scores = self.subtract(sets.joints[over], origins[over], bound)
+            self.gates[sets.variables[over], sets.nodes[over]] = np.maximum(scores, 0.0)
         self.degree = np.array([len(nbs) for nbs in neighbors], dtype=np.intp)
-        n, width = len(local_sets), max(1, self.degree.max(initial=0))
+        n, width = len(neighbors), max(1, self.degree.max(initial=0))
         self.neighbor_rows = np.full((n + 1, width), n, dtype=np.int32)
         for node, nbs in enumerate(neighbors):
             self.neighbor_rows[node, : len(nbs)] = nbs
@@ -219,22 +209,30 @@ class RoutingModel:
 
 
 def local_entropy_sets(
-    entries: Sequence,
+    batches: Iterable[Sequence],
     context_var_count: int,
     context_cardinality: int,
     pseudocount: float,
-) -> list[EntropySet]:
-    """The full entropy set of each entry's table, in order, from the
-    batched `table_entropies` pass over the entries, cardinality and
-    pseudocount, with rows `context_var_count` wide."""
-    summaries = table_entropies(entries, context_cardinality, pseudocount)
-    sets = []
-    for entry, (joint, hs) in zip(entries, summaries):
-        entropies = [0.0] * context_var_count
-        for c, h in zip(entry.contexts, hs):
-            entropies[c] = h
-        sets.append((joint, entry.contexts, tuple(entropies)))
-    return sets
+) -> LocalSets:
+    """The local entropy set of each entry of `batches`, in order, with rows
+    `context_var_count` wide: one `table_entropies` pass per batch, made
+    before the next batch is read."""
+    combinations: dict[tuple[int, ...], int] = {(): 0}
+    keys: list[tuple[int, int, int]] = []
+    joints, entropies = [np.zeros(0)], [np.zeros((0, context_var_count))]
+    args = context_var_count, context_cardinality, pseudocount
+    for entries in batches:
+        joint, rows = table_entropies(entries, *args)
+        joints.append(joint)
+        entropies.append(rows)
+        keys += [
+            (e.node_id, e.var, combinations.setdefault(e.contexts, len(combinations)))
+            for e in entries
+        ]
+    ids = np.array(keys, dtype=np.intp).reshape(-1, 3).T
+    return LocalSets(
+        *ids, np.concatenate(joints), np.concatenate(entropies), list(combinations)
+    )
 
 
 def answer_entropy(

@@ -12,8 +12,9 @@ pieces and set-up alone,
 and the workload as raw observation streams rather than cell counts,
 counted into plain tensors one observation at a time, so the tests check the
 implementation against a second, independent evaluation. The references
-read entropy sets as plain `(joint, {context: entropy})` views (`view`), not
-as the library's rows, and score a view from its dict (`bf_score`).
+read entropy sets as plain `(joint, {context: entropy})` views (`view`) of
+rows `(joint, contexts, entropies)` read off the library's `LocalSets`
+arrays (`rows_of`), and score a view from its dict (`bf_score`).
 """
 
 import csv
@@ -27,12 +28,20 @@ import pytest
 from edgeknow import engine
 from edgeknow.engine import (
     SimConfig,
+    Workload,
     _combination_pool,
     generate_workload,
     setup_trial,
     train_pgms,
+    trial_streams,
 )
-from edgeknow.routing import AdvertisementPolicy, RoutingModel, answer_entropy
+from edgeknow.routing import (
+    AdvertisementPolicy,
+    LocalSets,
+    RoutingModel,
+    answer_entropy,
+    local_entropy_sets,
+)
 from edgeknow.topology import NoAttachmentTarget, Overlay, _repair_connectivity
 
 
@@ -206,6 +215,59 @@ def view(s: tuple) -> tuple[float, dict[int, float]]:
     return joint, {c: entropies[c] for c in sorted(contexts)}
 
 
+def rows_of(sets: LocalSets) -> list[tuple]:
+    """Each local set of `sets`, in order, as the row `(joint, contexts,
+    entropies)` its arrays hold."""
+    return [
+        (joint, sets.combinations[combo], tuple(entropies))
+        for joint, combo, entropies in zip(
+            sets.joints.tolist(), sets.combos.tolist(), sets.entropies.tolist()
+        )
+    ]
+
+
+def summarise(entries, width: int, card: int, pseudocount: float) -> list[tuple]:
+    """The rows of `local_entropy_sets` over `entries` as one batch."""
+    return rows_of(local_entropy_sets([entries], width, card, pseudocount))
+
+
+def model_of(local_sets, neighbors, variables: int, k: int, width: int):
+    """A `RoutingModel` over per-node dicts of rows `width` wide: one
+    `LocalSets` entry per row, in node order, then dict order, combinations
+    numbered as `local_entropy_sets` numbers them."""
+    entries = [(node, var, s) for node, sets in enumerate(local_sets)
+               for var, s in sets.items()]
+    combinations = {(): 0}
+    combos = [combinations.setdefault(s[1], len(combinations)) for _, _, s in entries]
+    sets = LocalSets(
+        nodes=np.array([e[0] for e in entries], dtype=np.intp),
+        variables=np.array([e[1] for e in entries], dtype=np.intp),
+        combos=np.array(combos, dtype=np.intp),
+        joints=np.array([s[0] for _, _, s in entries], dtype=float),
+        entropies=np.array([s[2] for _, _, s in entries], dtype=float).reshape(
+            len(entries), width
+        ),
+        combinations=list(combinations),
+    )
+    return RoutingModel(sets, neighbors, variables, k)
+
+
+def draw_workload(config, seed) -> Workload:
+    """`generate_workload`'s batches joined into one `Workload`."""
+    entries = [e for batch in generate_workload(config, seed) for e in batch]
+    return Workload(config.node_count, entries)
+
+
+def trained_rows(workload, config) -> list[dict[int, tuple]]:
+    """Per node, keyed by variable in entry order, the rows of the local
+    sets `train_pgms` makes of `workload`'s entries."""
+    sets = train_pgms([workload.entries], config)
+    per_node: list[dict[int, tuple]] = [{} for _ in range(workload.node_count)]
+    for node, var, s in zip(sets.nodes.tolist(), sets.variables.tolist(), rows_of(sets)):
+        per_node[node][var] = s
+    return per_node
+
+
 def published_rows(model, local_sets, unsent=False) -> list[dict[int, list]]:
     """Per node, per variable it published, its list as library rows read
     from the model's arrays (with `unsent`, its unsent lists that differ
@@ -234,20 +296,19 @@ def published_rows(model, local_sets, unsent=False) -> list[dict[int, list]]:
 
 def set_up(config, workload=None):
     """`setup_trial`'s trial, its workload (drawn from the same
-    `SeedSequence` stream when none is given) and the local sets it
-    trained, per node, by `train_pgms`."""
+    stream when none is given) and the local sets it trained, per node, as
+    rows, by `train_pgms`."""
     trial = setup_trial(config, workload)
     if workload is None:
-        s_workload = np.random.SeedSequence(config.seed).spawn(4)[0]
-        workload = generate_workload(config, int(s_workload.generate_state(1)[0]))
-    return trial, workload, train_pgms(workload, config)
+        workload = draw_workload(config, trial_streams(config.seed)[0])
+    return trial, workload, trained_rows(workload, config)
 
 
 def library_answer(s: tuple, bound: frozenset[int]) -> float:
     """The library's answer of a node whose local set of variable 0 is the
     row `s`, for evidence on `bound`: `answer_entropy` over a one-node
     model."""
-    model = RoutingModel([{0: s}], [[]], 1, 1, len(s[2]))
+    model = model_of([{0: s}], [[]], 1, 1, len(s[2]))
     return float(answer_entropy(model, 0, bound)[0])
 
 
@@ -442,7 +503,7 @@ def bf_run_trial(config, workload=None) -> list[tuple[int, list[dict]]]:
     neighbor, in ascending order, of least draw among the unvisited ones,
     or among all once every one is visited."""
     trial, workload, local_sets = set_up(config, workload)
-    _, _, s_query, s_walk = np.random.SeedSequence(config.seed).spawn(4)
+    _, _, s_query, s_walk = trial_streams(config.seed)
     entries = {(e.node_id, e.var): e for e in workload.entries}
     combos: dict[int, set] = {}
     for e in workload.entries:

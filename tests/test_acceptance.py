@@ -18,10 +18,15 @@ from edgeknow.engine import (
     generate_workload,
     run_trial,
 )
-from edgeknow.routing import local_entropy_sets
 from edgeknow.topology import AttachmentParams, generate, survival_slope
 
-from conftest import bf_conditional_entropy, bf_summary, library_answer, view
+from conftest import (
+    bf_conditional_entropy,
+    bf_summary,
+    library_answer,
+    summarise,
+    view,
+)
 
 ALL_RUNS = []
 
@@ -217,11 +222,11 @@ class TestAcceptance:
 
     def test_07_topology_cap_and_tail(self):
         config = SimConfig(node_count=800, observations_per_var=50, seed=0)
-        workload = generate_workload(config, seed=0)
         trained = [[] for _ in range(config.node_count)]
-        for entry in workload.entries:
-            if entry.counts.any():
-                trained[entry.node_id].append(entry.var)
+        for batch in generate_workload(config, seed=0):
+            for entry in batch:
+                if entry.counts.any():
+                    trained[entry.node_id].append(entry.var)
         capped = generate(AttachmentParams(), trained, 60, seed=0)
         degrees = [capped.degree(n) for n in capped.nodes]
         at_limit = sum(d == 60 for d in degrees)
@@ -246,7 +251,7 @@ class TestAcceptance:
             pseudocount = float(rng.uniform(0.01, 2.0))
             contexts = tuple(range(len(shape) - 1))
             entry = TrainedAssignment(0, 0, contexts, counts.reshape(shape[0], -1))
-            s = local_entropy_sets([entry], len(contexts), card, pseudocount)[0]
+            s = summarise([entry], len(contexts), card, pseudocount)[0]
             got, hs = view(s)
             tensor = counts + pseudocount
             joint, marginals = bf_summary(tensor, contexts)

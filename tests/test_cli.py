@@ -8,8 +8,9 @@ import pytest
 
 from edgeknow import cli
 from edgeknow.cli import main
+from edgeknow.engine import SimConfig, setup_trial
 
-from conftest import export_workload_csv
+from conftest import draw_workload, export_workload_csv
 
 BASE = [
     "run",
@@ -30,14 +31,12 @@ def run_cli(args):
 
 def export_small_workload(path):
     """Write a workload CSV that fits BASE."""
-    from edgeknow.engine import SimConfig, generate_workload
-
     config = SimConfig(
         node_count=12, predicting_var_count=6, context_var_count=3,
         contexts_per_table=2, combinations_pool=2,
         vars_trained_per_node=2, observations_per_var=200,
     )
-    export_workload_csv(generate_workload(config, seed=0), config, path)
+    export_workload_csv(draw_workload(config, seed=0), config, path)
     return path
 
 
@@ -350,6 +349,24 @@ class TestTopology:
         printed = capsys.readouterr().out
         assert "max_degree=" in printed
         assert "loglog_survival_slope=" in printed
+
+    def test_edges_are_the_trial_overlay(self, tmp_path):
+        # the overlay `setup_trial` grows for the config the command builds:
+        # the same workload and overlay streams, spawned from the seed
+        out = tmp_path / "topo"
+        with mock.patch.object(
+            cli, "generate_workload", wraps=cli.generate_workload
+        ) as drawn:
+            code = run_cli(
+                ["topology", "--nodes", "40", "--m0", "3", "--m", "2",
+                 "--edge-limit", "6", "--predicting", "10",
+                 "--trained-per-node", "2", "--seed", "3", "--out", out]
+            )
+        assert code == 0
+        config = drawn.call_args.args[0]
+        assert (config.node_count, config.edge_limit, config.seed) == (40, 6, 3)
+        setup_trial(config).overlay.write_edge_list(tmp_path / "trial.txt")
+        assert (out / "edges.txt").read_bytes() == (tmp_path / "trial.txt").read_bytes()
 
     def test_bad_attachment_exits_2(self, tmp_path, capsys):
         out = tmp_path / "topo"

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -30,13 +31,8 @@ from edgeknow.engine import (
     take_over,
     train_pgms,
 )
-from edgeknow.pgm import cell_counts
-from edgeknow.routing import (
-    AdvertisementPolicy,
-    RoutingModel,
-    answer_entropy,
-    local_entropy_sets,
-)
+from edgeknow.pgm import BATCH_CELLS, cell_counts
+from edgeknow.routing import AdvertisementPolicy, RoutingModel, answer_entropy
 from edgeknow.topology import AttachmentParams
 
 from conftest import (
@@ -45,11 +41,15 @@ from conftest import (
     bf_observe,
     bf_propagate,
     bf_summary,
+    draw_workload,
     export_workload_csv,
     library_answer,
+    model_of,
     published_rows,
     set_up,
     smoothed_tensor,
+    summarise,
+    trained_rows,
     view,
     views,
     well_formed,
@@ -75,7 +75,7 @@ def small_config(**overrides):
 class TestWorkload:
     def test_entry_counts_and_ranges(self):
         config = small_config()
-        wl = generate_workload(config, seed=1)
+        wl = draw_workload(config, seed=1)
         assert len(wl.entries) == config.node_count * config.vars_trained_per_node
         n_assign = config.context_cardinality**config.contexts_per_table
         for entry in wl.entries:
@@ -85,15 +85,23 @@ class TestWorkload:
             assert entry.counts.sum() == config.observations_per_var
             assert len(entry.contexts) == config.contexts_per_table
 
+    def test_entries_come_in_table_batches(self):
+        # 8 x 8**3 cells per entry: 16 entries per batch of BATCH_CELLS
+        config = small_config(contexts_per_table=3, context_cardinality=8)
+        cells = 8 * 8**3
+        sizes = [len(batch) for batch in generate_workload(config, seed=1)]
+        assert BATCH_CELLS // cells == 16
+        assert sizes == [16, 8]
+
     def test_combination_pool_respected(self):
         config = small_config(combinations_pool=1)
-        wl = generate_workload(config, seed=2)
+        wl = draw_workload(config, seed=2)
         assert len({e.contexts for e in wl.entries}) == 1
 
     def test_deterministic_per_seed(self):
         config = small_config()
-        a = generate_workload(config, seed=3)
-        b = generate_workload(config, seed=3)
+        a = draw_workload(config, seed=3)
+        b = draw_workload(config, seed=3)
         assert len(a.entries) == len(b.entries)
         for ea, eb in zip(a.entries, b.entries):
             assert (ea.node_id, ea.var, ea.contexts) == (
@@ -104,7 +112,7 @@ class TestWorkload:
     def test_gaussian_outcomes_concentrate(self):
         # stddev of one state width: most mass within 2 states of the mean
         config = small_config(observations_per_var=2000, combinations_pool=1)
-        wl = generate_workload(config, seed=4)
+        wl = draw_workload(config, seed=4)
         entry = wl.entries[0]
         states = np.arange(config.predicting_cardinality)
         for column in entry.counts.T:
@@ -133,7 +141,7 @@ class TestWorkload:
             context_cardinality=data.draw(st.integers(2, 5)),
         )
         seed = data.draw(st.integers(0, 2**32 - 1))
-        wl = generate_workload(config, seed)
+        wl = draw_workload(config, seed)
         ref = bf_generate_workload(config, seed)
         assert len(wl.entries) == len(ref)
         shape = [config.predicting_cardinality]
@@ -152,7 +160,7 @@ class TestWorkload:
                 ctx = {c: int(s) for c, s in zip(contexts, states)}
                 bf_observe(tensor, ctx, int(outcome))
             want[node_id][var] = (contexts, tensor)
-        got = train_pgms(wl, config)
+        got = trained_rows(wl, config)
         for sets, ref_tensors in zip(got, want):
             assert sets.keys() == ref_tensors.keys()
             for var, s in sets.items():
@@ -167,8 +175,8 @@ class TestWorkload:
 class TestTrainedModels:
     def test_training_reproduces_counts(self):
         config = small_config()
-        wl = generate_workload(config, seed=5)
-        trained = train_pgms(wl, config)
+        wl = draw_workload(config, seed=5)
+        trained = trained_rows(wl, config)
         for entry in wl.entries:
             got, hs = view(trained[entry.node_id][entry.var])
             tensor = smoothed_tensor(entry, config)
@@ -187,7 +195,7 @@ class TestTrainedModels:
         wl.entries.append(
             TrainedAssignment(0, 0, (0,), cell_counts(4, 2, flat, outcomes))
         )
-        sets = train_pgms(wl, config)[0]
+        sets = trained_rows(wl, config)[0]
         h = library_answer(sets[0], frozenset({0}))
         assert h < 0.2
 
@@ -204,21 +212,21 @@ class TestTrainedModels:
             TrainedAssignment(0, 1, (), np.array([[0], [1]])),
             TrainedAssignment(1, 0, (), np.zeros((2, 1), dtype=np.int64)),
         ]
-        trained = train_pgms(wl, config)
-        assert [sorted(sets) for sets in trained] == [[1], []]
-        model = RoutingModel(trained, [[1], [0]], 2, 1, config.context_var_count)
+        sets = train_pgms([wl.entries], config)
+        assert (sets.nodes.tolist(), sets.variables.tolist()) == ([0], [1])
+        model = RoutingModel(sets, [[1], [0]], 2, 1)
         assert answer_entropy(model, 0, frozenset()).tolist() == [math.inf] * 2
 
 
 class TestCsvRoundTrip:
     def test_round_trip_preserves_tables(self, tmp_path):
         config = small_config(observations_per_var=50)
-        wl = generate_workload(config, seed=6)
+        wl = draw_workload(config, seed=6)
         path = tmp_path / "workload.csv"
         export_workload_csv(wl, config, path)
         back = ingest_csv(path, config)
-        a = train_pgms(wl, config)
-        b = train_pgms(back, config)
+        a = trained_rows(wl, config)
+        b = trained_rows(back, config)
         assert back.node_count == wl.node_count
         assert len(back.entries) == len(wl.entries)
         for ea, eb in zip(wl.entries, back.entries):
@@ -317,21 +325,21 @@ class TestOracle:
     def test_min_over_nodes_and_uniform_fallback(self):
         counts = cell_counts(4, 2, [0] * 200, [2] * 200)
         entry = TrainedAssignment(1, 0, (0,), counts)
-        trained = {0: local_entropy_sets([entry], 1, 2, 0.01)[0]}
-        model = RoutingModel([{}, trained], [[], []], 1, 1, 1)
+        trained = {0: summarise([entry], 1, 2, 0.01)[0]}
+        model = model_of([{}, trained], [[], []], 1, 1, 1)
         keys, index = [(0, frozenset({0}))], np.zeros(1, dtype=np.intp)
         best = oracle_best(model, keys, index, pred_card=4)[0]
         want = bf_conditional_entropy(0.01 + counts, (0,), [0])
         assert best == pytest.approx(want)
 
     def test_all_untrained_is_uniform(self):
-        model = RoutingModel([{}] * 3, [[]] * 3, 1, 1, 1)
+        model = model_of([{}] * 3, [[]] * 3, 1, 1, 1)
         keys, index = [(0, frozenset())], np.zeros(1, dtype=np.intp)
         assert oracle_best(model, keys, index, pred_card=8)[0] == pytest.approx(3.0)
 
     def test_matches_independent_enumeration(self):
         config = small_config(node_count=10)
-        workload = generate_workload(config, seed=8)
+        workload = draw_workload(config, seed=8)
         trial = setup_trial(config, workload)
         card = config.predicting_cardinality
         for target, combos in trial.trained_combos.items():
@@ -396,11 +404,27 @@ class TestTrialSetup:
             for combo in combos:
                 assert len(combo) == config.contexts_per_table
 
+    def test_setup_never_holds_every_entrys_counts(self):
+        # set-up summarises the workload a batch at a time: above what the
+        # trial keeps, it holds far less than every entry's int64 counts
+        config = SimConfig(node_count=512, cycles=0)
+        assignments = config.context_cardinality**config.contexts_per_table
+        cells = config.predicting_cardinality * assignments
+        counts = 8 * cells * config.node_count * config.vars_trained_per_node
+        tracemalloc.start()
+        try:
+            trial = setup_trial(config)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trial.model.changed.any()
+        assert peak - kept < counts / 4
+
     def test_workload_node_count_must_match(self):
-        workload = generate_workload(small_config(node_count=8), seed=0)
+        workload = draw_workload(small_config(node_count=8), seed=0)
         with pytest.raises(ValueError, match="8 nodes"):
             setup_trial(small_config(), workload)
-        workload = generate_workload(small_config(context_cardinality=3), seed=0)
+        workload = draw_workload(small_config(context_cardinality=3), seed=0)
         with pytest.raises(ValueError, match="shaped"):
             setup_trial(small_config(), workload)
 
@@ -438,7 +462,7 @@ class TestCheckWorkload:
     def test_accepts_a_valid_workload(self):
         config = small_config()
         check_workload(config, workload_with_entry(config))
-        check_workload(config, generate_workload(config, seed=0))
+        check_workload(config, draw_workload(config, seed=0))
 
     @pytest.mark.parametrize(
         "fields, message",
@@ -663,9 +687,17 @@ class TestOracleBound:
         "be answered above log2(predicting_cardinality)",
     )
     def test_no_answer_worse_than_the_uniform_prior(self):
+        config = small_config(combinations_pool=3)
+        uniform = math.log2(config.predicting_cardinality)
+        # every trained node's answer to every key a query can draw, so the
+        # check does not rest on which nodes the routes visit
+        keyed = setup_trial(config)
+        for target, combos in keyed.trained_combos.items():
+            for bound in combos:
+                answers = keyed.model.answers(target, bound)
+                assert (answers[np.isfinite(answers)] <= uniform).all()
         for strategy in Strategy:
-            config = small_config(combinations_pool=3, strategy=strategy)
-            uniform = math.log2(config.predicting_cardinality)
+            config = replace(config, strategy=strategy)
             trial = setup_trial(config)
             for cycle in range(1, config.cycles + 1):
                 run_cycle(trial, cycle)
@@ -761,7 +793,7 @@ class TestUnsent:
         config.resolved_policy = lambda: policy
         assert trial.overlay.neighbors(1) == {0}
         model = trial.model
-        local_sets = train_pgms(workload, config)
+        local_sets = trained_rows(workload, config)
         cycles = itertools.count(1)
 
         def propagate():
@@ -778,7 +810,7 @@ class TestUnsent:
             # local joint of `var`
             counts = np.array([[diagonal - 1, 0], [0, diagonal - 1]])
             entry = TrainedAssignment(1, var, (0,), counts)
-            joint = local_entropy_sets([entry], 1, 2, 1.0)[0][0]
+            joint = summarise([entry], 1, 2, 1.0)[0][0]
             model.local_joints[var, 1] = joint
             model.changed[var, 1] = True
             return joint

@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgeknow import pgm
-from edgeknow.engine import TrainedAssignment, Workload, check_workload, train_pgms
+from edgeknow.engine import TrainedAssignment, Workload, check_workload
 from edgeknow.pgm import cell_counts
-from edgeknow.routing import local_entropy_sets
 
 from conftest import (
     ROW_WIDTH,
@@ -22,6 +21,8 @@ from conftest import (
     bf_summary,
     bf_true_conditional,
     library_answer,
+    summarise,
+    trained_rows,
 )
 
 
@@ -53,7 +54,7 @@ def entropy_set(counts, pseudocount=0.0) -> Summary:
     entry = TrainedAssignment(
         0, 0, tuple(range(n_ctx)), counts.reshape(len(counts), -1)
     )
-    return summary(local_entropy_sets([entry], ROW_WIDTH, card, pseudocount)[0])
+    return summary(summarise([entry], ROW_WIDTH, card, pseudocount)[0])
 
 
 class TestVectorEntropy:
@@ -163,7 +164,7 @@ class TestCellCounts:
     def test_counting_with_uniform_prior(self, binary_config):
         wl = Workload(node_count=1)
         wl.entries.append(TrainedAssignment(0, 0, (), np.array([[5], [0]])))
-        joint = train_pgms(wl, binary_config)[0][0][0]
+        joint = trained_rows(wl, binary_config)[0][0][0]
         assert joint == pytest.approx(bf_entropy([6 / 7, 1 / 7]), abs=1e-12)
 
     def test_negative_ids_do_not_wrap(self, binary_config):
@@ -316,7 +317,7 @@ class TestInvariants:
             entries.append(TrainedAssignment(0, var, contexts, counts.astype(dtype)))
         batch_cells = data.draw(st.integers(1, 3 * n_out * card**3))
         with mock.patch.object(pgm, "BATCH_CELLS", batch_cells):
-            sets = local_entropy_sets(entries, 6, card, pseudocount)
+            sets = summarise(entries, 6, card, pseudocount)
         for entry, row in zip(entries, sets, strict=True):
             s = summary(row)
             tensor = entry.counts.reshape((n_out,) + (card,) * len(entry.contexts))
@@ -324,7 +325,7 @@ class TestInvariants:
             assert s.joint == pytest.approx(joint, abs=1e-12)
             assert list(s.marginals) == list(marginals)
             assert s.marginals == pytest.approx(marginals, abs=1e-12)
-            assert [row] == local_entropy_sets([entry], 6, card, pseudocount)
+            assert [row] == summarise([entry], 6, card, pseudocount)
             assert row[1] == entry.contexts
             # a context the table does not hold has entropy 0.0 in the row
             assert [row[2][c] for c in range(6) if c not in entry.contexts] == [

@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgeknow import engine
-from edgeknow.engine import SimConfig, Strategy, generate_workload
+from edgeknow.engine import SimConfig, Strategy
 
-from conftest import bf_run_trial
+from conftest import bf_run_trial, draw_workload
 
 
 def library_trial(config, workload=None) -> list[tuple[int, list[dict]]]:
@@ -109,7 +109,7 @@ class TestReplay:
         )
         workload = None
         if data.draw(st.booleans()):
-            drawn = generate_workload(config, data.draw(st.integers(0, 2**16)))
+            drawn = draw_workload(config, data.draw(st.integers(0, 2**16)))
             idle = data.draw(
                 st.sets(st.integers(0, config.node_count - 1),
                         max_size=config.node_count - 1)

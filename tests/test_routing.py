@@ -15,15 +15,12 @@ from edgeknow.engine import (
     route_query,
     run_cycle,
     take_over,
-    train_pgms,
 )
 from edgeknow.routing import (
     AdvertisementPolicy,
-    RoutingModel,
     answer_entropy,
     build_advertisement,
     integrate_advertisement,
-    local_entropy_sets,
     process_query,
     should_advertise,
 )
@@ -38,9 +35,12 @@ from conftest import (
     bf_score,
     bf_should_advertise,
     library_answer,
+    model_of,
     published_rows,
     row,
     set_up,
+    summarise,
+    trained_rows,
     view,
     views,
     well_formed,
@@ -62,7 +62,7 @@ class Net:
         self.local_sets[0].update({VARIABLES + i: s for i, s in enumerate(extra)})
         if neighbors is None:
             neighbors = [[] for _ in local_sets]
-        self.model = RoutingModel(
+        self.model = model_of(
             self.local_sets, neighbors, VARIABLES + len(extra), k, width
         )
         self.row_of = {0: ((), (0.0,) * width)}
@@ -332,7 +332,7 @@ class TestNeighborsOf:
         ]
         # node n is isolated; node n + 1 is linked to every other node
         links += [[], list(range(node_count + 1))]
-        model = RoutingModel([{}] * len(links), links, 1, 1, ROW_WIDTH)
+        model = model_of([{}] * len(links), links, 1, 1, ROW_WIDTH)
         assert model.degree.max() == len(links) - 1
         nodes = data.draw(st.lists(st.integers(0, len(links) - 1)))
         got, counts = model.neighbors_of(np.array(nodes, dtype=np.intp))
@@ -678,7 +678,7 @@ def trained_set(target_state=0, observations=60):
     counts = np.zeros((2, 2), dtype=np.int64)
     counts[target_state] = observations
     entry = TrainedAssignment(0, 0, (0,), counts)
-    return local_entropy_sets([entry], ROW_WIDTH, 2, 1.0)[0]
+    return summarise([entry], ROW_WIDTH, 2, 1.0)[0]
 
 
 # the keys of queries for variable 0 with no evidence, as `draw_queries`
@@ -995,13 +995,13 @@ class TestLocalSets:
             TrainedAssignment(0, 2, (1,), ones),
             TrainedAssignment(0, 0, (0,), ones),
         ]
-        sets = train_pgms(workload, config)[0]
+        sets = trained_rows(workload, config)[0]
         assert list(sets) == [2, 0]
         assert sets[0][1] == (0,)
         assert sets[2][1] == (1,)
 
     def test_answer_entropy_untrained_is_inf(self):
-        assert local_entropy_sets([], ROW_WIDTH, 2, 1.0) == []
+        assert summarise([], ROW_WIDTH, 2, 1.0) == []
         model = Net([{}, {0: trained_set()}]).model
         untrained, trained = answer_entropy(model, 0, frozenset())
         assert untrained == math.inf and 0 <= trained < math.inf
@@ -1040,8 +1040,8 @@ class TestLocalSets:
             workload.entries.append(
                 TrainedAssignment(0, target, contexts, np.reshape(counts, (n_out, -1)))
             )
-        sets = train_pgms(workload, config)[0]
-        model = RoutingModel([sets], [[]], 3, 1, 16)
+        sets = trained_rows(workload, config)[0]
+        model = model_of([sets], [[]], 3, 1, 16)
         bound = data.draw(bounds())
         for target in (0, 1, 2):
             entry = workload.entries[target] if target < 2 else None
@@ -1070,7 +1070,7 @@ class TestLocalSets:
         counts = data.draw(st.lists(st.integers(0, 9), min_size=size, max_size=size))
         entry = TrainedAssignment(0, 0, contexts, np.reshape(counts, (2, -1)))
         pseudocount = data.draw(st.floats(0.01, 1.0))
-        (s,) = local_entropy_sets([entry], 40, 2, pseudocount)
+        (s,) = summarise([entry], 40, 2, pseudocount)
         assert_gate_score(s, bf_gate_score(view(s)))
 
 
