@@ -1,10 +1,11 @@
 """Command-line front end: single trials, parameter sweeps, topology export.
 
 `edgeknow run` executes one trial per (sweep value, seed, strategy) and emits
-one metrics CSV per run plus a merged summary. `edgeknow topology` emits an
-edge list and degree histogram for the similarity-weighted attachment model.
-Flags override values from an optional key=value config file; the env var
-EDGEKNOW_SEED is the seed fallback.
+one metrics CSV per run, a merged summary and seed-mean accuracy curves; a
+study is one config file under `studies/` run this way. `edgeknow topology`
+emits an edge list and degree histogram for the similarity-weighted
+attachment model. Flags override values from an optional key=value config
+file; the env var EDGEKNOW_SEED is the seed fallback.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .engine import (
 )
 from .topology import AttachmentParams, generate, survival_slope
 
-# CLI flag name -> SimConfig field
+# CLI flag name -> SimConfig field: the keys `--sweep` takes
 _FLAG_FIELDS = {
     "nodes": "node_count",
     "predicting": "predicting_var_count",
@@ -41,7 +42,6 @@ _FLAG_FIELDS = {
     "hops": "hop_budget",
     "cycles": "cycles",
     "edge_limit": "edge_limit",
-    "seed": "seed",
 }
 
 
@@ -65,6 +65,13 @@ def _seed_list(text: str) -> list[int]:
     if min(seeds) < 0:
         raise ValueError(f"negative seed {min(seeds)}")
     return seeds
+
+
+# config file key -> how its value is read: seed, a list as `--seed` takes;
+# pseudocount, the one study setting without a flag, a float; a flag, an int
+_CONFIG_KEYS = {
+    **dict.fromkeys(_FLAG_FIELDS, int), "seed": _seed_list, "pseudocount": float
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -119,11 +126,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_config_file(path: Path) -> tuple[dict, dict]:
-    """Config file values by flag name: an int, or for `seed` a list of
-    ints; and by flag name, the `path:line` that set each. A bad line
-    raises ValueError naming the file and line."""
+    """Config file values by key, read as `_CONFIG_KEYS` says; and by key,
+    the line that set each. A bad line, or a key given twice, raises
+    ValueError naming the file and line; so does a file that is not UTF-8."""
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     values, lines = {}, {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -131,12 +142,14 @@ def _read_config_file(path: Path) -> tuple[dict, dict]:
         try:
             if not sep:
                 raise ValueError("expected key=value")
-            if key not in _FLAG_FIELDS:
+            if key not in _CONFIG_KEYS:
                 raise ValueError("unknown config key")
-            values[key] = _seed_list(value) if key == "seed" else int(value)
+            if key in lines:
+                raise ValueError(f"repeated key (first at line {lines[key]})")
+            values[key] = _CONFIG_KEYS[key](value)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
-        lines[key] = f"{path}:{lineno}"
+        lines[key] = lineno
     return values, lines
 
 
@@ -155,11 +168,11 @@ def _base_config(args, file_values: dict, file_lines: dict) -> SimConfig:
     """Config file values overridden by flags; seeds are set per run. A
     rejected value from the file is reported with its line."""
     values = {
-        _FLAG_FIELDS[key]: value for key, value in file_values.items() if key != "seed"
+        _FLAG_FIELDS.get(key, key): value
+        for key, value in file_values.items()
+        if key != "seed"
     }
     for flag, fld in _FLAG_FIELDS.items():
-        if flag == "seed":
-            continue
         arg = getattr(args, flag, None)
         if arg is not None:
             values[fld] = arg
@@ -171,9 +184,12 @@ def _base_config(args, file_values: dict, file_lines: dict) -> SimConfig:
     try:
         return SimConfig(**values, attachment=attachment)
     except InvalidField as exc:
-        for key, where in file_lines.items():
-            if _FLAG_FIELDS[key] == exc.name and getattr(args, key) is None:
-                raise ValueError(f"{where}: {key}: {exc}") from None
+        for key, lineno in file_lines.items():
+            field = _FLAG_FIELDS.get(key, key)
+            if field == exc.name and getattr(args, key, None) is None:
+                # the key names the field unless its flag is named otherwise
+                problem = exc.args[1] if key == field else exc
+                raise ValueError(f"{args.config}:{lineno}: {key}: {problem}") from None
         raise
 
 
@@ -223,10 +239,12 @@ def cmd_run(args) -> int:
     if args.sweep:
         name, _, raw = args.sweep.partition("=")
         try:
-            if name not in _FLAG_FIELDS or not raw:
-                raise ValueError("expected <flag>=<v1>,<v2>,...")
+            if not raw:
+                raise ValueError("expected <key>=<v1>,<v2>,...")
             if name == "seed":
                 raise ValueError("seeds come from --seed, not --sweep")
+            if name not in _FLAG_FIELDS:
+                raise ValueError(f"sweepable keys are {', '.join(_FLAG_FIELDS)}")
             sweep_param, sweep_values = name, _int_list(raw)
         except ValueError as exc:
             print(f"bad sweep expression {args.sweep!r}: {exc}", file=sys.stderr)
@@ -255,7 +273,10 @@ def cmd_run(args) -> int:
             try:
                 workloads[key] = ingest_csv(args.workload_csv, config)
             except (ValueError, OSError) as exc:
-                print(f"bad workload for {name}: {exc}", file=sys.stderr)
+                # the reader names the file in every error but a decoding one
+                bad = isinstance(exc, UnicodeDecodeError)
+                where = f"{args.workload_csv}: " if bad else ""
+                print(f"bad workload for {name}: {where}{exc}", file=sys.stderr)
                 return 2
         jobs.append((config, workloads.get(key)))
 
@@ -270,6 +291,8 @@ def cmd_run(args) -> int:
         results = [_execute(job) for job in jobs]
 
     violations = 0
+    # per (sweep value, strategy), each seed's rows, in run order
+    curves: dict[tuple, list] = {}
     summary_path = args.out / "summary.csv"
     with open(summary_path, "w") as f:
         f.write(
@@ -278,6 +301,7 @@ def cmd_run(args) -> int:
         )
         for (name, value, config), metrics in zip(runs, results):
             metrics.write_csv(args.out / f"{name}.csv")
+            curves.setdefault((value, config.strategy), []).append(metrics.rows)
             violations += metrics.oracle_violations
             tail = metrics.rows[-5:]
             regret = (
@@ -289,7 +313,18 @@ def cmd_run(args) -> int:
                 f"{metrics.converged_accuracy():.6f},{regret:.6f},"
                 f"{metrics.oracle_violations}\n"
             )
-    print(f"wrote {len(results)} run CSVs and {summary_path}")
+    with open(args.out / "curves.csv", "w") as f:
+        f.write("sweep_value,strategy,cycle,accuracy,accuracy_std\n")
+        for (value, strategy), seed_rows in curves.items():
+            for rows in zip(*seed_rows):
+                # seed means of the unrounded rows, summed in seed order
+                acc = sum(r.accuracy for r in rows) / len(rows)
+                std = sum(r.accuracy_std for r in rows) / len(rows)
+                f.write(
+                    f"{'' if value is None else value},{strategy.value},"
+                    f"{rows[0].cycle},{acc:.6f},{std:.6f}\n"
+                )
+    print(f"wrote {len(results)} run CSVs, {summary_path} and curves.csv")
     if violations:
         print(f"oracle violations: {violations}", file=sys.stderr)
         return 1

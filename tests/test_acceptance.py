@@ -1,16 +1,21 @@
 """End-to-end acceptance checks.
 
 Every test here exercises a full published operating point and prints one
-PASS/FAIL line (run with -s to see them). These are slow: the whole module
-took 86 s on a 2-core VM (Python 3.11, numpy 2.4), nearly all of it in the
-fixtures. Heavy runs are shared through
+PASS/FAIL line (run with -s to see them). These are the slowest tests: the
+whole module took 21 s on a shared 2-core VM (Python 3.11, numpy 2.4),
+nearly all of it in the fixtures. Heavy runs are shared through
 module-scoped fixtures, and every trial's oracle-violation count feeds the
-final zero-violations check.
+final zero-violations check. The hop, K and pool fixtures read their
+configs from `studies/`, as `edgeknow run --config` does.
 """
+
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from edgeknow.cli import _base_config, _read_config_file, _resolve_seeds, build_parser
 from edgeknow.engine import (
     SimConfig,
     Strategy,
@@ -54,76 +59,71 @@ def rw_runs_256():
     ]
 
 
+# the points the hop, K and pool claims' bounds were set on, with their
+# seeds: a study file that drifts from its point fails here, not as a moved
+# claim
+POINTS = {
+    "hops": (SimConfig(node_count=512, predicting_var_count=10, cycles=15), [0, 1, 2]),
+    "k": (
+        SimConfig(
+            node_count=256,
+            predicting_var_count=100,
+            vars_trained_per_node=2,
+            context_var_count=5,
+            contexts_per_table=3,
+            combinations_pool=10,
+            cycles=25,
+        ),
+        [0, 1],
+    ),
+    "pool": (
+        SimConfig(
+            node_count=512,
+            predicting_var_count=32,
+            vars_trained_per_node=1,
+            context_var_count=10,
+            contexts_per_table=5,
+            observations_per_var=20000,
+            pseudocount=0.25,
+            k_sets=10,
+            cycles=12,
+        ),
+        [0],
+    ),
+}
+
+
+def study_runs(name, field, values):
+    """One trial per (value, seed) of `studies/<name>.cfg`, read as
+    `edgeknow run --config` reads it, with `field` set to each value."""
+    path = Path(__file__).resolve().parents[1] / "studies" / f"{name}.cfg"
+    args = build_parser().parse_args(["run", "--config", str(path)])
+    file_values, file_lines = _read_config_file(path)
+    base = _base_config(args, file_values, file_lines)
+    seeds = _resolve_seeds(args.seed, file_values.get("seed"))
+    assert (base, seeds) == POINTS[name]
+    return {
+        value: [
+            collect(run_trial(replace(base, seed=seed, **{field: value})))
+            for seed in seeds
+        ]
+        for value in values
+    }
+
+
 @pytest.fixture(scope="module")
 def hop_sweep_runs():
-    runs = {}
-    for hops in (2, 4, 6, 8):
-        runs[hops] = [
-            collect(
-                run_trial(
-                    SimConfig(
-                        node_count=512,
-                        predicting_var_count=10,
-                        hop_budget=hops,
-                        cycles=15,
-                        seed=seed,
-                    )
-                )
-            )
-            for seed in range(3)
-        ]
-    return runs
+    return study_runs("hops", "hop_budget", (2, 4, 6, 8))
 
 
 @pytest.fixture(scope="module")
 def k_sweep_runs():
-    runs = {}
-    for k in (5, 10):
-        runs[k] = [
-            collect(
-                run_trial(
-                    SimConfig(
-                        node_count=256,
-                        predicting_var_count=100,
-                        vars_trained_per_node=2,
-                        context_var_count=5,
-                        contexts_per_table=3,
-                        combinations_pool=10,
-                        k_sets=k,
-                        cycles=25,
-                        seed=seed,
-                    )
-                )
-            )
-            for seed in range(2)
-        ]
-    return runs
+    return study_runs("k", "k_sets", (5, 10))
 
 
 @pytest.fixture(scope="module")
 def pool_sweep_runs():
-    runs = {}
-    for pool in (10, 50, 150, 252):
-        runs[pool] = [
-            collect(
-                run_trial(
-                    SimConfig(
-                        node_count=512,
-                        predicting_var_count=32,
-                        vars_trained_per_node=1,
-                        context_var_count=10,
-                        contexts_per_table=5,
-                        combinations_pool=pool,
-                        observations_per_var=20000,
-                        pseudocount=0.25,
-                        k_sets=10,
-                        cycles=12,
-                        seed=0,
-                    )
-                )
-            )
-        ]
-    return runs
+    return study_runs("pool", "combinations_pool", (10, 50, 150, 252))
 
 
 def tail_std(metrics):

@@ -1,12 +1,8 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
 from unittest import mock
 
 import pytest
 
-from edgeknow import cli
+from edgeknow import cli, engine
 from edgeknow.cli import main
 from edgeknow.engine import SimConfig, setup_trial
 
@@ -89,8 +85,16 @@ class TestRun:
         run_cli(BASE + ["--out", out])
         assert (out / "run_seed9_abs.csv").exists()
 
-    def test_bad_sweep_spec(self, tmp_path):
+    def test_bad_sweep_spec(self, tmp_path, capsys):
         assert run_cli(BASE + ["--sweep", "bogus=1", "--out", tmp_path]) == 2
+        # --m is a run flag, but not a sweepable one
+        assert run_cli(BASE + ["--sweep", "m=2,3", "--out", tmp_path]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == (
+            "bad sweep expression 'm=2,3': sweepable keys are nodes, predicting, "
+            "contexts, contexts_per_table, combinations, trained_per_node, "
+            "observations, k, hops, cycles, edge_limit"
+        )
 
     def test_seed_is_not_a_sweep_parameter(self, tmp_path, capsys):
         # swept seeds would replace --seed's in every run, under --seed's names
@@ -130,6 +134,10 @@ class TestRun:
             (["--nodes", "2", "--cycles", "1"], "node_count must be 1 or >= m0=4"),
             (["--nodes", "8", "--edge-limit", "1"], "edge_limit must be >= m0-1=3"),
             (["--nodes", "8", "--sweep", "k=1,0"], "k_sets must be >= 1"),
+            (
+                ["--nodes", "8", "--sweep", "contexts_per_table=1,9"],
+                "contexts_per_table exceeds context_var_count",
+            ),
         ],
     )
     def test_bad_overlay_config_exits_2(self, tmp_path, capsys, flags, message):
@@ -214,11 +222,64 @@ class TestRun:
             ("# trial\nwat = 1\n", "2: wat: unknown config key"),
             ("nodes 12\n", "1: nodes 12: expected key=value"),
             ("seed = 1,x\n", "1: seed: expected comma-separated integers"),
+            (
+                "nodes = 8\n# again\nnodes = 9\n",
+                "3: nodes: repeated key (first at line 1)",
+            ),
         ):
             cfg.write_text(text)
             assert run_cli(["run", "--config", cfg, "--out", tmp_path]) == 2
             err = capsys.readouterr().err
             assert f"{cfg}:{message}" in err and len(err.splitlines()) == 1
+
+    def test_config_file_pseudocount(self, tmp_path, capsys):
+        # the one config key without a flag
+        cfg = tmp_path / "trial.cfg"
+        cfg.write_text("pseudocount = 0.25\n")
+        with mock.patch.object(cli, "run_trial", wraps=cli.run_trial) as ran:
+            assert run_cli(BASE + ["--config", cfg, "--out", tmp_path / "out"]) == 0
+        assert ran.call_args.args[0].pseudocount == 0.25
+        for value, message in (
+            ("0", "must be in (0, inf), got 0.0"),
+            ("nan", "must be in (0, inf), got nan"),
+            ("x", "could not convert string to float: 'x'"),
+        ):
+            cfg.write_text(f"cycles = 1\npseudocount = {value}\n")
+            assert run_cli(["run", "--config", cfg, "--out", tmp_path / "bad"]) == 2
+            err = capsys.readouterr().err
+            assert err == f"bad config: {cfg}:2: pseudocount: {message}\n"
+        assert not (tmp_path / "bad").exists()
+
+    def test_curves_header_only_at_zero_cycles(self, tmp_path):
+        out = tmp_path / "out"
+        args = BASE + ["--cycles", "0", "--strategy", "both", "--out", out]
+        assert run_cli(args) == 0
+        assert (out / "curves.csv").read_text() == (
+            "sweep_value,strategy,cycle,accuracy,accuracy_std\n"
+        )
+
+    def test_curves_one_row_per_value_strategy_cycle(self, tmp_path, monkeypatch):
+        trials = {}
+
+        def run_trial(config, workload):
+            key = config.k_sets, config.strategy.value, config.seed
+            trials[key] = engine.run_trial(config, workload)
+            return trials[key]
+
+        monkeypatch.setattr(cli, "run_trial", run_trial)
+        out = tmp_path / "out"
+        args = ["--strategy", "both", "--sweep", "k=1,2", "--seed", "0,1"]
+        assert run_cli(BASE + args + ["--out", out]) == 0
+        # seed means of the unrounded rows, not of the run CSVs' figures
+        expected = ["sweep_value,strategy,cycle,accuracy,accuracy_std"]
+        for k in (1, 2):
+            for strategy in ("abs", "rw"):
+                for cycle in (1, 2):
+                    a, b = (trials[k, strategy, s].rows[cycle - 1] for s in (0, 1))
+                    acc = (a.accuracy + b.accuracy) / 2
+                    std = (a.accuracy_std + b.accuracy_std) / 2
+                    expected.append(f"{k},{strategy},{cycle},{acc:.6f},{std:.6f}")
+        assert (out / "curves.csv").read_text().splitlines() == expected
 
     def test_pool_never_exceeds_the_runs(self, tmp_path, monkeypatch):
         # a stand-in pool that runs the jobs in this process
@@ -320,11 +381,14 @@ class TestRun:
 
     @pytest.mark.parametrize("flag", ["--config", "--workload-csv"])
     def test_missing_input_file_exits_2(self, tmp_path, capsys, flag):
-        missing = tmp_path / "nope"
-        code = run_cli(BASE + [flag, missing, "--out", tmp_path / "out"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert str(missing) in err and len(err.splitlines()) == 1
+        # a file that is missing, or that is not UTF-8, is named
+        undecodable = tmp_path / "bytes"
+        undecodable.write_bytes(b"\xff\xfe")
+        for path in (tmp_path / "nope", undecodable):
+            code = run_cli(BASE + [flag, path, "--out", tmp_path / "out"])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert str(path) in err and len(err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
 
 
@@ -448,70 +512,3 @@ def test_out_not_a_directory_exits_2(tmp_path, capsys, command):
         assert str(out) in err
     assert blocker.read_text() == ""
 
-
-def run_study(*flags):
-    """`scripts/studies.py` run with `flags` in a subprocess."""
-    repo = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(repo / "src"))
-    return subprocess.run(
-        [sys.executable, str(repo / "scripts" / "studies.py"), *map(str, flags)],
-        env=env, capture_output=True, text=True,
-    )
-
-
-class TestStudies:
-    def test_cycles_study_writes_one_row_per_cycle(self, tmp_path):
-        out = tmp_path / "c.csv"
-        run_study(
-            "--study", "cycles", "--seeds", "0", "--values", "abs",
-            "--cycles", "1", "--out", out,
-        ).check_returncode()
-        lines = out.read_text().splitlines()
-        assert lines[0] == "value,cycle,accuracy,accuracy_std"
-        assert len(lines) == 2 and lines[1].startswith("abs,1,")
-
-    def test_zero_cycles_write_no_rows(self, tmp_path):
-        out = tmp_path / "c.csv"
-        run_study(
-            "--study", "cycles", "--seeds", "0", "--values", "abs",
-            "--cycles", "0", "--out", out,
-        ).check_returncode()
-        assert out.read_text() == "value,cycle,accuracy,accuracy_std\n"
-
-    @pytest.mark.parametrize(
-        "flags, message",
-        [
-            (["--study", "hops", "--values", "x"], "expected comma-separated"),
-            (["--study", "hops", "--values", "2,2"], "repeated value 2"),
-            (["--study", "cycles", "--values", "abs,x"], "'x' is not a valid"),
-            (["--study", "cycles", "--values", "rw,rw"], "distinct"),
-            (["--study", "hops", "--seeds", "-1"], "negative seed -1"),
-            (["--study", "context_size", "--values", "9"],
-             "contexts_per_table exceeds context_var_count"),
-            (["--study", "hops", "--cycles", "-1"], "cycles must be >= 0"),
-        ],
-        ids=["value", "repeated-value", "strategy", "repeated-strategy",
-             "negative-seed", "config", "negative-cycles"],
-    )
-    def test_bad_study_exits_2_before_opening_out(self, tmp_path, flags, message):
-        out = tmp_path / "kept.csv"
-        out.write_text("kept\n")
-        result = run_study(*flags, "--out", out)
-        assert result.returncode == 2
-        assert len(result.stderr.splitlines()) == 1 and message in result.stderr
-        assert out.read_text() == "kept\n"
-        result = run_study(*flags, "--out", tmp_path / "new" / "s.csv")
-        assert result.returncode == 2 and not (tmp_path / "new").exists()
-
-    @pytest.mark.parametrize("where", ["under-file", "directory"])
-    def test_unopenable_out_exits_2_with_one_line(self, tmp_path, where):
-        (tmp_path / "file").write_text("kept\n")
-        out = tmp_path / "file" / "s.csv" if where == "under-file" else tmp_path
-        result = run_study(
-            "--study", "cycles", "--seeds", "0", "--values", "abs",
-            "--cycles", "0", "--out", out,
-        )
-        assert result.returncode == 2
-        assert len(result.stderr.splitlines()) == 1
-        assert result.stderr.startswith("bad --out: ")
-        assert (tmp_path / "file").read_text() == "kept\n"

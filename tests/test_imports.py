@@ -1,6 +1,6 @@
 """Every import in the project's own code is used.
 
-Scans each `.py` file under `src/`, `tests/` and `scripts/` with the
+Scans each `.py` file under `src/` and `tests/` with the
 standard library's `ast`: an imported name must be read somewhere in its
 module, or be listed in the module's `__all__`. `from __future__` imports
 are skipped.
@@ -10,7 +10,7 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SCANNED = ("src", "tests", "scripts")
+SCANNED = ("src", "tests")
 
 
 def unused_imports(source: str) -> list[str]:
