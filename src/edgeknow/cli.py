@@ -46,10 +46,10 @@ _FLAG_FIELDS = {
 
 
 def _int_list(text: str) -> list[int]:
-    """Distinct comma-separated integers: a repeated seed or sweep value
-    would name two runs alike."""
+    """Distinct comma-separated integers, none empty: a repeated seed or
+    sweep value would name two runs alike."""
     try:
-        values = [int(v) for v in text.split(",") if v]
+        values = [int(v) for v in text.split(",")]
     except ValueError:
         values = []
     if not values:
@@ -128,9 +128,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _read_config_file(path: Path) -> tuple[dict, dict]:
     """Config file values by key, read as `_CONFIG_KEYS` says; and by key,
     the line that set each. A bad line, or a key given twice, raises
-    ValueError naming the file and line; so does a file that is not UTF-8."""
+    ValueError naming the file and line; so does a file that is not UTF-8.
+    A leading byte-order mark is dropped."""
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
     values, lines = {}, {}
@@ -339,7 +340,9 @@ def cmd_topology(args) -> int:
             raise ValueError(
                 f"edge_limit must be >= 0 (0 = unlimited), got {args.edge_limit}"
             )
-        seed = _resolve_seeds(args.seed)[0]
+        seed, *more = _resolve_seeds(args.seed)
+        if more:
+            raise ValueError(f"one edge list takes one seed, got {len(more) + 1}")
         config = SimConfig(
             node_count=n,
             predicting_var_count=args.predicting,
@@ -368,7 +371,7 @@ def cmd_topology(args) -> int:
     overlay = generate(config.attachment, trained, limit, overlay_seed)
     overlay.write_edge_list(args.out / "edges.txt")
     overlay.write_degree_csv(args.out / "degree_histogram.csv")
-    degrees = [overlay.degree(node) for node in overlay.nodes]
+    degrees = overlay.degree.tolist()
     print(f"nodes={n} edges={len(overlay.edges())} max_degree={max(degrees)}")
     # uncapped, the limit is n and no node, of at most n - 1 neighbors, is at it
     if args.edge_limit:

@@ -1,11 +1,12 @@
 """Cycle-based simulation harness.
 
 A trial: generate a synthetic Gaussian workload (or ingest one from CSV),
-train one model per node, grow the similarity-clustered overlay, then run
-cycles in which every node first propagates its knowledge and then issues one
-query. Set-up summarises the workload a batch of entries at a time into the
-local sets' arrays (`routing.LocalSets`), which the overlay, the queries and
-the routing model read. Propagation works on the shared routing model's
+train one model per node, grow the similarity-clustered overlay, the one
+padded neighbor matrix that routing reads, then run cycles in which every
+node first propagates its knowledge and then issues one query. Set-up
+summarises the workload a batch of entries at a time into the local sets'
+arrays (`routing.LocalSets`), which the overlay, the queries and the
+routing model read. Propagation works on the shared routing model's
 per-variable arrays: one pass per variable that some node must rebuild
 builds, stages and compares that variable's lists for all those nodes at
 once, and the sends are integrated per variable after the last pass. A
@@ -231,12 +232,12 @@ def ingest_csv(path, config: SimConfig) -> Workload:
     Malformed rows, rows that bind a context twice, fall outside the config's
     nodes, variables or states or bind other context variables than earlier
     rows of their (node, var), raise ValueError with the line number; so does
-    a file without observation rows."""
+    a file without observation rows. A leading byte-order mark is dropped."""
     pred_card, ctx_card = config.predicting_cardinality, config.context_cardinality
     # per (node, var): the bound context variables and the flat cell counts,
     # one cell per (outcome, context states) row-major
     groups: dict[tuple[int, int], tuple[tuple[int, ...], np.ndarray]] = {}
-    with open(path, newline="") as f:
+    with open(path, newline="", encoding="utf-8-sig") as f:
         for lineno, row in enumerate(csv.reader(f), start=1):
             if not row:
                 continue
@@ -340,9 +341,9 @@ class TrialMetrics:
 
 @dataclass
 class TrialState:
-    """What a trial carries from cycle to cycle. The overlay's neighbor
-    lists are held once, as the model's neighbor matrix, which the hop
-    step of both strategies reads; `query_rng` draws the queries and
+    """What a trial carries from cycle to cycle. The neighbor lists are
+    held once, as the overlay's padded matrix, which the routing model and
+    the hop step of both strategies read; `query_rng` draws the queries and
     `walk_rng` the keys of `rw`'s hops."""
 
     config: SimConfig
@@ -452,14 +453,13 @@ def setup_trial(config: SimConfig, workload: Optional[Workload] = None) -> Trial
         batches = [workload.entries]
     sets = train_pgms(batches, config)
     if config.node_count == 1:
-        overlay = Overlay(adjacency={0: set()}, edge_limit=config.edge_limit)
+        overlay = Overlay(1, config.edge_limit)
     else:
         trained: list[list[int]] = [[] for _ in range(config.node_count)]
         for node, var in zip(sets.nodes.tolist(), sets.variables.tolist()):
             trained[node].append(var)
         overlay = generate(config.attachment, trained, config.edge_limit, overlay_seed)
-    neighbors = [sorted(overlay.neighbors(n)) for n in range(config.node_count)]
-    model = RoutingModel(sets, neighbors, config.predicting_var_count, config.k_sets)
+    model = RoutingModel(sets, overlay, config.predicting_var_count, config.k_sets)
     # per trained variable, ascending, the evidence set of each combination it
     # was trained on, by ascending tuple; one object per distinct set
     evidence = {c: frozenset(c) for c in sets.combinations}
@@ -525,7 +525,7 @@ def route_query(
         for hop in range(1, hops + 1):
             nodes = block[:, hop - 1]
             visited[queries, nodes] = True
-            step = model.neighbor_rows[nodes]
+            step = trial.overlay.rows[nodes]
             if strategy is Strategy.ABS:
                 # a flat take, as in `process_query`
                 slot_keys = ranks.take(first + step)

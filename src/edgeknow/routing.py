@@ -41,7 +41,8 @@ node's published lists (`best_score`) and one every node's local set
 path, which the quality gate also takes.
 
 Queries move in lockstep, both strategies through one hop step
-(`process_query`) over the neighbor matrix padded with node n: `abs` keys
+(`process_query`) over the overlay's neighbor matrix (`topology.Overlay`),
+padded with node n, which the model reads and never copies: `abs` keys
 a node's neighbor slots with the forwarding ranks of the query's key, so it
 goes to the best unvisited neighbor, and `rw` with uniform draws, a uniform
 hop over the unvisited neighbors, or over all once every one is visited. A
@@ -59,6 +60,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .pgm import table_entropies
+from .topology import Overlay
 
 NodeId = int
 
@@ -86,7 +88,8 @@ class AdvertisementPolicy:
 
 class RoutingModel:
     """What every node knows, has told its neighbors and has still to
-    tell, and what the trial derives from it, over fixed neighbor lists.
+    tell, and what the trial derives from it, over the neighbor lists of
+    `overlay`, whose matrix it reads and never copies.
 
     Per variable and node, from the `LocalSets` arrays of the trial's
     local sets: the local set as its joint (inf when untrained),
@@ -104,13 +107,11 @@ class RoutingModel:
     Per (target, evidence variable set) key, the model keeps every node's
     forwarding rank, until an integration of the target drops them, and
     every node's local answer, for its life. Both have a slot for the pad
-    node n, which pads `neighbor_rows`: each node's neighbors, ascending,
-    then one all-pad row for node n itself."""
+    node n, which pads the overlay's rows."""
 
-    def __init__(
-        self, sets: LocalSets, neighbors: Sequence, variables: int, k: int
-    ):
-        shape = (variables, len(neighbors))
+    def __init__(self, sets: LocalSets, overlay: Overlay, variables: int, k: int):
+        self.overlay = overlay
+        shape = (variables, len(overlay.degree))
         # rows (combination, entropies): the reduced form's, then each local
         # set's; equal rows share the first's origin, numbered by first sight
         rows = np.zeros((len(sets.joints) + 1, 1 + sets.entropies.shape[1]))
@@ -135,11 +136,6 @@ class RoutingModel:
             bound = frozenset(dict.fromkeys(sets.combinations[combo]))
             scores = self.subtract(sets.joints[over], origins[over], bound)
             self.gates[sets.variables[over], sets.nodes[over]] = np.maximum(scores, 0.0)
-        self.degree = np.array([len(nbs) for nbs in neighbors], dtype=np.intp)
-        n, width = len(neighbors), max(1, self.degree.max(initial=0))
-        self.neighbor_rows = np.full((n + 1, width), n, dtype=np.int32)
-        for node, nbs in enumerate(neighbors):
-            self.neighbor_rows[node, : len(nbs)] = nbs
         self.joints = np.full(shape + (k,), math.inf)
         self.origins = np.zeros(shape + (k,), dtype=np.int32)
         self.unsent_joints = self.joints.copy()
@@ -152,8 +148,9 @@ class RoutingModel:
     def neighbors_of(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The neighbors of `nodes`, each node's ascending and the nodes in
         order, and how many each node has."""
-        rows = self.neighbor_rows[nodes]
-        return rows[rows < len(self.degree)], self.degree[nodes]
+        degree = self.overlay.degree
+        rows = self.overlay.rows[nodes]
+        return rows[rows < len(degree)], degree[nodes]
 
     def pending(self, nodes: np.ndarray) -> np.ndarray:
         """Per variable, whether each of `nodes` holds an unsent list that
@@ -188,7 +185,7 @@ class RoutingModel:
         by_bound = self._ranks.setdefault(target, {})
         ranks = by_bound.get(bound)
         if ranks is None:
-            n = len(self.degree)
+            n = len(self.overlay.degree)
             ranks = by_bound[bound] = np.full(n + 1, 2 * n, dtype=np.int32)
             order = self.best_score(target, bound).argsort(kind="stable")
             ranks[order] = np.arange(n, dtype=np.int32)

@@ -3,7 +3,9 @@
 Preferential attachment weighted by model similarity: an arriving node links
 to existing nodes with probability proportional to degree times the overlap
 coefficient of the two nodes' trained predicting-variable sets. Nodes at the
-edge limit are excluded so the degree cap is hard.
+edge limit are excluded so the degree cap is hard. The overlay is held once,
+as the padded neighbor matrix (`Overlay`) that growth writes and routing
+reads.
 """
 
 from __future__ import annotations
@@ -32,40 +34,49 @@ class AttachmentParams:
             raise ValueError("similarity_floor must be in [0, 1)")
 
 
-@dataclass
 class Overlay:
-    adjacency: dict[int, set[int]]
-    edge_limit: int
-    saturation_warnings: int = 0
-    repair_edges: int = 0
+    """An undirected overlay over nodes 0..n-1, held once, as the padded
+    neighbor matrix that growth writes and routing reads: `rows`, (n+1) x
+    width, holds in row u u's neighbors ascending, then the pad node n, and
+    in row n only pad; `degree[u]` counts u's neighbors. A full row doubles
+    the width, so growth copies the matrix O(log max degree) times."""
 
-    @property
-    def nodes(self) -> list[int]:
-        return sorted(self.adjacency)
+    def __init__(self, node_count: int, edge_limit: int):
+        self.rows = np.full((node_count + 1, 1), node_count, dtype=np.int32)
+        self.degree = np.zeros(node_count, dtype=np.intp)
+        self.edge_limit = edge_limit
+        self.saturation_warnings = 0
+        self.repair_edges = 0
 
-    def neighbors(self, node: int) -> set[int]:
-        return self.adjacency[node]
-
-    def degree(self, node: int) -> int:
-        return len(self.adjacency[node])
+    def neighbors(self, node: int) -> np.ndarray:
+        """`node`'s neighbors, ascending: a view of its row."""
+        return self.rows[node, : self.degree[node]]
 
     def add_edge(self, u: int, v: int):
         if u == v:
             raise ValueError("self-loop")
-        if v in self.adjacency[u]:
+        if v in self.neighbors(u):
             raise ValueError(f"duplicate edge {u}-{v}")
-        if (
-            self.degree(u) >= self.edge_limit
-            or self.degree(v) >= self.edge_limit
-        ):
+        most = max(self.degree[u], self.degree[v])
+        if most >= self.edge_limit:
             raise ValueError(f"edge {u}-{v} would exceed the edge limit")
-        self.adjacency[u].add(v)
-        self.adjacency[v].add(u)
+        if most == self.rows.shape[1]:
+            pad = ((0, 0), (0, most))
+            self.rows = np.pad(self.rows, pad, constant_values=len(self.degree))
+        for a, b in ((u, v), (v, u)):
+            row = self.rows[a, : self.degree[a] + 1]
+            row[-1] = b
+            row.sort()
+            self.degree[a] += 1
 
     def edges(self) -> list[tuple[int, int]]:
-        return sorted(
-            (u, v) for u in self.adjacency for v in self.adjacency[u] if u < v
-        )
+        """Each edge once, (u, v) with u < v, ascending: the rows read in
+        order."""
+        n, body = len(self.degree), self.rows[:-1]
+        ends = body[body < n]
+        starts = np.repeat(np.arange(n), self.degree)
+        once = starts < ends
+        return list(zip(starts[once].tolist(), ends[once].tolist()))
 
     def write_edge_list(self, path):
         with open(path, "w") as f:
@@ -114,21 +125,18 @@ def attach(
     overlay: Overlay,
     new_id: int,
     similarities: np.ndarray,
-    degree: np.ndarray,
     params: AttachmentParams,
     rng: np.random.Generator,
 ):
     """Attach one arriving node to nodes 0..new_id-1 with up to m edges,
-    drawn without replacement and re-normalized after each draw; `degree`
-    is kept in step with the overlay."""
-    overlay.adjacency[new_id] = set()
+    drawn without replacement and re-normalized after each draw."""
     candidates = np.arange(new_id)
     for _ in range(params.m):
         if not len(candidates):
             break
         try:
             probs = attachment_probabilities(
-                degree[candidates],
+                overlay.degree[candidates],
                 similarities[candidates],
                 overlay.edge_limit,
                 params.similarity_floor,
@@ -139,7 +147,6 @@ def attach(
         pick = rng.choice(len(candidates), p=probs)
         target = int(candidates[pick])
         overlay.add_edge(new_id, target)
-        degree[[new_id, target]] += 1
         candidates = np.delete(candidates, pick)
 
 
@@ -152,44 +159,41 @@ def generate(
     """Grow the overlay over nodes with the given trained predicting-variable
     ids: a clique of the first m0 nodes, then similarity-weighted
     preferential attachment for each subsequent node, followed by a
-    connectivity repair pass."""
+    connectivity repair pass; the matrix is then trimmed to the widest
+    row."""
     n = len(trained)
     if n < params.m0:
         raise ValueError(f"need at least m0={params.m0} nodes, got {n}")
     rng = np.random.default_rng(seed)
-    overlay = Overlay(
-        adjacency={i: set() for i in range(params.m0)},
-        edge_limit=edge_limit,
-    )
+    overlay = Overlay(n, edge_limit)
     for u in range(params.m0):
         for v in range(u + 1, params.m0):
             overlay.add_edge(u, v)
-    degree = np.zeros(n, dtype=np.int64)
-    degree[: params.m0] = params.m0 - 1
     sizes = np.array([len(ids) for ids in trained], dtype=np.int64)
     # per variable, the ids of the nodes so far that trained it, ascending
     trainers: dict[int, list[int]] = {}
     for new_id, ids in enumerate(trained):
         if new_id >= params.m0:
             sims = overlap_coefficients(trainers, sizes[:new_id], ids)
-            attach(overlay, new_id, sims, degree, params, rng)
+            attach(overlay, new_id, sims, params, rng)
         for v in ids:
             trainers.setdefault(v, []).append(new_id)
     _repair_connectivity(overlay)
+    overlay.rows = overlay.rows[:, : max(1, overlay.degree.max())].copy()
     return overlay
 
 
 def _components(overlay: Overlay) -> list[set[int]]:
     seen: set[int] = set()
     comps = []
-    for start in overlay.nodes:
+    for start in range(len(overlay.degree)):
         if start in seen:
             continue
         comp = {start}
         frontier = [start]
         while frontier:
             node = frontier.pop()
-            for nb in overlay.adjacency[node]:
+            for nb in overlay.neighbors(node).tolist():
                 if nb not in comp:
                     comp.add(nb)
                     frontier.append(nb)
@@ -203,28 +207,22 @@ def _repair_connectivity(overlay: Overlay):
     unsaturated node; each repair is counted."""
     comps = sorted(_components(overlay), key=len, reverse=True)
     main = comps[0]
+    degree = overlay.degree
     for comp in comps[1:]:
-        anchors = [
-            n for n in main if overlay.degree(n) < overlay.edge_limit
-        ]
-        sources = [
-            n for n in comp if overlay.degree(n) < overlay.edge_limit
-        ]
+        anchors = [n for n in main if degree[n] < overlay.edge_limit]
+        sources = [n for n in comp if degree[n] < overlay.edge_limit]
         if not anchors or not sources:
             overlay.saturation_warnings += 1
             continue
-        anchor = max(anchors, key=lambda n: (overlay.degree(n), -n))
+        anchor = max(anchors, key=lambda n: (degree[n], -n))
         overlay.add_edge(min(sources), anchor)
         overlay.repair_edges += 1
         main |= comp
 
 
 def degree_histogram(overlay: Overlay) -> dict[int, int]:
-    hist: dict[int, int] = {}
-    for node in overlay.adjacency:
-        deg = overlay.degree(node)
-        hist[deg] = hist.get(deg, 0) + 1
-    return hist
+    degrees, counts = np.unique(overlay.degree, return_counts=True)
+    return dict(zip(degrees.tolist(), counts.tolist()))
 
 
 def survival_slope(degrees: Iterable[int]) -> float:

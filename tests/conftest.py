@@ -141,11 +141,11 @@ def bf_attachment_probabilities(overlay, arriving, existing, similarity_floor):
     """Attachment probabilities over the (node, trained set) pairs in
     `existing`, one similarity per pair; saturated nodes get probability
     zero."""
-    degrees = np.array([overlay.degree(n) for n, _ in existing], dtype=float)
+    degrees = np.array([overlay.degree[n] for n, _ in existing], dtype=float)
     total = degrees.sum()
     weights = np.zeros(len(existing))
     for i, (node, trained) in enumerate(existing):
-        if overlay.degree(node) >= overlay.edge_limit:
+        if overlay.degree[node] >= overlay.edge_limit:
             continue
         sim = max(bf_similarity(arriving, trained), similarity_floor)
         weights[i] = degrees[i] / total * sim if total > 0 else sim
@@ -164,21 +164,15 @@ def bf_generate(params, trained, edge_limit, seed) -> Overlay:
     if n < params.m0:
         raise ValueError(f"need at least m0={params.m0} nodes, got {n}")
     rng = np.random.default_rng(seed)
-    overlay = Overlay(
-        adjacency={i: set() for i in range(params.m0)}, edge_limit=edge_limit
-    )
+    overlay = Overlay(n, edge_limit)
     for u in range(params.m0):
         for v in range(u + 1, params.m0):
             overlay.add_edge(u, v)
     for new_id in range(params.m0, n):
-        existing = [(node, trained[node]) for node in overlay.nodes]
-        overlay.adjacency[new_id] = set()
+        existing = [(node, trained[node]) for node in range(new_id)]
         for _ in range(params.m):
-            pool = [
-                (node, ids)
-                for node, ids in existing
-                if node not in overlay.adjacency[new_id]
-            ]
+            linked = overlay.neighbors(new_id).tolist()
+            pool = [(node, ids) for node, ids in existing if node not in linked]
             if not pool:
                 break
             try:
@@ -234,7 +228,17 @@ def summarise(entries, width: int, card: int, pseudocount: float) -> list[tuple]
 def model_of(local_sets, neighbors, variables: int, k: int, width: int):
     """A `RoutingModel` over per-node dicts of rows `width` wide: one
     `LocalSets` entry per row, in node order, then dict order, combinations
-    numbered as `local_entropy_sets` numbers them."""
+    numbered as `local_entropy_sets` numbers them; and over the overlay with
+    the per-node ascending `neighbors`, which must list each edge at both
+    ends."""
+    overlay = Overlay(len(neighbors), edge_limit=len(neighbors))
+    for u, nbs in enumerate(neighbors):
+        for v in nbs:
+            if u < v:
+                overlay.add_edge(u, v)
+    assert [overlay.neighbors(u).tolist() for u in range(len(neighbors))] == [
+        list(nbs) for nbs in neighbors
+    ]
     entries = [(node, var, s) for node, sets in enumerate(local_sets)
                for var, s in sets.items()]
     combinations = {(): 0}
@@ -249,7 +253,7 @@ def model_of(local_sets, neighbors, variables: int, k: int, width: int):
         ),
         combinations=list(combinations),
     )
-    return RoutingModel(sets, neighbors, variables, k)
+    return RoutingModel(sets, overlay, variables, k)
 
 
 def draw_workload(config, seed) -> Workload:
@@ -460,7 +464,7 @@ def bf_propagate(
     policy = config.resolved_policy()
     delta_sets = snapshot_sets = 0
     outgoing = []
-    neighbors = [sorted(trial.overlay.neighbors(m)) for m in range(config.node_count)]
+    neighbors = [trial.overlay.neighbors(m).tolist() for m in range(config.node_count)]
     for node, sets in enumerate(local_sets):
         local = {var: view(s) for var, s in sets.items()}
         copies = private[node]
@@ -513,7 +517,7 @@ def bf_run_trial(config, workload=None) -> list[tuple[int, list[dict]]]:
     query_rng = np.random.default_rng(s_query)
     walk_rng = np.random.default_rng(s_walk)
     n, hops = config.node_count, config.resolved_hops()
-    neighbors = [sorted(trial.overlay.neighbors(node)) for node in range(n)]
+    neighbors = [trial.overlay.neighbors(node).tolist() for node in range(n)]
     width = max([1] + [len(nbs) for nbs in neighbors])
     per_block = engine.ISSUER_BLOCK
     uniform = math.log2(config.predicting_cardinality)

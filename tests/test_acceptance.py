@@ -228,10 +228,10 @@ class TestAcceptance:
                 if entry.counts.any():
                     trained[entry.node_id].append(entry.var)
         capped = generate(AttachmentParams(), trained, 60, seed=0)
-        degrees = [capped.degree(n) for n in capped.nodes]
+        degrees = capped.degree.tolist()
         at_limit = sum(d == 60 for d in degrees)
         uncapped = generate(AttachmentParams(), trained, 800, seed=0)
-        slope = survival_slope([uncapped.degree(n) for n in uncapped.nodes])
+        slope = survival_slope(uncapped.degree)
         ok = max(degrees) <= 60 and at_limit >= 2 and -3.5 <= slope <= -1.5
         report(
             "degree cap is hard and the uncapped tail is scale-free",

@@ -159,10 +159,13 @@ class TestRun:
             ([], "-3", "negative seed -3"),
             (["--seed", "0,2,0"], None, "repeated value 0 in '0,2,0'"),
             (["--sweep", "k=1,1"], None, "repeated value 1 in '1,1'"),
+            (["--seed", "0,,"], None, "expected comma-separated integers, got '0,,'"),
+            (["--sweep", "k=1,,2,"], None, "got '1,,2,'"),
         ],
         ids=[
             "seed", "env-seed", "sweep", "hops", "cycles", "threads",
             "negative-seed", "negative-env-seed", "repeated-seed", "repeated-sweep",
+            "empty-seed-item", "empty-sweep-item",
         ],
     )
     def test_bad_number_exits_2(
@@ -391,6 +394,29 @@ class TestRun:
             assert str(path) in err and len(err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
 
+    def test_config_file_with_byte_order_mark(self, tmp_path):
+        # spreadsheet tools often save UTF-8 text with one; it is no key
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text("cycles = 1\nseed = 2\n", encoding="utf-8")
+        marked.write_text("\ufeffcycles = 1\nseed = 2\n", encoding="utf-8")
+        for cfg in (plain, marked):
+            assert run_cli(BASE + ["--config", cfg, "--out", tmp_path / cfg.stem]) == 0
+        name = "run_seed2_abs.csv"
+        want = (tmp_path / "plain" / name).read_bytes()
+        assert (tmp_path / "marked" / name).read_bytes() == want
+
+    def test_workload_csv_with_byte_order_mark(self, tmp_path):
+        plain = export_small_workload(tmp_path / "plain.csv")
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes("\ufeff".encode() + plain.read_bytes())
+        assert plain.read_text().startswith("node_id,")
+        for wl_path in (plain, marked):
+            out = tmp_path / wl_path.stem
+            assert run_cli(BASE + ["--workload-csv", wl_path, "--out", out]) == 0
+        name = "run_seed0_abs.csv"
+        want = (tmp_path / "plain" / name).read_bytes()
+        assert (tmp_path / "marked" / name).read_bytes() == want
+
 
 class TestTopology:
     def test_outputs(self, tmp_path, capsys):
@@ -473,6 +499,17 @@ class TestTopology:
         out = tmp_path / "topo"
         assert run_cli(["topology", "--nodes", "10", "--seed", "-1", "--out", out]) == 2
         assert capsys.readouterr().err == "bad config: negative seed -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, env", [(["--seed", "1,2"], None), ([], "1,2")])
+    def test_seed_list_exits_2(self, tmp_path, capsys, monkeypatch, flag, env):
+        # one edge list is one seed's: a list would silently write the first
+        if env is not None:
+            monkeypatch.setenv("EDGEKNOW_SEED", env)
+        out = tmp_path / "topo"
+        assert run_cli(["topology", "--nodes", "10", *flag, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err == "bad config: one edge list takes one seed, got 2\n"
         assert not out.exists()
 
     def test_edge_limit_respected(self, tmp_path, capsys):

@@ -33,7 +33,7 @@ from edgeknow.engine import (
 )
 from edgeknow.pgm import BATCH_CELLS, cell_counts
 from edgeknow.routing import AdvertisementPolicy, RoutingModel, answer_entropy
-from edgeknow.topology import AttachmentParams
+from edgeknow.topology import AttachmentParams, Overlay
 
 from conftest import (
     bf_conditional_entropy,
@@ -214,7 +214,9 @@ class TestTrainedModels:
         ]
         sets = train_pgms([wl.entries], config)
         assert (sets.nodes.tolist(), sets.variables.tolist()) == ([0], [1])
-        model = RoutingModel(sets, [[1], [0]], 2, 1)
+        overlay = Overlay(2, config.edge_limit)
+        overlay.add_edge(0, 1)
+        model = RoutingModel(sets, overlay, 2, 1)
         assert answer_entropy(model, 0, frozenset()).tolist() == [math.inf] * 2
 
 
@@ -374,15 +376,27 @@ class TestTrialSetup:
     def test_node_and_model_wiring(self):
         config = small_config()
         trial, _, local_sets = set_up(config)
-        assert len(trial.model.degree) == config.node_count
+        # the model reads the overlay's own matrix, no copy of it
+        assert trial.model.overlay is trial.overlay
+        assert len(trial.overlay.degree) == config.node_count
         for node in range(config.node_count):
             neighbors = trial.model.neighbors_of(np.array([node]))[0]
-            assert neighbors.tolist() == sorted(trial.overlay.neighbors(node))
+            assert neighbors.tolist() == trial.overlay.neighbors(node).tolist()
             # the first build covers the trained variables
             changed = trial.model.changed[:, node]
             assert set(np.flatnonzero(changed)) == set(local_sets[node])
         assert not trial.model.pending(np.arange(config.node_count)).any()
         assert published_rows(trial.model, []) == [{}] * config.node_count
+
+    def test_uncapped_matrix_is_as_wide_as_the_widest_row(self):
+        # a limit far past any width the matrix could be allocated at: the
+        # width follows the degrees, not the limit
+        config = small_config(node_count=16, edge_limit=10**9, cycles=2)
+        trial = setup_trial(config)
+        for cycle in (1, 2):
+            assert run_cycle(trial, cycle).oracle_violations == 0
+        overlay = trial.overlay
+        assert overlay.rows.shape == (17, max(1, overlay.degree.max()))
 
     def test_entries_without_observations_are_not_targets(self):
         config = small_config()
@@ -630,7 +644,7 @@ class TestRouteQuery:
             run_cycle(trial, cycle)
         hops = config.resolved_hops()
         for (path, _, _), degree in zip(
-            routed(trial, *draw_queries(trial), strategy), trial.model.degree
+            routed(trial, *draw_queries(trial), strategy), trial.overlay.degree
         ):
             # an issuer without neighbors answers alone and spends nothing
             assert len(path) == 1 + (hops if degree else 0)
@@ -728,7 +742,7 @@ class TestSharedModels:
         trial = setup_trial(config)
         ref, _, local_sets = set_up(config)
         private = {
-            node: {nb: {} for nb in ref.overlay.neighbors(node)}
+            node: {nb: {} for nb in ref.overlay.neighbors(node).tolist()}
             for node in range(config.node_count)
         }
         ref_sent: dict = {}
@@ -743,7 +757,7 @@ class TestSharedModels:
             assert sent == delta_sets <= snapshot_sets
             published = [views(lists) for lists in published_rows(model, local_sets)]
             for node in range(config.node_count):
-                for nb in trial.overlay.neighbors(node):
+                for nb in trial.overlay.neighbors(node).tolist():
                     assert private[nb][node] == published[node]
             for node in range(config.node_count):
                 # the deltas integrated so far add up to the last full
@@ -791,7 +805,7 @@ class TestUnsent:
             change_threshold=0.1, quality_threshold=100.0, hop_inflation=0.0
         )
         config.resolved_policy = lambda: policy
-        assert trial.overlay.neighbors(1) == {0}
+        assert trial.overlay.neighbors(1).tolist() == [0]
         model = trial.model
         local_sets = trained_rows(workload, config)
         cycles = itertools.count(1)

@@ -314,6 +314,16 @@ class TestIntegrate:
         assert list(answers) == [1.5, math.inf, math.inf]
 
 
+def symmetric(lists):
+    """Per node, ascending, the nodes its list names and those whose lists
+    name it: the overlay that links each listed pair."""
+    linked = [set(nbs) for nbs in lists]
+    for node, nbs in enumerate(lists):
+        for nb in nbs:
+            linked[nb].add(node)
+    return [sorted(nbs) for nbs in linked]
+
+
 class TestNeighborsOf:
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -321,19 +331,18 @@ class TestNeighborsOf:
         """The neighbors of any sequence of nodes, repeats and any order
         included, are their ascending neighbor lists concatenated, with each
         node's count: over random lists plus an isolated node and a node at
-        the maximum degree, linked to every other node."""
+        the maximum degree, linked to every node but the isolated one."""
         node_count = data.draw(st.integers(0, 12))
-        links = [
-            sorted(data.draw(st.lists(
-                st.integers(0, node_count + 1).filter(lambda n, i=i: n != i),
+        # node n is isolated; node n + 1 is linked to every node before n
+        links = symmetric([
+            data.draw(st.lists(
+                st.integers(0, node_count - 1).filter(lambda n, i=i: n != i),
                 unique=True,
-            )))
+            )) + [node_count + 1]
             for i in range(node_count)
-        ]
-        # node n is isolated; node n + 1 is linked to every other node
-        links += [[], list(range(node_count + 1))]
+        ] + [[], []])
         model = model_of([{}] * len(links), links, 1, 1, ROW_WIDTH)
-        assert model.degree.max() == len(links) - 1
+        assert model.overlay.degree.max() == node_count
         nodes = data.draw(st.lists(st.integers(0, len(links) - 1)))
         got, counts = model.neighbors_of(np.array(nodes, dtype=np.intp))
         assert got.tolist() == [nb for node in nodes for nb in links[node]]
@@ -701,10 +710,10 @@ def step(model, nodes, keys, index, visited=None):
     `visited[i]` (none by default), keyed by the forwarding ranks of
     `keys`, as `route_query` keys `abs` queries."""
     ranks = np.stack([model.ranks(target, bound) for target, bound in keys])
-    mask = np.zeros((len(index), len(model.degree) + 1), dtype=bool)
+    mask = np.zeros((len(index), len(model.overlay.degree) + 1), dtype=bool)
     for row, nodes_visited in zip(mask, visited or [()] * len(index)):
         row[list(nodes_visited)] = True
-    rows = model.neighbor_rows[nodes]
+    rows = model.overlay.rows[nodes]
     return process_query(rows, mask, ranks[index[:, None], rows]).tolist()
 
 
@@ -712,15 +721,19 @@ def walk(model, keys, index, hops, strategy=Strategy.ABS, rng=None):
     """The paths of the queries with keys `keys[index[i]]`, query i node
     i's, that `route_query` gives over `hops` with the walk stream `rng`,
     from a trial that holds just `model`."""
-    config = SimpleNamespace(node_count=len(model.degree), resolved_hops=lambda: hops)
-    trial = SimpleNamespace(config=config, model=model, walk_rng=rng)
+    config = SimpleNamespace(
+        node_count=len(model.overlay.degree), resolved_hops=lambda: hops
+    )
+    trial = SimpleNamespace(
+        config=config, overlay=model.overlay, model=model, walk_rng=rng
+    )
     return route_query(trial, keys, index, strategy)
 
 
 def reference_hop(net, node, key, visited):
     """`bf_next_hop` at `node` of a query with `key`, over the lists its
     neighbors published."""
-    neighbors = net.model.neighbor_rows[node][: net.model.degree[node]].tolist()
+    neighbors = net.model.overlay.neighbors(node).tolist()
     published = {nb: views(net.lists(nb)) for nb in neighbors}
     return bf_next_hop(neighbors, published, *key, visited)
 
@@ -819,13 +832,13 @@ class TestProcessQuery:
         nodes or every neighbor of its node."""
         node_count = data.draw(st.integers(2, 30))
         # node 0 has neighbors, others may have none
-        links = [
-            sorted(data.draw(st.lists(
+        links = symmetric([
+            data.draw(st.lists(
                 st.integers(0, node_count - 1).filter(lambda n, i=i: n != i),
                 min_size=i == 0, max_size=12, unique=True,
-            )))
+            ))
             for i in range(node_count)
-        ]
+        ])
         published = {}
         for node in range(node_count):
             entries = {var: data.draw(model_entries(var)) for var in (0, 1)}
@@ -863,13 +876,13 @@ class TestProcessQuery:
         ranks that batch cached, and the query is asked again."""
         node_count = data.draw(st.integers(2, 12))
         rows = data.draw(st.lists(scored_rows([0, 1, 2]), min_size=1, max_size=6))
-        links = [
-            sorted(data.draw(st.lists(
+        links = symmetric([
+            data.draw(st.lists(
                 st.integers(0, node_count - 1).filter(lambda n, i=i: n != i),
                 min_size=1, unique=True,
-            )))
+            ))
             for i in range(node_count)
-        ]
+        ])
         net = Net([{}] * node_count, links, k=3, extra=rows)
         picks = st.tuples(
             bits(0.0, 3.0, (0.9, 1.0, 2.0, 3.0)), st.sampled_from(rows + [row(0.0)])

@@ -18,13 +18,23 @@ from conftest import bf_generate
 
 
 def overlay_from_edges(n, edges, limit=100):
-    ov = Overlay(
-        adjacency={i: set() for i in range(n)},
-        edge_limit=limit,
-    )
+    ov = Overlay(n, limit)
     for u, v in edges:
         ov.add_edge(u, v)
     return ov
+
+
+def assert_valid(ov):
+    """Every row of the matrix holds its node's neighbors ascending, then
+    only the pad node n; the pad row holds only pad; and every edge is in
+    both of its ends' rows."""
+    n = len(ov.degree)
+    assert ov.rows.shape[0] == n + 1 and ov.rows.dtype == np.int32
+    for u in range(n + 1):
+        row = ov.rows[u].tolist()
+        d = ov.degree[u] if u < n else 0
+        assert row[:d] == sorted(set(row[:d])) and row[d:] == [n] * (len(row) - d)
+        assert all(0 <= v < n and v != u and u in ov.neighbors(v) for v in row[:d])
 
 
 def overlaps(arriving, existing):
@@ -86,7 +96,7 @@ class TestAttachmentProbabilities:
 
     def test_saturated_node_excluded(self):
         ov = overlay_from_edges(3, [(0, 1), (0, 2)], limit=2)
-        degrees = np.array([ov.degree(n) for n in ov.nodes])
+        degrees = ov.degree
         sims = overlaps({0}, [{0}] * 3)
         probs = attachment_probabilities(degrees, sims, ov.edge_limit)
         assert probs[0] == 0.0
@@ -124,7 +134,7 @@ class TestGenerate:
         trained = [{0} for _ in range(30)]
         ov = generate(self.params(), trained, edge_limit=100, seed=1)
         for node in range(4, 30):
-            assert 1 <= ov.degree(node) - 0 and ov.degree(node) >= 3
+            assert 1 <= ov.degree[node] - 0 and ov.degree[node] >= 3
 
     def test_deterministic_per_seed(self):
         trained = [{i % 4} for i in range(40)]
@@ -137,7 +147,7 @@ class TestGenerate:
     def test_degree_cap_is_hard(self):
         trained = [{0} for _ in range(120)]
         ov = generate(self.params(), trained, edge_limit=8, seed=2)
-        assert max(ov.degree(n) for n in ov.nodes) <= 8
+        assert ov.degree.max() <= 8
 
     def test_connected(self):
         trained = [{i % 6} for i in range(80)]
@@ -150,7 +160,7 @@ class TestGenerate:
                 if nb not in seen:
                     seen.add(nb)
                     frontier.append(nb)
-        assert seen == set(ov.nodes)
+        assert seen == set(range(len(ov.degree)))
 
     def test_too_few_nodes(self):
         with pytest.raises(ValueError):
@@ -221,6 +231,9 @@ class TestReferenceEquivalence:
     def test_matches_per_pair_reference(self, case):
         fast, ref = grow_both(*case)
         assert fast.edges() == ref.edges()
+        assert fast.degree.tolist() == ref.degree.tolist()
+        assert_valid(fast)
+        assert fast.rows.shape[1] == max(1, fast.degree.max())
         assert fast.saturation_warnings == ref.saturation_warnings
         assert fast.repair_edges == ref.repair_edges
 
@@ -249,9 +262,28 @@ class TestOverlayInvariants:
     def test_adjacency_symmetric(self):
         trained = [{i % 3} for i in range(25)]
         ov = generate(AttachmentParams(), trained, edge_limit=100, seed=4)
-        for u in ov.nodes:
+        for u in range(len(ov.degree)):
             for v in ov.neighbors(u):
                 assert u in ov.neighbors(v)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 19), st.integers(0, 19)), max_size=120))
+    def test_hand_built_rows_stay_ascending(self, pairs):
+        """Edges added by hand in any order, each valid one kept and each
+        rejected one leaving the matrix as it was, keep every row ascending;
+        a full row doubles the width, from 1 to the next power of two."""
+        ov, edges = Overlay(20, edge_limit=12), set()
+        for u, v in pairs:
+            before = ov.rows.copy(), ov.degree.copy()
+            try:
+                ov.add_edge(u, v)
+                edges.add((min(u, v), max(u, v)))
+            except ValueError:
+                assert (ov.rows == before[0]).all() and (ov.degree == before[1]).all()
+        assert_valid(ov)
+        assert ov.edges() == sorted(edges)
+        most = int(ov.degree.max())
+        assert ov.rows.shape[1] == (1 if most <= 1 else 2 ** (most - 1).bit_length())
 
 
 class TestHistogramAndSlope:
@@ -268,7 +300,7 @@ class TestHistogramAndSlope:
         ov = generate(AttachmentParams(), trained, edge_limit=100, seed=7)
         hist = degree_histogram(ov)
         assert sum(hist.values()) == 50
-        degrees = [ov.degree(n) for n in ov.nodes]
+        degrees = ov.degree.tolist()
         for deg, count in hist.items():
             assert degrees.count(deg) == count
 
@@ -291,8 +323,7 @@ class TestHistogramAndSlope:
     def test_generated_network_is_heavy_tailed(self):
         trained = [{i % 4} for i in range(500)]
         ov = generate(AttachmentParams(), trained, edge_limit=500, seed=9)
-        degrees = [ov.degree(n) for n in ov.nodes]
-        slope = survival_slope(degrees)
+        slope = survival_slope(ov.degree)
         assert -3.5 < slope < -1.0
 
 
