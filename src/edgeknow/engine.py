@@ -7,9 +7,10 @@ node first propagates its knowledge and then issues one query. Set-up
 summarises the workload a batch of entries at a time into the local sets'
 arrays (`routing.LocalSets`), which the overlay, the queries and the
 routing model read. Propagation works on the shared routing model's
-per-variable arrays: one pass per variable that some node must rebuild
-builds, stages and compares that variable's lists for all those nodes at
-once, and the sends are integrated per variable after the last pass. A
+per-variable arrays, over the (variable, node) pairs that must rebuild, in
+blocks of whole variables of about `OFFER_BLOCK` offers: one pass per
+block builds, stages and compares its pairs' lists, and the sends are
+integrated after the last build, in blocks by the same rule. A
 cycle's queries are drawn first, in issuer order, and then routed together:
 both strategies move every query of a block of issuers one hop per
 `process_query` step, to the neighbor of least key, `abs` keying each
@@ -52,6 +53,10 @@ HIT_TOLERANCE_BITS = 1e-6
 # nodes) temporaries of a hop; `abs` queries are independent, so any block is
 # exact for them, while `rw` draws one (block x max degree) array per hop
 ISSUER_BLOCK = 256
+# phase 1 takes about this many offers at once: a pair's local set and K per
+# neighbor; builds are independent across variables, so any block of whole
+# variables is exact, and a variable that offers more goes alone
+OFFER_BLOCK = 2**14
 
 
 class InvalidField(ValueError):
@@ -536,34 +541,65 @@ def route_query(
     return paths
 
 
-def run_cycle(trial: TrialState, cycle: int) -> CycleMetrics:
-    config = trial.config
-    strategy = config.strategy
-    policy = config.resolved_policy()
-    adv_sets_sent = 0
+def variable_blocks(
+    mask: np.ndarray, offers: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The (variable, column) pairs of the (variables x columns) `mask`, in
+    row-major order, in blocks of whole variables that offer at most
+    `OFFER_BLOCK` sets together, `offers[j]` for a pair in column j, or of
+    one variable that offers more alone. No (variables x columns) array is
+    made: `einsum` sums each variable's offers in buffered chunks."""
+    bounds, spent = [0], 0
+    for var, cost in enumerate(np.einsum("vn,n->v", mask, offers).tolist()):
+        if spent and spent + cost > OFFER_BLOCK:
+            bounds.append(var)
+            spent = 0
+        spent += cost
+    bounds.append(len(mask))
+    for start, stop in zip(bounds, bounds[1:]):
+        var, columns = np.nonzero(mask[start:stop])
+        if len(var):
+            yield var + start, columns
 
-    # phase 1: knowledge propagation, one pass per variable that some node
-    # must rebuild: at set-up its trainers, then the neighbors of its
-    # senders. Every build reads the lists as the cycle found them, as
-    # sends are integrated after the last build. Every rebuilt list is
-    # staged, unsent; those that differ from the published ones wait until
-    # `should_advertise` finds a rebuilt list of their node worth sending.
-    # A send is integrated once, into the shared model, and carries only
-    # the node's pending lists: all its neighbors lack while the overlay is
-    # static and each of them received every earlier send.
-    model = trial.model
-    senders = np.zeros(config.node_count, dtype=bool)
-    for var in np.flatnonzero(model.changed.any(axis=1)):
-        nodes = np.flatnonzero(model.changed[var])
-        model.changed[var] = False
+
+def propagate(model: RoutingModel, policy: AdvertisementPolicy) -> int:
+    """Phase 1 of a cycle, knowledge propagation, over the (variable, node)
+    pairs that must rebuild: at set-up each variable's trainers, then the
+    neighbors of its senders. Returns the sets delivered.
+
+    Every build reads the lists as the cycle found them, as sends are
+    integrated after the last build, so builds are independent across
+    variables, and the pairs go in blocks of whole variables
+    (`variable_blocks`), each built, staged and gated in one call, a pair
+    offering its local set and K sets per neighbor. Every rebuilt list is
+    staged, unsent; those that differ from the published ones wait until
+    `should_advertise` finds a rebuilt list of their node worth sending. A
+    send is integrated once, into the shared model, in blocks by the same
+    rule, and carries only the node's pending lists: all its neighbors lack
+    while the overlay is static and each of them received every earlier
+    send."""
+    offers = 1 + model.overlay.degree * model.joints.shape[2]
+    senders = np.zeros(len(offers), dtype=bool)
+    for var, nodes in variable_blocks(model.changed, offers):
         joints, origins = build_advertisement(model, var, nodes, policy)
         model.unsent_joints[var, nodes] = joints
         model.unsent_origins[var, nodes] = origins
         senders[should_advertise(model, var, nodes, policy)] = True
+    model.changed[:] = False
     senders = np.flatnonzero(senders)
-    pending = model.pending(senders)
-    for var in np.flatnonzero(pending.any(axis=1)):
-        adv_sets_sent += integrate_advertisement(model, var, senders[pending[var]])
+    sent = 0
+    for var, nodes in variable_blocks(model.pending(senders), offers[senders]):
+        sent += integrate_advertisement(model, var, senders[nodes])
+    return sent
+
+
+def run_cycle(trial: TrialState, cycle: int) -> CycleMetrics:
+    config = trial.config
+    strategy = config.strategy
+    policy = config.resolved_policy()
+    model = trial.model
+    # phase 1: knowledge propagation
+    adv_sets_sent = propagate(model, policy)
 
     # phase 2: one query per node, drawn in issuer order, routed together
     keys, index = draw_queries(trial)

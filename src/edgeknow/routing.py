@@ -33,12 +33,14 @@ the delta times the number of neighbors.
 The model holds everything per variable as arrays over nodes
 (`RoutingModel`), and every build of a cycle reads the lists as they stood
 at its start, so `build_advertisement`, `should_advertise` and
-`integrate_advertisement` each handle one variable for every affected node
-at once. A query is its key: a target and its evidence, the frozenset of the
-context variables it binds. Per key, one numpy expression scores every
-node's published lists (`best_score`) and one every node's local set
-(`answer_entropy`), both through `RoutingModel.subtract`, the one scoring
-path, which the quality gate also takes.
+`integrate_advertisement` each handle a block of (variable, node) pairs at
+once, of one variable or many, gathering the lists by flat takes of the
+(variables x nodes) arrays. A query is its key: a target and its evidence,
+the frozenset of the context variables it binds. Per key, one numpy
+expression scores every node's published lists (`best_score`) and one
+every node's local set (`answer_entropy`), both through
+`RoutingModel.subtract`, the one scoring path, which the quality gate also
+takes.
 
 Queries move in lockstep, both strategies through one hop step
 (`process_query`) over the overlay's neighbor matrix (`topology.Overlay`),
@@ -63,6 +65,9 @@ from .pgm import table_entropies
 from .topology import Overlay
 
 NodeId = int
+# `RoutingModel.pending` compares the lists of about this many (variable,
+# node) pairs at once
+PENDING_BLOCK = 2**13
 
 
 @dataclass
@@ -147,17 +152,30 @@ class RoutingModel:
 
     def neighbors_of(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The neighbors of `nodes`, each node's ascending and the nodes in
-        order, and how many each node has."""
-        degree = self.overlay.degree
-        rows = self.overlay.rows[nodes]
-        return rows[rows < len(degree)], degree[nodes]
+        order, and how many each node has: one flat take of the leading
+        slots of their rows, so no (nodes x width) array is made."""
+        rows, degree = self.overlay.rows, self.overlay.degree[nodes]
+        ends = np.cumsum(degree)
+        # a neighbor's flat slot: its node's row start plus its place there
+        start = np.repeat(nodes * rows.shape[1] - (ends - degree), degree)
+        slots = np.arange(ends[-1] if len(ends) else 0) + start
+        return rows.reshape(-1).take(slots), degree
 
     def pending(self, nodes: np.ndarray) -> np.ndarray:
         """Per variable, whether each of `nodes` holds an unsent list that
-        differs from its published one, as a (variables x nodes) mask."""
-        differs = self.unsent_joints != self.joints
-        differs |= self.unsent_origins != self.origins
-        return differs.any(axis=2)[:, nodes]
+        differs from its published one, as a (variables x nodes) mask. Only
+        the lists of `nodes` are compared, those of about `PENDING_BLOCK`
+        (variable, node) pairs at a time, which bounds the copies gathered."""
+        count = len(self.joints)
+        rows = max(1, PENDING_BLOCK // max(1, len(nodes)))
+        masks = []
+        for start in range(0, count, rows):
+            variables = np.arange(start, min(start + rows, count))
+            cells = _cells(self, variables[:, None], nodes).reshape(-1)
+            differs = _lists(self.unsent_joints, cells) != _lists(self.joints, cells)
+            differs |= _lists(self.unsent_origins, cells) != _lists(self.origins, cells)
+            masks.append(differs.any(axis=1).reshape(len(variables), len(nodes)))
+        return np.concatenate(masks)
 
     def subtract(self, joints, origins, bound: frozenset[int]) -> np.ndarray:
         """`joints` less, for each variable of `bound` in its iteration
@@ -245,36 +263,53 @@ def answer_entropy(
     return np.maximum(model.subtract(joints, origins, bound), 0.0)
 
 
+def _cells(model: RoutingModel, var, nodes: np.ndarray) -> np.ndarray:
+    """Each (variable, node) pair's row in the model's (variables x nodes)
+    arrays flattened; `var` is parallel to `nodes`, or one variable for
+    all of them."""
+    return var * model.local_joints.shape[1] + nodes
+
+
+def _lists(array: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """The K-slot lists of a (variables x nodes x K) `array` at the flat
+    rows `cells`: a flat take, as two index arrays gather far slower."""
+    return array.reshape(-1, array.shape[2]).take(cells, axis=0)
+
+
 def build_advertisement(
-    model: RoutingModel, var: int, nodes: np.ndarray, policy: AdvertisementPolicy
+    model: RoutingModel, var, nodes: np.ndarray, policy: AdvertisementPolicy
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The lists `nodes` (ascending) would advertise for `var`, as (nodes x
-    K) joints and origins: per node, the K lowest-joint sets over distinct
-    context combinations, drawn from its local set, reduced to joint-only
-    form when its gate score exceeds the quality threshold, and then from
-    its neighbors' published lists in ascending neighbor order, inflated by
-    one hop. Per combination the lowest joint wins, ties to the earlier
-    offer; winners are ordered by joint, ties to the combination offered
-    first."""
+    """The lists the (`var`, `nodes`) pairs would advertise, as (pairs x K)
+    joints and origins; `var` is parallel to `nodes`, or one variable for
+    all of them: per pair, the K lowest-joint sets over distinct context
+    combinations, drawn from the node's local set of the variable,
+    reduced to joint-only form when its gate score exceeds the quality
+    threshold, and then from its neighbors' published lists of the
+    variable in ascending neighbor order, inflated by one hop. Per
+    combination the lowest joint wins, ties to the earlier offer; winners
+    are ordered by joint, ties to the combination offered first."""
     k = model.joints.shape[2]
+    cells = _cells(model, var, nodes)
     senders, counts = model.neighbors_of(nodes)
+    # each sender's row of its pair's variable
+    learned = np.repeat(cells - nodes, counts) + senders
     local = np.where(
-        model.gates[var, nodes] > policy.quality_threshold,
-        0, model.local_origins[var, nodes],
+        model.gates.reshape(-1).take(cells) > policy.quality_threshold,
+        0, model.local_origins.reshape(-1).take(cells),
     )
-    # offers in order within each node: its local set, then the learned sets
+    # offers in order within each pair: its local set, then the learned sets
     joint = np.concatenate(
-        (model.local_joints[var, nodes],
-         (model.joints[var, senders] + policy.hop_inflation).ravel())
+        (model.local_joints.reshape(-1).take(cells),
+         (_lists(model.joints, learned) + policy.hop_inflation).ravel())
     )
-    origin = np.concatenate((local, model.origins[var, senders].ravel()))
+    origin = np.concatenate((local, _lists(model.origins, learned).ravel()))
     rank = np.arange(len(nodes))
     owner = np.concatenate((rank, np.repeat(np.repeat(rank, counts), k)))
     offer = np.flatnonzero(np.isfinite(joint))
     joint, origin, owner = joint[offer], origin[offer], owner[offer]
     # combination ids are below the number of origins
     group = owner * len(model.combos) + model.combos[origin]
-    # per (node, combination): the lowest joint, ties to the earliest offer
+    # per (pair, combination): the lowest joint, ties to the earliest offer
     order = np.lexsort((offer, joint, group))
     first = np.flatnonzero(np.diff(group[order], prepend=-1))
     win = order[first]
@@ -291,37 +326,43 @@ def build_advertisement(
 
 
 def should_advertise(
-    model: RoutingModel, var: int, nodes: np.ndarray, policy: AdvertisementPolicy
+    model: RoutingModel, var, nodes: np.ndarray, policy: AdvertisementPolicy
 ) -> list[NodeId]:
-    """The nodes among `nodes` whose unsent list for `var` differs from
-    their published one: in its combinations, or by more than the change
-    threshold in a joint. A list equal to the published one sends
-    nothing."""
-    joints = model.unsent_joints[var, nodes]
-    origins = model.unsent_origins[var, nodes]
-    held, was_held = np.isfinite(joints), np.isfinite(model.joints[var, nodes])
-    combos = model.combos[origins]
-    same = combos[:, :, None] == model.combos[model.origins[var, nodes]][:, None, :]
+    """The nodes of the (`var`, `nodes`) pairs, `var` parallel to `nodes`
+    or one variable for all of them, whose unsent list of the pair's
+    variable differs from their published one: in its combinations, or by
+    more than the change threshold in a joint, once per such pair. A list
+    equal to the published one sends nothing."""
+    cells = _cells(model, var, nodes)
+    joints = _lists(model.unsent_joints, cells)
+    combos = model.combos[_lists(model.unsent_origins, cells)]
+    published = _lists(model.joints, cells)
+    held, was_held = np.isfinite(joints), np.isfinite(published)
+    was_combos = model.combos[_lists(model.origins, cells)]
+    same = combos[:, :, None] == was_combos[:, None, :]
     same &= was_held[:, None, :]
     # a published list holds each combination once, so a sum picks its joint
-    was = np.where(same, model.joints[var, nodes][:, None, :], 0.0).sum(axis=2)
+    was = np.where(same, published[:, None, :], 0.0).sum(axis=2)
     moved = ~same.any(axis=2) | (np.abs(joints - was) > policy.change_threshold)
     send = (held.sum(axis=1) != was_held.sum(axis=1)) | (held & moved).any(axis=1)
     return nodes[send].tolist()
 
 
-def integrate_advertisement(model: RoutingModel, var: int, nodes: np.ndarray) -> int:
-    """Send the unsent lists of `var` of `nodes`: they become the nodes'
-    published lists, their neighbors must rebuild `var`, and the forwarding
-    ranks of `var` as a target are dropped, the only place the model drops
-    them. Returns the sets delivered, each node's once per
-    neighbor."""
-    joints = model.unsent_joints[var, nodes]
+def integrate_advertisement(model: RoutingModel, var, nodes: np.ndarray) -> int:
+    """Send the unsent lists of the (`var`, `nodes`) pairs, `var` parallel
+    to `nodes` or one variable for all of them: they become the nodes'
+    published lists, the nodes' neighbors must rebuild the pair's
+    variable, and the forwarding ranks of each variable sent as a target
+    are dropped, the only place the model drops them. Returns the sets
+    delivered, each pair's once per neighbor."""
+    cells = _cells(model, var, nodes)
+    joints = _lists(model.unsent_joints, cells)
     model.joints[var, nodes] = joints
-    model.origins[var, nodes] = model.unsent_origins[var, nodes]
+    model.origins[var, nodes] = _lists(model.unsent_origins, cells)
     receivers, counts = model.neighbors_of(nodes)
-    model.changed[var, receivers] = True
-    model._ranks.pop(var, None)
+    model.changed.reshape(-1)[np.repeat(cells - nodes, counts) + receivers] = True
+    for target in np.unique(var).tolist():
+        model._ranks.pop(target, None)
     return int(np.isfinite(joints).sum(axis=1) @ counts)
 
 

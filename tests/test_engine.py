@@ -719,17 +719,76 @@ class TestOracleBound:
                 assert achieved <= uniform
 
 
-class TestSharedModels:
+class TestVariableBlocks:
     @given(st.data())
-    @settings(max_examples=30, deadline=None)
-    def test_shared_models_equal_private_copies(self, data):
+    @settings(max_examples=100, deadline=None)
+    def test_blocks_fill_with_whole_variables(self, data):
+        """Over drawn (variables x columns) masks, offers of 1 to 20 per
+        column and budgets (`engine.OFFER_BLOCK`) of 1 to 60 offers: the
+        blocks hold the mask's pairs in row-major order, each holds whole
+        variables, offers at most the budget unless it holds one variable,
+        and could not take the next block's first variable."""
+        variables, columns = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+        mask = np.array(
+            data.draw(st.lists(st.booleans(), min_size=variables * columns,
+                               max_size=variables * columns))
+        ).reshape(variables, columns)
+        offers = np.array(
+            data.draw(st.lists(st.integers(1, 20), min_size=columns, max_size=columns))
+        )
+        budget = data.draw(st.integers(1, 60))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "OFFER_BLOCK", budget)
+            blocks = list(engine.variable_blocks(mask, offers))
+        var, cols = np.nonzero(mask)
+        assert np.array_equal(np.concatenate([b[0] for b in blocks] + [var[:0]]), var)
+        assert np.array_equal(np.concatenate([b[1] for b in blocks] + [cols[:0]]), cols)
+        spent = [offers[b[1]].sum() for b in blocks]
+        for i, (block_var, _) in enumerate(blocks):
+            assert len(block_var)
+            assert i == 0 or blocks[i - 1][0][-1] != block_var[0]
+            if len(set(block_var.tolist())) > 1:
+                assert spent[i] <= budget
+            if i + 1 < len(blocks):
+                following = offers[mask[blocks[i + 1][0][0]]].sum()
+                assert spent[i] + following > budget
+
+
+def retrain(model, local_sets, node, var, joint):
+    """Give `node` the local joint `joint` of `var`, in the model and in the
+    reference's rows `local_sets`, with the gate score set-up would take of
+    it, and make the node rebuild `var`."""
+    _, contexts, entropies = local_sets[node][var]
+    local_sets[node][var] = (joint, contexts, entropies)
+    model.local_joints[var, node] = joint
+    origins = model.local_origins[var, node : node + 1]
+    bound = frozenset(dict.fromkeys(contexts))
+    gate = model.subtract(np.array([joint]), origins, bound)[0]
+    model.gates[var, node] = max(gate, 0.0)
+    model.changed[var, node] = True
+
+
+class TestSharedModels:
+    def check_cycles(self, data, retraining):
+        """Over drawn trials, change thresholds and phase-1 blocks of 1 to
+        40 offers (`engine.OFFER_BLOCK`, so that phase 1 spans several
+        blocks), the shared model after each cycle against `bf_propagate`'s
+        private copies: the sets sent, each node's published lists, its
+        unsent ones and the variables it must rebuild. With `retraining`,
+        1 to 4 drawn trained (node, variable) pairs are retrained between
+        every two of at least 3 cycles (`retrain`), each to its set-up joint
+        plus 0, -0.5, 0.5 or 3 times the change threshold, so lists move
+        within and past the threshold and back to values already
+        published."""
         config = small_config(
-            node_count=data.draw(st.just(1) | st.integers(4, 24)),
+            node_count=data.draw(
+                st.integers(4, 24) if retraining else st.just(1) | st.integers(4, 24)
+            ),
             context_var_count=4,
             contexts_per_table=data.draw(st.integers(1, 3)),
             combinations_pool=data.draw(st.integers(1, 4)),
             k_sets=data.draw(st.integers(1, 3)),
-            cycles=data.draw(st.integers(1, 4)),
+            cycles=data.draw(st.integers(3, 6) if retraining else st.integers(1, 4)),
             observations_per_var=data.draw(st.integers(20, 300)),
             seed=data.draw(st.integers(0, 2**16)),
         )
@@ -741,6 +800,13 @@ class TestSharedModels:
         config.resolved_policy = lambda: policy
         trial = setup_trial(config)
         ref, _, local_sets = set_up(config)
+        trained = [(node, var) for node, sets in enumerate(local_sets) for var in sets]
+        retrained = []
+        if retraining:
+            retrained = data.draw(
+                st.lists(st.sampled_from(trained), min_size=1, max_size=4, unique=True)
+            )
+        setup_joints = {pair: local_sets[pair[0]][pair[1]][0] for pair in retrained}
         private = {
             node: {nb: {} for nb in ref.overlay.neighbors(node).tolist()}
             for node in range(config.node_count)
@@ -749,31 +815,49 @@ class TestSharedModels:
         ref_built: dict = {}
         ref_changed: dict = {}
         model = trial.model
-        for cycle in range(1, config.cycles + 1):
-            sent = run_cycle(trial, cycle).adv_sets_sent
-            delta_sets, snapshot_sets = bf_propagate(
-                ref, local_sets, private, ref_sent, ref_built, ref_changed
-            )
-            assert sent == delta_sets <= snapshot_sets
-            published = [views(lists) for lists in published_rows(model, local_sets)]
-            for node in range(config.node_count):
-                for nb in trial.overlay.neighbors(node).tolist():
-                    assert private[nb][node] == published[node]
-            for node in range(config.node_count):
-                # the deltas integrated so far add up to the last full
-                # advertisement sent
-                last_sent = ref_sent.get(node, {})
-                assert published[node] == last_sent
-                # the unsent lists are the last full build's lists that
-                # differ from the last full advertisement sent
-                unsent = views(published_rows(model, local_sets, True)[node])
-                assert unsent == {
-                    var: sets for var, sets in ref_built[node].items()
-                    if sets != last_sent.get(var)
-                }
-                assert well_formed(unsent, config.k_sets)
-                changed = set(np.flatnonzero(model.changed[:, node]))
-                assert changed == ref_changed[node]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "OFFER_BLOCK", data.draw(st.integers(1, 40)))
+            for cycle in range(1, config.cycles + 1):
+                sent = run_cycle(trial, cycle).adv_sets_sent
+                delta_sets, snapshot_sets = bf_propagate(
+                    ref, local_sets, private, ref_sent, ref_built, ref_changed
+                )
+                assert sent == delta_sets <= snapshot_sets
+                published = [
+                    views(lists) for lists in published_rows(model, local_sets)
+                ]
+                for node in range(config.node_count):
+                    for nb in trial.overlay.neighbors(node).tolist():
+                        assert private[nb][node] == published[node]
+                for node in range(config.node_count):
+                    # the deltas integrated so far add up to the last full
+                    # advertisement sent
+                    last_sent = ref_sent.get(node, {})
+                    assert published[node] == last_sent
+                    # the unsent lists are the last full build's lists that
+                    # differ from the last full advertisement sent
+                    unsent = views(published_rows(model, local_sets, True)[node])
+                    assert unsent == {
+                        var: sets for var, sets in ref_built[node].items()
+                        if sets != last_sent.get(var)
+                    }
+                    assert well_formed(unsent, config.k_sets)
+                    changed = set(np.flatnonzero(model.changed[:, node]))
+                    assert changed == ref_changed[node]
+                for node, var in retrained:
+                    factor = data.draw(st.sampled_from((0.0, -0.5, 0.5, 3.0)))
+                    joint = setup_joints[node, var] + factor * policy.change_threshold
+                    retrain(model, local_sets, node, var, joint)
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_shared_models_equal_private_copies(self, data):
+        self.check_cycles(data, retraining=False)
+
+    @given(st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_retrained_models_equal_private_copies(self, data):
+        self.check_cycles(data, retraining=True)
 
 
 class TestUnsent:

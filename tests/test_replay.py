@@ -87,9 +87,11 @@ class TestReplay:
         and optimal quality and hit; per cycle: the sets sent. Over 1 to 24
         nodes, pools of up to 10 contexts (ids 8 and 9 share hash slots with
         0 and 1), K from 1 to 4, hop budgets from 0, both strategies, blocks
-        of 1 to 30 queries, change thresholds from 0.005 to 0.5 (the engine
-        and the reference read the config's `resolved_policy`), and
-        workloads in which some nodes trained nothing."""
+        of 1 to 30 queries, phase-1 blocks of 1 to 40 offers, so that one
+        cycle's propagation spans several blocks, change thresholds from
+        0.005 to 0.5 (the engine and the reference read the config's
+        `resolved_policy`), and workloads in which some nodes trained
+        nothing."""
         contexts = data.draw(st.integers(2, 10))
         config = SimConfig(
             node_count=data.draw(st.just(1) | st.integers(4, 24)),
@@ -122,6 +124,7 @@ class TestReplay:
         config.resolved_policy = lambda: policy
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(engine, "ISSUER_BLOCK", data.draw(st.integers(1, 30)))
+            patch.setattr(engine, "OFFER_BLOCK", data.draw(st.integers(1, 40)))
             assert_same_trial(
                 library_trial(config, workload), bf_run_trial(config, workload)
             )

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,6 +16,7 @@ from edgeknow.engine import (
     Workload,
     route_query,
     run_cycle,
+    setup_trial,
     take_over,
 )
 from edgeknow.routing import (
@@ -312,6 +315,84 @@ class TestIntegrate:
         net.publish(1, {0: [row(0.5)]})
         assert net.model.answers(0, frozenset({1})) is answers
         assert list(answers) == [1.5, math.inf, math.inf]
+
+
+class TestPending:
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_whole_array_comparison(self, data):
+        """Over unsent and published lists drawn from a few values, so that
+        many are equal, and any nodes, repeats and any order included:
+        `pending`, which compares only the nodes' lists, gives the mask of
+        comparing the whole arrays and keeping the nodes' columns."""
+        variables, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 8))
+        model = model_of([{}] * n, [[]] * n, variables, data.draw(st.integers(1, 3)), 1)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        for name in ("joints", "unsent_joints"):
+            values = getattr(model, name)
+            values[...] = rng.choice([1.0, 2.0, math.inf], size=values.shape)
+        for name in ("origins", "unsent_origins"):
+            values = getattr(model, name)
+            values[...] = rng.integers(0, 2, size=values.shape)
+        nodes = np.array(data.draw(st.lists(st.integers(0, n - 1))), dtype=np.intp)
+        whole = model.unsent_joints != model.joints
+        whole |= model.unsent_origins != model.origins
+        assert np.array_equal(model.pending(nodes), whole.any(axis=2)[:, nodes])
+
+
+class TestBlockCalls:
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_a_block_is_its_variables_calls_joined(self, data):
+        """Over a drawn trial after 0 to 2 cycles and a drawn set of its
+        (variable, node) pairs in row-major order: one call of
+        `build_advertisement` and of `should_advertise` on all the pairs
+        returns what one call per variable returns, joined in order, and
+        one `integrate_advertisement` leaves the model as one call per
+        variable does and delivers as many sets."""
+        config = SimConfig(
+            node_count=data.draw(st.integers(4, 16)),
+            predicting_var_count=data.draw(st.integers(1, 5)),
+            context_var_count=3,
+            contexts_per_table=data.draw(st.integers(1, 3)),
+            combinations_pool=data.draw(st.integers(1, 3)),
+            vars_trained_per_node=2,
+            observations_per_var=50,
+            k_sets=data.draw(st.integers(1, 3)),
+            seed=data.draw(st.integers(0, 2**16)),
+        )
+        policy = replace(
+            config.resolved_policy(),
+            change_threshold=data.draw(st.sampled_from((0.005, 0.5))),
+        )
+        trial = setup_trial(config)
+        for cycle in range(data.draw(st.integers(0, 2))):
+            run_cycle(trial, cycle + 1)
+        model = trial.model
+        shape = model.changed.shape
+        mask = np.array(
+            data.draw(st.lists(st.booleans(), min_size=shape[0] * shape[1],
+                               max_size=shape[0] * shape[1]))
+        ).reshape(shape)
+        var, nodes = np.nonzero(mask)
+        per_var = [(v, nodes[var == v]) for v in np.unique(var).tolist()]
+        joints, origins = build_advertisement(model, var, nodes, policy)
+        parts = [build_advertisement(model, v, u, policy) for v, u in per_var]
+        empty = np.zeros((0, config.k_sets))
+        assert np.array_equal(joints, np.concatenate([p[0] for p in parts] + [empty]))
+        assert np.array_equal(origins, np.concatenate([p[1] for p in parts] + [empty]))
+        model.unsent_joints[var, nodes] = joints
+        model.unsent_origins[var, nodes] = origins
+        assert should_advertise(model, var, nodes, policy) == [
+            node for v, u in per_var for node in should_advertise(model, v, u, policy)
+        ]
+        model._ranks = {v: {} for v in range(config.predicting_var_count)}
+        apart = copy.deepcopy(model)
+        sent = integrate_advertisement(model, var, nodes)
+        assert sent == sum(integrate_advertisement(apart, v, u) for v, u in per_var)
+        for name in ("joints", "origins", "changed"):
+            assert np.array_equal(getattr(model, name), getattr(apart, name))
+        assert model._ranks.keys() == apart._ranks.keys()
 
 
 def symmetric(lists):
