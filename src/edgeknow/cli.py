@@ -3,9 +3,10 @@
 `edgeknow run` executes one trial per (sweep value, seed, strategy) and emits
 one metrics CSV per run, a merged summary and seed-mean accuracy curves; a
 study is one config file under `studies/` run this way. `edgeknow topology`
-emits an edge list and degree histogram for the similarity-weighted
-attachment model. Flags override values from an optional key=value config
-file; the env var EDGEKNOW_SEED is the seed fallback.
+emits the edge list and degree histogram of the overlay `setup_trial` grows
+for its config, a synthetic workload of 50 observations per trained
+variable. Flags override values from an optional key=value config file; the
+env var EDGEKNOW_SEED is the seed fallback.
 """
 
 from __future__ import annotations
@@ -22,12 +23,11 @@ from .engine import (
     InvalidField,
     SimConfig,
     Strategy,
-    generate_workload,
     ingest_csv,
     run_trial,
-    trial_streams,
+    setup_trial,
 )
-from .topology import AttachmentParams, generate, survival_slope
+from .topology import AttachmentParams, survival_slope
 
 # CLI flag name -> SimConfig field: the keys `--sweep` takes
 _FLAG_FIELDS = {
@@ -352,23 +352,12 @@ def cmd_topology(args) -> int:
             edge_limit=limit,
             seed=seed,
         )
-        # a trial may run on one node, but an overlay grows from m0 of them
-        if n < config.attachment.m0:
-            raise ValueError(f"need at least m0={config.attachment.m0} nodes, got {n}")
     except ValueError as exc:
         print(f"bad config: {exc}", file=sys.stderr)
         return 2
     if not _make_out_dir(args.out):
         return 2
-    # the streams and trained variables `setup_trial` grows its overlay
-    # from, reading one batch of counts at a time
-    workload_seed, overlay_seed, _, _ = trial_streams(seed)
-    trained: list[list[int]] = [[] for _ in range(n)]
-    for batch in generate_workload(config, workload_seed):
-        for entry in batch:
-            if entry.counts.any():
-                trained[entry.node_id].append(entry.var)
-    overlay = generate(config.attachment, trained, limit, overlay_seed)
+    overlay = setup_trial(config).overlay
     overlay.write_edge_list(args.out / "edges.txt")
     overlay.write_degree_csv(args.out / "degree_histogram.csv")
     degrees = overlay.degree.tolist()

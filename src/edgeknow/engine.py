@@ -1,12 +1,15 @@
 """Cycle-based simulation harness.
 
-A trial: generate a synthetic Gaussian workload (or ingest one from CSV),
-train one model per node, grow the similarity-clustered overlay, the one
-padded neighbor matrix that routing reads, then run cycles in which every
-node first propagates its knowledge and then issues one query. Set-up
-summarises the workload a batch of entries at a time into the local sets'
-arrays (`routing.LocalSets`), which the overlay, the queries and the
-routing model read. Propagation works on the shared routing model's
+A trial: generate a synthetic Gaussian workload (or take a workload as its
+list of entries, which `ingest_csv` reads from CSV), train one model per
+node, grow the similarity-clustered overlay from each node's trained
+variables, the one padded neighbor matrix that routing reads, then run
+cycles in which every node first propagates its knowledge and then issues
+one query. `setup_trial` is the one path from a config and a workload to an
+overlay; `edgeknow topology` exports its overlay. Set-up summarises the
+workload a batch of entries at a time into the local sets' arrays
+(`routing.LocalSets`), which the overlay, the queries and the routing model
+read. Propagation works on the shared routing model's
 per-variable arrays, over the (variable, node) pairs that must rebuild, in
 blocks of whole variables of about `OFFER_BLOCK` offers: one pass per
 block builds, stages and compares its pairs' lists, and the sends are
@@ -127,11 +130,12 @@ class SimConfig:
             value = getattr(self, name)
             if value is not None and value < 0:
                 raise InvalidField(name, "must be >= 0")
-        m0 = self.attachment.m0
-        if 2 <= self.node_count < m0:
-            raise InvalidField("node_count", f"must be 1 or >= m0={m0}")
-        if self.edge_limit < m0 - 1:
-            raise InvalidField("edge_limit", f"must be >= m0-1={m0 - 1}")
+        # the overlay grows from a clique of min(node_count, m0) nodes
+        clique = min(self.node_count, self.attachment.m0)
+        if self.edge_limit < clique - 1:
+            raise InvalidField(
+                "edge_limit", f"must be >= min(node_count, m0)-1={clique - 1}"
+            )
 
     def resolved_hops(self) -> int:
         if self.hop_budget is not None:
@@ -155,14 +159,6 @@ class TrainedAssignment:
     var: int
     contexts: tuple[int, ...]
     counts: np.ndarray
-
-
-@dataclass
-class Workload:
-    """A workload held whole, counts and all, as a CSV's is."""
-
-    node_count: int
-    entries: list[TrainedAssignment] = field(default_factory=list)
 
 
 def _combination_pool(config: SimConfig, rng: np.random.Generator):
@@ -231,9 +227,10 @@ def _check_field(var: int, var_count: int, state: int, card: int, name: str):
         raise ValueError(f"state {state} out of range for {name}")
 
 
-def ingest_csv(path, config: SimConfig) -> Workload:
+def ingest_csv(path, config: SimConfig) -> list[TrainedAssignment]:
     """Parse an observation CSV into the cell counts of each (node, var), all
-    of whose rows bind the same context variables; row order does not matter.
+    of whose rows bind the same context variables, as a workload's entries
+    in (node, var) order; row order does not matter.
     Malformed rows, rows that bind a context twice, fall outside the config's
     nodes, variables or states or bind other context variables than earlier
     rows of their (node, var), raise ValueError with the line number; so does
@@ -292,11 +289,10 @@ def ingest_csv(path, config: SimConfig) -> Workload:
             group[1][cell] += 1
     if not groups:
         raise ValueError(f"{path}: no observation rows")
-    workload = Workload(node_count=config.node_count)
-    for (node_id, var), (contexts, cells) in sorted(groups.items()):
-        counts = cells.reshape(pred_card, -1)
-        workload.entries.append(TrainedAssignment(node_id, var, contexts, counts))
-    return workload
+    return [
+        TrainedAssignment(node_id, var, contexts, cells.reshape(pred_card, -1))
+        for (node_id, var), (contexts, cells) in sorted(groups.items())
+    ]
 
 
 @dataclass
@@ -398,23 +394,18 @@ def take_over(
     return step, along[np.arange(len(index)), step]
 
 
-def check_workload(config: SimConfig, workload: Workload):
-    """Raise ValueError unless the workload has the config's node count,
-    every entry trains one of the config's variables at one of its nodes
-    against a strictly ascending tuple of the config's contexts, once per
-    (node, variable), with non-negative counts in an integer array of the
-    shape `cell_counts` gives for the config's cardinalities, and some entry
-    holds an observation."""
-    if workload.node_count != config.node_count:
-        raise ValueError(
-            f"workload has {workload.node_count} nodes, config {config.node_count}"
-        )
+def check_workload(config: SimConfig, workload: list[TrainedAssignment]):
+    """Raise ValueError unless every entry of the workload trains one of the
+    config's variables at one of its nodes against a strictly ascending
+    tuple of the config's contexts, once per (node, variable), with
+    non-negative counts in an integer array of the shape `cell_counts` gives
+    for the config's cardinalities, and some entry holds an observation."""
     seen = set()
-    for entry in workload.entries:
+    for entry in workload:
         where = f"entry for node {entry.node_id}, variable {entry.var}"
         try:
-            if not 0 <= entry.node_id < workload.node_count:
-                raise ValueError(f"node outside {workload.node_count} nodes")
+            if not 0 <= entry.node_id < config.node_count:
+                raise ValueError(f"node outside {config.node_count} nodes")
             if (entry.node_id, entry.var) in seen:
                 raise ValueError("listed twice")
             seen.add((entry.node_id, entry.var))
@@ -445,25 +436,28 @@ def check_workload(config: SimConfig, workload: Workload):
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
     # queries target trained variables, so some entry must hold an observation
-    if not any(entry.counts.any() for entry in workload.entries):
+    if not any(entry.counts.any() for entry in workload):
         raise ValueError("workload holds no observation")
 
 
-def setup_trial(config: SimConfig, workload: Optional[Workload] = None) -> TrialState:
+def setup_trial(
+    config: SimConfig, workload: Optional[list[TrainedAssignment]] = None
+) -> TrialState:
+    """The trial of `config` on `workload`'s entries, or on the synthetic
+    workload drawn from the trial's stream when none is given: the local
+    sets of the entries with observations, the overlay grown from each
+    node's trained variables and the routing model over both."""
     workload_seed, overlay_seed, s_query, s_walk = trial_streams(config.seed)
     if workload is None:
         batches = generate_workload(config, workload_seed)
     else:
         check_workload(config, workload)
-        batches = [workload.entries]
+        batches = [workload]
     sets = train_pgms(batches, config)
-    if config.node_count == 1:
-        overlay = Overlay(1, config.edge_limit)
-    else:
-        trained: list[list[int]] = [[] for _ in range(config.node_count)]
-        for node, var in zip(sets.nodes.tolist(), sets.variables.tolist()):
-            trained[node].append(var)
-        overlay = generate(config.attachment, trained, config.edge_limit, overlay_seed)
+    trained: list[list[int]] = [[] for _ in range(config.node_count)]
+    for node, var in zip(sets.nodes.tolist(), sets.variables.tolist()):
+        trained[node].append(var)
+    overlay = generate(config.attachment, trained, config.edge_limit, overlay_seed)
     model = RoutingModel(sets, overlay, config.predicting_var_count, config.k_sets)
     # per trained variable, ascending, the evidence set of each combination it
     # was trained on, by ascending tuple; one object per distinct set
@@ -624,7 +618,9 @@ def run_cycle(trial: TrialState, cycle: int) -> CycleMetrics:
     )
 
 
-def run_trial(config: SimConfig, workload: Optional[Workload] = None) -> TrialMetrics:
+def run_trial(
+    config: SimConfig, workload: Optional[list[TrainedAssignment]] = None
+) -> TrialMetrics:
     trial = setup_trial(config, workload)
     metrics = TrialMetrics(config=config)
     for cycle in range(1, config.cycles + 1):

@@ -1,9 +1,10 @@
 """Clustered scale-free overlay generation.
 
-Preferential attachment weighted by model similarity: an arriving node links
-to existing nodes with probability proportional to degree times the overlap
-coefficient of the two nodes' trained predicting-variable sets. Nodes at the
-edge limit are excluded so the degree cap is hard. The overlay is held once,
+The first min(n, m0) nodes form a seed clique; then preferential attachment
+weighted by model similarity: an arriving node links to existing nodes with
+probability proportional to degree times the overlap coefficient of the two
+nodes' trained predicting-variable sets. Nodes at the edge limit are
+excluded so the degree cap is hard. The overlay is held once,
 as the padded neighbor matrix (`Overlay`) that growth writes and routing
 reads.
 """
@@ -157,18 +158,15 @@ def generate(
     seed: int,
 ) -> Overlay:
     """Grow the overlay over nodes with the given trained predicting-variable
-    ids: a clique of the first m0 nodes, then similarity-weighted
+    ids: a clique of the first min(n, m0) nodes, then similarity-weighted
     preferential attachment for each subsequent node, followed by a
     connectivity repair pass; the matrix is then trimmed to the widest
     row."""
     n = len(trained)
-    if n < params.m0:
-        raise ValueError(f"need at least m0={params.m0} nodes, got {n}")
     rng = np.random.default_rng(seed)
     overlay = Overlay(n, edge_limit)
-    for u in range(params.m0):
-        for v in range(u + 1, params.m0):
-            overlay.add_edge(u, v)
+    for u, v in itertools.combinations(range(min(n, params.m0)), 2):
+        overlay.add_edge(u, v)
     sizes = np.array([len(ids) for ids in trained], dtype=np.int64)
     # per variable, the ids of the nodes so far that trained it, ascending
     trainers: dict[int, list[int]] = {}

@@ -28,7 +28,6 @@ import pytest
 from edgeknow import engine
 from edgeknow.engine import (
     SimConfig,
-    Workload,
     _combination_pool,
     generate_workload,
     setup_trial,
@@ -161,12 +160,11 @@ def bf_generate(params, trained, edge_limit, seed) -> Overlay:
     (node, trained set) pairs per draw, then the library's connectivity
     repair pass."""
     n = len(trained)
-    if n < params.m0:
-        raise ValueError(f"need at least m0={params.m0} nodes, got {n}")
     rng = np.random.default_rng(seed)
     overlay = Overlay(n, edge_limit)
-    for u in range(params.m0):
-        for v in range(u + 1, params.m0):
+    clique = min(n, params.m0)
+    for u in range(clique):
+        for v in range(u + 1, clique):
             overlay.add_edge(u, v)
     for new_id in range(params.m0, n):
         existing = [(node, trained[node]) for node in range(new_id)]
@@ -256,17 +254,16 @@ def model_of(local_sets, neighbors, variables: int, k: int, width: int):
     return RoutingModel(sets, overlay, variables, k)
 
 
-def draw_workload(config, seed) -> Workload:
-    """`generate_workload`'s batches joined into one `Workload`."""
-    entries = [e for batch in generate_workload(config, seed) for e in batch]
-    return Workload(config.node_count, entries)
+def draw_workload(config, seed) -> list:
+    """`generate_workload`'s batches joined into one list of entries."""
+    return [e for batch in generate_workload(config, seed) for e in batch]
 
 
 def trained_rows(workload, config) -> list[dict[int, tuple]]:
     """Per node, keyed by variable in entry order, the rows of the local
     sets `train_pgms` makes of `workload`'s entries."""
-    sets = train_pgms([workload.entries], config)
-    per_node: list[dict[int, tuple]] = [{} for _ in range(workload.node_count)]
+    sets = train_pgms([workload], config)
+    per_node: list[dict[int, tuple]] = [{} for _ in range(config.node_count)]
     for node, var, s in zip(sets.nodes.tolist(), sets.variables.tolist(), rows_of(sets)):
         per_node[node][var] = s
     return per_node
@@ -508,9 +505,9 @@ def bf_run_trial(config, workload=None) -> list[tuple[int, list[dict]]]:
     or among all once every one is visited."""
     trial, workload, local_sets = set_up(config, workload)
     _, _, s_query, s_walk = trial_streams(config.seed)
-    entries = {(e.node_id, e.var): e for e in workload.entries}
+    entries = {(e.node_id, e.var): e for e in workload}
     combos: dict[int, set] = {}
-    for e in workload.entries:
+    for e in workload:
         if e.counts.any():
             combos.setdefault(e.var, set()).add(e.contexts)
     targets = sorted(combos)
@@ -618,7 +615,7 @@ def export_workload_csv(workload, config, path):
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["node_id", "predicting_var", "outcome"])
-        for entry in workload.entries:
+        for entry in workload:
             cards = [config.context_cardinality for _ in entry.contexts]
             for (outcome, flat), n in np.ndenumerate(entry.counts):
                 states = np.unravel_index(flat, cards)

@@ -131,8 +131,14 @@ class TestRun:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--nodes", "2", "--cycles", "1"], "node_count must be 1 or >= m0=4"),
-            (["--nodes", "8", "--edge-limit", "1"], "edge_limit must be >= m0-1=3"),
+            (
+                ["--nodes", "2", "--edge-limit", "0"],
+                "edge_limit must be >= min(node_count, m0)-1=1",
+            ),
+            (
+                ["--nodes", "8", "--edge-limit", "1"],
+                "edge_limit must be >= min(node_count, m0)-1=3",
+            ),
             (["--nodes", "8", "--sweep", "k=1,0"], "k_sets must be >= 1"),
             (
                 ["--nodes", "8", "--sweep", "contexts_per_table=1,9"],
@@ -145,6 +151,16 @@ class TestRun:
         assert run_cli(["run", *flags, "--out", out]) == 2
         assert message in capsys.readouterr().err
         assert not list(out.glob("run_*.csv"))
+
+    @pytest.mark.parametrize("nodes", ["2", "3"])
+    def test_fewer_nodes_than_m0_run(self, tmp_path, nodes):
+        # the seed clique spans min(nodes, m0) nodes, so any node count runs
+        out = tmp_path / "out"
+        args = ["run", "--nodes", nodes, "--cycles", "2", "--strategy", "both"]
+        assert run_cli(args + ["--out", out]) == 0
+        for strategy in ("abs", "rw"):
+            rows = (out / f"run_seed0_{strategy}.csv").read_text().splitlines()
+            assert len(rows) == 3
 
     @pytest.mark.parametrize(
         "flags, env, message",
@@ -441,20 +457,21 @@ class TestTopology:
         assert "loglog_survival_slope=" in printed
 
     def test_edges_are_the_trial_overlay(self, tmp_path):
-        # the overlay `setup_trial` grows for the config the command builds:
-        # the same workload and overlay streams, spawned from the seed
+        # the overlay `setup_trial` grows for the config the command builds
+        # from its flags, with 50 observations per trained variable
         out = tmp_path / "topo"
-        with mock.patch.object(
-            cli, "generate_workload", wraps=cli.generate_workload
-        ) as drawn:
+        with mock.patch.object(cli, "setup_trial", wraps=cli.setup_trial) as set_up:
             code = run_cli(
                 ["topology", "--nodes", "40", "--m0", "3", "--m", "2",
                  "--edge-limit", "6", "--predicting", "10",
                  "--trained-per-node", "2", "--seed", "3", "--out", out]
             )
         assert code == 0
-        config = drawn.call_args.args[0]
+        (config,) = set_up.call_args.args
         assert (config.node_count, config.edge_limit, config.seed) == (40, 6, 3)
+        assert (config.attachment.m0, config.attachment.m) == (3, 2)
+        assert (config.predicting_var_count, config.vars_trained_per_node) == (10, 2)
+        assert config.observations_per_var == 50
         setup_trial(config).overlay.write_edge_list(tmp_path / "trial.txt")
         assert (out / "edges.txt").read_bytes() == (tmp_path / "trial.txt").read_bytes()
 
@@ -464,13 +481,14 @@ class TestTopology:
         assert "need 1 <= m < m0" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_too_few_nodes_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("nodes", [1, 2, 3])
+    def test_fewer_nodes_than_m0_grow_a_clique(self, tmp_path, capsys, nodes):
         out = tmp_path / "topo"
-        args = ["topology", "--nodes", "1", "--edge-limit", "5", "--out", out]
-        assert run_cli(args) == 2
-        err = capsys.readouterr().err
-        assert err == "bad config: need at least m0=4 nodes, got 1\n"
-        assert not out.exists()
+        args = ["topology", "--nodes", nodes, "--edge-limit", "5", "--out", out]
+        assert run_cli(args) == 0
+        edges = (out / "edges.txt").read_text().splitlines()
+        assert edges == [f"{u} {v}" for u in range(nodes) for v in range(u + 1, nodes)]
+        assert f"max_degree={nodes - 1}" in capsys.readouterr().out
 
     def test_negative_edge_limit_exits_2(self, tmp_path, capsys):
         out = tmp_path / "topo"

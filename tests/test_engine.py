@@ -17,7 +17,6 @@ from edgeknow.engine import (
     Strategy,
     TrainedAssignment,
     TrialMetrics,
-    Workload,
     check_workload,
     accuracy,
     draw_queries,
@@ -76,9 +75,9 @@ class TestWorkload:
     def test_entry_counts_and_ranges(self):
         config = small_config()
         wl = draw_workload(config, seed=1)
-        assert len(wl.entries) == config.node_count * config.vars_trained_per_node
+        assert len(wl) == config.node_count * config.vars_trained_per_node
         n_assign = config.context_cardinality**config.contexts_per_table
-        for entry in wl.entries:
+        for entry in wl:
             assert entry.counts.shape == (config.predicting_cardinality, n_assign)
             assert entry.counts.dtype == np.int64
             assert entry.counts.min() >= 0
@@ -96,14 +95,14 @@ class TestWorkload:
     def test_combination_pool_respected(self):
         config = small_config(combinations_pool=1)
         wl = draw_workload(config, seed=2)
-        assert len({e.contexts for e in wl.entries}) == 1
+        assert len({e.contexts for e in wl}) == 1
 
     def test_deterministic_per_seed(self):
         config = small_config()
         a = draw_workload(config, seed=3)
         b = draw_workload(config, seed=3)
-        assert len(a.entries) == len(b.entries)
-        for ea, eb in zip(a.entries, b.entries):
+        assert len(a) == len(b)
+        for ea, eb in zip(a, b):
             assert (ea.node_id, ea.var, ea.contexts) == (
                 eb.node_id, eb.var, eb.contexts
             )
@@ -113,7 +112,7 @@ class TestWorkload:
         # stddev of one state width: most mass within 2 states of the mean
         config = small_config(observations_per_var=2000, combinations_pool=1)
         wl = draw_workload(config, seed=4)
-        entry = wl.entries[0]
+        entry = wl[0]
         states = np.arange(config.predicting_cardinality)
         for column in entry.counts.T:
             n = column.sum()
@@ -127,9 +126,7 @@ class TestWorkload:
     @settings(max_examples=60, deadline=None)
     def test_counts_match_the_stream_reference(self, data):
         context_var_count = data.draw(st.integers(1, 4))
-        # a two-node seed clique lets every node count from 1 up be a config
         config = small_config(
-            attachment=AttachmentParams(m0=2, m=1),
             node_count=data.draw(st.integers(1, 12)),
             predicting_var_count=data.draw(st.integers(1, 6)),
             context_var_count=context_var_count,
@@ -143,10 +140,10 @@ class TestWorkload:
         seed = data.draw(st.integers(0, 2**32 - 1))
         wl = draw_workload(config, seed)
         ref = bf_generate_workload(config, seed)
-        assert len(wl.entries) == len(ref)
+        assert len(wl) == len(ref)
         shape = [config.predicting_cardinality]
         want = [{} for _ in range(config.node_count)]
-        for entry, (node_id, var, contexts, flat_idx, outcomes) in zip(wl.entries, ref):
+        for entry, (node_id, var, contexts, flat_idx, outcomes) in zip(wl, ref):
             assert (entry.node_id, entry.var, entry.contexts) == (node_id, var, contexts)
             n_cells = entry.counts.size
             cells = np.bincount(
@@ -177,7 +174,7 @@ class TestTrainedModels:
         config = small_config()
         wl = draw_workload(config, seed=5)
         trained = trained_rows(wl, config)
-        for entry in wl.entries:
+        for entry in wl:
             got, hs = view(trained[entry.node_id][entry.var])
             tensor = smoothed_tensor(entry, config)
             joint, marginals = bf_summary(tensor, entry.contexts)
@@ -189,12 +186,9 @@ class TestTrainedModels:
             node_count=1, predicting_cardinality=4, context_cardinality=2,
             pseudocount=0.01,
         )
-        wl = Workload(node_count=1)
         flat = np.tile([0, 1], 400)
         outcomes = np.where(flat == 0, 1, 3)  # outcome fixed by the context
-        wl.entries.append(
-            TrainedAssignment(0, 0, (0,), cell_counts(4, 2, flat, outcomes))
-        )
+        wl = [TrainedAssignment(0, 0, (0,), cell_counts(4, 2, flat, outcomes))]
         sets = trained_rows(wl, config)[0]
         h = library_answer(sets[0], frozenset({0}))
         assert h < 0.2
@@ -204,15 +198,14 @@ class TestTrainedModels:
         # variable has no local answer
         config = small_config(
             node_count=2, predicting_cardinality=2, context_cardinality=2,
-            pseudocount=0.5, attachment=AttachmentParams(m0=2, m=1),
+            pseudocount=0.5,
         )
-        wl = Workload(node_count=2)
-        wl.entries += [
+        wl = [
             TrainedAssignment(0, 0, (0,), np.zeros((2, 2), dtype=np.int64)),
             TrainedAssignment(0, 1, (), np.array([[0], [1]])),
             TrainedAssignment(1, 0, (), np.zeros((2, 1), dtype=np.int64)),
         ]
-        sets = train_pgms([wl.entries], config)
+        sets = train_pgms([wl], config)
         assert (sets.nodes.tolist(), sets.variables.tolist()) == ([0], [1])
         overlay = Overlay(2, config.edge_limit)
         overlay.add_edge(0, 1)
@@ -229,9 +222,8 @@ class TestCsvRoundTrip:
         back = ingest_csv(path, config)
         a = trained_rows(wl, config)
         b = trained_rows(back, config)
-        assert back.node_count == wl.node_count
-        assert len(back.entries) == len(wl.entries)
-        for ea, eb in zip(wl.entries, back.entries):
+        assert len(back) == len(wl)
+        for ea, eb in zip(wl, back):
             assert (ea.node_id, ea.var, ea.contexts) == (
                 eb.node_id, eb.var, eb.contexts
             )
@@ -267,8 +259,8 @@ class TestCsvRoundTrip:
         path = tmp_path / "one.csv"
         path.write_text("3,2,1,c0=0,c2=3\n")
         wl = ingest_csv(path, small_config())
-        assert wl.node_count == 12
-        entry = wl.entries[0]
+        assert len(wl) == 1
+        entry = wl[0]
         assert entry.node_id == 3
         assert entry.var == 2
         assert entry.contexts == (0, 2)
@@ -349,7 +341,7 @@ class TestOracle:
                 # independent re-derivation with the brute-force chain rule
                 # over each trainer's workload entry
                 best = math.log2(card)
-                for entry in workload.entries:
+                for entry in workload:
                     if entry.var != target:
                         continue
                     given = [c for c in combo if c in entry.contexts]
@@ -435,15 +427,16 @@ class TestTrialSetup:
         assert peak - kept < counts / 4
 
     def test_workload_node_count_must_match(self):
-        workload = draw_workload(small_config(node_count=8), seed=0)
-        with pytest.raises(ValueError, match="8 nodes"):
-            setup_trial(small_config(), workload)
+        # node ids are checked against the config's node count
+        workload = draw_workload(small_config(), seed=0)
+        with pytest.raises(ValueError, match="node outside 8 nodes"):
+            setup_trial(small_config(node_count=8), workload)
         workload = draw_workload(small_config(context_cardinality=3), seed=0)
         with pytest.raises(ValueError, match="shaped"):
             setup_trial(small_config(), workload)
 
     def test_single_node_network(self):
-        config = small_config(node_count=1, attachment=None or SimConfig().attachment)
+        config = small_config(node_count=1)
         metrics = run_trial(config)
         # with only one node, the issuer is always the global optimum
         for row in metrics.rows:
@@ -454,14 +447,12 @@ class TestTrialSetup:
 def workload_with_entry(config, **fields):
     """A valid workload for `config` with one more entry: node 0's
     predicting variable 1 over contexts (0, 1), overridden by `fields`."""
-    workload = Workload(config.node_count)
-    workload.entries.append(
-        TrainedAssignment(0, 0, (0,), np.ones((8, 4), dtype=np.int64))
-    )
     entry = dict(node_id=0, var=1, contexts=(0, 1), counts=np.ones((8, 16), int))
     entry.update(fields)
-    workload.entries.append(TrainedAssignment(**entry))
-    return workload
+    return [
+        TrainedAssignment(0, 0, (0,), np.ones((8, 4), dtype=np.int64)),
+        TrainedAssignment(**entry),
+    ]
 
 
 def one_cell(value):
@@ -519,10 +510,8 @@ class TestCheckWorkload:
     )
     def test_rejects_a_workload_without_observations(self, entries):
         # queries target trained variables, so there must be one
-        config = small_config()
-        workload = Workload(config.node_count, entries)
         with pytest.raises(ValueError, match="^workload holds no observation$"):
-            run_trial(config, workload)
+            run_trial(small_config(), entries)
 
 
 class TestDrawQueries:
@@ -602,10 +591,9 @@ class TestRouteQuery:
         # 0 on the same counts, so they all give the same answer
         config = small_config(hop_budget=4, strategy=strategy)
         counts = np.arange(32).reshape(8, 4) % 5
-        workload = Workload(config.node_count)
-        workload.entries.append(TrainedAssignment(0, 1, (0,), counts))
+        workload = [TrainedAssignment(0, 1, (0,), counts)]
         for node in range(1, config.node_count):
-            workload.entries.append(TrainedAssignment(node, 0, (0,), counts))
+            workload.append(TrainedAssignment(node, 0, (0,), counts))
         trial = setup_trial(config, workload)
         keys, index = [(0, frozenset({0}))], np.zeros(1, dtype=np.intp)
         (path, answered_by, quality), = routed(trial, keys, index, strategy)
@@ -676,7 +664,7 @@ class TestOracleBound:
     @settings(max_examples=30, deadline=None)
     def test_no_query_beats_the_oracle(self, data):
         config = small_config(
-            node_count=data.draw(st.just(1) | st.integers(4, 24)),
+            node_count=data.draw(st.integers(1, 24)),
             context_var_count=4,
             contexts_per_table=data.draw(st.integers(1, 3)),
             combinations_pool=data.draw(st.integers(1, 4)),
@@ -781,9 +769,7 @@ class TestSharedModels:
         within and past the threshold and back to values already
         published."""
         config = small_config(
-            node_count=data.draw(
-                st.integers(4, 24) if retraining else st.just(1) | st.integers(4, 24)
-            ),
+            node_count=data.draw(st.integers(4 if retraining else 1, 24)),
             context_var_count=4,
             contexts_per_table=data.draw(st.integers(1, 3)),
             combinations_pool=data.draw(st.integers(1, 4)),
@@ -860,15 +846,13 @@ class TestSharedModels:
         self.check_cycles(data, retraining=True)
 
 
-class TestUnsent:
-    def test_a_list_within_the_threshold_waits_for_the_next_send(self):
-        """A two-node line: node 1 trains variables 0 and 1 over context 0,
-        node 0 trains nothing. With one set per list, change threshold 0.1
-        and no hop inflation, node 1's lists are its local sets, and node
-        0's echoes tie with them. Node 1 is retrained by replacing a local joint:
-        a rebuilt list within the threshold of the published one stays
-        unsent, the next send carries it, and a rebuild back to the
-        published value discards it."""
+class TwoNodeLine:
+    """A two-node line: node 1 trains variables 0 and 1 over context 0,
+    node 0 trains nothing. With one set per list, change threshold 0.1 and
+    no hop inflation, node 1's lists are its local sets, and node 0's
+    echoes tie with them."""
+
+    def __init__(self):
         config = SimConfig(
             node_count=2,
             predicting_var_count=2,
@@ -877,42 +861,49 @@ class TestUnsent:
             predicting_cardinality=2,
             context_cardinality=2,
             k_sets=1,
-            attachment=AttachmentParams(m0=2, m=1),
         )
-        workload = Workload(config.node_count)
-        for var in (0, 1):
-            workload.entries.append(
-                TrainedAssignment(1, var, (0,), np.array([[8, 0], [0, 8]]))
-            )
-        trial = setup_trial(config, workload)
+        workload = [
+            TrainedAssignment(1, var, (0,), np.array([[8, 0], [0, 8]]))
+            for var in (0, 1)
+        ]
+        self.trial = setup_trial(config, workload)
         policy = AdvertisementPolicy(
             change_threshold=0.1, quality_threshold=100.0, hop_inflation=0.0
         )
         config.resolved_policy = lambda: policy
-        assert trial.overlay.neighbors(1).tolist() == [0]
-        model = trial.model
-        local_sets = trained_rows(workload, config)
-        cycles = itertools.count(1)
+        assert self.trial.overlay.neighbors(1).tolist() == [0]
+        self.model = self.trial.model
+        self.local_sets = trained_rows(workload, config)
+        self.cycles = itertools.count(1)
 
-        def propagate():
-            return run_cycle(trial, next(cycles)).adv_sets_sent
+    def propagate(self):
+        return run_cycle(self.trial, next(self.cycles)).adv_sets_sent
 
-        def joints(unsent=False):
-            # node 1's published (or unsent) joints, per variable
-            lists = published_rows(model, local_sets, unsent)[1]
-            return {var: [s[0] for s in sets] for var, sets in lists.items()}
+    def joints(self, unsent=False):
+        """Node 1's published (or unsent) joints, per variable."""
+        lists = published_rows(self.model, self.local_sets, unsent)[1]
+        return {var: [s[0] for s in sets] for var, sets in lists.items()}
 
-        def retrain(var, diagonal):
-            # the joint of pseudocount 1 plus `diagonal` - 1 observations of
-            # outcome s under context state s, for s = 0 and 1, as node 1's
-            # local joint of `var`
-            counts = np.array([[diagonal - 1, 0], [0, diagonal - 1]])
-            entry = TrainedAssignment(1, var, (0,), counts)
-            joint = summarise([entry], 1, 2, 1.0)[0][0]
-            model.local_joints[var, 1] = joint
-            model.changed[var, 1] = True
-            return joint
+    def retrain(self, var, diagonal):
+        """The joint of pseudocount 1 plus `diagonal` - 1 observations of
+        outcome s under context state s, for s = 0 and 1, as node 1's local
+        joint of `var`, which node 1 must rebuild."""
+        counts = np.array([[diagonal - 1, 0], [0, diagonal - 1]])
+        entry = TrainedAssignment(1, var, (0,), counts)
+        joint = summarise([entry], 1, 2, 1.0)[0][0]
+        self.model.local_joints[var, 1] = joint
+        self.model.changed[var, 1] = True
+        return joint
 
+
+class TestUnsent:
+    def test_a_list_within_the_threshold_waits_for_the_next_send(self):
+        """On the two-node line (`TwoNodeLine`), node 1 is retrained by
+        replacing a local joint: a rebuilt list within the threshold of the
+        published one stays unsent, the next send carries it, and a rebuild
+        back to the published value discards it."""
+        line = TwoNodeLine()
+        propagate, joints, retrain = line.propagate, line.joints, line.retrain
         # node 1 sends both lists, node 0 echoes them, node 1 keeps its own
         assert [propagate() for _ in range(3)] == [2, 2, 0]
         (old,) = joints()[0]
@@ -940,6 +931,37 @@ class TestUnsent:
         assert propagate() == 0
         assert joints(unsent=True) == {}
         assert joints() == {0: [s0], 1: [s1]}
+
+    def test_a_send_from_an_early_block_waits_for_the_later_builds(
+        self, monkeypatch
+    ):
+        """Phase-1 blocks of one variable each (`engine.OFFER_BLOCK`) on the
+        two-node line: node 1 sends variable 0's list from the first block
+        while it holds an unsent list of variable 1, which a later block of
+        the same cycle rebuilds back to its published value. Sends are
+        integrated after the last build, so the send carries variable 0's
+        list alone, and the unsent list of variable 1 is discarded, never
+        sent."""
+        monkeypatch.setattr(engine, "OFFER_BLOCK", 1)
+        line = TwoNodeLine()
+        propagate, joints, retrain = line.propagate, line.joints, line.retrain
+        assert [propagate() for _ in range(3)] == [2, 2, 0]
+        (old0,), (old1,) = joints().values()
+        # a slightly sharper model of variable 1 waits
+        s1 = retrain(1, 10)
+        assert 0 < old1 - s1 < 0.1
+        assert propagate() == 0
+        assert joints(unsent=True) == {1: [s1]}
+        # in one cycle, a much sharper model of variable 0, and variable 1
+        # back to its published joint
+        s0 = retrain(0, 20)
+        assert old0 - s0 > 0.1
+        assert retrain(1, 9) == old1
+        assert propagate() == 1
+        assert joints(unsent=True) == {}
+        assert joints() == {0: [s0], 1: [old1]}
+        # node 0 echoes variable 0 alone, and node 1 keeps its own
+        assert [propagate() for _ in range(2)] == [1, 0]
 
 
 class TestRunTrial:
@@ -1064,11 +1086,16 @@ class TestConfigValidation:
             SimConfig(pseudocount=pseudocount)
 
     def test_overlay_fits_seed_clique(self):
-        SimConfig(node_count=1)
-        SimConfig(node_count=4, edge_limit=3)
-        for bad in (dict(node_count=2), dict(node_count=3), dict(edge_limit=2)):
-            with pytest.raises(ValueError):
-                SimConfig(**bad)
+        # the seed clique spans min(node_count, m0) nodes, so every node count
+        # from 1 up is a config, and the edge limit must fit that clique
+        for n in (1, 2, 3, 4, 5):
+            clique = min(n, 4)
+            SimConfig(node_count=n, edge_limit=clique - 1)
+            with pytest.raises(
+                InvalidField,
+                match=rf"^edge_limit must be >= min\(node_count, m0\)-1={clique - 1}$",
+            ):
+                SimConfig(node_count=n, edge_limit=clique - 2)
         small = AttachmentParams(m0=2, m=1)
         SimConfig(node_count=2, edge_limit=1, attachment=small)
 

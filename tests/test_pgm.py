@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgeknow import pgm
-from edgeknow.engine import TrainedAssignment, Workload, check_workload
+from edgeknow.engine import TrainedAssignment, check_workload
 from edgeknow.pgm import cell_counts
 
 from conftest import (
@@ -162,17 +162,15 @@ class TestCellCounts:
     `train_pgms`."""
 
     def test_counting_with_uniform_prior(self, binary_config):
-        wl = Workload(node_count=1)
-        wl.entries.append(TrainedAssignment(0, 0, (), np.array([[5], [0]])))
+        wl = [TrainedAssignment(0, 0, (), np.array([[5], [0]]))]
         joint = trained_rows(wl, binary_config)[0][0][0]
         assert joint == pytest.approx(bf_entropy([6 / 7, 1 / 7]), abs=1e-12)
 
     def test_negative_ids_do_not_wrap(self, binary_config):
         # -1 would index the last variable of a per-variable sequence
         for var, contexts in ((-1, (0,)), (0, (-1,))):
-            wl = Workload(node_count=1)
             counts = np.ones((2, 2), dtype=np.int64)
-            wl.entries.append(TrainedAssignment(0, var, contexts, counts))
+            wl = [TrainedAssignment(0, var, contexts, counts)]
             with pytest.raises(ValueError, match="unknown variable -1"):
                 check_workload(binary_config, wl)
 

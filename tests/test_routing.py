@@ -13,7 +13,6 @@ from edgeknow.engine import (
     SimConfig,
     Strategy,
     TrainedAssignment,
-    Workload,
     route_query,
     run_cycle,
     setup_trial,
@@ -1084,8 +1083,7 @@ class TestLocalSets:
             contexts_per_table=1, predicting_cardinality=2, context_cardinality=2,
         )
         ones = np.ones((2, 2), dtype=np.int64)
-        workload = Workload(node_count=1)
-        workload.entries += [
+        workload = [
             TrainedAssignment(0, 2, (1,), ones),
             TrainedAssignment(0, 0, (0,), ones),
         ]
@@ -1120,7 +1118,7 @@ class TestLocalSets:
             context_cardinality=data.draw(st.integers(2, 3)),
             pseudocount=data.draw(st.floats(0.01, 1.0)),
         )
-        workload = Workload(node_count=1)
+        workload = []
         for target in (0, 1):
             contexts = data.draw(
                 st.lists(st.integers(0, 15), min_size=1, max_size=3, unique=True)
@@ -1131,14 +1129,14 @@ class TestLocalSets:
             counts = data.draw(
                 st.lists(st.integers(0, 9), min_size=size, max_size=size)
             )
-            workload.entries.append(
+            workload.append(
                 TrainedAssignment(0, target, contexts, np.reshape(counts, (n_out, -1)))
             )
         sets = trained_rows(workload, config)[0]
         model = model_of([sets], [[]], 3, 1, 16)
         bound = data.draw(bounds())
         for target in (0, 1, 2):
-            entry = workload.entries[target] if target < 2 else None
+            entry = workload[target] if target < 2 else None
             want = bf_answer_entropy(entry, config, bound)
             got = answer_entropy(model, target, bound)[0]
             if want is None:

@@ -162,9 +162,12 @@ class TestGenerate:
                     frontier.append(nb)
         assert seen == set(range(len(ov.degree)))
 
-    def test_too_few_nodes(self):
-        with pytest.raises(ValueError):
-            generate(self.params(), [{0}] * 2, edge_limit=10, seed=0)
+    @pytest.mark.parametrize("nodes", [1, 2, 3])
+    def test_fewer_nodes_than_m0_grow_a_clique(self, nodes):
+        # the seed clique spans min(n, m0) nodes, so its degree fits the limit
+        ov = generate(self.params(), [{0}] * nodes, edge_limit=nodes - 1, seed=0)
+        assert ov.edges() == [(u, v) for u in range(nodes) for v in range(u + 1, nodes)]
+        assert ov.degree.tolist() == [nodes - 1] * nodes
 
     def test_similar_nodes_cluster(self):
         # two model groups with no overlap; with a tiny floor, same-group
@@ -194,19 +197,20 @@ class TestGenerate:
 @st.composite
 def growth_cases(draw):
     """Small overlays: m0, m, floor, edge limit, seed and the trained sets
-    (possibly empty) of every node over up to 12 predicting variables."""
+    (possibly empty) of every node, from one node up, over up to 12
+    predicting variables; the edge limit fits the seed clique."""
     m0 = draw(st.integers(2, 5))
     m = draw(st.integers(1, m0 - 1))
     floor = draw(st.sampled_from([0.0, 0.05]) | st.floats(0.0, 0.99))
-    edge_limit = draw(st.integers(m0 - 1, 8))
     var_count = draw(st.integers(1, 12))
     trained = draw(
         st.lists(
             st.sets(st.integers(0, var_count - 1), max_size=var_count),
-            min_size=m0,
+            min_size=1,
             max_size=60,
         )
     )
+    edge_limit = draw(st.integers(min(len(trained), m0) - 1, 8))
     seed = draw(st.integers(0, 2**32 - 1))
     return m0, m, floor, edge_limit, trained, seed
 
