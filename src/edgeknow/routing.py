@@ -35,7 +35,12 @@ The model holds everything per variable as arrays over nodes
 at its start, so `build_advertisement`, `should_advertise` and
 `integrate_advertisement` each handle a block of (variable, node) pairs at
 once, of one variable or many, gathering the lists by flat takes of the
-(variables x nodes) arrays. A query is its key: a target and its evidence,
+(variables x nodes) arrays. No sort runs over a block's offers: a block
+numbers the context combinations it holds 0..m-1 (`_numbering`), each
+(pair, combination)'s winner is found by minima scattered into a dense
+(pairs x m) array, and only each pair's winners are sorted; the send gate
+looks each unsent set's combination up in the same kind of scatter of the
+published lists. A query is its key: a target and its evidence,
 the frozenset of the context variables it binds. Per key, one numpy
 expression scores every node's published lists (`best_score`) and one
 every node's local set (`answer_entropy`), both through
@@ -127,6 +132,8 @@ class RoutingModel:
         seen = np.argsort(first)
         origins = np.argsort(seen).astype(np.int32)[inverse.reshape(-1)][1:]
         self.combos = rows[first[seen], 0].astype(np.intp)
+        # combination ids run below this
+        self.combination_count = int(self.combos.max()) + 1
         # per context variable, its entropy in every row of the table
         self._entropies = rows[first[seen], 1:].T.copy()
         cells = sets.variables, sets.nodes
@@ -276,6 +283,18 @@ def _lists(array: np.ndarray, cells: np.ndarray) -> np.ndarray:
     return array.reshape(-1, array.shape[2]).take(cells, axis=0)
 
 
+def _numbering(model: RoutingModel, *combos: np.ndarray) -> tuple[np.ndarray, int]:
+    """A block's own numbers for the combination ids that `combos` hold:
+    a lookup over all the model's ids that maps them, in ascending order,
+    to 0..m-1, and m; dense (pairs x m) scatters stay as small as the
+    block's combinations make them."""
+    present = np.zeros(model.combination_count, dtype=bool)
+    for ids in combos:
+        present[ids] = True
+    lookup = np.cumsum(present) - 1
+    return lookup, int(lookup[-1]) + 1
+
+
 def build_advertisement(
     model: RoutingModel, var, nodes: np.ndarray, policy: AdvertisementPolicy
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -287,12 +306,24 @@ def build_advertisement(
     threshold, and then from its neighbors' published lists of the
     variable in ascending neighbor order, inflated by one hop. Per
     combination the lowest joint wins, ties to the earlier offer; winners
-    are ordered by joint, ties to the combination offered first."""
+    are ordered by joint, ties to the combination offered first.
+
+    No sort runs over the offers. Each (pair, combination)'s lowest
+    joint, earliest offer at it and first offer are minima scattered
+    (`np.minimum.at`) into dense (pairs x m) arrays, m the combinations the
+    block offers, numbered by `_numbering`; only each pair's winners are
+    sorted. Neighbors' empty lists are never gathered."""
     k = model.joints.shape[2]
+    pairs = len(nodes)
     cells = _cells(model, var, nodes)
     senders, counts = model.neighbors_of(nodes)
-    # each sender's row of its pair's variable
-    learned = np.repeat(cells - nodes, counts) + senders
+    rank = np.arange(pairs)
+    pair = np.repeat(rank, counts)
+    # each sender's row of its pair's variable, kept if its list is not
+    # empty: a list is ascending, so its first slot is inf only when empty
+    learned = (cells - nodes)[pair] + senders
+    full = np.flatnonzero(model.joints.reshape(-1).take(learned * k) < math.inf)
+    learned, pair = learned[full], pair[full]
     local = np.where(
         model.gates.reshape(-1).take(cells) > policy.quality_threshold,
         0, model.local_origins.reshape(-1).take(cells),
@@ -303,25 +334,32 @@ def build_advertisement(
          (_lists(model.joints, learned) + policy.hop_inflation).ravel())
     )
     origin = np.concatenate((local, _lists(model.origins, learned).ravel()))
-    rank = np.arange(len(nodes))
-    owner = np.concatenate((rank, np.repeat(np.repeat(rank, counts), k)))
-    offer = np.flatnonzero(np.isfinite(joint))
-    joint, origin, owner = joint[offer], origin[offer], owner[offer]
-    # combination ids are below the number of origins
-    group = owner * len(model.combos) + model.combos[origin]
-    # per (pair, combination): the lowest joint, ties to the earliest offer
-    order = np.lexsort((offer, joint, group))
-    first = np.flatnonzero(np.diff(group[order], prepend=-1))
-    win = order[first]
-    first_offer = np.minimum.reduceat(offer[order], first)
-    order = np.lexsort((first_offer, joint[win], owner[win]))
-    win, owner = win[order], owner[win][order]
-    slot = np.arange(len(win)) - np.searchsorted(owner, owner)
-    kept = slot < k
-    joints = np.full((len(nodes), k), math.inf)
-    origins = np.zeros((len(nodes), k), dtype=np.int32)
-    joints[owner[kept], slot[kept]] = joint[win[kept]]
-    origins[owner[kept], slot[kept]] = origin[win[kept]]
+    owner = np.concatenate((rank, np.repeat(pair, k)))
+    kept = np.flatnonzero(joint < math.inf)
+    joint, origin, owner = joint[kept], origin[kept], owner[kept]
+    combo = model.combos[origin]
+    lookup, m = _numbering(model, combo)
+    group = owner * m + lookup[combo]
+    # per (pair, combination): the lowest joint, the earliest offer at it,
+    # and the earliest offer of any joint; `len(joint)` where none was
+    best = np.full(pairs * m, math.inf)
+    np.minimum.at(best, group, joint)
+    ties = np.flatnonzero(joint == best[group])
+    win = np.full(pairs * m, len(joint))
+    np.minimum.at(win, group[ties], ties)
+    first = np.full(pairs * m, len(joint))
+    np.minimum.at(first, group, np.arange(len(joint)))
+    # each pair's winners by joint, ties to the combination offered first;
+    # its combinations never offered, joint inf, sort last
+    best = best.reshape(pairs, m)
+    order = np.lexsort((first.reshape(pairs, m), best), axis=1)[:, :k]
+    won = np.take_along_axis(best, order, axis=1)
+    win = np.take_along_axis(win.reshape(pairs, m), order, axis=1)
+    held = won < math.inf
+    joints = np.full((pairs, k), math.inf)
+    origins = np.zeros((pairs, k), dtype=np.int32)
+    joints[:, : order.shape[1]] = won
+    origins[:, : order.shape[1]][held] = origin[win[held]]
     return joints, origins
 
 
@@ -332,19 +370,24 @@ def should_advertise(
     or one variable for all of them, whose unsent list of the pair's
     variable differs from their published one: in its combinations, or by
     more than the change threshold in a joint, once per such pair. A list
-    equal to the published one sends nothing."""
+    equal to the published one sends nothing. Each unsent set finds its
+    combination's published joint in a dense (pairs x m) scatter of the
+    published lists, m the block's combinations, nan where none was."""
     cells = _cells(model, var, nodes)
     joints = _lists(model.unsent_joints, cells)
     combos = model.combos[_lists(model.unsent_origins, cells)]
     published = _lists(model.joints, cells)
     held, was_held = np.isfinite(joints), np.isfinite(published)
     was_combos = model.combos[_lists(model.origins, cells)]
-    same = combos[:, :, None] == was_combos[:, None, :]
-    same &= was_held[:, None, :]
-    # a published list holds each combination once, so a sum picks its joint
-    was = np.where(same, published[:, None, :], 0.0).sum(axis=2)
-    moved = ~same.any(axis=2) | (np.abs(joints - was) > policy.change_threshold)
-    send = (held.sum(axis=1) != was_held.sum(axis=1)) | (held & moved).any(axis=1)
+    lookup, m = _numbering(model, combos, was_combos)
+    row = np.arange(len(nodes))[:, None] * m
+    was = np.full(len(nodes) * m, math.nan)
+    # a published list holds each combination once
+    was[(row + lookup[was_combos])[was_held]] = published[was_held]
+    was = was[row + lookup[combos]]
+    moved = np.isnan(was) | (np.abs(joints - was) > policy.change_threshold)
+    # held sets come first in a list, so its count changed where the masks differ
+    send = ((held != was_held) | (held & moved)).any(axis=1)
     return nodes[send].tolist()
 
 
@@ -356,9 +399,10 @@ def integrate_advertisement(model: RoutingModel, var, nodes: np.ndarray) -> int:
     are dropped, the only place the model drops them. Returns the sets
     delivered, each pair's once per neighbor."""
     cells = _cells(model, var, nodes)
+    k = model.joints.shape[2]
     joints = _lists(model.unsent_joints, cells)
-    model.joints[var, nodes] = joints
-    model.origins[var, nodes] = _lists(model.unsent_origins, cells)
+    model.joints.reshape(-1, k)[cells] = joints
+    model.origins.reshape(-1, k)[cells] = _lists(model.unsent_origins, cells)
     receivers, counts = model.neighbors_of(nodes)
     model.changed.reshape(-1)[np.repeat(cells - nodes, counts) + receivers] = True
     for target in np.unique(var).tolist():

@@ -242,6 +242,20 @@ class TestBuildAdvertisement:
         assert view(adv[0][0]) == (1.0, {0: 0.8})
         assert view(adv[1][0]) == (2.0, {})
 
+    def test_winners_tied_on_joint_keep_first_offer_order(self):
+        # combination A is offered first, by the local set; the neighbor's
+        # list offers B, then A, both at the joint that wins each. B's
+        # winning offer comes before A's, but A was offered first, so it
+        # leads: the tie goes to the combination offered first, not to the
+        # winning offer
+        a_local, a_learned = row(1.5, {0: 0.2}), row(1.0, {0: 0.3})
+        b_learned = row(1.0, {1: 0.2})
+        adv = full_build({0: a_local}, [{0: [b_learned, a_learned]}], NO_GATE, k=2)
+        assert adv[0] == [a_learned, b_learned]
+        assert views(adv) == bf_build_advertisement(
+            {0: view(a_local)}, [views({0: [b_learned, a_learned]})], NO_GATE, 2
+        )
+
     @given(
         st.lists(
             st.tuples(
@@ -646,6 +660,56 @@ class TestShouldAdvertise:
         assert self.senders(self.first(), self.first()) == [[]]
         # and the first time, an empty list staged as none published
         assert self.senders({}, {0: []}) == [[]]
+
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_block_matches_reference(self, data):
+        """A block of pairs, one per node, each with a published and an
+        unsent list over a few shared combinations: sets kept, moved by
+        exactly the change threshold (not sent), moved by more, dropped or
+        added, so that lists' held counts change too. Each node is sent
+        exactly when the full comparison says its lists differ."""
+        k = data.draw(st.integers(1, 3), label="k")
+        threshold = data.draw(st.sampled_from((0.0, 0.25, 0.5)), label="threshold")
+        policy = AdvertisementPolicy(change_threshold=threshold)
+        combos = [(), (0,), (1,), (0, 1)]
+
+        def listed(sets):
+            # rows over distinct combinations, ascending, at most K
+            sets = sorted(sets, key=lambda s: s[1])[:k]
+            return [row(joint, {c: 0.5 for c in combo}) for combo, joint in sets]
+
+        pairs = data.draw(st.integers(1, 6), label="pairs")
+        extra = [row(1.0, {c: 0.5 for c in combo}) for combo in combos]
+        net = Net([{}] * pairs, k=k, extra=extra)
+        variables = data.draw(
+            st.lists(st.integers(0, VARIABLES - 1), min_size=pairs, max_size=pairs)
+        )
+        want = []
+        for node, var in enumerate(variables):
+            joints = st.sampled_from((1.0, 1.5, 2.0, 2.5))
+            was = data.draw(
+                st.lists(st.tuples(st.sampled_from(combos), joints), max_size=k,
+                         unique_by=lambda t: t[0])
+            )
+            now = []
+            for combo, joint in was:
+                step = data.draw(st.sampled_from((None, 0.0, threshold, threshold + 0.25)))
+                if step is not None:
+                    now.append((combo, joint + data.draw(st.sampled_from((-1, 1))) * step))
+            for combo in data.draw(st.sets(st.sampled_from(combos))):
+                if combo not in dict(now):
+                    now.append((combo, data.draw(joints)))
+            previous, current = listed(was), listed(now)
+            net.publish(node, {var: previous})
+            net.stage(node, var, current)
+            if bf_should_advertise(
+                views({var: previous}), views({var: current}), policy
+            ):
+                want.append(node)
+        sent = should_advertise(net.model, np.array(variables), np.arange(pairs), policy)
+        assert sent == want
 
 
 def model_entries(var, max_size=2, min_size=0):
