@@ -35,10 +35,12 @@ The model holds everything per variable as arrays over nodes
 at its start, so `build_advertisement`, `should_advertise` and
 `integrate_advertisement` each handle a block of (variable, node) pairs at
 once, of one variable or many, gathering the lists by flat takes of the
-(variables x nodes) arrays. No sort runs over a block's offers: a block
-numbers the context combinations it holds 0..m-1 (`_numbering`), each
-(pair, combination)'s winner is found by minima scattered into a dense
-(pairs x m) array, and only each pair's winners are sorted; the send gate
+(variables x nodes) arrays and the neighbors by `Overlay.neighbor_pairs`,
+each with its owner, the pair it belongs to. No sort runs over a block's
+offers: a block numbers the context combinations it holds 0..m-1
+(`_numbering`), each (pair, combination)'s winner is found by minima
+scattered into a dense (pairs x m) array, and only each pair's winners
+are sorted; the send gate
 looks each unsent set's combination up in the same kind of scatter of the
 published lists. A query is its key: a target and its evidence,
 the frozenset of the context variables it binds. Per key, one numpy
@@ -69,7 +71,6 @@ import numpy as np
 from .pgm import table_entropies
 from .topology import Overlay
 
-NodeId = int
 # `RoutingModel.pending` compares the lists of about this many (variable,
 # node) pairs at once
 PENDING_BLOCK = 2**13
@@ -109,10 +110,11 @@ class RoutingModel:
     each combination; `changed`, whether the node must rebuild the variable; the
     published lists (`joints`, `origins`, K slots each, ascending joint
     first); and the unsent lists, the node's last rebuilt ones, pending
-    where they differ from the published ones. The entropy table holds
-    origin 0, the reduced form's all-zero row with no context, then one row
-    per distinct (combination, entropy row) of the local sets, in first-seen
-    order; `combos` maps each origin to its combination's id.
+    where they differ from the published ones. The entropy table holds one
+    row per distinct (combination, entropy row) of the reduced form and the
+    local sets, in `np.unique`'s sorted order, so origin 0 is the reduced
+    form's all-zero row with no context (ids and entropies are >= 0);
+    `combos` maps each origin to its combination's id.
 
     Per (target, evidence variable set) key, the model keeps every node's
     forwarding rank, until an integration of the target drops them, and
@@ -123,19 +125,16 @@ class RoutingModel:
         self.overlay = overlay
         shape = (variables, len(overlay.degree))
         # rows (combination, entropies): the reduced form's, then each local
-        # set's; equal rows share the first's origin, numbered by first sight
+        # set's; equal rows share one origin, numbered in np.unique's order
         rows = np.zeros((len(sets.joints) + 1, 1 + sets.entropies.shape[1]))
         rows[1:, 0], rows[1:, 1:] = sets.combos, sets.entropies
-        _, first, inverse = np.unique(
-            rows, axis=0, return_index=True, return_inverse=True
-        )
-        seen = np.argsort(first)
-        origins = np.argsort(seen).astype(np.int32)[inverse.reshape(-1)][1:]
-        self.combos = rows[first[seen], 0].astype(np.intp)
+        table, inverse = np.unique(rows, axis=0, return_inverse=True)
+        origins = inverse.reshape(-1)[1:].astype(np.int32)
+        self.combos = table[:, 0].astype(np.intp)
         # combination ids run below this
         self.combination_count = int(self.combos.max()) + 1
         # per context variable, its entropy in every row of the table
-        self._entropies = rows[first[seen], 1:].T.copy()
+        self._entropies = table[:, 1:].T.copy()
         cells = sets.variables, sets.nodes
         self.local_joints = np.full(shape, math.inf)
         self.local_joints[cells] = sets.joints
@@ -145,6 +144,9 @@ class RoutingModel:
         self.gates = np.zeros(shape)
         for combo in np.unique(sets.combos).tolist():
             over = sets.combos == combo
+            # not frozenset(tuple): a dict presizes the set's table, so it
+            # iterates in another order ({0, 1, 2, 3, 5, 16} as 0, 1, 2, 3,
+            # 16, 5), and the subtraction order sets the gate's float bits
             bound = frozenset(dict.fromkeys(sets.combinations[combo]))
             scores = self.subtract(sets.joints[over], origins[over], bound)
             self.gates[sets.variables[over], sets.nodes[over]] = np.maximum(scores, 0.0)
@@ -156,17 +158,6 @@ class RoutingModel:
         self._ranks: dict[int, dict[frozenset[int], np.ndarray]] = {}
         # per (target, evidence variable set): every node's local answer
         self._answers: dict[tuple[int, frozenset[int]], np.ndarray] = {}
-
-    def neighbors_of(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The neighbors of `nodes`, each node's ascending and the nodes in
-        order, and how many each node has: one flat take of the leading
-        slots of their rows, so no (nodes x width) array is made."""
-        rows, degree = self.overlay.rows, self.overlay.degree[nodes]
-        ends = np.cumsum(degree)
-        # a neighbor's flat slot: its node's row start plus its place there
-        start = np.repeat(nodes * rows.shape[1] - (ends - degree), degree)
-        slots = np.arange(ends[-1] if len(ends) else 0) + start
-        return rows.reshape(-1).take(slots), degree
 
     def pending(self, nodes: np.ndarray) -> np.ndarray:
         """Per variable, whether each of `nodes` holds an unsent list that
@@ -316,9 +307,7 @@ def build_advertisement(
     k = model.joints.shape[2]
     pairs = len(nodes)
     cells = _cells(model, var, nodes)
-    senders, counts = model.neighbors_of(nodes)
-    rank = np.arange(pairs)
-    pair = np.repeat(rank, counts)
+    senders, pair = model.overlay.neighbor_pairs(nodes)
     # each sender's row of its pair's variable, kept if its list is not
     # empty: a list is ascending, so its first slot is inf only when empty
     learned = (cells - nodes)[pair] + senders
@@ -334,7 +323,7 @@ def build_advertisement(
          (_lists(model.joints, learned) + policy.hop_inflation).ravel())
     )
     origin = np.concatenate((local, _lists(model.origins, learned).ravel()))
-    owner = np.concatenate((rank, np.repeat(pair, k)))
+    owner = np.concatenate((np.arange(pairs), np.repeat(pair, k)))
     kept = np.flatnonzero(joint < math.inf)
     joint, origin, owner = joint[kept], origin[kept], owner[kept]
     combo = model.combos[origin]
@@ -365,7 +354,7 @@ def build_advertisement(
 
 def should_advertise(
     model: RoutingModel, var, nodes: np.ndarray, policy: AdvertisementPolicy
-) -> list[NodeId]:
+) -> list[int]:
     """The nodes of the (`var`, `nodes`) pairs, `var` parallel to `nodes`
     or one variable for all of them, whose unsent list of the pair's
     variable differs from their published one: in its combinations, or by
@@ -403,11 +392,11 @@ def integrate_advertisement(model: RoutingModel, var, nodes: np.ndarray) -> int:
     joints = _lists(model.unsent_joints, cells)
     model.joints.reshape(-1, k)[cells] = joints
     model.origins.reshape(-1, k)[cells] = _lists(model.unsent_origins, cells)
-    receivers, counts = model.neighbors_of(nodes)
-    model.changed.reshape(-1)[np.repeat(cells - nodes, counts) + receivers] = True
+    receivers, owner = model.overlay.neighbor_pairs(nodes)
+    model.changed.reshape(-1)[(cells - nodes)[owner] + receivers] = True
     for target in np.unique(var).tolist():
         model._ranks.pop(target, None)
-    return int(np.isfinite(joints).sum(axis=1) @ counts)
+    return int(np.isfinite(joints).sum(axis=1) @ model.overlay.degree[nodes])
 
 
 def process_query(

@@ -6,7 +6,8 @@ probability proportional to degree times the overlap coefficient of the two
 nodes' trained predicting-variable sets. Nodes at the edge limit are
 excluded so the degree cap is hard. The overlay is held once,
 as the padded neighbor matrix (`Overlay`) that growth writes and routing
-reads.
+reads, the neighbors of many nodes at once through
+`Overlay.neighbor_pairs`.
 """
 
 from __future__ import annotations
@@ -70,12 +71,22 @@ class Overlay:
             row.sort()
             self.degree[a] += 1
 
+    def neighbor_pairs(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The neighbors of `nodes`, each node's ascending and the nodes in
+        order, and each neighbor's owner, its node's place in `nodes`: one
+        flat take of the leading slots of their rows, so no (nodes x width)
+        array is made. The one place that turns rows into flat slots."""
+        degree = self.degree[nodes]
+        owner = np.repeat(np.arange(len(nodes)), degree)
+        # a neighbor's flat slot: its node's row start plus its place there
+        start = nodes * self.rows.shape[1] - (np.cumsum(degree) - degree)
+        slots = np.arange(len(owner)) + start[owner]
+        return self.rows.reshape(-1).take(slots), owner
+
     def edges(self) -> list[tuple[int, int]]:
         """Each edge once, (u, v) with u < v, ascending: the rows read in
         order."""
-        n, body = len(self.degree), self.rows[:-1]
-        ends = body[body < n]
-        starts = np.repeat(np.arange(n), self.degree)
+        ends, starts = self.neighbor_pairs(np.arange(len(self.degree)))
         once = starts < ends
         return list(zip(starts[once].tolist(), ends[once].tolist()))
 
@@ -133,8 +144,6 @@ def attach(
     drawn without replacement and re-normalized after each draw."""
     candidates = np.arange(new_id)
     for _ in range(params.m):
-        if not len(candidates):
-            break
         try:
             probs = attachment_probabilities(
                 overlay.degree[candidates],

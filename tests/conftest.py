@@ -223,6 +223,16 @@ def summarise(entries, width: int, card: int, pseudocount: float) -> list[tuple]
     return rows_of(local_entropy_sets([entries], width, card, pseudocount))
 
 
+def symmetric(lists):
+    """Per node, ascending, the nodes its list names and those whose lists
+    name it: the overlay that links each listed pair."""
+    linked = [set(nbs) for nbs in lists]
+    for node, nbs in enumerate(lists):
+        for nb in nbs:
+            linked[nb].add(node)
+    return [sorted(nbs) for nbs in linked]
+
+
 def model_of(local_sets, neighbors, variables: int, k: int, width: int):
     """A `RoutingModel` over per-node dicts of rows `width` wide: one
     `LocalSets` entry per row, in node order, then dict order, combinations

@@ -371,9 +371,10 @@ class TestTrialSetup:
         # the model reads the overlay's own matrix, no copy of it
         assert trial.model.overlay is trial.overlay
         assert len(trial.overlay.degree) == config.node_count
+        neighbors, owner = trial.overlay.neighbor_pairs(np.arange(config.node_count))
         for node in range(config.node_count):
-            neighbors = trial.model.neighbors_of(np.array([node]))[0]
-            assert neighbors.tolist() == trial.overlay.neighbors(node).tolist()
+            mine = neighbors[owner == node]
+            assert mine.tolist() == trial.overlay.neighbors(node).tolist()
             # the first build covers the trained variables
             changed = trial.model.changed[:, node]
             assert set(np.flatnonzero(changed)) == set(local_sets[node])

@@ -20,12 +20,15 @@ from edgeknow.engine import (
 )
 from edgeknow.routing import (
     AdvertisementPolicy,
+    LocalSets,
+    RoutingModel,
     answer_entropy,
     build_advertisement,
     integrate_advertisement,
     process_query,
     should_advertise,
 )
+from edgeknow.topology import Overlay
 
 from conftest import (
     ROW_WIDTH,
@@ -42,6 +45,7 @@ from conftest import (
     row,
     set_up,
     summarise,
+    symmetric,
     trained_rows,
     view,
     views,
@@ -406,41 +410,6 @@ class TestBlockCalls:
         for name in ("joints", "origins", "changed"):
             assert np.array_equal(getattr(model, name), getattr(apart, name))
         assert model._ranks.keys() == apart._ranks.keys()
-
-
-def symmetric(lists):
-    """Per node, ascending, the nodes its list names and those whose lists
-    name it: the overlay that links each listed pair."""
-    linked = [set(nbs) for nbs in lists]
-    for node, nbs in enumerate(lists):
-        for nb in nbs:
-            linked[nb].add(node)
-    return [sorted(nbs) for nbs in linked]
-
-
-class TestNeighborsOf:
-    @given(st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_matches_concatenated_lists(self, data):
-        """The neighbors of any sequence of nodes, repeats and any order
-        included, are their ascending neighbor lists concatenated, with each
-        node's count: over random lists plus an isolated node and a node at
-        the maximum degree, linked to every node but the isolated one."""
-        node_count = data.draw(st.integers(0, 12))
-        # node n is isolated; node n + 1 is linked to every node before n
-        links = symmetric([
-            data.draw(st.lists(
-                st.integers(0, node_count - 1).filter(lambda n, i=i: n != i),
-                unique=True,
-            )) + [node_count + 1]
-            for i in range(node_count)
-        ] + [[], []])
-        model = model_of([{}] * len(links), links, 1, 1, ROW_WIDTH)
-        assert model.overlay.degree.max() == node_count
-        nodes = data.draw(st.lists(st.integers(0, len(links) - 1)))
-        got, counts = model.neighbors_of(np.array(nodes, dtype=np.intp))
-        assert got.tolist() == [nb for node in nodes for nb in links[node]]
-        assert counts.tolist() == [len(links[node]) for node in nodes]
 
 
 def evidence(keys):
@@ -1228,6 +1197,42 @@ class TestLocalSets:
         pseudocount = data.draw(st.floats(0.01, 1.0))
         (s,) = summarise([entry], 40, 2, pseudocount)
         assert_gate_score(s, bf_gate_score(view(s)))
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_entropy_table_interns_by_value(self, data):
+        """Two local sets share an origin exactly when their combination and
+        entropy row are equal, whatever their order, so a list rebuilt from
+        equal sets names the same origins and the send gate sees no change;
+        origin 0 is the reduced form, combination 0 with all-zero
+        entropies; and each set's origin gives back its own row. Sets are
+        drawn from few rows, so many repeat, some with no context or with
+        a context of zero entropy."""
+        combinations = [(), (0,), (2,), (0, 2)]
+        entropy = st.sampled_from((0.0, 0.5, 1.25))
+        rows = data.draw(st.lists(
+            st.tuples(st.integers(0, 3), entropy, entropy), max_size=12
+        ))
+        combos = np.array([combo for combo, _, _ in rows], dtype=np.intp)
+        entropies = np.zeros((len(rows), 3))
+        for i, (combo, *values) in enumerate(rows):
+            for context, value in zip(combinations[combo], values):
+                entropies[i, context] = value
+        count = len(rows)
+        sets = LocalSets(
+            nodes=np.arange(count), variables=np.zeros(count, dtype=np.intp),
+            combos=combos, joints=np.ones(count), entropies=entropies,
+            combinations=combinations,
+        )
+        model = RoutingModel(sets, Overlay(count, edge_limit=1), 1, 1)
+        origins = model.local_origins[0].tolist()
+        for i, j in itertools.product(range(count), repeat=2):
+            equal = combos[i] == combos[j] and (entropies[i] == entropies[j]).all()
+            assert (origins[i] == origins[j]) == equal
+        assert model.combos[0] == 0 and not model._entropies[:, 0].any()
+        for i, origin in enumerate(origins):
+            assert model.combos[origin] == combos[i]
+            assert model._entropies[:, origin].tolist() == entropies[i].tolist()
 
 
 def advertise_until_stable(net, policy, max_rounds=60):

@@ -14,7 +14,7 @@ from edgeknow.topology import (
     survival_slope,
 )
 
-from conftest import bf_generate
+from conftest import bf_generate, symmetric
 
 
 def overlay_from_edges(n, edges, limit=100):
@@ -288,6 +288,57 @@ class TestOverlayInvariants:
         assert ov.edges() == sorted(edges)
         most = int(ov.degree.max())
         assert ov.rows.shape[1] == (1 if most <= 1 else 2 ** (most - 1).bit_length())
+
+
+@st.composite
+def linked_overlays(draw):
+    """An overlay over random neighbor lists plus an isolated node and a
+    node at the maximum degree, linked to every node but the isolated one,
+    with its lists; its matrix is as wide as growth leaves it, or, drawn,
+    as wide as `generate` trims it."""
+    node_count = draw(st.integers(0, 12))
+    # node n is isolated; node n + 1 is linked to every node before n
+    links = symmetric([
+        draw(st.lists(
+            st.integers(0, node_count - 1).filter(lambda n, i=i: n != i),
+            unique=True,
+        )) + [node_count + 1]
+        for i in range(node_count)
+    ] + [[], []])
+    edges = [(u, v) for u, nbs in enumerate(links) for v in nbs if u < v]
+    ov = overlay_from_edges(len(links), edges)
+    assert ov.degree.max() == node_count
+    if draw(st.booleans()):
+        ov.rows = ov.rows[:, : max(1, ov.degree.max())].copy()
+    return ov, links
+
+
+class TestNeighborPairs:
+    @given(linked_overlays(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_concatenated_lists(self, linked, data):
+        """The neighbors of any sequence of nodes, repeats and any order
+        included, are their ascending neighbor lists concatenated, each
+        owned by its node's place in the sequence; no nodes, no pairs."""
+        ov, links = linked
+        nodes = data.draw(st.lists(st.integers(0, len(links) - 1)))
+        got, owner = ov.neighbor_pairs(np.array(nodes, dtype=np.intp))
+        assert got.tolist() == [nb for node in nodes for nb in links[node]]
+        assert owner.tolist() == [
+            place for place, node in enumerate(nodes) for _ in links[node]
+        ]
+        got, owner = ov.neighbor_pairs(np.zeros(0, dtype=np.intp))
+        assert got.tolist() == owner.tolist() == []
+
+    @given(linked_overlays())
+    @settings(max_examples=50, deadline=None)
+    def test_edges_are_the_pairs_of_every_node(self, linked):
+        """`edges()` is the pairs of every node's neighbors, in order, whose
+        owner is the lower end."""
+        ov, _ = linked
+        ends, owner = ov.neighbor_pairs(np.arange(len(ov.degree)))
+        pairs = zip(owner.tolist(), ends.tolist())
+        assert ov.edges() == [(u, v) for u, v in pairs if u < v]
 
 
 class TestHistogramAndSlope:
